@@ -18,7 +18,7 @@ from .tseitin import (
 )
 from .cnf import Cnf
 from .resolution import ResolutionTrace, check_refutation, check_regularity, dpll_refute
-from .bp import BranchingProgram, build_well_structured_bp, eval_bp, validate_read_once, validate_well_structured
+from .bp import BranchingProgram, build_well_structured_bp, validate_read_once, validate_well_structured
 from .nnf import (
     NnfCircuit,
     condition_dnnf,
@@ -29,6 +29,7 @@ from .nnf import (
     smooth,
     validate_decomposable,
 )
+from .oracles import bp_semantics_hold, eval_bp
 from .rectangles import Rectangle, is_rectangle
 from .compiler import compile_bp_to_dnnf, pipeline, retarget
 from .bounds import (
@@ -51,6 +52,7 @@ __all__ = [
     "Cnf",
     "ResolutionTrace", "check_refutation", "check_regularity", "dpll_refute",
     "BranchingProgram", "build_well_structured_bp", "eval_bp", "validate_read_once", "validate_well_structured",
+    "bp_semantics_hold",
     "NnfCircuit", "condition_dnnf", "forget_var", "gate_rectangle", "model_count_smooth",
     "rename_flip", "smooth", "validate_decomposable",
     "Rectangle", "is_rectangle",

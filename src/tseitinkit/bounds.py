@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, is_3_connected, is_connected, safe_split_subset
 from .minors import three_connected_minor
-from .nnf import AND, CONST, LIT, OR, NnfCircuit, enumerate_proof_trees, gate_rectangle, is_smooth, validate_decomposable
+from .nnf import CONST, LIT, OR, NnfCircuit, enumerate_proof_trees, gate_rectangle, gate_values, is_smooth, validate_decomposable
 from .rectangles import Rectangle, is_rectangle, mask_of
-from .tseitin import SubConstraint, TseitinFormula, conjoin_subconstraints_count, truth_table
+from .textformat import Line, records
+from .tseitin import SubConstraint, TseitinFormula, brute_force_models, conjoin_subconstraints_count
 from .width import BranchDecomposition, Cut, heuristic_branch_decomposition, max_order_cut, treewidth_bounds
 
 
@@ -139,42 +140,28 @@ class _WalkNode:
     children: tuple  # () for leaves
 
 
-def _proof_walk(d: NnfCircuit, mask: int, gate: int | None = None) -> _WalkNode:
+def _proof_walk(d: NnfCircuit, mask: int) -> _WalkNode:
     """Occurrence tree of the accepting proof tree for a model, choosing
     the true child at every OR gate (smaller id on ties)."""
-    i = d.root if gate is None else gate
-    vals = _gate_values(d, mask)
-    while d.gates[i].kind == OR:
+    vals = gate_values(d, mask)
+
+    def walk(i: int) -> _WalkNode:
+        while d.gates[i].kind == OR:
+            g = d.gates[i]
+            if vals[g.a]:
+                i = g.a
+            elif vals[g.b]:
+                i = g.b
+            else:
+                raise ValueError("model does not satisfy the circuit")
         g = d.gates[i]
-        if vals[g.a]:
-            i = g.a
-        elif vals[g.b]:
-            i = g.b
-        else:
-            raise ValueError("model does not satisfy the circuit")
-    g = d.gates[i]
-    if g.kind == LIT:
-        return _WalkNode(i, d.var_masks[i], ())
-    if g.kind == CONST:
-        raise ValueError("constants must be propagated before playing the game")
-    left = _proof_walk(d, mask, g.a)
-    right = _proof_walk(d, mask, g.b)
-    return _WalkNode(i, d.var_masks[i], (left, right))
-
-
-def _gate_values(d: NnfCircuit, mask: int) -> list[bool]:
-    vals = []
-    for g in d.gates:
         if g.kind == LIT:
-            bit = bool((mask >> g.var) & 1)
-            vals.append(bit if g.positive else not bit)
-        elif g.kind == CONST:
-            vals.append(bool(g.a))
-        elif g.kind == AND:
-            vals.append(vals[g.a] and vals[g.b])
-        else:
-            vals.append(vals[g.a] or vals[g.b])
-    return vals
+            return _WalkNode(i, d.var_masks[i], ())
+        if g.kind == CONST:
+            raise ValueError("constants must be propagated before playing the game")
+        return _WalkNode(i, d.var_masks[i], (walk(g.a), walk(g.b)))
+
+    return walk(d.root)
 
 
 def _vtree_of_walk(d: NnfCircuit, walk: _WalkNode) -> tuple[BranchDecomposition, dict[int, int]]:
@@ -210,9 +197,8 @@ def game_simulate(d: NnfCircuit, t: TseitinFormula) -> GameTranscript:
     """
     if not validate_decomposable(d) or not is_smooth(d):
         raise ValueError("the game needs a smooth decomposable circuit")
-    table = truth_table(t)
-    sat_masks = sorted(int(x) for x in table.nonzero()[0])
-    circuit_sat = {m for m in range(1 << d.num_vars) if table[m]}
+    sat_masks = brute_force_models(t)
+    circuit_sat = set(sat_masks)
     trees = enumerate_proof_trees(d)
     three_conn = is_3_connected(t.graph)
     uncovered = set(sat_masks)
@@ -376,6 +362,8 @@ def verify_certificate(cert: LowerBoundCertificate, g: Graph) -> tuple[bool, str
         if cert.bound != 1:
             return False, "trivial certificate must have bound 1"
         return True, "ok"
+    if cert.minor_n > g.n or cert.minor_m > g.m:
+        return False, "stored minor is larger than the graph"
     try:
         h = Graph(cert.minor_n, cert.minor_edges)
     except ValueError as exc:
@@ -388,6 +376,8 @@ def verify_certificate(cert: LowerBoundCertificate, g: Graph) -> tuple[bool, str
         return False, "minor treewidth differs from certified treewidth"
     if cert.bw_lower != _ceil_div(2 * cert.treewidth, 3):
         return False, "branchwidth stage arithmetic is wrong"
+    if not set(cert.v_prime) <= set(range(h.n)):
+        return False, "boundary vertex outside the minor"
     if not set(cert.v_second) <= set(cert.v_prime):
         return False, "independent set not inside the boundary"
     if not set(cert.v_star) <= set(cert.v_second):
@@ -434,29 +424,32 @@ def certificate_to_text(cert: LowerBoundCertificate) -> str:
 
 
 def certificate_from_text(text: str) -> LowerBoundCertificate:
-    data = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, value = line.partition(":")
-        data[name.strip()] = value.strip()
-    missing = [f for f in _CERT_FIELDS if f not in data]
+    fields: dict[str, Line] = {}
+    for ln in records(text):
+        name, _, value = ln.text.partition(":")
+        fields[name.strip()] = Line(ln.number, value.strip(), value.split())
+    missing = [f for f in _CERT_FIELDS if f not in fields]
     if missing:
         raise ValueError(f"certificate missing fields: {missing}")
 
-    def ints(s):
-        return tuple(int(x) for x in s.split()) if s else ()
+    def ints(name):
+        return tuple(fields[name].ints(start=0))
 
-    edges = tuple(tuple(int(x) for x in pair.split("-")) for pair in data["minor_edges"].split()) if data["minor_edges"] else ()
+    def one(name):
+        return fields[name].ints(1, start=0)[0]
+
+    edges = []
+    for pair in fields["minor_edges"].fields:
+        ends = Line(fields["minor_edges"].number, pair, pair.split("-"))
+        edges.append(tuple(ends.ints(2, start=0)))
     return LowerBoundCertificate(
-        graph_hash=data["graph_hash"],
-        n=int(data["n"]), m=int(data["m"]),
-        treewidth=int(data["treewidth"]), tw_provenance=data["tw_provenance"],
-        bw_lower=int(data["bw_lower"]),
-        minor_n=int(data["minor_n"]), minor_m=int(data["minor_m"]),
-        minor_max_degree=int(data["minor_max_degree"]),
-        minor_edges=edges,
-        v_prime=ints(data["v_prime"]), v_second=ints(data["v_second"]), v_star=ints(data["v_star"]),
-        k=int(data["k"]), cap_exponent=int(data["cap_exponent"]), bound=int(data["bound"]),
+        graph_hash=fields["graph_hash"].text,
+        n=one("n"), m=one("m"),
+        treewidth=one("treewidth"), tw_provenance=fields["tw_provenance"].text,
+        bw_lower=one("bw_lower"),
+        minor_n=one("minor_n"), minor_m=one("minor_m"),
+        minor_max_degree=one("minor_max_degree"),
+        minor_edges=tuple(edges),
+        v_prime=ints("v_prime"), v_second=ints("v_second"), v_star=ints("v_star"),
+        k=one("k"), cap_exponent=one("cap_exponent"), bound=one("bound"),
     )

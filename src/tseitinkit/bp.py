@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, is_connected
+from .textformat import records
 from .tseitin import Charge, TseitinFormula, is_satisfiable
 from .width import heuristic_branch_decomposition, all_cuts
 
@@ -33,27 +34,7 @@ class BranchingProgram:
             raise ValueError(f"ids used as both decision and sink: {sorted(overlap)}")
         if self.source not in self.decisions and self.source not in self.sinks:
             raise ValueError("source id unknown")
-        self._check_dag()
-
-    def _check_dag(self):
-        state: dict[int, int] = {}
-
-        def visit(u):
-            if u in self.sinks:
-                return
-            if u not in self.decisions:
-                raise ValueError(f"dangling node id {u}")
-            if state.get(u) == 1:
-                raise ValueError("cycle detected")
-            if state.get(u) == 2:
-                return
-            state[u] = 1
-            _, lo, hi = self.decisions[u]
-            visit(lo)
-            visit(hi)
-            state[u] = 2
-
-        visit(self.source)
+        self.topological()
 
     @property
     def size(self) -> int:
@@ -64,38 +45,29 @@ class BranchingProgram:
 
     def topological(self) -> list[int]:
         """Children before parents, restricted to nodes reachable from
-        the source."""
+        the source; raises ValueError on a dangling id or a cycle."""
         order: list[int] = []
-        seen: set[int] = set()
-
-        def visit(u):
-            if u in seen:
-                return
-            seen.add(u)
-            if u in self.decisions:
+        state: dict[int, int] = {}  # 1 = on the current path, 2 = done
+        stack = [(self.source, False)]
+        while stack:
+            u, leaving = stack.pop()
+            if leaving:
+                state[u] = 2
+                order.append(u)
+            elif state.get(u) == 1:
+                raise ValueError("cycle detected")
+            elif u in state:
+                continue
+            elif u in self.decisions:
+                state[u] = 1
                 _, lo, hi = self.decisions[u]
-                visit(lo)
-                visit(hi)
-            order.append(u)
-
-        visit(self.source)
+                stack += [(u, True), (hi, False), (lo, False)]
+            elif u in self.sinks:
+                state[u] = 2
+                order.append(u)
+            else:
+                raise ValueError(f"dangling node id {u}")
         return order
-
-
-def eval_bp(b: BranchingProgram, mask: int) -> int:
-    u = b.source
-    while u not in b.sinks:
-        var, lo, hi = b.decisions[u]
-        u = hi if (mask >> var) & 1 else lo
-    return b.sinks[u]
-
-
-def searchvertex_holds(g: Graph, c: Charge, mask: int, v: int) -> bool:
-    """True iff the assignment violates the parity constraint at v."""
-    par = 0
-    for e in g.incident[v]:
-        par ^= (mask >> e) & 1
-    return par != c[v]
 
 
 def validate_read_once(b: BranchingProgram) -> bool:
@@ -122,28 +94,31 @@ def make_annotation(vertices, edge_ids, charge: dict[int, int]) -> Annotation:
     return (frozenset(vertices), frozenset(edge_ids), dict(charge))
 
 
-def _charge_sum(charge: dict[int, int], vertices) -> int:
-    return sum(charge[v] for v in vertices) % 2
+def _sides(g: Graph, vertices: frozenset[int], rest: frozenset[int], a: int, b: int) -> list[tuple[frozenset[int], frozenset[int]]]:
+    """Components of the connected graph (vertices, rest + ab) minus ab:
+    one when ab is no bridge, else the two sides, the smaller first.
 
-
-def _component_of(g: Graph, edge_ids: frozenset[int], start: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Connected component of the edge-induced subgraph containing start."""
-    verts = {start}
-    stack = [start]
-    inc: dict[int, list[tuple[int, int]]] = {}
-    for e in edge_ids:
-        u, w = g.edges[e]
-        inc.setdefault(u, []).append((e, w))
-        inc.setdefault(w, []).append((e, u))
-    edges = set()
-    while stack:
-        u = stack.pop()
-        for e, w in inc.get(u, ()):
-            edges.add(e)
-            if w not in verts:
-                verts.add(w)
-                stack.append(w)
-    return frozenset(verts), frozenset(edges)
+    The searches from a and b advance in turn, so a bridge costs only its
+    smaller side; the larger side is the complement.
+    """
+    seen = ({a}, {b})
+    found: tuple[set[int], set[int]] = (set(), set())
+    stacks = ([a], [b])
+    while True:
+        for i in (0, 1):
+            if not stacks[i]:
+                small = (frozenset(seen[i]), frozenset(found[i]))
+                return [small, (vertices - small[0], rest - small[1])]
+            u = stacks[i].pop()
+            for e in g.incident[u]:
+                if e in rest and e not in found[i]:
+                    found[i].add(e)
+                    w = g.other_end(e, u)
+                    if w in seen[1 - i]:
+                        return [(vertices, rest)]
+                    if w not in seen[i]:
+                        seen[i].add(w)
+                        stacks[i].append(w)
 
 
 def expected_children(g: Graph, ann: Annotation, var: int) -> tuple[Annotation, Annotation]:
@@ -155,24 +130,18 @@ def expected_children(g: Graph, ann: Annotation, var: int) -> tuple[Annotation, 
     vertices, edge_ids, charge = ann
     if var not in edge_ids:
         raise ValueError(f"decision edge {var} not in the annotated subgraph")
+    if sum(charge.values()) % 2 != 1:
+        raise ValueError("no odd component after conditioning; parent annotation not unsatisfiable")
     a, b = g.edges[var]
-    rest = edge_ids - {var}
-    side_a = _component_of(g, rest, a)
-    side_b = _component_of(g, rest, b) if b not in side_a[0] else side_a
+    sides = _sides(g, vertices, edge_ids - {var}, a, b)
     out = []
     for literal in (0, 1):
         gamma = dict(charge)
         if literal == 1:
             gamma[a] ^= 1
             gamma[b] ^= 1
-        picked = None
-        for verts, edges in (side_a, side_b):
-            if _charge_sum(gamma, verts) == 1:
-                picked = (verts, edges, {v: gamma[v] for v in verts})
-                break
-        if picked is None:
-            raise ValueError("no odd component after conditioning; parent annotation not unsatisfiable")
-        out.append(make_annotation(*picked))
+        verts, edges = sides[0] if sum(gamma[v] for v in sides[0][0]) % 2 else sides[-1]
+        out.append(make_annotation(verts, edges, {v: gamma[v] for v in verts}))
     return out[0], out[1]
 
 
@@ -191,43 +160,47 @@ def validate_well_structured(
     g: Graph,
     c: Charge,
     annotations: dict[int, Annotation],
-    semantic_cap: int = 16,
 ) -> ValidationResult:
-    """Check the three structural conditions, then (at desk scale) that
-    each node brute-force computes the search relation of its annotation.
+    """Check read-once and the three structural conditions; O(size * m).
 
-    Variables queried below a node but absent from its subgraph are padded
-    with zeros during the semantic sweep.
+    The conditions imply that every node u solves the search relation of
+    its annotation T(G_u, c_u), by induction from the sinks; the source
+    carries the connected, odd-charged (G, c), so the program solves the
+    search relation of T(G, c).  At a sink for v, T({v}, {}, 1) is violated
+    by the empty assignment.  At a decision on e = ab, the child for x_e
+    is annotated with the odd component (V', E', c') of G_u - e under c_u
+    flipped at a and b when x_e = 1.  Every decision queries an edge of
+    its own annotation and annotations shrink downward, so the child's
+    subtree queries only edges of E' and, by induction, reaches w in V'
+    whose E'-parity differs from c'(w).  Every edge of G_u - e at w lies
+    in E', and x_e adds to the parity at w exactly when the flip changed
+    c'(w), so the E_u-parity at w differs from c_u(w).
+    `oracles.bp_semantics_hold` checks the same property by enumeration.
     """
-    if not validate_read_once(b):
-        return ValidationResult(False, "program is not read-once")
     order = b.topological()
     for u in order:
-        if u not in annotations:
-            return ValidationResult(False, "node missing annotation", u)
-        vertices, edge_ids, charge = annotations[u]
-        if set(charge) != set(vertices):
-            return ValidationResult(False, "charge domain differs from vertex set", u)
-        if _charge_sum(charge, vertices) != 1:
-            return ValidationResult(False, "annotated formula is satisfiable", u)
-        if edge_ids:
-            comp = _component_of(g, edge_ids, next(iter(vertices)))
-            if comp[0] != vertices or comp[1] != edge_ids:
-                return ValidationResult(False, "annotated subgraph is not connected", u)
-        elif len(vertices) != 1:
-            return ValidationResult(False, "edgeless annotation must be a single vertex", u)
+        if u in b.decisions and not 0 <= b.decisions[u][0] < g.m:
+            return ValidationResult(False, "decision variable out of range", u)
+    if not validate_read_once(b):
+        return ValidationResult(False, "program is not read-once")
 
-    src_vertices, src_edges, src_charge = annotations[b.source]
-    if src_vertices != frozenset(range(g.n)) or src_edges != frozenset(range(g.m)):
+    src = annotations.get(b.source)
+    if src is None or src[0] != frozenset(range(g.n)) or src[1] != frozenset(range(g.m)):
         return ValidationResult(False, "condition 1: source not annotated with the full graph", b.source)
-    if any(src_charge[v] != c[v] for v in range(g.n)):
+    if src[2] != {v: c[v] for v in range(g.n)}:
         return ValidationResult(False, "condition 1: source charge mismatch", b.source)
+    if not is_connected(g):
+        return ValidationResult(False, "annotated subgraph is not connected", b.source)
+    if sum(c) % 2 != 1:
+        return ValidationResult(False, "annotated formula is satisfiable", b.source)
 
-    for u in order:
+    # Parents first, so every annotation is checked against its parent's
+    # forced one before it is used; this also makes each a connected,
+    # odd-charged component.
+    for u in reversed(order):
         if u in b.sinks:
             v = b.sinks[u]
-            vertices, edge_ids, charge = annotations[u]
-            if vertices != frozenset((v,)) or edge_ids or charge.get(v) != 1:
+            if annotations[u] != make_annotation((v,), (), {v: 1}):
                 return ValidationResult(False, "condition 2: sink annotation must be its unit-charged vertex", u)
         else:
             var, lo, hi = b.decisions[u]
@@ -235,39 +208,11 @@ def validate_well_structured(
                 want0, want1 = expected_children(g, annotations[u], var)
             except ValueError as exc:
                 return ValidationResult(False, f"condition 3: {exc}", u)
-            if annotations[lo] != want0:
+            if annotations.get(lo) != want0:
                 return ValidationResult(False, "condition 3: 0-child annotation mismatch", u)
-            if annotations[hi] != want1:
+            if annotations.get(hi) != want1:
                 return ValidationResult(False, "condition 3: 1-child annotation mismatch", u)
-
-    for u in order:
-        vertices, edge_ids, charge = annotations[u]
-        if len(edge_ids) > semantic_cap:
-            continue
-        edges = sorted(edge_ids)
-        for bits in range(1 << len(edges)):
-            mask = 0
-            for i, e in enumerate(edges):
-                if (bits >> i) & 1:
-                    mask |= 1 << e
-            w = _eval_from(b, u, mask)
-            if w not in vertices:
-                return ValidationResult(False, f"semantics: sink {w} outside the annotated subgraph", u)
-            par = 0
-            for e in g.incident[w]:
-                if e in edge_ids:
-                    par ^= (mask >> e) & 1
-            if par == charge[w]:
-                return ValidationResult(False, "semantics: reached sink whose constraint is satisfied", u)
     return ValidationResult(True)
-
-
-def _eval_from(b: BranchingProgram, start: int, mask: int) -> int:
-    u = start
-    while u not in b.sinks:
-        var, lo, hi = b.decisions[u]
-        u = hi if (mask >> var) & 1 else lo
-    return b.sinks[u]
 
 
 def _decision_edge(g: Graph, edge_ids: frozenset[int]) -> int:
@@ -303,8 +248,6 @@ def build_well_structured_bp(g: Graph, c: Charge) -> tuple[BranchingProgram, dic
     t = TseitinFormula(g, c)
     if is_satisfiable(t):
         raise ValueError("formula is satisfiable; no search program to build")
-    from .graphs import is_connected
-
     if not is_connected(g):
         raise ValueError("graph must be connected")
 
@@ -392,19 +335,17 @@ def bp_from_text(text: str) -> BranchingProgram:
     source = None
     decisions = {}
     sinks = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "source":
-            source = int(parts[1])
-        elif parts[0] == "node":
-            decisions[int(parts[1])] = (int(parts[2]), int(parts[3]), int(parts[4]))
-        elif parts[0] == "sink":
-            sinks[int(parts[1])] = int(parts[2])
+    for ln in records(text):
+        if ln.fields[0] == "source":
+            (source,) = ln.ints(1)
+        elif ln.fields[0] == "node":
+            nid, var, lo, hi = ln.ints(4)
+            decisions[nid] = (var, lo, hi)
+        elif ln.fields[0] == "sink":
+            nid, v = ln.ints(2)
+            sinks[nid] = v
         else:
-            raise ValueError(f"unrecognized line: {line}")
+            raise ln.error(f"unrecognized line: {ln.text}")
     if source is None:
         raise ValueError("missing source line")
     return BranchingProgram(source, decisions, sinks)

@@ -26,10 +26,12 @@ CSV_HEADER = "name,n,m,treewidth,tw_provenance,bp_size,refutation_length,dnnf_si
 
 
 def _parse_charge(spec: str, g: Graph, want_satisfiable: bool, default_seed: int = 0):
-    parts = spec.split()
+    parts = spec.split() or [""]
     if parts[0] == "zero":
         charge = tuple([0] * g.n)
     elif parts[0] == "odd-at":
+        if len(parts) != 2 or not 0 <= int(parts[1]) < g.n:
+            raise ValueError(f"charge spec {spec!r} needs one vertex in 0..{g.n - 1}")
         charge = unit_charge(g.n, int(parts[1]))
     elif parts[0] in ("random-sat", "random-unsat"):
         rng = random.Random(int(parts[1]) if len(parts) > 1 else default_seed)
@@ -40,7 +42,7 @@ def _parse_charge(spec: str, g: Graph, want_satisfiable: bool, default_seed: int
             parity = sum(bits[v] for v in comp) % 2
             if parity == 1:
                 bits[anchor] ^= 1
-        if parts[0] == "random-unsat":
+        if parts[0] == "random-unsat" and comps:
             bits[max(comps[0])] ^= 1
         charge = tuple(bits)
     else:

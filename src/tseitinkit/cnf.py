@@ -6,6 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracles import truth_table
+from .textformat import records
+
 
 @dataclass(frozen=True)
 class Cnf:
@@ -21,6 +24,17 @@ class Cnf:
             if any(-lit in cl for lit in cl):
                 raise ValueError(f"clause {sorted(cl)} contains a variable and its negation")
 
+    def satisfies(self, x):
+        """Whether x satisfies every clause; x is one assignment mask (bit
+        v-1 = variable v) or an array of them."""
+        ok = True
+        for cl in self.clauses:
+            sat = False
+            for lit in cl:
+                sat = sat | (((x >> (abs(lit) - 1)) & 1) == (lit > 0))
+            ok = ok & sat
+        return ok
+
 
 def clause_sorted(cl: frozenset[int]) -> list[int]:
     return sorted(cl, key=lambda lit: (abs(lit), lit < 0))
@@ -31,17 +45,7 @@ def cnf_truth_table(cnf: Cnf) -> np.ndarray:
 
     Assignment index i sets variable v to bit (v-1) of i.
     """
-    if cnf.num_vars > 24:
-        raise ValueError("truth table capped at 24 variables")
-    space = np.arange(1 << cnf.num_vars, dtype=np.uint64)
-    acc = np.ones(1 << cnf.num_vars, dtype=bool)
-    for cl in cnf.clauses:
-        sat = np.zeros(1 << cnf.num_vars, dtype=bool)
-        for lit in cl:
-            bit = ((space >> np.uint64(abs(lit) - 1)) & np.uint64(1)).astype(bool)
-            sat |= bit if lit > 0 else ~bit
-        acc &= sat
-    return acc
+    return truth_table(cnf.num_vars, cnf.satisfies)
 
 
 def cnf_to_dimacs(cnf: Cnf) -> str:
@@ -55,19 +59,15 @@ def cnf_from_dimacs(text: str) -> Cnf:
     num_vars = None
     announced = None
     clauses = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad header: {line}")
-            num_vars, announced = int(parts[2]), int(parts[3])
+    for ln in records(text, comments=("c", "#")):
+        if ln.fields[0] == "p":
+            if len(ln.fields) != 4 or ln.fields[1] != "cnf":
+                raise ln.error(f"bad header: {ln.text}")
+            num_vars, announced = ln.ints(2, start=2)
         else:
-            lits = [int(x) for x in parts]
-            if lits[-1] != 0:
-                raise ValueError(f"clause not zero-terminated: {line}")
+            lits = ln.ints(start=0)
+            if lits[-1] != 0 or 0 in lits[:-1]:
+                raise ln.error(f"clause not zero-terminated: {ln.text}")
             clauses.append(frozenset(lits[:-1]))
     if num_vars is None:
         raise ValueError("missing header")

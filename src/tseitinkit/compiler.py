@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bp import Annotation, BranchingProgram, build_well_structured_bp, validate_read_once, validate_well_structured
+from .bp import Annotation, BranchingProgram, build_well_structured_bp, validate_well_structured
 from .graphs import Graph, is_connected
 from .nnf import CircuitBuilder, NnfCircuit, restrict_to_root, smooth, model_count_smooth
 from .tseitin import (
@@ -63,8 +63,6 @@ def compile_bp_to_dnnf(
     if not 0 <= root_vertex < g.n:
         raise ValueError("root vertex out of range")
     if validate:
-        if not validate_read_once(b):
-            raise ValueError("program is not read-once")
         res = validate_well_structured(b, g, c, annotations)
         if not res:
             raise ValueError(f"program is not well-structured: {res.error} (node {res.node})")

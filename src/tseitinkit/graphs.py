@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .textformat import records
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -335,22 +337,20 @@ def graph_from_text(text: str) -> Graph:
     n = None
     m = None
     edges = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "graph":
-                raise ValueError(f"bad header: {line}")
-            n, m = int(parts[2]), int(parts[3])
-        elif parts[0] == "e":
+    for ln in records(text):
+        if ln.fields[0] == "p":
+            if len(ln.fields) != 4 or ln.fields[1] != "graph":
+                raise ln.error(f"bad header: {ln.text}")
+            n, m = ln.ints(2, start=2)
+        elif ln.fields[0] == "e":
             if n is None:
-                raise ValueError("edge line before header")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            edges.append((u, v))
+                raise ln.error("edge line before header")
+            u, v = ln.ints(2)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ln.error(f"endpoint outside 1..{n}")
+            edges.append((u - 1, v - 1))
         else:
-            raise ValueError(f"unrecognized line: {line}")
+            raise ln.error(f"unrecognized line: {ln.text}")
     if n is None:
         raise ValueError("missing header")
     if m != len(edges):

@@ -19,12 +19,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .oracles import truth_table as _table
+from .textformat import records
+
 LIT = "L"
 CONST = "C"
 AND = "A"
 OR = "O"
 
-VAR_CAP = 24
 RECT_CAP = 20
 
 
@@ -147,38 +149,33 @@ def is_smooth(d: NnfCircuit) -> bool:
     return all(masks[g.a] == masks[g.b] for g in d.gates if g.kind == OR)
 
 
-def evaluate(d: NnfCircuit, mask: int) -> bool:
+def gate_values(d: NnfCircuit, x) -> list:
+    """Value of every gate on x: one assignment mask (bools) or an array
+    of masks (bool arrays; constants stay plain bools)."""
     vals = []
     for g in d.gates:
         if g.kind == LIT:
-            bit = bool((mask >> g.var) & 1)
-            vals.append(bit if g.positive else not bit)
+            bit = x & (1 << g.var)
+            vals.append(bit != 0 if g.positive else bit == 0)
         elif g.kind == CONST:
             vals.append(bool(g.a))
         elif g.kind == AND:
-            vals.append(vals[g.a] and vals[g.b])
+            # a constant-true child passes the other one through, which
+            # also spares a scalar-with-array operation on every block
+            a, b = vals[g.a], vals[g.b]
+            vals.append(b if a is True else a if b is True else a & b)
         else:
-            vals.append(vals[g.a] or vals[g.b])
-    return vals[d.root]
+            vals.append(vals[g.a] | vals[g.b])
+    return vals
+
+
+def evaluate(d: NnfCircuit, mask: int) -> bool:
+    return bool(gate_values(d, mask)[d.root])
 
 
 def truth_table(d: NnfCircuit) -> np.ndarray:
     """Circuit value on all 2^num_vars assignments (assignment = index)."""
-    if d.num_vars > VAR_CAP:
-        raise ValueError(f"{d.num_vars} variables exceed the truth table cap")
-    space = np.arange(1 << d.num_vars, dtype=np.uint64)
-    cols: list[np.ndarray] = []
-    for g in d.gates:
-        if g.kind == LIT:
-            bit = ((space >> np.uint64(g.var)) & np.uint64(1)).astype(bool)
-            cols.append(bit if g.positive else ~bit)
-        elif g.kind == CONST:
-            cols.append(np.full(len(space), bool(g.a)))
-        elif g.kind == AND:
-            cols.append(cols[g.a] & cols[g.b])
-        else:
-            cols.append(cols[g.a] | cols[g.b])
-    return cols[d.root]
+    return _table(d.num_vars, lambda block: gate_values(d, block)[d.root])
 
 
 def models(d: NnfCircuit) -> list[int]:
@@ -451,50 +448,51 @@ def nnf_to_text(d: NnfCircuit) -> str:
 
 
 def nnf_from_text(text: str) -> NnfCircuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("c ")]
-    header = lines[0].split()
+    lines = list(records(text, comments=("c ",)))
+    if not lines:
+        raise ValueError("empty file")
+    header = lines[0].fields
     if header[0] != "nnf" or len(header) != 4:
-        raise ValueError(f"bad header: {lines[0]}")
-    nodes, _, num_vars = int(header[1]), int(header[2]), int(header[3])
+        raise lines[0].error(f"bad header: {lines[0].text}")
+    nodes, _, num_vars = lines[0].ints(3)
     body = lines[1:]
     if len(body) != nodes:
         raise ValueError(f"header announces {nodes} nodes, found {len(body)}")
     gates: list[Gate] = []
     fid: list[int] = []  # file node id -> gate index (after binarization)
 
+    def children(ln, start: int) -> list[int]:
+        count, *ids = ln.ints(start=start)
+        if count != len(ids):
+            raise ln.error(f"announces {count} children, lists {len(ids)}")
+        if any(not 0 <= i < len(fid) for i in ids):
+            raise ln.error("child id does not name an earlier node")
+        return [fid[i] for i in ids]
+
     def binarize(kind: str, ids: list[int]) -> int:
-        cur = fid[ids[0]]
+        cur = ids[0]
         for nxt in ids[1:]:
-            gates.append(Gate(kind, a=cur, b=fid[nxt]))
+            gates.append(Gate(kind, a=cur, b=nxt))
             cur = len(gates) - 1
         return cur
 
-    for line in body:
-        parts = line.split()
-        if parts[0] == "L":
-            sv = int(parts[1])
+    for ln in body:
+        if ln.fields[0] == "L":
+            (sv,) = ln.ints(1)
+            if not 1 <= abs(sv) <= num_vars:
+                raise ln.error(f"literal {sv} outside 1..{num_vars}")
             gates.append(Gate(LIT, var=abs(sv) - 1, positive=sv > 0))
             fid.append(len(gates) - 1)
-        elif parts[0] == "A":
-            count = int(parts[1])
-            ids = [int(x) for x in parts[2:2 + count]]
-            if count == 0:
-                gates.append(Gate(CONST, a=1))
+        elif ln.fields[0] in ("A", "O"):
+            kind = AND if ln.fields[0] == "A" else OR
+            ids = children(ln, 1 if kind == AND else 2)
+            if not ids:
+                gates.append(Gate(CONST, a=int(kind == AND)))
                 fid.append(len(gates) - 1)
-            elif count == 1:
-                fid.append(fid[ids[0]])
             else:
-                fid.append(binarize(AND, ids))
-        elif parts[0] == "O":
-            count = int(parts[2])
-            ids = [int(x) for x in parts[3:3 + count]]
-            if count == 0:
-                gates.append(Gate(CONST, a=0))
-                fid.append(len(gates) - 1)
-            elif count == 1:
-                fid.append(fid[ids[0]])
-            else:
-                fid.append(binarize(OR, ids))
+                fid.append(binarize(kind, ids))
         else:
-            raise ValueError(f"unrecognized node line: {line}")
+            raise ln.error(f"unrecognized node line: {ln.text}")
+    if not fid:
+        raise ValueError("circuit has no nodes")
     return NnfCircuit(tuple(gates), fid[-1], num_vars)

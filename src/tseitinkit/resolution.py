@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cnf import Cnf, clause_sorted, cnf_truth_table
+from .cnf import Cnf, clause_sorted
+from .textformat import records
 
 
 @dataclass(frozen=True)
@@ -191,11 +192,10 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     branch whose two child clauses mention the branch literal in both
     polarities resolves them, otherwise the child clause that omits the
     variable is passed through.  Steps with identical clauses are shared
-    when reuse cannot make a path resolve twice on one variable.
+    when reuse cannot make a path resolve twice on one variable.  A
+    satisfiable CNF is rejected when the search reaches an assignment that
+    leaves no clause unsatisfied.
     """
-    if cnf.num_vars <= 24:
-        if cnf_truth_table(cnf).any():
-            raise ValueError("CNF is satisfiable; nothing to refute")
     builder = _TraceBuilder()
 
     def refute(assignment: dict[int, int], assigned_mask: int) -> int:
@@ -241,17 +241,16 @@ def trace_to_text(trace: ResolutionTrace) -> str:
 def trace_from_text(text: str) -> ResolutionTrace:
     steps = []
     by_id = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        nums = [int(x) for x in line.split()]
+    for ln in records(text):
+        nums = ln.ints(start=0)
         sid = nums[0]
+        if 0 not in nums[1:]:
+            raise ln.error(f"step {sid}: clause not zero-terminated")
         z1 = nums.index(0, 1)
         clause = frozenset(nums[1:z1])
         rest = nums[z1 + 1:]
         if not rest or rest[-1] != 0:
-            raise ValueError(f"step {sid}: missing terminator")
+            raise ln.error(f"step {sid}: missing terminator")
         ants = rest[:-1]
         if not ants:
             step = Step(sid, clause)
@@ -259,7 +258,7 @@ def trace_from_text(text: str) -> ResolutionTrace:
             pivot = _infer_pivot(by_id, ants, clause)
             step = Step(sid, clause, (ants[0], ants[1]), pivot)
         else:
-            raise ValueError(f"step {sid}: expected 0 or 2 antecedents, got {len(ants)}")
+            raise ln.error(f"step {sid}: expected 0 or 2 antecedents, got {len(ants)}")
         steps.append(step)
         by_id[sid] = step
     return ResolutionTrace(tuple(steps))

@@ -16,8 +16,9 @@ import numpy as np
 
 from .cnf import Cnf
 from .graphs import Graph, SplitRequest, connected_components, is_connected, split_all
+from .oracles import parity, truth_table as _table
+from .textformat import records
 
-BRUTE_FORCE_CAP = 24
 DEGREE_CAP = 8
 
 Charge = tuple[int, ...]
@@ -58,14 +59,16 @@ class TseitinFormula:
     def num_vars(self) -> int:
         return self.graph.m
 
-    def violated_at(self, mask: int, v: int) -> bool:
-        par = 0
-        for e in self.graph.incident[v]:
-            par ^= (mask >> e) & 1
-        return par != self.charge[v]
+    def violated_at(self, x, v: int):
+        """Whether x violates the constraint at v; x is one assignment mask
+        or an array of them."""
+        return parity(x, self.graph.incident[v]) != self.charge[v]
 
-    def satisfies(self, mask: int) -> bool:
-        return all(not self.violated_at(mask, v) for v in range(self.graph.n))
+    def satisfies(self, x):
+        ok = True
+        for v in range(self.graph.n):
+            ok = ok & (parity(x, self.graph.incident[v]) == self.charge[v])
+        return ok
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,7 @@ class SubConstraint:
             raise ValueError("parity must be 0/1")
 
     def holds(self, mask: int) -> bool:
-        par = 0
-        for e in self.edge_ids:
-            par ^= (mask >> e) & 1
-        return par == self.parity
+        return parity(mask, self.edge_ids) == self.parity
 
 
 def is_satisfiable(t: TseitinFormula) -> bool:
@@ -126,16 +126,7 @@ def condition(t: TseitinFormula, var: int, value: int) -> TseitinFormula:
 
 def truth_table(t: TseitinFormula) -> np.ndarray:
     """Indicator over all 2^m assignments, independent of every other path."""
-    m = t.graph.m
-    if m > BRUTE_FORCE_CAP:
-        raise ValueError(f"m={m} exceeds brute force cap {BRUTE_FORCE_CAP}")
-    space = np.arange(1 << m, dtype=np.uint64)
-    acc = np.ones(1 << m, dtype=bool)
-    for v in range(t.graph.n):
-        emask = np.uint64(t.graph.edge_mask_at(v))
-        parity = (np.bitwise_count(space & emask) & 1).astype(np.uint8)
-        acc &= parity == t.charge[v]
-    return acc
+    return _table(t.graph.m, t.satisfies)
 
 
 def brute_force_models(t: TseitinFormula) -> list[int]:
@@ -275,21 +266,18 @@ def tseitin_from_text(text: str) -> TseitinFormula:
     n = m = None
     charge = None
     edges = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "tseitin":
-                raise ValueError(f"bad header: {line}")
-            n, m = int(parts[2]), int(parts[3])
-        elif parts[0] == "g":
-            charge = tuple(int(b) for b in parts[1:])
-        elif parts[0] == "e":
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+    for ln in records(text):
+        if ln.fields[0] == "p":
+            if len(ln.fields) != 4 or ln.fields[1] != "tseitin":
+                raise ln.error(f"bad header: {ln.text}")
+            n, m = ln.ints(2, start=2)
+        elif ln.fields[0] == "g":
+            charge = tuple(ln.ints())
+        elif ln.fields[0] == "e":
+            u, v = ln.ints(2)
+            edges.append((u - 1, v - 1))
         else:
-            raise ValueError(f"unrecognized line: {line}")
+            raise ln.error(f"unrecognized line: {ln.text}")
     if n is None or charge is None:
         raise ValueError("missing header or charge line")
     if len(charge) != n or len(edges) != m:

@@ -1,10 +1,41 @@
-"""Single-step trace corruptions, each guaranteed to change what the
-checker sees (wrong resolvent, foreign axiom, missing empty clause, or a
-forward antecedent reference)."""
+"""Single-step corruptions of artifacts.
+
+Trace corruptions are each guaranteed to change what the checker sees
+(wrong resolvent, foreign axiom, missing empty clause, or a forward
+antecedent reference).  Program mutations may or may not break the
+program; they feed the comparison of the structural validator with the
+brute-force sweep.
+"""
 
 import random
 
+from tseitinkit.bp import BranchingProgram
+from tseitinkit.graphs import Graph
 from tseitinkit.resolution import ResolutionTrace, Step
+
+
+def mutate_bp(b: BranchingProgram, g: Graph, rng: random.Random) -> BranchingProgram:
+    """One child swap, variable change, child redirect or sink change.
+
+    Raises ValueError when the redirect closes a cycle.
+    """
+    decisions = dict(b.decisions)
+    sinks = dict(b.sinks)
+    kind = rng.choice(["swap", "var", "redirect", "sink"] if decisions else ["sink"])
+    if kind == "sink":
+        sinks[rng.choice(sorted(sinks))] = rng.randrange(g.n)
+    else:
+        u = rng.choice(sorted(decisions))
+        var, lo, hi = decisions[u]
+        if kind == "swap":
+            decisions[u] = (var, hi, lo)
+        elif kind == "var":
+            decisions[u] = (rng.randrange(g.m), lo, hi)
+        elif rng.random() < 0.5:
+            decisions[u] = (var, rng.choice(b.node_ids()), hi)
+        else:
+            decisions[u] = (var, lo, rng.choice(b.node_ids()))
+    return BranchingProgram(b.source, decisions, sinks)
 
 
 def corrupt(trace: ResolutionTrace, rng: random.Random, num_vars: int) -> ResolutionTrace:

@@ -5,6 +5,7 @@ one pass/fail line each (visible with `pytest -s tests/test_acceptance.py`).
 import itertools
 import random
 import time
+import zlib
 
 import pytest
 
@@ -215,7 +216,7 @@ class TestAcceptance:
             assert result.ok, name
             assert check_regularity(trace), name
             traces += 1
-            rng = random.Random(hash(name) & 0xFFFF)
+            rng = random.Random(zlib.crc32(name.encode()))
             rejected = 0
             attempts = 0
             while rejected < 20 and attempts < 200:

@@ -1,20 +1,23 @@
+import random
+import zlib
+
 import pytest
 
+from mutations import mutate_bp
 from tseitinkit import families as fam
 from tseitinkit.bp import (
     BranchingProgram,
     bp_from_text,
     bp_to_text,
     build_well_structured_bp,
-    eval_bp,
     expected_children,
     infer_annotations,
     make_annotation,
-    searchvertex_holds,
     validate_read_once,
     validate_well_structured,
 )
 from tseitinkit.graphs import Graph
+from tseitinkit.oracles import bp_semantics_hold, eval_bp
 from tseitinkit.tseitin import TseitinFormula, is_satisfiable, unit_charge
 
 
@@ -38,22 +41,22 @@ class TestEval:
         bp, _ = build_well_structured_bp(g, c)
         for mask in range(8):
             v = eval_bp(bp, mask)
-            assert searchvertex_holds(g, c, mask, v)
+            assert TseitinFormula(g, c).violated_at(mask, v)
 
 
 class TestSearchVertexRelation:
     def test_examples(self):
         g = fam.cycle(3)
-        assert searchvertex_holds(g, (1, 0, 0), 0, 0)
-        assert not searchvertex_holds(g, (1, 0, 0), 0, 1)
+        assert TseitinFormula(g, (1, 0, 0)).violated_at(0, 0)
+        assert not TseitinFormula(g, (1, 0, 0)).violated_at(0, 1)
 
     def test_unsat_always_has_witness(self, bench_graph):
         _, g = bench_graph
-        c = unit_charge(g.n, 0)
-        if is_satisfiable(TseitinFormula(g, c)) or g.m > 12:
+        t = TseitinFormula(g, unit_charge(g.n, 0))
+        if is_satisfiable(t) or g.m > 12:
             return
         for mask in range(1 << g.m):
-            assert any(searchvertex_holds(g, c, mask, v) for v in range(g.n))
+            assert any(t.violated_at(mask, v) for v in range(g.n))
 
 
 class TestReadOnce:
@@ -133,6 +136,58 @@ class TestWellStructured:
             key = (a[0], a[1], tuple(sorted(a[2].items())))
             assert key not in seen
             seen[key] = nid
+
+
+class TestSweepOracle:
+    """The brute-force sweep against the structural validator."""
+
+    def test_family_builder_outputs(self, bench_graph):
+        _, g = bench_graph
+        c = unit_charge(g.n, 0)
+        bp, ann = build_well_structured_bp(g, c)
+        assert bp_semantics_hold(bp, g, c, ann)
+
+    def test_accepted_mutants_pass_sweep(self, bench_graph):
+        name, g = bench_graph
+        c = unit_charge(g.n, 0)
+        bp, _ = build_well_structured_bp(g, c)
+        rng = random.Random(zlib.crc32(name.encode()))
+        compared = rejected = 0
+        while compared < 40:
+            try:
+                mutant = mutate_bp(bp, g, rng)
+            except ValueError:
+                continue  # the redirect closed a cycle
+            ann = infer_annotations(mutant, g, c)
+            verdict = validate_well_structured(mutant, g, c, ann).ok
+            # a validator that ran the sweep after the conditions would
+            # give the same verdict; the sweep alone may still accept a
+            # redundant re-read, which read-once rejects
+            if verdict:
+                assert bp_semantics_hold(mutant, g, c, ann), bp_to_text(mutant)
+            compared += 1
+            rejected += not verdict
+        assert rejected > 0
+
+    def test_wrong_source_annotation_fails_sweep(self):
+        g = fam.cycle(3)
+        bp, ann = build_well_structured_bp(g, (1, 0, 0))
+        assert not bp_semantics_hold(bp, g, (0, 1, 0), ann)
+
+
+class TestDeepPrograms:
+    def test_chain_deeper_than_recursion_limit(self):
+        # path 0-1-...-1500 with edge i = (i, i+1), charge odd at 0: node i
+        # decides edge i, its 0-wire ends at vertex i and its 1-wire moves
+        # the odd charge to vertex i+1
+        n = 1501
+        g = fam.path(n)
+        decisions = {i: (i, n + i, i + 1) for i in range(n - 1)}
+        decisions[n - 2] = (n - 2, 2 * n - 2, 2 * n - 1)
+        bp = BranchingProgram(0, decisions, {n + v: v for v in range(n)})
+        c = unit_charge(n, 0)
+        assert len(bp.topological()) == bp.size == 2 * n - 1
+        assert validate_well_structured(bp, g, c, infer_annotations(bp, g, c)).ok
 
 
 class TestBuilderSizes:

@@ -1,4 +1,10 @@
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tseitinkit.cli import main
 from tseitinkit.bounds import certificate_to_text, certified_lower_bound
@@ -173,3 +179,117 @@ class TestBuildBp:
 
     def test_satisfiable_rejected(self, workdir):
         assert main(["build-bp", workdir["tseitin_zero"]]) == 1
+
+
+def _genuine_files() -> dict[str, str]:
+    g = fam.cycle(3)
+    c = unit_charge(3, 1)
+    t = TseitinFormula(g, c)
+    cnf = to_cnf(t)
+    bp, ann = build_well_structured_bp(g, c)
+    d = retarget(compile_bp_to_dnnf(bp, ann, g, c, 0), g, charge_add(c, unit_charge(3, 0)), (0, 0, 0))
+    return {
+        "graph": graph_to_text(g),
+        "tseitin": tseitin_to_text(t),
+        "zero": tseitin_to_text(TseitinFormula(g, (0, 0, 0))),
+        "cnf": cnf_to_dimacs(cnf),
+        "trace": trace_to_text(dpll_refute(cnf)),
+        "bp": bp_to_text(bp),
+        "nnf": nnf_to_text(d),
+        "k4": graph_to_text(fam.complete(4)),
+        "cert": certificate_to_text(certified_lower_bound(fam.complete(4))),
+    }
+
+
+GENUINE = _genuine_files()
+
+# argv naming files: @name is a genuine artifact, {name} the one that gets the edits
+FUZZ_COMMANDS = [
+    ["check", "refutation", "{cnf}", "@trace"],
+    ["check", "refutation", "@cnf", "{trace}"],
+    ["check", "bp", "{tseitin}", "@bp"],
+    ["check", "bp", "@tseitin", "{bp}"],
+    ["check", "dnnf-equiv", "{zero}", "@nnf"],
+    ["check", "dnnf-equiv", "@zero", "{nnf}"],
+    ["check", "certificate", "{k4}", "@cert"],
+    ["check", "certificate", "@k4", "{cert}"],
+    ["convert", "{graph}", "--format", "graph"],
+    ["convert", "{tseitin}", "--format", "tseitin"],
+    ["convert", "{tseitin}", "--format", "cnf"],
+    ["convert", "{cnf}", "--format", "cnf"],
+    ["convert", "{nnf}", "--format", "nnf"],
+    ["convert", "{bp}", "--format", "bp"],
+    ["convert", "{trace}", "--format", "trace"],
+    ["build-bp", "{tseitin}"],
+    ["pipeline", "--graph", "{k4}"],
+    ["pipeline", "--graph", "{graph}"],
+]
+
+TOKENS = ["0", "1", "2", "3", "-1", "-2", "7", "99", "x", "", "0 0", "e", "p", "node", "sink", "L", "A", "O", ":"]
+
+_edit = st.tuples(
+    st.sampled_from(["drop", "duplicate", "replace", "insert"]),
+    st.integers(0, 40),  # line
+    st.integers(0, 6),  # field
+    st.sampled_from(TOKENS),
+)
+
+
+def _apply(text: str, edits) -> str:
+    lines = text.splitlines()
+    for kind, line, field, token in edits:
+        if not lines:
+            lines = [token]
+            continue
+        i = line % len(lines)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "insert":
+            lines.insert(i, token)
+        else:
+            fields = lines[i].split() or [""]
+            fields[field % len(fields)] = token
+            lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv,text,line", [
+        (["check", "bp", "@tseitin", "{bp}"], "source 0\nnode 0 1\n", 2),
+        (["convert", "{graph}", "--format", "graph"], "p graph 2 1\ne 1\n", 2),
+        (["check", "dnnf-equiv", "@zero", "{nnf}"], "nnf 2 2 3\nL 1\nA 2 0 5\n", 3),
+    ])
+    def test_error_names_the_line(self, tmp_path, capsys, argv, text, line):
+        assert main(_fuzz_argv(tmp_path, argv, text)) == 1
+        assert f"line {line}:" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argv=st.sampled_from(FUZZ_COMMANDS), edits=st.lists(_edit, min_size=1, max_size=4))
+    def test_main_returns_an_exit_code(self, argv, edits):
+        slot = next(a for a in argv if a.startswith("{"))
+        text = _apply(GENUINE[slot.strip("{}")], edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            sink = io.StringIO()
+            with redirect_stdout(sink), redirect_stderr(sink):
+                rc = main(_fuzz_argv(Path(tmp), argv, text))
+        assert rc in (0, 1, 2)
+
+
+def _fuzz_argv(tmp: Path, argv: list[str], text: str) -> list[str]:
+    """argv with each @name replaced by a file holding that genuine
+    artifact and the {name} slot by a file holding `text`."""
+    out = []
+    for arg in argv:
+        if arg.startswith("{"):
+            path = tmp / "fuzzed"
+            path.write_text(text)
+            out.append(str(path))
+        elif arg.startswith("@"):
+            path = tmp / arg[1:]
+            path.write_text(GENUINE[arg[1:]])
+            out.append(str(path))
+        else:
+            out.append(arg)
+    return out
