@@ -231,11 +231,11 @@ def _decision_edge(g: Graph, edge_ids: frozenset[int]) -> int:
     cuts = all_cuts(t, sub)
     cut = min(cuts, key=lambda cu: (cu.order, -cu.depth, cu.node_id))
     boundary = set(cut.boundary)
+    # every boundary vertex is an end of some e1 edge, so this returns
     for le in cut.e1:
         u, w = sub.edges[le]
         if u in boundary or w in boundary or not boundary:
             return edges[le]
-    return edges[cut.e1[0]]
 
 
 def build_well_structured_bp(g: Graph, c: Charge) -> tuple[BranchingProgram, dict[int, Annotation]]:
@@ -243,7 +243,8 @@ def build_well_structured_bp(g: Graph, c: Charge) -> tuple[BranchingProgram, dic
 
     The memo key is the annotation itself (edge set plus restricted
     charge), so two nodes share an id exactly when their subformulas
-    coincide.
+    coincide.  The decision edge depends on the edge set alone, so each
+    distinct edge set is decided once.
     """
     t = TseitinFormula(g, c)
     if is_satisfiable(t):
@@ -255,6 +256,7 @@ def build_well_structured_bp(g: Graph, c: Charge) -> tuple[BranchingProgram, dic
     sinks: dict[int, int] = {}
     annotations: dict[int, Annotation] = {}
     memo: dict[tuple, int] = {}
+    decided: dict[frozenset[int], int] = {}  # edge set -> decision edge
     counter = [0]
 
     def fresh() -> int:
@@ -277,7 +279,9 @@ def build_well_structured_bp(g: Graph, c: Charge) -> tuple[BranchingProgram, dic
             (v,) = vertices
             sinks[nid] = v
             return nid
-        var = _decision_edge(g, edge_ids)
+        if edge_ids not in decided:
+            decided[edge_ids] = _decision_edge(g, edge_ids)
+        var = decided[edge_ids]
         want0, want1 = expected_children(g, ann, var)
         lo = build(want0)
         hi = build(want1)

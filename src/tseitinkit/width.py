@@ -149,50 +149,49 @@ class BranchDecomposition:
     @staticmethod
     def from_nested(structure) -> "BranchDecomposition":
         """structure: edge id, or a pair (left, right) of structures."""
-        nodes = []
-
-        def build(s):
+        nodes: list = []
+        stack = [(structure, None, 0)]  # (structure, parent id, child slot)
+        while stack:
+            s, parent, slot = stack.pop()
             my = len(nodes)
-            nodes.append(None)
+            if parent is not None:
+                nodes[parent][slot] = my
             if isinstance(s, int):
-                nodes[my] = ("leaf", s)
+                nodes.append(("leaf", s))
             else:
                 left, right = s
-                nodes[my] = ("node", None, None)
-                li = build(left)
-                ri = build(right)
-                nodes[my] = ("node", li, ri)
-            return my
+                nodes.append(["node", None, None])
+                stack += [(right, my, 2), (left, my, 1)]
+        return BranchDecomposition(tuple(tuple(node) for node in nodes))
 
-        build(structure)
-        return BranchDecomposition(tuple(nodes))
+    @cached_property
+    def preorder(self) -> tuple[int, ...]:
+        """Node ids reachable from the root, every parent before its children."""
+        order = []
+        stack = [self.root]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            node = self.nodes[i]
+            if node[0] == "node":
+                stack += [node[2], node[1]]
+        return tuple(order)
 
     @cached_property
     def depth(self) -> tuple[int, ...]:
         d = [0] * len(self.nodes)
-        stack = [(self.root, 0)]
-        while stack:
-            i, dep = stack.pop()
-            d[i] = dep
+        for i in self.preorder:
             node = self.nodes[i]
             if node[0] == "node":
-                stack.append((node[1], dep + 1))
-                stack.append((node[2], dep + 1))
+                d[node[1]] = d[node[2]] = d[i] + 1
         return tuple(d)
 
     @cached_property
     def edges_below(self) -> tuple[frozenset, ...]:
-        out = [None] * len(self.nodes)
-
-        def rec(i):
+        out: list = [None] * len(self.nodes)
+        for i in reversed(self.preorder):
             node = self.nodes[i]
-            if node[0] == "leaf":
-                out[i] = frozenset((node[1],))
-            else:
-                out[i] = rec(node[1]) | rec(node[2])
-            return out[i]
-
-        rec(self.root)
+            out[i] = frozenset((node[1],)) if node[0] == "leaf" else out[node[1]] | out[node[2]]
         return tuple(out)
 
     @property
@@ -231,15 +230,34 @@ def cut_boundary(g: Graph, e1) -> tuple[int, ...]:
 
 
 def all_cuts(t: BranchDecomposition, g: Graph) -> list[Cut]:
-    """One cut per non-root node; a single-leaf tree yields the trivial cut."""
+    """One cut per non-root node; a single-leaf tree yields the trivial cut.
+
+    Boundaries come from one bottom-up pass: a vertex is on a node's
+    boundary exactly when some but not all of its incident edges lie below
+    the node (`cut_boundary` is the same definition, one cut at a time).
+    """
+    degree = [len(inc) for inc in g.incident]
+    counts: dict[int, dict[int, int]] = {}  # node -> vertex -> incident edges below
+    boundary: dict[int, tuple[int, ...]] = {}
+    for i in reversed(t.preorder):
+        node = t.nodes[i]
+        if node[0] == "leaf":
+            count = dict.fromkeys(g.edges[node[1]], 1)
+        else:
+            count, other = counts.pop(node[1]), counts.pop(node[2])
+            if len(count) < len(other):
+                count, other = other, count
+            for v, k in other.items():
+                count[v] = count.get(v, 0) + k
+        counts[i] = count
+        boundary[i] = tuple(sorted(v for v, k in count.items() if k < degree[v]))
     cuts = []
-    every = set(range(g.m))
-    for i, node in enumerate(t.nodes):
+    every = frozenset(range(g.m))
+    for i in range(len(t.nodes)):
         if i == t.root and len(t.nodes) > 1:
             continue
-        e1 = sorted(t.edges_below[i])
-        e2 = sorted(every - set(e1))
-        cuts.append(Cut(i, t.depth[i], tuple(e1), tuple(e2), cut_boundary(g, e1)))
+        below = t.edges_below[i]
+        cuts.append(Cut(i, t.depth[i], tuple(sorted(below)), tuple(sorted(every - below)), boundary[i]))
     return cuts
 
 
@@ -253,44 +271,89 @@ def width_of(t: BranchDecomposition, g: Graph) -> int:
     return max((c.order for c in all_cuts(t, g)), default=0)
 
 
-def _partition_boundary_size(g: Graph, part1: set[int], part2: set[int]) -> int:
-    touch1 = set()
-    touch2 = set()
-    for e in part1:
-        touch1.update(g.edges[e])
-    for e in part2:
-        touch2.update(g.edges[e])
-    return len(touch1 & touch2)
-
-
 def _bipartition(g: Graph, edge_ids: list[int]) -> tuple[list[int], list[int]]:
     """Balanced split of edge_ids minimizing the boundary of each half
-    against the rest of the whole graph, by 2-swap hill climbing."""
+    against the rest of the whole graph, by 2-swap hill climbing.
+
+    The cost is (max(ca, cb), ca + cb), where ca (cb) counts the vertices
+    with some but not all of their incident edges in e1 (e2).  Swapping
+    x in e1 with y in e2 moves an e1 edge to e2 at the ends of x and one
+    back at the ends of y, so per-vertex changes of ca and cb for either
+    move give the swap's cost in O(1), and only those (at most four)
+    vertices change when a swap is kept.
+    """
+    if len(edge_ids) == 2:
+        # the one swap mirrors the split, which keeps its cost
+        return [edge_ids[0]], [edge_ids[1]]
     half = len(edge_ids) // 2
     e1 = list(edge_ids[:half])
     e2 = list(edge_ids[half:])
-    rest = set(range(g.m)) - set(edge_ids)
+    ends = g.edges
+    touched = {v for e in edge_ids for v in ends[e]}
+    degree = {v: len(g.incident[v]) for v in touched}
+    in1 = dict.fromkeys(touched, 0)  # incident edges in e1
+    in2 = dict.fromkeys(touched, 0)  # incident edges in e2
+    for e in e1:
+        for v in ends[e]:
+            in1[v] += 1
+    for e in e2:
+        for v in ends[e]:
+            in2[v] += 1
+    # Change in ca and cb when v gains an e1 edge from e2 (up) or loses
+    # one to e2 (down).
+    up_a, up_b, down_a, down_b = {}, {}, {}, {}
 
-    def cost(a, b):
-        ca = _partition_boundary_size(g, set(a), set(b) | rest)
-        cb = _partition_boundary_size(g, set(b), set(a) | rest)
-        return max(ca, cb), ca + cb
+    def refresh(v):
+        n1, n2, d = in1[v], in2[v], degree[v]
+        on1, on2 = 0 < n1 < d, 0 < n2 < d
+        up_a[v] = (0 < n1 + 1 < d) - on1
+        up_b[v] = (0 < n2 - 1 < d) - on2
+        down_a[v] = (0 < n1 - 1 < d) - on1
+        down_b[v] = (0 < n2 + 1 < d) - on2
+        return on1, on2
 
-    best = cost(e1, e2)
+    ca = cb = 0
+    for v in touched:
+        on1, on2 = refresh(v)
+        ca += on1
+        cb += on2
+
+    best = (max(ca, cb), ca + cb)
     improved = True
     passes = 0
     while improved and passes < 8:
         improved = False
         passes += 1
         for i in range(len(e1)):
-            for j in range(len(e2)):
-                e1[i], e2[j] = e2[j], e1[i]
-                c = cost(e1, e2)
-                if c < best:
-                    best = c
+            a, b = ends[e1[i]]
+            base_a = ca + down_a[a] + down_a[b]
+            base_b = cb + down_b[a] + down_b[b]
+            for j, y in enumerate(e2):
+                c, d = ends[y]
+                na = base_a + up_a[c] + up_a[d]
+                nb = base_b + up_b[c] + up_b[d]
+                # an end shared by both edges keeps its counts
+                shared = c if c == a or c == b else d if d == a or d == b else None
+                if shared is not None:
+                    na -= down_a[shared] + up_a[shared]
+                    nb -= down_b[shared] + up_b[shared]
+                cost = (na if na > nb else nb, na + nb)
+                if cost < best:
+                    best = cost
+                    ca, cb = na, nb
+                    for v in (a, b):
+                        in1[v] -= 1
+                        in2[v] += 1
+                    for v in (c, d):
+                        in1[v] += 1
+                        in2[v] -= 1
+                    for v in {a, b, c, d}:
+                        refresh(v)
+                    e1[i], e2[j] = y, e1[i]
+                    a, b = c, d
+                    base_a = ca + down_a[a] + down_a[b]
+                    base_b = cb + down_b[a] + down_b[b]
                     improved = True
-                else:
-                    e1[i], e2[j] = e2[j], e1[i]
     return sorted(e1), sorted(e2)
 
 

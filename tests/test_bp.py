@@ -4,6 +4,7 @@ import zlib
 import pytest
 
 from mutations import mutate_bp
+from tseitinkit import bp as bp_module
 from tseitinkit import families as fam
 from tseitinkit.bp import (
     BranchingProgram,
@@ -206,6 +207,33 @@ class TestBuilderSizes:
         for n in range(4, 9):
             bp, _ = build_well_structured_bp(fam.cycle(n), unit_charge(n, 0))
             assert bp.size <= 6 * n
+
+    def test_desk_sizes_pinned(self, bench_graph):
+        # Sizes under today's decision rule; a rule that changes them has
+        # to update this table on purpose.
+        sizes = {
+            "C3": 8, "C4": 11, "C5": 14, "C6": 17, "P2": 3, "P3": 5, "P4": 7, "P5": 9,
+            "K4": 21, "K5": 54, "W4": 34, "grid2x3": 23, "grid3x3": 52, "Q3": 77,
+            "bowtie": 15, "twoK4": 41,
+        }
+        name, g = bench_graph
+        bp, _ = build_well_structured_bp(g, unit_charge(g.n, 0))
+        assert bp.size == sizes[name]
+
+    @pytest.mark.parametrize("g", [fam.grid(4, 4), fam.cycle(20)], ids=["grid4x4", "C20"])
+    def test_one_decision_per_edge_set(self, g, monkeypatch):
+        calls = []
+        decide = bp_module._decision_edge
+
+        def counting(graph, edge_ids):
+            calls.append(edge_ids)
+            return decide(graph, edge_ids)
+
+        monkeypatch.setattr(bp_module, "_decision_edge", counting)
+        bp, ann = build_well_structured_bp(g, unit_charge(g.n, 0))
+        edge_sets = {ann[u][1] for u in bp.decisions}
+        assert len(calls) == len(set(calls)) == len(edge_sets) < len(bp.decisions)
+        assert set(calls) == edge_sets
 
     def test_satisfiable_rejected(self):
         with pytest.raises(ValueError):

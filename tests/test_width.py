@@ -1,4 +1,6 @@
 import itertools
+import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from tseitinkit import families as fam
 from tseitinkit.graphs import Graph
 from tseitinkit.width import (
     BranchDecomposition,
+    Cut,
     DeskScaleError,
     all_cuts,
     branchwidth_bounds,
@@ -38,6 +41,118 @@ def elimination_width(g: Graph, order) -> int:
 def brute_force_treewidth(g: Graph) -> int:
     """Independent oracle: minimum width over all elimination orders."""
     return min(elimination_width(g, order) for order in itertools.permutations(range(g.n)))
+
+
+# --- reference decomposition ------------------------------------------------
+#
+# The heuristic decomposition as first written: every candidate swap
+# recomputes both boundaries from scratch (O(m) per swap), and every cut
+# recomputes its boundary with `cut_boundary`.  The library keeps these
+# costs incremental; its trees and cuts must not differ.
+
+
+def reference_partition_boundary_size(g: Graph, part1: set[int], part2: set[int]) -> int:
+    touch1 = set()
+    touch2 = set()
+    for e in part1:
+        touch1.update(g.edges[e])
+    for e in part2:
+        touch2.update(g.edges[e])
+    return len(touch1 & touch2)
+
+
+def reference_bipartition(g: Graph, edge_ids: list[int]) -> tuple[list[int], list[int]]:
+    half = len(edge_ids) // 2
+    e1 = list(edge_ids[:half])
+    e2 = list(edge_ids[half:])
+    rest = set(range(g.m)) - set(edge_ids)
+
+    def cost(a, b):
+        ca = reference_partition_boundary_size(g, set(a), set(b) | rest)
+        cb = reference_partition_boundary_size(g, set(b), set(a) | rest)
+        return max(ca, cb), ca + cb
+
+    best = cost(e1, e2)
+    improved = True
+    passes = 0
+    while improved and passes < 8:
+        improved = False
+        passes += 1
+        for i in range(len(e1)):
+            for j in range(len(e2)):
+                e1[i], e2[j] = e2[j], e1[i]
+                c = cost(e1, e2)
+                if c < best:
+                    best = c
+                    improved = True
+                else:
+                    e1[i], e2[j] = e2[j], e1[i]
+    return sorted(e1), sorted(e2)
+
+
+def reference_branch_decomposition(g: Graph) -> BranchDecomposition:
+    def build(edge_ids):
+        if len(edge_ids) == 1:
+            return edge_ids[0]
+        e1, e2 = reference_bipartition(g, edge_ids)
+        return (build(e1), build(e2))
+
+    return BranchDecomposition.from_nested(build(sorted(range(g.m))))
+
+
+def reference_all_cuts(t: BranchDecomposition, g: Graph) -> list[Cut]:
+    below: dict[int, frozenset] = {}
+    depth: dict[int, int] = {}
+
+    def walk(i, dep):
+        node = t.nodes[i]
+        depth[i] = dep
+        if node[0] == "leaf":
+            below[i] = frozenset((node[1],))
+        else:
+            below[i] = walk(node[1], dep + 1) | walk(node[2], dep + 1)
+        return below[i]
+
+    walk(t.root, 0)
+    cuts = []
+    for i in range(len(t.nodes)):
+        if i == t.root and len(t.nodes) > 1:
+            continue
+        e1 = tuple(sorted(below[i]))
+        e2 = tuple(e for e in range(g.m) if e not in below[i])
+        cuts.append(Cut(i, depth[i], e1, e2, cut_boundary(g, e1)))
+    return cuts
+
+
+def random_connected_graph(seed: int) -> Graph:
+    """A random spanning tree on 4..9 vertices plus random extra edges."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 9)
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    density = rng.random() * 0.6
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            edges.add((u, v))
+    return Graph(n, tuple(sorted(edges)))
+
+
+RANDOM_SEEDS = [zlib.crc32(f"connected-{i}".encode()) for i in range(30)]
+
+
+class TestAgainstReference:
+    def check(self, g: Graph):
+        t = heuristic_branch_decomposition(g)
+        ref = reference_branch_decomposition(g)
+        assert t.nodes == ref.nodes
+        assert all_cuts(t, g) == reference_all_cuts(ref, g)
+
+    def test_desk_family(self, bench_graph):
+        _, g = bench_graph
+        self.check(g)
+
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_random_connected(self, seed):
+        self.check(random_connected_graph(seed))
 
 
 class TestTreewidthExact:
@@ -85,6 +200,22 @@ class TestBranchDecomposition:
         assert t.leaf_edges == frozenset({0, 1, 2})
         with pytest.raises(ValueError):
             t.validate(fam.cycle(4))
+
+    def test_caterpillar_deeper_than_recursion_limit(self):
+        leaves = 1500
+        nested = 0
+        for e in range(1, leaves):
+            nested = (nested, e)  # (((0, 1), 2), ...)
+        t = BranchDecomposition.from_nested(nested)
+        g = fam.path(leaves + 1)  # edge e joins vertices e and e + 1
+        t.validate(g)
+        assert t.leaf_edges == frozenset(range(leaves))
+        leaf_depth = {t.nodes[i][1]: t.depth[i] for i in range(len(t.nodes)) if t.nodes[i][0] == "leaf"}
+        assert leaf_depth == {e: leaves - max(e, 1) for e in range(leaves)}
+        cuts = all_cuts(t, g)
+        assert sorted(c.node_id for c in cuts) == [i for i in range(len(t.nodes)) if i != t.root]
+        for cut in cuts[::50]:
+            assert cut.boundary == cut_boundary(g, cut.e1)
 
     def test_boundary_definition_matches_recomputation(self, bench_graph):
         _, g = bench_graph
