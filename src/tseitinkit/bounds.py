@@ -21,7 +21,7 @@ from .nnf import CONST, LIT, OR, NnfCircuit, enumerate_proof_trees, gate_rectang
 from .rectangles import Rectangle, is_rectangle, mask_of
 from .textformat import Line, records
 from .tseitin import SubConstraint, TseitinFormula, brute_force_models, conjoin_subconstraints_count
-from .width import BranchDecomposition, Cut, heuristic_branch_decomposition, max_order_cut, treewidth_bounds
+from .width import TREEWIDTH_EXACT_CAP, BranchDecomposition, Cut, heuristic_branch_decomposition, max_order_cut, treewidth_bounds
 
 
 def induced_subconstraint(r: Rectangle, t: TseitinFormula, v: int) -> SubConstraint:
@@ -372,7 +372,7 @@ def verify_certificate(cert: LowerBoundCertificate, g: Graph) -> tuple[bool, str
         return False, "minor header mismatch"
     if not is_3_connected(h):
         return False, "stored minor is not 3-connected"
-    if h.n <= 16 and treewidth_bounds(h)[0] != cert.treewidth:
+    if h.n <= TREEWIDTH_EXACT_CAP and treewidth_bounds(h)[0] != cert.treewidth:
         return False, "minor treewidth differs from certified treewidth"
     if cert.bw_lower != _ceil_div(2 * cert.treewidth, 3):
         return False, "branchwidth stage arithmetic is wrong"

@@ -1,16 +1,20 @@
 """Treewidth oracles and branch decompositions.
 
-Exact treewidth is a dynamic program over vertex subsets (elimination
-prefixes) and is capped at 16 vertices; beyond that the heuristic pair
-(minor-min-degree lower bound, min-fill upper bound) takes over.  Branch
-decompositions are rooted binary trees over edge ids; every non-root node
-induces a cut whose order is the number of boundary vertices.
+Exact treewidth is capped at 16 vertices.  It computes the minor-min-degree
+lower bound and the min-fill upper bound first and is done when they meet.
+Otherwise it decides each width k between them by a layered search over
+elimination prefixes, keeping only prefixes whose every step leaves at most
+k later neighbours, and stopping at k + 1 vertices left (any order of the
+rest then has width at most k).  Beyond the cap the bound pair alone is
+reported.  Branch decompositions are rooted binary trees over edge ids;
+every non-root node induces a cut whose order is the number of boundary
+vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .graphs import Graph
 
@@ -40,36 +44,45 @@ def _reachable_outside(adj_mask, v, allowed):
             return outside
 
 
-@lru_cache(maxsize=None)
-def _treewidth_exact_cached(n: int, edges: tuple) -> int:
-    g = Graph(n, edges)
-    if n == 0:
-        return -1
-    adj = g.adj_mask
+def _width_at_most(adj_mask, n: int, k: int) -> bool:
+    """Whether some elimination order of the graph has width at most k.
+
+    Eliminating v after the set S costs |Q(S, v)|, the number of vertices
+    outside S + v that v reaches through S.  Layer i holds the i-sets
+    that can be eliminated first with every step costing at most k.  A
+    set S with n - |S| <= k + 1 suffices: the rest go in any order, since
+    each later Q lies among the at most k other vertices left.
+    """
     full = (1 << n) - 1
-    tw = [0] * (full + 1)
-    big = n + 1
-    for s in range(1, full + 1):
-        best = big
-        rest = s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            prev = s ^ low
-            q = bin(_reachable_outside(adj, v, prev)).count("1")
-            cand = max(tw[prev], q)
-            if cand < best:
-                best = cand
-        tw[s] = best
-    return tw[full]
+    layer = {0}
+    for _ in range(n - k - 1):
+        nxt = set()
+        for s in layer:
+            rest = full & ~s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                t = s | low
+                if t not in nxt and _reachable_outside(adj_mask, low.bit_length() - 1, s).bit_count() <= k:
+                    nxt.add(t)
+        layer = nxt
+    return bool(layer)
 
 
 def treewidth_exact(g: Graph) -> int:
-    """Exact treewidth by subset dynamic programming; n <= 16 only."""
+    """Exact treewidth; n <= 16 only.
+
+    The minor-min-degree lower bound and the min-fill upper bound come
+    first; when they meet, that is the treewidth.  Otherwise it is the
+    first k in [lower, upper) that `_width_at_most` accepts (its docstring
+    says why it may stop at k + 1 vertices left), else upper.
+    """
     if g.n > TREEWIDTH_EXACT_CAP:
         raise DeskScaleError(f"n={g.n} exceeds exact treewidth cap {TREEWIDTH_EXACT_CAP}")
-    return _treewidth_exact_cached(g.n, g.edges)
+    if g.n == 0:
+        return -1
+    lower, upper = treewidth_lower_bound(g), treewidth_upper_bound(g)
+    return next((k for k in range(lower, upper) if _width_at_most(g.adj_mask, g.n, k)), upper)
 
 
 def treewidth_lower_bound(g: Graph) -> int:

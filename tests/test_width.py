@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tseitinkit import families as fam
+from tseitinkit import width
 from tseitinkit.graphs import Graph
+from tseitinkit.minors import three_connected_minor
 from tseitinkit.width import (
     BranchDecomposition,
     Cut,
     DeskScaleError,
+    _reachable_outside,
+    _width_at_most,
     all_cuts,
     branchwidth_bounds,
     cut_boundary,
@@ -155,6 +159,101 @@ class TestAgainstReference:
         self.check(random_connected_graph(seed))
 
 
+# --- reference treewidth ----------------------------------------------------
+#
+# The exact oracle as first written: a dynamic program over all 2^n vertex
+# subsets S, tw[S] = min over v in S of max(tw[S - v], |Q(S - v, v)|).  The
+# library decides widths between its bounds by a search that never fills
+# this table; its answers must not differ.
+
+
+def reference_treewidth(g: Graph) -> int:
+    if g.n == 0:
+        return -1
+    adj = g.adj_mask
+    full = (1 << g.n) - 1
+    tw = [0] * (full + 1)
+    big = g.n + 1
+    for s in range(1, full + 1):
+        best = big
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            prev = s ^ low
+            q = bin(_reachable_outside(adj, v, prev)).count("1")
+            cand = max(tw[prev], q)
+            if cand < best:
+                best = cand
+        tw[s] = best
+    return tw[full]
+
+
+def random_graph(seed: int) -> Graph:
+    """1..12 vertices; every pair is joined with one shared random probability."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    density = rng.random()
+    return Graph(n, tuple((u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density))
+
+
+TREEWIDTH_SEEDS = [zlib.crc32(f"treewidth-{i}".encode()) for i in range(200)]
+
+NAMED_GRAPHS = {
+    "grid2x8": lambda: fam.grid(2, 8),
+    "rr16": lambda: fam.random_regular(16, 3, 1),
+    "Q4": lambda: fam.cube(4),
+    "rr12-4-1": lambda: fam.random_regular(12, 4, 1),
+    "rr12-4-14": lambda: fam.random_regular(12, 4, 14),
+    "grid4x5-minor": lambda: three_connected_minor(fam.grid(4, 5)).graph,
+}
+
+
+class TestAgainstReferenceTreewidth:
+    def check(self, g: Graph) -> int:
+        tw = reference_treewidth(g)
+        assert treewidth_exact(g) == tw
+        if tw >= 1:
+            assert not _width_at_most(g.adj_mask, g.n, tw - 1)
+            assert _width_at_most(g.adj_mask, g.n, tw)
+        return tw
+
+    def test_desk_family(self, bench_graph):
+        _, g = bench_graph
+        self.check(g)
+
+    @pytest.mark.parametrize("seed", TREEWIDTH_SEEDS)
+    def test_random(self, seed):
+        g = random_graph(seed)
+        tw = self.check(g)
+        assert treewidth_lower_bound(g) <= tw <= treewidth_upper_bound(g)
+
+    @pytest.mark.parametrize("name", NAMED_GRAPHS)
+    def test_named(self, name):
+        self.check(NAMED_GRAPHS[name]())
+
+    def test_search_runs_only_between_distinct_bounds(self, monkeypatch):
+        calls = []
+
+        def counted(adj_mask, n, k):
+            calls.append(k)
+            return _width_at_most(adj_mask, n, k)
+
+        monkeypatch.setattr(width, "_width_at_most", counted)
+        cases = [
+            (fam.grid(4, 4), 4, []),  # bounds meet
+            (fam.random_regular(16, 3, 1), 4, []),
+            (fam.random_regular(12, 4, 1), 4, [4]),  # bounds 4, 5: the lower one is exact
+            (fam.random_regular(12, 4, 14), 5, [4, 5]),  # bounds 4, 6
+            (fam.cube(4), 6, [4, 5]),  # bounds 4, 6: the upper one is exact
+        ]
+        for g, tw, searched in cases:
+            calls.clear()
+            assert treewidth_exact(g) == tw
+            assert calls == searched
+
+
 class TestTreewidthExact:
     def test_closed_forms(self):
         for n in range(2, 8):
@@ -169,6 +268,7 @@ class TestTreewidthExact:
             assert treewidth_exact(fam.grid(n, n)) == n
 
     def test_known_values(self):
+        assert treewidth_exact(Graph(0, ())) == -1
         assert treewidth_exact(fam.cube(3)) == 3
         assert treewidth_exact(fam.wheel(4)) == 3
         assert treewidth_exact(fam.octahedron()) == 4
@@ -189,7 +289,7 @@ class TestTreewidthExact:
 
     def test_heuristics_bracket_exact(self, bench_graph):
         _, g = bench_graph
-        tw = treewidth_exact(g)
+        tw = reference_treewidth(g)
         assert treewidth_lower_bound(g) <= tw <= treewidth_upper_bound(g)
 
 
