@@ -8,8 +8,10 @@ assignment violates.
 Well-structured programs additionally annotate every node with a
 connected subgraph and a charge whose formula is unsatisfiable; deciding
 an edge hands each child the unique odd-charged component of the
-conditioned formula.  Sub-annotations are forced once the source is
-fixed, which both the validator and the builder exploit.
+conditioned formula.  The source carries (G, c), so every annotation is
+forced by (G, c) and the program: the validator derives them parents
+first and returns them, and the builder keys its memo on them.  No
+caller supplies annotations.
 """
 
 from __future__ import annotations
@@ -150,31 +152,32 @@ class ValidationResult:
     ok: bool
     error: str | None = None
     node: int | None = None
+    annotations: dict[int, Annotation] | None = None  # set only when ok
 
     def __bool__(self):
         return self.ok
 
 
-def validate_well_structured(
-    b: BranchingProgram,
-    g: Graph,
-    c: Charge,
-    annotations: dict[int, Annotation],
-) -> ValidationResult:
-    """Check read-once and the three structural conditions; O(size * m).
+def validate_well_structured(b: BranchingProgram, g: Graph, c: Charge) -> ValidationResult:
+    """Check read-once and the three structural conditions, deriving the
+    forced annotations on the way; O(size * m).
 
-    The conditions imply that every node u solves the search relation of
-    its annotation T(G_u, c_u), by induction from the sinks; the source
-    carries the connected, odd-charged (G, c), so the program solves the
-    search relation of T(G, c).  At a sink for v, T({v}, {}, 1) is violated
-    by the empty assignment.  At a decision on e = ab, the child for x_e
-    is annotated with the odd component (V', E', c') of G_u - e under c_u
-    flipped at a and b when x_e = 1.  Every decision queries an edge of
-    its own annotation and annotations shrink downward, so the child's
-    subtree queries only edges of E' and, by induction, reaches w in V'
-    whose E'-parity differs from c'(w).  Every edge of G_u - e at w lies
-    in E', and x_e adds to the parity at w exactly when the flip changed
-    c'(w), so the E_u-parity at w differs from c_u(w).
+    The source is annotated with (G, c) (condition 1) and, parents first,
+    each decision hands its children the annotations `expected_children`
+    forces (condition 3); a child reached from two parents must be forced
+    to the same annotation by both.  The conditions imply that every node
+    u solves the search relation of its annotation T(G_u, c_u), by
+    induction from the sinks; the source carries the connected,
+    odd-charged (G, c), so the program solves the search relation of
+    T(G, c).  At a sink for v, T({v}, {}, 1) is violated by the empty
+    assignment.  At a decision on e = ab, the child for x_e is annotated
+    with the odd component (V', E', c') of G_u - e under c_u flipped at a
+    and b when x_e = 1.  Every decision queries an edge of its own
+    annotation and annotations shrink downward, so the child's subtree
+    queries only edges of E' and, by induction, reaches w in V' whose
+    E'-parity differs from c'(w).  Every edge of G_u - e at w lies in E',
+    and x_e adds to the parity at w exactly when the flip changed c'(w),
+    so the E_u-parity at w differs from c_u(w).
     `oracles.bp_semantics_hold` checks the same property by enumeration.
     """
     order = b.topological()
@@ -183,36 +186,29 @@ def validate_well_structured(
             return ValidationResult(False, "decision variable out of range", u)
     if not validate_read_once(b):
         return ValidationResult(False, "program is not read-once")
-
-    src = annotations.get(b.source)
-    if src is None or src[0] != frozenset(range(g.n)) or src[1] != frozenset(range(g.m)):
-        return ValidationResult(False, "condition 1: source not annotated with the full graph", b.source)
-    if src[2] != {v: c[v] for v in range(g.n)}:
-        return ValidationResult(False, "condition 1: source charge mismatch", b.source)
     if not is_connected(g):
         return ValidationResult(False, "annotated subgraph is not connected", b.source)
     if sum(c) % 2 != 1:
         return ValidationResult(False, "annotated formula is satisfiable", b.source)
 
-    # Parents first, so every annotation is checked against its parent's
-    # forced one before it is used; this also makes each a connected,
-    # odd-charged component.
+    # Parents first, so every node is annotated by its first parent before
+    # it is visited; forced annotations are connected, odd-charged components.
+    annotations = {b.source: make_annotation(range(g.n), range(g.m), {v: c[v] for v in range(g.n)})}
     for u in reversed(order):
         if u in b.sinks:
             v = b.sinks[u]
             if annotations[u] != make_annotation((v,), (), {v: 1}):
                 return ValidationResult(False, "condition 2: sink annotation must be its unit-charged vertex", u)
-        else:
-            var, lo, hi = b.decisions[u]
-            try:
-                want0, want1 = expected_children(g, annotations[u], var)
-            except ValueError as exc:
-                return ValidationResult(False, f"condition 3: {exc}", u)
-            if annotations.get(lo) != want0:
-                return ValidationResult(False, "condition 3: 0-child annotation mismatch", u)
-            if annotations.get(hi) != want1:
-                return ValidationResult(False, "condition 3: 1-child annotation mismatch", u)
-    return ValidationResult(True)
+            continue
+        var, lo, hi = b.decisions[u]
+        try:
+            forced = expected_children(g, annotations[u], var)
+        except ValueError as exc:
+            return ValidationResult(False, f"condition 3: {exc}", u)
+        for literal, child, want in zip((0, 1), (lo, hi), forced):
+            if annotations.setdefault(child, want) != want:
+                return ValidationResult(False, f"condition 3: {literal}-child annotation mismatch", u)
+    return ValidationResult(True, annotations=annotations)
 
 
 def _decision_edge(g: Graph, edge_ids: frozenset[int]) -> int:
@@ -238,13 +234,15 @@ def _decision_edge(g: Graph, edge_ids: frozenset[int]) -> int:
             return edges[le]
 
 
-def build_well_structured_bp(g: Graph, c: Charge) -> tuple[BranchingProgram, dict[int, Annotation]]:
+def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
     """Memoized well-structured program for an unsatisfiable formula.
 
     The memo key is the annotation itself (edge set plus restricted
     charge), so two nodes share an id exactly when their subformulas
     coincide.  The decision edge depends on the edge set alone, so each
-    distinct edge set is decided once.
+    distinct edge set is decided once.  Ids are assigned in preorder, the
+    0-child's subprogram before the 1-child's; an explicit stack of open
+    decisions replaces recursion, so depth is bounded only by memory.
     """
     t = TseitinFormula(g, c)
     if is_satisfiable(t):
@@ -254,68 +252,36 @@ def build_well_structured_bp(g: Graph, c: Charge) -> tuple[BranchingProgram, dic
 
     decisions: dict[int, tuple[int, int, int]] = {}
     sinks: dict[int, int] = {}
-    annotations: dict[int, Annotation] = {}
     memo: dict[tuple, int] = {}
     decided: dict[frozenset[int], int] = {}  # edge set -> decision edge
-    counter = [0]
+    open_decisions: list[list] = []  # [id, var, forced 0-child, forced 1-child, *child ids]
 
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    def key(ann: Annotation):
+    def visit(ann: Annotation) -> int:
+        """The id for `ann`, opening a decision when it is new."""
         vertices, edge_ids, charge = ann
-        return (edge_ids, vertices, tuple(sorted(charge.items())))
-
-    def build(ann: Annotation) -> int:
-        k = key(ann)
+        k = (edge_ids, vertices, tuple(sorted(charge.items())))
         if k in memo:
             return memo[k]
-        vertices, edge_ids, charge = ann
-        nid = fresh()
-        memo[k] = nid
-        annotations[nid] = ann
+        nid = memo[k] = len(memo)
         if not edge_ids:
-            (v,) = vertices
-            sinks[nid] = v
+            (sinks[nid],) = vertices
             return nid
         if edge_ids not in decided:
             decided[edge_ids] = _decision_edge(g, edge_ids)
         var = decided[edge_ids]
-        want0, want1 = expected_children(g, ann, var)
-        lo = build(want0)
-        hi = build(want1)
-        decisions[nid] = (var, lo, hi)
+        open_decisions.append([nid, var, *expected_children(g, ann, var)])
         return nid
 
-    root_ann = make_annotation(range(g.n), range(g.m), {v: c[v] for v in range(g.n)})
-    source = build(root_ann)
-    bp = BranchingProgram(source, decisions, sinks)
-    return bp, annotations
-
-
-def infer_annotations(b: BranchingProgram, g: Graph, c: Charge) -> dict[int, Annotation]:
-    """Reconstruct the forced annotations from the source downward.
-
-    Once the source is pinned to (G, c), condition 3 determines every
-    child annotation; a node reached with two different annotations can
-    belong to no well-structured program, which the validator will then
-    report via a mismatch.
-    """
-    annotations: dict[int, Annotation] = {}
-    root = make_annotation(range(g.n), range(g.m), {v: c[v] for v in range(g.n)})
-    annotations[b.source] = root
-    for u in reversed(b.topological()):
-        if u not in b.decisions or u not in annotations:
-            continue
-        var, lo, hi = b.decisions[u]
-        try:
-            want0, want1 = expected_children(g, annotations[u], var)
-        except ValueError:
-            continue
-        annotations.setdefault(lo, want0)
-        annotations.setdefault(hi, want1)
-    return annotations
+    source = visit(make_annotation(range(g.n), range(g.m), {v: c[v] for v in range(g.n)}))
+    while open_decisions:
+        top = open_decisions[-1]
+        nid, var, want0, want1, *children = top
+        if len(children) == 2:
+            decisions[nid] = (var, *children)
+            open_decisions.pop()
+        else:
+            top.append(visit(want1 if children else want0))
+    return BranchingProgram(source, decisions, sinks)
 
 
 # --- text format ------------------------------------------------------------

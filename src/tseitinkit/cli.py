@@ -13,7 +13,7 @@ import sys
 
 from . import families
 from .bounds import certificate_from_text, certified_lower_bound, verify_certificate
-from .bp import bp_from_text, bp_to_text, build_well_structured_bp, infer_annotations, validate_well_structured
+from .bp import bp_from_text, bp_to_text, build_well_structured_bp, validate_well_structured
 from .cnf import cnf_from_dimacs, cnf_to_dimacs
 from .compiler import pipeline
 from .graphs import Graph, connected_components, graph_from_text, graph_to_text, is_connected
@@ -111,8 +111,7 @@ def cmd_check(args) -> int:
                 t = tseitin_from_text(fh.read())
             with open(args.files[1]) as fh:
                 b = bp_from_text(fh.read())
-            annotations = infer_annotations(b, t.graph, t.charge)
-            result = validate_well_structured(b, t.graph, t.charge, annotations)
+            result = validate_well_structured(b, t.graph, t.charge)
             if not result:
                 print(f"invalid program: {result.error} (node {result.node})", file=sys.stderr)
                 return 1
@@ -195,7 +194,7 @@ def cmd_compile(args) -> int:
     if not is_connected(t.graph):
         print("graph must be connected", file=sys.stderr)
         return 1
-    bp, _ = build_well_structured_bp(t.graph, t.charge)
+    bp = build_well_structured_bp(t.graph, t.charge)
     out = bp_to_text(bp)
     if args.out:
         with open(args.out, "w") as fh:
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="emit a graph from a named family")
-    gen.add_argument("family", choices=["cycle", "path", "complete", "grid", "wheel", "cube", "random-regular"])
+    gen.add_argument("family", choices=list(families.FAMILIES))
     gen.add_argument("params", nargs="*")
     gen.add_argument("--out")
     gen.set_defaults(func=cmd_generate)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bp import Annotation, BranchingProgram, build_well_structured_bp, validate_well_structured
+from .bp import BranchingProgram, build_well_structured_bp, validate_well_structured
 from .graphs import Graph, is_connected
 from .nnf import CircuitBuilder, NnfCircuit, restrict_to_root, smooth, model_count_smooth
 from .tseitin import (
@@ -50,22 +50,15 @@ class CompileDetails:
     added_gate_budget: int  # 3 * sum of |V(G_k)| over program nodes
 
 
-def compile_bp_to_dnnf(
-    b: BranchingProgram,
-    annotations: dict[int, Annotation],
-    g: Graph,
-    c: Charge,
-    root_vertex: int,
-    validate: bool = True,
-    with_details: bool = False,
-):
-    """DNNF computing T(g, c + 1_root_vertex) from a well-structured program."""
+def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: int, with_details: bool = False):
+    """DNNF computing T(g, c + 1_root_vertex) from a well-structured program,
+    using the annotations its validation derives."""
     if not 0 <= root_vertex < g.n:
         raise ValueError("root vertex out of range")
-    if validate:
-        res = validate_well_structured(b, g, c, annotations)
-        if not res:
-            raise ValueError(f"program is not well-structured: {res.error} (node {res.node})")
+    res = validate_well_structured(b, g, c)
+    if not res:
+        raise ValueError(f"program is not well-structured: {res.error} (node {res.node})")
+    annotations = res.annotations
 
     builder = CircuitBuilder(g.m)
     const1 = builder.const(1)
@@ -105,10 +98,9 @@ def compile_bp_to_dnnf(
                 gate_of[v] = builder.gate_and(lit, inner)
         vertex_gate[k] = gate_of
 
-    root = vertex_gate[b.source][root_vertex]
-    circuit = restrict_to_root(builder.build(root))
+    full = builder.build(vertex_gate[b.source][root_vertex])
+    circuit = restrict_to_root(full)
     if with_details:
-        full = builder.build(root)
         internal = sum(1 for gate in full.gates if gate.kind in ("A", "O"))
         budget = 3 * sum(len(annotations[k][0]) for k in b.topological())
         return circuit, CompileDetails(full.gates, vertex_gate, internal, budget)
@@ -147,9 +139,9 @@ def pipeline(g: Graph, c_unsat: Charge, c_star: Charge, desk_cap: int = 16) -> t
         raise ValueError("the source charge must be unsatisfiable")
     if not is_satisfiable(TseitinFormula(g, c_star)):
         raise ValueError("the target charge must be satisfiable")
-    bp, annotations = build_well_structured_bp(g, c_unsat)
+    bp = build_well_structured_bp(g, c_unsat)
     root_vertex = 0
-    compiled = compile_bp_to_dnnf(bp, annotations, g, c_unsat, root_vertex)
+    compiled = compile_bp_to_dnnf(bp, g, c_unsat, root_vertex)
     c_compiled = charge_add(c_unsat, unit_charge(g.n, root_vertex))
     d = retarget(compiled, g, c_compiled, c_star)
     target = TseitinFormula(g, c_star)

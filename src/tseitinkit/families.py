@@ -103,23 +103,27 @@ def random_regular(n: int, degree: int, seed: int) -> Graph:
     raise ValueError("failed to sample a simple regular graph")
 
 
+# CLI name -> (generator, parameter names)
+FAMILIES = {
+    "cycle": (cycle, ("n",)),
+    "path": (path, ("n",)),
+    "complete": (complete, ("n",)),
+    "grid": (grid, ("rows", "cols")),
+    "wheel": (wheel, ("rim",)),
+    "cube": (cube, ("dim",)),
+    "random-regular": (random_regular, ("n", "degree", "seed")),
+}
+
+
 def generate(family: str, params: list[str]) -> Graph:
     """Dispatch for the CLI `generate` subcommand."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family}")
+    make, names = FAMILIES[family]
+    if len(params) != len(names):
+        plural = "s" if len(names) > 1 else ""
+        raise ValueError(f"{family} needs {len(names)} parameter{plural} ({' '.join(names)}), got {len(params)}")
     try:
-        if family == "cycle":
-            return cycle(int(params[0]))
-        if family == "path":
-            return path(int(params[0]))
-        if family == "complete":
-            return complete(int(params[0]))
-        if family == "grid":
-            return grid(int(params[0]), int(params[1]))
-        if family == "wheel":
-            return wheel(int(params[0]))
-        if family == "cube":
-            return cube(int(params[0]))
-        if family == "random-regular":
-            return random_regular(int(params[0]), int(params[1]), int(params[2]))
-    except (IndexError, ValueError) as exc:
+        return make(*map(int, params))
+    except ValueError as exc:
         raise ValueError(f"invalid parameters for family {family}: {exc}") from exc
-    raise ValueError(f"unknown family {family}")

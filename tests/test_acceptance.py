@@ -71,8 +71,8 @@ class TestAcceptance:
         worst = 0.0
         for name, g in END_TO_END_FAMILY:
             c = unit_charge(g.n, 0)
-            bp, ann = build_well_structured_bp(g, c)
-            d, details = compile_bp_to_dnnf(bp, ann, g, c, 0, with_details=True)
+            bp = build_well_structured_bp(g, c)
+            d, details = compile_bp_to_dnnf(bp, g, c, 0, with_details=True)
             assert details.added_gates <= details.added_gate_budget, name
             assert details.added_gates <= 3 * bp.size * g.n, name
             assert d.size <= 3 * bp.size * g.n, name

@@ -12,7 +12,6 @@ from tseitinkit.bp import (
     bp_to_text,
     build_well_structured_bp,
     expected_children,
-    infer_annotations,
     make_annotation,
     validate_read_once,
     validate_well_structured,
@@ -39,7 +38,7 @@ class TestEval:
     def test_builder_output_computes_relation(self):
         g = fam.cycle(3)
         c = (1, 0, 0)
-        bp, _ = build_well_structured_bp(g, c)
+        bp = build_well_structured_bp(g, c)
         for mask in range(8):
             v = eval_bp(bp, mask)
             assert TseitinFormula(g, c).violated_at(mask, v)
@@ -74,28 +73,44 @@ class TestReadOnce:
 
     def test_builder_outputs(self, bench_graph):
         _, g = bench_graph
-        bp, _ = build_well_structured_bp(g, unit_charge(g.n, 0))
+        bp = build_well_structured_bp(g, unit_charge(g.n, 0))
         assert validate_read_once(bp)
 
 
 class TestWellStructured:
     def test_builder_output_c3(self):
         g = fam.cycle(3)
-        bp, ann = build_well_structured_bp(g, (1, 0, 0))
-        assert validate_well_structured(bp, g, (1, 0, 0), ann).ok
+        bp = build_well_structured_bp(g, (1, 0, 0))
+        assert validate_well_structured(bp, g, (1, 0, 0)).ok
 
-    def test_wrong_source_charge_condition_1(self):
+    def test_other_unit_charge_rejected(self, bench_graph):
+        # the source is annotated with the charge validated against, so a
+        # program built for another charge fails further down
+        _, g = bench_graph
+        bp = build_well_structured_bp(g, unit_charge(g.n, 0))
+        for v in range(1, g.n):
+            result = validate_well_structured(bp, g, unit_charge(g.n, v))
+            assert not result.ok
+            assert result.annotations is None
+            assert result.error.startswith(("condition 2", "condition 3"))
+
+    def test_shared_child_forced_twice(self):
+        # C3 has edges 0 = 01, 1 = 12, 2 = 02; the charge is odd at 0.  The
+        # source 10 decides edge 0 and its 1-child 11 decides edge 1.  Both
+        # 0-wires lead to node 12: node 10 forces it to C3 - 01 with the
+        # charge at 0, node 11 to the lone vertex 1.
         g = fam.cycle(3)
-        bp, ann = build_well_structured_bp(g, (1, 0, 0))
-        broken = dict(ann)
-        vs, es, charge = broken[bp.source]
-        bad = dict(charge)
-        bad[1] ^= 1
-        bad[2] ^= 1  # keep the total odd so the annotation stays "unsat"
-        broken[bp.source] = make_annotation(vs, es, bad)
-        result = validate_well_structured(bp, g, (1, 0, 0), broken)
+        c = (1, 0, 0)
+        b = BranchingProgram(
+            source=10,
+            decisions={10: (0, 12, 11), 11: (1, 12, 0), 12: (2, 1, 2)},
+            sinks={0: 0, 1: 1, 2: 2},
+        )
+        result = validate_well_structured(b, g, c)
         assert not result.ok
-        assert "condition 1" in result.error
+        assert result.error == "condition 3: 0-child annotation mismatch"
+        assert result.node == 11
+        assert result.annotations is None
 
     def test_bridge_sends_children_to_odd_components(self):
         # two dense blocks joined by the bridge (2,4): conditioning with 0
@@ -119,24 +134,26 @@ class TestWellStructured:
     def test_family_builder_outputs(self, bench_graph):
         _, g = bench_graph
         c = unit_charge(g.n, 0)
-        bp, ann = build_well_structured_bp(g, c)
-        result = validate_well_structured(bp, g, c, ann)
+        bp = build_well_structured_bp(g, c)
+        result = validate_well_structured(bp, g, c)
         assert result.ok, (result.error, result.node)
+        assert sorted(result.annotations) == sorted(bp.topological())
 
     def test_sinks_unique_per_vertex(self, bench_graph):
         _, g = bench_graph
-        bp, _ = build_well_structured_bp(g, unit_charge(g.n, 0))
+        bp = build_well_structured_bp(g, unit_charge(g.n, 0))
         vertices = list(bp.sinks.values())
         assert len(vertices) == len(set(vertices))
 
     def test_memo_soundness(self, bench_graph):
+        # the builder's memo is keyed on the annotation, so no two nodes of
+        # its program are forced to the same one
         _, g = bench_graph
-        bp, ann = build_well_structured_bp(g, unit_charge(g.n, 0))
-        seen = {}
-        for nid, a in ann.items():
-            key = (a[0], a[1], tuple(sorted(a[2].items())))
-            assert key not in seen
-            seen[key] = nid
+        c = unit_charge(g.n, 0)
+        bp = build_well_structured_bp(g, c)
+        ann = validate_well_structured(bp, g, c).annotations
+        keys = {(a[0], a[1], tuple(sorted(a[2].items()))) for a in ann.values()}
+        assert len(keys) == len(ann) == bp.size
 
 
 class TestSweepOracle:
@@ -145,13 +162,13 @@ class TestSweepOracle:
     def test_family_builder_outputs(self, bench_graph):
         _, g = bench_graph
         c = unit_charge(g.n, 0)
-        bp, ann = build_well_structured_bp(g, c)
-        assert bp_semantics_hold(bp, g, c, ann)
+        bp = build_well_structured_bp(g, c)
+        assert bp_semantics_hold(bp, g, c, validate_well_structured(bp, g, c).annotations)
 
     def test_accepted_mutants_pass_sweep(self, bench_graph):
         name, g = bench_graph
         c = unit_charge(g.n, 0)
-        bp, _ = build_well_structured_bp(g, c)
+        bp = build_well_structured_bp(g, c)
         rng = random.Random(zlib.crc32(name.encode()))
         compared = rejected = 0
         while compared < 40:
@@ -159,20 +176,20 @@ class TestSweepOracle:
                 mutant = mutate_bp(bp, g, rng)
             except ValueError:
                 continue  # the redirect closed a cycle
-            ann = infer_annotations(mutant, g, c)
-            verdict = validate_well_structured(mutant, g, c, ann).ok
+            result = validate_well_structured(mutant, g, c)
             # a validator that ran the sweep after the conditions would
             # give the same verdict; the sweep alone may still accept a
             # redundant re-read, which read-once rejects
-            if verdict:
-                assert bp_semantics_hold(mutant, g, c, ann), bp_to_text(mutant)
+            if result.ok:
+                assert bp_semantics_hold(mutant, g, c, result.annotations), bp_to_text(mutant)
             compared += 1
-            rejected += not verdict
+            rejected += not result.ok
         assert rejected > 0
 
     def test_wrong_source_annotation_fails_sweep(self):
         g = fam.cycle(3)
-        bp, ann = build_well_structured_bp(g, (1, 0, 0))
+        bp = build_well_structured_bp(g, (1, 0, 0))
+        ann = validate_well_structured(bp, g, (1, 0, 0)).annotations
         assert not bp_semantics_hold(bp, g, (0, 1, 0), ann)
 
 
@@ -188,25 +205,51 @@ class TestDeepPrograms:
         bp = BranchingProgram(0, decisions, {n + v: v for v in range(n)})
         c = unit_charge(n, 0)
         assert len(bp.topological()) == bp.size == 2 * n - 1
-        assert validate_well_structured(bp, g, c, infer_annotations(bp, g, c)).ok
+        assert validate_well_structured(bp, g, c).ok
+
+    def test_builder_deeper_than_recursion_limit(self, monkeypatch):
+        # deciding the smallest edge first makes the program for a path a
+        # chain one level per edge
+        monkeypatch.setattr(bp_module, "_decision_edge", lambda g, edge_ids: min(edge_ids))
+        n = 1200
+        g = fam.path(n)
+        bp = build_well_structured_bp(g, unit_charge(n, 0))
+        assert bp.size == 2 * n - 1
+        assert len(bp.topological()) == bp.size
+        assert bp.decisions[bp.source][0] == 0
 
 
 class TestBuilderSizes:
     def test_single_edge(self):
         g = fam.path(2)
-        bp, _ = build_well_structured_bp(g, (1, 0))
+        bp = build_well_structured_bp(g, (1, 0))
         assert bp.size == 3
         assert eval_bp(bp, 0b0) == 0
         assert eval_bp(bp, 0b1) == 1
 
     def test_c3_size(self):
-        bp, _ = build_well_structured_bp(fam.cycle(3), (1, 0, 0))
+        bp = build_well_structured_bp(fam.cycle(3), (1, 0, 0))
         assert bp.size <= 9
 
     def test_cycles_linear(self):
         for n in range(4, 9):
-            bp, _ = build_well_structured_bp(fam.cycle(n), unit_charge(n, 0))
+            bp = build_well_structured_bp(fam.cycle(n), unit_charge(n, 0))
             assert bp.size <= 6 * n
+
+    def test_ids_in_preorder(self, bench_graph):
+        # ids count up in depth-first order, the 0-child's subprogram
+        # before the 1-child's, which keeps bp_to_text stable
+        _, g = bench_graph
+        bp = build_well_structured_bp(g, unit_charge(g.n, 0))
+        order, stack = [], [bp.source]
+        while stack:
+            u = stack.pop()
+            if u not in order:
+                order.append(u)
+                if u in bp.decisions:
+                    _, lo, hi = bp.decisions[u]
+                    stack += [hi, lo]
+        assert order == list(range(bp.size))
 
     def test_desk_sizes_pinned(self, bench_graph):
         # Sizes under today's decision rule; a rule that changes them has
@@ -217,7 +260,7 @@ class TestBuilderSizes:
             "bowtie": 15, "twoK4": 41,
         }
         name, g = bench_graph
-        bp, _ = build_well_structured_bp(g, unit_charge(g.n, 0))
+        bp = build_well_structured_bp(g, unit_charge(g.n, 0))
         assert bp.size == sizes[name]
 
     @pytest.mark.parametrize("g", [fam.grid(4, 4), fam.cycle(20)], ids=["grid4x4", "C20"])
@@ -230,7 +273,9 @@ class TestBuilderSizes:
             return decide(graph, edge_ids)
 
         monkeypatch.setattr(bp_module, "_decision_edge", counting)
-        bp, ann = build_well_structured_bp(g, unit_charge(g.n, 0))
+        c = unit_charge(g.n, 0)
+        bp = build_well_structured_bp(g, c)
+        ann = validate_well_structured(bp, g, c).annotations
         edge_sets = {ann[u][1] for u in bp.decisions}
         assert len(calls) == len(set(calls)) == len(edge_sets) < len(bp.decisions)
         assert set(calls) == edge_sets
@@ -247,18 +292,20 @@ class TestBuilderSizes:
 
 class TestAnnotationInference:
     def test_matches_builder(self, bench_graph):
+        # the builder decides each node by the edge set of its annotation,
+        # so the derived annotations must reproduce every decision edge
         _, g = bench_graph
         c = unit_charge(g.n, 0)
-        bp, ann = build_well_structured_bp(g, c)
-        inferred = infer_annotations(bp, g, c)
-        assert inferred == {k: ann[k] for k in inferred}
-        assert validate_well_structured(bp, g, c, inferred).ok
+        bp = build_well_structured_bp(g, c)
+        ann = validate_well_structured(bp, g, c).annotations
+        for u, (var, _, _) in bp.decisions.items():
+            assert var == bp_module._decision_edge(g, ann[u][1])
 
 
 class TestBpText:
     def test_round_trip(self, bench_graph):
         _, g = bench_graph
-        bp, _ = build_well_structured_bp(g, unit_charge(g.n, 0))
+        bp = build_well_structured_bp(g, unit_charge(g.n, 0))
         text = bp_to_text(bp)
         back = bp_from_text(text)
         assert bp_to_text(back) == text

@@ -24,8 +24,8 @@ def workdir(tmp_path):
     c = unit_charge(3, 1)
     t = TseitinFormula(g, c)
     cnf = to_cnf(t)
-    bp, ann = build_well_structured_bp(g, c)
-    d = compile_bp_to_dnnf(bp, ann, g, c, 0)
+    bp = build_well_structured_bp(g, c)
+    d = compile_bp_to_dnnf(bp, g, c, 0)
     dz = retarget(d, g, charge_add(c, unit_charge(3, 0)), (0, 0, 0))
     files = {
         "graph": graph_to_text(g),
@@ -77,6 +77,16 @@ class TestGenerate:
             main(["generate", "nosuch", "3"])
         assert main(["generate", "cycle", "2"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["grid", "2"], "grid needs 2 parameters (rows cols), got 1"),
+        (["cycle", "5", "7"], "cycle needs 1 parameter (n), got 2"),
+    ], ids=["grid-too-few", "cycle-too-many"])
+    def test_parameter_count(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "g.graph"
+        assert main(["generate", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -186,8 +196,8 @@ def _genuine_files() -> dict[str, str]:
     c = unit_charge(3, 1)
     t = TseitinFormula(g, c)
     cnf = to_cnf(t)
-    bp, ann = build_well_structured_bp(g, c)
-    d = retarget(compile_bp_to_dnnf(bp, ann, g, c, 0), g, charge_add(c, unit_charge(3, 0)), (0, 0, 0))
+    bp = build_well_structured_bp(g, c)
+    d = retarget(compile_bp_to_dnnf(bp, g, c, 0), g, charge_add(c, unit_charge(3, 0)), (0, 0, 0))
     return {
         "graph": graph_to_text(g),
         "tseitin": tseitin_to_text(t),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tseitinkit import families as fam
-from tseitinkit.bp import build_well_structured_bp
+from tseitinkit.bp import BranchingProgram, build_well_structured_bp, validate_well_structured
 from tseitinkit.compiler import compile_bp_to_dnnf, pipeline, retarget
 from tseitinkit.graphs import Graph
 from tseitinkit.nnf import NnfCircuit, models, truth_table, validate_decomposable
@@ -12,33 +12,35 @@ from tseitinkit.tseitin import TseitinFormula, brute_force_models, unit_charge
 class TestCompileSmall:
     def test_single_edge(self):
         g = fam.path(2)
-        bp, ann = build_well_structured_bp(g, (1, 0))
-        d = compile_bp_to_dnnf(bp, ann, g, (1, 0), 0)
+        bp = build_well_structured_bp(g, (1, 0))
+        d = compile_bp_to_dnnf(bp, g, (1, 0), 0)
         # computing T(edge, (1,0) + 1_0) = T(edge, 0): the single model x=0
         assert models(d) == [0]
         assert validate_decomposable(d)
 
     def test_c3_equivalent_to_zero_charge(self):
         g = fam.cycle(3)
-        bp, ann = build_well_structured_bp(g, (1, 0, 0))
-        d = compile_bp_to_dnnf(bp, ann, g, (1, 0, 0), 0)
+        bp = build_well_structured_bp(g, (1, 0, 0))
+        d = compile_bp_to_dnnf(bp, g, (1, 0, 0), 0)
         assert set(models(d)) == set(brute_force_models(TseitinFormula(g, (0, 0, 0))))
 
     def test_rejects_invalid_program(self):
+        # swapping the source's wires sends each literal to the other's
+        # forced subformula
         g = fam.cycle(3)
-        bp, ann = build_well_structured_bp(g, (1, 0, 0))
-        broken = dict(ann)
-        del broken[bp.source]
-        with pytest.raises(ValueError):
-            compile_bp_to_dnnf(bp, broken, g, (1, 0, 0), 0)
+        bp = build_well_structured_bp(g, (1, 0, 0))
+        var, lo, hi = bp.decisions[bp.source]
+        swapped = BranchingProgram(bp.source, {**bp.decisions, bp.source: (var, hi, lo)}, bp.sinks)
+        with pytest.raises(ValueError, match="not well-structured: condition 3"):
+            compile_bp_to_dnnf(swapped, g, (1, 0, 0), 0)
 
 
 class TestSizeAccounting:
     def test_gate_budget(self, bench_graph):
         _, g = bench_graph
         c = unit_charge(g.n, 0)
-        bp, ann = build_well_structured_bp(g, c)
-        d, details = compile_bp_to_dnnf(bp, ann, g, c, 0, with_details=True)
+        bp = build_well_structured_bp(g, c)
+        d, details = compile_bp_to_dnnf(bp, g, c, 0, with_details=True)
         assert details.added_gates <= details.added_gate_budget
         assert details.added_gate_budget <= 3 * bp.size * g.n
         assert d.size <= details.added_gates
@@ -50,8 +52,9 @@ class TestInvariantPerNode:
     def test_every_gate_computes_shifted_formula(self, make):
         g = make()
         c = unit_charge(g.n, 0)
-        bp, ann = build_well_structured_bp(g, c)
-        _, details = compile_bp_to_dnnf(bp, ann, g, c, 0, with_details=True)
+        bp = build_well_structured_bp(g, c)
+        ann = validate_well_structured(bp, g, c).annotations
+        _, details = compile_bp_to_dnnf(bp, g, c, 0, with_details=True)
         for node, per_vertex in details.vertex_gate.items():
             vertices, edge_ids, charge = ann[node]
             for v, gate in per_vertex.items():
