@@ -19,9 +19,10 @@ from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, 
 from .minors import three_connected_minor
 from .nnf import CONST, LIT, OR, NnfCircuit, enumerate_proof_trees, gate_rectangle, gate_values, is_smooth, validate_decomposable
 from .rectangles import Rectangle, is_rectangle, mask_of
+from .recursion import run
 from .textformat import Line, records
 from .tseitin import SubConstraint, TseitinFormula, brute_force_models, conjoin_subconstraints_count
-from .width import TREEWIDTH_EXACT_CAP, BranchDecomposition, Cut, heuristic_branch_decomposition, max_order_cut, treewidth_bounds
+from .width import TREEWIDTH_EXACT_CAP, BranchDecomposition, Cut, caterpillar, edge_order, max_order_cut, treewidth_bounds
 
 
 def induced_subconstraint(r: Rectangle, t: TseitinFormula, v: int) -> SubConstraint:
@@ -145,7 +146,7 @@ def _proof_walk(d: NnfCircuit, mask: int) -> _WalkNode:
     the true child at every OR gate (smaller id on ties)."""
     vals = gate_values(d, mask)
 
-    def walk(i: int) -> _WalkNode:
+    def walk(i: int):
         while d.gates[i].kind == OR:
             g = d.gates[i]
             if vals[g.a]:
@@ -159,9 +160,11 @@ def _proof_walk(d: NnfCircuit, mask: int) -> _WalkNode:
             return _WalkNode(i, d.var_masks[i], ())
         if g.kind == CONST:
             raise ValueError("constants must be propagated before playing the game")
-        return _WalkNode(i, d.var_masks[i], (walk(g.a), walk(g.b)))
+        left = yield walk(g.a)
+        right = yield walk(g.b)
+        return _WalkNode(i, d.var_masks[i], (left, right))
 
-    return walk(d.root)
+    return run(walk(d.root))
 
 
 def _vtree_of_walk(d: NnfCircuit, walk: _WalkNode) -> tuple[BranchDecomposition, dict[int, int]]:
@@ -169,19 +172,19 @@ def _vtree_of_walk(d: NnfCircuit, walk: _WalkNode) -> tuple[BranchDecomposition,
     nodes: list[tuple] = []
     gate_of: dict[int, int] = {}
 
-    def build(w: _WalkNode) -> int:
+    def build(w: _WalkNode):
         my = len(nodes)
         nodes.append(None)
         gate_of[my] = w.gate
         if not w.children:
             nodes[my] = ("leaf", d.gates[w.gate].var)
         else:
-            li = build(w.children[0])
-            ri = build(w.children[1])
+            li = yield build(w.children[0])
+            ri = yield build(w.children[1])
             nodes[my] = ("node", li, ri)
         return my
 
-    build(walk)
+    run(build(walk))
     return BranchDecomposition(tuple(nodes)), gate_of
 
 
@@ -315,8 +318,10 @@ def certified_lower_bound(g: Graph) -> LowerBoundCertificate:
     k follows the constant chain ceil(ceil(ceil(2 tw / 3) / (maxdeg + 1))
     / 3) evaluated on a treewidth-preserving 3-connected minor; treewidth
     below 3 yields the trivial certificate k = 0.  A sample adversary run
-    on a heuristic decomposition of the minor is stored as the witness
-    chain; its stages always dominate the certified k.
+    on the caterpillar over the minor's `edge_order` is stored as the
+    witness chain; the run fails unless its stages dominate the certified
+    k.  k >= 2 needs treewidth >= 19 even at maximum degree 3, the least
+    a 3-connected minor has.
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
@@ -335,7 +340,7 @@ def certified_lower_bound(g: Graph) -> LowerBoundCertificate:
     delta = h.max_degree
     bw_lower = _ceil_div(2 * tw, 3)
     k = _ceil_div(_ceil_div(bw_lower, delta + 1), 3)
-    sample = adam_response(h, heuristic_branch_decomposition(h))
+    sample = adam_response(h, caterpillar(edge_order(h)))
     if len(sample.v_star) < k:
         raise AssertionError("sample witness fell below the certified bound")
     return LowerBoundCertificate(

@@ -12,6 +12,10 @@ conditioned formula.  The source carries (G, c), so every annotation is
 forced by (G, c) and the program: the validator derives them parents
 first and returns them, and the builder keys its memo on them.  No
 caller supplies annotations.
+
+The builder ranks the edges once (`width.edge_order`) and decides the
+lowest-ranked edge of every node's subgraph, which caps its size at
+`width.order_bound`, 2^O(pathwidth) * poly(n).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from .graphs import Graph, is_connected
 from .textformat import records
 from .tseitin import Charge, TseitinFormula, is_satisfiable
-from .width import heuristic_branch_decomposition, all_cuts
+from .width import edge_order
 
 
 @dataclass
@@ -211,38 +215,28 @@ def validate_well_structured(b: BranchingProgram, g: Graph, c: Charge) -> Valida
     return ValidationResult(True, annotations=annotations)
 
 
-def _decision_edge(g: Graph, edge_ids: frozenset[int]) -> int:
-    """Heuristic decision edge: build a branch decomposition of the
-    subgraph, take its smallest-order cut (deepest, then smallest id),
-    and return the smallest edge on the cut's near side touching the
-    boundary."""
-    edges = sorted(edge_ids)
-    if len(edges) == 1:
-        return edges[0]
-    sub_vertices = sorted({v for e in edges for v in g.edges[e]})
-    vmap = {v: i for i, v in enumerate(sub_vertices)}
-    sub = Graph(len(sub_vertices), tuple((min(vmap[g.edges[e][0]], vmap[g.edges[e][1]]),
-                                          max(vmap[g.edges[e][0]], vmap[g.edges[e][1]])) for e in edges))
-    t = heuristic_branch_decomposition(sub)
-    cuts = all_cuts(t, sub)
-    cut = min(cuts, key=lambda cu: (cu.order, -cu.depth, cu.node_id))
-    boundary = set(cut.boundary)
-    # every boundary vertex is an end of some e1 edge, so this returns
-    for le in cut.e1:
-        u, w = sub.edges[le]
-        if u in boundary or w in boundary or not boundary:
-            return edges[le]
-
-
 def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
     """Memoized well-structured program for an unsatisfiable formula.
 
-    The memo key is the annotation itself (edge set plus restricted
-    charge), so two nodes share an id exactly when their subformulas
-    coincide.  The decision edge depends on the edge set alone, so each
-    distinct edge set is decided once.  Ids are assigned in preorder, the
-    0-child's subprogram before the 1-child's; an explicit stack of open
-    decisions replaces recursion, so depth is bounded only by memory.
+    Every node decides the lowest-ranked edge of its annotation in one
+    `width.edge_order` of the whole graph.  The memo key is the annotation
+    itself (edge set plus restricted charge), so two nodes share an id
+    exactly when their subformulas coincide.  Ids are assigned in
+    preorder, the 0-child's subprogram before the 1-child's; an explicit
+    stack of open decisions replaces recursion, so depth is bounded only
+    by memory.
+
+    Size bound: the size is at most `width.order_bound(g, order)`, that is
+    n + sum over ranks r of 2^max(|dC_r| - 1, 0), which is
+    2^O(pathwidth) * poly(n).  Let a decision at rank r hand a child the
+    edge set E_u.  By induction E_u is a component of the edges ranked
+    above r, and its lowest-ranked edge r' makes it the component C_r' of
+    the edges ranked >= r' that holds r'.  Every edge ranked below r' that
+    touches C_r' was decided on the way to u, so c_u equals c off dC_r',
+    the vertices of C_r' touching such an edge; its parity on dC_r' is
+    odd, which leaves at most 2^max(|dC_r'| - 1, 0) annotations, hence
+    decision nodes, per rank.  Sinks are unit-charged single vertices, at
+    most n of them.
     """
     t = TseitinFormula(g, c)
     if is_satisfiable(t):
@@ -250,10 +244,10 @@ def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
     if not is_connected(g):
         raise ValueError("graph must be connected")
 
+    rank = {e: r for r, e in enumerate(edge_order(g))}
     decisions: dict[int, tuple[int, int, int]] = {}
     sinks: dict[int, int] = {}
     memo: dict[tuple, int] = {}
-    decided: dict[frozenset[int], int] = {}  # edge set -> decision edge
     open_decisions: list[list] = []  # [id, var, forced 0-child, forced 1-child, *child ids]
 
     def visit(ann: Annotation) -> int:
@@ -266,9 +260,7 @@ def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
         if not edge_ids:
             (sinks[nid],) = vertices
             return nid
-        if edge_ids not in decided:
-            decided[edge_ids] = _decision_edge(g, edge_ids)
-        var = decided[edge_ids]
+        var = min(edge_ids, key=rank.__getitem__)
         open_decisions.append([nid, var, *expected_children(g, ann, var)])
         return nid
 

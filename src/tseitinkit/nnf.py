@@ -111,8 +111,8 @@ class CircuitBuilder:
         return NnfCircuit(tuple(self.gates), root, self.num_vars)
 
 
-def restrict_to_root(d: NnfCircuit) -> NnfCircuit:
-    """Drop gates unreachable from the root."""
+def _reachable(d: NnfCircuit) -> list[int]:
+    """Ids of the gates reachable from the root, ascending (children first)."""
     reach = set()
     stack = [d.root]
     while stack:
@@ -123,7 +123,12 @@ def restrict_to_root(d: NnfCircuit) -> NnfCircuit:
         g = d.gates[i]
         if g.kind in (AND, OR):
             stack.extend((g.a, g.b))
-    keep = sorted(reach)
+    return sorted(reach)
+
+
+def restrict_to_root(d: NnfCircuit) -> NnfCircuit:
+    """Drop gates unreachable from the root."""
+    keep = _reachable(d)
     remap = {old: new for new, old in enumerate(keep)}
     gates = []
     for old in keep:
@@ -355,13 +360,10 @@ def enumerate_proof_trees(d: NnfCircuit) -> list[ProofTree]:
 
     On a complete DNNF every tree assigns each variable exactly once and
     encodes a single model.  Exponential in general; intended for desk
-    scale.
+    scale.  Gates are visited in id order, children before parents.
     """
     memo: dict[int, list[tuple[frozenset, int, int]]] = {}
-
-    def rec(i: int) -> list[tuple[frozenset, int, int]]:
-        if i in memo:
-            return memo[i]
+    for i in _reachable(d):
         g = d.gates[i]
         if g.kind == LIT:
             out = [(frozenset((i,)), (1 << g.var) if g.positive else 0, 1 << g.var)]
@@ -369,18 +371,17 @@ def enumerate_proof_trees(d: NnfCircuit) -> list[ProofTree]:
             out = [(frozenset((i,)), 0, 0)] if g.a else []
         elif g.kind == AND:
             out = []
-            for na, oa, sa in rec(g.a):
-                for nb, ob, sb in rec(g.b):
+            for na, oa, sa in memo[g.a]:
+                for nb, ob, sb in memo[g.b]:
                     if sa & sb:
                         continue  # non-decomposable overlap; skip inconsistent pair
                     out.append((na | nb | {i}, oa | ob, sa | sb))
         else:
-            out = [(n | {i}, o, s) for n, o, s in rec(g.a)]
-            out += [(n | {i}, o, s) for n, o, s in rec(g.b)]
+            out = [(n | {i}, o, s) for n, o, s in memo[g.a]]
+            out += [(n | {i}, o, s) for n, o, s in memo[g.b]]
         memo[i] = out
-        return out
 
-    trees = [ProofTree(n, o, s) for n, o, s in rec(d.root)]
+    trees = [ProofTree(n, o, s) for n, o, s in memo[d.root]]
     trees.sort(key=lambda t: (t.ones, sorted(t.nodes)))
     return trees
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cnf import Cnf, clause_sorted
+from .recursion import run
 from .textformat import records
 
 
@@ -130,22 +131,17 @@ def check_regularity(trace: ResolutionTrace) -> bool:
     return True
 
 
-def _restricted(cnf: Cnf, assignment: dict[int, int]):
-    """Clauses not yet satisfied, with falsified literals removed."""
+def _narrow(restricted, literal: int):
+    """The restricted clause list after `literal` is made true: clauses
+    holding it drop out, and its negation leaves the others.  Each entry
+    is (clause index, literals not yet assigned), in clause order."""
     out = []
-    for idx, cl in enumerate(cnf.clauses):
-        keep = []
-        satisfied = False
-        for lit in cl:
-            v = abs(lit)
-            if v in assignment:
-                if (lit > 0) == bool(assignment[v]):
-                    satisfied = True
-                    break
-            else:
-                keep.append(lit)
-        if not satisfied:
-            out.append((idx, keep))
+    for idx, keep in restricted:
+        if literal in keep:
+            continue
+        if -literal in keep:
+            keep = [lit for lit in keep if lit != -literal]
+        out.append((idx, keep))
     return out
 
 
@@ -194,12 +190,12 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     variable is passed through.  Steps with identical clauses are shared
     when reuse cannot make a path resolve twice on one variable.  A
     satisfiable CNF is rejected when the search reaches an assignment that
-    leaves no clause unsatisfied.
+    leaves no clause unsatisfied.  The search runs through
+    `recursion.run`, so its depth is bounded only by memory.
     """
     builder = _TraceBuilder()
 
-    def refute(assignment: dict[int, int], assigned_mask: int) -> int:
-        restricted = _restricted(cnf, assignment)
+    def refute(restricted, assigned_mask: int):
         for idx, keep in restricted:
             if not keep:
                 clause = frozenset(cnf.clauses[idx])
@@ -209,8 +205,8 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
             raise ValueError("CNF is satisfiable; nothing to refute")
         x = _branch_variable(restricted)
         bit = 1 << x
-        s0 = refute({**assignment, x: 0}, assigned_mask | bit)
-        s1 = refute({**assignment, x: 1}, assigned_mask | bit)
+        s0 = yield refute(_narrow(restricted, -x), assigned_mask | bit)
+        s1 = yield refute(_narrow(restricted, x), assigned_mask | bit)
         c0 = builder.steps[s0 - 1].clause
         c1 = builder.steps[s1 - 1].clause
         if x in c0 and -x in c1:
@@ -219,7 +215,7 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
             return sid if sid is not None else builder.add(clause, (s0, s1), x)
         return s0 if x not in c0 else s1
 
-    refute({}, 0)
+    run(refute([(idx, list(cl)) for idx, cl in enumerate(cnf.clauses)], 0))
     return ResolutionTrace(tuple(builder.steps))
 
 

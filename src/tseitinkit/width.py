@@ -9,12 +9,19 @@ rest then has width at most k).  Beyond the cap the bound pair alone is
 reported.  Branch decompositions are rooted binary trees over edge ids;
 every non-root node induces a cut whose order is the number of boundary
 vertices.
+
+One edge order per graph serves the BP builder, the certificate's sample
+decomposition and the branchwidth upper bound: `edge_order` ranks the
+edges along a few candidate vertex orders and keeps the one with the
+smallest `order_bound`, the size bound of the builder's program, and
+`caterpillar` turns an order into a left-deep decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .graphs import Graph
 
@@ -108,33 +115,26 @@ def treewidth_lower_bound(g: Graph) -> int:
     return lb
 
 
-def treewidth_upper_bound(g: Graph) -> int:
-    """Min-fill elimination upper bound."""
+def _min_fill(g: Graph) -> tuple[list[int], int]:
+    """Min-fill elimination order (smallest id on ties) and its width."""
     adj = {v: set(g.adj[v]) for v in range(g.n)}
+    order = []
     width = 0
     while adj:
-        best = None
-        for v in sorted(adj):
-            nb = adj[v]
-            fill = 0
-            nbl = sorted(nb)
-            for i, a in enumerate(nbl):
-                for b in nbl[i + 1:]:
-                    if b not in adj[a]:
-                        fill += 1
-            if best is None or fill < best[0]:
-                best = (fill, v)
-        _, v = best
+        # fewest fill edges (neighbour pairs not yet adjacent), then smallest id
+        v = min(adj, key=lambda u: (sum(b not in adj[a] for a, b in combinations(adj[u], 2)), u))
+        order.append(v)
         nb = adj.pop(v)
         width = max(width, len(nb))
         for a in nb:
             adj[a].discard(v)
-        nbl = sorted(nb)
-        for i, a in enumerate(nbl):
-            for b in nbl[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-    return width
+            adj[a] |= nb - {a}
+    return order, width
+
+
+def treewidth_upper_bound(g: Graph) -> int:
+    """Min-fill elimination upper bound."""
+    return _min_fill(g)[1]
 
 
 def treewidth_bounds(g: Graph) -> tuple[int, int, str]:
@@ -284,119 +284,100 @@ def width_of(t: BranchDecomposition, g: Graph) -> int:
     return max((c.order for c in all_cuts(t, g)), default=0)
 
 
-def _bipartition(g: Graph, edge_ids: list[int]) -> tuple[list[int], list[int]]:
-    """Balanced split of edge_ids minimizing the boundary of each half
-    against the rest of the whole graph, by 2-swap hill climbing.
-
-    The cost is (max(ca, cb), ca + cb), where ca (cb) counts the vertices
-    with some but not all of their incident edges in e1 (e2).  Swapping
-    x in e1 with y in e2 moves an e1 edge to e2 at the ends of x and one
-    back at the ends of y, so per-vertex changes of ca and cb for either
-    move give the swap's cost in O(1), and only those (at most four)
-    vertices change when a swap is kept.
-    """
-    if len(edge_ids) == 2:
-        # the one swap mirrors the split, which keeps its cost
-        return [edge_ids[0]], [edge_ids[1]]
-    half = len(edge_ids) // 2
-    e1 = list(edge_ids[:half])
-    e2 = list(edge_ids[half:])
-    ends = g.edges
-    touched = {v for e in edge_ids for v in ends[e]}
-    degree = {v: len(g.incident[v]) for v in touched}
-    in1 = dict.fromkeys(touched, 0)  # incident edges in e1
-    in2 = dict.fromkeys(touched, 0)  # incident edges in e2
-    for e in e1:
-        for v in ends[e]:
-            in1[v] += 1
-    for e in e2:
-        for v in ends[e]:
-            in2[v] += 1
-    # Change in ca and cb when v gains an e1 edge from e2 (up) or loses
-    # one to e2 (down).
-    up_a, up_b, down_a, down_b = {}, {}, {}, {}
-
-    def refresh(v):
-        n1, n2, d = in1[v], in2[v], degree[v]
-        on1, on2 = 0 < n1 < d, 0 < n2 < d
-        up_a[v] = (0 < n1 + 1 < d) - on1
-        up_b[v] = (0 < n2 - 1 < d) - on2
-        down_a[v] = (0 < n1 - 1 < d) - on1
-        down_b[v] = (0 < n2 + 1 < d) - on2
-        return on1, on2
-
-    ca = cb = 0
-    for v in touched:
-        on1, on2 = refresh(v)
-        ca += on1
-        cb += on2
-
-    best = (max(ca, cb), ca + cb)
-    improved = True
-    passes = 0
-    while improved and passes < 8:
-        improved = False
-        passes += 1
-        for i in range(len(e1)):
-            a, b = ends[e1[i]]
-            base_a = ca + down_a[a] + down_a[b]
-            base_b = cb + down_b[a] + down_b[b]
-            for j, y in enumerate(e2):
-                c, d = ends[y]
-                na = base_a + up_a[c] + up_a[d]
-                nb = base_b + up_b[c] + up_b[d]
-                # an end shared by both edges keeps its counts
-                shared = c if c == a or c == b else d if d == a or d == b else None
-                if shared is not None:
-                    na -= down_a[shared] + up_a[shared]
-                    nb -= down_b[shared] + up_b[shared]
-                cost = (na if na > nb else nb, na + nb)
-                if cost < best:
-                    best = cost
-                    ca, cb = na, nb
-                    for v in (a, b):
-                        in1[v] -= 1
-                        in2[v] += 1
-                    for v in (c, d):
-                        in1[v] += 1
-                        in2[v] -= 1
-                    for v in {a, b, c, d}:
-                        refresh(v)
-                    e1[i], e2[j] = y, e1[i]
-                    a, b = c, d
-                    base_a = ca + down_a[a] + down_a[b]
-                    base_b = cb + down_b[a] + down_b[b]
-                    improved = True
-    return sorted(e1), sorted(e2)
-
-
-def heuristic_branch_decomposition(g: Graph) -> BranchDecomposition:
-    """Recursive balanced edge bipartition; deterministic."""
-    if g.m == 0:
-        raise ValueError("graph has no edges")
-
-    def build(edge_ids):
-        if len(edge_ids) == 1:
-            return edge_ids[0]
-        e1, e2 = _bipartition(g, edge_ids)
-        return (build(e1), build(e2))
-
-    return BranchDecomposition.from_nested(build(sorted(range(g.m))))
+def caterpillar(order) -> BranchDecomposition:
+    """Left-deep decomposition over an edge order: the spine node above
+    order[i] holds order[:i + 1], so its cuts split a prefix of the order
+    from the rest."""
+    if not order:
+        raise ValueError("no edges to decompose")
+    nested = order[0]
+    for e in order[1:]:
+        nested = (nested, e)
+    return BranchDecomposition.from_nested(nested)
 
 
 def branchwidth_bounds(g: Graph) -> tuple[int, int]:
     """(lower, upper) bracket on the branchwidth.
 
     lower comes from the treewidth comparison bw >= ceil(2 tw / 3) (valid
-    once bw >= 2), upper is the width of the best heuristic decomposition
-    found.  Width <= 1 is the comparison's blind spot, so such graphs
-    report (width, width) directly.
+    once bw >= 2), upper is the width of the caterpillar over
+    `edge_order`.  Width <= 1 is the comparison's blind spot, so such
+    graphs report (width, width) directly.
     """
     if g.m == 0:
         return 0, 0
-    upper = width_of(heuristic_branch_decomposition(g), g)
+    upper = width_of(caterpillar(edge_order(g)), g)
     if upper <= 1:
         return upper, upper
     tw_lb, _, _ = treewidth_bounds(g)
     lower = -(-2 * tw_lb // 3)
     return min(lower, upper), upper
+
+
+# --- edge orders -------------------------------------------------------------
+
+
+def order_bound(g: Graph, order) -> int:
+    """n + sum over ranks r of 2^max(|dC_r| - 1, 0).
+
+    Rank r is the position of an edge in `order`.  C_r is the component
+    of the edges ranked >= r that holds the edge of rank r, and dC_r the
+    vertices of C_r that touch an edge ranked below r.  One union-find
+    sweep adds the edges from the highest rank down: a vertex counts
+    toward its component's boundary from the time it joins until its
+    lowest-ranked edge is added.  `bp.build_well_structured_bp` says why
+    this bounds the size of its program.
+    """
+    low = [len(order)] * g.n  # rank of the lowest-ranked edge at each vertex
+    for r, e in enumerate(order):
+        for v in g.edges[e]:
+            low[v] = min(low[v], r)
+    parent = list(range(g.n))
+    boundary = [1] * g.n  # per root: vertices of its component that still have a lower-ranked edge
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    total = g.n
+    for r in reversed(range(len(order))):
+        a, b = g.edges[order[r]]
+        root, other = find(a), find(b)
+        if root != other:
+            parent[other] = root
+            boundary[root] += boundary[other]
+        boundary[root] -= (low[a] == r) + (low[b] == r)
+        total += 1 << max(boundary[root] - 1, 0)
+    return total
+
+
+def _bfs(neighbours, start: int) -> dict[int, int]:
+    """Distances from start, keyed in breadth-first order."""
+    dist = {start: 0}
+    queue = [start]
+    for u in queue:
+        for w in neighbours[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def edge_order(g: Graph) -> tuple[int, ...]:
+    """Edge ids, lowest rank first: the candidate with the smallest
+    `order_bound`, the first on ties.
+
+    Each candidate ranks edges by (earlier endpoint, later endpoint) in a
+    vertex order: breadth-first from each of the three most eccentric
+    vertices (ties by id; neighbours taken by degree, then id, and
+    unreached vertices last, by id), then the min-fill elimination order.
+    """
+    neighbours = [sorted(g.adj[u], key=lambda w: (len(g.adj[w]), w)) for u in range(g.n)]
+    starts = sorted(range(g.n), key=lambda v: (-max(_bfs(neighbours, v).values()), v))[:3]
+    orders = []
+    for vertices in [list(_bfs(neighbours, s)) for s in starts] + [_min_fill(g)[0]]:
+        pos = {v: i for i, v in enumerate(vertices)}  # vertices a search misses follow by id
+        orders.append(tuple(sorted(range(g.m), key=lambda e: sorted(pos.get(v, g.n + v) for v in g.edges[e]))))
+    return min(orders, key=lambda order: order_bound(g, order))

@@ -15,10 +15,21 @@ from tseitinkit.bounds import (
     verify_certificate,
 )
 from tseitinkit.compiler import pipeline
-from tseitinkit.nnf import enumerate_proof_trees, gate_rectangle, models, smooth
+from tseitinkit.nnf import CircuitBuilder, enumerate_proof_trees, gate_rectangle, models, smooth
 from tseitinkit.rectangles import Rectangle, is_rectangle, mask_of
 from tseitinkit.tseitin import TseitinFormula, brute_force_models, unit_charge
-from tseitinkit.width import BranchDecomposition, heuristic_branch_decomposition
+from tseitinkit.width import BranchDecomposition, caterpillar, edge_order
+
+
+MIDDLE_TIER = {
+    "grid3x6": lambda: fam.grid(3, 6),
+    "grid4x4": lambda: fam.grid(4, 4),
+    "grid5x5": lambda: fam.grid(5, 5),
+    "Q4": lambda: fam.cube(4),
+    "rr16": lambda: fam.random_regular(16, 3, 1),
+    "W12": lambda: fam.wheel(12),
+    "C60": lambda: fam.cycle(60),
+}
 
 
 def smooth_pipeline(g):
@@ -108,7 +119,7 @@ class TestAdamResponse:
 
     def test_q3_heuristic_decomposition(self):
         g = fam.cube(3)
-        resp = adam_response(g, heuristic_branch_decomposition(g))
+        resp = adam_response(g, caterpillar(edge_order(g)))
         assert len(resp.v_star) >= 1
         assert resp.cap_exponent <= 4  # cap 16 < 32 total models
 
@@ -132,14 +143,14 @@ class TestAdamResponse:
     def test_rejects_non_3_connected(self):
         g = fam.cycle(4)
         with pytest.raises(ValueError):
-            adam_response(g, heuristic_branch_decomposition(g))
+            adam_response(g, caterpillar(edge_order(g)))
 
 
 class TestRectangleCapCheck:
     def test_singleton_always_holds(self):
         g = fam.complete(4)
         t = TseitinFormula(g, (0,) * 4)
-        resp = adam_response(g, heuristic_branch_decomposition(g))
+        resp = adam_response(g, caterpillar(edge_order(g)))
         model = brute_force_models(t)[0]
         rect = is_rectangle({model}, mask_of(resp.cut.e1), mask_of(resp.cut.e2), g.m)
         assert rectangle_cap_check(t, resp, rect)
@@ -147,7 +158,7 @@ class TestRectangleCapCheck:
     def test_partition_mismatch_rejected(self):
         g = fam.complete(4)
         t = TseitinFormula(g, (0,) * 4)
-        resp = adam_response(g, heuristic_branch_decomposition(g))
+        resp = adam_response(g, caterpillar(edge_order(g)))
         e1 = mask_of(resp.cut.e2)
         rect = is_rectangle({brute_force_models(t)[0]}, e1, mask_of(resp.cut.e1), g.m)
         with pytest.raises(ValueError):
@@ -209,6 +220,16 @@ class TestCertifiedLowerBound:
         cert = certified_lower_bound(g)
         d, _ = smooth_pipeline(g)
         assert cert.bound <= max(d.size, 1)
+
+    @pytest.mark.parametrize("name", MIDDLE_TIER)
+    def test_middle_tier_verifies(self, name):
+        # the sample witness on the caterpillar over edge_order reaches k,
+        # which is 1 once the treewidth is 3 or more
+        g = MIDDLE_TIER[name]()
+        cert = certified_lower_bound(g)
+        ok, msg = verify_certificate(cert, g)
+        assert ok, msg
+        assert cert.k == (0 if name == "C60" else 1)
 
     def test_corrupted_certificate_rejected(self):
         g = fam.complete(4)
@@ -297,3 +318,27 @@ class TestBalancedCover:
         d, _ = smooth_pipeline(g)
         with pytest.raises(ValueError):
             extract_balanced_cover(d)
+
+
+class TestDeepCircuits:
+    def test_and_chain_deeper_than_recursion_limit(self):
+        # x0 & x1 & ... & x1499 as a left-deep chain of binary AND gates
+        from tseitinkit.bounds import _proof_walk, _vtree_of_walk
+
+        n = 1500
+        b = CircuitBuilder(n)
+        root = b.literal(0, True)
+        for v in range(1, n):
+            root = b.gate_and(root, b.literal(v, True))
+        d = b.build(root)
+        full = (1 << n) - 1
+        (tree,) = enumerate_proof_trees(d)
+        assert tree.ones == tree.assigned == full
+        assert tree.nodes == frozenset(range(d.node_count))
+        walk = _proof_walk(d, full)
+        assert (walk.gate, walk.var_mask) == (root, full)
+        vtree, gate_of = _vtree_of_walk(d, walk)
+        vtree.validate(fam.path(n + 1))
+        assert len(vtree.nodes) == 2 * n - 1
+        assert max(vtree.depth) == n - 1
+        assert sorted(gate_of.values()) == list(range(d.node_count))

@@ -4,7 +4,6 @@ import zlib
 import pytest
 
 from mutations import mutate_bp
-from tseitinkit import bp as bp_module
 from tseitinkit import families as fam
 from tseitinkit.bp import (
     BranchingProgram,
@@ -19,6 +18,7 @@ from tseitinkit.bp import (
 from tseitinkit.graphs import Graph
 from tseitinkit.oracles import bp_semantics_hold, eval_bp
 from tseitinkit.tseitin import TseitinFormula, is_satisfiable, unit_charge
+from tseitinkit.width import edge_order, order_bound
 
 
 SINGLE_EDGE_BP = BranchingProgram(
@@ -207,10 +207,9 @@ class TestDeepPrograms:
         assert len(bp.topological()) == bp.size == 2 * n - 1
         assert validate_well_structured(bp, g, c).ok
 
-    def test_builder_deeper_than_recursion_limit(self, monkeypatch):
-        # deciding the smallest edge first makes the program for a path a
-        # chain one level per edge
-        monkeypatch.setattr(bp_module, "_decision_edge", lambda g, edge_ids: min(edge_ids))
+    def test_builder_deeper_than_recursion_limit(self):
+        # breadth-first from the end vertex 0 ranks a path's edges by id, so
+        # the program for a path is a chain one level per edge
         n = 1200
         g = fam.path(n)
         bp = build_well_structured_bp(g, unit_charge(n, 0))
@@ -252,33 +251,30 @@ class TestBuilderSizes:
         assert order == list(range(bp.size))
 
     def test_desk_sizes_pinned(self, bench_graph):
-        # Sizes under today's decision rule; a rule that changes them has
-        # to update this table on purpose.
+        # Sizes under today's decision rule (the lowest-ranked edge of
+        # width.edge_order); a rule that changes them has to update this
+        # table on purpose.
         sizes = {
             "C3": 8, "C4": 11, "C5": 14, "C6": 17, "P2": 3, "P3": 5, "P4": 7, "P5": 9,
-            "K4": 21, "K5": 54, "W4": 34, "grid2x3": 23, "grid3x3": 52, "Q3": 77,
-            "bowtie": 15, "twoK4": 41,
+            "K4": 21, "K5": 54, "W4": 30, "grid2x3": 19, "grid3x3": 46, "Q3": 69,
+            "bowtie": 15, "twoK4": 39,
         }
         name, g = bench_graph
         bp = build_well_structured_bp(g, unit_charge(g.n, 0))
         assert bp.size == sizes[name]
 
     @pytest.mark.parametrize("g", [fam.grid(4, 4), fam.cycle(20)], ids=["grid4x4", "C20"])
-    def test_one_decision_per_edge_set(self, g, monkeypatch):
-        calls = []
-        decide = bp_module._decision_edge
-
-        def counting(graph, edge_ids):
-            calls.append(edge_ids)
-            return decide(graph, edge_ids)
-
-        monkeypatch.setattr(bp_module, "_decision_edge", counting)
+    def test_one_decision_per_edge_set(self, g):
+        # the decision edge depends on the annotated edge set alone, so
+        # nodes that share an edge set under different charges query the
+        # same edge
         c = unit_charge(g.n, 0)
         bp = build_well_structured_bp(g, c)
         ann = validate_well_structured(bp, g, c).annotations
-        edge_sets = {ann[u][1] for u in bp.decisions}
-        assert len(calls) == len(set(calls)) == len(edge_sets) < len(bp.decisions)
-        assert set(calls) == edge_sets
+        decided = {}
+        for u, (var, _, _) in bp.decisions.items():
+            assert decided.setdefault(ann[u][1], var) == var
+        assert len(decided) < len(bp.decisions)
 
     def test_satisfiable_rejected(self):
         with pytest.raises(ValueError):
@@ -290,16 +286,91 @@ class TestBuilderSizes:
             build_well_structured_bp(g, (1, 0, 0, 0))
 
 
+def naive_order_bound(g: Graph, order) -> int:
+    """n + the sum of 2^max(|dC| - 1, 0) over every distinct component C
+    of the edges ranked above r, for every r from -1 up, where dC holds
+    the vertices of C that touch an edge ranked at most r.  Recomputes
+    `order_bound` without its sweep."""
+    rank = {e: r for r, e in enumerate(order)}
+    boundary = {}  # component edge set -> |dC|
+    for r in range(-1, g.m):
+        left = {e for e in range(g.m) if rank[e] > r}
+        while left:
+            stack = [left.pop()]
+            comp = set(stack)
+            while stack:
+                for v in g.edges[stack.pop()]:
+                    for f in g.incident[v]:
+                        if f in left:
+                            left.remove(f)
+                            comp.add(f)
+                            stack.append(f)
+            verts = {v for e in comp for v in g.edges[e]}
+            size = sum(1 for v in verts if any(rank[f] <= r for f in g.incident[v]))
+            assert boundary.setdefault(frozenset(comp), size) == size
+    return g.n + sum(1 << max(size - 1, 0) for size in boundary.values())
+
+
+MIDDLE_TIER = {
+    "grid3x6": lambda: fam.grid(3, 6),
+    "grid4x4": lambda: fam.grid(4, 4),
+    "grid5x5": lambda: fam.grid(5, 5),
+    "Q4": lambda: fam.cube(4),
+    "rr16": lambda: fam.random_regular(16, 3, 1),
+    "W12": lambda: fam.wheel(12),
+    "C60": lambda: fam.cycle(60),
+}
+NARROW_GRIDS = {f"grid{rows}x{cols}": (rows, cols) for rows in (2, 3) for cols in range(2, 17)}
+
+
+class TestSizeBound:
+    """The builder's size against order_bound, recomputed naively."""
+
+    def check(self, g: Graph):
+        order = edge_order(g)
+        bound = naive_order_bound(g, order)
+        assert order_bound(g, order) == bound
+        assert build_well_structured_bp(g, unit_charge(g.n, 0)).size <= bound
+
+    def test_desk_family(self, bench_graph):
+        _, g = bench_graph
+        self.check(g)
+
+    @pytest.mark.parametrize("name", MIDDLE_TIER)
+    def test_middle_tier(self, name):
+        self.check(MIDDLE_TIER[name]())
+
+    @pytest.mark.parametrize("name", NARROW_GRIDS)
+    def test_narrow_grids(self, name):
+        self.check(fam.grid(*NARROW_GRIDS[name]))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sweep_on_random_orders(self, seed):
+        # any order, not only the chosen one: the sweep equals the naive count
+        rng = random.Random(zlib.crc32(f"order-{seed}".encode()))
+        g = fam.random_regular(rng.choice([8, 10, 12]), 3, seed)
+        order = list(range(g.m))
+        rng.shuffle(order)
+        assert order_bound(g, order) == naive_order_bound(g, order)
+
+    def test_three_row_grids_grow_linearly(self):
+        # tw 3: the old per-subgraph heuristic grew exponentially here
+        # (3x4 95, 3x8 1313, 3x12 23753 nodes)
+        size = {cols: build_well_structured_bp(fam.grid(3, cols), unit_charge(3 * cols, 0)).size for cols in (4, 16)}
+        assert size[16] <= 5 * size[4]
+
+
 class TestAnnotationInference:
     def test_matches_builder(self, bench_graph):
-        # the builder decides each node by the edge set of its annotation,
-        # so the derived annotations must reproduce every decision edge
+        # every decision queries the lowest-ranked edge of its derived
+        # annotation in the graph's one edge order
         _, g = bench_graph
         c = unit_charge(g.n, 0)
         bp = build_well_structured_bp(g, c)
         ann = validate_well_structured(bp, g, c).annotations
+        rank = {e: r for r, e in enumerate(edge_order(g))}
         for u, (var, _, _) in bp.decisions.items():
-            assert var == bp_module._decision_edge(g, ann[u][1])
+            assert var == min(ann[u][1], key=rank.__getitem__)
 
 
 class TestBpText:

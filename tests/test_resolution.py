@@ -7,6 +7,8 @@ from tseitinkit.cnf import Cnf
 from tseitinkit.resolution import (
     ResolutionTrace,
     Step,
+    _branch_variable,
+    _TraceBuilder,
     check_refutation,
     check_regularity,
     dpll_refute,
@@ -144,6 +146,14 @@ class TestDpll:
             trace = dpll_refute(cnf)
             assert len(trace) <= 30 * n
 
+    def test_deeper_than_recursion_limit(self):
+        # on a path the search assigns one edge after another, 1099 deep
+        n = 1100
+        cnf = to_cnf(TseitinFormula(fam.path(n), unit_charge(n, 0)))
+        trace = dpll_refute(cnf)
+        assert check_refutation(cnf, trace).ok
+        assert check_regularity(trace)
+
     @pytest.mark.parametrize("name,cnf", family_cnfs(), ids=[n for n, _ in family_cnfs()])
     def test_family_traces_valid_and_regular(self, name, cnf):
         trace = dpll_refute(cnf)
@@ -151,6 +161,74 @@ class TestDpll:
         assert result.ok, result.error
         assert check_regularity(trace)
         assert not result.tautology_steps
+
+
+def reference_dpll_refute(cnf: Cnf) -> ResolutionTrace:
+    """dpll_refute as first written: every search node rescans the whole
+    CNF for the clauses its assignment leaves open.  The library narrows
+    its parent's list instead; its traces must not differ."""
+    builder = _TraceBuilder()
+
+    def restricted(assignment):
+        out = []
+        for idx, cl in enumerate(cnf.clauses):
+            keep = []
+            satisfied = False
+            for lit in cl:
+                v = abs(lit)
+                if v in assignment:
+                    if (lit > 0) == bool(assignment[v]):
+                        satisfied = True
+                        break
+                else:
+                    keep.append(lit)
+            if not satisfied:
+                out.append((idx, keep))
+        return out
+
+    def refute(assignment, assigned_mask):
+        open_clauses = restricted(assignment)
+        for idx, keep in open_clauses:
+            if not keep:
+                clause = frozenset(cnf.clauses[idx])
+                sid = builder.lookup(clause, assigned_mask)
+                return sid if sid is not None else builder.add(clause)
+        if not open_clauses:
+            raise ValueError("CNF is satisfiable; nothing to refute")
+        x = _branch_variable(open_clauses)
+        bit = 1 << x
+        s0 = refute({**assignment, x: 0}, assigned_mask | bit)
+        s1 = refute({**assignment, x: 1}, assigned_mask | bit)
+        c0 = builder.steps[s0 - 1].clause
+        c1 = builder.steps[s1 - 1].clause
+        if x in c0 and -x in c1:
+            clause = resolve(c0, c1, x)
+            sid = builder.lookup(clause, assigned_mask)
+            return sid if sid is not None else builder.add(clause, (s0, s1), x)
+        return s0 if x not in c0 else s1
+
+    refute({}, 0)
+    return ResolutionTrace(tuple(builder.steps))
+
+
+class TestAgainstReference:
+    def check(self, g):
+        cnf = to_cnf(TseitinFormula(g, unit_charge(g.n, 0)))
+        assert trace_to_text(dpll_refute(cnf)) == trace_to_text(reference_dpll_refute(cnf))
+
+    def test_desk_family(self, bench_graph):
+        _, g = bench_graph
+        self.check(g)
+
+    @pytest.mark.parametrize("g", [fam.random_regular(16, 3, 1), fam.grid(4, 5)], ids=["rr16", "grid4x5"])
+    def test_benchmark_graphs(self, g):
+        self.check(g)
+
+    def test_same_rejection(self):
+        cnf = Cnf(2, (frozenset({1, 2}),))
+        for refute in (dpll_refute, reference_dpll_refute):
+            with pytest.raises(ValueError, match="satisfiable"):
+                refute(cnf)
 
 
 from mutations import corrupt  # noqa: E402  (shared with the acceptance suite)

@@ -13,13 +13,16 @@ from tseitinkit.width import (
     BranchDecomposition,
     Cut,
     DeskScaleError,
+    _min_fill,
     _reachable_outside,
     _width_at_most,
     all_cuts,
     branchwidth_bounds,
+    caterpillar,
     cut_boundary,
-    heuristic_branch_decomposition,
+    edge_order,
     max_order_cut,
+    order_bound,
     treewidth_exact,
     treewidth_lower_bound,
     treewidth_upper_bound,
@@ -47,61 +50,11 @@ def brute_force_treewidth(g: Graph) -> int:
     return min(elimination_width(g, order) for order in itertools.permutations(range(g.n)))
 
 
-# --- reference decomposition ------------------------------------------------
+# --- reference cuts ---------------------------------------------------------
 #
-# The heuristic decomposition as first written: every candidate swap
-# recomputes both boundaries from scratch (O(m) per swap), and every cut
-# recomputes its boundary with `cut_boundary`.  The library keeps these
-# costs incremental; its trees and cuts must not differ.
-
-
-def reference_partition_boundary_size(g: Graph, part1: set[int], part2: set[int]) -> int:
-    touch1 = set()
-    touch2 = set()
-    for e in part1:
-        touch1.update(g.edges[e])
-    for e in part2:
-        touch2.update(g.edges[e])
-    return len(touch1 & touch2)
-
-
-def reference_bipartition(g: Graph, edge_ids: list[int]) -> tuple[list[int], list[int]]:
-    half = len(edge_ids) // 2
-    e1 = list(edge_ids[:half])
-    e2 = list(edge_ids[half:])
-    rest = set(range(g.m)) - set(edge_ids)
-
-    def cost(a, b):
-        ca = reference_partition_boundary_size(g, set(a), set(b) | rest)
-        cb = reference_partition_boundary_size(g, set(b), set(a) | rest)
-        return max(ca, cb), ca + cb
-
-    best = cost(e1, e2)
-    improved = True
-    passes = 0
-    while improved and passes < 8:
-        improved = False
-        passes += 1
-        for i in range(len(e1)):
-            for j in range(len(e2)):
-                e1[i], e2[j] = e2[j], e1[i]
-                c = cost(e1, e2)
-                if c < best:
-                    best = c
-                    improved = True
-                else:
-                    e1[i], e2[j] = e2[j], e1[i]
-    return sorted(e1), sorted(e2)
-
-
-def reference_branch_decomposition(g: Graph) -> BranchDecomposition:
-    def build(edge_ids):
-        if len(edge_ids) == 1:
-            return edge_ids[0]
-        e1, e2 = reference_bipartition(g, edge_ids)
-        return (build(e1), build(e2))
-
-    return BranchDecomposition.from_nested(build(sorted(range(g.m))))
+# Every cut as first written: recursive depths and edge sets, and one
+# `cut_boundary` call per cut.  The library computes all boundaries in one
+# bottom-up pass; its cuts must not differ.
 
 
 def reference_all_cuts(t: BranchDecomposition, g: Graph) -> list[Cut]:
@@ -143,20 +96,30 @@ def random_connected_graph(seed: int) -> Graph:
 RANDOM_SEEDS = [zlib.crc32(f"connected-{i}".encode()) for i in range(30)]
 
 
+def random_binary_tree(m: int, seed: int) -> BranchDecomposition:
+    """Leaves 0..m-1 joined pairwise at random until one tree is left."""
+    rng = random.Random(seed)
+    parts: list = list(range(m))
+    while len(parts) > 1:
+        i, j = sorted(rng.sample(range(len(parts)), 2))
+        right, left = parts.pop(j), parts.pop(i)
+        parts.append((left, right))
+    return BranchDecomposition.from_nested(parts[0])
+
+
 class TestAgainstReference:
-    def check(self, g: Graph):
-        t = heuristic_branch_decomposition(g)
-        ref = reference_branch_decomposition(g)
-        assert t.nodes == ref.nodes
-        assert all_cuts(t, g) == reference_all_cuts(ref, g)
+    def check(self, g: Graph, seed: int):
+        for t in (caterpillar(edge_order(g)), random_binary_tree(g.m, seed)):
+            t.validate(g)
+            assert all_cuts(t, g) == reference_all_cuts(t, g)
 
     def test_desk_family(self, bench_graph):
-        _, g = bench_graph
-        self.check(g)
+        name, g = bench_graph
+        self.check(g, zlib.crc32(name.encode()))
 
     @pytest.mark.parametrize("seed", RANDOM_SEEDS)
     def test_random_connected(self, seed):
-        self.check(random_connected_graph(seed))
+        self.check(random_connected_graph(seed), seed)
 
 
 # --- reference treewidth ----------------------------------------------------
@@ -321,7 +284,7 @@ class TestBranchDecomposition:
         _, g = bench_graph
         if g.m == 0:
             return
-        t = heuristic_branch_decomposition(g)
+        t = caterpillar(edge_order(g))
         for cut in all_cuts(t, g):
             fresh = set()
             touch1 = {v for e in cut.e1 for v in g.edges[e]}
@@ -339,13 +302,13 @@ class TestBranchDecomposition:
 
     def test_single_edge_graph(self):
         g = fam.path(2)
-        t = heuristic_branch_decomposition(g)
+        t = caterpillar(edge_order(g))
         cut = max_order_cut(t, g)
         assert cut.order <= 2
 
     def test_k4_max_cut_at_least_2(self):
         g = fam.complete(4)
-        t = heuristic_branch_decomposition(g)
+        t = caterpillar(edge_order(g))
         assert max_order_cut(t, g).order >= 2
 
 
@@ -367,5 +330,36 @@ class TestBranchwidthBounds:
 
     def test_width_consistency(self, bench_graph):
         _, g = bench_graph
-        t = heuristic_branch_decomposition(g)
+        t = caterpillar(edge_order(g))
         assert width_of(t, g) == max(c.order for c in all_cuts(t, g))
+
+
+class TestEdgeOrder:
+    def test_permutation(self, bench_graph):
+        _, g = bench_graph
+        assert sorted(edge_order(g)) == list(range(g.m))
+
+    def test_path_ranks_edges_by_id(self):
+        # breadth-first from the end vertex 0; the other candidates tie
+        assert edge_order(fam.path(9)) == tuple(range(8))
+
+    def test_no_worse_than_min_fill(self):
+        # the min-fill elimination order is one of the candidates
+        for g in (fam.grid(3, 5), fam.grid(6, 6), fam.cube(4), fam.wheel(12), fam.random_regular(16, 3, 1)):
+            pos = {v: i for i, v in enumerate(_min_fill(g)[0])}
+            by_min_fill = sorted(range(g.m), key=lambda e: sorted(pos[v] for v in g.edges[e]))
+            assert order_bound(g, edge_order(g)) <= order_bound(g, by_min_fill)
+
+    def test_empty(self):
+        assert edge_order(Graph(0, ())) == ()
+        assert edge_order(Graph(3, ())) == ()
+
+    def test_caterpillar_cuts_are_prefixes(self):
+        g = fam.grid(2, 4)
+        order = edge_order(g)
+        t = caterpillar(order)
+        prefixes = {tuple(sorted(order[:i])) for i in range(1, g.m)}
+        singles = {(e,) for e in range(g.m)}
+        assert {c.e1 for c in all_cuts(t, g)} == prefixes | singles
+        with pytest.raises(ValueError):
+            caterpillar(())
