@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, is_3_connected, is_connected, safe_split_subset
 from .minors import three_connected_minor
 from .nnf import CONST, LIT, OR, NnfCircuit, enumerate_proof_trees, gate_rectangle, gate_values, is_smooth, validate_decomposable
+from .oracles import point
 from .rectangles import Rectangle, is_rectangle, mask_of
 from .recursion import run
 from .textformat import Line, records
@@ -144,7 +145,7 @@ class _WalkNode:
 def _proof_walk(d: NnfCircuit, mask: int) -> _WalkNode:
     """Occurrence tree of the accepting proof tree for a model, choosing
     the true child at every OR gate (smaller id on ties)."""
-    vals = gate_values(d, mask)
+    vals = gate_values(d, point(mask))
 
     def walk(i: int):
         while d.gates[i].kind == OR:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import truth_table
+from .oracles import conj, disj, point, truth_table
 from .textformat import records
 
 
@@ -24,15 +24,19 @@ class Cnf:
             if any(-lit in cl for lit in cl):
                 raise ValueError(f"clause {sorted(cl)} contains a variable and its negation")
 
-    def satisfies(self, x):
-        """Whether x satisfies every clause; x is one assignment mask (bit
-        v-1 = variable v) or an array of them."""
+    def satisfies(self, mask: int) -> bool:
+        """Whether the assignment (bit v-1 = variable v) satisfies every clause."""
+        return bool(self._column(point(mask)))
+
+    def _column(self, x):
+        """Whether every clause holds, under the column accessor x."""
         ok = True
         for cl in self.clauses:
             sat = False
             for lit in cl:
-                sat = sat | (((x >> (abs(lit) - 1)) & 1) == (lit > 0))
-            ok = ok & sat
+                col = x(abs(lit) - 1)
+                sat = disj(sat, col if lit > 0 else ~col)
+            ok = conj(ok, sat)
         return ok
 
 
@@ -45,7 +49,7 @@ def cnf_truth_table(cnf: Cnf) -> np.ndarray:
 
     Assignment index i sets variable v to bit (v-1) of i.
     """
-    return truth_table(cnf.num_vars, cnf.satisfies)
+    return truth_table(cnf.num_vars, cnf._column)
 
 
 def cnf_to_dimacs(cnf: Cnf) -> str:

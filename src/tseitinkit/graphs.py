@@ -137,59 +137,67 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 
 
-def _connected_after_removal(g: Graph, removed: set[int]) -> bool:
-    remaining = [v for v in range(g.n) if v not in removed]
-    if not remaining:
-        return False
-    seen = set(removed)
-    seen.add(remaining[0])
-    stack = [remaining[0]]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                count += 1
-                stack.append(w)
-    return count == len(remaining)
+def _separating_vertices(g: Graph, removed: int = -1) -> list[int]:
+    """Vertices v != removed, ascending, such that g - {removed, v} is
+    disconnected or empty: one articulation-point pass over g - removed.
+
+    When v leaves, its component of g - removed falls into one piece per
+    DFS child w with low(w) >= disc(v), plus the piece holding v's DFS
+    parent; the other components stay as they are.
+    """
+    alive = g.n - (0 <= removed < g.n)
+    disc = [0] * g.n  # discovery time from 1; 0 = not yet reached
+    low = [0] * g.n
+    pieces = [0] * g.n
+    components = clock = 0
+    for root in range(g.n):
+        if disc[root] or root == removed:
+            continue
+        components += 1
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [(root, -1, iter(g.adj[root]))]
+        while stack:
+            u, parent, nbrs = stack[-1]
+            for w in nbrs:
+                if w == removed:
+                    continue
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, u, iter(g.adj[w])))
+                    break
+                if w != parent:
+                    low[u] = min(low[u], disc[w])
+            else:
+                stack.pop()
+                if parent >= 0:
+                    pieces[u] += 1  # the side of its parent
+                    low[parent] = min(low[parent], low[u])
+                    if low[u] >= disc[parent]:
+                        pieces[parent] += 1
+    return [v for v in range(g.n) if v != removed and (alive == 1 or components - 1 + pieces[v] >= 2)]
 
 
 def is_3_connected(g: Graph) -> bool:
     """At least 4 vertices and no separator of size at most 2."""
-    if g.n < 4:
-        return False
-    if not is_connected(g):
-        return False
-    for u in range(g.n):
-        if not _connected_after_removal(g, {u}):
-            return False
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not _connected_after_removal(g, {u, v}):
-                return False
-    return True
+    return g.n >= 4 and not separators_of_size(g, 1) and not separators_of_size(g, 2)
 
 
 def separators_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
-    """All vertex sets of the given size whose removal disconnects g.
+    """All vertex sets of the given size whose removal disconnects g (or
+    leaves no vertex).
 
-    Candidates are enumerated in ascending lexicographic order, so the
-    first entry is the deterministic choice everywhere in the package.
+    One articulation-point pass on g finds the single vertices, one on
+    g - u for each u the pairs {u, v}.  The list is in ascending
+    lexicographic order, so the first entry is the deterministic choice
+    everywhere in the package.
     """
-    out = []
     if size == 1:
-        for u in range(g.n):
-            if not _connected_after_removal(g, {u}):
-                out.append((u,))
-    elif size == 2:
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if not _connected_after_removal(g, {u, v}):
-                    out.append((u, v))
-    else:
-        raise ValueError("only sizes 1 and 2 are supported")
-    return out
+        return [(v,) for v in _separating_vertices(g)]
+    if size == 2:
+        return [(u, v) for u in range(g.n) for v in _separating_vertices(g, u) if v > u]
+    raise ValueError("only sizes 1 and 2 are supported")
 
 
 def split_vertex(g: Graph, req: SplitRequest) -> tuple[Graph, dict[int, int]]:

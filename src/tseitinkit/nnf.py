@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .oracles import truth_table as _table
+from .oracles import conj, disj, point, truth_table as _table
 from .textformat import records
 
 LIT = "L"
@@ -155,32 +155,28 @@ def is_smooth(d: NnfCircuit) -> bool:
 
 
 def gate_values(d: NnfCircuit, x) -> list:
-    """Value of every gate on x: one assignment mask (bools) or an array
-    of masks (bool arrays; constants stay plain bools)."""
+    """Value of every gate under the column accessor x (see `oracles`):
+    packed bits, or a bool for a gate that folds to a constant."""
     vals = []
     for g in d.gates:
         if g.kind == LIT:
-            bit = x & (1 << g.var)
-            vals.append(bit != 0 if g.positive else bit == 0)
+            vals.append(x(g.var) if g.positive else ~x(g.var))
         elif g.kind == CONST:
             vals.append(bool(g.a))
         elif g.kind == AND:
-            # a constant-true child passes the other one through, which
-            # also spares a scalar-with-array operation on every block
-            a, b = vals[g.a], vals[g.b]
-            vals.append(b if a is True else a if b is True else a & b)
+            vals.append(conj(vals[g.a], vals[g.b]))
         else:
-            vals.append(vals[g.a] | vals[g.b])
+            vals.append(disj(vals[g.a], vals[g.b]))
     return vals
 
 
 def evaluate(d: NnfCircuit, mask: int) -> bool:
-    return bool(gate_values(d, mask)[d.root])
+    return bool(gate_values(d, point(mask))[d.root])
 
 
 def truth_table(d: NnfCircuit) -> np.ndarray:
     """Circuit value on all 2^num_vars assignments (assignment = index)."""
-    return _table(d.num_vars, lambda block: gate_values(d, block)[d.root])
+    return _table(d.num_vars, lambda x: gate_values(d, x)[d.root])
 
 
 def models(d: NnfCircuit) -> list[int]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cnf import Cnf
 from .graphs import Graph, SplitRequest, connected_components, is_connected, split_all
-from .oracles import parity, truth_table as _table
+from .oracles import conj, parity, point, truth_table as _table
 from .textformat import records
 
 DEGREE_CAP = 8
@@ -59,15 +59,18 @@ class TseitinFormula:
     def num_vars(self) -> int:
         return self.graph.m
 
-    def violated_at(self, x, v: int):
-        """Whether x violates the constraint at v; x is one assignment mask
-        or an array of them."""
-        return parity(x, self.graph.incident[v]) != self.charge[v]
+    def violated_at(self, mask: int, v: int) -> bool:
+        """Whether the assignment violates the constraint at v."""
+        return not parity(point(mask), self.graph.incident[v], self.charge[v])
 
-    def satisfies(self, x):
+    def satisfies(self, mask: int) -> bool:
+        return bool(self._column(point(mask)))
+
+    def _column(self, x):
+        """Whether every constraint holds, under the column accessor x."""
         ok = True
         for v in range(self.graph.n):
-            ok = ok & (parity(x, self.graph.incident[v]) == self.charge[v])
+            ok = conj(ok, parity(x, self.graph.incident[v], self.charge[v]))
         return ok
 
 
@@ -88,7 +91,7 @@ class SubConstraint:
             raise ValueError("parity must be 0/1")
 
     def holds(self, mask: int) -> bool:
-        return parity(mask, self.edge_ids) == self.parity
+        return bool(parity(point(mask), self.edge_ids, self.parity))
 
 
 def is_satisfiable(t: TseitinFormula) -> bool:
@@ -126,7 +129,7 @@ def condition(t: TseitinFormula, var: int, value: int) -> TseitinFormula:
 
 def truth_table(t: TseitinFormula) -> np.ndarray:
     """Indicator over all 2^m assignments, independent of every other path."""
-    return _table(t.graph.m, t.satisfies)
+    return _table(t.graph.m, t._column)
 
 
 def brute_force_models(t: TseitinFormula) -> list[int]:

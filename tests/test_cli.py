@@ -10,7 +10,7 @@ from tseitinkit.cli import main
 from tseitinkit.bounds import certificate_to_text, certified_lower_bound
 from tseitinkit.bp import bp_to_text, build_well_structured_bp
 from tseitinkit.cnf import cnf_to_dimacs
-from tseitinkit.compiler import compile_bp_to_dnnf, retarget
+from tseitinkit.compiler import compile_bp_to_dnnf, pipeline, retarget
 from tseitinkit.graphs import graph_from_text, graph_to_text
 from tseitinkit.nnf import nnf_to_text
 from tseitinkit.resolution import dpll_refute, trace_to_text
@@ -150,6 +150,21 @@ class TestCheck:
 
     def test_dnnf_not_equiv(self, workdir):
         assert main(["check", "dnnf-equiv", workdir["tseitin"], workdir["nnf"]]) != 0
+
+    def test_dnnf_equiv_at_the_variable_cap(self, tmp_path):
+        """grid 4 4 has m = 24, the largest table the desk-scale check builds."""
+        g = fam.grid(4, 4)
+        zero = TseitinFormula(g, (0,) * g.n)
+        _, d, _ = pipeline(g, unit_charge(g.n, 0), zero.charge, desk_cap=0)
+        lines = nnf_to_text(d).splitlines()
+        first = next(i for i, ln in enumerate(lines) if ln.startswith("L "))
+        lines[first] = f"L {-int(lines[first].split()[1])}"
+        paths = {}
+        for name, text in (("t", tseitin_to_text(zero)), ("good", nnf_to_text(d)), ("flipped", "\n".join(lines) + "\n")):
+            paths[name] = tmp_path / name
+            paths[name].write_text(text)
+        for name, code in (("good", 0), ("flipped", 1)):
+            assert main(["check", "dnnf-equiv", str(paths["t"]), str(paths[name]), "--desk-scale-cap", "24"]) == code, name
 
     def test_certificate(self, workdir):
         assert main(["check", "certificate", workdir["k4"], workdir["cert"]]) == 0

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import family_graphs
 from tseitinkit import families as fam
 from tseitinkit.graphs import (
     Graph,
@@ -14,6 +15,7 @@ from tseitinkit.graphs import (
     is_3_connected,
     is_connected,
     safe_split_subset,
+    separators_of_size,
     split_all,
     split_vertex,
 )
@@ -83,6 +85,81 @@ class TestThreeConnectivity:
     def test_known_3_connected(self):
         for g in (fam.complete(5), fam.wheel(4), fam.wheel(5), fam.cube(3), fam.octahedron()):
             assert is_3_connected(g)
+
+
+# --- the reference: one full connectivity search per candidate set ----------
+
+
+def reference_connected_after_removal(g: Graph, removed: set[int]) -> bool:
+    remaining = [v for v in range(g.n) if v not in removed]
+    if not remaining:
+        return False
+    seen = set(removed)
+    seen.add(remaining[0])
+    stack = [remaining[0]]
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
+def reference_separators(g: Graph, size: int) -> list[tuple[int, ...]]:
+    return [sep for sep in itertools.combinations(range(g.n), size)
+            if not reference_connected_after_removal(g, set(sep))]
+
+
+def reference_is_3_connected(g: Graph) -> bool:
+    return g.n >= 4 and is_connected(g) and not reference_separators(g, 1) and not reference_separators(g, 2)
+
+
+def families_up_to_20() -> list[tuple[str, Graph]]:
+    graphs = [(name, g) for name, g in family_graphs()]
+    graphs += [(f"C{n}", fam.cycle(n)) for n in range(3, 21)]
+    graphs += [(f"P{n}", fam.path(n)) for n in range(2, 21)]
+    graphs += [(f"K{n}", fam.complete(n)) for n in range(1, 21)]
+    graphs += [(f"W{n}", fam.wheel(n)) for n in range(3, 20)]
+    graphs += [(f"Q{d}", fam.cube(d)) for d in range(1, 5)]
+    graphs += [(f"grid{r}x{c}", fam.grid(r, c)) for r in range(1, 21) for c in range(r, 21) if r * c <= 20]
+    graphs += [(f"rr{n}-{d}-{seed}", fam.random_regular(n, d, seed))
+               for n in range(4, 21) for d in (3, 4) if n * d % 2 == 0 and d < n for seed in (1, 2)]
+    graphs += [("k4pendant", fam.k4_with_pendant_path()), ("octahedron", fam.octahedron())]
+    return graphs
+
+
+class TestSeparatorsAgainstReference:
+    @pytest.mark.parametrize("name_graph", families_up_to_20(), ids=lambda p: p[0])
+    def test_families(self, name_graph):
+        _, g = name_graph
+        for size in (1, 2):
+            assert separators_of_size(g, size) == reference_separators(g, size), size
+        assert is_3_connected(g) == reference_is_3_connected(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(small_graphs(max_n=3), small_graphs(max_n=9)))
+    def test_random_graphs(self, g):
+        for size in (1, 2):
+            assert separators_of_size(g, size) == reference_separators(g, size), size
+        assert is_3_connected(g) == reference_is_3_connected(g)
+
+    def test_shapes_with_early_cuts(self):
+        """Disconnected graphs, and graphs where g - u is already disconnected."""
+        graphs = [
+            Graph(0, ()), Graph(1, ()), Graph(2, ()), Graph(2, ((0, 1),)), Graph(3, ((0, 1),)),
+            Graph(4, ((0, 1), (2, 3))), Graph(5, ((0, 1), (1, 2), (2, 0), (3, 4))),
+            fam.bowtie(), fam.k4_with_pendant_path(), Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4))),
+            Graph(7, tuple(fam.complete(4).edges) + ((4, 5), (5, 6), (6, 4))),
+        ]
+        for g in graphs:
+            for size in (1, 2):
+                assert separators_of_size(g, size) == reference_separators(g, size), (g, size)
+            assert is_3_connected(g) == reference_is_3_connected(g)
+
+    def test_size_out_of_range(self):
+        with pytest.raises(ValueError):
+            separators_of_size(fam.complete(4), 3)
 
 
 class TestSplitVertex:

@@ -1,24 +1,166 @@
-"""The chunked truth-table engine against per-assignment evaluation,
-on both sides of the block boundary."""
+"""The packed truth-table engine against the per-assignment engine it
+replaced and against pointwise evaluation, on both sides of the word and
+the block boundary."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tseitinkit import families as fam
-from tseitinkit.cnf import cnf_truth_table
+from tseitinkit.cnf import Cnf, cnf_truth_table
 from tseitinkit.compiler import pipeline
-from tseitinkit.nnf import CircuitBuilder, evaluate, truth_table as nnf_truth_table
+from tseitinkit.graphs import Graph
+from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, evaluate, truth_table as nnf_truth_table
 from tseitinkit.oracles import BLOCK_BITS, VAR_CAP, truth_table
-from tseitinkit.tseitin import TseitinFormula, to_cnf, truth_table as tseitin_truth_table, unit_charge
+from tseitinkit.tseitin import DEGREE_CAP, TseitinFormula, to_cnf, truth_table as tseitin_truth_table, unit_charge
 
 
-def boundary_masks(m: int) -> list[int]:
-    """Assignments next to every block boundary, and the first and last."""
+# --- the reference: one bool per assignment, in uint32 arrays of masks --------
+
+
+def reference_truth_table(num_vars: int, column) -> np.ndarray:
+    """column(block) on all 2^num_vars assignments, where `block` is a
+    uint32 array of assignment masks and the result a bool array, or one
+    bool for a constant."""
+    out = np.empty(1 << num_vars, dtype=bool)
+    step = 1 << min(num_vars, BLOCK_BITS)
+    for start in range(0, len(out), step):
+        out[start:start + step] = column(np.arange(start, start + step, dtype=np.uint32))
+    return out
+
+
+def reference_gate_values(d: NnfCircuit, block) -> list:
+    vals = []
+    for g in d.gates:
+        if g.kind == LIT:
+            bit = block & (1 << g.var)
+            vals.append(bit != 0 if g.positive else bit == 0)
+        elif g.kind == CONST:
+            vals.append(bool(g.a))
+        elif g.kind == AND:
+            a, b = vals[g.a], vals[g.b]
+            vals.append(b if a is True else a if b is True else a & b)
+        else:
+            vals.append(vals[g.a] | vals[g.b])
+    return vals
+
+
+def reference_parity(block, edge_ids):
+    par = 0
+    for e in edge_ids:
+        par ^= (block >> e) & 1
+    return par
+
+
+def reference_tseitin(t: TseitinFormula, block):
+    ok = True
+    for v in range(t.graph.n):
+        ok = ok & (reference_parity(block, t.graph.incident[v]) == t.charge[v])
+    return ok
+
+
+def reference_cnf(cnf: Cnf, block):
+    ok = True
+    for cl in cnf.clauses:
+        sat = False
+        for lit in cl:
+            sat = sat | (((block >> (abs(lit) - 1)) & 1) == (lit > 0))
+        ok = ok & sat
+    return ok
+
+
+def sample_masks(m: int) -> list[int]:
+    """Every assignment up to 2^8 of them; else the first and last words,
+    the assignments on both sides of the first 15 word boundaries, and
+    those next to every block boundary."""
+    if m <= 8:
+        return list(range(1 << m))
+    out = set(range(64)) | set(range((1 << m) - 64, 1 << m))
+    out |= {edge + d for edge in range(64, 1 << min(m, 10), 64) for d in (-1, 0)}
     step = 1 << BLOCK_BITS
-    out = set(range(min(64, 1 << m))) | set(range(max(0, (1 << m) - 64), 1 << m))
     for edge in range(step, 1 << m, step):
         out |= set(range(edge - 32, edge + 32))
     return sorted(out)
+
+
+# less than one word, one word, one word and a bit, and the block boundary
+WIDTHS = [0, 1, 5, 6, 7, BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1]
+
+
+@st.composite
+def circuits(draw):
+    """A random circuit whose first internal gates put CONST 0 and CONST 1
+    under both an AND and an OR gate."""
+    num_vars = draw(st.sampled_from(WIDTHS))
+    b = CircuitBuilder(num_vars)
+    nodes = [b.const(0), b.const(1)]
+    if num_vars:
+        for _ in range(draw(st.integers(1, 6))):
+            nodes.append(b.literal(draw(st.integers(0, num_vars - 1)), draw(st.booleans())))
+    for gate in (b.gate_and, b.gate_or):
+        for const in nodes[:2]:
+            nodes.append(gate(const, draw(st.sampled_from(nodes))))
+    for _ in range(draw(st.integers(0, 12))):
+        gate = draw(st.sampled_from((b.gate_and, b.gate_or)))
+        nodes.append(gate(draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))))
+    return b.build(nodes[-1])
+
+
+class TestAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(circuits())
+    def test_every_gate(self, d):
+        masks = sample_masks(d.num_vars)
+        for i in range(len(d.gates)):
+            sub = NnfCircuit(d.gates, i, d.num_vars)
+            table = nnf_truth_table(sub)
+            assert table.shape == (1 << d.num_vars,) and table.dtype == bool
+            want = reference_truth_table(d.num_vars, lambda block: reference_gate_values(sub, block)[i])
+            assert np.array_equal(table, want), i
+            assert [evaluate(sub, mask) for mask in masks] == table[masks].tolist(), i
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(WIDTHS[1:]), st.data())
+    def test_tseitin_and_cnf(self, m, data):
+        lo = next(n for n in range(2, 99) if n * (n - 1) // 2 >= m)
+        n = data.draw(st.integers(lo, lo + 4))
+        pairs = data.draw(st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)]))
+        degree, edges = [0] * n, []
+        for u, v in pairs:
+            if len(edges) < m and max(degree[u], degree[v]) < DEGREE_CAP:
+                edges.append((u, v))
+                degree[u] += 1
+                degree[v] += 1
+        assume(len(edges) == m)
+        t = TseitinFormula(Graph(n, edges), tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+        cnf = to_cnf(t)
+        table = tseitin_truth_table(t)
+        assert np.array_equal(table, reference_truth_table(m, lambda block: reference_tseitin(t, block)))
+        assert np.array_equal(cnf_truth_table(cnf), reference_truth_table(m, lambda block: reference_cnf(cnf, block)))
+        assert np.array_equal(cnf_truth_table(cnf), table)
+        masks = sample_masks(m)
+        assert [t.satisfies(mask) for mask in masks] == table[masks].tolist()
+        assert [cnf.satisfies(mask) for mask in masks] == table[masks].tolist()
+        for mask in masks[:8]:
+            violated = [t.violated_at(mask, v) for v in range(n)]
+            assert any(violated) != bool(table[mask])
+
+    def test_isolated_charged_vertex(self):
+        t = TseitinFormula(Graph(3, [(0, 1)]), (0, 0, 1))
+        table = tseitin_truth_table(t)
+        assert not table.any() and table.shape == (2,)
+        assert np.array_equal(table, reference_truth_table(1, lambda block: reference_tseitin(t, block)))
+        assert not t.satisfies(0) and t.violated_at(0, 2) and not t.violated_at(0, 1)
+
+    def test_cnf_without_clauses(self):
+        cnf = Cnf(BLOCK_BITS + 1, ())
+        assert cnf_truth_table(cnf).all() and cnf.satisfies(0)
+        assert np.array_equal(cnf_truth_table(cnf), reference_truth_table(cnf.num_vars, lambda block: reference_cnf(cnf, block)))
+
+    def test_cnf_with_empty_clause(self):
+        cnf = Cnf(7, (frozenset({1, -2}), frozenset()))
+        assert not cnf_truth_table(cnf).any() and not cnf.satisfies(0)
+        assert np.array_equal(cnf_truth_table(cnf), reference_truth_table(7, lambda block: reference_cnf(cnf, block)))
 
 
 @pytest.mark.parametrize("m", [BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1])
@@ -30,7 +172,7 @@ def test_engine_matches_pointwise(m):
     tables = (nnf_truth_table(d), tseitin_truth_table(zero), cnf_truth_table(cnf))
     for table in tables:
         assert table.shape == (1 << m,) and table.dtype == bool
-    for mask in boundary_masks(m):
+    for mask in sample_masks(m):
         want = zero.satisfies(mask)
         assert (tables[0][mask], tables[1][mask], tables[2][mask]) == (want, want, want), mask
         assert evaluate(d, mask) == want and cnf.satisfies(mask) == want, mask
@@ -39,13 +181,22 @@ def test_engine_matches_pointwise(m):
 
 
 def test_constant_column_fills_the_table():
+    """A constant-true root, and OR with a constant-true child, are true on
+    every assignment, not only on those whose bit 0 is set."""
     b = CircuitBuilder(BLOCK_BITS + 1)
     d = b.build(b.const(1))
+    assert nnf_truth_table(d).all()
+    d = NnfCircuit((Gate(LIT, var=3), Gate(CONST, a=1), Gate(OR, a=0, b=1), Gate(AND, a=1, b=2)), 3, 7)
     assert nnf_truth_table(d).all()
 
 
 def test_cap():
     with pytest.raises(ValueError):
-        truth_table(VAR_CAP + 1, lambda block: True)
-    assert truth_table(0, lambda block: block == 0).tolist() == [True]
-    assert np.array_equal(truth_table(3, lambda block: block % 3 == 0), [True, False, False, True, False, False, True, False])
+        truth_table(VAR_CAP + 1, lambda x: True)
+    assert truth_table(0, lambda x: True).tolist() == [True]
+
+    def multiple_of_3(x):  # 0, 3 and 6 on three variables: 000, 011, 110
+        b0, b1, b2 = x(0), x(1), x(2)
+        return (~b0 & ~b1 & ~b2) | (b0 & b1 & ~b2) | (~b0 & b1 & b2)
+
+    assert np.array_equal(truth_table(3, multiple_of_3), [True, False, False, True, False, False, True, False])
