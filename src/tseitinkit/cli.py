@@ -20,7 +20,6 @@ from .graphs import Graph, connected_components, graph_from_text, graph_to_text,
 from .nnf import nnf_from_text, nnf_to_text, truth_table as nnf_truth_table
 from .resolution import check_refutation, check_regularity, dpll_refute, trace_from_text, trace_to_text
 from .tseitin import TseitinFormula, is_satisfiable, to_cnf, truth_table as tseitin_truth_table, tseitin_from_text, tseitin_to_text, unit_charge
-from .width import treewidth_bounds
 
 CSV_HEADER = "name,n,m,treewidth,tw_provenance,bp_size,refutation_length,dnnf_size,model_count,bound_exponent,equivalence"
 
@@ -70,11 +69,10 @@ def pipeline_row(name: str, g: Graph, charge_spec: str, target_spec: str, desk_c
     c_star = _parse_charge(target_spec, g, want_satisfiable=True, default_seed=seed + 1)
     report, d, bp = pipeline(g, c_unsat, c_star, desk_cap=desk_cap)
     trace = dpll_refute(to_cnf(TseitinFormula(g, c_unsat)))
-    tw_lb, _, prov = treewidth_bounds(g)
     cert = certified_lower_bound(g)
     count = report.model_count_circuit if report.model_count_circuit is not None else report.model_count_expected
     return ",".join(str(x) for x in (
-        name, g.n, g.m, tw_lb, prov, report.bp_size, len(trace), report.dnnf_size,
+        name, g.n, g.m, cert.treewidth, cert.tw_provenance, report.bp_size, len(trace), report.dnnf_size,
         count, cert.k, report.equivalence,
     ))
 

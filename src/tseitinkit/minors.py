@@ -3,18 +3,19 @@
 The reduction keeps, for each small separator, the component side that
 preserves treewidth, realizing the lost structure as topological-minor
 operations (edge deletions, isolated-vertex deletions, and eliminations
-of degree-2 subdivision vertices).  The operation trace is kept so that
-circuit-level consumers can replay the reduction: deleting an edge is
-conditioning its variable to 0, and eliminating a subdivision vertex is
-forgetting one of its two edge variables while the surviving edge keeps
-the other variable.
+of degree-2 subdivision vertices).  Every surviving edge keeps the id of
+an original edge as its variable, and every surviving vertex its original
+name.  The operation trace is kept so that circuit-level consumers can
+replay the reduction: deleting an edge is conditioning its variable to 0,
+and eliminating a subdivision vertex is forgetting one of its two edge
+variables while the surviving edge keeps the other variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, connected_components, induced_subgraph, is_3_connected, is_connected, separators_of_size
+from .graphs import Graph, connected_components, induced_subgraph, is_connected, separators_of_size
 from .width import treewidth_exact, treewidth_upper_bound, TREEWIDTH_EXACT_CAP
 
 
@@ -36,6 +37,11 @@ class MinorOp:
 
 @dataclass
 class MinorResult:
+    """A topological minor of some original graph: edge e of `graph` is
+    the original edge `var_of_edge[e]` (ascending), vertex i is the
+    original vertex `vertex_names[i]` (ascending), and `trace` turns the
+    original into it."""
+
     graph: Graph
     var_of_edge: tuple[int, ...]
     vertex_names: tuple[int, ...]
@@ -59,16 +65,18 @@ def _component_treewidth(g: Graph, vertices: set[int], clique: tuple[int, ...]) 
 def find_safe_separator(g: Graph):
     """Smallest safe separator (size 1, else size 2) with its chosen side.
 
-    Returns (separator, component_vertices) or None when the graph has no
-    separator of size at most 2.  The chosen component maximizes the
-    treewidth of the separator-completed side; ties go to the component
-    containing the smallest vertex id.
+    Returns (separator, chosen component, other components) or None when
+    no separator of size at most 2 leaves a vertex.  The components are
+    those of g minus the separator; the others are in order of their
+    smallest vertex.  The chosen component maximizes the treewidth of the
+    separator-completed side; ties go to the component containing the
+    smallest vertex id.
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
     for size in (1, 2):
         seps = separators_of_size(g, size)
-        if not seps:
+        if not seps or g.n == size:
             continue
         sep = seps[0]
         removed = set(sep)
@@ -77,81 +85,19 @@ def find_safe_separator(g: Graph):
         comps = [{inv[i] for i in comp} for comp in connected_components(rest)]
         comps.sort(key=min)
         best = max(comps, key=lambda comp: (_component_treewidth(g, comp, sep), -min(comp)))
-        return sep, best
+        return sep, best, [comp for comp in comps if comp is not best]
     return None
-
-
-class _Reducer:
-    """Mutable view of a graph under topological-minor operations."""
-
-    def __init__(self, g: Graph):
-        self.vertices = set(range(g.n))
-        self.edges = {e: g.edges[e] for e in range(g.m)}
-        self.var = {e: e for e in range(g.m)}
-        self.trace: list[MinorOp] = []
-
-    def neighbors(self, v):
-        nb = {}
-        for e, (a, b) in self.edges.items():
-            if a == v:
-                nb.setdefault(b, []).append(e)
-            elif b == v:
-                nb.setdefault(a, []).append(e)
-        return nb
-
-    def has_edge(self, u, v):
-        return any({a, b} == {u, v} for a, b in self.edges.values())
-
-    def delete_edge(self, e):
-        self.trace.append(MinorOp("delete_edge", var=self.var[e]))
-        del self.edges[e]
-        del self.var[e]
-
-    def drop_isolated(self):
-        used = set()
-        for a, b in self.edges.values():
-            used.update((a, b))
-        for v in sorted(self.vertices - used):
-            self.trace.append(MinorOp("drop_vertex", vertex=v))
-            self.vertices.discard(v)
-
-    def eliminate_subdivision(self, v):
-        inc = [e for e, (a, b) in self.edges.items() if v in (a, b)]
-        if len(inc) != 2:
-            raise AssertionError(f"vertex {v} has degree {len(inc)}, not 2")
-        e1, e2 = sorted(inc)
-        a = self.edges[e1][0] if self.edges[e1][1] == v else self.edges[e1][1]
-        b = self.edges[e2][0] if self.edges[e2][1] == v else self.edges[e2][1]
-        self.trace.append(MinorOp("forget_edge", var=self.var[e2], vertex=v, kept_var=self.var[e1]))
-        del self.edges[e2]
-        del self.var[e2]
-        self.edges[e1] = (min(a, b), max(a, b))
-        self.vertices.discard(v)
-
-    def snapshot(self) -> MinorResult:
-        names = tuple(sorted(self.vertices))
-        vmap = {v: i for i, v in enumerate(names)}
-        order = sorted(self.edges)
-        edges = tuple((min(vmap[a], vmap[b]), max(vmap[a], vmap[b])) for a, b in (self.edges[e] for e in order))
-        return MinorResult(
-            graph=Graph(len(names), edges),
-            var_of_edge=tuple(self.var[e] for e in order),
-            vertex_names=names,
-            trace=list(self.trace),
-        )
-
-    def current_graph(self) -> tuple[Graph, dict[int, int]]:
-        snap = self.snapshot()
-        return snap.graph, {i: v for i, v in enumerate(snap.vertex_names)}
 
 
 def three_connected_minor(g: Graph) -> MinorResult:
     """3-connected topological minor with the same treewidth.
 
-    Iterates safe-separator reductions: a cut vertex keeps the treewidth
-    maximizing side; a 2-separator {u, v} keeps that side plus the edge
-    uv, realized through one other component as a path contracted down to
-    a single edge.  Requires treewidth at least 3.
+    Iterates safe-separator reductions until no separator of size at most
+    2 is left: a cut vertex keeps the treewidth maximizing side; a
+    2-separator {u, v} keeps that side plus the edge uv, realized through
+    one other component as a path contracted down to a single edge.
+    Requires treewidth at least 3: a ValueError says so when the
+    reduction ends below 4 vertices.
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
@@ -159,58 +105,86 @@ def three_connected_minor(g: Graph) -> MinorResult:
     if tw0 is not None and tw0 < 3:
         raise ValueError(f"treewidth {tw0} < 3: no 3-connected minor preserves it")
 
-    red = _Reducer(g)
-    while True:
-        cur, names = red.current_graph()
-        if is_3_connected(cur):
-            break
-        found = find_safe_separator(cur)
-        if found is None:
-            raise AssertionError("not 3-connected but no separator of size <= 2")
-        sep_local, comp_local = found
-        sep = tuple(names[v] for v in sep_local)
-        keep = {names[v] for v in comp_local} | set(sep)
-        drop_comps = []
-        removed = set(sep_local)
-        rest, vmap, _ = induced_subgraph(cur, set(range(cur.n)) - removed)
-        inv = {i: v for v, i in vmap.items()}
-        for comp in sorted(connected_components(rest), key=min):
-            vs = {names[inv[i]] for i in comp}
-            if not (vs <= keep):
-                drop_comps.append(vs)
-
-        if len(sep) == 1:
-            for vs in drop_comps:
-                for e in sorted(e for e, (a, b) in red.edges.items() if a in vs or b in vs):
-                    red.delete_edge(e)
-            red.drop_isolated()
-            continue
-
-        u, v = sep
-        if not red.has_edge(u, v):
+    ends = dict(enumerate(g.edges))  # surviving original edge id -> ends, original names
+    result = MinorResult(g, tuple(range(g.m)), tuple(range(g.n)))
+    while (found := find_safe_separator(result.graph)) is not None:
+        sep, _, dropped = found
+        h = result.graph
+        if len(sep) == 2 and sep not in h.edge_index:
             # realize uv through the dropped component with the smallest vertex
-            via = min(drop_comps, key=min)
-            path = _path_between(red, u, v, via)
-            drop_comps = [c for c in drop_comps if c is not via]
-            path_edges = set(path)
-            for e in sorted(e for e, (a, b) in red.edges.items()
-                            if (a in via or b in via) and e not in path_edges):
-                red.delete_edge(e)
-            red.drop_isolated()
-            inner = _path_inner_vertices(red, path)
-            for w in inner:
-                red.eliminate_subdivision(w)
-        for vs in drop_comps:
-            for e in sorted(e for e, (a, b) in red.edges.items() if a in vs or b in vs):
-                red.delete_edge(e)
-        red.drop_isolated()
+            via, dropped = dropped[0], dropped[1:]
+            path = _path_between(h, sep[0], sep[1], via)
+            _delete(result, ends, [via], keep=path)
+            _contract(result, ends, path, sep)
+        _delete(result, ends, dropped)
+        names = sorted({x for e in ends.values() for x in e})
+        local = {x: i for i, x in enumerate(names)}
+        result = MinorResult(
+            Graph(len(names), tuple((local[a], local[b]) for a, b in ends.values())),
+            tuple(ends), tuple(names), result.trace,
+        )
+    if result.graph.n < 4:
+        raise ValueError(f"treewidth below 3: the reduction ends at {result.graph.n} vertices")
 
-    result = red.snapshot()
-    if result.graph.n <= TREEWIDTH_EXACT_CAP and tw0 is not None:
+    if tw0 is not None:
         tw_h = treewidth_exact(result.graph)
         if tw_h != tw0:
             raise AssertionError(f"minor treewidth {tw_h} != original {tw0}")
     return result
+
+
+def _delete(result: MinorResult, ends: dict[int, tuple[int, int]], comps: list[set[int]], keep: list[int] = ()) -> None:
+    """Delete the edges at each component's vertices except `keep`, one
+    component after the other and ascending within one; then drop, in one
+    ascending round, the components' vertices off `keep`.  Those are the
+    vertices left without edges: each separator vertex keeps its edges
+    into the kept side."""
+    h = result.graph
+    for comp in comps:
+        for e in sorted({e for x in comp for e in h.incident[x]} - set(keep)):
+            result.trace.append(MinorOp("delete_edge", var=result.var_of_edge[e]))
+            del ends[result.var_of_edge[e]]
+    on_keep = {x for e in keep for x in h.edges[e]}
+    isolated = sorted(set().union(*comps) - on_keep)
+    result.trace.extend(MinorOp("drop_vertex", vertex=result.vertex_names[x]) for x in isolated)
+
+
+def _contract(result: MinorResult, ends: dict[int, tuple[int, int]], path: list[int], sep: tuple[int, int]) -> None:
+    """Eliminate the inner vertices of a u-v path, ascending: the two
+    edges at each merge into the one with the smaller id, and the larger
+    id is forgotten."""
+    h = result.graph
+    path_vars = [result.var_of_edge[e] for e in path]
+    for x in sorted({x for e in path for x in h.edges[e]} - set(sep)):
+        w = result.vertex_names[x]
+        kept, gone = sorted(f for f in path_vars if f in ends and w in ends[f])
+        (a,) = set(ends[kept]) - {w}
+        (b,) = set(ends[gone]) - {w}
+        result.trace.append(MinorOp("forget_edge", var=gone, vertex=w, kept_var=kept))
+        del ends[gone]
+        ends[kept] = (min(a, b), max(a, b))
+
+
+def _path_between(h: Graph, u: int, v: int, via: set[int]) -> list[int]:
+    """Edge ids of a shortest u-v path whose interior stays inside `via`;
+    breadth first from u, each vertex's edges ascending."""
+    allowed = via | {v}
+    prev = {u: None}
+    queue = [u]
+    for x in queue:
+        for e in h.incident[x]:
+            y = h.other_end(e, x)
+            if y not in allowed or y in prev:
+                continue
+            prev[y] = (x, e)
+            if y == v:
+                path = []
+                while prev[y] is not None:
+                    y, e = prev[y]
+                    path.append(e)
+                return path[::-1]
+            queue.append(y)
+    raise AssertionError("no path through component; separator bookkeeping is wrong")
 
 
 def replay_on_circuit(result: MinorResult, d):
@@ -230,42 +204,3 @@ def replay_on_circuit(result: MinorResult, d):
         elif op.kind == "forget_edge":
             d = forget_var(d, op.var)
     return d
-
-
-def _path_between(red: _Reducer, u: int, v: int, via: set[int]) -> list[int]:
-    """Edge ids of a shortest u-v path whose interior stays inside `via`."""
-    allowed = via | {u, v}
-    prev = {u: None}
-    queue = [u]
-    while queue:
-        nxt = []
-        for x in queue:
-            for e, (a, b) in sorted(red.edges.items()):
-                if x not in (a, b):
-                    continue
-                y = b if a == x else a
-                if y not in allowed or y in prev:
-                    continue
-                if x == u and y == v:
-                    continue  # must pass through the component
-                prev[y] = (x, e)
-                if y == v:
-                    path = []
-                    cur = v
-                    while prev[cur] is not None:
-                        cur, e2 = prev[cur]
-                        path.append(e2)
-                    return list(reversed(path))
-                nxt.append(y)
-        queue = nxt
-    raise AssertionError("no path through component; separator bookkeeping is wrong")
-
-
-def _path_inner_vertices(red: _Reducer, path_edges: list[int]) -> list[int]:
-    counts = {}
-    for e in path_edges:
-        if e in red.edges:
-            a, b = red.edges[e]
-            counts[a] = counts.get(a, 0) + 1
-            counts[b] = counts.get(b, 0) + 1
-    return sorted(v for v, c in counts.items() if c == 2)

@@ -2,13 +2,15 @@
 
 A trace is a sequence of steps with strictly increasing ids.  Axiom steps
 carry a clause of the input CNF; derived steps carry two antecedent ids
-and a pivot variable and must hold exactly the resolvent.  Literals are
-signed DIMACS integers.
+and must hold exactly a resolvent of them.  The pivot of a derived step
+is not stored: `ResolutionTrace.pivots` derives it.  Literals are signed
+DIMACS integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cnf import Cnf, clause_sorted
 from .recursion import run
@@ -20,7 +22,6 @@ class Step:
     id: int
     clause: frozenset[int]
     antecedents: tuple[int, int] | None = None
-    pivot: int | None = None
 
     @property
     def is_axiom(self) -> bool:
@@ -33,6 +34,22 @@ class ResolutionTrace:
 
     def __len__(self):
         return len(self.steps)
+
+    @cached_property
+    def pivots(self) -> tuple[int | None, ...]:
+        """One entry per step: for a derived step the smallest variable on
+        which its earlier antecedents resolve to its clause, else None."""
+        clauses: dict[int, frozenset[int]] = {}
+        out = []
+        for step in self.steps:
+            pivot = None
+            if not step.is_axiom:
+                i, j = step.antecedents
+                if i in clauses and j in clauses:
+                    pivot = _pivot(clauses[i], clauses[j], step.clause)
+            out.append(pivot)
+            clauses[step.id] = step.clause
+        return tuple(out)
 
 
 @dataclass
@@ -57,21 +74,34 @@ def resolve(a: frozenset[int], b: frozenset[int], pivot: int) -> frozenset[int]:
     return (a - {pivot}) | (b - {-pivot})
 
 
+def _pivot(a: frozenset[int], b: frozenset[int], clause: frozenset[int]) -> int | None:
+    """Smallest variable on which a and b, in either order, resolve to
+    `clause`, or None."""
+    for pivot in sorted({abs(lit) for lit in a if -lit in b}):
+        first, second = (a, b) if pivot in a else (b, a)
+        try:
+            if resolve(first, second, pivot) == clause:
+                return pivot
+        except ValueError:  # an antecedent holds both literals of the pivot
+            continue
+    return None
+
+
 def check_refutation(cnf: Cnf, trace: ResolutionTrace) -> CheckResult:
     """Validity check with a diagnostic naming the first failing step.
 
     Axioms must occur in the input CNF as literal sets; derived steps must
-    equal the resolvent of their antecedents on the recorded pivot; the
-    final clause must be empty.  Tautological clauses are permitted but
-    collected in the result.
+    equal a resolvent of their antecedents, which `trace.pivots` records;
+    the final clause must be empty.  Tautological clauses are permitted
+    but collected in the result.
     """
     if not trace.steps:
         return CheckResult(False, "empty trace")
     inputs = {frozenset(cl) for cl in cnf.clauses}
-    seen: dict[int, Step] = {}
+    seen: set[int] = set()
     result = CheckResult(True)
     last = None
-    for step in trace.steps:
+    for step, pivot in zip(trace.steps, trace.pivots):
         if last is not None and step.id <= last:
             return CheckResult(False, f"step ids not strictly increasing at {step.id}", step.id)
         last = step.id
@@ -82,24 +112,11 @@ def check_refutation(cnf: Cnf, trace: ResolutionTrace) -> CheckResult:
             i, j = step.antecedents
             if i not in seen or j not in seen:
                 return CheckResult(False, f"step {step.id}: antecedent does not precede the step", step.id)
-            if step.pivot is None:
-                return CheckResult(False, f"step {step.id}: derived step without pivot", step.id)
-            a, b = seen[i].clause, seen[j].clause
-            if step.pivot in a and -step.pivot in b:
-                pass
-            elif step.pivot in b and -step.pivot in a:
-                a, b = b, a
-            else:
-                return CheckResult(False, f"step {step.id}: pivot {step.pivot} not resolvable", step.id)
-            try:
-                resolvent = resolve(a, b, step.pivot)
-            except ValueError as exc:
-                return CheckResult(False, f"step {step.id}: {exc}", step.id)
-            if resolvent != step.clause:
+            if pivot is None:
                 return CheckResult(False, f"step {step.id}: clause is not the resolvent", step.id)
         if any(-lit in step.clause for lit in step.clause):
             result.tautology_steps.append(step.id)
-        seen[step.id] = step
+        seen.add(step.id)
     if trace.steps[-1].clause:
         return CheckResult(False, "final clause is not empty", trace.steps[-1].id)
     result.tautology_steps = sorted(result.tautology_steps)
@@ -109,11 +126,13 @@ def check_refutation(cnf: Cnf, trace: ResolutionTrace) -> CheckResult:
 def check_regularity(trace: ResolutionTrace) -> bool:
     """No directed path resolves twice on the same variable.
 
-    With edges antecedent -> derived labeled by the derived step's pivot,
-    a repeat on some path exists iff some edge's label already occurs on a
-    path continuing upward from its head; `above[s]` accumulates exactly
-    those labels (as a variable bitmask).
+    With edges antecedent -> derived labeled by the derived step's pivot
+    (from `trace.pivots`; a step without one adds no label), a repeat on
+    some path exists iff some edge's label already occurs on a path
+    continuing upward from its head; `above[s]` accumulates exactly those
+    labels (as a variable bitmask).
     """
+    label = {step.id: 1 << pivot for step, pivot in zip(trace.steps, trace.pivots) if pivot is not None}
     users: dict[int, list[Step]] = {}
     for step in trace.steps:
         if not step.is_axiom:
@@ -123,10 +142,10 @@ def check_regularity(trace: ResolutionTrace) -> bool:
     for step in reversed(trace.steps):
         mask = 0
         for d in users.get(step.id, ()):
-            mask |= above[d.id] | (1 << d.pivot)
+            mask |= above[d.id] | label.get(d.id, 0)
         above[step.id] = mask
     for step in trace.steps:
-        if not step.is_axiom and above[step.id] & (1 << step.pivot):
+        if above[step.id] & label.get(step.id, 0):
             return False
     return True
 
@@ -172,7 +191,7 @@ class _TraceBuilder:
 
     def add(self, clause, antecedents=None, pivot=None) -> int:
         sid = len(self.steps) + 1
-        self.steps.append(Step(sid, clause, antecedents, pivot))
+        self.steps.append(Step(sid, clause, antecedents))
         below = 0
         if antecedents is not None:
             below = (1 << pivot) | self.pivots_below[antecedents[0]] | self.pivots_below[antecedents[1]]
@@ -236,7 +255,6 @@ def trace_to_text(trace: ResolutionTrace) -> str:
 
 def trace_from_text(text: str) -> ResolutionTrace:
     steps = []
-    by_id = {}
     for ln in records(text):
         nums = ln.ints(start=0)
         sid = nums[0]
@@ -248,30 +266,8 @@ def trace_from_text(text: str) -> ResolutionTrace:
         if not rest or rest[-1] != 0:
             raise ln.error(f"step {sid}: missing terminator")
         ants = rest[:-1]
-        if not ants:
-            step = Step(sid, clause)
-        elif len(ants) == 2:
-            pivot = _infer_pivot(by_id, ants, clause)
-            step = Step(sid, clause, (ants[0], ants[1]), pivot)
-        else:
+        if len(ants) not in (0, 2):
             raise ln.error(f"step {sid}: expected 0 or 2 antecedents, got {len(ants)}")
-        steps.append(step)
-        by_id[sid] = step
+        steps.append(Step(sid, clause, (ants[0], ants[1]) if ants else None))
     return ResolutionTrace(tuple(steps))
 
-
-def _infer_pivot(by_id, ants, clause) -> int:
-    """Recover the pivot of a parsed step; the unique variable whose
-    resolvent reproduces the clause, smallest id first."""
-    if ants[0] not in by_id or ants[1] not in by_id:
-        return 0
-    a, b = by_id[ants[0]].clause, by_id[ants[1]].clause
-    candidates = sorted({abs(l) for l in a if -l in b})
-    for pivot in candidates:
-        for first, second in ((a, b), (b, a)):
-            try:
-                if resolve(first, second, pivot) == clause:
-                    return pivot
-            except ValueError:
-                continue
-    return candidates[0] if candidates else 0

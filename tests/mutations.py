@@ -48,8 +48,6 @@ def corrupt(trace: ResolutionTrace, rng: random.Random, num_vars: int) -> Resolu
     kinds = ["drop_empty"]
     if derived:
         kinds += ["bad_antecedent"]
-        if num_vars > 1:
-            kinds += ["pivot"]
         if any(free_lits(trace.steps[i]) for i in derived):
             kinds += ["add_lit"]
         if any(trace.steps[i].clause for i in derived):
@@ -58,20 +56,15 @@ def corrupt(trace: ResolutionTrace, rng: random.Random, num_vars: int) -> Resolu
         kinds += ["axiom_lit"]
     kind = rng.choice(kinds)
     steps = list(trace.steps)
-    if kind == "pivot":
-        i = rng.choice(derived)
-        s = steps[i]
-        new_pivot = rng.choice([v for v in range(1, num_vars + 1) if v != s.pivot])
-        steps[i] = Step(s.id, s.clause, s.antecedents, new_pivot)
-    elif kind == "add_lit":
+    if kind == "add_lit":
         i = rng.choice([i for i in derived if free_lits(trace.steps[i])])
         s = steps[i]
-        steps[i] = Step(s.id, s.clause | {rng.choice(free_lits(s))}, s.antecedents, s.pivot)
+        steps[i] = Step(s.id, s.clause | {rng.choice(free_lits(s))}, s.antecedents)
     elif kind == "drop_lit":
         i = rng.choice([i for i in derived if trace.steps[i].clause])
         s = steps[i]
         lit = rng.choice(sorted(s.clause))
-        steps[i] = Step(s.id, s.clause - {lit}, s.antecedents, s.pivot)
+        steps[i] = Step(s.id, s.clause - {lit}, s.antecedents)
     elif kind == "drop_empty":
         steps = steps[:-1]
     elif kind == "axiom_lit":
@@ -81,5 +74,5 @@ def corrupt(trace: ResolutionTrace, rng: random.Random, num_vars: int) -> Resolu
     else:  # point an antecedent at the final step, violating precedence
         i = rng.choice(derived)
         s = steps[i]
-        steps[i] = Step(s.id, s.clause, (trace.steps[-1].id, s.antecedents[1]), s.pivot)
+        steps[i] = Step(s.id, s.clause, (trace.steps[-1].id, s.antecedents[1]))
     return ResolutionTrace(tuple(steps))

@@ -1,21 +1,26 @@
+import random
+import zlib
+
 import pytest
 
 from tseitinkit import families as fam
-from tseitinkit.graphs import Graph, is_3_connected
-from tseitinkit.minors import find_safe_separator, replay_on_circuit, three_connected_minor
-from tseitinkit.width import treewidth_exact
+from tseitinkit.graphs import Graph, connected_components, induced_subgraph, is_3_connected, is_connected
+from tseitinkit.minors import MinorOp, MinorResult, find_safe_separator, replay_on_circuit, three_connected_minor
+from tseitinkit.width import TREEWIDTH_EXACT_CAP, treewidth_exact
 
 
 class TestFindSafeSeparator:
     def test_bowtie_cut_vertex(self):
-        sep, comp = find_safe_separator(fam.bowtie())
+        sep, comp, others = find_safe_separator(fam.bowtie())
         assert sep == (2,)
         assert comp in ({0, 1}, {3, 4})
+        assert others == [{0, 1, 3, 4} - comp]
 
     def test_two_k4_shared_edge(self):
-        sep, comp = find_safe_separator(fam.two_k4_shared_edge())
+        sep, comp, others = find_safe_separator(fam.two_k4_shared_edge())
         assert sep == (2, 3)
         assert comp in ({0, 1}, {4, 5})
+        assert others == [{0, 1, 4, 5} - comp]
 
     def test_k4_none(self):
         assert find_safe_separator(fam.complete(4)) is None
@@ -26,9 +31,10 @@ class TestFindSafeSeparator:
 
     def test_prefers_size_1(self):
         g = fam.k4_with_pendant_path()
-        sep, comp = find_safe_separator(g)
+        sep, comp, others = find_safe_separator(g)
         assert len(sep) == 1
         assert comp == {0, 1, 2}  # the side preserving treewidth 3
+        assert others == [{4, 5}]  # the pendant path beyond the cut vertex
 
 
 COMPOSITES = [
@@ -115,3 +121,225 @@ class TestThreeConnectedMinor:
             # a kept edge keeps its endpoints unless it came from a contracted path
             if not any(op.kind == "forget_edge" and op.kept_var == old_var for op in result.trace):
                 assert named == {ou, ov}
+
+
+class TestSmallTreewidthAboveExactCap:
+    """Above the exact-treewidth cap the treewidth precheck is skipped, so
+    a treewidth-2 graph runs the reduction down to a triangle."""
+
+    @pytest.mark.parametrize("g", [fam.cycle(20), fam.grid(2, 10)], ids=["cycle20", "grid2x10"])
+    def test_rejected_with_value_error(self, g):
+        assert g.n > TREEWIDTH_EXACT_CAP
+        with pytest.raises(ValueError, match="treewidth below 3"):
+            three_connected_minor(g)
+
+
+# --- reference: the reduction as first written --------------------------------
+#
+# A second, mutable graph type that scans every edge for each query, and an
+# is_3_connected test before each separator search.  The library keeps the
+# state as a MinorResult and loops on find_safe_separator alone; its results
+# must not differ.
+
+
+class _ReferenceReducer:
+    """Mutable view of a graph under topological-minor operations."""
+
+    def __init__(self, g: Graph):
+        self.vertices = set(range(g.n))
+        self.edges = {e: g.edges[e] for e in range(g.m)}
+        self.var = {e: e for e in range(g.m)}
+        self.trace: list[MinorOp] = []
+
+    def has_edge(self, u, v):
+        return any({a, b} == {u, v} for a, b in self.edges.values())
+
+    def delete_edge(self, e):
+        self.trace.append(MinorOp("delete_edge", var=self.var[e]))
+        del self.edges[e]
+        del self.var[e]
+
+    def drop_isolated(self):
+        used = set()
+        for a, b in self.edges.values():
+            used.update((a, b))
+        for v in sorted(self.vertices - used):
+            self.trace.append(MinorOp("drop_vertex", vertex=v))
+            self.vertices.discard(v)
+
+    def eliminate_subdivision(self, v):
+        inc = [e for e, (a, b) in self.edges.items() if v in (a, b)]
+        if len(inc) != 2:
+            raise AssertionError(f"vertex {v} has degree {len(inc)}, not 2")
+        e1, e2 = sorted(inc)
+        a = self.edges[e1][0] if self.edges[e1][1] == v else self.edges[e1][1]
+        b = self.edges[e2][0] if self.edges[e2][1] == v else self.edges[e2][1]
+        self.trace.append(MinorOp("forget_edge", var=self.var[e2], vertex=v, kept_var=self.var[e1]))
+        del self.edges[e2]
+        del self.var[e2]
+        self.edges[e1] = (min(a, b), max(a, b))
+        self.vertices.discard(v)
+
+    def snapshot(self) -> MinorResult:
+        names = tuple(sorted(self.vertices))
+        vmap = {v: i for i, v in enumerate(names)}
+        order = sorted(self.edges)
+        edges = tuple((min(vmap[a], vmap[b]), max(vmap[a], vmap[b])) for a, b in (self.edges[e] for e in order))
+        return MinorResult(
+            graph=Graph(len(names), edges),
+            var_of_edge=tuple(self.var[e] for e in order),
+            vertex_names=names,
+            trace=list(self.trace),
+        )
+
+    def current_graph(self) -> tuple[Graph, dict[int, int]]:
+        snap = self.snapshot()
+        return snap.graph, {i: v for i, v in enumerate(snap.vertex_names)}
+
+
+def reference_three_connected_minor(g: Graph) -> MinorResult:
+    if not is_connected(g):
+        raise ValueError("graph must be connected")
+    tw0 = treewidth_exact(g) if g.n <= TREEWIDTH_EXACT_CAP else None
+    if tw0 is not None and tw0 < 3:
+        raise ValueError(f"treewidth {tw0} < 3: no 3-connected minor preserves it")
+
+    red = _ReferenceReducer(g)
+    while True:
+        cur, names = red.current_graph()
+        if is_3_connected(cur):
+            break
+        found = find_safe_separator(cur)
+        if found is None:
+            raise AssertionError("not 3-connected but no separator of size <= 2")
+        sep_local, comp_local, _ = found
+        sep = tuple(names[v] for v in sep_local)
+        keep = {names[v] for v in comp_local} | set(sep)
+        drop_comps = []
+        removed = set(sep_local)
+        rest, vmap, _ = induced_subgraph(cur, set(range(cur.n)) - removed)
+        inv = {i: v for v, i in vmap.items()}
+        for comp in sorted(connected_components(rest), key=min):
+            vs = {names[inv[i]] for i in comp}
+            if not (vs <= keep):
+                drop_comps.append(vs)
+
+        if len(sep) == 1:
+            for vs in drop_comps:
+                for e in sorted(e for e, (a, b) in red.edges.items() if a in vs or b in vs):
+                    red.delete_edge(e)
+            red.drop_isolated()
+            continue
+
+        u, v = sep
+        if not red.has_edge(u, v):
+            # realize uv through the dropped component with the smallest vertex
+            via = min(drop_comps, key=min)
+            path = _reference_path_between(red, u, v, via)
+            drop_comps = [c for c in drop_comps if c is not via]
+            path_edges = set(path)
+            for e in sorted(e for e, (a, b) in red.edges.items()
+                            if (a in via or b in via) and e not in path_edges):
+                red.delete_edge(e)
+            red.drop_isolated()
+            inner = _reference_path_inner_vertices(red, path)
+            for w in inner:
+                red.eliminate_subdivision(w)
+        for vs in drop_comps:
+            for e in sorted(e for e, (a, b) in red.edges.items() if a in vs or b in vs):
+                red.delete_edge(e)
+        red.drop_isolated()
+
+    result = red.snapshot()
+    if result.graph.n <= TREEWIDTH_EXACT_CAP and tw0 is not None:
+        tw_h = treewidth_exact(result.graph)
+        if tw_h != tw0:
+            raise AssertionError(f"minor treewidth {tw_h} != original {tw0}")
+    return result
+
+
+def _reference_path_between(red: _ReferenceReducer, u: int, v: int, via: set[int]) -> list[int]:
+    """Edge ids of a shortest u-v path whose interior stays inside `via`."""
+    allowed = via | {u, v}
+    prev = {u: None}
+    queue = [u]
+    while queue:
+        nxt = []
+        for x in queue:
+            for e, (a, b) in sorted(red.edges.items()):
+                if x not in (a, b):
+                    continue
+                y = b if a == x else a
+                if y not in allowed or y in prev:
+                    continue
+                if x == u and y == v:
+                    continue  # must pass through the component
+                prev[y] = (x, e)
+                if y == v:
+                    path = []
+                    cur = v
+                    while prev[cur] is not None:
+                        cur, e2 = prev[cur]
+                        path.append(e2)
+                    return list(reversed(path))
+                nxt.append(y)
+        queue = nxt
+    raise AssertionError("no path through component; separator bookkeeping is wrong")
+
+
+def _reference_path_inner_vertices(red: _ReferenceReducer, path_edges: list[int]) -> list[int]:
+    counts = {}
+    for e in path_edges:
+        if e in red.edges:
+            a, b = red.edges[e]
+            counts[a] = counts.get(a, 0) + 1
+            counts[b] = counts.get(b, 0) + 1
+    return sorted(v for v, c in counts.items() if c == 2)
+
+
+def random_connected_graph(seed: int) -> Graph:
+    """A random spanning tree on at most 22 vertices plus random chords,
+    sparse or dense, so that cut vertices, 2-separators with and without
+    their edge, and treewidth below 3 all occur."""
+    rng = random.Random(zlib.crc32(f"minor {seed}".encode()))
+    n = rng.randint(4, 22)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    density = rng.choice([0.03, 0.08, 0.15, 0.3])
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                edges.add((u, v))
+    return Graph(n, tuple(sorted(edges)))
+
+
+def assert_same_as_reference(g: Graph):
+    try:
+        expected = reference_three_connected_minor(g)
+    except (AssertionError, ValueError):
+        with pytest.raises(ValueError):
+            three_connected_minor(g)
+        return
+    result = three_connected_minor(g)
+    assert (result.graph, result.var_of_edge, result.vertex_names, result.trace) == (
+        expected.graph, expected.var_of_edge, expected.vertex_names, expected.trace)
+
+
+class TestAgainstReference:
+    def test_desk_family(self, bench_graph):
+        _, g = bench_graph
+        assert_same_as_reference(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [fam.grid(3, 6), fam.grid(4, 4), fam.grid(5, 5), fam.cube(4), fam.random_regular(16, 3, 1), fam.wheel(12),
+         fam.k4_with_pendant_path(), fam.two_k4_shared_edge(), fam.octahedron(), fam.cycle(20), fam.grid(2, 10)],
+        ids=["grid3x6", "grid4x4", "grid5x5", "Q4", "rr16", "W12", "k4pendant", "twoK4", "octahedron", "cycle20",
+             "grid2x10"],
+    )
+    def test_named_graphs(self, g):
+        assert_same_as_reference(g)
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_random_graphs(self, block):
+        for seed in range(40 * block, 40 * block + 40):
+            assert_same_as_reference(random_connected_graph(seed))

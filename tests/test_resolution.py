@@ -1,10 +1,14 @@
 import random
+import re
+import zlib
+from dataclasses import dataclass
 
 import pytest
 
 from tseitinkit import families as fam
 from tseitinkit.cnf import Cnf
 from tseitinkit.resolution import (
+    CheckResult,
     ResolutionTrace,
     Step,
     _branch_variable,
@@ -16,6 +20,7 @@ from tseitinkit.resolution import (
     trace_from_text,
     trace_to_text,
 )
+from tseitinkit.textformat import records
 from tseitinkit.tseitin import TseitinFormula, to_cnf, unit_charge
 
 
@@ -23,7 +28,7 @@ UNIT_CNF = Cnf(1, (frozenset({1}), frozenset({-1})))
 UNIT_TRACE = ResolutionTrace((
     Step(1, frozenset({1})),
     Step(2, frozenset({-1})),
-    Step(3, frozenset(), (1, 2), 1),
+    Step(3, frozenset(), (1, 2)),
 ))
 
 
@@ -40,9 +45,23 @@ class TestChecker:
     def test_unit_trace_valid(self):
         assert check_refutation(UNIT_CNF, UNIT_TRACE)
         assert check_regularity(UNIT_TRACE)
+        assert UNIT_TRACE.pivots == (None, None, 1)
+
+    def test_no_resolvable_pivot_rejected(self):
+        # {1} and {2} clash on no variable
+        bad = ResolutionTrace((Step(1, frozenset({1})), Step(2, frozenset({2})), Step(3, frozenset(), (1, 2))))
+        assert bad.pivots == (None, None, None)
+        result = check_refutation(Cnf(2, (frozenset({1}), frozenset({2}))), bad)
+        assert not result and result.failed_step == 3 and "not the resolvent" in result.error
+
+    def test_smallest_pivot_wins(self):
+        # {1, 2} and {-1, -2} resolve on 1 to {2, -2} and on 2 to {1, -1}
+        steps = (Step(1, frozenset({1, 2})), Step(2, frozenset({-1, -2})))
+        assert ResolutionTrace(steps + (Step(3, frozenset({2, -2}), (1, 2)),)).pivots[2] == 1
+        assert ResolutionTrace(steps + (Step(3, frozenset({1, -1}), (2, 1)),)).pivots[2] == 2
 
     def test_final_clause_must_be_empty(self):
-        bad = ResolutionTrace(UNIT_TRACE.steps[:2] + (Step(3, frozenset({1}), None, None),))
+        bad = ResolutionTrace(UNIT_TRACE.steps[:2] + (Step(3, frozenset({1})),))
         result = check_refutation(UNIT_CNF, bad)
         assert not result and "empty" in result.error
 
@@ -55,7 +74,7 @@ class TestChecker:
         bad = ResolutionTrace((
             Step(1, frozenset({1, 2})),
             Step(2, frozenset({-1})),
-            Step(3, frozenset(), (1, 2), 1),
+            Step(3, frozenset(), (1, 2)),
         ))
         cnf = Cnf(2, (frozenset({1, 2}), frozenset({-1})))
         result = check_refutation(cnf, bad)
@@ -64,7 +83,7 @@ class TestChecker:
     def test_antecedent_must_precede(self):
         bad = ResolutionTrace((
             Step(1, frozenset({1})),
-            Step(3, frozenset(), (1, 5), 1),
+            Step(3, frozenset(), (1, 5)),
         ))
         assert not check_refutation(UNIT_CNF, bad)
 
@@ -73,13 +92,13 @@ class TestChecker:
         steps = (
             Step(1, frozenset({1, 2})),
             Step(2, frozenset({-1, -2})),
-            Step(3, frozenset({2, -2}), (1, 2), 1),
+            Step(3, frozenset({2, -2}), (1, 2)),
             Step(4, frozenset({1, -2})),
             Step(5, frozenset({-1, 2})),
-            Step(6, frozenset({-2, 2}), (4, 5), 1),
-            Step(7, frozenset({2}), (1, 5), 1),
-            Step(8, frozenset({-2}), (4, 2), 1),
-            Step(9, frozenset(), (7, 8), 2),
+            Step(6, frozenset({-2, 2}), (4, 5)),
+            Step(7, frozenset({2}), (1, 5)),
+            Step(8, frozenset({-2}), (4, 2)),
+            Step(9, frozenset(), (7, 8)),
         )
         result = check_refutation(cnf, ResolutionTrace(steps))
         assert result.ok
@@ -94,15 +113,16 @@ class TestRegularity:
         steps = (
             Step(1, frozenset({x, y})),
             Step(2, frozenset({-x, y})),
-            Step(3, frozenset({y}), (1, 2), x),
+            Step(3, frozenset({y}), (1, 2)),
             Step(4, frozenset({x, -y})),
-            Step(5, frozenset({x}), (3, 4), y),
-            Step(7, frozenset({y}), (5, 2), x),
+            Step(5, frozenset({x}), (3, 4)),
+            Step(7, frozenset({y}), (5, 2)),
             Step(8, frozenset({-x, -y})),
-            Step(9, frozenset({-y}), (4, 8), x),
-            Step(10, frozenset(), (7, 9), y),
+            Step(9, frozenset({-y}), (4, 8)),
+            Step(10, frozenset(), (7, 9)),
         )
         trace = ResolutionTrace(steps)
+        assert trace.pivots == (None, None, x, None, y, x, None, x, y)
         assert check_refutation(cnf, trace).ok
         assert not check_regularity(trace)
 
@@ -112,13 +132,14 @@ class TestRegularity:
         steps = (
             Step(1, frozenset({x, y})),
             Step(2, frozenset({-x, y})),
-            Step(3, frozenset({y}), (1, 2), x),
+            Step(3, frozenset({y}), (1, 2)),
             Step(4, frozenset({x, -y})),
             Step(5, frozenset({-x, -y})),
-            Step(6, frozenset({-y}), (4, 5), x),
-            Step(7, frozenset(), (3, 6), y),
+            Step(6, frozenset({-y}), (4, 5)),
+            Step(7, frozenset(), (3, 6)),
         )
         trace = ResolutionTrace(steps)
+        assert trace.pivots == (None, None, x, None, None, x, y)
         assert check_refutation(cnf, trace).ok
         assert check_regularity(trace)
 
@@ -272,3 +293,183 @@ class TestResolveHelper:
     def test_pivot_must_be_present(self):
         with pytest.raises(ValueError):
             resolve(frozenset({2}), frozenset({-1}), 1)
+
+
+# --- reference: parser and checker with stored pivots -------------------------
+#
+# Steps carried a pivot, which the parser recovered by resolving each parsed
+# step up to four times and the checker resolved again.  The library derives
+# pivots once in `ResolutionTrace.pivots`; verdicts must not differ.
+
+
+@dataclass(frozen=True)
+class _PivotStep:
+    id: int
+    clause: frozenset[int]
+    antecedents: tuple[int, int] | None = None
+    pivot: int | None = None
+
+    @property
+    def is_axiom(self) -> bool:
+        return self.antecedents is None
+
+
+def reference_trace_from_text(text: str) -> list[_PivotStep]:
+    steps = []
+    by_id = {}
+    for ln in records(text):
+        nums = ln.ints(start=0)
+        sid = nums[0]
+        if 0 not in nums[1:]:
+            raise ln.error(f"step {sid}: clause not zero-terminated")
+        z1 = nums.index(0, 1)
+        clause = frozenset(nums[1:z1])
+        rest = nums[z1 + 1:]
+        if not rest or rest[-1] != 0:
+            raise ln.error(f"step {sid}: missing terminator")
+        ants = rest[:-1]
+        if not ants:
+            step = _PivotStep(sid, clause)
+        elif len(ants) == 2:
+            pivot = _reference_infer_pivot(by_id, ants, clause)
+            step = _PivotStep(sid, clause, (ants[0], ants[1]), pivot)
+        else:
+            raise ln.error(f"step {sid}: expected 0 or 2 antecedents, got {len(ants)}")
+        steps.append(step)
+        by_id[sid] = step
+    return steps
+
+
+def _reference_infer_pivot(by_id, ants, clause) -> int:
+    if ants[0] not in by_id or ants[1] not in by_id:
+        return 0
+    a, b = by_id[ants[0]].clause, by_id[ants[1]].clause
+    candidates = sorted({abs(l) for l in a if -l in b})
+    for pivot in candidates:
+        for first, second in ((a, b), (b, a)):
+            try:
+                if resolve(first, second, pivot) == clause:
+                    return pivot
+            except ValueError:
+                continue
+    return candidates[0] if candidates else 0
+
+
+def reference_check_refutation(cnf: Cnf, steps: list[_PivotStep]) -> CheckResult:
+    if not steps:
+        return CheckResult(False, "empty trace")
+    inputs = {frozenset(cl) for cl in cnf.clauses}
+    seen: dict[int, _PivotStep] = {}
+    result = CheckResult(True)
+    last = None
+    for step in steps:
+        if last is not None and step.id <= last:
+            return CheckResult(False, f"step ids not strictly increasing at {step.id}", step.id)
+        last = step.id
+        if step.is_axiom:
+            if step.clause not in inputs:
+                return CheckResult(False, f"step {step.id}: axiom clause not in the input CNF", step.id)
+        else:
+            i, j = step.antecedents
+            if i not in seen or j not in seen:
+                return CheckResult(False, f"step {step.id}: antecedent does not precede the step", step.id)
+            if step.pivot is None:
+                return CheckResult(False, f"step {step.id}: derived step without pivot", step.id)
+            a, b = seen[i].clause, seen[j].clause
+            if step.pivot in a and -step.pivot in b:
+                pass
+            elif step.pivot in b and -step.pivot in a:
+                a, b = b, a
+            else:
+                return CheckResult(False, f"step {step.id}: pivot {step.pivot} not resolvable", step.id)
+            try:
+                resolvent = resolve(a, b, step.pivot)
+            except ValueError as exc:
+                return CheckResult(False, f"step {step.id}: {exc}", step.id)
+            if resolvent != step.clause:
+                return CheckResult(False, f"step {step.id}: clause is not the resolvent", step.id)
+        if any(-lit in step.clause for lit in step.clause):
+            result.tautology_steps.append(step.id)
+        seen[step.id] = step
+    if steps[-1].clause:
+        return CheckResult(False, "final clause is not empty", steps[-1].id)
+    result.tautology_steps = sorted(result.tautology_steps)
+    return result
+
+
+def reference_check_regularity(steps: list[_PivotStep]) -> bool:
+    users: dict[int, list[_PivotStep]] = {}
+    for step in steps:
+        if not step.is_axiom:
+            for a in step.antecedents:
+                users.setdefault(a, []).append(step)
+    above: dict[int, int] = {}
+    for step in reversed(steps):
+        mask = 0
+        for d in users.get(step.id, ()):
+            mask |= above[d.id] | (1 << d.pivot)
+        above[step.id] = mask
+    for step in steps:
+        if not step.is_axiom and above[step.id] & (1 << step.pivot):
+            return False
+    return True
+
+
+# Where no variable resolves the antecedents to the step's clause, the stored
+# pivot was a guess and the reference named it or passed on `resolve`'s own
+# complaint; the library reports the clause as not the resolvent.
+_GUESSED_PIVOT = re.compile(r"(step \d+): (pivot \d+ not resolvable|.*antecedent must contain.*)")
+
+
+def verdicts(cnf: Cnf, text: str, reference: bool):
+    if reference:
+        steps = reference_trace_from_text(text)
+        result = reference_check_refutation(cnf, steps)
+        regular = reference_check_regularity(steps) if result.ok else None
+        error = _GUESSED_PIVOT.sub(r"\1: clause is not the resolvent", result.error or "")
+    else:
+        trace = trace_from_text(text)
+        result = check_refutation(cnf, trace)
+        regular = check_regularity(trace) if result.ok else None
+        error = result.error or ""
+    return result.ok, result.failed_step, error, result.tautology_steps, regular
+
+
+def _rewire(text: str, rng: random.Random) -> str:
+    """Point one derived step at two random earlier steps."""
+    lines = text.splitlines()
+    derived = [i for i, ln in enumerate(lines) if not ln.endswith(" 0 0")]
+    i = rng.choice(derived)
+    fields = lines[i].split()
+    ids = [int(ln.split()[0]) for ln in lines[:i]]
+    fields[-3:-1] = [str(rng.choice(ids)), str(rng.choice(ids))]
+    lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+class TestAgainstReferenceChecker:
+    @pytest.mark.parametrize(
+        "name,cnf",
+        family_cnfs() + [("grid3x3", to_cnf(TseitinFormula(fam.grid(3, 3), unit_charge(9, 0)))),
+                         ("Q3", to_cnf(TseitinFormula(fam.cube(3), unit_charge(8, 0))))],
+        ids=[n for n, _ in family_cnfs()] + ["grid3x3", "Q3"],
+    )
+    def test_same_verdicts(self, name, cnf):
+        trace = dpll_refute(cnf)
+        rng = random.Random(zlib.crc32(name.encode()))
+        texts = [trace_to_text(trace)]
+        texts += [trace_to_text(corrupt(trace, rng, cnf.num_vars)) for _ in range(40)]
+        texts += [_rewire(texts[0], rng) for _ in range(40)]
+        for text in texts:
+            assert verdicts(cnf, text, reference=False) == verdicts(cnf, text, reference=True)
+        assert verdicts(cnf, texts[0], reference=False)[0]
+
+    def test_hand_built_traces(self):
+        x, y = 1, 2
+        cnf = Cnf(2, (frozenset({x, y}), frozenset({-x, y}), frozenset({x, -y}), frozenset({-x, -y})))
+        irregular = "1 1 2 0 0\n2 -1 2 0 0\n3 2 0 1 2 0\n4 1 -2 0 0\n5 1 0 3 4 0\n" \
+                    "7 2 0 5 2 0\n8 -1 -2 0 0\n9 -2 0 4 8 0\n10 0 7 9 0\n"
+        tautology = "1 1 2 0 0\n2 -1 -2 0 0\n3 -2 2 0 1 2 0\n4 1 -2 0 0\n5 -1 2 0 0\n" \
+                    "6 -2 2 0 4 5 0\n7 2 0 1 5 0\n8 -2 0 4 2 0\n9 0 7 8 0\n"
+        for text in (irregular, tautology, "1 1 2 0 0\n2 -1 -2 0 0\n3 0 1 2 0\n"):
+            assert verdicts(cnf, text, reference=False) == verdicts(cnf, text, reference=True)
