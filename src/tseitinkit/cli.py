@@ -53,15 +53,19 @@ def _parse_charge(spec: str, g: Graph, want_satisfiable: bool, default_seed: int
     return charge
 
 
-def cmd_generate(args) -> int:
-    g = families.generate(args.family, args.params)
-    text = graph_to_text(g)
-    if args.out:
-        with open(args.out, "w") as fh:
+def _emit(text: str, out: str | None) -> int:
+    """Write text to the file `out`, or to stdout when it is not given."""
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
+
+
+def cmd_generate(args) -> int:
+    g = families.generate(args.family, args.params)
+    return _emit(graph_to_text(g), args.out)
 
 
 def pipeline_row(name: str, g: Graph, charge_spec: str, target_spec: str, desk_cap: int, seed: int = 0) -> str:
@@ -81,106 +85,81 @@ def cmd_pipeline(args) -> int:
     with open(args.graph) as fh:
         g = graph_from_text(fh.read())
     row = pipeline_row(args.graph, g, args.charge, args.target, args.desk_scale_cap, seed=args.seed)
-    out = CSV_HEADER + "\n" + row + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
-    return 0
+    return _emit(CSV_HEADER + "\n" + row + "\n", args.out)
 
 
 def cmd_check(args) -> int:
-    try:
-        if args.kind == "refutation":
-            with open(args.files[0]) as fh:
-                cnf = cnf_from_dimacs(fh.read())
-            with open(args.files[1]) as fh:
-                trace = trace_from_text(fh.read())
-            result = check_refutation(cnf, trace)
-            if not result:
-                print(f"invalid refutation: {result.error}", file=sys.stderr)
-                return 1
-            regular = check_regularity(trace)
-            print(f"valid refutation; regular: {regular}")
-            return 0
-        if args.kind == "bp":
-            with open(args.files[0]) as fh:
-                t = tseitin_from_text(fh.read())
-            with open(args.files[1]) as fh:
-                b = bp_from_text(fh.read())
-            result = validate_well_structured(b, t.graph, t.charge)
-            if not result:
-                print(f"invalid program: {result.error} (node {result.node})", file=sys.stderr)
-                return 1
-            print("valid well-structured program")
-            return 0
-        if args.kind == "dnnf-equiv":
-            with open(args.files[0]) as fh:
-                t = tseitin_from_text(fh.read())
-            with open(args.files[1]) as fh:
-                d = nnf_from_text(fh.read())
-            if t.graph.m > args.desk_scale_cap:
-                print("formula exceeds the desk-scale cap", file=sys.stderr)
-                return 1
-            if d.num_vars != t.graph.m:
-                print("variable counts differ", file=sys.stderr)
-                return 1
-            if not (nnf_truth_table(d) == tseitin_truth_table(t)).all():
-                print("circuit and formula are not equivalent", file=sys.stderr)
-                return 1
-            print("equivalent")
-            return 0
-        if args.kind == "certificate":
-            with open(args.files[0]) as fh:
-                g = graph_from_text(fh.read())
-            with open(args.files[1]) as fh:
-                cert = certificate_from_text(fh.read())
-            ok, msg = verify_certificate(cert, g)
-            if not ok:
-                print(f"invalid certificate: {msg}", file=sys.stderr)
-                return 1
-            print("valid certificate")
-            return 0
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.kind == "refutation":
+        with open(args.files[0]) as fh:
+            cnf = cnf_from_dimacs(fh.read())
+        with open(args.files[1]) as fh:
+            trace = trace_from_text(fh.read())
+        result = check_refutation(cnf, trace)
+        if not result:
+            print(f"invalid refutation: {result.error}", file=sys.stderr)
+            return 1
+        regular = check_regularity(trace)
+        print(f"valid refutation; regular: {regular}")
+        return 0
+    if args.kind == "bp":
+        with open(args.files[0]) as fh:
+            t = tseitin_from_text(fh.read())
+        with open(args.files[1]) as fh:
+            b = bp_from_text(fh.read())
+        result = validate_well_structured(b, t.graph, t.charge)
+        if not result:
+            print(f"invalid program: {result.error} (node {result.node})", file=sys.stderr)
+            return 1
+        print("valid well-structured program")
+        return 0
+    if args.kind == "dnnf-equiv":
+        with open(args.files[0]) as fh:
+            t = tseitin_from_text(fh.read())
+        with open(args.files[1]) as fh:
+            d = nnf_from_text(fh.read())
+        if t.graph.m > args.desk_scale_cap:
+            print("formula exceeds the desk-scale cap", file=sys.stderr)
+            return 1
+        if d.num_vars != t.graph.m:
+            print("variable counts differ", file=sys.stderr)
+            return 1
+        if not (nnf_truth_table(d) == tseitin_truth_table(t)).all():
+            print("circuit and formula are not equivalent", file=sys.stderr)
+            return 1
+        print("equivalent")
+        return 0
+    with open(args.files[0]) as fh:
+        g = graph_from_text(fh.read())
+    with open(args.files[1]) as fh:
+        cert = certificate_from_text(fh.read())
+    ok, msg = verify_certificate(cert, g)
+    if not ok:
+        print(f"invalid certificate: {msg}", file=sys.stderr)
         return 1
-    print(f"unknown artifact kind {args.kind}", file=sys.stderr)
-    return 2
+    print("valid certificate")
+    return 0
 
 
 def cmd_convert(args) -> int:
     with open(args.input) as fh:
         text = fh.read()
     fmt = args.format
-    try:
-        if fmt == "graph":
-            out = graph_to_text(graph_from_text(text))
-        elif fmt == "tseitin":
-            out = tseitin_to_text(tseitin_from_text(text))
-        elif fmt == "cnf":
-            if text.lstrip().startswith("p tseitin"):
-                out = cnf_to_dimacs(to_cnf(tseitin_from_text(text)))
-            else:
-                out = cnf_to_dimacs(cnf_from_dimacs(text))
-        elif fmt == "nnf":
-            out = nnf_to_text(nnf_from_text(text))
-        elif fmt == "bp":
-            out = bp_to_text(bp_from_text(text))
-        elif fmt == "trace":
-            out = trace_to_text(trace_from_text(text))
+    if fmt == "graph":
+        out = graph_to_text(graph_from_text(text))
+    elif fmt == "tseitin":
+        out = tseitin_to_text(tseitin_from_text(text))
+    elif fmt == "cnf":
+        if text.lstrip().startswith("p tseitin"):
+            out = cnf_to_dimacs(to_cnf(tseitin_from_text(text)))
         else:
-            print(f"unknown format {fmt}", file=sys.stderr)
-            return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+            out = cnf_to_dimacs(cnf_from_dimacs(text))
+    elif fmt == "nnf":
+        out = nnf_to_text(nnf_from_text(text))
+    elif fmt == "bp":
+        out = bp_to_text(bp_from_text(text))
     else:
-        sys.stdout.write(out)
-    return 0
+        out = trace_to_text(trace_from_text(text))
+    return _emit(out, args.out)
 
 
 def cmd_compile(args) -> int:
@@ -193,13 +172,7 @@ def cmd_compile(args) -> int:
         print("graph must be connected", file=sys.stderr)
         return 1
     bp = build_well_structured_bp(t.graph, t.charge)
-    out = bp_to_text(bp)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
-    return 0
+    return _emit(bp_to_text(bp), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="validate an artifact")
     chk.add_argument("kind", choices=["refutation", "bp", "dnnf-equiv", "certificate"])
-    chk.add_argument("files", nargs="+")
+    chk.add_argument("files", nargs=2)
     chk.add_argument("--desk-scale-cap", type=int, default=16)
     chk.set_defaults(func=cmd_check)
 

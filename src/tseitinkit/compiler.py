@@ -17,6 +17,14 @@ its annotated subgraph, the gate for v computing T(G_k, c_k + 1_v):
 
 At most three gates per (node, vertex) pair are added, which bounds the
 output by 3 * sum of |V(G_k)| before trimming to the reachable part.
+
+The circuit is smooth as built: by induction over the program, the gate
+for (k, v) mentions exactly the edges E_k of G_k.  A sink's G_k has no
+edge and its gate is the constant 1.  At a non-bridge decision both
+children live on G_k - e, so both OR branches mention E_k - e plus the
+literal on e.  At a bridge the two children's edge sets are the two sides,
+and the AND joins them with the literal on e.  Model counts therefore need
+no smoothing pass: `model_count_smooth` only folds the sinks' constants.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 
 from .bp import BranchingProgram, build_well_structured_bp, validate_well_structured
 from .graphs import Graph, is_connected
-from .nnf import CircuitBuilder, NnfCircuit, restrict_to_root, smooth, model_count_smooth
+from .nnf import CircuitBuilder, NnfCircuit, model_count_smooth, rename_flip, restrict_to_root, truth_table as circuit_truth_table
 from .tseitin import (
     Charge,
     TseitinFormula,
@@ -35,7 +43,6 @@ from .tseitin import (
     model_count,
     unit_charge,
 )
-from .nnf import rename_flip, truth_table as circuit_truth_table
 from .tseitin import truth_table as tseitin_truth_table
 
 
@@ -116,19 +123,16 @@ def retarget(d: NnfCircuit, g: Graph, c_current: Charge, c_star: Charge) -> NnfC
 @dataclass
 class PipelineReport:
     graph: Graph
-    charge_unsat: Charge
-    charge_target: Charge
     bp_size: int
     dnnf_size: int
-    smooth_dnnf_size: int
     model_count_expected: int
     model_count_circuit: int | None
     equivalence: str  # equivalent | mismatch | skipped
-    size_ratio_bound: int = 3
 
     @property
     def ratio_ok(self) -> bool:
-        return self.dnnf_size <= self.size_ratio_bound * self.bp_size * self.graph.n
+        """The circuit stays within 3 gates per program node and vertex."""
+        return self.dnnf_size <= 3 * self.bp_size * self.graph.n
 
 
 def pipeline(g: Graph, c_unsat: Charge, c_star: Charge, desk_cap: int = 16) -> tuple[PipelineReport, NnfCircuit, BranchingProgram]:
@@ -146,20 +150,16 @@ def pipeline(g: Graph, c_unsat: Charge, c_star: Charge, desk_cap: int = 16) -> t
     d = retarget(compiled, g, c_compiled, c_star)
     target = TseitinFormula(g, c_star)
     expected = model_count(target)
-    smoothed = smooth(d)
     verdict = "skipped"
     counted = None
     if g.m <= desk_cap:
         equal = bool((circuit_truth_table(d) == tseitin_truth_table(target)).all())
-        counted = model_count_smooth(smoothed)
+        counted = model_count_smooth(d)
         verdict = "equivalent" if equal and counted == expected else "mismatch"
     report = PipelineReport(
         graph=g,
-        charge_unsat=c_unsat,
-        charge_target=c_star,
         bp_size=bp.size,
         dnnf_size=d.size,
-        smooth_dnnf_size=smoothed.size,
         model_count_expected=expected,
         model_count_circuit=counted,
         equivalence=verdict,

@@ -71,18 +71,6 @@ def two_k4_shared_edge() -> Graph:
     return Graph(6, tuple(edges))
 
 
-def k4_with_pendant_path() -> Graph:
-    """K4 on 0..3 plus the path 3-4-5."""
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]
-    return Graph(6, tuple(edges))
-
-
-def octahedron() -> Graph:
-    """K6 minus the perfect matching {0,1},{2,3},{4,5}."""
-    edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if {u, v} not in ({0, 1}, {2, 3}, {4, 5})]
-    return Graph(6, tuple(edges))
-
-
 def random_regular(n: int, degree: int, seed: int) -> Graph:
     """Configuration model with rejection; deterministic for a fixed seed."""
     if n * degree % 2 != 0 or degree >= n:

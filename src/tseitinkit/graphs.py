@@ -112,29 +112,56 @@ class SplitRequest:
             raise ValueError(f"split of {self.vertex}: sides must partition N(v)")
 
 
-def connected_components(g: Graph) -> list[set[int]]:
-    """Partition of the vertex ids into maximal connected sets."""
-    seen = [False] * g.n
+def search(g: Graph, start: int, allowed=None) -> dict[int, tuple[int, int] | None]:
+    """Breadth-first tree from start: each reached vertex maps to (parent,
+    edge id), start to None, in discovery order.  Each vertex's edges are
+    taken ascending, and only vertices in `allowed` (every vertex when
+    None) are entered.
+
+    It is the package's one connectivity search.  Three graph walks keep
+    their own loops: `bp._sides` advances two searches in turn so that a
+    bridge costs only its smaller side, `width._bfs` takes neighbours by
+    degree, on which the ranking of `width.edge_order` depends, and
+    `_separating_vertices` needs depth-first low-link values.
+    """
+    incident, edges = g.incident, g.edges
+    tree = {start: None}
+    queue = [start]
+    for u in queue:
+        for e in incident[u]:
+            a, b = edges[e]
+            w = b if a == u else a
+            if w not in tree and (allowed is None or w in allowed):
+                tree[w] = (u, e)
+                queue.append(w)
+    return tree
+
+
+def tree_path(tree: dict[int, tuple[int, int] | None], v: int) -> list[int]:
+    """Edge ids on the path of a `search` tree from its start to v."""
+    path = []
+    while tree[v] is not None:
+        v, e = tree[v]
+        path.append(e)
+    return path[::-1]
+
+
+def connected_components(g: Graph, removed=()) -> list[set[int]]:
+    """Partition of the vertices outside `removed` into maximal connected
+    sets of g minus `removed`, in order of their smallest vertex."""
+    allowed = set(range(g.n)).difference(removed) if removed else None
+    seen = set(removed)
     comps = []
     for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
+        if s not in seen:
+            comp = set(search(g, s, allowed))
+            seen |= comp
+            comps.append(comp)
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return g.n <= 1 or len(search(g, 0)) == g.n
 
 
 def _separating_vertices(g: Graph, removed: int = -1) -> list[int]:

@@ -8,14 +8,15 @@ an original edge as its variable, and every surviving vertex its original
 name.  The operation trace is kept so that circuit-level consumers can
 replay the reduction: deleting an edge is conditioning its variable to 0,
 and eliminating a subdivision vertex is forgetting one of its two edge
-variables while the surviving edge keeps the other variable.
+variables while the surviving edge keeps the other variable (the test
+suite replays it on compiled circuits, `tests/lemmas.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, connected_components, induced_subgraph, is_connected, separators_of_size
+from .graphs import Graph, connected_components, induced_subgraph, is_connected, search, separators_of_size, tree_path
 from .width import treewidth_exact, treewidth_upper_bound, TREEWIDTH_EXACT_CAP
 
 
@@ -79,11 +80,7 @@ def find_safe_separator(g: Graph):
         if not seps or g.n == size:
             continue
         sep = seps[0]
-        removed = set(sep)
-        rest, vmap, _ = induced_subgraph(g, set(range(g.n)) - removed)
-        inv = {i: v for v, i in vmap.items()}
-        comps = [{inv[i] for i in comp} for comp in connected_components(rest)]
-        comps.sort(key=min)
+        comps = connected_components(g, sep)
         best = max(comps, key=lambda comp: (_component_treewidth(g, comp, sep), -min(comp)))
         return sep, best, [comp for comp in comps if comp is not best]
     return None
@@ -97,14 +94,13 @@ def three_connected_minor(g: Graph) -> MinorResult:
     2-separator {u, v} keeps that side plus the edge uv, realized through
     one other component as a path contracted down to a single edge.
     Requires treewidth at least 3: a ValueError says so when the
-    reduction ends below 4 vertices.
+    reduction ends below 4 vertices, as it does on every graph of smaller
+    treewidth (a 3-connected graph has treewidth at least 3).  At desk
+    scale the treewidths of input and minor are compared afterwards,
+    unless the trace is empty and the minor is the input.
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    tw0 = treewidth_exact(g) if g.n <= TREEWIDTH_EXACT_CAP else None
-    if tw0 is not None and tw0 < 3:
-        raise ValueError(f"treewidth {tw0} < 3: no 3-connected minor preserves it")
-
     ends = dict(enumerate(g.edges))  # surviving original edge id -> ends, original names
     result = MinorResult(g, tuple(range(g.m)), tuple(range(g.n)))
     while (found := find_safe_separator(result.graph)) is not None:
@@ -126,8 +122,8 @@ def three_connected_minor(g: Graph) -> MinorResult:
     if result.graph.n < 4:
         raise ValueError(f"treewidth below 3: the reduction ends at {result.graph.n} vertices")
 
-    if tw0 is not None:
-        tw_h = treewidth_exact(result.graph)
+    if result.trace and g.n <= TREEWIDTH_EXACT_CAP:
+        tw0, tw_h = treewidth_exact(g), treewidth_exact(result.graph)
         if tw_h != tw0:
             raise AssertionError(f"minor treewidth {tw_h} != original {tw0}")
     return result
@@ -168,39 +164,7 @@ def _contract(result: MinorResult, ends: dict[int, tuple[int, int]], path: list[
 def _path_between(h: Graph, u: int, v: int, via: set[int]) -> list[int]:
     """Edge ids of a shortest u-v path whose interior stays inside `via`;
     breadth first from u, each vertex's edges ascending."""
-    allowed = via | {v}
-    prev = {u: None}
-    queue = [u]
-    for x in queue:
-        for e in h.incident[x]:
-            y = h.other_end(e, x)
-            if y not in allowed or y in prev:
-                continue
-            prev[y] = (x, e)
-            if y == v:
-                path = []
-                while prev[y] is not None:
-                    y, e = prev[y]
-                    path.append(e)
-                return path[::-1]
-            queue.append(y)
-    raise AssertionError("no path through component; separator bookkeeping is wrong")
-
-
-def replay_on_circuit(result: MinorResult, d):
-    """Replay the minor trace on a circuit computing the all-zero-charge
-    formula of the original graph.
-
-    Edge deletion conditions the variable to 0 and subdivision elimination
-    forgets the dropped variable; neither grows the circuit, so the result
-    computes the minor's all-zero formula (over `var_of_edge` names) in at
-    most the original size.
-    """
-    from .nnf import condition_dnnf, forget_var
-
-    for op in result.trace:
-        if op.kind == "delete_edge":
-            d = condition_dnnf(d, op.var, 0)
-        elif op.kind == "forget_edge":
-            d = forget_var(d, op.var)
-    return d
+    tree = search(h, u, via | {v})
+    if v not in tree:
+        raise AssertionError("no path through component; separator bookkeeping is wrong")
+    return tree_path(tree, v)

@@ -9,7 +9,9 @@ return new circuits and never mutate.
 
 Model counts use the usual bottom-up sum/product rule, which is exact on
 smooth circuits whose OR gates split models disjointly; every circuit the
-compiler emits is of that decision form.
+compiler emits is of that decision form.  Proof trees and the rectangles
+of models accepted through one gate, on which the lower bound rests, are
+enumerated at desk scale in the test suite (`tests/lemmas.py`).
 """
 
 from __future__ import annotations
@@ -19,15 +21,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .oracles import conj, disj, point, truth_table as _table
+from .oracles import conj, disj, truth_table as _table
 from .textformat import records
 
 LIT = "L"
 CONST = "C"
 AND = "A"
 OR = "O"
-
-RECT_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,6 @@ class NnfCircuit:
     @property
     def node_count(self) -> int:
         return len(self.gates)
-
-    def var_set(self, gate: int) -> int:
-        return self.var_masks[gate]
 
 
 class CircuitBuilder:
@@ -168,10 +165,6 @@ def gate_values(d: NnfCircuit, x) -> list:
         else:
             vals.append(disj(vals[g.a], vals[g.b]))
     return vals
-
-
-def evaluate(d: NnfCircuit, mask: int) -> bool:
-    return bool(gate_values(d, point(mask))[d.root])
 
 
 def truth_table(d: NnfCircuit) -> np.ndarray:
@@ -330,93 +323,6 @@ def model_count_smooth(d: NnfCircuit) -> int:
         else:
             counts.append(counts[g.a] + counts[g.b])
     return counts[d.root]
-
-
-# --- proof trees -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProofTree:
-    """Tree sub-circuit: both children at AND gates, one child at each OR.
-
-    `nodes` is the set of gate ids on the tree; on a smooth circuit the
-    literal leaves determine one total model over var(root).
-    """
-
-    nodes: frozenset[int]
-    ones: int  # variables assigned 1
-    assigned: int  # variables assigned at all
-
-    def model(self) -> int:
-        return self.ones
-
-
-def enumerate_proof_trees(d: NnfCircuit) -> list[ProofTree]:
-    """All proof trees whose literal choices are consistent.
-
-    On a complete DNNF every tree assigns each variable exactly once and
-    encodes a single model.  Exponential in general; intended for desk
-    scale.  Gates are visited in id order, children before parents.
-    """
-    memo: dict[int, list[tuple[frozenset, int, int]]] = {}
-    for i in _reachable(d):
-        g = d.gates[i]
-        if g.kind == LIT:
-            out = [(frozenset((i,)), (1 << g.var) if g.positive else 0, 1 << g.var)]
-        elif g.kind == CONST:
-            out = [(frozenset((i,)), 0, 0)] if g.a else []
-        elif g.kind == AND:
-            out = []
-            for na, oa, sa in memo[g.a]:
-                for nb, ob, sb in memo[g.b]:
-                    if sa & sb:
-                        continue  # non-decomposable overlap; skip inconsistent pair
-                    out.append((na | nb | {i}, oa | ob, sa | sb))
-        else:
-            out = [(n | {i}, o, s) for n, o, s in memo[g.a]]
-            out += [(n | {i}, o, s) for n, o, s in memo[g.b]]
-        memo[i] = out
-
-    trees = [ProofTree(n, o, s) for n, o, s in memo[d.root]]
-    trees.sort(key=lambda t: (t.ones, sorted(t.nodes)))
-    return trees
-
-
-def proof_tree_models(d: NnfCircuit) -> set[int]:
-    """Union of single models encoded by the proof trees (complete DNNF)."""
-    full = (1 << d.num_vars) - 1 if d.num_vars else 0
-    out = set()
-    for t in enumerate_proof_trees(d):
-        if t.assigned != d.var_masks[d.root]:
-            raise ValueError("proof tree does not cover var(root); circuit not smooth?")
-        out.add(t.model())
-    return out
-
-
-def gate_rectangle(d: NnfCircuit, gate: int, trees: list[ProofTree] | None = None):
-    """Models accepted through a gate, as a rectangle over (var(gate), rest).
-
-    On a complete DNNF the models whose proof trees pass through the gate
-    form a product set A x B with A over var(gate); this enumerates the
-    proof trees, projects, and verifies the product property.
-    """
-    from .rectangles import Rectangle
-
-    if d.num_vars > RECT_CAP:
-        raise ValueError(f"{d.num_vars} variables exceed the rectangle cap")
-    if not validate_decomposable(d) or not is_smooth(d):
-        raise ValueError("gate rectangles need a smooth decomposable circuit")
-    if trees is None:
-        trees = enumerate_proof_trees(d)
-    e1 = d.var_masks[gate]
-    e2 = ((1 << d.num_vars) - 1) & ~e1
-    through = {t.model() for t in trees if gate in t.nodes}
-    a_side = frozenset(m & e1 for m in through)
-    b_side = frozenset(m & e2 for m in through)
-    rect = Rectangle(e1, e2, a_side, b_side, d.num_vars)
-    if rect.models() != through:
-        raise AssertionError(f"gate {gate}: accepted set is not a product; circuit is broken")
-    return rect
 
 
 # --- NNF file format (c2d compatible) ---------------------------------------

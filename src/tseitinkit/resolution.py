@@ -130,13 +130,18 @@ def check_regularity(trace: ResolutionTrace) -> bool:
     (from `trace.pivots`; a step without one adds no label), a repeat on
     some path exists iff some edge's label already occurs on a path
     continuing upward from its head; `above[s]` accumulates exactly those
-    labels (as a variable bitmask).
+    labels (as a variable bitmask).  An antecedent that names its own step
+    or a later one raises ValueError; `check_refutation` rejects such a
+    trace as well.
     """
     label = {step.id: 1 << pivot for step, pivot in zip(trace.steps, trace.pivots) if pivot is not None}
+    position = {step.id: i for i, step in enumerate(trace.steps)}
     users: dict[int, list[Step]] = {}
-    for step in trace.steps:
+    for i, step in enumerate(trace.steps):
         if not step.is_axiom:
             for a in step.antecedents:
+                if position.get(a, -1) >= i:
+                    raise ValueError(f"step {step.id}: antecedent {a} is not an earlier step")
                 users.setdefault(a, []).append(step)
     above: dict[int, int] = {}
     for step in reversed(trace.steps):

@@ -5,7 +5,10 @@ per edge; the constraint at v requires the incident edge variables to sum
 to the charge of v mod 2.  Assignments are int bitmasks: bit e is the
 value of edge e's variable.  Formulas obtained by conditioning keep a
 `var_of_edge` map from their (dense) edge ids back to the variable ids of
-the formula they came from.
+the formula they came from.  Sub-constraints (parity constraints on part
+of a vertex's edges) and their model counts belong to the lower bound's
+lemmas and are checked by enumeration in the test suite
+(`tests/lemmas.py`).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnf import Cnf
-from .graphs import Graph, SplitRequest, connected_components, is_connected, split_all
+from .graphs import Graph, connected_components, search, tree_path
 from .oracles import conj, parity, point, truth_table as _table
 from .textformat import records
 
@@ -72,26 +75,6 @@ class TseitinFormula:
         for v in range(self.graph.n):
             ok = conj(ok, parity(x, self.graph.incident[v], self.charge[v]))
         return ok
-
-
-@dataclass(frozen=True)
-class SubConstraint:
-    """Parity constraint on a non-empty proper subset of a vertex's edges."""
-
-    vertex: int
-    edge_ids: tuple[int, ...]
-    parity: int
-
-    def validate(self, t: TseitinFormula) -> None:
-        inc = set(t.graph.incident[self.vertex])
-        sub = set(self.edge_ids)
-        if not sub or not sub < inc:
-            raise ValueError(f"edge set must be a non-empty proper subset of E({self.vertex})")
-        if self.parity not in (0, 1):
-            raise ValueError("parity must be 0/1")
-
-    def holds(self, mask: int) -> bool:
-        return bool(parity(point(mask), self.edge_ids, self.parity))
 
 
 def is_satisfiable(t: TseitinFormula) -> bool:
@@ -165,42 +148,6 @@ def to_cnf(t: TseitinFormula) -> Cnf:
     return Cnf(t.graph.m, tuple(clauses))
 
 
-def conjoin_models(t: TseitinFormula, subs: list[SubConstraint]) -> list[int]:
-    """Brute-force model set of t with extra sub-constraints conjoined."""
-    return [mask for mask in brute_force_models(t) if all(s.holds(mask) for s in subs)]
-
-
-def _sub_to_split(t: TseitinFormula, s: SubConstraint) -> SplitRequest:
-    g = t.graph
-    n1 = tuple(sorted(g.other_end(e, s.vertex) for e in s.edge_ids))
-    n2 = tuple(sorted(set(g.adj[s.vertex]) - set(n1)))
-    return SplitRequest(s.vertex, n1, n2)
-
-
-def conjoin_subconstraints_count(t: TseitinFormula, subs: list[SubConstraint]) -> int:
-    """Models of t with k sub-constraints on an independent set conjoined.
-
-    Valid when t is satisfiable, the graph is connected, and splitting
-    every sub-constraint vertex along its induced neighbor partition
-    leaves the graph connected; the count is then 2^(m - n - k + 1).
-    """
-    g = t.graph
-    if not is_satisfiable(t):
-        raise ValueError("formula must be satisfiable")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    for s in subs:
-        s.validate(t)
-    if not subs:
-        return model_count(t)
-    requests = [_sub_to_split(t, s) for s in subs]
-    split_graph, _ = split_all(g, requests)
-    if not is_connected(split_graph):
-        raise ValueError("split graph is disconnected; the count formula does not apply")
-    k = len(subs)
-    return 1 << (g.m - g.n - k + 1)
-
-
 def charge_retarget_flips(g: Graph, c: Charge, c_star: Charge) -> set[int]:
     """Edge set whose polarity flip maps models of T(g,c) onto T(g,c*).
 
@@ -215,38 +162,11 @@ def charge_retarget_flips(g: Graph, c: Charge, c_star: Charge) -> set[int]:
     flips = set()
     for comp in connected_components(g):
         diff = sorted(v for v in comp if c[v] != c_star[v])
-        if not diff:
-            continue
-        root = min(comp)
-        parent_edge = {root: None}
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for e in g.incident[u]:
-                    w = g.other_end(e, u)
-                    if w not in parent_edge:
-                        parent_edge[w] = (u, e)
-                        nxt.append(w)
-            queue = nxt
-
-        def tree_path(v):
-            path = set()
-            while parent_edge[v] is not None:
-                v, e = parent_edge[v]
-                path.add(e)
-            return path
-
-        for a, b in zip(diff[0::2], diff[1::2], strict=True):
-            flips ^= tree_path(a) ^ tree_path(b)
+        if diff:
+            tree = search(g, min(comp))
+            for a, b in zip(diff[0::2], diff[1::2], strict=True):
+                flips ^= set(tree_path(tree, a)) ^ set(tree_path(tree, b))
     return flips
-
-
-def apply_flips(mask: int, flips: set[int]) -> int:
-    out = mask
-    for e in flips:
-        out ^= 1 << e
-    return out
 
 
 # --- text format ------------------------------------------------------------
@@ -277,23 +197,14 @@ def tseitin_from_text(text: str) -> TseitinFormula:
         elif ln.fields[0] == "g":
             charge = tuple(ln.ints())
         elif ln.fields[0] == "e":
-            u, v = ln.ints(2)
-            edges.append((u - 1, v - 1))
+            edges.append((ln, *ln.ints(2)))
         else:
             raise ln.error(f"unrecognized line: {ln.text}")
     if n is None or charge is None:
         raise ValueError("missing header or charge line")
     if len(charge) != n or len(edges) != m:
         raise ValueError("header inconsistent with body")
-    return TseitinFormula(Graph(n, tuple(edges)), charge)
-
-
-def sample_charges(n: int, count: int, seed: int = 0):
-    """Deterministic charge sample; includes zero and covers both parities."""
-    import random
-
-    rng = random.Random(seed)
-    out = [tuple([0] * n)]
-    while len(out) < count:
-        out.append(tuple(rng.randint(0, 1) for _ in range(n)))
-    return out
+    for ln, u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ln.error(f"endpoint outside 1..{n}")
+    return TseitinFormula(Graph(n, tuple((u - 1, v - 1) for _, u, v in edges)), charge)

@@ -10,8 +10,9 @@ reported.  Branch decompositions are rooted binary trees over edge ids;
 every non-root node induces a cut whose order is the number of boundary
 vertices.
 
-One edge order per graph serves the BP builder, the certificate's sample
-decomposition and the branchwidth upper bound: `edge_order` ranks the
+One edge order per graph serves the BP builder and the certificate's
+sample decomposition (and, in the test suite, the branchwidth upper
+bound of `tests/lemmas.py`): `edge_order` ranks the
 edges along a few candidate vertex orders and keeps the one with the
 smallest `order_bound`, the size bound of the builder's program, and
 `caterpillar` turns an order into a left-deep decomposition.
@@ -232,22 +233,12 @@ class Cut:
         return len(self.boundary)
 
 
-def cut_boundary(g: Graph, e1) -> tuple[int, ...]:
-    """Vertices incident to edges on both sides of the partition."""
-    e1 = set(e1)
-    side1 = set()
-    side2 = set()
-    for e, (u, v) in enumerate(g.edges):
-        (side1 if e in e1 else side2).update((u, v))
-    return tuple(sorted(side1 & side2))
-
-
 def all_cuts(t: BranchDecomposition, g: Graph) -> list[Cut]:
     """One cut per non-root node; a single-leaf tree yields the trivial cut.
 
     Boundaries come from one bottom-up pass: a vertex is on a node's
     boundary exactly when some but not all of its incident edges lie below
-    the node (`cut_boundary` is the same definition, one cut at a time).
+    the node.
     """
     degree = [len(inc) for inc in g.incident]
     counts: dict[int, dict[int, int]] = {}  # node -> vertex -> incident edges below
@@ -280,10 +271,6 @@ def max_order_cut(t: BranchDecomposition, g: Graph) -> Cut:
     return max(cuts, key=lambda c: (c.order, c.depth, -c.node_id))
 
 
-def width_of(t: BranchDecomposition, g: Graph) -> int:
-    return max((c.order for c in all_cuts(t, g)), default=0)
-
-
 def caterpillar(order) -> BranchDecomposition:
     """Left-deep decomposition over an edge order: the spine node above
     order[i] holds order[:i + 1], so its cuts split a prefix of the order
@@ -294,24 +281,6 @@ def caterpillar(order) -> BranchDecomposition:
     for e in order[1:]:
         nested = (nested, e)
     return BranchDecomposition.from_nested(nested)
-
-
-def branchwidth_bounds(g: Graph) -> tuple[int, int]:
-    """(lower, upper) bracket on the branchwidth.
-
-    lower comes from the treewidth comparison bw >= ceil(2 tw / 3) (valid
-    once bw >= 2), upper is the width of the caterpillar over
-    `edge_order`.  Width <= 1 is the comparison's blind spot, so such
-    graphs report (width, width) directly.
-    """
-    if g.m == 0:
-        return 0, 0
-    upper = width_of(caterpillar(edge_order(g)), g)
-    if upper <= 1:
-        return upper, upper
-    tw_lb, _, _ = treewidth_bounds(g)
-    lower = -(-2 * tw_lb // 3)
-    return min(lower, upper), upper
 
 
 # --- edge orders -------------------------------------------------------------

@@ -1,0 +1,536 @@
+"""Desk-scale checks of the lemmas behind the DNNF lower bound.
+
+Rectangles, proof trees, sub-constraints and the adversarial cover game,
+all by enumeration and so only for inputs small enough to enumerate.  The
+library holds the pipeline, its checkers and the certificate; this module
+holds what only the tests use to check the lemmas those rest on:
+
+* a complete DNNF accepts, through each gate, a product set A x B over
+  (var(gate), rest) (`gate_rectangle`);
+* a rectangle that respects T(G, c) fixes the A-side parity at every
+  boundary vertex (`induced_subconstraint`), and on the adversary's safe
+  vertices those sub-constraints cap it at 2^(m - n - k + 1) models
+  (`rectangle_cap_check`, counted by `conjoin_subconstraints_count`);
+* the cover game played with a circuit's own rectangles
+  (`game_simulate`) and the balanced cover drawn from its proof trees
+  (`extract_balanced_cover`).
+
+The cover game: the cover player picks an uncovered model and the proof
+tree accepting it; the adversary answers with a cut of the induced
+variable tree; the cover player must then cover the model with a
+rectangle for that partition drawn from the circuit (the models accepted
+through one gate).  On a 3-connected graph the adversary's cut pins a
+boundary, an independent subset of it, and a safe-split subset of that,
+which caps every rectangle at 2^(m - n - k + 1) models; with 2^(m - n + 1)
+models in total the game cannot end in fewer than 2^k rounds.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+
+from tseitinkit.bounds import AdamResponse, adam_response
+from tseitinkit.graphs import Graph, SplitRequest, is_3_connected, is_connected, split_all
+from tseitinkit.minors import MinorResult
+from tseitinkit.nnf import AND, CONST, LIT, OR, NnfCircuit, _reachable, condition_dnnf, forget_var, gate_values, is_smooth, validate_decomposable
+from tseitinkit.oracles import parity, point
+from tseitinkit.recursion import run
+from tseitinkit.tseitin import TseitinFormula, brute_force_models, is_satisfiable, model_count
+from tseitinkit.width import BranchDecomposition, all_cuts, caterpillar, edge_order, max_order_cut, treewidth_bounds
+
+RECT_CAP = 20
+
+
+# --- graphs ------------------------------------------------------------------
+
+
+def k4_with_pendant_path() -> Graph:
+    """K4 on 0..3 plus the path 3-4-5."""
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]
+    return Graph(6, tuple(edges))
+
+
+def octahedron() -> Graph:
+    """K6 minus the perfect matching {0,1},{2,3},{4,5}."""
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if {u, v} not in ({0, 1}, {2, 3}, {4, 5})]
+    return Graph(6, tuple(edges))
+
+
+# --- branch decompositions ---------------------------------------------------
+
+
+def cut_boundary(g: Graph, e1) -> tuple[int, ...]:
+    """Vertices incident to edges on both sides of the partition."""
+    e1 = set(e1)
+    side1 = set()
+    side2 = set()
+    for e, (u, v) in enumerate(g.edges):
+        (side1 if e in e1 else side2).update((u, v))
+    return tuple(sorted(side1 & side2))
+
+
+def width_of(t: BranchDecomposition, g: Graph) -> int:
+    return max((c.order for c in all_cuts(t, g)), default=0)
+
+
+def branchwidth_bounds(g: Graph) -> tuple[int, int]:
+    """(lower, upper) bracket on the branchwidth.
+
+    lower comes from the treewidth comparison bw >= ceil(2 tw / 3) (valid
+    once bw >= 2), upper is the width of the caterpillar over
+    `edge_order`.  Width <= 1 is the comparison's blind spot, so such
+    graphs report (width, width) directly.
+    """
+    if g.m == 0:
+        return 0, 0
+    upper = width_of(caterpillar(edge_order(g)), g)
+    if upper <= 1:
+        return upper, upper
+    tw_lb, _, _ = treewidth_bounds(g)
+    lower = -(-2 * tw_lb // 3)
+    return min(lower, upper), upper
+
+
+# --- formulas ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SubConstraint:
+    """Parity constraint on a non-empty proper subset of a vertex's edges."""
+
+    vertex: int
+    edge_ids: tuple[int, ...]
+    parity: int
+
+    def validate(self, t: TseitinFormula) -> None:
+        inc = set(t.graph.incident[self.vertex])
+        sub = set(self.edge_ids)
+        if not sub or not sub < inc:
+            raise ValueError(f"edge set must be a non-empty proper subset of E({self.vertex})")
+        if self.parity not in (0, 1):
+            raise ValueError("parity must be 0/1")
+
+    def holds(self, mask: int) -> bool:
+        return bool(parity(point(mask), self.edge_ids, self.parity))
+
+
+def conjoin_models(t: TseitinFormula, subs: list[SubConstraint]) -> list[int]:
+    """Brute-force model set of t with extra sub-constraints conjoined."""
+    return [mask for mask in brute_force_models(t) if all(s.holds(mask) for s in subs)]
+
+
+def _sub_to_split(t: TseitinFormula, s: SubConstraint) -> SplitRequest:
+    g = t.graph
+    n1 = tuple(sorted(g.other_end(e, s.vertex) for e in s.edge_ids))
+    n2 = tuple(sorted(set(g.adj[s.vertex]) - set(n1)))
+    return SplitRequest(s.vertex, n1, n2)
+
+
+def conjoin_subconstraints_count(t: TseitinFormula, subs: list[SubConstraint]) -> int:
+    """Models of t with k sub-constraints on an independent set conjoined.
+
+    Valid when t is satisfiable, the graph is connected, and splitting
+    every sub-constraint vertex along its induced neighbor partition
+    leaves the graph connected; the count is then 2^(m - n - k + 1).
+    """
+    g = t.graph
+    if not is_satisfiable(t):
+        raise ValueError("formula must be satisfiable")
+    if not is_connected(g):
+        raise ValueError("graph must be connected")
+    for s in subs:
+        s.validate(t)
+    if not subs:
+        return model_count(t)
+    requests = [_sub_to_split(t, s) for s in subs]
+    split_graph, _ = split_all(g, requests)
+    if not is_connected(split_graph):
+        raise ValueError("split graph is disconnected; the count formula does not apply")
+    k = len(subs)
+    return 1 << (g.m - g.n - k + 1)
+
+
+def apply_flips(mask: int, flips: set[int]) -> int:
+    out = mask
+    for e in flips:
+        out ^= 1 << e
+    return out
+
+
+def sample_charges(n: int, count: int, seed: int = 0):
+    """Deterministic charge sample; includes zero and covers both parities."""
+    rng = random.Random(seed)
+    out = [tuple([0] * n)]
+    while len(out) < count:
+        out.append(tuple(rng.randint(0, 1) for _ in range(n)))
+    return out
+
+
+# --- circuits ----------------------------------------------------------------
+
+
+def evaluate(d: NnfCircuit, mask: int) -> bool:
+    return bool(gate_values(d, point(mask))[d.root])
+
+
+def replay_on_circuit(result: MinorResult, d: NnfCircuit) -> NnfCircuit:
+    """Replay the minor trace on a circuit computing the all-zero-charge
+    formula of the original graph.
+
+    Edge deletion conditions the variable to 0 and subdivision elimination
+    forgets the dropped variable; neither grows the circuit, so the result
+    computes the minor's all-zero formula (over `var_of_edge` names) in at
+    most the original size.
+    """
+    for op in result.trace:
+        if op.kind == "delete_edge":
+            d = condition_dnnf(d, op.var, 0)
+        elif op.kind == "forget_edge":
+            d = forget_var(d, op.var)
+    return d
+
+
+@dataclass(frozen=True)
+class ProofTree:
+    """Tree sub-circuit: both children at AND gates, one child at each OR.
+
+    `nodes` is the set of gate ids on the tree; on a smooth circuit the
+    literal leaves determine one total model over var(root).
+    """
+
+    nodes: frozenset[int]
+    ones: int  # variables assigned 1
+    assigned: int  # variables assigned at all
+
+    def model(self) -> int:
+        return self.ones
+
+
+def enumerate_proof_trees(d: NnfCircuit) -> list[ProofTree]:
+    """All proof trees whose literal choices are consistent.
+
+    On a complete DNNF every tree assigns each variable exactly once and
+    encodes a single model.  Exponential in general; intended for desk
+    scale.  Gates are visited in id order, children before parents.
+    """
+    memo: dict[int, list[tuple[frozenset, int, int]]] = {}
+    for i in _reachable(d):
+        g = d.gates[i]
+        if g.kind == LIT:
+            out = [(frozenset((i,)), (1 << g.var) if g.positive else 0, 1 << g.var)]
+        elif g.kind == CONST:
+            out = [(frozenset((i,)), 0, 0)] if g.a else []
+        elif g.kind == AND:
+            out = []
+            for na, oa, sa in memo[g.a]:
+                for nb, ob, sb in memo[g.b]:
+                    if sa & sb:
+                        continue  # non-decomposable overlap; skip inconsistent pair
+                    out.append((na | nb | {i}, oa | ob, sa | sb))
+        else:
+            out = [(n | {i}, o, s) for n, o, s in memo[g.a]]
+            out += [(n | {i}, o, s) for n, o, s in memo[g.b]]
+        memo[i] = out
+
+    trees = [ProofTree(n, o, s) for n, o, s in memo[d.root]]
+    trees.sort(key=lambda t: (t.ones, sorted(t.nodes)))
+    return trees
+
+
+def proof_tree_models(d: NnfCircuit) -> set[int]:
+    """Union of single models encoded by the proof trees (complete DNNF)."""
+    out = set()
+    for t in enumerate_proof_trees(d):
+        if t.assigned != d.var_masks[d.root]:
+            raise ValueError("proof tree does not cover var(root); circuit not smooth?")
+        out.add(t.model())
+    return out
+
+
+def proof_tree_vtree(d: NnfCircuit, mask: int) -> tuple[BranchDecomposition, dict[int, int]]:
+    """Variable tree of the proof tree accepting a model, with a node ->
+    gate map.
+
+    The walk takes the true child at every OR gate (the smaller id on
+    ties), so each node's gate is an AND gate or a literal; the leaves are
+    the literals' variables.  On a smooth circuit `edges_below[i]` is then
+    the variable set of gate `gate_of[i]`.
+    """
+    vals = gate_values(d, point(mask))
+    nodes: list[tuple | None] = []
+    gate_of: dict[int, int] = {}
+
+    def walk(i: int):
+        while d.gates[i].kind == OR:
+            g = d.gates[i]
+            if vals[g.a]:
+                i = g.a
+            elif vals[g.b]:
+                i = g.b
+            else:
+                raise ValueError("model does not satisfy the circuit")
+        g = d.gates[i]
+        if g.kind == CONST:
+            raise ValueError("constants must be propagated before playing the game")
+        my = len(nodes)
+        nodes.append(None)
+        gate_of[my] = i
+        if g.kind == LIT:
+            nodes[my] = ("leaf", g.var)
+        else:
+            left = yield walk(g.a)
+            right = yield walk(g.b)
+            nodes[my] = ("node", left, right)
+        return my
+
+    run(walk(d.root))
+    return BranchDecomposition(tuple(nodes)), gate_of
+
+
+# --- rectangles --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Rectangle:
+    """Product set of assignments over an edge bipartition.  A and B hold
+    partial assignment masks whose bits stay inside their own block; the
+    represented set is {a | b}."""
+
+    e1_mask: int
+    e2_mask: int
+    a_side: frozenset[int]
+    b_side: frozenset[int]
+    num_vars: int
+
+    def __post_init__(self):
+        if self.e1_mask & self.e2_mask:
+            raise ValueError("blocks must be disjoint")
+        if self.e1_mask | self.e2_mask != (1 << self.num_vars) - 1:
+            raise ValueError("blocks must cover all variables")
+        if any(a & ~self.e1_mask for a in self.a_side):
+            raise ValueError("A-side assignment leaves its block")
+        if any(b & ~self.e2_mask for b in self.b_side):
+            raise ValueError("B-side assignment leaves its block")
+
+    @property
+    def size(self) -> int:
+        return len(self.a_side) * len(self.b_side)
+
+    def models(self) -> set[int]:
+        return {a | b for a in self.a_side for b in self.b_side}
+
+    def is_balanced(self) -> bool:
+        n1 = bin(self.e1_mask).count("1")
+        n2 = bin(self.e2_mask).count("1")
+        total = self.num_vars
+        return 3 * n1 >= total and 3 * n2 >= total and 3 * n1 <= 2 * total and 3 * n2 <= 2 * total
+
+
+def mask_of(edge_ids) -> int:
+    m = 0
+    for e in edge_ids:
+        m |= 1 << e
+    return m
+
+
+def is_rectangle(assignments, e1_mask: int, e2_mask: int, num_vars: int) -> Rectangle | None:
+    """The A x B decomposition of the set, or None when it is not a
+    product for this partition."""
+    s = set(assignments)
+    a_side = frozenset(x & e1_mask for x in s)
+    b_side = frozenset(x & e2_mask for x in s)
+    if len(a_side) * len(b_side) != len(s):
+        return None
+    rect = Rectangle(e1_mask, e2_mask, a_side, b_side, num_vars)
+    return rect if rect.models() == s else None
+
+
+def gate_rectangle(d: NnfCircuit, gate: int, trees: list[ProofTree] | None = None) -> Rectangle:
+    """Models accepted through a gate, as a rectangle over (var(gate), rest).
+
+    On a complete DNNF the models whose proof trees pass through the gate
+    form a product set A x B with A over var(gate); this enumerates the
+    proof trees, projects, and verifies the product property.
+    """
+    if d.num_vars > RECT_CAP:
+        raise ValueError(f"{d.num_vars} variables exceed the rectangle cap")
+    if not validate_decomposable(d) or not is_smooth(d):
+        raise ValueError("gate rectangles need a smooth decomposable circuit")
+    if trees is None:
+        trees = enumerate_proof_trees(d)
+    e1 = d.var_masks[gate]
+    e2 = ((1 << d.num_vars) - 1) & ~e1
+    rect = is_rectangle({t.model() for t in trees if gate in t.nodes}, e1, e2, d.num_vars)
+    if rect is None:
+        raise AssertionError(f"gate {gate}: accepted set is not a product; circuit is broken")
+    return rect
+
+
+def induced_subconstraint(r: Rectangle, t: TseitinFormula, v: int) -> SubConstraint:
+    """Sub-constraint on E1(v) that every model of the rectangle satisfies.
+
+    The A-side parity at a boundary vertex is constant across the
+    rectangle whenever the rectangle respects the formula; a non-constant
+    parity therefore signals an internal error, not bad input.
+    """
+    if not r.a_side or not r.b_side:
+        raise ValueError("empty rectangle induces no sub-constraint")
+    e1_at_v = [e for e in t.graph.incident[v] if (r.e1_mask >> e) & 1]
+    e2_at_v = [e for e in t.graph.incident[v] if (r.e2_mask >> e) & 1]
+    if not e1_at_v or not e2_at_v:
+        raise ValueError(f"vertex {v} is not incident to both sides of the partition")
+    for mask in r.models():
+        if not t.satisfies(mask):
+            raise ValueError("rectangle is not contained in the model set")
+    sub_mask = mask_of(e1_at_v)
+    parities = {bin(a & sub_mask).count("1") & 1 for a in r.a_side}
+    if len(parities) != 1:
+        raise AssertionError(f"vertex {v}: A-side parity not constant over the rectangle")
+    return SubConstraint(v, tuple(e1_at_v), parities.pop())
+
+
+def rectangle_cap_check(t: TseitinFormula, adam: AdamResponse, r: Rectangle) -> bool:
+    """|R| <= 2^cap, via the sub-constraint + split-count composition."""
+    if r.e1_mask != mask_of(adam.cut.e1) or r.e2_mask != mask_of(adam.cut.e2):
+        raise ValueError("rectangle partition differs from the adversary's cut")
+    subs = [induced_subconstraint(r, t, v) for v in adam.v_star]
+    count = conjoin_subconstraints_count(t, subs)
+    if count != 1 << adam.cap_exponent:
+        raise AssertionError("split count disagrees with the cap exponent")
+    for mask in r.models():
+        if not all(s.holds(mask) for s in subs):
+            raise AssertionError("rectangle escapes its induced sub-constraints")
+    return r.size <= count
+
+
+# --- the cover game ----------------------------------------------------------
+
+
+@dataclass
+class GameRound:
+    model: int
+    gate: int
+    e1_size: int
+    rectangle_size: int
+    cap_exponent: int | None
+    covered_new: int
+
+
+@dataclass
+class GameTranscript:
+    rounds: list[GameRound] = field(default_factory=list)
+    total_models: int = 0
+    max_rectangle: int = 0
+
+    @property
+    def round_count(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def round_lower_bound(self) -> int:
+        if not self.max_rectangle:
+            return 0
+        return -(-self.total_models // self.max_rectangle)
+
+    @property
+    def cap_round_lower_bound(self) -> int:
+        """total models / largest per-round cap; 0 without cap data."""
+        caps = [r.cap_exponent for r in self.rounds if r.cap_exponent is not None]
+        if not caps:
+            return 0
+        return -(-self.total_models // (1 << max(caps)))
+
+
+def game_simulate(d: NnfCircuit, t: TseitinFormula) -> GameTranscript:
+    """Play the cover game with the circuit's own rectangles.
+
+    The cover player always picks the smallest uncovered model and its
+    accepting proof tree; the adversary plays the max-order cut of the
+    induced variable tree (with the full safe-split cap when the graph is
+    3-connected, vacuous cap otherwise).  Every rectangle is checked
+    against its cap; rounds never exceed the node count and a gate never
+    repeats.
+    """
+    if not validate_decomposable(d) or not is_smooth(d):
+        raise ValueError("the game needs a smooth decomposable circuit")
+    sat_masks = brute_force_models(t)
+    circuit_sat = set(sat_masks)
+    trees = enumerate_proof_trees(d)
+    three_conn = is_3_connected(t.graph)
+    uncovered = set(sat_masks)
+    transcript = GameTranscript(total_models=len(sat_masks))
+    used_gates: set[int] = set()
+    while uncovered:
+        a = min(uncovered)
+        vtree, gate_of = proof_tree_vtree(d, a)
+        if three_conn:
+            adam = adam_response(t.graph, vtree)
+            cut = adam.cut
+            cap: int | None = adam.cap_exponent
+        else:
+            adam = None
+            cut = max_order_cut(vtree, t.graph)
+            cap = None
+        gate = gate_of[cut.node_id]
+        if gate in used_gates:
+            raise AssertionError("a gate repeated across rounds")
+        used_gates.add(gate)
+        rect = gate_rectangle(d, gate, trees)
+        rect_models = rect.models()
+        if not rect_models <= circuit_sat:
+            raise AssertionError("rectangle leaves the model set")
+        if a not in rect_models:
+            raise AssertionError("rectangle misses the chosen model")
+        if adam is not None and not rectangle_cap_check(t, adam, rect):
+            raise AssertionError("rectangle exceeds the adversary's cap")
+        newly = len(uncovered & rect_models)
+        uncovered -= rect_models
+        transcript.rounds.append(GameRound(a, gate, bin(rect.e1_mask).count("1"), rect.size, cap, newly))
+        transcript.max_rectangle = max(transcript.max_rectangle, rect.size)
+        if transcript.round_count > d.node_count:
+            raise AssertionError("more rounds than circuit nodes")
+    return transcript
+
+
+def extract_balanced_cover(d: NnfCircuit) -> list[Rectangle]:
+    """Balanced rectangle cover of the circuit's models, at most one
+    rectangle per gate, found by descending each proof tree from the root
+    into the child with more variables (the left one on ties) until the
+    variable set is balanced."""
+    if d.num_vars < 3:
+        raise ValueError("balanced covers need at least 3 variables")
+    if not validate_decomposable(d) or not is_smooth(d):
+        raise ValueError("balanced covers need a smooth decomposable circuit")
+    trees = enumerate_proof_trees(d)
+    sat = {t.model() for t in trees}
+    total = d.num_vars
+    cover: list[Rectangle] = []
+    uncovered = set(sat)
+    covered_union: set[int] = set()
+    while uncovered:
+        a = min(uncovered)
+        vtree, gate_of = proof_tree_vtree(d, a)
+        size = [len(below) for below in vtree.edges_below]
+        i = vtree.root
+        while 3 * size[i] > 2 * total:
+            node = vtree.nodes[i]
+            if node[0] == "leaf":
+                raise ValueError("no balanced gate on the proof tree")
+            i = node[2] if size[node[2]] > size[node[1]] else node[1]
+        if 3 * size[i] < total:
+            raise ValueError("no balanced gate on the proof tree")
+        rect = gate_rectangle(d, gate_of[i], trees)
+        if not rect.is_balanced():
+            raise AssertionError("descent stopped at an unbalanced gate")
+        ms = rect.models()
+        if a not in ms or not ms <= sat:
+            raise AssertionError("cover rectangle is wrong")
+        uncovered -= ms
+        covered_union |= ms
+        cover.append(rect)
+        if len(cover) > d.node_count:
+            raise AssertionError("cover larger than the circuit")
+    if covered_union != sat:
+        raise AssertionError("cover union differs from the model set")
+    return cover

@@ -9,22 +9,30 @@ import zlib
 
 import pytest
 
+from lemmas import (
+    SubConstraint,
+    conjoin_models,
+    conjoin_subconstraints_count,
+    enumerate_proof_trees,
+    extract_balanced_cover,
+    game_simulate,
+    gate_rectangle,
+    induced_subconstraint,
+    k4_with_pendant_path,
+    octahedron,
+    sample_charges,
+)
 from mutations import corrupt
 from tseitinkit import families as fam
-from tseitinkit.bounds import extract_balanced_cover, game_simulate, induced_subconstraint
 from tseitinkit.bp import build_well_structured_bp
 from tseitinkit.compiler import compile_bp_to_dnnf, pipeline
 from tseitinkit.graphs import Graph, SplitRequest, is_connected, split_all
 from tseitinkit.minors import three_connected_minor
-from tseitinkit.nnf import enumerate_proof_trees, gate_rectangle, smooth, truth_table as nnf_truth_table
+from tseitinkit.nnf import smooth, truth_table as nnf_truth_table
 from tseitinkit.resolution import check_refutation, check_regularity, dpll_refute
 from tseitinkit.tseitin import (
-    SubConstraint,
     TseitinFormula,
-    conjoin_models,
-    conjoin_subconstraints_count,
     model_count,
-    sample_charges,
     to_cnf,
     truth_table as tseitin_truth_table,
     unit_charge,
@@ -42,7 +50,7 @@ END_TO_END_FAMILY = [
 
 SAFE_SPLIT_GRAPHS = [
     ("K4", fam.complete(4)), ("K5", fam.complete(5)), ("W4", fam.wheel(4)),
-    ("W5", fam.wheel(5)), ("Q3", fam.cube(3)), ("octahedron", fam.octahedron()),
+    ("W5", fam.wheel(5)), ("Q3", fam.cube(3)), ("octahedron", octahedron()),
 ]
 
 
@@ -173,7 +181,7 @@ class TestAcceptance:
         cases = [
             ("K4", fam.complete(4)), ("K5", fam.complete(5)), ("W4", fam.wheel(4)),
             ("Q3", fam.cube(3)), ("grid3x3", fam.grid(3, 3)), ("twoK4", fam.two_k4_shared_edge()),
-            ("k4pendant", fam.k4_with_pendant_path()), ("octahedron", fam.octahedron()),
+            ("k4pendant", k4_with_pendant_path()), ("octahedron", octahedron()),
         ]
         for name, g in cases:
             result = three_connected_minor(g)

@@ -2,21 +2,21 @@ import random
 
 import pytest
 
-from tseitinkit import families as fam
-from tseitinkit.bounds import (
-    adam_response,
-    certificate_from_text,
-    certificate_to_text,
-    certified_lower_bound,
+from lemmas import (
+    enumerate_proof_trees,
     extract_balanced_cover,
     game_simulate,
+    gate_rectangle,
     induced_subconstraint,
+    is_rectangle,
+    mask_of,
+    proof_tree_vtree,
     rectangle_cap_check,
-    verify_certificate,
 )
+from tseitinkit import families as fam
+from tseitinkit.bounds import adam_response, certificate_from_text, certificate_to_text, certified_lower_bound, verify_certificate
 from tseitinkit.compiler import pipeline
-from tseitinkit.nnf import CircuitBuilder, enumerate_proof_trees, gate_rectangle, models, smooth
-from tseitinkit.rectangles import Rectangle, is_rectangle, mask_of
+from tseitinkit.nnf import CircuitBuilder, models, smooth
 from tseitinkit.tseitin import TseitinFormula, brute_force_models, unit_charge
 from tseitinkit.width import BranchDecomposition, caterpillar, edge_order
 
@@ -184,11 +184,7 @@ class TestRectangleCapCheck:
 def _vtree_matching(d, t):
     """A variable tree from the circuit's own first proof tree, so some
     gate rectangles share the adversary's partition."""
-    from tseitinkit.bounds import _proof_walk, _vtree_of_walk
-
-    a = min(models(d))
-    walk = _proof_walk(d, a)
-    vtree, _ = _vtree_of_walk(d, walk)
+    vtree, _ = proof_tree_vtree(d, min(models(d)))
     return vtree
 
 
@@ -323,8 +319,6 @@ class TestBalancedCover:
 class TestDeepCircuits:
     def test_and_chain_deeper_than_recursion_limit(self):
         # x0 & x1 & ... & x1499 as a left-deep chain of binary AND gates
-        from tseitinkit.bounds import _proof_walk, _vtree_of_walk
-
         n = 1500
         b = CircuitBuilder(n)
         root = b.literal(0, True)
@@ -335,9 +329,8 @@ class TestDeepCircuits:
         (tree,) = enumerate_proof_trees(d)
         assert tree.ones == tree.assigned == full
         assert tree.nodes == frozenset(range(d.node_count))
-        walk = _proof_walk(d, full)
-        assert (walk.gate, walk.var_mask) == (root, full)
-        vtree, gate_of = _vtree_of_walk(d, walk)
+        vtree, gate_of = proof_tree_vtree(d, full)
+        assert (gate_of[vtree.root], vtree.edges_below[vtree.root]) == (root, frozenset(range(n)))
         vtree.validate(fam.path(n + 1))
         assert len(vtree.nodes) == 2 * n - 1
         assert max(vtree.depth) == n - 1

@@ -169,6 +169,14 @@ class TestCheck:
     def test_certificate(self, workdir):
         assert main(["check", "certificate", workdir["k4"], workdir["cert"]]) == 0
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_file_count_is_a_usage_error(self, workdir, capsys, count):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "certificate", *[workdir["k4"]] * count])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "Traceback" not in err
+
     def test_certificate_wrong_graph(self, workdir):
         assert main(["check", "certificate", workdir["graph"], workdir["cert"]]) != 0
 
@@ -285,6 +293,8 @@ class TestMalformedInput:
         (["check", "bp", "@tseitin", "{bp}"], "source 0\nnode 0 1\n", 2),
         (["convert", "{graph}", "--format", "graph"], "p graph 2 1\ne 1\n", 2),
         (["check", "dnnf-equiv", "@zero", "{nnf}"], "nnf 2 2 3\nL 1\nA 2 0 5\n", 3),
+        (["check", "bp", "{tseitin}", "@bp"], "p tseitin 3 3\ng 1 0 0\ne 1 2\ne 2 9\ne 1 3\n", 4),
+        (["convert", "{tseitin}", "--format", "tseitin"], "e 0 1\np tseitin 2 1\ng 0 0\n", 1),
     ])
     def test_error_names_the_line(self, tmp_path, capsys, argv, text, line):
         assert main(_fuzz_argv(tmp_path, argv, text)) == 1

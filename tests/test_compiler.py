@@ -5,7 +5,7 @@ from tseitinkit import families as fam
 from tseitinkit.bp import BranchingProgram, build_well_structured_bp, validate_well_structured
 from tseitinkit.compiler import compile_bp_to_dnnf, pipeline, retarget
 from tseitinkit.graphs import Graph
-from tseitinkit.nnf import NnfCircuit, models, truth_table, validate_decomposable
+from tseitinkit.nnf import NnfCircuit, is_smooth, model_count_smooth, models, truth_table, validate_decomposable
 from tseitinkit.tseitin import TseitinFormula, brute_force_models, unit_charge
 
 
@@ -131,6 +131,45 @@ class TestPipeline:
         report, _, _ = pipeline(g, unit_charge(4, 0), (0,) * 4, desk_cap=2)
         assert report.equivalence == "skipped"
         assert report.model_count_circuit is None
+
+
+MIDDLE_TIER = {
+    "grid3x6": lambda: fam.grid(3, 6),
+    "grid4x4": lambda: fam.grid(4, 4),
+    "grid5x5": lambda: fam.grid(5, 5),
+    "Q4": lambda: fam.cube(4),
+    "rr16": lambda: fam.random_regular(16, 3, 1),
+    "W12": lambda: fam.wheel(12),
+    "C60": lambda: fam.cycle(60),
+}
+
+
+class TestSmoothAsBuilt:
+    """The gate for (k, v) mentions exactly the edges of G_k, so compiled
+    circuits are smooth without a smoothing pass."""
+
+    def test_gate_variables_are_the_subgraph_edges(self, bench_graph):
+        _, g = bench_graph
+        c = unit_charge(g.n, 0)
+        bp = build_well_structured_bp(g, c)
+        _, details = compile_bp_to_dnnf(bp, g, c, 0, with_details=True)
+        masks = NnfCircuit(details.all_gates, len(details.all_gates) - 1, g.m).var_masks
+        annotations = validate_well_structured(bp, g, c).annotations
+        for k, gates in details.vertex_gate.items():
+            edges = sum(1 << e for e in annotations[k][1])
+            assert all(masks[gate] == edges for gate in gates.values()), k
+
+    def test_desk_family(self, bench_graph):
+        _, g = bench_graph
+        _, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * g.n)
+        assert is_smooth(d)
+
+    @pytest.mark.parametrize("name", MIDDLE_TIER)
+    def test_middle_tier(self, name):
+        g = MIDDLE_TIER[name]()
+        report, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * g.n, desk_cap=0)
+        assert is_smooth(d) and validate_decomposable(d)
+        assert model_count_smooth(d) == report.model_count_expected == 1 << (g.m - g.n + 1)
 
 
 class TestPipelineProperty:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import family_graphs
+from lemmas import k4_with_pendant_path, octahedron
 from tseitinkit import families as fam
 from tseitinkit.graphs import (
     Graph,
@@ -13,11 +14,14 @@ from tseitinkit.graphs import (
     graph_to_text,
     greedy_independent_set,
     is_3_connected,
+    induced_subgraph,
     is_connected,
     safe_split_subset,
+    search,
     separators_of_size,
     split_all,
     split_vertex,
+    tree_path,
 )
 
 
@@ -72,6 +76,63 @@ class TestConnectedComponents:
                 assert (u in comp) == (v in comp) or not ({u, v} & comp)
 
 
+def reference_search(g: Graph, start: int, allowed=None) -> dict:
+    """Breadth-first search written level by level."""
+    tree = {start: None}
+    level = [start]
+    while level:
+        nxt = []
+        for u in level:
+            for e in g.incident[u]:
+                w = g.other_end(e, u)
+                if w not in tree and (allowed is None or w in allowed):
+                    tree[w] = (u, e)
+                    nxt.append(w)
+        level = nxt
+    return tree
+
+
+class TestSearch:
+    def test_c4_tree(self):
+        g = fam.cycle(4)  # edges 0 = 01, 1 = 12, 2 = 23, 3 = 03
+        tree = search(g, 0)
+        assert list(tree.items()) == [(0, None), (1, (0, 0)), (3, (0, 3)), (2, (1, 1))]
+        assert tree_path(tree, 2) == [0, 1] and tree_path(tree, 0) == []
+
+    def test_allowed_vertices(self):
+        g = fam.cycle(4)
+        assert search(g, 0, {2, 3}) == {0: None, 3: (0, 3), 2: (3, 2)}
+        assert tree_path(search(g, 0, {2, 3}), 2) == [3, 2]
+        assert search(g, 0, set()) == {0: None}
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_same_tree_as_level_search(self, g, data):
+        start = data.draw(st.integers(0, g.n - 1))
+        allowed = data.draw(st.none() | st.sets(st.integers(0, g.n - 1)))
+        tree = search(g, start, allowed)
+        assert list(tree.items()) == list(reference_search(g, start, allowed).items())
+        for v in tree:
+            walk = start
+            for e in tree_path(tree, v):
+                walk = g.other_end(e, walk)
+            assert walk == v
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_components_without_removed_vertices(self, g, data):
+        removed = data.draw(st.sets(st.integers(0, g.n - 1)))
+        rest, vmap, _ = induced_subgraph(g, set(range(g.n)) - removed)
+        inv = {i: v for v, i in vmap.items()}
+        expected = sorted(({inv[i] for i in comp} for comp in connected_components(rest)), key=min)
+        assert connected_components(g, tuple(removed)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_is_connected(self, g):
+        assert is_connected(g) == (len(connected_components(g)) <= 1)
+
+
 class TestThreeConnectivity:
     def test_k4_true(self):
         assert is_3_connected(fam.complete(4))
@@ -83,7 +144,7 @@ class TestThreeConnectivity:
         assert not is_3_connected(fam.cycle(3))
 
     def test_known_3_connected(self):
-        for g in (fam.complete(5), fam.wheel(4), fam.wheel(5), fam.cube(3), fam.octahedron()):
+        for g in (fam.complete(5), fam.wheel(4), fam.wheel(5), fam.cube(3), octahedron()):
             assert is_3_connected(g)
 
 
@@ -125,7 +186,7 @@ def families_up_to_20() -> list[tuple[str, Graph]]:
     graphs += [(f"grid{r}x{c}", fam.grid(r, c)) for r in range(1, 21) for c in range(r, 21) if r * c <= 20]
     graphs += [(f"rr{n}-{d}-{seed}", fam.random_regular(n, d, seed))
                for n in range(4, 21) for d in (3, 4) if n * d % 2 == 0 and d < n for seed in (1, 2)]
-    graphs += [("k4pendant", fam.k4_with_pendant_path()), ("octahedron", fam.octahedron())]
+    graphs += [("k4pendant", k4_with_pendant_path()), ("octahedron", octahedron())]
     return graphs
 
 
@@ -149,7 +210,7 @@ class TestSeparatorsAgainstReference:
         graphs = [
             Graph(0, ()), Graph(1, ()), Graph(2, ()), Graph(2, ((0, 1),)), Graph(3, ((0, 1),)),
             Graph(4, ((0, 1), (2, 3))), Graph(5, ((0, 1), (1, 2), (2, 0), (3, 4))),
-            fam.bowtie(), fam.k4_with_pendant_path(), Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4))),
+            fam.bowtie(), k4_with_pendant_path(), Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4))),
             Graph(7, tuple(fam.complete(4).edges) + ((4, 5), (5, 6), (6, 4))),
         ]
         for g in graphs:

@@ -3,9 +3,10 @@ import zlib
 
 import pytest
 
+from lemmas import k4_with_pendant_path, octahedron, replay_on_circuit
 from tseitinkit import families as fam
 from tseitinkit.graphs import Graph, connected_components, induced_subgraph, is_3_connected, is_connected
-from tseitinkit.minors import MinorOp, MinorResult, find_safe_separator, replay_on_circuit, three_connected_minor
+from tseitinkit.minors import MinorOp, MinorResult, find_safe_separator, three_connected_minor
 from tseitinkit.width import TREEWIDTH_EXACT_CAP, treewidth_exact
 
 
@@ -30,7 +31,7 @@ class TestFindSafeSeparator:
             find_safe_separator(Graph(4, ((0, 1), (2, 3))))
 
     def test_prefers_size_1(self):
-        g = fam.k4_with_pendant_path()
+        g = k4_with_pendant_path()
         sep, comp, others = find_safe_separator(g)
         assert len(sep) == 1
         assert comp == {0, 1, 2}  # the side preserving treewidth 3
@@ -38,7 +39,7 @@ class TestFindSafeSeparator:
 
 
 COMPOSITES = [
-    ("k4_pendant", fam.k4_with_pendant_path, 4, 6),
+    ("k4_pendant", k4_with_pendant_path, 4, 6),
     ("two_k4", fam.two_k4_shared_edge, 4, 6),
     ("k4", lambda: fam.complete(4), 4, 6),
 ]
@@ -68,7 +69,7 @@ class TestThreeConnectedMinor:
     @pytest.mark.parametrize(
         "make",
         [lambda: fam.complete(5), lambda: fam.wheel(4), lambda: fam.cube(3), lambda: fam.grid(3, 3),
-         fam.two_k4_shared_edge, fam.k4_with_pendant_path, fam.octahedron],
+         fam.two_k4_shared_edge, k4_with_pendant_path, octahedron],
         ids=["K5", "W4", "Q3", "grid3x3", "twoK4", "k4pendant", "octahedron"],
     )
     def test_treewidth_preserved_and_3_connected(self, make):
@@ -78,14 +79,14 @@ class TestThreeConnectedMinor:
         assert treewidth_exact(result.graph) == treewidth_exact(g)
 
     def test_trace_ops_well_formed(self):
-        result = three_connected_minor(fam.k4_with_pendant_path())
+        result = three_connected_minor(k4_with_pendant_path())
         kinds = {op.kind for op in result.trace}
         assert kinds <= {"delete_edge", "drop_vertex", "forget_edge"}
         # the pendant path loses its two edges and two vertices
         deleted = [op.var for op in result.trace if op.kind == "delete_edge"]
         assert sorted(deleted) == [6, 7]
 
-    @pytest.mark.parametrize("make", [fam.two_k4_shared_edge, fam.k4_with_pendant_path, lambda: fam.grid(3, 3)],
+    @pytest.mark.parametrize("make", [fam.two_k4_shared_edge, k4_with_pendant_path, lambda: fam.grid(3, 3)],
                              ids=["twoK4", "k4pendant", "grid3x3"])
     def test_replay_turns_circuit_into_minor_circuit(self, make):
         from tseitinkit.compiler import pipeline
@@ -124,14 +125,54 @@ class TestThreeConnectedMinor:
 
 
 class TestSmallTreewidthAboveExactCap:
-    """Above the exact-treewidth cap the treewidth precheck is skipped, so
-    a treewidth-2 graph runs the reduction down to a triangle."""
+    """There is no treewidth precheck, so a graph of treewidth below 3 runs
+    the reduction down to fewer than 4 vertices, on either side of the
+    exact-treewidth cap."""
 
     @pytest.mark.parametrize("g", [fam.cycle(20), fam.grid(2, 10)], ids=["cycle20", "grid2x10"])
     def test_rejected_with_value_error(self, g):
         assert g.n > TREEWIDTH_EXACT_CAP
         with pytest.raises(ValueError, match="treewidth below 3"):
             three_connected_minor(g)
+
+    @pytest.mark.parametrize("g", [fam.cycle(5), fam.grid(2, 5), fam.path(6), fam.path(2), fam.bowtie()],
+                             ids=["C5", "grid2x5", "P6", "P2", "bowtie"])
+    def test_below_the_cap(self, g):
+        assert g.n <= TREEWIDTH_EXACT_CAP
+        with pytest.raises(ValueError, match="treewidth below 3"):
+            three_connected_minor(g)
+
+
+class TestTreewidthComputedOnce:
+    """The post-check compares exact treewidths only when the reduction
+    did something; a 3-connected input is its own minor."""
+
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        from tseitinkit import minors, width
+
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return treewidth_exact(g)
+
+        monkeypatch.setattr(width, "treewidth_exact", counted)
+        monkeypatch.setattr(minors, "treewidth_exact", counted)
+        return calls
+
+    @pytest.mark.parametrize("make", [lambda: fam.cube(4), lambda: fam.complete(8)], ids=["Q4", "K8"])
+    def test_certificate_of_3_connected_graph(self, exact_calls, make):
+        from tseitinkit.bounds import certified_lower_bound
+
+        g = make()
+        assert certified_lower_bound(g).k == 1
+        assert exact_calls == [g.n]
+
+    def test_post_check_runs_after_a_reduction(self, exact_calls):
+        result = three_connected_minor(fam.two_k4_shared_edge())
+        # the separator's sides first, then the input and its minor
+        assert result.trace and exact_calls[-2:] == [6, 4]
 
 
 # --- reference: the reduction as first written --------------------------------
@@ -332,7 +373,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize(
         "g",
         [fam.grid(3, 6), fam.grid(4, 4), fam.grid(5, 5), fam.cube(4), fam.random_regular(16, 3, 1), fam.wheel(12),
-         fam.k4_with_pendant_path(), fam.two_k4_shared_edge(), fam.octahedron(), fam.cycle(20), fam.grid(2, 10)],
+         k4_with_pendant_path(), fam.two_k4_shared_edge(), octahedron(), fam.cycle(20), fam.grid(2, 10)],
         ids=["grid3x6", "grid4x4", "grid5x5", "Q4", "rr16", "W12", "k4pendant", "twoK4", "octahedron", "cycle20",
              "grid2x10"],
     )

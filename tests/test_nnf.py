@@ -1,20 +1,17 @@
 import pytest
 
+from lemmas import enumerate_proof_trees, evaluate, gate_rectangle, proof_tree_models
 from tseitinkit import families as fam
 from tseitinkit.nnf import (
     CircuitBuilder,
     Gate,
     condition_dnnf,
-    enumerate_proof_trees,
-    evaluate,
     forget_var,
-    gate_rectangle,
     is_smooth,
     model_count_smooth,
     models,
     nnf_from_text,
     nnf_to_text,
-    proof_tree_models,
     propagate_constants,
     rename_flip,
     restrict_to_root,

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lemmas import evaluate
 from tseitinkit import families as fam
 from tseitinkit.cnf import Cnf, cnf_truth_table
 from tseitinkit.compiler import pipeline
 from tseitinkit.graphs import Graph
-from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, evaluate, truth_table as nnf_truth_table
+from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, truth_table as nnf_truth_table
 from tseitinkit.oracles import BLOCK_BITS, VAR_CAP, truth_table
 from tseitinkit.tseitin import DEGREE_CAP, TseitinFormula, to_cnf, truth_table as tseitin_truth_table, unit_charge
 

@@ -143,6 +143,16 @@ class TestRegularity:
         assert check_refutation(cnf, trace).ok
         assert check_regularity(trace)
 
+    @pytest.mark.parametrize("later", [3, 2], ids=["later_step", "own_step"])
+    def test_antecedent_not_earlier_is_a_value_error(self, later):
+        steps = (
+            Step(1, frozenset({1})),
+            Step(2, frozenset(), (1, later)),
+            Step(3, frozenset({-1})),
+        )
+        with pytest.raises(ValueError, match=f"step 2: antecedent {later} is not an earlier step"):
+            check_regularity(ResolutionTrace(steps))
+
 
 class TestDpll:
     def test_unit(self):

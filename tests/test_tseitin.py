@@ -1,22 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lemmas import SubConstraint, apply_flips, conjoin_models, conjoin_subconstraints_count, sample_charges
 from tseitinkit import families as fam
 from tseitinkit.cnf import Cnf, cnf_from_dimacs, cnf_to_dimacs, cnf_truth_table
 from tseitinkit.graphs import Graph
 from tseitinkit.tseitin import (
-    SubConstraint,
     TseitinFormula,
-    apply_flips,
     brute_force_models,
     charge_add,
     charge_retarget_flips,
     condition,
-    conjoin_models,
-    conjoin_subconstraints_count,
     is_satisfiable,
     model_count,
-    sample_charges,
     to_cnf,
     truth_table,
     tseitin_from_text,
@@ -243,6 +241,52 @@ class TestChargeRetargeting:
         assert {apply_flips(x, flips) for x in src} == dst
         assert {apply_flips(x, flips) for x in dst} == src
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_flips_as_level_search(self, bench_graph, seed):
+        _, g = bench_graph
+        rng = random.Random(seed)
+        charges = []
+        for _ in range(2):
+            bits = [rng.randint(0, 1) for _ in range(g.n)]
+            for comp in _components(g):
+                if sum(bits[v] for v in comp) % 2:
+                    bits[max(comp)] ^= 1
+            charges.append(tuple(bits))
+        assert charge_retarget_flips(g, *charges) == reference_retarget_flips(g, *charges)
+
+
+def reference_retarget_flips(g, c, c_star) -> set[int]:
+    """charge_retarget_flips as first written: a level-by-level search per
+    component from its smallest vertex, and the pairing paths read off it."""
+    flips = set()
+    for comp in _components(g):
+        diff = sorted(v for v in comp if c[v] != c_star[v])
+        if not diff:
+            continue
+        root = min(comp)
+        parent_edge = {root: None}
+        queue = [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                for e in g.incident[u]:
+                    w = g.other_end(e, u)
+                    if w not in parent_edge:
+                        parent_edge[w] = (u, e)
+                        nxt.append(w)
+            queue = nxt
+
+        def tree_path(v):
+            path = set()
+            while parent_edge[v] is not None:
+                v, e = parent_edge[v]
+                path.add(e)
+            return path
+
+        for a, b in zip(diff[0::2], diff[1::2], strict=True):
+            flips ^= tree_path(a) ^ tree_path(b)
+    return flips
+
 
 def _components(g):
     from tseitinkit.graphs import connected_components
@@ -262,6 +306,10 @@ class TestTextFormats:
         back = cnf_from_dimacs(text)
         assert set(back.clauses) == set(cnf.clauses)
         assert cnf_to_dimacs(back) == text
+
+    def test_edge_lines_may_precede_the_header(self):
+        t = tseitin_from_text("e 1 2\np tseitin 2 1\ng 1 1\n")
+        assert t == TseitinFormula(Graph(2, ((0, 1),)), (1, 1))
 
     def test_deterministic_export(self):
         t = TseitinFormula(fam.complete(4), unit_charge(4, 0))

@@ -5,6 +5,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lemmas import branchwidth_bounds, cut_boundary, octahedron, width_of
 from tseitinkit import families as fam
 from tseitinkit import width
 from tseitinkit.graphs import Graph
@@ -17,16 +18,13 @@ from tseitinkit.width import (
     _reachable_outside,
     _width_at_most,
     all_cuts,
-    branchwidth_bounds,
     caterpillar,
-    cut_boundary,
     edge_order,
     max_order_cut,
     order_bound,
     treewidth_exact,
     treewidth_lower_bound,
     treewidth_upper_bound,
-    width_of,
 )
 
 
@@ -234,7 +232,7 @@ class TestTreewidthExact:
         assert treewidth_exact(Graph(0, ())) == -1
         assert treewidth_exact(fam.cube(3)) == 3
         assert treewidth_exact(fam.wheel(4)) == 3
-        assert treewidth_exact(fam.octahedron()) == 4
+        assert treewidth_exact(octahedron()) == 4
         assert treewidth_exact(fam.bowtie()) == 2
 
     def test_cap_enforced(self):
