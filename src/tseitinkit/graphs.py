@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .textformat import records
+from .textformat import Line, records
 
 
 @dataclass(frozen=True)
@@ -368,10 +368,27 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def edge_from_line(ln: Line, u: int, v: int, n: int, seen: dict) -> tuple[int, int]:
+    """The 0-based edge of the `e u v` line `ln` in a graph on vertices
+    1..n.  `seen` maps each edge accepted so far to its line number; an
+    endpoint out of range, a loop or a parallel edge raises a ValueError
+    naming the line, in the file's 1-based ids."""
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ln.error(f"endpoint outside 1..{n}")
+    if u == v:
+        raise ln.error(f"loop at vertex {u}")
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise ln.error(f"parallel edge {key}, first on line {seen[key]}")
+    seen[key] = ln.number
+    return u - 1, v - 1
+
+
 def graph_from_text(text: str) -> Graph:
     n = None
     m = None
     edges = []
+    seen: dict = {}
     for ln in records(text):
         if ln.fields[0] == "p":
             if len(ln.fields) != 4 or ln.fields[1] != "graph":
@@ -380,10 +397,7 @@ def graph_from_text(text: str) -> Graph:
         elif ln.fields[0] == "e":
             if n is None:
                 raise ln.error("edge line before header")
-            u, v = ln.ints(2)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ln.error(f"endpoint outside 1..{n}")
-            edges.append((u - 1, v - 1))
+            edges.append(edge_from_line(ln, *ln.ints(2), n, seen))
         else:
             raise ln.error(f"unrecognized line: {ln.text}")
     if n is None:

@@ -204,6 +204,16 @@ class _TraceBuilder:
         self.by_clause.setdefault(clause, []).append(sid)
         return sid
 
+    def trace(self, root: int) -> ResolutionTrace:
+        """The steps that `root` reaches, in id order, ending at `root`."""
+        wanted = {root}
+        kept = []
+        for step in reversed(self.steps[:root]):
+            if step.id in wanted:
+                kept.append(step)
+                wanted.update(step.antecedents or ())
+        return ResolutionTrace(tuple(reversed(kept)))
+
 
 def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     """Regular resolution refutation produced by a DPLL search.
@@ -216,10 +226,35 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     satisfiable CNF is rejected when the search reaches an assignment that
     leaves no clause unsatisfied.  The search runs through
     `recursion.run`, so its depth is bounded only by memory.
+
+    The search caches restricted formulas.  A state is keyed by
+    (alive, assigned_mask): bit i of `alive` is set while clause i is not
+    yet satisfied, bit x of `assigned_mask` once variable x is assigned.
+    The key fixes the restricted clause list exactly: an alive clause
+    holds no true literal, so each of its assigned literals is false and
+    it keeps exactly its literals on unassigned variables, in input order.
+    So the search below a state, and the clause of the step it returns,
+    are functions of the key alone, and the step returned on the first
+    visit is returned on every later one.  It stays regular there: its
+    pivots were branched on below the state, on variables the key marks
+    unassigned, so no path through it resolves twice on one variable.  A
+    second search would add no step and end at the same step, since every
+    lookup on its way finds what the first one stored; the cache changes
+    the running time, not the trace.  A state never recurs below itself,
+    as `assigned_mask` grows along every path.
+
+    The trace ends at the root's step and keeps the steps it reaches: a
+    root that passes its first child's step through leaves the second
+    child's steps unused.
     """
     builder = _TraceBuilder()
+    satisfied_by: dict[int, int] = {}
+    for idx, cl in enumerate(cnf.clauses):
+        for lit in cl:
+            satisfied_by[lit] = satisfied_by.get(lit, 0) | 1 << idx
+    done: dict[tuple[int, int], int] = {}
 
-    def refute(restricted, assigned_mask: int):
+    def refute(restricted, alive: int, assigned_mask: int):
         for idx, keep in restricted:
             if not keep:
                 clause = frozenset(cnf.clauses[idx])
@@ -229,8 +264,14 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
             raise ValueError("CNF is satisfiable; nothing to refute")
         x = _branch_variable(restricted)
         bit = 1 << x
-        s0 = yield refute(_narrow(restricted, -x), assigned_mask | bit)
-        s1 = yield refute(_narrow(restricted, x), assigned_mask | bit)
+        children = []
+        for lit in (-x, x):
+            key = (alive & ~satisfied_by.get(lit, 0), assigned_mask | bit)
+            sid = done.get(key)
+            if sid is None:
+                sid = done[key] = yield refute(_narrow(restricted, lit), *key)
+            children.append(sid)
+        s0, s1 = children
         c0 = builder.steps[s0 - 1].clause
         c1 = builder.steps[s1 - 1].clause
         if x in c0 and -x in c1:
@@ -239,8 +280,9 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
             return sid if sid is not None else builder.add(clause, (s0, s1), x)
         return s0 if x not in c0 else s1
 
-    run(refute([(idx, list(cl)) for idx, cl in enumerate(cnf.clauses)], 0))
-    return ResolutionTrace(tuple(builder.steps))
+    everything = (1 << len(cnf.clauses)) - 1
+    root = run(refute([(idx, list(cl)) for idx, cl in enumerate(cnf.clauses)], everything, 0))
+    return builder.trace(root)
 
 
 # --- text format ------------------------------------------------------------

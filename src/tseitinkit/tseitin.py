@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnf import Cnf
-from .graphs import Graph, connected_components, search, tree_path
+from .graphs import Graph, connected_components, edge_from_line, search, tree_path
 from .oracles import conj, parity, point, truth_table as _table
 from .textformat import records
 
@@ -204,7 +204,5 @@ def tseitin_from_text(text: str) -> TseitinFormula:
         raise ValueError("missing header or charge line")
     if len(charge) != n or len(edges) != m:
         raise ValueError("header inconsistent with body")
-    for ln, u, v in edges:
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ln.error(f"endpoint outside 1..{n}")
-    return TseitinFormula(Graph(n, tuple((u - 1, v - 1) for _, u, v in edges)), charge)
+    seen: dict = {}
+    return TseitinFormula(Graph(n, tuple(edge_from_line(*edge, n, seen) for edge in edges)), charge)

@@ -300,6 +300,16 @@ class TestMalformedInput:
         assert main(_fuzz_argv(tmp_path, argv, text)) == 1
         assert f"line {line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,text,message", [
+        (["convert", "{graph}", "--format", "graph"], "p graph 3 2\ne 1 2\ne 2 2\n",
+         "line 3: loop at vertex 2"),
+        (["convert", "{tseitin}", "--format", "tseitin"], "p tseitin 3 2\ng 1 0 0\ne 1 2\ne 2 1\n",
+         "line 4: parallel edge (1, 2), first on line 3"),
+    ], ids=["loop", "parallel_edge"])
+    def test_loop_and_parallel_edge_name_the_line(self, tmp_path, capsys, argv, text, message):
+        assert main(_fuzz_argv(tmp_path, argv, text)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(argv=st.sampled_from(FUZZ_COMMANDS), edits=st.lists(_edit, min_size=1, max_size=4))
     def test_main_returns_an_exit_code(self, argv, edits):

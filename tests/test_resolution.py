@@ -11,8 +11,6 @@ from tseitinkit.resolution import (
     CheckResult,
     ResolutionTrace,
     Step,
-    _branch_variable,
-    _TraceBuilder,
     check_refutation,
     check_regularity,
     dpll_refute,
@@ -185,6 +183,27 @@ class TestDpll:
         assert check_refutation(cnf, trace).ok
         assert check_regularity(trace)
 
+    def test_root_passing_its_first_child_through_ends_the_trace(self):
+        # the root branches on 2 (say) and passes its first child's step
+        # through; the second child's axioms used to follow the empty clause
+        rows = "-5 -7 / -3 -5 / 2 -4 / -3 5 / -2 4 / -1 2 / 2 6 / 3 5 / 3 7"
+        cnf = Cnf(7, tuple(frozenset(map(int, row.split())) for row in rows.split(" / ")))
+        trace = dpll_refute(cnf)
+        result = check_refutation(cnf, trace)
+        assert result.ok, result.error
+        assert check_regularity(trace)
+        assert trace.steps[-1].clause == frozenset()
+
+    @pytest.mark.parametrize("rows,cols,steps", [(3, 12, 693), (5, 5, 1537)])
+    def test_grids_with_many_repeated_subformulas(self, rows, cols, steps):
+        # the tree search without formula caching did not finish grid 3x12
+        # in minutes; with it both take well under a second
+        cnf = to_cnf(TseitinFormula(fam.grid(rows, cols), unit_charge(rows * cols, 0)))
+        trace = dpll_refute(cnf)
+        assert len(trace) == steps
+        assert check_refutation(cnf, trace).ok
+        assert check_regularity(trace)
+
     @pytest.mark.parametrize("name,cnf", family_cnfs(), ids=[n for n, _ in family_cnfs()])
     def test_family_traces_valid_and_regular(self, name, cnf):
         trace = dpll_refute(cnf)
@@ -194,11 +213,60 @@ class TestDpll:
         assert not result.tautology_steps
 
 
+# --- reference: the tree search as first written -----------------------------
+#
+# Every search node rescans the whole CNF for the clauses its assignment leaves
+# open, and no search state is cached.  The branching rule and the step store
+# are frozen copies of the library's, so the comparison pins the trace itself.
+
+
+def _reference_branch_variable(restricted) -> int:
+    width = min(len(keep) for _, keep in restricted)
+    counts: dict[int, int] = {}
+    for _, keep in restricted:
+        if len(keep) == width:
+            for lit in keep:
+                counts[abs(lit)] = counts.get(abs(lit), 0) + 1
+    return min(counts, key=lambda v: (-counts[v], v))
+
+
+class _ReferenceTraceBuilder:
+    def __init__(self):
+        self.steps: list[Step] = []
+        self.by_clause: dict[frozenset, list[int]] = {}
+        self.pivots_below: dict[int, int] = {}
+
+    def lookup(self, clause: frozenset, assigned_mask: int) -> int | None:
+        for sid in self.by_clause.get(clause, ()):
+            if not self.pivots_below[sid] & assigned_mask:
+                return sid
+        return None
+
+    def add(self, clause, antecedents=None, pivot=None) -> int:
+        sid = len(self.steps) + 1
+        self.steps.append(Step(sid, clause, antecedents))
+        below = 0
+        if antecedents is not None:
+            below = (1 << pivot) | self.pivots_below[antecedents[0]] | self.pivots_below[antecedents[1]]
+        self.pivots_below[sid] = below
+        self.by_clause.setdefault(clause, []).append(sid)
+        return sid
+
+
+def _end_at_root(steps: list[Step], root: int) -> ResolutionTrace:
+    """The steps `root` reaches by a depth-first walk, in id order."""
+    by_id = {step.id: step for step in steps}
+    reached, todo = set(), [root]
+    while todo:
+        sid = todo.pop()
+        if sid not in reached:
+            reached.add(sid)
+            todo.extend(by_id[sid].antecedents or ())
+    return ResolutionTrace(tuple(step for step in steps if step.id in reached))
+
+
 def reference_dpll_refute(cnf: Cnf) -> ResolutionTrace:
-    """dpll_refute as first written: every search node rescans the whole
-    CNF for the clauses its assignment leaves open.  The library narrows
-    its parent's list instead; its traces must not differ."""
-    builder = _TraceBuilder()
+    builder = _ReferenceTraceBuilder()
 
     def restricted(assignment):
         out = []
@@ -226,7 +294,7 @@ def reference_dpll_refute(cnf: Cnf) -> ResolutionTrace:
                 return sid if sid is not None else builder.add(clause)
         if not open_clauses:
             raise ValueError("CNF is satisfiable; nothing to refute")
-        x = _branch_variable(open_clauses)
+        x = _reference_branch_variable(open_clauses)
         bit = 1 << x
         s0 = refute({**assignment, x: 0}, assigned_mask | bit)
         s1 = refute({**assignment, x: 1}, assigned_mask | bit)
@@ -238,8 +306,40 @@ def reference_dpll_refute(cnf: Cnf) -> ResolutionTrace:
             return sid if sid is not None else builder.add(clause, (s0, s1), x)
         return s0 if x not in c0 else s1
 
-    refute({}, 0)
-    return ResolutionTrace(tuple(builder.steps))
+    return _end_at_root(builder.steps, refute({}, 0))
+
+
+def _unsatisfiable(cnf: Cnf) -> bool:
+    """Truth tables as bitsets over the 2^n assignments."""
+    size = 1 << cnf.num_vars
+    everything = (1 << size) - 1
+    true_at = [0] + [sum(1 << a for a in range(size) if a >> (v - 1) & 1) for v in range(1, cnf.num_vars + 1)]
+    table = everything
+    for cl in cnf.clauses:
+        sat = 0
+        for lit in cl:
+            sat |= true_at[lit] if lit > 0 else everything & ~true_at[-lit]
+        table &= sat
+    return not table
+
+
+def random_unsatisfiable_cnfs(count: int) -> list[tuple[int, Cnf]]:
+    """The first `count` seeds whose random CNF (3 to 11 variables, clauses
+    of width 2 to 4) is unsatisfiable, with their CNFs."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        rng = random.Random(seed)
+        n = rng.randint(3, 11)
+        clauses = []
+        for _ in range(rng.randint(n, 6 * n)):
+            width = rng.randint(2, min(4, n))
+            clauses.append(frozenset(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), width)))
+        cnf = Cnf(n, tuple(clauses))
+        if _unsatisfiable(cnf):
+            out.append((seed, cnf))
+        seed += 1
+    return out
 
 
 class TestAgainstReference:
@@ -254,6 +354,17 @@ class TestAgainstReference:
     @pytest.mark.parametrize("g", [fam.random_regular(16, 3, 1), fam.grid(4, 5)], ids=["rr16", "grid4x5"])
     def test_benchmark_graphs(self, g):
         self.check(g)
+
+    def test_random_unsatisfiable_cnfs(self):
+        cases = random_unsatisfiable_cnfs(240)
+        dropped = 0
+        for seed, cnf in cases:
+            trace = dpll_refute(cnf)
+            assert trace_to_text(trace) == trace_to_text(reference_dpll_refute(cnf)), f"seed {seed}"
+            assert check_refutation(cnf, trace).ok, f"seed {seed}"
+            assert check_regularity(trace), f"seed {seed}"
+            dropped += trace.steps[-1].id > len(trace)
+        assert dropped  # some roots leave steps unused, as the end-at-root fix expects
 
     def test_same_rejection(self):
         cnf = Cnf(2, (frozenset({1, 2}),))
