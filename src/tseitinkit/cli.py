@@ -19,7 +19,7 @@ from .compiler import pipeline
 from .graphs import Graph, connected_components, graph_from_text, graph_to_text, is_connected
 from .nnf import nnf_from_text, nnf_to_text, truth_table as nnf_truth_table
 from .resolution import check_refutation, check_regularity, dpll_refute, trace_from_text, trace_to_text
-from .tseitin import TseitinFormula, is_satisfiable, to_cnf, truth_table as tseitin_truth_table, tseitin_from_text, tseitin_to_text, unit_charge
+from .tseitin import DEGREE_CAP, TseitinFormula, is_satisfiable, to_cnf, truth_table as tseitin_truth_table, tseitin_from_text, tseitin_to_text, unit_charge
 
 CSV_HEADER = "name,n,m,treewidth,tw_provenance,bp_size,refutation_length,dnnf_size,model_count,bound_exponent,equivalence"
 
@@ -72,11 +72,12 @@ def pipeline_row(name: str, g: Graph, charge_spec: str, target_spec: str, desk_c
     c_unsat = _parse_charge(charge_spec, g, want_satisfiable=False, default_seed=seed)
     c_star = _parse_charge(target_spec, g, want_satisfiable=True, default_seed=seed + 1)
     report, d, bp = pipeline(g, c_unsat, c_star, desk_cap=desk_cap)
-    trace = dpll_refute(to_cnf(TseitinFormula(g, c_unsat)))
+    # the refutation runs on the CNF, which caps the degree; the rest of the row does not need it
+    refutation_length = len(dpll_refute(to_cnf(TseitinFormula(g, c_unsat)))) if g.max_degree <= DEGREE_CAP else ""
     cert = certified_lower_bound(g)
     count = report.model_count_circuit if report.model_count_circuit is not None else report.model_count_expected
     return ",".join(str(x) for x in (
-        name, g.n, g.m, cert.treewidth, cert.tw_provenance, report.bp_size, len(trace), report.dnnf_size,
+        name, g.n, g.m, cert.treewidth, cert.tw_provenance, report.bp_size, refutation_length, report.dnnf_size,
         count, cert.k, report.equivalence,
     ))
 

@@ -2,21 +2,64 @@
 
 The program solves the violated-vertex search relation for an
 unsatisfiable formula T(G, c); the output circuit computes the
-satisfiable formula T(G, c + 1_v) for a chosen root vertex v.  Processing
-program nodes children-first, every node k keeps one gate per vertex of
-its annotated subgraph, the gate for v computing T(G_k, c_k + 1_v):
+satisfiable formula T(G, c + 1_r) for a chosen root vertex r.  The gate
+for a (program node k, vertex v of G_k) pair computes T(G_k, c_k + 1_v):
 
 * a sink for vertex u maps u to a constant-1 gate;
-* a decision on a non-bridge edge e builds, per vertex v, the gate
-  (not-x_e AND g0_v) OR (x_e AND g1_v) from the children's maps;
+* a decision on a non-bridge edge e builds the gate
+  (not-x_e AND g0_v) OR (x_e AND g1_v) from the children's gates for v;
 * a decision on a bridge e = ab takes the child i that handles the
   a-side component with literal l_e and the other child for the b-side:
   for v on the a-side the gate is l_e AND (g^i_v AND g^{1-i}_b), where
   the b-side factor works because flipping the literal shifts the b-side
   charge by exactly 1_b; the b-side is symmetric.
 
-At most three gates per (node, vertex) pair are added, which bounds the
-output by 3 * sum of |V(G_k)| before trimming to the reachable part.
+Demand.  The paper's construction builds the gate of every pair, at most
+three gates each, so at most 3 * sum of |V(G_k)| gates.  Only the pairs
+the gate for (source, r) reaches matter, and they follow from the rules
+above: (source, r) is demanded; at a non-bridge decision a demanded
+(k, v) demands (lo, v) and (hi, v); at a bridge it demands v's side
+child with v and the other child with the end of e on that child's
+side.  `compile_bp_to_dnnf` collects this demand parents first, then
+builds the demanded gates children first, and its output is the
+all-pairs circuit trimmed to the root, gate for gate (the tests keep the
+all-pairs construction as the reference).
+
+One vertex per node.  If every node decides the lowest-ranked edge of
+E_k in one ranking of E(G), as `build_well_structured_bp` does, each
+node is demanded at exactly one vertex.  Call a vertex set a block when
+it spans a component of the edges ranked >= t for some t (singletons
+included); blocks are laminar.  As in the builder's size bound, if k
+decides e_k, E_k is the set of edges ranked >= rank(e_k) inside the
+block V_k.  At a bridge e_k, G_k - e_k splits V_k into two blocks with
+no block strictly between them and V_k: a block for t <= rank(e_k) that
+meets V_k contains it, one for t > rank(e_k) lies in one side.  So the
+distinct vertex sets on every path from the source to k are the same
+chain: all blocks that contain V_k.  Non-bridge decisions keep both the
+set and the vertex.  A bridge from a block W to a side W' is the
+highest-ranked edge of G between W' and W - W' (one ranked higher would
+lie in G_k - e_k and join the sides), so the vertex it hands down, kept
+if it lies in W' and else that edge's end in W', depends only on (W, W')
+and the vertex at W.  From r at V(G), the demanded vertex of k is a
+function of V_k alone.
+
+The claim can fail for other well-structured programs.  On the diamond
+(4-cycle 0-1-2-3 with chord 02, c = 1_0, r = 0), decide 02, then on
+x02 = 0 decide 03 and 12, on x02 = 1 decide 12 and 03.  The paths
+x02 x03 x12 = 001 and 100 reach the same annotation ({2, 3}, {23},
+c_2 = 1), through bridge 12 and bridge 03, which demand it at 2 and at 3.
+
+Size.  A demanded pair adds three gates at a non-bridge decision and two
+at a bridge, and literal leaves are shared, so in general the output
+has at most 3 * (demanded decision pairs) internal gates.  For one vertex per
+node that is at most 3 * (decision nodes), with at most 3 * |program| +
+2m + 1 nodes counting the leaves.  The 1/|V(G)| factor in the paper's
+refutation bound, length >= 2^Omega(tw(G)) / |V(G)|, comes from this
+step: a program of size L yields a DNNF of at most 3 * L * |V(G)| gates.
+For programs decided by one edge ranking the bound is 3 * L, so the
+factor is not needed for them.  A program read off a regular refutation
+need not decide that way, and the diamond shows that its nodes can be
+demanded at several vertices, so for those the factor stays.
 
 The circuit is smooth as built: by induction over the program, the gate
 for (k, v) mentions exactly the edges E_k of G_k.  A sink's G_k has no
@@ -33,7 +76,7 @@ from dataclasses import dataclass
 
 from .bp import BranchingProgram, build_well_structured_bp, validate_well_structured
 from .graphs import Graph, is_connected
-from .nnf import CircuitBuilder, NnfCircuit, model_count_smooth, rename_flip, restrict_to_root, truth_table as circuit_truth_table
+from .nnf import CircuitBuilder, NnfCircuit, model_count_smooth, rename_flip, truth_table as circuit_truth_table
 from .tseitin import (
     Charge,
     TseitinFormula,
@@ -46,72 +89,95 @@ from .tseitin import (
 from .tseitin import truth_table as tseitin_truth_table
 
 
-@dataclass
-class CompileDetails:
-    """Pre-trim view of the compilation for size accounting and the
-    per-node invariant: `vertex_gate[k][v]` computes T(G_k, c_k + 1_v)."""
-
-    all_gates: tuple
-    vertex_gate: dict[int, dict[int, int]]
-    added_gates: int
-    added_gate_budget: int  # 3 * sum of |V(G_k)| over program nodes
-
-
-def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: int, with_details: bool = False):
+def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: int) -> NnfCircuit:
     """DNNF computing T(g, c + 1_root_vertex) from a well-structured program,
-    using the annotations its validation derives."""
+    using the annotations its validation derives.  Only the (node, vertex)
+    pairs the root demands get gates (see the module docstring)."""
     if not 0 <= root_vertex < g.n:
         raise ValueError("root vertex out of range")
     res = validate_well_structured(b, g, c)
     if not res:
         raise ValueError(f"program is not well-structured: {res.error} (node {res.node})")
     annotations = res.annotations
+    order = b.topological()
 
-    builder = CircuitBuilder(g.m)
-    const1 = builder.const(1)
-    vertex_gate: dict[int, dict[int, int]] = {}
+    def bridge_sides(k: int):
+        """At a bridge decision on e = ab, the child holding a's side, the
+        other child, and the sign of a's literal; None at a non-bridge."""
+        var, lo, hi = b.decisions[k]
+        lo_vs = annotations[lo][0]
+        if lo_vs == annotations[k][0]:
+            return None  # both children live on G_k - e
+        return (lo, hi, False) if g.edges[var][0] in lo_vs else (hi, lo, True)
 
-    for k in b.topological():
+    def bridge_wiring(sides, var: int, v: int):
+        """For v at a bridge: the sign of its literal, the child holding v's
+        side, and the other child with the end of e on that child's side."""
+        side_a, side_b, lit_a = sides
+        a, bb = g.edges[var]
+        if v in annotations[side_a][0]:
+            return lit_a, side_a, side_b, bb
+        return not lit_a, side_b, side_a, a
+
+    # Demand pass, parents first: the pairs the root's gate reaches and the
+    # literal leaves their gates use.
+    demand: dict[int, set[int]] = {k: set() for k in order}
+    demand[b.source].add(root_vertex)
+    leaves: set[tuple[int, bool]] = set()
+    for k in reversed(order):
         if k in b.sinks:
-            vertex_gate[k] = {b.sinks[k]: const1}
             continue
         var, lo, hi = b.decisions[k]
-        vertices, edge_ids, _ = annotations[k]
-        a, bb = g.edges[var]
-        lo_vs = annotations[lo][0]
-        hi_vs = annotations[hi][0]
-        gate_of: dict[int, int] = {}
-        if lo_vs == hi_vs == vertices:
-            # non-bridge: children live on G_k - e with the same vertex set
-            for v in sorted(vertices):
-                left = builder.gate_and(builder.literal(var, False), vertex_gate[lo][v])
-                right = builder.gate_and(builder.literal(var, True), vertex_gate[hi][v])
-                gate_of[v] = builder.gate_or(left, right)
-        else:
-            # bridge: one child per component; i is the child holding a's side
-            if a in lo_vs:
-                side_a, side_b = (lo, hi)
-                lit_a_positive = False  # l_e = the 0-literal
-            else:
-                side_a, side_b = (hi, lo)
-                lit_a_positive = True
-            for v in sorted(vertices):
-                if v in annotations[side_a][0]:
-                    lit = builder.literal(var, lit_a_positive)
-                    inner = builder.gate_and(vertex_gate[side_a][v], vertex_gate[side_b][bb])
-                else:
-                    lit = builder.literal(var, not lit_a_positive)
-                    inner = builder.gate_and(vertex_gate[side_b][v], vertex_gate[side_a][a])
-                gate_of[v] = builder.gate_and(lit, inner)
-        vertex_gate[k] = gate_of
+        sides = bridge_sides(k)
+        if sides is None:
+            demand[lo] |= demand[k]
+            demand[hi] |= demand[k]
+            leaves |= {(var, False), (var, True)}
+            continue
+        for v in demand[k]:
+            positive, own, other, end = bridge_wiring(sides, var, v)
+            demand[own].add(v)
+            demand[other].add(end)
+            leaves.add((var, positive))
 
-    full = builder.build(vertex_gate[b.source][root_vertex])
-    circuit = restrict_to_root(full)
-    if with_details:
-        internal = sum(1 for gate in full.gates if gate.kind in ("A", "O"))
-        budget = 3 * sum(len(annotations[k][0]) for k in b.topological())
-        return circuit, CompileDetails(full.gates, vertex_gate, internal, budget)
-    return circuit
+    # Build pass, children first, with the all-pairs gate rules.  Literal
+    # leaves are created where the all-pairs loop first asks for them, at
+    # the lowest vertex whose gate uses them, so gate ids keep that loop's
+    # order after trimming.
+    builder = CircuitBuilder(g.m)
+    const1 = builder.const(1)
+    gate: dict[tuple[int, int], int] = {}
+
+    def request_leaves(var: int, requests: list, below: int) -> None:
+        while requests and requests[0][0] < below:
+            positive = requests.pop(0)[1]
+            if (var, positive) in leaves:
+                builder.literal(var, positive)
+
+    for k in order:
+        if k in b.sinks:
+            gate[k, b.sinks[k]] = const1
+            continue
+        var, lo, hi = b.decisions[k]
+        sides = bridge_sides(k)
+        if sides is None:
+            first = min(annotations[k][0])
+            requests = [(first, False), (first, True)]
+        else:
+            side_a, side_b, lit_a = sides
+            requests = sorted([(min(annotations[side_a][0]), lit_a), (min(annotations[side_b][0]), not lit_a)])
+        for v in sorted(demand[k]):
+            request_leaves(var, requests, v)
+            if sides is None:
+                left = builder.gate_and(builder.literal(var, False), gate[lo, v])
+                right = builder.gate_and(builder.literal(var, True), gate[hi, v])
+                gate[k, v] = builder.gate_or(left, right)
+            else:
+                positive, own, other, end = bridge_wiring(sides, var, v)
+                lit = builder.literal(var, positive)
+                gate[k, v] = builder.gate_and(lit, builder.gate_and(gate[own, v], gate[other, end]))
+        request_leaves(var, requests, g.n)
+    return builder.build(gate[b.source, root_vertex])
 
 
 def retarget(d: NnfCircuit, g: Graph, c_current: Charge, c_star: Charge) -> NnfCircuit:
@@ -131,7 +197,10 @@ class PipelineReport:
 
     @property
     def ratio_ok(self) -> bool:
-        """The circuit stays within 3 gates per program node and vertex."""
+        """The circuit stays within the paper's budget of 3 gates per
+        (program node, vertex of G) pair, 3 * bp_size * n in all.  Built
+        programs compile to at most 3 gates per decision node (see the
+        module docstring), well inside it."""
         return self.dnnf_size <= 3 * self.bp_size * self.graph.n
 
 

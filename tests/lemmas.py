@@ -15,6 +15,10 @@ holds what only the tests use to check the lemmas those rest on:
   (`game_simulate`) and the balanced cover drawn from its proof trees
   (`extract_balanced_cover`).
 
+It also keeps the paper's all-pairs compilation (`compile_all_pairs`),
+with a gate for every (program node, vertex) pair, as the reference the
+library's demand-driven compiler must equal gate for gate.
+
 The cover game: the cover player picks an uncovered model and the proof
 tree accepting it; the adversary answers with a cut of the induced
 variable tree; the cover player must then cover the model with a
@@ -31,12 +35,13 @@ import random
 from dataclasses import dataclass, field
 
 from tseitinkit.bounds import AdamResponse, adam_response
+from tseitinkit.bp import BranchingProgram, expected_children, make_annotation, validate_well_structured
 from tseitinkit.graphs import Graph, SplitRequest, is_3_connected, is_connected, split_all
 from tseitinkit.minors import MinorResult
-from tseitinkit.nnf import AND, CONST, LIT, OR, NnfCircuit, _reachable, condition_dnnf, forget_var, gate_values, is_smooth, validate_decomposable
+from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, NnfCircuit, _reachable, condition_dnnf, forget_var, gate_values, is_smooth, restrict_to_root, validate_decomposable
 from tseitinkit.oracles import parity, point
 from tseitinkit.recursion import run
-from tseitinkit.tseitin import TseitinFormula, brute_force_models, is_satisfiable, model_count
+from tseitinkit.tseitin import Charge, TseitinFormula, brute_force_models, is_satisfiable, model_count
 from tseitinkit.width import BranchDecomposition, all_cuts, caterpillar, edge_order, max_order_cut, treewidth_bounds
 
 RECT_CAP = 20
@@ -165,6 +170,111 @@ def sample_charges(n: int, count: int, seed: int = 0):
     while len(out) < count:
         out.append(tuple(rng.randint(0, 1) for _ in range(n)))
     return out
+
+
+# --- compilation -------------------------------------------------------------
+
+
+@dataclass
+class CompileDetails:
+    """The all-pairs construction before trimming: `vertex_gate[k][v]`
+    computes T(G_k, c_k + 1_v) for every program node k and vertex v of G_k."""
+
+    source: int
+    num_vars: int
+    all_gates: tuple
+    vertex_gate: dict[int, dict[int, int]]
+    added_gates: int
+    added_gate_budget: int  # 3 * sum of |V(G_k)| over program nodes
+
+    def circuit(self, root_vertex: int) -> NnfCircuit:
+        """The part the gate for (source, root_vertex) reaches, which
+        computes T(G, c + 1_root_vertex)."""
+        return restrict_to_root(NnfCircuit(self.all_gates, self.vertex_gate[self.source][root_vertex], self.num_vars))
+
+
+def compile_all_pairs(b: BranchingProgram, g: Graph, c: Charge) -> CompileDetails:
+    """The paper's construction as written: children first, one gate per
+    (node, vertex) pair whether or not any root reaches it.
+    `compiler.compile_bp_to_dnnf` builds only the pairs its root demands
+    and must equal `circuit(root_vertex)` gate for gate."""
+    res = validate_well_structured(b, g, c)
+    if not res:
+        raise ValueError(f"program is not well-structured: {res.error} (node {res.node})")
+    annotations = res.annotations
+
+    builder = CircuitBuilder(g.m)
+    const1 = builder.const(1)
+    vertex_gate: dict[int, dict[int, int]] = {}
+
+    for k in b.topological():
+        if k in b.sinks:
+            vertex_gate[k] = {b.sinks[k]: const1}
+            continue
+        var, lo, hi = b.decisions[k]
+        vertices, edge_ids, _ = annotations[k]
+        a, bb = g.edges[var]
+        lo_vs = annotations[lo][0]
+        hi_vs = annotations[hi][0]
+        gate_of: dict[int, int] = {}
+        if lo_vs == hi_vs == vertices:
+            # non-bridge: children live on G_k - e with the same vertex set
+            for v in sorted(vertices):
+                left = builder.gate_and(builder.literal(var, False), vertex_gate[lo][v])
+                right = builder.gate_and(builder.literal(var, True), vertex_gate[hi][v])
+                gate_of[v] = builder.gate_or(left, right)
+        else:
+            # bridge: one child per component; i is the child holding a's side
+            if a in lo_vs:
+                side_a, side_b = (lo, hi)
+                lit_a_positive = False  # l_e = the 0-literal
+            else:
+                side_a, side_b = (hi, lo)
+                lit_a_positive = True
+            for v in sorted(vertices):
+                if v in annotations[side_a][0]:
+                    lit = builder.literal(var, lit_a_positive)
+                    inner = builder.gate_and(vertex_gate[side_a][v], vertex_gate[side_b][bb])
+                else:
+                    lit = builder.literal(var, not lit_a_positive)
+                    inner = builder.gate_and(vertex_gate[side_b][v], vertex_gate[side_a][a])
+                gate_of[v] = builder.gate_and(lit, inner)
+        vertex_gate[k] = gate_of
+
+    internal = sum(1 for gate in builder.gates if gate.kind in (AND, OR))
+    budget = 3 * sum(len(annotations[k][0]) for k in b.topological())
+    return CompileDetails(b.source, g.m, tuple(builder.gates), vertex_gate, internal, budget)
+
+
+def demanded_vertices(details: CompileDetails, root_vertex: int) -> dict[int, list[int]]:
+    """Per program node, the vertices whose all-pairs gate the root reaches."""
+    root = details.vertex_gate[details.source][root_vertex]
+    reach = set(_reachable(NnfCircuit(details.all_gates, root, details.num_vars)))
+    return {k: [v for v, gate in per_vertex.items() if gate in reach] for k, per_vertex in details.vertex_gate.items()}
+
+
+def build_bp_by_rule(g: Graph, c: Charge, choose) -> BranchingProgram:
+    """Well-structured program deciding edge `choose(annotation)` at each
+    node, one node per distinct annotation (small inputs: it recurses)."""
+    decisions: dict[int, tuple[int, int, int]] = {}
+    sinks: dict[int, int] = {}
+    memo: dict[tuple, int] = {}
+
+    def visit(ann) -> int:
+        vertices, edge_ids, charge = ann
+        key = (edge_ids, vertices, tuple(sorted(charge.items())))
+        if key not in memo:
+            nid = memo[key] = len(memo)
+            if edge_ids:
+                var = choose(ann)
+                lo, hi = (visit(child) for child in expected_children(g, ann, var))
+                decisions[nid] = (var, lo, hi)
+            else:
+                (sinks[nid],) = vertices
+        return memo[key]
+
+    source = visit(make_annotation(range(g.n), range(g.m), {v: c[v] for v in range(g.n)}))
+    return BranchingProgram(source, decisions, sinks)
 
 
 # --- circuits ----------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from lemmas import (
     SubConstraint,
+    compile_all_pairs,
     conjoin_models,
     conjoin_subconstraints_count,
     enumerate_proof_trees,
@@ -80,10 +81,14 @@ class TestAcceptance:
         for name, g in END_TO_END_FAMILY:
             c = unit_charge(g.n, 0)
             bp = build_well_structured_bp(g, c)
-            d, details = compile_bp_to_dnnf(bp, g, c, 0, with_details=True)
+            details = compile_all_pairs(bp, g, c)
+            d = compile_bp_to_dnnf(bp, g, c, 0)
             assert details.added_gates <= details.added_gate_budget, name
             assert details.added_gates <= 3 * bp.size * g.n, name
             assert d.size <= 3 * bp.size * g.n, name
+            # the root demands one vertex per node (see `compiler`)
+            assert d.size <= 3 * len(bp.decisions), name
+            assert d.node_count <= 3 * bp.size + 2 * g.m + 1, name
             worst = max(worst, details.added_gates / (3 * bp.size * g.n))
         report("A2 size accounting", f"worst budget use {worst:.2f}")
 

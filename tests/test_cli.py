@@ -117,6 +117,18 @@ class TestPipeline:
         row = out.read_text().strip().splitlines()[1]
         assert row.split(",")[9] == "0"
 
+    def test_degree_above_cnf_cap_leaves_only_refutation_empty(self, tmp_path):
+        # the refutation needs the CNF (degree cap 8); the other columns do not
+        w12 = tmp_path / "w12.graph"
+        main(["generate", "wheel", "12", "--out", str(w12)])
+        out = tmp_path / "report.csv"
+        assert main(["pipeline", "--graph", str(w12), "--out", str(out)]) == 0
+        header, row = out.read_text().strip().splitlines()
+        cols = dict(zip(header.split(","), row.split(",")))
+        assert cols["refutation_length"] == ""
+        assert [name for name, value in cols.items() if value == ""] == ["refutation_length"]
+        assert cols["n"] == "13" and cols["m"] == "24" and cols["model_count"] == str(1 << 12)
+
     def test_byte_identical_reruns(self, workdir, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["pipeline", "--graph", workdir["graph"], "--charge", "random-unsat 5",

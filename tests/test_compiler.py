@@ -1,11 +1,15 @@
+import random
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lemmas import build_bp_by_rule, compile_all_pairs, demanded_vertices
 from tseitinkit import families as fam
 from tseitinkit.bp import BranchingProgram, build_well_structured_bp, validate_well_structured
 from tseitinkit.compiler import compile_bp_to_dnnf, pipeline, retarget
 from tseitinkit.graphs import Graph
-from tseitinkit.nnf import NnfCircuit, is_smooth, model_count_smooth, models, truth_table, validate_decomposable
+from tseitinkit.nnf import NnfCircuit, is_smooth, model_count_smooth, models, nnf_to_text, truth_table, validate_decomposable
 from tseitinkit.tseitin import TseitinFormula, brute_force_models, unit_charge
 
 
@@ -40,7 +44,8 @@ class TestSizeAccounting:
         _, g = bench_graph
         c = unit_charge(g.n, 0)
         bp = build_well_structured_bp(g, c)
-        d, details = compile_bp_to_dnnf(bp, g, c, 0, with_details=True)
+        details = compile_all_pairs(bp, g, c)
+        d = compile_bp_to_dnnf(bp, g, c, 0)
         assert details.added_gates <= details.added_gate_budget
         assert details.added_gate_budget <= 3 * bp.size * g.n
         assert d.size <= details.added_gates
@@ -54,7 +59,7 @@ class TestInvariantPerNode:
         c = unit_charge(g.n, 0)
         bp = build_well_structured_bp(g, c)
         ann = validate_well_structured(bp, g, c).annotations
-        _, details = compile_bp_to_dnnf(bp, g, c, 0, with_details=True)
+        details = compile_all_pairs(bp, g, c)
         for node, per_vertex in details.vertex_gate.items():
             vertices, edge_ids, charge = ann[node]
             for v, gate in per_vertex.items():
@@ -144,6 +149,79 @@ MIDDLE_TIER = {
 }
 
 
+def random_connected_graph(seed: int) -> Graph:
+    """A random spanning tree on 4..14 vertices plus up to n chords."""
+    rng = random.Random(zlib.crc32(f"demand {seed}".encode()))
+    n = rng.randint(4, 14)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, tuple(sorted(edges)))
+
+
+def assert_demand_driven(g: Graph):
+    """At every root vertex, the compile equals the trimmed all-pairs
+    reference byte for byte, and the root demands one vertex per node."""
+    c = unit_charge(g.n, 0)
+    bp = build_well_structured_bp(g, c)
+    details = compile_all_pairs(bp, g, c)
+    for r in range(g.n):
+        assert nnf_to_text(compile_bp_to_dnnf(bp, g, c, r)) == nnf_to_text(details.circuit(r)), r
+        assert all(len(vs) == 1 for vs in demanded_vertices(details, r).values()), r
+
+
+class TestDemandDriven:
+    def test_desk_family(self, bench_graph):
+        assert_demand_driven(bench_graph[1])
+
+    @pytest.mark.parametrize("name", MIDDLE_TIER)
+    def test_middle_tier(self, name):
+        assert_demand_driven(MIDDLE_TIER[name]())
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_random_connected_graphs(self, block):
+        for seed in range(20 * block, 20 * block + 20):
+            assert_demand_driven(random_connected_graph(seed))
+
+    @pytest.mark.parametrize("name", MIDDLE_TIER)
+    def test_size_per_decision_node(self, name):
+        g = MIDDLE_TIER[name]()
+        c = unit_charge(g.n, 0)
+        bp = build_well_structured_bp(g, c)
+        d = compile_bp_to_dnnf(bp, g, c, 0)
+        annotations = validate_well_structured(bp, g, c).annotations
+        assert d.size <= 3 * sum(len(annotations[k][0]) for k in bp.topological()) <= 3 * bp.size * g.n
+        assert d.size <= 3 * len(bp.decisions)
+        assert d.node_count <= 3 * bp.size + 2 * g.m + 1
+
+    def test_diamond_demands_two_vertices(self):
+        """A well-structured program that does not decide by one edge
+        ranking: two paths reach the node ({2, 3}, {23}, c_2 = 1) through
+        different bridges, so the root demands it at both vertices; the
+        compile still equals the reference and computes T(G, c + 1_r)."""
+        g = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
+        c = (1, 0, 0, 0)
+        cycle = frozenset({0, 2, 3, 4})
+
+        def choose(ann):
+            # chord 02 first; then 03 before 12 on x02 = 0, 12 before 03 on x02 = 1
+            _, edge_ids, charge = ann
+            prefer = (2, 3) if edge_ids == cycle and charge[0] == 1 else (1, 3, 2)
+            return next(e for e in prefer + tuple(sorted(edge_ids)) if e in edge_ids)
+
+        bp = build_bp_by_rule(g, c, choose)
+        annotations = validate_well_structured(bp, g, c).annotations
+        details = compile_all_pairs(bp, g, c)
+        demand = demanded_vertices(details, 0)
+        (k,) = [k for k, ann in annotations.items() if ann == (frozenset({2, 3}), frozenset({4}), {2: 1, 3: 0})]
+        assert demand[k] == [2, 3]
+        for r in range(g.n):
+            d = compile_bp_to_dnnf(bp, g, c, r)
+            assert nnf_to_text(d) == nnf_to_text(details.circuit(r))
+            shifted = tuple(x ^ (v == r) for v, x in enumerate(c))
+            assert set(models(d)) == set(brute_force_models(TseitinFormula(g, shifted)))
+
+
 class TestSmoothAsBuilt:
     """The gate for (k, v) mentions exactly the edges of G_k, so compiled
     circuits are smooth without a smoothing pass."""
@@ -152,7 +230,7 @@ class TestSmoothAsBuilt:
         _, g = bench_graph
         c = unit_charge(g.n, 0)
         bp = build_well_structured_bp(g, c)
-        _, details = compile_bp_to_dnnf(bp, g, c, 0, with_details=True)
+        details = compile_all_pairs(bp, g, c)
         masks = NnfCircuit(details.all_gates, len(details.all_gates) - 1, g.m).var_masks
         annotations = validate_well_structured(bp, g, c).annotations
         for k, gates in details.vertex_gate.items():
