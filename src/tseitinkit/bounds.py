@@ -209,7 +209,10 @@ def certificate_from_text(text: str) -> LowerBoundCertificate:
     fields: dict[str, Line] = {}
     for ln in records(text):
         name, _, value = ln.text.partition(":")
-        fields[name.strip()] = Line(ln.number, value.strip(), value.split())
+        name = name.strip()
+        if name in fields:
+            raise ln.error(f"repeated field {name}, first on line {fields[name].number}")
+        fields[name] = Line(ln.number, value.strip(), value.split())
     missing = [f for f in _CERT_FIELDS if f not in fields]
     if missing:
         raise ValueError(f"certificate missing fields: {missing}")

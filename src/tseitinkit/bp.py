@@ -20,7 +20,7 @@ lowest-ranked edge of every node's subgraph, which caps its size at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Graph, is_connected
 from .textformat import records
@@ -34,24 +34,15 @@ class BranchingProgram:
     decisions: dict[int, tuple[int, int, int]]  # id -> (edge var, 0-child, 1-child)
     sinks: dict[int, int]  # id -> vertex
 
+    _order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         overlap = set(self.decisions) & set(self.sinks)
         if overlap:
             raise ValueError(f"ids used as both decision and sink: {sorted(overlap)}")
         if self.source not in self.decisions and self.source not in self.sinks:
             raise ValueError("source id unknown")
-        self.topological()
-
-    @property
-    def size(self) -> int:
-        return len(self.decisions) + len(self.sinks)
-
-    def node_ids(self) -> list[int]:
-        return sorted(set(self.decisions) | set(self.sinks))
-
-    def topological(self) -> list[int]:
-        """Children before parents, restricted to nodes reachable from
-        the source; raises ValueError on a dangling id or a cycle."""
+        # children before parents; raises on a dangling id or a cycle
         order: list[int] = []
         state: dict[int, int] = {}  # 1 = on the current path, 2 = done
         stack = [(self.source, False)]
@@ -73,7 +64,19 @@ class BranchingProgram:
                 order.append(u)
             else:
                 raise ValueError(f"dangling node id {u}")
-        return order
+        self._order = tuple(order)
+
+    @property
+    def size(self) -> int:
+        return len(self.decisions) + len(self.sinks)
+
+    def node_ids(self) -> list[int]:
+        return sorted(set(self.decisions) | set(self.sinks))
+
+    def topological(self) -> tuple[int, ...]:
+        """Children before parents, restricted to nodes reachable from
+        the source; computed once, when the program is built."""
+        return self._order
 
 
 def validate_read_once(b: BranchingProgram) -> bool:
@@ -297,17 +300,23 @@ def bp_from_text(text: str) -> BranchingProgram:
     source = None
     decisions = {}
     sinks = {}
+    first: dict[int | None, int] = {}  # node or sink id, None for the source -> its line
     for ln in records(text):
         if ln.fields[0] == "source":
             (source,) = ln.ints(1)
+            key = None
         elif ln.fields[0] == "node":
-            nid, var, lo, hi = ln.ints(4)
-            decisions[nid] = (var, lo, hi)
+            key, var, lo, hi = ln.ints(4)
+            decisions[key] = (var, lo, hi)
         elif ln.fields[0] == "sink":
-            nid, v = ln.ints(2)
-            sinks[nid] = v
+            key, v = ln.ints(2)
+            sinks[key] = v
         else:
             raise ln.error(f"unrecognized line: {ln.text}")
+        if key in first:
+            what = "second source line" if key is None else f"repeated id {key}"
+            raise ln.error(f"{what}, first on line {first[key]}")
+        first[key] = ln.number
     if source is None:
         raise ValueError("missing source line")
     return BranchingProgram(source, decisions, sinks)

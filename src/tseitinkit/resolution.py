@@ -155,29 +155,18 @@ def check_regularity(trace: ResolutionTrace) -> bool:
     return True
 
 
-def _narrow(restricted, literal: int):
-    """The restricted clause list after `literal` is made true: clauses
-    holding it drop out, and its negation leaves the others.  Each entry
-    is (clause index, literals not yet assigned), in clause order."""
-    out = []
-    for idx, keep in restricted:
-        if literal in keep:
-            continue
-        if -literal in keep:
-            keep = [lit for lit in keep if lit != -literal]
-        out.append((idx, keep))
-    return out
-
-
-def _branch_variable(restricted) -> int:
-    """Most frequent variable among the shortest clauses; ties by id."""
-    width = min(len(keep) for _, keep in restricted)
+def _branch_variable(open_vars: list[int]) -> int:
+    """Most frequent variable among the shortest clauses, each given as
+    the bitmask of its unassigned variables; ties by id."""
+    width = min(mask.bit_count() for mask in open_vars)
     counts: dict[int, int] = {}
-    for _, keep in restricted:
-        if len(keep) == width:
-            for lit in keep:
-                counts[abs(lit)] = counts.get(abs(lit), 0) + 1
-    return min(counts, key=lambda v: (-counts[v], v))
+    for mask in open_vars:
+        if mask.bit_count() == width:
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                counts[low] = counts.get(low, 0) + 1
+    return min(counts, key=lambda b: (-counts[b], b)).bit_length() - 1
 
 
 class _TraceBuilder:
@@ -227,21 +216,18 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     leaves no clause unsatisfied.  The search runs through
     `recursion.run`, so its depth is bounded only by memory.
 
-    The search caches restricted formulas.  A state is keyed by
-    (alive, assigned_mask): bit i of `alive` is set while clause i is not
-    yet satisfied, bit x of `assigned_mask` once variable x is assigned.
-    The key fixes the restricted clause list exactly: an alive clause
-    holds no true literal, so each of its assigned literals is false and
-    it keeps exactly its literals on unassigned variables, in input order.
-    So the search below a state, and the clause of the step it returns,
-    are functions of the key alone, and the step returned on the first
-    visit is returned on every later one.  It stays regular there: its
-    pivots were branched on below the state, on variables the key marks
-    unassigned, so no path through it resolves twice on one variable.  A
-    second search would add no step and end at the same step, since every
-    lookup on its way finds what the first one stored; the cache changes
-    the running time, not the trace.  A state never recurs below itself,
-    as `assigned_mask` grows along every path.
+    The search state is (alive, assigned_mask): bit i of `alive` is set
+    while clause i is not yet satisfied, bit x of `assigned_mask` once
+    variable x is assigned, and the search reads nothing else.  An alive
+    clause holds no true literal, so it is open on exactly its unassigned
+    variables; the first alive clause with none is the falsified one.
+    Each state is searched once, and a later visit takes the step the
+    first returned.  It stays regular there: its pivots were branched on
+    below the state, on variables the state marks unassigned.  A second
+    search would add no step and end at the same step, since every lookup
+    on its way finds what the first one stored; the cache changes the
+    running time, not the trace.  A state never recurs below itself, as
+    `assigned_mask` grows along every path.
 
     The trace ends at the root's step and keeps the steps it reaches: a
     root that passes its first child's step through leaves the second
@@ -252,24 +238,32 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     for idx, cl in enumerate(cnf.clauses):
         for lit in cl:
             satisfied_by[lit] = satisfied_by.get(lit, 0) | 1 << idx
+    var_mask = [sum(1 << abs(lit) for lit in cl) for cl in cnf.clauses]
     done: dict[tuple[int, int], int] = {}
 
-    def refute(restricted, alive: int, assigned_mask: int):
-        for idx, keep in restricted:
-            if not keep:
+    def refute(alive: int, assigned_mask: int):
+        if not alive:
+            raise ValueError("CNF is satisfiable; nothing to refute")
+        free, rest = ~assigned_mask, alive
+        open_vars: list[int] = []
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            idx = low.bit_length() - 1
+            unassigned = var_mask[idx] & free
+            if not unassigned:
                 clause = frozenset(cnf.clauses[idx])
                 sid = builder.lookup(clause, assigned_mask)
                 return sid if sid is not None else builder.add(clause)
-        if not restricted:
-            raise ValueError("CNF is satisfiable; nothing to refute")
-        x = _branch_variable(restricted)
+            open_vars.append(unassigned)
+        x = _branch_variable(open_vars)
         bit = 1 << x
         children = []
         for lit in (-x, x):
             key = (alive & ~satisfied_by.get(lit, 0), assigned_mask | bit)
             sid = done.get(key)
             if sid is None:
-                sid = done[key] = yield refute(_narrow(restricted, lit), *key)
+                sid = done[key] = yield refute(*key)
             children.append(sid)
         s0, s1 = children
         c0 = builder.steps[s0 - 1].clause
@@ -280,8 +274,7 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
             return sid if sid is not None else builder.add(clause, (s0, s1), x)
         return s0 if x not in c0 else s1
 
-    everything = (1 << len(cnf.clauses)) - 1
-    root = run(refute([(idx, list(cl)) for idx, cl in enumerate(cnf.clauses)], everything, 0))
+    root = run(refute((1 << len(cnf.clauses)) - 1, 0))
     return builder.trace(root)
 
 

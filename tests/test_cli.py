@@ -247,6 +247,8 @@ def _genuine_files() -> dict[str, str]:
 
 
 GENUINE = _genuine_files()
+_CERT_LINES = GENUINE["cert"].splitlines()
+_K_LINE = next(i for i, ln in enumerate(_CERT_LINES, 1) if ln.startswith("k:"))
 
 # argv naming files: @name is a genuine artifact, {name} the one that gets the edits
 FUZZ_COMMANDS = [
@@ -319,6 +321,22 @@ class TestMalformedInput:
          "line 4: parallel edge (1, 2), first on line 3"),
     ], ids=["loop", "parallel_edge"])
     def test_loop_and_parallel_edge_name_the_line(self, tmp_path, capsys, argv, text, message):
+        assert main(_fuzz_argv(tmp_path, argv, text)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,text,message", [
+        (["convert", "{bp}", "--format", "bp"], "source 0\nnode 0 0 1 2\nnode 0 1 1 2\nsink 1 0\nsink 2 1\n",
+         "line 3: repeated id 0, first on line 2"),
+        (["check", "bp", "@tseitin", "{bp}"], "source 0\nnode 0 0 1 2\nsink 1 0\nsink 2 1\nsink 1 2\n",
+         "line 5: repeated id 1, first on line 3"),
+        (["check", "bp", "@tseitin", "{bp}"], "source 0\nnode 0 0 1 2\nsink 1 0\nsink 2 1\nsink 0 2\n",
+         "line 5: repeated id 0, first on line 2"),
+        (["convert", "{bp}", "--format", "bp"], "source 0\nsource 7\nnode 0 0 1 2\nsink 1 0\nsink 2 1\n",
+         "line 2: second source line, first on line 1"),
+        (["check", "certificate", "@k4", "{cert}"], GENUINE["cert"] + _CERT_LINES[_K_LINE - 1] + "\n",
+         f"line {len(_CERT_LINES) + 1}: repeated field k, first on line {_K_LINE}"),
+    ], ids=["node_twice", "sink_twice", "node_then_sink", "source_twice", "certificate_field_twice"])
+    def test_repeated_record_names_both_lines(self, tmp_path, capsys, argv, text, message):
         assert main(_fuzz_argv(tmp_path, argv, text)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import zlib
@@ -216,8 +217,9 @@ class TestDpll:
 # --- reference: the tree search as first written -----------------------------
 #
 # Every search node rescans the whole CNF for the clauses its assignment leaves
-# open, and no search state is cached.  The branching rule and the step store
-# are frozen copies of the library's, so the comparison pins the trace itself.
+# open, and no search state is cached.  The branching rule, read off clause
+# lists where the library reads bitmasks, and the step store are frozen copies
+# of the library's, so the comparison pins the trace itself.
 
 
 def _reference_branch_variable(restricted) -> int:
@@ -354,6 +356,20 @@ class TestAgainstReference:
     @pytest.mark.parametrize("g", [fam.random_regular(16, 3, 1), fam.grid(4, 5)], ids=["rr16", "grid4x5"])
     def test_benchmark_graphs(self, g):
         self.check(g)
+
+    # Past the reference's reach a trace is pinned by its line count and
+    # the sha256 prefix of its text.
+    @pytest.mark.parametrize("g,lines,digest", [
+        (fam.path(1100), 2199, "97b74acd584b9324"),
+        (fam.random_regular(40, 3, 1), 5467, "d17bb29b1db36f69"),
+        (fam.complete(6), 2159, "4c6d622cd10abbcf"),
+        (fam.wheel(8), 1179, "d77801492576f7b8"),
+        (fam.grid(3, 12), 693, "fa25c4f5ab9f084d"),
+    ], ids=["path1100", "rr40", "K6", "W8", "grid3x12"])
+    def test_pinned_traces(self, g, lines, digest):
+        cnf = to_cnf(TseitinFormula(g, unit_charge(g.n, 0)))
+        text = trace_to_text(dpll_refute(cnf))
+        assert (text.count("\n"), hashlib.sha256(text.encode()).hexdigest()[:16]) == (lines, digest)
 
     def test_random_unsatisfiable_cnfs(self):
         cases = random_unsatisfiable_cnfs(240)
