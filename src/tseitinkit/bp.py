@@ -70,28 +70,10 @@ class BranchingProgram:
     def size(self) -> int:
         return len(self.decisions) + len(self.sinks)
 
-    def node_ids(self) -> list[int]:
-        return sorted(set(self.decisions) | set(self.sinks))
-
     def topological(self) -> tuple[int, ...]:
         """Children before parents, restricted to nodes reachable from
         the source; computed once, when the program is built."""
         return self._order
-
-
-def validate_read_once(b: BranchingProgram) -> bool:
-    """No source-to-sink path queries the same variable twice."""
-    above: dict[int, int] = {b.source: 0}
-    for u in reversed(b.topological()):
-        if u not in b.decisions:
-            continue
-        var, lo, hi = b.decisions[u]
-        if (above[u] >> var) & 1:
-            return False
-        mask = above[u] | (1 << var)
-        for child in (lo, hi):
-            above[child] = above.get(child, 0) | mask
-    return True
 
 
 # Annotations map node id -> (vertex set, edge id set, charge on the
@@ -166,8 +148,8 @@ class ValidationResult:
 
 
 def validate_well_structured(b: BranchingProgram, g: Graph, c: Charge) -> ValidationResult:
-    """Check read-once and the three structural conditions, deriving the
-    forced annotations on the way; O(size * m).
+    """Check the three structural conditions, deriving the forced
+    annotations on the way, in one pass parents first; O(size * m).
 
     The source is annotated with (G, c) (condition 1) and, parents first,
     each decision hands its children the annotations `expected_children`
@@ -186,13 +168,16 @@ def validate_well_structured(b: BranchingProgram, g: Graph, c: Charge) -> Valida
     and x_e adds to the parity at w exactly when the flip changed c'(w),
     so the E_u-parity at w differs from c_u(w).
     `oracles.bp_semantics_hold` checks the same property by enumeration.
+
+    Condition 3 also makes the program read-once, with every decision
+    variable an edge id.  `expected_children` requires the decided edge e
+    to be in E_u and hands each child a subset of E_u - e, and a child
+    reached from two parents must be forced to the same annotation, so
+    along every path a decided edge has left the annotation: deciding it
+    again fails condition 3 with "decision edge e not in the annotated
+    subgraph".  A variable outside 0..m-1 is never in E_u and fails the
+    same way.
     """
-    order = b.topological()
-    for u in order:
-        if u in b.decisions and not 0 <= b.decisions[u][0] < g.m:
-            return ValidationResult(False, "decision variable out of range", u)
-    if not validate_read_once(b):
-        return ValidationResult(False, "program is not read-once")
     if not is_connected(g):
         return ValidationResult(False, "annotated subgraph is not connected", b.source)
     if sum(c) % 2 != 1:
@@ -201,7 +186,7 @@ def validate_well_structured(b: BranchingProgram, g: Graph, c: Charge) -> Valida
     # Parents first, so every node is annotated by its first parent before
     # it is visited; forced annotations are connected, odd-charged components.
     annotations = {b.source: make_annotation(range(g.n), range(g.m), {v: c[v] for v in range(g.n)})}
-    for u in reversed(order):
+    for u in reversed(b.topological()):
         if u in b.sinks:
             v = b.sinks[u]
             if annotations[u] != make_annotation((v,), (), {v: 1}):

@@ -16,7 +16,7 @@ from .bounds import certificate_from_text, certified_lower_bound, verify_certifi
 from .bp import bp_from_text, bp_to_text, build_well_structured_bp, validate_well_structured
 from .cnf import cnf_from_dimacs, cnf_to_dimacs
 from .compiler import pipeline
-from .graphs import Graph, connected_components, graph_from_text, graph_to_text, is_connected
+from .graphs import Graph, connected_components, graph_from_text, graph_to_text
 from .nnf import nnf_from_text, nnf_to_text, truth_table as nnf_truth_table
 from .resolution import check_refutation, check_regularity, dpll_refute, trace_from_text, trace_to_text
 from .tseitin import DEGREE_CAP, TseitinFormula, is_satisfiable, to_cnf, truth_table as tseitin_truth_table, tseitin_from_text, tseitin_to_text, unit_charge
@@ -163,15 +163,9 @@ def cmd_convert(args) -> int:
     return _emit(out, args.out)
 
 
-def cmd_compile(args) -> int:
+def cmd_build_bp(args) -> int:
     with open(args.input) as fh:
         t = tseitin_from_text(fh.read())
-    if is_satisfiable(t):
-        print("source formula must be unsatisfiable", file=sys.stderr)
-        return 1
-    if not is_connected(t.graph):
-        print("graph must be connected", file=sys.stderr)
-        return 1
     bp = build_well_structured_bp(t.graph, t.charge)
     return _emit(bp_to_text(bp), args.out)
 
@@ -210,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("build-bp", help="build a well-structured program for an unsatisfiable formula")
     comp.add_argument("input")
     comp.add_argument("--out")
-    comp.set_defaults(func=cmd_compile)
+    comp.set_defaults(func=cmd_build_bp)
 
     return top
 

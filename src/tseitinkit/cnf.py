@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .oracles import conj, disj, point, truth_table
 from .textformat import records
 
 
@@ -24,32 +21,9 @@ class Cnf:
             if any(-lit in cl for lit in cl):
                 raise ValueError(f"clause {sorted(cl)} contains a variable and its negation")
 
-    def satisfies(self, mask: int) -> bool:
-        """Whether the assignment (bit v-1 = variable v) satisfies every clause."""
-        return bool(self._column(point(mask)))
-
-    def _column(self, x):
-        """Whether every clause holds, under the column accessor x."""
-        ok = True
-        for cl in self.clauses:
-            sat = False
-            for lit in cl:
-                col = x(abs(lit) - 1)
-                sat = disj(sat, col if lit > 0 else ~col)
-            ok = conj(ok, sat)
-        return ok
-
 
 def clause_sorted(cl: frozenset[int]) -> list[int]:
     return sorted(cl, key=lambda lit: (abs(lit), lit < 0))
-
-
-def cnf_truth_table(cnf: Cnf) -> np.ndarray:
-    """Satisfaction indicator over all 2^num_vars assignments.
-
-    Assignment index i sets variable v to bit (v-1) of i.
-    """
-    return truth_table(cnf.num_vars, cnf._column)
 
 
 def cnf_to_dimacs(cnf: Cnf) -> str:

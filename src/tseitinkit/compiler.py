@@ -67,7 +67,8 @@ edge and its gate is the constant 1.  At a non-bridge decision both
 children live on G_k - e, so both OR branches mention E_k - e plus the
 literal on e.  At a bridge the two children's edge sets are the two sides,
 and the AND joins them with the literal on e.  Model counts therefore need
-no smoothing pass: `model_count_smooth` only folds the sinks' constants.
+no smoothing pass, and `model_count_smooth` counts a sink's constant 1
+as one model.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Vertices are 0..n-1, edges carry dense ids 0..m-1 given by their position
 in the edge list.  Edge ids double as Boolean variable ids everywhere else
-in the package, so all operations that rewrite a graph report how old edge
-ids map to new ones.
+in the package, so operations that renumber edges report how old edge
+ids map to new ones; a vertex split keeps every edge id.
 """
 
 from __future__ import annotations
@@ -69,9 +69,6 @@ class Graph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     @cached_property
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
@@ -83,12 +80,6 @@ class Graph:
         if v == w:
             return u
         raise ValueError(f"vertex {v} not an endpoint of edge {e}")
-
-    def edge_mask_at(self, v: int) -> int:
-        mask = 0
-        for e in self.incident[v]:
-            mask |= 1 << e
-        return mask
 
 
 @dataclass(frozen=True)
@@ -227,13 +218,11 @@ def separators_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     raise ValueError("only sizes 1 and 2 are supported")
 
 
-def split_vertex(g: Graph, req: SplitRequest) -> tuple[Graph, dict[int, int]]:
+def split_vertex(g: Graph, req: SplitRequest) -> Graph:
     """Replace v by v1 (adjacent to side1) and v2 (adjacent to side2).
 
     v1 reuses the old id of v and v2 takes the fresh id n.  Edge ids are
-    preserved, so the returned mapping old edge id -> new edge id is the
-    identity; it is returned anyway because callers treat it as the
-    variable renaming between the two graphs.
+    preserved, so the variables of the two graphs are the same.
     """
     req.validate(g)
     v = req.vertex
@@ -247,7 +236,7 @@ def split_vertex(g: Graph, req: SplitRequest) -> tuple[Graph, dict[int, int]]:
             new_edges.append((u, v2))
         else:
             new_edges.append((u, w))
-    return Graph(g.n + 1, tuple(new_edges)), {e: e for e in range(g.m)}
+    return Graph(g.n + 1, tuple(new_edges))
 
 
 def split_all(g: Graph, requests: list[SplitRequest]) -> tuple[Graph, list[tuple[int, int]]]:
@@ -266,7 +255,7 @@ def split_all(g: Graph, requests: list[SplitRequest]) -> tuple[Graph, list[tuple
     cur = g
     pairs = []
     for r in requests:
-        cur, _ = split_vertex(cur, r)
+        cur = split_vertex(cur, r)
         pairs.append((r.vertex, cur.n - 1))
     return cur, pairs
 

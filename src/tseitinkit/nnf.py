@@ -172,10 +172,6 @@ def truth_table(d: NnfCircuit) -> np.ndarray:
     return _table(d.num_vars, lambda x: gate_values(d, x)[d.root])
 
 
-def models(d: NnfCircuit) -> list[int]:
-    return [int(x) for x in np.nonzero(truth_table(d))[0]]
-
-
 def _rebuild(d: NnfCircuit, leaf_fn) -> NnfCircuit:
     """Rewrite leaves through leaf_fn and propagate constants upward.
 
@@ -216,32 +212,6 @@ def _rebuild(d: NnfCircuit, leaf_fn) -> NnfCircuit:
 
 def propagate_constants(d: NnfCircuit) -> NnfCircuit:
     return _rebuild(d, lambda g: g)
-
-
-def condition_dnnf(d: NnfCircuit, var: int, value: int) -> NnfCircuit:
-    """Fix a variable; its literals become constants, which then propagate."""
-
-    def leaf(g: Gate) -> Gate:
-        if g.kind == LIT and g.var == var:
-            return Gate(CONST, a=int(bool(value) == g.positive))
-        return g
-
-    return _rebuild(d, leaf)
-
-
-def forget_var(d: NnfCircuit, var: int) -> NnfCircuit:
-    """Existential projection: both literals of the variable become true.
-
-    Correct on decomposable circuits, where projection distributes over
-    every gate; the circuit never grows.
-    """
-
-    def leaf(g: Gate) -> Gate:
-        if g.kind == LIT and g.var == var:
-            return Gate(CONST, a=1)
-        return g
-
-    return _rebuild(d, leaf)
 
 
 def rename_flip(d: NnfCircuit, flips: set[int]) -> NnfCircuit:
@@ -303,21 +273,22 @@ def smooth(d: NnfCircuit) -> NnfCircuit:
 
 
 def model_count_smooth(d: NnfCircuit) -> int:
-    """Bottom-up count over var(root) on a smooth decomposable circuit."""
-    d = propagate_constants(d)
+    """Bottom-up count over var(root) on a smooth decomposable circuit.
+
+    A constant leaf counts as its value and mentions no variable, so an
+    OR gate with a constant child and a child that mentions variables is
+    not smooth and is rejected.
+    """
     if not validate_decomposable(d):
         raise ValueError("circuit must be decomposable")
     if not is_smooth(d):
         raise ValueError("circuit must be smooth")
-    root_gate = d.gates[d.root]
-    if root_gate.kind == CONST:
-        return int(root_gate.a)
     counts = []
     for g in d.gates:
         if g.kind == LIT:
             counts.append(1)
         elif g.kind == CONST:
-            counts.append(None)
+            counts.append(g.a)
         elif g.kind == AND:
             counts.append(counts[g.a] * counts[g.b])
         else:

@@ -3,23 +3,22 @@
 A formula is a graph plus a 0/1 charge per vertex; one Boolean variable
 per edge; the constraint at v requires the incident edge variables to sum
 to the charge of v mod 2.  Assignments are int bitmasks: bit e is the
-value of edge e's variable.  Formulas obtained by conditioning keep a
-`var_of_edge` map from their (dense) edge ids back to the variable ids of
-the formula they came from.  Sub-constraints (parity constraints on part
-of a vertex's edges) and their model counts belong to the lower bound's
-lemmas and are checked by enumeration in the test suite
-(`tests/lemmas.py`).
+value of edge e's variable.  Restricting a formula by an edge is
+`bp.expected_children`, on annotations.  Point evaluation, the
+sub-constraints (parity constraints on part of a vertex's edges) and
+their model counts belong to the lower bound's lemmas and are checked by
+enumeration in the test suite (`tests/lemmas.py`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cnf import Cnf
 from .graphs import Graph, connected_components, edge_from_line, search, tree_path
-from .oracles import conj, parity, point, truth_table as _table
+from .oracles import conj, parity, truth_table as _table
 from .textformat import records
 
 DEGREE_CAP = 8
@@ -46,35 +45,12 @@ def unit_charge(n: int, v: int) -> Charge:
 class TseitinFormula:
     graph: Graph
     charge: Charge
-    var_of_edge: tuple[int, ...] = field(default=None)
 
     def __post_init__(self):
         if len(self.charge) != self.graph.n:
             raise ValueError("charge length must equal vertex count")
         if any(b not in (0, 1) for b in self.charge):
             raise ValueError("charge bits must be 0/1")
-        if self.var_of_edge is None:
-            object.__setattr__(self, "var_of_edge", tuple(range(self.graph.m)))
-        elif len(self.var_of_edge) != self.graph.m:
-            raise ValueError("var_of_edge length must equal edge count")
-
-    @property
-    def num_vars(self) -> int:
-        return self.graph.m
-
-    def violated_at(self, mask: int, v: int) -> bool:
-        """Whether the assignment violates the constraint at v."""
-        return not parity(point(mask), self.graph.incident[v], self.charge[v])
-
-    def satisfies(self, mask: int) -> bool:
-        return bool(self._column(point(mask)))
-
-    def _column(self, x):
-        """Whether every constraint holds, under the column accessor x."""
-        ok = True
-        for v in range(self.graph.n):
-            ok = conj(ok, parity(x, self.graph.incident[v], self.charge[v]))
-        return ok
 
 
 def is_satisfiable(t: TseitinFormula) -> bool:
@@ -89,35 +65,16 @@ def model_count(t: TseitinFormula) -> int:
     return 1 << (t.graph.m - t.graph.n + k)
 
 
-def condition(t: TseitinFormula, var: int, value: int) -> TseitinFormula:
-    """Assign the edge variable `var` (an id of the original formula).
-
-    The edge disappears; a positive assignment flips the charge at both
-    endpoints.
-    """
-    if var not in t.var_of_edge:
-        raise ValueError(f"variable {var} not present (already conditioned?)")
-    e = t.var_of_edge.index(var)
-    a, b = t.graph.edges[e]
-    edges = t.graph.edges[:e] + t.graph.edges[e + 1:]
-    charge = t.charge
-    if value:
-        charge = charge_add(charge, charge_add(unit_charge(t.graph.n, a), unit_charge(t.graph.n, b)))
-    return TseitinFormula(
-        Graph(t.graph.n, edges),
-        charge,
-        t.var_of_edge[:e] + t.var_of_edge[e + 1:],
-    )
-
-
 def truth_table(t: TseitinFormula) -> np.ndarray:
     """Indicator over all 2^m assignments, independent of every other path."""
-    return _table(t.graph.m, t._column)
 
+    def column(x):
+        ok = True
+        for v in range(t.graph.n):
+            ok = conj(ok, parity(x, t.graph.incident[v], t.charge[v]))
+        return ok
 
-def brute_force_models(t: TseitinFormula) -> list[int]:
-    """Exact model set by enumeration, as sorted assignment masks."""
-    return [int(x) for x in np.nonzero(truth_table(t))[0]]
+    return _table(t.graph.m, column)
 
 
 def to_cnf(t: TseitinFormula) -> Cnf:

@@ -208,15 +208,6 @@ class BranchDecomposition:
             out[i] = frozenset((node[1],)) if node[0] == "leaf" else out[node[1]] | out[node[2]]
         return tuple(out)
 
-    @property
-    def leaf_edges(self) -> frozenset:
-        return self.edges_below[self.root]
-
-    def validate(self, g: Graph) -> None:
-        leaves = [n[1] for n in self.nodes if n[0] == "leaf"]
-        if sorted(leaves) != list(range(g.m)):
-            raise ValueError("leaves are not a bijection with the edge ids")
-
 
 @dataclass(frozen=True)
 class Cut:

@@ -17,7 +17,11 @@ holds what only the tests use to check the lemmas those rest on:
 
 It also keeps the paper's all-pairs compilation (`compile_all_pairs`),
 with a gate for every (program node, vertex) pair, as the reference the
-library's demand-driven compiler must equal gate for gate.
+library's demand-driven compiler must equal gate for gate; the path-wise
+read-once check (`validate_read_once`) the BP validator's condition 3
+implies; conditioning and forgetting on circuits, for replaying a minor
+trace (`replay_on_circuit`); and the pointwise evaluators and reference
+truth tables the packed engine in `tseitinkit.oracles` is checked against.
 
 The cover game: the cover player picks an uncovered model and the proof
 tree accepting it; the adversary answers with a cut of the induced
@@ -34,14 +38,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from tseitinkit.bounds import AdamResponse, adam_response
 from tseitinkit.bp import BranchingProgram, expected_children, make_annotation, validate_well_structured
 from tseitinkit.graphs import Graph, SplitRequest, is_3_connected, is_connected, split_all
 from tseitinkit.minors import MinorResult
-from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, NnfCircuit, _reachable, condition_dnnf, forget_var, gate_values, is_smooth, restrict_to_root, validate_decomposable
-from tseitinkit.oracles import parity, point
+from tseitinkit.cnf import Cnf
+from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, _rebuild, _reachable, gate_values, is_smooth, restrict_to_root, validate_decomposable
+from tseitinkit.oracles import BLOCK_BITS, parity, point
 from tseitinkit.recursion import run
-from tseitinkit.tseitin import Charge, TseitinFormula, brute_force_models, is_satisfiable, model_count
+from tseitinkit.tseitin import Charge, TseitinFormula, is_satisfiable, model_count, truth_table
 from tseitinkit.width import BranchDecomposition, all_cuts, caterpillar, edge_order, max_order_cut, treewidth_bounds
 
 RECT_CAP = 20
@@ -97,6 +104,49 @@ def branchwidth_bounds(g: Graph) -> tuple[int, int]:
     return min(lower, upper), upper
 
 
+# --- point evaluation and reference truth tables ----------------------------
+
+
+def models(table) -> list[int]:
+    """The assignments a truth table accepts, ascending."""
+    return [int(x) for x in np.nonzero(table)[0]]
+
+
+def evaluate(d: NnfCircuit, mask: int) -> bool:
+    return bool(gate_values(d, point(mask))[d.root])
+
+
+def violated_at(t: TseitinFormula, mask: int, v: int) -> bool:
+    """Whether the assignment violates the constraint at v."""
+    return not parity(point(mask), t.graph.incident[v], t.charge[v])
+
+
+def satisfies(t: TseitinFormula, mask: int) -> bool:
+    return not any(violated_at(t, mask, v) for v in range(t.graph.n))
+
+
+def reference_truth_table(num_vars: int, column) -> np.ndarray:
+    """column(block) on all 2^num_vars assignments, where `block` is a
+    uint32 array of assignment masks and the result a bool array, or one
+    bool for a constant."""
+    out = np.empty(1 << num_vars, dtype=bool)
+    step = 1 << min(num_vars, BLOCK_BITS)
+    for start in range(0, len(out), step):
+        out[start:start + step] = column(np.arange(start, start + step, dtype=np.uint32))
+    return out
+
+
+def reference_cnf(cnf: Cnf, block):
+    """Whether each assignment of the block satisfies every clause."""
+    ok = True
+    for cl in cnf.clauses:
+        sat = False
+        for lit in cl:
+            sat = sat | (((block >> (abs(lit) - 1)) & 1) == (lit > 0))
+        ok = ok & sat
+    return ok
+
+
 # --- formulas ----------------------------------------------------------------
 
 
@@ -122,7 +172,7 @@ class SubConstraint:
 
 def conjoin_models(t: TseitinFormula, subs: list[SubConstraint]) -> list[int]:
     """Brute-force model set of t with extra sub-constraints conjoined."""
-    return [mask for mask in brute_force_models(t) if all(s.holds(mask) for s in subs)]
+    return [mask for mask in models(truth_table(t)) if all(s.holds(mask) for s in subs)]
 
 
 def _sub_to_split(t: TseitinFormula, s: SubConstraint) -> SplitRequest:
@@ -172,7 +222,7 @@ def sample_charges(n: int, count: int, seed: int = 0):
     return out
 
 
-# --- compilation -------------------------------------------------------------
+# --- programs and compilation ------------------------------------------------
 
 
 @dataclass
@@ -277,11 +327,48 @@ def build_bp_by_rule(g: Graph, c: Charge, choose) -> BranchingProgram:
     return BranchingProgram(source, decisions, sinks)
 
 
+def validate_read_once(b: BranchingProgram) -> bool:
+    """No source-to-sink path queries the same variable twice."""
+    above: dict[int, int] = {b.source: 0}
+    for u in reversed(b.topological()):
+        if u not in b.decisions:
+            continue
+        var, lo, hi = b.decisions[u]
+        if (above[u] >> var) & 1:
+            return False
+        mask = above[u] | (1 << var)
+        for child in (lo, hi):
+            above[child] = above.get(child, 0) | mask
+    return True
+
+
 # --- circuits ----------------------------------------------------------------
 
 
-def evaluate(d: NnfCircuit, mask: int) -> bool:
-    return bool(gate_values(d, point(mask))[d.root])
+def condition_dnnf(d: NnfCircuit, var: int, value: int) -> NnfCircuit:
+    """Fix a variable; its literals become constants, which then propagate."""
+
+    def leaf(g: Gate) -> Gate:
+        if g.kind == LIT and g.var == var:
+            return Gate(CONST, a=int(bool(value) == g.positive))
+        return g
+
+    return _rebuild(d, leaf)
+
+
+def forget_var(d: NnfCircuit, var: int) -> NnfCircuit:
+    """Existential projection: both literals of the variable become true.
+
+    Correct on decomposable circuits, where projection distributes over
+    every gate; the circuit never grows.
+    """
+
+    def leaf(g: Gate) -> Gate:
+        if g.kind == LIT and g.var == var:
+            return Gate(CONST, a=1)
+        return g
+
+    return _rebuild(d, leaf)
 
 
 def replay_on_circuit(result: MinorResult, d: NnfCircuit) -> NnfCircuit:
@@ -491,7 +578,7 @@ def induced_subconstraint(r: Rectangle, t: TseitinFormula, v: int) -> SubConstra
     if not e1_at_v or not e2_at_v:
         raise ValueError(f"vertex {v} is not incident to both sides of the partition")
     for mask in r.models():
-        if not t.satisfies(mask):
+        if not satisfies(t, mask):
             raise ValueError("rectangle is not contained in the model set")
     sub_mask = mask_of(e1_at_v)
     parities = {bin(a & sub_mask).count("1") & 1 for a in r.a_side}
@@ -564,7 +651,7 @@ def game_simulate(d: NnfCircuit, t: TseitinFormula) -> GameTranscript:
     """
     if not validate_decomposable(d) or not is_smooth(d):
         raise ValueError("the game needs a smooth decomposable circuit")
-    sat_masks = brute_force_models(t)
+    sat_masks = models(truth_table(t))
     circuit_sat = set(sat_masks)
     trees = enumerate_proof_trees(d)
     three_conn = is_3_connected(t.graph)

@@ -31,10 +31,12 @@ def mutate_bp(b: BranchingProgram, g: Graph, rng: random.Random) -> BranchingPro
             decisions[u] = (var, hi, lo)
         elif kind == "var":
             decisions[u] = (rng.randrange(g.m), lo, hi)
-        elif rng.random() < 0.5:
-            decisions[u] = (var, rng.choice(b.node_ids()), hi)
         else:
-            decisions[u] = (var, lo, rng.choice(b.node_ids()))
+            ids = sorted(b.decisions.keys() | b.sinks.keys())
+            if rng.random() < 0.5:
+                decisions[u] = (var, rng.choice(ids), hi)
+            else:
+                decisions[u] = (var, lo, rng.choice(ids))
     return BranchingProgram(b.source, decisions, sinks)
 
 

@@ -20,6 +20,7 @@ from lemmas import (
     gate_rectangle,
     induced_subconstraint,
     k4_with_pendant_path,
+    mask_of,
     octahedron,
     sample_charges,
 )
@@ -128,7 +129,7 @@ class TestAcceptance:
                 if not rect.a_side or not rect.b_side:
                     continue
                 for v in range(g.n):
-                    if rect.e1_mask & g.edge_mask_at(v) and rect.e2_mask & g.edge_mask_at(v):
+                    if rect.e1_mask & mask_of(g.incident[v]) and rect.e2_mask & mask_of(g.incident[v]):
                         induced_subconstraint(rect, t, v)  # raises on any violation
                         checked += 1
         report("A4a sub-constraint constancy", f"{checked} (gate, vertex) pairs")

@@ -10,14 +10,15 @@ from lemmas import (
     induced_subconstraint,
     is_rectangle,
     mask_of,
+    models,
     proof_tree_vtree,
     rectangle_cap_check,
 )
 from tseitinkit import families as fam
 from tseitinkit.bounds import adam_response, certificate_from_text, certificate_to_text, certified_lower_bound, verify_certificate
 from tseitinkit.compiler import pipeline
-from tseitinkit.nnf import CircuitBuilder, models, smooth
-from tseitinkit.tseitin import TseitinFormula, brute_force_models, unit_charge
+from tseitinkit.nnf import CircuitBuilder, smooth, truth_table
+from tseitinkit.tseitin import TseitinFormula, truth_table as tseitin_truth_table, unit_charge
 from tseitinkit.width import BranchDecomposition, caterpillar, edge_order
 
 
@@ -101,8 +102,8 @@ class TestInducedSubconstraint:
             if not rect.a_side or not rect.b_side:
                 continue
             for v in range(g.n):
-                e1v = rect.e1_mask & g.edge_mask_at(v)
-                e2v = rect.e2_mask & g.edge_mask_at(v)
+                e1v = rect.e1_mask & mask_of(g.incident[v])
+                e2v = rect.e2_mask & mask_of(g.incident[v])
                 if e1v and e2v:
                     induced_subconstraint(rect, t, v)  # raises on violation
 
@@ -151,7 +152,7 @@ class TestRectangleCapCheck:
         g = fam.complete(4)
         t = TseitinFormula(g, (0,) * 4)
         resp = adam_response(g, caterpillar(edge_order(g)))
-        model = brute_force_models(t)[0]
+        model = models(tseitin_truth_table(t))[0]
         rect = is_rectangle({model}, mask_of(resp.cut.e1), mask_of(resp.cut.e2), g.m)
         assert rectangle_cap_check(t, resp, rect)
 
@@ -160,7 +161,7 @@ class TestRectangleCapCheck:
         t = TseitinFormula(g, (0,) * 4)
         resp = adam_response(g, caterpillar(edge_order(g)))
         e1 = mask_of(resp.cut.e2)
-        rect = is_rectangle({brute_force_models(t)[0]}, e1, mask_of(resp.cut.e1), g.m)
+        rect = is_rectangle({models(tseitin_truth_table(t))[0]}, e1, mask_of(resp.cut.e1), g.m)
         with pytest.raises(ValueError):
             rectangle_cap_check(t, resp, rect)
 
@@ -184,7 +185,7 @@ class TestRectangleCapCheck:
 def _vtree_matching(d, t):
     """A variable tree from the circuit's own first proof tree, so some
     gate rectangles share the adversary's partition."""
-    vtree, _ = proof_tree_vtree(d, min(models(d)))
+    vtree, _ = proof_tree_vtree(d, min(models(truth_table(d))))
     return vtree
 
 
@@ -294,7 +295,7 @@ class TestBalancedCover:
         union = set()
         for rect in cover:
             union |= rect.models()
-        assert union == set(models(d))
+        assert union == set(models(truth_table(d)))
 
     def test_k4_cover_at_least_two(self):
         g = fam.complete(4)
@@ -331,7 +332,7 @@ class TestDeepCircuits:
         assert tree.nodes == frozenset(range(d.node_count))
         vtree, gate_of = proof_tree_vtree(d, full)
         assert (gate_of[vtree.root], vtree.edges_below[vtree.root]) == (root, frozenset(range(n)))
-        vtree.validate(fam.path(n + 1))
+        assert sorted(node[1] for node in vtree.nodes if node[0] == "leaf") == list(range(n))
         assert len(vtree.nodes) == 2 * n - 1
         assert max(vtree.depth) == n - 1
         assert sorted(gate_of.values()) == list(range(d.node_count))

@@ -3,6 +3,7 @@ import zlib
 
 import pytest
 
+from lemmas import validate_read_once, violated_at
 from mutations import mutate_bp
 from tseitinkit import families as fam
 from tseitinkit.bp import (
@@ -12,7 +13,6 @@ from tseitinkit.bp import (
     build_well_structured_bp,
     expected_children,
     make_annotation,
-    validate_read_once,
     validate_well_structured,
 )
 from tseitinkit.graphs import Graph
@@ -41,14 +41,14 @@ class TestEval:
         bp = build_well_structured_bp(g, c)
         for mask in range(8):
             v = eval_bp(bp, mask)
-            assert TseitinFormula(g, c).violated_at(mask, v)
+            assert violated_at(TseitinFormula(g, c), mask, v)
 
 
 class TestSearchVertexRelation:
     def test_examples(self):
         g = fam.cycle(3)
-        assert TseitinFormula(g, (1, 0, 0)).violated_at(0, 0)
-        assert not TseitinFormula(g, (1, 0, 0)).violated_at(0, 1)
+        assert violated_at(TseitinFormula(g, (1, 0, 0)), 0, 0)
+        assert not violated_at(TseitinFormula(g, (1, 0, 0)), 0, 1)
 
     def test_unsat_always_has_witness(self, bench_graph):
         _, g = bench_graph
@@ -56,10 +56,23 @@ class TestSearchVertexRelation:
         if is_satisfiable(t) or g.m > 12:
             return
         for mask in range(1 << g.m):
-            assert any(t.violated_at(mask, v) for v in range(g.n))
+            assert any(violated_at(t, mask, v) for v in range(g.n))
+
+
+# C3 (edges 0 = 01, 1 = 12, 2 = 02) with the charge odd at 0: the source 3
+# decides edge 0, its 1-child 4 is a correct program for the rest, and its
+# 0-child 2 decides edge 0 again
+REREAD_C3 = BranchingProgram(
+    source=3,
+    decisions={3: (0, 2, 4), 2: (0, 0, 1), 4: (1, 1, 5), 5: (2, 6, 0)},
+    sinks={0: 0, 1: 1, 6: 2},
+)
 
 
 class TestReadOnce:
+    """`lemmas.validate_read_once`, the path-wise check that condition 3
+    of the well-structured validator implies."""
+
     def test_single_decision(self):
         assert validate_read_once(SINGLE_EDGE_BP)
 
@@ -75,6 +88,34 @@ class TestReadOnce:
         _, g = bench_graph
         bp = build_well_structured_bp(g, unit_charge(g.n, 0))
         assert validate_read_once(bp)
+
+    @pytest.mark.parametrize("b", [REREAD_C3, *(BranchingProgram(2, {2: (var, 0, 1)}, {0: 0, 1: 1}) for var in (-1, 3))],
+                             ids=["reread", "var-1", "var3"])
+    def test_node_named_by_condition_3(self, b):
+        # a re-read and a variable outside 0..m-1 both fail at node 2
+        var = b.decisions[2][0]
+        result = validate_well_structured(b, fam.cycle(3), (1, 0, 0))
+        assert (result.error, result.node) == (f"condition 3: decision edge {var} not in the annotated subgraph", 2)
+
+    def test_mutants_it_rejects_are_not_well_structured(self, bench_graph):
+        # condition 3 implies read-once, so every mutant that re-reads a
+        # variable on some path fails the one-pass validator at a node
+        name, g = bench_graph
+        bp = build_well_structured_bp(g, unit_charge(g.n, 0))
+        rng = random.Random(zlib.crc32(f"reread-{name}".encode()))
+        rejected = 0
+        for _ in range(200):
+            try:
+                mutant = mutate_bp(bp, g, rng)
+            except ValueError:
+                continue  # the redirect closed a cycle
+            if validate_read_once(mutant):
+                continue
+            rejected += 1
+            for c in (unit_charge(g.n, v) for v in range(g.n)):
+                result = validate_well_structured(mutant, g, c)
+                assert not result.ok and result.node is not None, bp_to_text(mutant)
+        assert rejected > 0 or g.m == 1  # one edge: only a cycle re-reads it
 
 
 class TestWellStructured:
@@ -179,7 +220,7 @@ class TestSweepOracle:
             result = validate_well_structured(mutant, g, c)
             # a validator that ran the sweep after the conditions would
             # give the same verdict; the sweep alone may still accept a
-            # redundant re-read, which read-once rejects
+            # redundant re-read, which condition 3 rejects
             if result.ok:
                 assert bp_semantics_hold(mutant, g, c, result.annotations), bp_to_text(mutant)
             compared += 1

@@ -225,18 +225,20 @@ class TestSeparatorsAgainstReference:
 
 class TestSplitVertex:
     def test_k4_split(self):
-        g, mapping = split_vertex(fam.complete(4), SplitRequest(3, (0,), (1, 2)))
+        k4 = fam.complete(4)
+        g = split_vertex(k4, SplitRequest(3, (0,), (1, 2)))
         assert g.n == 5 and g.m == 6
         assert is_connected(g)
-        assert mapping == {e: e for e in range(6)}
+        # edge ids are kept: edge 2 = 03 stays at v1 = 3, edges 4 = 13 and 5 = 23 move to v2 = 4
+        assert g.edges == k4.edges[:4] + ((1, 4), (2, 4))
 
     def test_star_center_disconnects(self):
         star = Graph(4, ((0, 1), (0, 2), (0, 3)))
-        g, _ = split_vertex(star, SplitRequest(0, (1,), (2, 3)))
+        g = split_vertex(star, SplitRequest(0, (1,), (2, 3)))
         assert len(connected_components(g)) == 2
 
     def test_path_center_breaks(self):
-        g, _ = split_vertex(fam.path(3), SplitRequest(1, (0,), (2,)))
+        g = split_vertex(fam.path(3), SplitRequest(1, (0,), (2,)))
         assert g.edges == ((0, 1), (2, 3))
 
     def test_improper_partition_rejected(self):

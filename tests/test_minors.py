@@ -3,7 +3,7 @@ import zlib
 
 import pytest
 
-from lemmas import k4_with_pendant_path, octahedron, replay_on_circuit
+from lemmas import k4_with_pendant_path, mask_of, octahedron, replay_on_circuit
 from tseitinkit import families as fam
 from tseitinkit.graphs import Graph, connected_components, induced_subgraph, is_3_connected, is_connected
 from tseitinkit.minors import MinorOp, MinorResult, find_safe_separator, three_connected_minor
@@ -108,7 +108,7 @@ class TestThreeConnectedMinor:
                 if (mask >> var) & 1:
                     h_mask |= 1 << he
             expected = all(
-                bin(h_mask & h.edge_mask_at(v)).count("1") % 2 == 0 for v in range(h.n)
+                bin(h_mask & mask_of(h.incident[v])).count("1") % 2 == 0 for v in range(h.n)
             )
             assert bool(table[mask]) == expected
 

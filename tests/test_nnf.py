@@ -1,15 +1,12 @@
 import pytest
 
-from lemmas import enumerate_proof_trees, evaluate, gate_rectangle, proof_tree_models
+from lemmas import condition_dnnf, enumerate_proof_trees, evaluate, forget_var, gate_rectangle, models, proof_tree_models
 from tseitinkit import families as fam
 from tseitinkit.nnf import (
     CircuitBuilder,
     Gate,
-    condition_dnnf,
-    forget_var,
     is_smooth,
     model_count_smooth,
-    models,
     nnf_from_text,
     nnf_to_text,
     propagate_constants,
@@ -19,7 +16,7 @@ from tseitinkit.nnf import (
     truth_table,
     validate_decomposable,
 )
-from tseitinkit.tseitin import TseitinFormula, brute_force_models, condition
+from tseitinkit.tseitin import TseitinFormula, truth_table as tseitin_truth_table
 
 
 def circuit_and_xy():
@@ -56,7 +53,7 @@ class TestSmoothing:
         d = circuit_x_or_xy()
         s = smooth(d)
         assert is_smooth(s)
-        assert models(s) == models(d)
+        assert models(truth_table(s)) == models(truth_table(d))
 
     def test_already_smooth_unchanged(self):
         d = smooth(circuit_xy_or_notx_noty())
@@ -79,7 +76,24 @@ class TestCounting:
 
     def test_decision_form_matches_brute_force(self):
         d = smooth(circuit_xy_or_notx_noty())
-        assert model_count_smooth(d) == len(models(d)) == 2
+        assert model_count_smooth(d) == len(models(truth_table(d))) == 2
+
+    def test_constant_counts_as_its_value(self):
+        # a constant mentions no variable, so 1 AND (x OR not-x) is smooth
+        # with two models over var(root); 0 AND (x OR not-x) has none
+        for value in (0, 1):
+            b = CircuitBuilder(1)
+            unit = b.gate_or(b.literal(0, True), b.literal(0, False))
+            assert model_count_smooth(b.build(b.gate_and(b.const(value), unit))) == 2 * value
+            assert model_count_smooth(b.build(b.const(value))) == value
+
+    def test_or_with_constant_child_rejected(self):
+        # 0 OR x: the children mention {} and {x}, so the OR is not smooth
+        b = CircuitBuilder(1)
+        d = b.build(b.gate_or(b.const(0), b.literal(0, True)))
+        assert not is_smooth(d)
+        with pytest.raises(ValueError, match="smooth"):
+            model_count_smooth(d)
 
 
 class TestEvaluate:
@@ -98,15 +112,15 @@ class TestEvaluate:
 class TestConditionForget:
     def test_condition_examples(self):
         d = circuit_and_xy()
-        assert models(condition_dnnf(d, 0, 1)) == [2, 3]
+        assert models(truth_table(condition_dnnf(d, 0, 1))) == [2, 3]
         c0 = condition_dnnf(d, 0, 0)
         assert c0.gates[c0.root] == Gate("C", a=0)
 
     def test_forget_examples(self):
         d = circuit_and_xy()
-        assert models(forget_var(d, 1)) == [1, 3]
+        assert models(truth_table(forget_var(d, 1))) == [1, 3]
         both = circuit_xy_or_notx_noty()
-        assert models(forget_var(both, 1)) == [0, 1, 2, 3]
+        assert models(truth_table(forget_var(both, 1))) == [0, 1, 2, 3]
 
     def test_forget_equals_or_of_conditionings(self, bench_graph):
         _, g = bench_graph
@@ -117,7 +131,7 @@ class TestConditionForget:
 
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * g.n)
         var = 0
-        forgotten = set(models(forget_var(d, var)))
+        forgotten = set(models(truth_table(forget_var(d, var))))
         m0 = truth_table(condition_dnnf(d, var, 0))
         m1 = truth_table(condition_dnnf(d, var, 1))
         either = {i for i in range(1 << g.m) if m0[i] or m1[i]}
@@ -132,7 +146,7 @@ class TestConditionForget:
         g = fam.path(3)
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0, 0, 0))
         contracted = forget_var(d, 1)
-        assert models(contracted) == [0b00, 0b10]  # edge 1 is now a free bit
+        assert models(truth_table(contracted)) == [0b00, 0b10]  # edge 1 is now a free bit
         table = truth_table(contracted)
         kept = {mask & 0b01 for mask in range(4) if table[mask]}
         assert kept == {0}  # projected function: the single-edge zero formula
@@ -160,13 +174,13 @@ class TestRenameFlip:
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0, 0, 0))
         flips = charge_retarget_flips(g, (0, 0, 0), (1, 1, 0))
         target = TseitinFormula(g, (1, 1, 0))
-        assert set(models(rename_flip(d, flips))) == set(brute_force_models(target))
+        assert set(models(truth_table(rename_flip(d, flips)))) == set(models(tseitin_truth_table(target)))
 
 
 class TestProofTrees:
     def test_models_match(self):
         d = smooth(circuit_xy_or_notx_noty())
-        assert proof_tree_models(d) == set(models(d))
+        assert proof_tree_models(d) == set(models(truth_table(d)))
 
     def test_compiled_circuit_proof_trees(self):
         from tseitinkit.compiler import pipeline
@@ -175,7 +189,7 @@ class TestProofTrees:
         g = fam.complete(4)
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * 4)
         ds = smooth(d)
-        assert proof_tree_models(ds) == set(models(ds))
+        assert proof_tree_models(ds) == set(models(truth_table(ds)))
         assert len(enumerate_proof_trees(ds)) == 8  # decision form: one tree per model
 
 
@@ -183,7 +197,7 @@ class TestGateRectangles:
     def test_root_rectangle_is_sat_set(self):
         d = smooth(circuit_xy_or_notx_noty())
         rect = gate_rectangle(d, d.root)
-        assert rect.models() == set(models(d))
+        assert rect.models() == set(models(truth_table(d)))
         assert rect.b_side == frozenset({0})
 
     def test_single_variable_circuit(self):
@@ -200,7 +214,7 @@ class TestGateRectangles:
         g = fam.cycle(3)
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0, 0, 0))
         ds = smooth(d)
-        sat = set(models(ds))
+        sat = set(models(truth_table(ds)))
         trees = enumerate_proof_trees(ds)
         for gid in range(ds.node_count):
             rect = gate_rectangle(ds, gid, trees)
@@ -233,7 +247,7 @@ class TestConstants:
         d = b.build(b.gate_and(b.literal(0, True), b.gate_and(one, b.literal(1, True))))
         p = propagate_constants(d)
         assert all(g.kind != "C" for g in p.gates)
-        assert models(p) == models(d)
+        assert models(truth_table(p)) == models(truth_table(d))
 
     def test_restrict_drops_unreachable(self):
         b = CircuitBuilder(2)
@@ -249,7 +263,7 @@ class TestNnfText:
         text = nnf_to_text(d)
         back = nnf_from_text(text)
         assert nnf_to_text(back) == text
-        assert models(back) == models(d)
+        assert models(truth_table(back)) == models(truth_table(d))
 
     def test_round_trip_compiled(self, bench_graph):
         _, g = bench_graph
@@ -273,4 +287,4 @@ class TestNnfText:
     def test_nary_input_binarized(self):
         text = "nnf 4 3 3\nL 1\nL 2\nL 3\nA 3 0 1 2\n"
         d = nnf_from_text(text)
-        assert models(d) == [0b111]
+        assert models(truth_table(d)) == [0b111]

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lemmas import evaluate
+from lemmas import evaluate, reference_cnf, reference_truth_table, satisfies, violated_at
 from tseitinkit import families as fam
-from tseitinkit.cnf import Cnf, cnf_truth_table
 from tseitinkit.compiler import pipeline
 from tseitinkit.graphs import Graph
 from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, truth_table as nnf_truth_table
@@ -17,17 +16,9 @@ from tseitinkit.tseitin import DEGREE_CAP, TseitinFormula, to_cnf, truth_table a
 
 
 # --- the reference: one bool per assignment, in uint32 arrays of masks --------
-
-
-def reference_truth_table(num_vars: int, column) -> np.ndarray:
-    """column(block) on all 2^num_vars assignments, where `block` is a
-    uint32 array of assignment masks and the result a bool array, or one
-    bool for a constant."""
-    out = np.empty(1 << num_vars, dtype=bool)
-    step = 1 << min(num_vars, BLOCK_BITS)
-    for start in range(0, len(out), step):
-        out[start:start + step] = column(np.arange(start, start + step, dtype=np.uint32))
-    return out
+#
+# `reference_truth_table` and `reference_cnf` live in `lemmas`, where the
+# CNF tests also use them.
 
 
 def reference_gate_values(d: NnfCircuit, block) -> list:
@@ -57,16 +48,6 @@ def reference_tseitin(t: TseitinFormula, block):
     ok = True
     for v in range(t.graph.n):
         ok = ok & (reference_parity(block, t.graph.incident[v]) == t.charge[v])
-    return ok
-
-
-def reference_cnf(cnf: Cnf, block):
-    ok = True
-    for cl in cnf.clauses:
-        sat = False
-        for lit in cl:
-            sat = sat | (((block >> (abs(lit) - 1)) & 1) == (lit > 0))
-        ok = ok & sat
     return ok
 
 
@@ -137,13 +118,11 @@ class TestAgainstReference:
         cnf = to_cnf(t)
         table = tseitin_truth_table(t)
         assert np.array_equal(table, reference_truth_table(m, lambda block: reference_tseitin(t, block)))
-        assert np.array_equal(cnf_truth_table(cnf), reference_truth_table(m, lambda block: reference_cnf(cnf, block)))
-        assert np.array_equal(cnf_truth_table(cnf), table)
+        assert np.array_equal(reference_truth_table(m, lambda block: reference_cnf(cnf, block)), table)
         masks = sample_masks(m)
-        assert [t.satisfies(mask) for mask in masks] == table[masks].tolist()
-        assert [cnf.satisfies(mask) for mask in masks] == table[masks].tolist()
+        assert [satisfies(t, mask) for mask in masks] == table[masks].tolist()
         for mask in masks[:8]:
-            violated = [t.violated_at(mask, v) for v in range(n)]
+            violated = [violated_at(t, mask, v) for v in range(n)]
             assert any(violated) != bool(table[mask])
 
     def test_isolated_charged_vertex(self):
@@ -151,17 +130,7 @@ class TestAgainstReference:
         table = tseitin_truth_table(t)
         assert not table.any() and table.shape == (2,)
         assert np.array_equal(table, reference_truth_table(1, lambda block: reference_tseitin(t, block)))
-        assert not t.satisfies(0) and t.violated_at(0, 2) and not t.violated_at(0, 1)
-
-    def test_cnf_without_clauses(self):
-        cnf = Cnf(BLOCK_BITS + 1, ())
-        assert cnf_truth_table(cnf).all() and cnf.satisfies(0)
-        assert np.array_equal(cnf_truth_table(cnf), reference_truth_table(cnf.num_vars, lambda block: reference_cnf(cnf, block)))
-
-    def test_cnf_with_empty_clause(self):
-        cnf = Cnf(7, (frozenset({1, -2}), frozenset()))
-        assert not cnf_truth_table(cnf).any() and not cnf.satisfies(0)
-        assert np.array_equal(cnf_truth_table(cnf), reference_truth_table(7, lambda block: reference_cnf(cnf, block)))
+        assert not satisfies(t, 0) and violated_at(t, 0, 2) and not violated_at(t, 0, 1)
 
 
 @pytest.mark.parametrize("m", [BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1])
@@ -170,13 +139,13 @@ def test_engine_matches_pointwise(m):
     zero = TseitinFormula(g, (0,) * m)
     _, d, _ = pipeline(g, unit_charge(m, 0), zero.charge, desk_cap=0)
     cnf = to_cnf(zero)
-    tables = (nnf_truth_table(d), tseitin_truth_table(zero), cnf_truth_table(cnf))
+    tables = (nnf_truth_table(d), tseitin_truth_table(zero), reference_truth_table(m, lambda block: reference_cnf(cnf, block)))
     for table in tables:
         assert table.shape == (1 << m,) and table.dtype == bool
     for mask in sample_masks(m):
-        want = zero.satisfies(mask)
+        want = satisfies(zero, mask)
         assert (tables[0][mask], tables[1][mask], tables[2][mask]) == (want, want, want), mask
-        assert evaluate(d, mask) == want and cnf.satisfies(mask) == want, mask
+        assert evaluate(d, mask) == want, mask
     assert (tables[0] == tables[1]).all() and (tables[1] == tables[2]).all()
     assert int(tables[1].sum()) == 2  # a cycle with zero charge: all 0 or all 1
 

@@ -3,16 +3,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import SubConstraint, apply_flips, conjoin_models, conjoin_subconstraints_count, sample_charges
+from lemmas import (
+    SubConstraint,
+    apply_flips,
+    conjoin_models,
+    conjoin_subconstraints_count,
+    models,
+    reference_cnf,
+    reference_truth_table,
+    sample_charges,
+)
 from tseitinkit import families as fam
-from tseitinkit.cnf import Cnf, cnf_from_dimacs, cnf_to_dimacs, cnf_truth_table
+from tseitinkit.cnf import cnf_from_dimacs, cnf_to_dimacs
 from tseitinkit.graphs import Graph
 from tseitinkit.tseitin import (
     TseitinFormula,
-    brute_force_models,
     charge_add,
     charge_retarget_flips,
-    condition,
     is_satisfiable,
     model_count,
     to_cnf,
@@ -58,64 +65,29 @@ class TestModelCount:
     def test_c4_matches_brute_force(self):
         t = TseitinFormula(fam.cycle(4), (0,) * 4)
         assert model_count(t) == 2
-        assert len(brute_force_models(t)) == 2
+        assert len(models(truth_table(t))) == 2
 
     @settings(max_examples=120, deadline=None)
     @given(graphs_with_charges())
     def test_count_equals_enumeration(self, t):
-        assert model_count(t) == len(brute_force_models(t))
+        assert model_count(t) == len(models(truth_table(t)))
 
     def test_brute_force_cap(self):
         g = fam.grid(5, 5)  # 40 edges
         with pytest.raises(ValueError):
-            brute_force_models(TseitinFormula(g, (0,) * g.n))
+            models(truth_table(TseitinFormula(g, (0,) * g.n)))
 
 
 class TestBruteForceModels:
     def test_c3_zero(self):
-        assert brute_force_models(TseitinFormula(fam.cycle(3), (0, 0, 0))) == [0b000, 0b111]
+        assert models(truth_table(TseitinFormula(fam.cycle(3), (0, 0, 0)))) == [0b000, 0b111]
 
     def test_single_edge(self):
-        assert brute_force_models(TseitinFormula(fam.path(2), (0, 0))) == [0]
+        assert models(truth_table(TseitinFormula(fam.path(2), (0, 0)))) == [0]
 
 
-class TestConditioning:
-    def test_positive_literal_flips_charges(self):
-        t = TseitinFormula(fam.cycle(3), (0, 0, 0))
-        t2 = condition(t, 0, 1)  # edge 0 joins vertices 0 and 1
-        assert t2.charge == (1, 1, 0)
-        assert t2.graph.m == 2
-        assert model_count(t2) == 1
-
-    def test_negative_literal_keeps_charge(self):
-        t = TseitinFormula(fam.cycle(3), (0, 0, 0))
-        t2 = condition(t, 0, 0)
-        assert t2.charge == (0, 0, 0)
-        assert model_count(t2) == 1
-
-    def test_conditioning_twice_rejected(self):
-        t = TseitinFormula(fam.cycle(3), (0, 0, 0))
-        t2 = condition(t, 0, 1)
-        with pytest.raises(ValueError):
-            condition(t2, 0, 0)
-
-    def test_chain_replays_models(self):
-        t = TseitinFormula(fam.complete(4), (0,) * 4)
-        for mask in brute_force_models(t):
-            cur = t
-            for var in range(t.graph.m):
-                cur = condition(cur, var, (mask >> var) & 1)
-            assert cur.graph.m == 0
-            assert is_satisfiable(cur)
-
-    @settings(max_examples=60, deadline=None)
-    @given(graphs_with_charges(max_n=5), st.integers(min_value=0, max_value=(1 << 10) - 1))
-    def test_chain_accepts_exactly_models(self, t, raw):
-        mask = raw & ((1 << t.graph.m) - 1)
-        cur = t
-        for var in range(t.graph.m):
-            cur = condition(cur, var, (mask >> var) & 1)
-        assert is_satisfiable(cur) == (mask in set(brute_force_models(t)))
+def cnf_table(cnf):
+    return reference_truth_table(cnf.num_vars, lambda block: reference_cnf(cnf, block))
 
 
 class TestCnfEncoding:
@@ -141,18 +113,18 @@ class TestCnfEncoding:
         _, g = bench_graph
         t = TseitinFormula(g, (0,) * g.n)
         cnf = to_cnf(t)
-        assert len(cnf.clauses) == sum(1 << (g.degree(v) - 1) for v in range(g.n) if g.degree(v))
+        assert len(cnf.clauses) == sum(1 << (len(inc) - 1) for inc in g.incident if inc)
 
     def test_c3_odd_six_clauses_unsat(self):
         cnf = to_cnf(TseitinFormula(fam.cycle(3), (1, 0, 0)))
         assert len(cnf.clauses) == 6
-        assert not cnf_truth_table(cnf).any()
+        assert not cnf_table(cnf).any()
 
     def test_cnf_models_match_semantics(self, bench_graph):
         _, g = bench_graph
         for charge in sample_charges(g.n, 4, seed=1):
             t = TseitinFormula(g, charge)
-            assert (cnf_truth_table(to_cnf(t)) == truth_table(t)).all()
+            assert (cnf_table(to_cnf(t)) == truth_table(t)).all()
 
     def test_charged_isolated_vertex(self):
         g = Graph(1, ())
@@ -209,15 +181,15 @@ class TestChargeRetargeting:
         g = fam.cycle(3)
         flips = charge_retarget_flips(g, (1, 1, 0), (0, 0, 0))
         assert flips == {0}
-        before = set(brute_force_models(TseitinFormula(g, (1, 1, 0))))
+        before = set(models(truth_table(TseitinFormula(g, (1, 1, 0)))))
         after = {apply_flips(x, flips) for x in before}
         assert after == {0b000, 0b111}
 
     def test_k4_two_tree_paths(self):
         g = fam.complete(4)
         flips = charge_retarget_flips(g, (1, 1, 1, 1), (0, 0, 0, 0))
-        m1 = set(brute_force_models(TseitinFormula(g, (1, 1, 1, 1))))
-        m0 = set(brute_force_models(TseitinFormula(g, (0, 0, 0, 0))))
+        m1 = set(models(truth_table(TseitinFormula(g, (1, 1, 1, 1)))))
+        m0 = set(models(truth_table(TseitinFormula(g, (0, 0, 0, 0)))))
         assert {apply_flips(x, flips) for x in m1} == m0
 
     def test_unsat_rejected(self):
@@ -236,8 +208,8 @@ class TestChargeRetargeting:
             other = data.draw(st.sampled_from(sorted(comp)))
             c2 = charge_add(c2, charge_add(unit_charge(t.graph.n, v), unit_charge(t.graph.n, other)))
         flips = charge_retarget_flips(t.graph, t.charge, c2)
-        src = set(brute_force_models(t))
-        dst = set(brute_force_models(TseitinFormula(t.graph, c2)))
+        src = set(models(truth_table(t)))
+        dst = set(models(truth_table(TseitinFormula(t.graph, c2))))
         assert {apply_flips(x, flips) for x in src} == dst
         assert {apply_flips(x, flips) for x in dst} == src
 

@@ -105,10 +105,14 @@ def random_binary_tree(m: int, seed: int) -> BranchDecomposition:
     return BranchDecomposition.from_nested(parts[0])
 
 
+def leaf_edges(t: BranchDecomposition) -> list[int]:
+    return sorted(node[1] for node in t.nodes if node[0] == "leaf")
+
+
 class TestAgainstReference:
     def check(self, g: Graph, seed: int):
         for t in (caterpillar(edge_order(g)), random_binary_tree(g.m, seed)):
-            t.validate(g)
+            assert leaf_edges(t) == list(range(g.m))
             assert all_cuts(t, g) == reference_all_cuts(t, g)
 
     def test_desk_family(self, bench_graph):
@@ -257,10 +261,9 @@ class TestTreewidthExact:
 class TestBranchDecomposition:
     def test_from_nested_and_validate(self):
         t = BranchDecomposition.from_nested(((0, 1), 2))
-        t.validate(fam.cycle(3))
-        assert t.leaf_edges == frozenset({0, 1, 2})
-        with pytest.raises(ValueError):
-            t.validate(fam.cycle(4))
+        assert leaf_edges(t) == [0, 1, 2]
+        assert t.edges_below[t.root] == frozenset({0, 1, 2})
+        assert t.nodes[t.root] == ("node", 1, 4) and t.nodes[1] == ("node", 2, 3)
 
     def test_caterpillar_deeper_than_recursion_limit(self):
         leaves = 1500
@@ -269,8 +272,8 @@ class TestBranchDecomposition:
             nested = (nested, e)  # (((0, 1), 2), ...)
         t = BranchDecomposition.from_nested(nested)
         g = fam.path(leaves + 1)  # edge e joins vertices e and e + 1
-        t.validate(g)
-        assert t.leaf_edges == frozenset(range(leaves))
+        assert leaf_edges(t) == list(range(leaves))
+        assert t.edges_below[t.root] == frozenset(range(leaves))
         leaf_depth = {t.nodes[i][1]: t.depth[i] for i in range(len(t.nodes)) if t.nodes[i][0] == "leaf"}
         assert leaf_depth == {e: leaves - max(e, 1) for e in range(leaves)}
         cuts = all_cuts(t, g)
