@@ -37,8 +37,9 @@ class ResolutionTrace:
 
     @cached_property
     def pivots(self) -> tuple[int | None, ...]:
-        """One entry per step: for a derived step the smallest variable on
-        which its earlier antecedents resolve to its clause, else None."""
+        """One entry per step: for a derived step the variable on which
+        its earlier antecedents resolve to its clause (there is at most
+        one, see `_pivot`), else None."""
         clauses: dict[int, frozenset[int]] = {}
         out = []
         for step in self.steps:
@@ -75,16 +76,27 @@ def resolve(a: frozenset[int], b: frozenset[int], pivot: int) -> frozenset[int]:
 
 
 def _pivot(a: frozenset[int], b: frozenset[int], clause: frozenset[int]) -> int | None:
-    """Smallest variable on which a and b, in either order, resolve to
-    `clause`, or None."""
-    for pivot in sorted({abs(lit) for lit in a if -lit in b}):
-        first, second = (a, b) if pivot in a else (b, a)
-        try:
-            if resolve(first, second, pivot) == clause:
-                return pivot
-        except ValueError:  # an antecedent holds both literals of the pivot
-            continue
-    return None
+    """The variable on which a and b, in either order, resolve to
+    `clause`, or None.
+
+    Where `resolve(first, second, p)` is defined, first holds p and not
+    -p and second holds -p and not p, so the resolvent is exactly
+    (a | b) - {p, -p}.  Hence `clause` is a resolvent only if it lies
+    inside a | b and leaves out exactly one complementary pair {p, -p};
+    then p is the only candidate, and it resolves when one antecedent
+    holds p, the other -p, and neither holds both.  No second variable
+    can qualify, as its pair would have to be all that is left out as
+    well, so the one candidate is also the smallest: no sort, no retry.
+    """
+    union = a | b
+    if len(union) - len(clause) != 2 or not clause <= union:
+        return None
+    lit, other = union - clause
+    if lit != -other:
+        return None
+    p = abs(lit)
+    first, second = (a, b) if p in a else (b, a)
+    return p if -p in second and -p not in first and p not in second else None
 
 
 def check_refutation(cnf: Cnf, trace: ResolutionTrace) -> CheckResult:
@@ -155,17 +167,20 @@ def check_regularity(trace: ResolutionTrace) -> bool:
     return True
 
 
-def _branch_variable(open_vars: list[int]) -> int:
-    """Most frequent variable among the shortest clauses, each given as
-    the bitmask of its unassigned variables; ties by id."""
-    width = min(mask.bit_count() for mask in open_vars)
+def _branch_variable(open_groups: list[tuple[int, int]]) -> int:
+    """Most frequent variable among the shortest clauses, ties by id.
+
+    Each entry is the bitmask of some clauses' unassigned variables and
+    the number of those clauses; a variable counts once per clause.
+    """
+    width = min(mask.bit_count() for mask, _ in open_groups)
     counts: dict[int, int] = {}
-    for mask in open_vars:
+    for mask, count in open_groups:
         if mask.bit_count() == width:
             while mask:
                 low = mask & -mask
                 mask ^= low
-                counts[low] = counts.get(low, 0) + 1
+                counts[low] = counts.get(low, 0) + count
     return min(counts, key=lambda b: (-counts[b], b)).bit_length() - 1
 
 
@@ -221,6 +236,18 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     variable x is assigned, and the search reads nothing else.  An alive
     clause holds no true literal, so it is open on exactly its unassigned
     variables; the first alive clause with none is the falsified one.
+
+    A state is read one variable set at a time.  `groups` holds, once per
+    CNF and in order of first occurrence, the mask of the clauses on each
+    distinct variable set (a Tseitin CNF has 2^(d-1) per vertex) with the
+    set's mask.  Clauses on one set share their unassigned variables, so
+    a group's alive clauses are either all open on the same mask or all
+    falsified.  The open ones enter `_branch_variable` as one mask
+    weighted by their number: the minimum width, every variable's count
+    and the tie by id come out as they would clause by clause, so the
+    branch variable is the same.  The falsified ones are OR-ed together,
+    and the lowest set bit is the first falsified clause in clause order.
+
     Each state is searched once, and a later visit takes the step the
     first returned.  It stays regular there: its pivots were branched on
     below the state, on variables the state marks unassigned.  A second
@@ -235,28 +262,34 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     """
     builder = _TraceBuilder()
     satisfied_by: dict[int, int] = {}
+    by_vars: dict[int, int] = {}
     for idx, cl in enumerate(cnf.clauses):
         for lit in cl:
             satisfied_by[lit] = satisfied_by.get(lit, 0) | 1 << idx
-    var_mask = [sum(1 << abs(lit) for lit in cl) for cl in cnf.clauses]
+        vm = sum(1 << abs(lit) for lit in cl)
+        by_vars[vm] = by_vars.get(vm, 0) | 1 << idx
+    groups = [(clauses, vm) for vm, clauses in by_vars.items()]
     done: dict[tuple[int, int], int] = {}
 
     def refute(alive: int, assigned_mask: int):
         if not alive:
             raise ValueError("CNF is satisfiable; nothing to refute")
-        free, rest = ~assigned_mask, alive
-        open_vars: list[int] = []
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            idx = low.bit_length() - 1
-            unassigned = var_mask[idx] & free
-            if not unassigned:
-                clause = frozenset(cnf.clauses[idx])
-                sid = builder.lookup(clause, assigned_mask)
-                return sid if sid is not None else builder.add(clause)
-            open_vars.append(unassigned)
-        x = _branch_variable(open_vars)
+        free = ~assigned_mask
+        falsified = 0
+        open_groups: list[tuple[int, int]] = []
+        for clauses, vm in groups:
+            here = alive & clauses
+            if here:
+                unassigned = vm & free
+                if unassigned:
+                    open_groups.append((unassigned, here.bit_count()))
+                else:
+                    falsified |= here
+        if falsified:
+            clause = frozenset(cnf.clauses[(falsified & -falsified).bit_length() - 1])
+            sid = builder.lookup(clause, assigned_mask)
+            return sid if sid is not None else builder.add(clause)
+        x = _branch_variable(open_groups)
         bit = 1 << x
         children = []
         for lit in (-x, x):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 import zlib
@@ -12,6 +13,7 @@ from tseitinkit.resolution import (
     CheckResult,
     ResolutionTrace,
     Step,
+    _pivot,
     check_refutation,
     check_regularity,
     dpll_refute,
@@ -344,6 +346,43 @@ def random_unsatisfiable_cnfs(count: int) -> list[tuple[int, Cnf]]:
     return out
 
 
+def _shared_variable_sets(cnf: Cnf) -> bool:
+    """Two variable sets of one width hold different numbers of clauses,
+    and some set's clauses are not consecutive in the clause order."""
+    by_vars: dict[frozenset, list[int]] = {}
+    for idx, cl in enumerate(cnf.clauses):
+        by_vars.setdefault(frozenset(abs(lit) for lit in cl), []).append(idx)
+    sizes: dict[int, set[int]] = {}
+    for vs, idxs in by_vars.items():
+        sizes.setdefault(len(vs), set()).add(len(idxs))
+    unequal = any(len(counts) > 1 for counts in sizes.values())
+    interleaved = any(idxs[-1] - idxs[0] >= len(idxs) for idxs in by_vars.values())
+    return unequal and interleaved
+
+
+def grouped_unsatisfiable_cnfs(count: int) -> list[tuple[int, Cnf]]:
+    """The first `count` seeds whose random CNF is unsatisfiable and
+    `_shared_variable_sets`: n to 2n variable sets of width 2 or 3 over
+    n = 3 to 8 variables, each with some but not all of its sign patterns,
+    shuffled."""
+    out = []
+    seed = 0
+    while len(out) < count:
+        rng = random.Random(seed)
+        n = rng.randint(3, 8)
+        clauses = []
+        for _ in range(rng.randint(n, 2 * n)):
+            vs = rng.sample(range(1, n + 1), rng.randint(2, 3))
+            for signs in rng.sample(range(1 << len(vs)), rng.randint(1, (1 << len(vs)) - 1)):
+                clauses.append(frozenset(-v if signs >> i & 1 else v for i, v in enumerate(vs)))
+        rng.shuffle(clauses)
+        cnf = Cnf(n, tuple(clauses))
+        if _shared_variable_sets(cnf) and _unsatisfiable(cnf):
+            out.append((seed, cnf))
+        seed += 1
+    return out
+
+
 class TestAgainstReference:
     def check(self, g):
         cnf = to_cnf(TseitinFormula(g, unit_charge(g.n, 0)))
@@ -381,6 +420,14 @@ class TestAgainstReference:
             assert check_regularity(trace), f"seed {seed}"
             dropped += trace.steps[-1].id > len(trace)
         assert dropped  # some roots leave steps unused, as the end-at-root fix expects
+
+    def test_grouped_unsatisfiable_cnfs(self):
+        # the library scans clauses one variable set at a time; a Tseitin
+        # CNF has the same number of alive clauses in every open group of
+        # the shortest width, so only CNFs like these show a wrong count or
+        # a wrong pick among falsified clauses
+        for seed, cnf in grouped_unsatisfiable_cnfs(240):
+            assert trace_to_text(dpll_refute(cnf)) == trace_to_text(reference_dpll_refute(cnf)), f"seed {seed}"
 
     def test_same_rejection(self):
         cnf = Cnf(2, (frozenset({1, 2}),))
@@ -430,6 +477,66 @@ class TestResolveHelper:
     def test_pivot_must_be_present(self):
         with pytest.raises(ValueError):
             resolve(frozenset({2}), frozenset({-1}), 1)
+
+
+# --- reference: pivots by trying each clashing variable ---------------------
+#
+# `_pivot` used to resolve on every variable the antecedents clash on, in
+# increasing order, and return the first whose resolvent is the clause.
+
+
+def reference_pivot(a: frozenset[int], b: frozenset[int], clause: frozenset[int]) -> int | None:
+    """Smallest variable on which a and b, in either order, resolve to
+    `clause`, or None."""
+    for pivot in sorted({abs(lit) for lit in a if -lit in b}):
+        first, second = (a, b) if pivot in a else (b, a)
+        try:
+            if resolve(first, second, pivot) == clause:
+                return pivot
+        except ValueError:  # an antecedent holds both literals of the pivot
+            continue
+    return None
+
+
+def _derived_triples(trace: ResolutionTrace):
+    clauses = {}
+    for step in trace.steps:
+        if not step.is_axiom and all(a in clauses for a in step.antecedents):
+            i, j = step.antecedents
+            yield clauses[i], clauses[j], step.clause
+        clauses[step.id] = step.clause
+
+
+class TestPivotAgainstReference:
+    def test_every_triple_on_three_variables(self):
+        # each variable absent, positive, negative or both: 64 clauses,
+        # tautologies included
+        options = [(), (1,), (-1,), (1, -1)]
+        clauses = [
+            frozenset(v * lit for v, pick in zip((1, 2, 3), picks) for lit in pick)
+            for picks in itertools.product(options, repeat=3)
+        ]
+        assert len(set(clauses)) == 64
+        resolving = 0
+        for a, b, clause in itertools.product(clauses, repeat=3):
+            expected = reference_pivot(a, b, clause)
+            assert _pivot(a, b, clause) == expected, (sorted(a), sorted(b), sorted(clause))
+            resolving += expected is not None
+        assert resolving
+
+    @pytest.mark.parametrize("g", [fam.complete(6), fam.wheel(8)], ids=["K6", "W8"])
+    def test_trace_steps_and_their_corruptions(self, g):
+        cnf = to_cnf(TseitinFormula(g, unit_charge(g.n, 0)))
+        trace = dpll_refute(cnf)
+        rng = random.Random(11)
+        traces = [trace] + [corrupt(trace, rng, cnf.num_vars) for _ in range(20)]
+        compared = 0
+        for t in traces:
+            for a, b, clause in _derived_triples(t):
+                assert _pivot(a, b, clause) == reference_pivot(a, b, clause)
+                compared += 1
+        assert all((pivot is None) == step.is_axiom for step, pivot in zip(trace.steps, trace.pivots))
+        assert compared >= 20 * sum(not step.is_axiom for step in trace.steps)
 
 
 # --- reference: parser and checker with stored pivots -------------------------
