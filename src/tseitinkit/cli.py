@@ -15,11 +15,12 @@ from . import families
 from .bounds import certificate_from_text, certified_lower_bound, verify_certificate
 from .bp import bp_from_text, bp_to_text, build_well_structured_bp, validate_well_structured
 from .cnf import cnf_from_dimacs, cnf_to_dimacs
-from .compiler import pipeline
+from .compiler import equivalent, pipeline
 from .graphs import Graph, connected_components, graph_from_text, graph_to_text
-from .nnf import nnf_from_text, nnf_to_text, truth_table as nnf_truth_table
+from .nnf import nnf_from_text, nnf_to_text
+from .oracles import VAR_CAP
 from .resolution import check_refutation, check_regularity, dpll_refute, trace_from_text, trace_to_text
-from .tseitin import DEGREE_CAP, TseitinFormula, is_satisfiable, to_cnf, truth_table as tseitin_truth_table, tseitin_from_text, tseitin_to_text, unit_charge
+from .tseitin import DEGREE_CAP, TseitinFormula, is_satisfiable, to_cnf, tseitin_from_text, tseitin_to_text, unit_charge
 
 CSV_HEADER = "name,n,m,treewidth,tw_provenance,bp_size,refutation_length,dnnf_size,model_count,bound_exponent,equivalence"
 
@@ -51,6 +52,18 @@ def _parse_charge(spec: str, g: Graph, want_satisfiable: bool, default_seed: int
         kind = "satisfiable" if want_satisfiable else "unsatisfiable"
         raise ValueError(f"charge spec {spec!r} is not {kind} on this graph")
     return charge
+
+
+def _desk_scale_cap(text: str) -> int:
+    """A --desk-scale-cap value: an int no larger than the truth table cap,
+    so a run that could never reach its verdict is refused up front."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > VAR_CAP:
+        raise argparse.ArgumentTypeError(f"{value} exceeds the truth table cap {VAR_CAP}")
+    return value
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -124,7 +137,7 @@ def cmd_check(args) -> int:
         if d.num_vars != t.graph.m:
             print("variable counts differ", file=sys.stderr)
             return 1
-        if not (nnf_truth_table(d) == tseitin_truth_table(t)).all():
+        if not equivalent(d, t):
             print("circuit and formula are not equivalent", file=sys.stderr)
             return 1
         print("equivalent")
@@ -186,13 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--target", default="zero")
     pipe.add_argument("--seed", type=int, default=0)
     pipe.add_argument("--out")
-    pipe.add_argument("--desk-scale-cap", type=int, default=16)
+    pipe.add_argument("--desk-scale-cap", type=_desk_scale_cap, default=16)
     pipe.set_defaults(func=cmd_pipeline)
 
     chk = sub.add_parser("check", help="validate an artifact")
     chk.add_argument("kind", choices=["refutation", "bp", "dnnf-equiv", "certificate"])
     chk.add_argument("files", nargs=2)
-    chk.add_argument("--desk-scale-cap", type=int, default=16)
+    chk.add_argument("--desk-scale-cap", type=_desk_scale_cap, default=16)
     chk.set_defaults(func=cmd_check)
 
     conv = sub.add_parser("convert", help="parse and re-emit a file in a text format")

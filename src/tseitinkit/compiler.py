@@ -77,7 +77,8 @@ from dataclasses import dataclass
 
 from .bp import BranchingProgram, build_well_structured_bp, validate_well_structured
 from .graphs import Graph, is_connected
-from .nnf import CircuitBuilder, NnfCircuit, model_count_smooth, rename_flip, truth_table as circuit_truth_table
+from .nnf import CircuitBuilder, NnfCircuit, model_count_smooth, rename_flip, root_value
+from .oracles import tables_equal
 from .tseitin import (
     Charge,
     TseitinFormula,
@@ -85,9 +86,9 @@ from .tseitin import (
     charge_retarget_flips,
     is_satisfiable,
     model_count,
+    satisfied,
     unit_charge,
 )
-from .tseitin import truth_table as tseitin_truth_table
 
 
 def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: int) -> NnfCircuit:
@@ -187,6 +188,13 @@ def retarget(d: NnfCircuit, g: Graph, c_current: Charge, c_star: Charge) -> NnfC
     return rename_flip(d, flips)
 
 
+def equivalent(d: NnfCircuit, t: TseitinFormula) -> bool:
+    """Brute force: the circuit and the formula agree on every one of the
+    2^m assignments (`oracles.tables_equal`, which stops at the first
+    block of assignments where they differ)."""
+    return tables_equal(t.graph.m, lambda x: root_value(d, x), lambda x: satisfied(t, x))
+
+
 @dataclass
 class PipelineReport:
     graph: Graph
@@ -223,7 +231,7 @@ def pipeline(g: Graph, c_unsat: Charge, c_star: Charge, desk_cap: int = 16) -> t
     verdict = "skipped"
     counted = None
     if g.m <= desk_cap:
-        equal = bool((circuit_truth_table(d) == tseitin_truth_table(target)).all())
+        equal = equivalent(d, target)
         counted = model_count_smooth(d)
         verdict = "equivalent" if equal and counted == expected else "mismatch"
     report = PipelineReport(

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .oracles import conj, disj, truth_table as _table
+from .oracles import conj, disj, neg
 from .textformat import records
 
 LIT = "L"
@@ -157,7 +155,7 @@ def gate_values(d: NnfCircuit, x) -> list:
     vals = []
     for g in d.gates:
         if g.kind == LIT:
-            vals.append(x(g.var) if g.positive else ~x(g.var))
+            vals.append(x(g.var) if g.positive else neg(x(g.var)))
         elif g.kind == CONST:
             vals.append(bool(g.a))
         elif g.kind == AND:
@@ -167,9 +165,9 @@ def gate_values(d: NnfCircuit, x) -> list:
     return vals
 
 
-def truth_table(d: NnfCircuit) -> np.ndarray:
-    """Circuit value on all 2^num_vars assignments (assignment = index)."""
-    return _table(d.num_vars, lambda x: gate_values(d, x)[d.root])
+def root_value(d: NnfCircuit, x):
+    """Value of the root under the column accessor x (see `oracles`)."""
+    return gate_values(d, x)[d.root]
 
 
 def _rebuild(d: NnfCircuit, leaf_fn) -> NnfCircuit:
@@ -336,7 +334,10 @@ def nnf_from_text(text: str) -> NnfCircuit:
     fid: list[int] = []  # file node id -> gate index (after binarization)
 
     def children(ln, start: int) -> list[int]:
-        count, *ids = ln.ints(start=start)
+        values = ln.ints(start=start)
+        if not values:
+            raise ln.error(f"no child count in {ln.text!r}")
+        count, *ids = values
         if count != len(ids):
             raise ln.error(f"announces {count} children, lists {len(ids)}")
         if any(not 0 <= i < len(fid) for i in ids):

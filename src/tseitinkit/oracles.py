@@ -7,18 +7,24 @@ verdicts.
 Evaluators read an assignment through a column accessor `x`: `x(v)` is
 the packed column of variable v.  Inside a truth-table block it is a
 uint64 array in which assignment i of the block is bit i mod 64 of word
-i // 64, the layout `np.packbits(..., bitorder="little")` produces; for
-one assignment, `point(mask)`, it is the Python int -1 (every bit set) or
-0.  Evaluators combine columns with `~`, `&`, `|` and `^` only, so the
-per-block and the per-assignment evaluation share one implementation, and
-the truth of a single assignment is `bool(value)`.  Constant values stay
-Python bools and are folded by `conj`, `disj` and `parity`: mixed into
-word arithmetic a bool would act as the one-bit word 1.
+i // 64, the layout `np.packbits(..., bitorder="little")` produces, for
+the variables below BLOCK_BITS; a variable at BLOCK_BITS or above is
+constant within a block and is handed over as a Python bool.  For one
+assignment, `point(mask)`, a column is the Python int -1 (every bit set)
+or 0.  Evaluators combine columns through `neg`, `conj`, `disj` and
+`parity` only, so the per-block and the per-assignment evaluation share
+one implementation, and the truth of a single assignment is
+`bool(value)`.  Those four fold constant values, which stay Python
+bools: mixed into word arithmetic a bool would act as the one-bit word 1
+(and `~True` is -2).
 
-`truth_table` is the one truth-table engine: it evaluates a column
-function on fixed blocks of 2^BLOCK_BITS assignments, so a circuit needs
-O(gates x 2^BLOCK_BITS / 8) bytes of working memory besides the
-2^num_vars-entry result, not O(gates x 2^num_vars).
+`truth_table` and `tables_equal` share the one truth-table engine: it
+evaluates a column function on fixed blocks of 2^BLOCK_BITS assignments,
+so a circuit needs O(gates x 2^BLOCK_BITS / 8) bytes of working memory.
+`truth_table` unpacks every block into the 2^num_vars-entry result;
+`tables_equal` compares two column functions block by block on their
+packed words and stops at the first block where they differ, so it
+builds no 2^num_vars-entry array.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ import numpy as np
 BLOCK_BITS = 16
 VAR_CAP = 24
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# word pattern of variable v < 6: bit i is set when bit v of i is
+_PATTERNS = [sum(1 << i for i in range(64) if (i >> v) & 1) for v in range(6)]
 
 
 def _block_columns(bits: int, words: int) -> list[np.ndarray]:
@@ -38,11 +46,32 @@ def _block_columns(bits: int, words: int) -> list[np.ndarray]:
     cols = []
     for v in range(bits):
         if v < 6:
-            pattern = sum(1 << i for i in range(64) if (i >> v) & 1)
-            cols.append(np.full(words, pattern, dtype=np.uint64))
+            cols.append(np.full(words, _PATTERNS[v], dtype=np.uint64))
         else:
             cols.append(np.where(((index >> (v - 6)) & 1).astype(bool), _ALL_ONES, np.uint64(0)))
     return cols
+
+
+def _accessors(num_vars: int):
+    """The column accessor of each block of 2^min(num_vars, BLOCK_BITS)
+    assignments, block by block in order.
+
+    A block shorter than a word is padded: columns repeat with the period
+    of the block, so two values that agree on the block agree on the
+    whole word.
+    """
+    if num_vars > VAR_CAP:
+        raise ValueError(f"{num_vars} variables exceed the truth table cap {VAR_CAP}")
+    bits = min(num_vars, BLOCK_BITS)
+    low = _block_columns(bits, max(1, (1 << bits) >> 6))
+    high = num_vars - bits
+    return ((low + [bool((block >> i) & 1) for i in range(high)]).__getitem__ for block in range(1 << high))
+
+
+def _packed(value):
+    """A block value as packed words; a constant becomes one word that
+    broadcasts over the block."""
+    return (_ALL_ONES if value else np.uint64(0)) if isinstance(value, bool) else value
 
 
 def truth_table(num_vars: int, column) -> np.ndarray:
@@ -50,26 +79,35 @@ def truth_table(num_vars: int, column) -> np.ndarray:
 
     `column` maps a column accessor `x` (see the module docstring) to the
     packed uint64 words of its value on the block, or to one bool for a
-    constant.  Variables at BLOCK_BITS or above are constant within a
-    block, an all-ones or all-zeros array.
+    constant.
     """
-    if num_vars > VAR_CAP:
-        raise ValueError(f"{num_vars} variables exceed the truth table cap {VAR_CAP}")
-    bits = min(num_vars, BLOCK_BITS)
-    words = max(1, (1 << bits) >> 6)  # a block shorter than a word is padded
-    low = _block_columns(bits, words)
-    ones, zeros = np.full(words, _ALL_ONES), np.zeros(words, dtype=np.uint64)
-    packed = np.empty(words << (num_vars - bits), dtype="<u8")
-    for block, start in enumerate(range(0, len(packed), words)):
-        cols = low + [ones if (block >> i) & 1 else zeros for i in range(num_vars - bits)]
-        value = column(cols.__getitem__)
-        packed[start:start + words] = (_ALL_ONES if value else 0) if isinstance(value, bool) else value
+    accessors = _accessors(num_vars)  # checks the cap before the table is allocated
+    packed = np.empty(max(1, (1 << num_vars) >> 6), dtype="<u8")
+    rows = packed.reshape(1 << max(num_vars - BLOCK_BITS, 0), -1)  # one row of words per block
+    for words, x in zip(rows, accessors):
+        words[:] = _packed(column(x))
     return np.unpackbits(packed.view(np.uint8), bitorder="little")[:1 << num_vars].view(bool)
+
+
+def tables_equal(num_vars: int, column_a, column_b) -> bool:
+    """Whether two column functions (as for `truth_table`) agree on all
+    2^num_vars assignments.
+
+    Both are evaluated block by block and their packed words compared, up
+    to the first block where they differ; no 2^num_vars-entry array is
+    built.
+    """
+    return all((_packed(column_a(x)) == _packed(column_b(x))).all() for x in _accessors(num_vars))
 
 
 def point(mask: int):
     """Column accessor of the single assignment `mask` (bit v = variable v)."""
     return lambda v: -((mask >> v) & 1)
+
+
+def neg(a):
+    """NOT a, folding a constant (bool) operand."""
+    return (not a) if isinstance(a, bool) else ~a
 
 
 def conj(a, b):
@@ -92,11 +130,16 @@ def disj(a, b):
 
 def parity(x, edge_ids, charge: int):
     """Whether the XOR of the listed variables of x equals `charge` (0/1);
-    a bool when the list is empty."""
+    a bool when every listed column is constant."""
     value = not charge
     for e in edge_ids:
         col = x(e)
-        value = (~col if value else col) if isinstance(value, bool) else value ^ col
+        if isinstance(col, bool):
+            value = neg(value) if col else value
+        elif isinstance(value, bool):
+            value = neg(col) if value else col
+        else:
+            value = value ^ col
     return value
 
 

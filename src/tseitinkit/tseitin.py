@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cnf import Cnf
 from .graphs import Graph, connected_components, edge_from_line, search, tree_path
-from .oracles import conj, parity, truth_table as _table
+from .oracles import conj, parity
 from .textformat import records
 
 DEGREE_CAP = 8
@@ -65,16 +63,13 @@ def model_count(t: TseitinFormula) -> int:
     return 1 << (t.graph.m - t.graph.n + k)
 
 
-def truth_table(t: TseitinFormula) -> np.ndarray:
-    """Indicator over all 2^m assignments, independent of every other path."""
-
-    def column(x):
-        ok = True
-        for v in range(t.graph.n):
-            ok = conj(ok, parity(x, t.graph.incident[v], t.charge[v]))
-        return ok
-
-    return _table(t.graph.m, column)
+def satisfied(t: TseitinFormula, x):
+    """Whether every constraint holds under the column accessor x (see
+    `oracles`), independent of every other path."""
+    ok = True
+    for v in range(t.graph.n):
+        ok = conj(ok, parity(x, t.graph.incident[v], t.charge[v]))
+    return ok
 
 
 def to_cnf(t: TseitinFormula) -> Cnf:

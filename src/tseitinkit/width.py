@@ -200,14 +200,6 @@ class BranchDecomposition:
                 d[node[1]] = d[node[2]] = d[i] + 1
         return tuple(d)
 
-    @cached_property
-    def edges_below(self) -> tuple[frozenset, ...]:
-        out: list = [None] * len(self.nodes)
-        for i in reversed(self.preorder):
-            node = self.nodes[i]
-            out[i] = frozenset((node[1],)) if node[0] == "leaf" else out[node[1]] | out[node[2]]
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -217,49 +209,64 @@ class Cut:
     depth: int
     e1: tuple[int, ...]
     e2: tuple[int, ...]
-    boundary: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.boundary)
+    boundary: tuple[int, ...]  # its size is the order of the cut
 
 
-def all_cuts(t: BranchDecomposition, g: Graph) -> list[Cut]:
-    """One cut per non-root node; a single-leaf tree yields the trivial cut.
+def _cut_orders(t: BranchDecomposition, g: Graph) -> dict[int, int]:
+    """The order of the cut above every node, from one bottom-up pass.
 
-    Boundaries come from one bottom-up pass: a vertex is on a node's
-    boundary exactly when some but not all of its incident edges lie below
-    the node.
+    A vertex is on a node's boundary exactly when some but not all of its
+    incident edges lie below the node.  A node takes over its larger
+    child's counts of incident edges below and that child's order, and
+    updates both with the smaller child's vertices only.
     """
     degree = [len(inc) for inc in g.incident]
     counts: dict[int, dict[int, int]] = {}  # node -> vertex -> incident edges below
-    boundary: dict[int, tuple[int, ...]] = {}
+    orders: dict[int, int] = {}
     for i in reversed(t.preorder):
         node = t.nodes[i]
         if node[0] == "leaf":
             count = dict.fromkeys(g.edges[node[1]], 1)
+            order = sum(1 for v in count if degree[v] > 1)
         else:
-            count, other = counts.pop(node[1]), counts.pop(node[2])
-            if len(count) < len(other):
-                count, other = other, count
+            big, small = node[1], node[2]
+            if len(counts[big]) < len(counts[small]):
+                big, small = small, big
+            count, other, order = counts.pop(big), counts.pop(small), orders[big]
             for v, k in other.items():
-                count[v] = count.get(v, 0) + k
-        counts[i] = count
-        boundary[i] = tuple(sorted(v for v, k in count.items() if k < degree[v]))
-    cuts = []
-    every = frozenset(range(g.m))
-    for i in range(len(t.nodes)):
-        if i == t.root and len(t.nodes) > 1:
-            continue
-        below = t.edges_below[i]
-        cuts.append(Cut(i, t.depth[i], tuple(sorted(below)), tuple(sorted(every - below)), boundary[i]))
-    return cuts
+                before = count.get(v, 0)
+                count[v] = before + k
+                order += (before + k < degree[v]) - (0 < before < degree[v])
+        counts[i], orders[i] = count, order
+    return orders
+
+
+def _cut(t: BranchDecomposition, g: Graph, i: int) -> Cut:
+    """The cut above node i."""
+    below = set()
+    stack = [i]
+    while stack:
+        node = t.nodes[stack.pop()]
+        if node[0] == "leaf":
+            below.add(node[1])
+        else:
+            stack += node[1:]
+    inside: dict[int, int] = {}
+    for e in below:
+        for v in g.edges[e]:
+            inside[v] = inside.get(v, 0) + 1
+    boundary = tuple(sorted(v for v, k in inside.items() if k < len(g.incident[v])))
+    return Cut(i, t.depth[i], tuple(sorted(below)), tuple(e for e in range(g.m) if e not in below), boundary)
 
 
 def max_order_cut(t: BranchDecomposition, g: Graph) -> Cut:
-    """Cut of maximum order; ties broken by depth (deepest wins), then id."""
-    cuts = all_cuts(t, g)
-    return max(cuts, key=lambda c: (c.order, c.depth, -c.node_id))
+    """Cut of maximum order, over the cuts above every non-root node (the
+    root of a single-leaf tree gives the trivial cut); ties broken by
+    depth (deepest wins), then id.  Only the winner's edge sets are
+    built."""
+    orders = _cut_orders(t, g)
+    nodes = [i for i in t.preorder if i != t.root] or [t.root]
+    return _cut(t, g, max(nodes, key=lambda i: (orders[i], t.depth[i], -i)))
 
 
 def caterpillar(order) -> BranchDecomposition:

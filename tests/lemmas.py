@@ -20,8 +20,12 @@ with a gate for every (program node, vertex) pair, as the reference the
 library's demand-driven compiler must equal gate for gate; the path-wise
 read-once check (`validate_read_once`) the BP validator's condition 3
 implies; conditioning and forgetting on circuits, for replaying a minor
-trace (`replay_on_circuit`); and the pointwise evaluators and reference
-truth tables the packed engine in `tseitinkit.oracles` is checked against.
+trace (`replay_on_circuit`); the truth tables of a circuit and of a
+formula (`nnf_truth_table`, `tseitin_truth_table`) that the tests read,
+and the pointwise evaluators and reference truth tables the packed engine
+in `tseitinkit.oracles` is checked against; and every cut of a branch
+decomposition (`all_cuts`), of which the library builds only the
+maximum-order one.
 
 The cover game: the cover player picks an uncovered model and the proof
 tree accepting it; the adversary answers with a cut of the induced
@@ -45,11 +49,11 @@ from tseitinkit.bp import BranchingProgram, expected_children, make_annotation, 
 from tseitinkit.graphs import Graph, SplitRequest, is_3_connected, is_connected, split_all
 from tseitinkit.minors import MinorResult
 from tseitinkit.cnf import Cnf
-from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, _rebuild, _reachable, gate_values, is_smooth, restrict_to_root, validate_decomposable
-from tseitinkit.oracles import BLOCK_BITS, parity, point
+from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, _rebuild, _reachable, gate_values, is_smooth, restrict_to_root, root_value, validate_decomposable
+from tseitinkit.oracles import BLOCK_BITS, parity, point, truth_table
 from tseitinkit.recursion import run
-from tseitinkit.tseitin import Charge, TseitinFormula, is_satisfiable, model_count, truth_table
-from tseitinkit.width import BranchDecomposition, all_cuts, caterpillar, edge_order, max_order_cut, treewidth_bounds
+from tseitinkit.tseitin import Charge, TseitinFormula, is_satisfiable, model_count, satisfied
+from tseitinkit.width import BranchDecomposition, Cut, caterpillar, edge_order, max_order_cut, treewidth_bounds
 
 RECT_CAP = 20
 
@@ -82,8 +86,51 @@ def cut_boundary(g: Graph, e1) -> tuple[int, ...]:
     return tuple(sorted(side1 & side2))
 
 
+def edges_below(t: BranchDecomposition) -> tuple[frozenset, ...]:
+    """The leaf edges below every node."""
+    out: list = [None] * len(t.nodes)
+    for i in reversed(t.preorder):
+        node = t.nodes[i]
+        out[i] = frozenset((node[1],)) if node[0] == "leaf" else out[node[1]] | out[node[2]]
+    return tuple(out)
+
+
+def all_cuts(t: BranchDecomposition, g: Graph) -> list[Cut]:
+    """One cut per non-root node; a single-leaf tree yields the trivial cut.
+
+    Boundaries come from one bottom-up pass: a vertex is on a node's
+    boundary exactly when some but not all of its incident edges lie below
+    the node.  The library's `max_order_cut` builds the edge sets of its
+    winner only; it must pick the maximum of these cuts.
+    """
+    degree = [len(inc) for inc in g.incident]
+    counts: dict[int, dict[int, int]] = {}  # node -> vertex -> incident edges below
+    boundary: dict[int, tuple[int, ...]] = {}
+    for i in reversed(t.preorder):
+        node = t.nodes[i]
+        if node[0] == "leaf":
+            count = dict.fromkeys(g.edges[node[1]], 1)
+        else:
+            count, other = counts.pop(node[1]), counts.pop(node[2])
+            if len(count) < len(other):
+                count, other = other, count
+            for v, k in other.items():
+                count[v] = count.get(v, 0) + k
+        counts[i] = count
+        boundary[i] = tuple(sorted(v for v, k in count.items() if k < degree[v]))
+    cuts = []
+    every = frozenset(range(g.m))
+    below_of = edges_below(t)
+    for i in range(len(t.nodes)):
+        if i == t.root and len(t.nodes) > 1:
+            continue
+        below = below_of[i]
+        cuts.append(Cut(i, t.depth[i], tuple(sorted(below)), tuple(sorted(every - below)), boundary[i]))
+    return cuts
+
+
 def width_of(t: BranchDecomposition, g: Graph) -> int:
-    return max((c.order for c in all_cuts(t, g)), default=0)
+    return max((len(c.boundary) for c in all_cuts(t, g)), default=0)
 
 
 def branchwidth_bounds(g: Graph) -> tuple[int, int]:
@@ -123,6 +170,16 @@ def violated_at(t: TseitinFormula, mask: int, v: int) -> bool:
 
 def satisfies(t: TseitinFormula, mask: int) -> bool:
     return not any(violated_at(t, mask, v) for v in range(t.graph.n))
+
+
+def nnf_truth_table(d: NnfCircuit) -> np.ndarray:
+    """Circuit value on all 2^num_vars assignments (assignment = index)."""
+    return truth_table(d.num_vars, lambda x: root_value(d, x))
+
+
+def tseitin_truth_table(t: TseitinFormula) -> np.ndarray:
+    """Indicator of the models over all 2^m assignments."""
+    return truth_table(t.graph.m, lambda x: satisfied(t, x))
 
 
 def reference_truth_table(num_vars: int, column) -> np.ndarray:
@@ -172,7 +229,7 @@ class SubConstraint:
 
 def conjoin_models(t: TseitinFormula, subs: list[SubConstraint]) -> list[int]:
     """Brute-force model set of t with extra sub-constraints conjoined."""
-    return [mask for mask in models(truth_table(t)) if all(s.holds(mask) for s in subs)]
+    return [mask for mask in models(tseitin_truth_table(t)) if all(s.holds(mask) for s in subs)]
 
 
 def _sub_to_split(t: TseitinFormula, s: SubConstraint) -> SplitRequest:
@@ -451,7 +508,7 @@ def proof_tree_vtree(d: NnfCircuit, mask: int) -> tuple[BranchDecomposition, dic
 
     The walk takes the true child at every OR gate (the smaller id on
     ties), so each node's gate is an AND gate or a literal; the leaves are
-    the literals' variables.  On a smooth circuit `edges_below[i]` is then
+    the literals' variables.  On a smooth circuit `edges_below(vtree)[i]` is then
     the variable set of gate `gate_of[i]`.
     """
     vals = gate_values(d, point(mask))
@@ -651,7 +708,7 @@ def game_simulate(d: NnfCircuit, t: TseitinFormula) -> GameTranscript:
     """
     if not validate_decomposable(d) or not is_smooth(d):
         raise ValueError("the game needs a smooth decomposable circuit")
-    sat_masks = models(truth_table(t))
+    sat_masks = models(tseitin_truth_table(t))
     circuit_sat = set(sat_masks)
     trees = enumerate_proof_trees(d)
     three_conn = is_3_connected(t.graph)
@@ -708,7 +765,7 @@ def extract_balanced_cover(d: NnfCircuit) -> list[Rectangle]:
     while uncovered:
         a = min(uncovered)
         vtree, gate_of = proof_tree_vtree(d, a)
-        size = [len(below) for below in vtree.edges_below]
+        size = [len(below) for below in edges_below(vtree)]
         i = vtree.root
         while 3 * size[i] > 2 * total:
             node = vtree.nodes[i]

@@ -21,8 +21,10 @@ from lemmas import (
     induced_subconstraint,
     k4_with_pendant_path,
     mask_of,
+    nnf_truth_table,
     octahedron,
     sample_charges,
+    tseitin_truth_table,
 )
 from mutations import corrupt
 from tseitinkit import families as fam
@@ -30,13 +32,12 @@ from tseitinkit.bp import build_well_structured_bp
 from tseitinkit.compiler import compile_bp_to_dnnf, pipeline
 from tseitinkit.graphs import Graph, SplitRequest, is_connected, split_all
 from tseitinkit.minors import three_connected_minor
-from tseitinkit.nnf import smooth, truth_table as nnf_truth_table
+from tseitinkit.nnf import smooth
 from tseitinkit.resolution import check_refutation, check_regularity, dpll_refute
 from tseitinkit.tseitin import (
     TseitinFormula,
     model_count,
     to_cnf,
-    truth_table as tseitin_truth_table,
     unit_charge,
 )
 from tseitinkit.width import treewidth_exact

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from lemmas import (
+    edges_below,
     enumerate_proof_trees,
     extract_balanced_cover,
     game_simulate,
@@ -11,14 +12,16 @@ from lemmas import (
     is_rectangle,
     mask_of,
     models,
+    nnf_truth_table,
     proof_tree_vtree,
     rectangle_cap_check,
+    tseitin_truth_table,
 )
 from tseitinkit import families as fam
 from tseitinkit.bounds import adam_response, certificate_from_text, certificate_to_text, certified_lower_bound, verify_certificate
 from tseitinkit.compiler import pipeline
-from tseitinkit.nnf import CircuitBuilder, smooth, truth_table
-from tseitinkit.tseitin import TseitinFormula, truth_table as tseitin_truth_table, unit_charge
+from tseitinkit.nnf import CircuitBuilder, smooth
+from tseitinkit.tseitin import TseitinFormula, unit_charge
 from tseitinkit.width import BranchDecomposition, caterpillar, edge_order
 
 
@@ -185,7 +188,7 @@ class TestRectangleCapCheck:
 def _vtree_matching(d, t):
     """A variable tree from the circuit's own first proof tree, so some
     gate rectangles share the adversary's partition."""
-    vtree, _ = proof_tree_vtree(d, min(models(truth_table(d))))
+    vtree, _ = proof_tree_vtree(d, min(models(nnf_truth_table(d))))
     return vtree
 
 
@@ -295,7 +298,7 @@ class TestBalancedCover:
         union = set()
         for rect in cover:
             union |= rect.models()
-        assert union == set(models(truth_table(d)))
+        assert union == set(models(nnf_truth_table(d)))
 
     def test_k4_cover_at_least_two(self):
         g = fam.complete(4)
@@ -331,7 +334,7 @@ class TestDeepCircuits:
         assert tree.ones == tree.assigned == full
         assert tree.nodes == frozenset(range(d.node_count))
         vtree, gate_of = proof_tree_vtree(d, full)
-        assert (gate_of[vtree.root], vtree.edges_below[vtree.root]) == (root, frozenset(range(n)))
+        assert (gate_of[vtree.root], edges_below(vtree)[vtree.root]) == (root, frozenset(range(n)))
         assert sorted(node[1] for node in vtree.nodes if node[0] == "leaf") == list(range(n))
         assert len(vtree.nodes) == 2 * n - 1
         assert max(vtree.depth) == n - 1

@@ -137,6 +137,28 @@ class TestPipeline:
         main(args + ["--out", str(b)])
         assert a.read_text() == b.read_text()
 
+    @pytest.mark.parametrize("cap", ["25", "40"])
+    def test_desk_scale_cap_above_the_table_cap_is_a_usage_error(self, workdir, tmp_path, capsys, cap):
+        """Refused at argument parsing: nothing is built and no row is written."""
+        out = tmp_path / "report.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pipeline", "--graph", workdir["graph"], "--desk-scale-cap", cap, "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --desk-scale-cap: {cap} exceeds the truth table cap 24" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_desk_scale_cap_at_the_table_cap_runs(self, workdir, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["pipeline", "--graph", workdir["graph"], "--desk-scale-cap", "24", "--out", str(out)]) == 0
+        assert out.read_text().endswith(",equivalent\n")
+
+    def test_desk_scale_cap_not_an_int(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pipeline", "--graph", workdir["graph"], "--desk-scale-cap", "x"])
+        assert exit_info.value.code == 2
+        assert "argument --desk-scale-cap: invalid int value: 'x'" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_valid_refutation(self, workdir):
@@ -177,6 +199,13 @@ class TestCheck:
             paths[name].write_text(text)
         for name, code in (("good", 0), ("flipped", 1)):
             assert main(["check", "dnnf-equiv", str(paths["t"]), str(paths[name]), "--desk-scale-cap", "24"]) == code, name
+
+    def test_dnnf_equiv_cap_above_the_table_cap_is_a_usage_error(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "dnnf-equiv", workdir["tseitin_zero"], workdir["nnf"], "--desk-scale-cap", "25"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --desk-scale-cap: 25 exceeds the truth table cap 24" in err and "Traceback" not in err
 
     def test_certificate(self, workdir):
         assert main(["check", "certificate", workdir["k4"], workdir["cert"]]) == 0
@@ -309,6 +338,8 @@ class TestMalformedInput:
         (["check", "dnnf-equiv", "@zero", "{nnf}"], "nnf 2 2 3\nL 1\nA 2 0 5\n", 3),
         (["check", "bp", "{tseitin}", "@bp"], "p tseitin 3 3\ng 1 0 0\ne 1 2\ne 2 9\ne 1 3\n", 4),
         (["convert", "{tseitin}", "--format", "tseitin"], "e 0 1\np tseitin 2 1\ng 0 0\n", 1),
+        (["check", "dnnf-equiv", "@zero", "{nnf}"], "nnf 2 0 3\nL 1\nA\n", 3),
+        (["convert", "{nnf}", "--format", "nnf"], "nnf 2 0 3\nL 1\nO 0\n", 3),
     ])
     def test_error_names_the_line(self, tmp_path, capsys, argv, text, line):
         assert main(_fuzz_argv(tmp_path, argv, text)) == 1

@@ -4,13 +4,13 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import build_bp_by_rule, compile_all_pairs, demanded_vertices, models
+from lemmas import build_bp_by_rule, compile_all_pairs, demanded_vertices, models, nnf_truth_table, tseitin_truth_table
 from tseitinkit import families as fam
 from tseitinkit.bp import BranchingProgram, build_well_structured_bp, validate_well_structured
 from tseitinkit.compiler import compile_bp_to_dnnf, pipeline, retarget
 from tseitinkit.graphs import Graph
-from tseitinkit.nnf import NnfCircuit, is_smooth, model_count_smooth, nnf_to_text, truth_table, validate_decomposable
-from tseitinkit.tseitin import TseitinFormula, truth_table as tseitin_truth_table, unit_charge
+from tseitinkit.nnf import NnfCircuit, is_smooth, model_count_smooth, nnf_to_text, validate_decomposable
+from tseitinkit.tseitin import TseitinFormula, unit_charge
 
 
 class TestCompileSmall:
@@ -19,14 +19,14 @@ class TestCompileSmall:
         bp = build_well_structured_bp(g, (1, 0))
         d = compile_bp_to_dnnf(bp, g, (1, 0), 0)
         # computing T(edge, (1,0) + 1_0) = T(edge, 0): the single model x=0
-        assert models(truth_table(d)) == [0]
+        assert models(nnf_truth_table(d)) == [0]
         assert validate_decomposable(d)
 
     def test_c3_equivalent_to_zero_charge(self):
         g = fam.cycle(3)
         bp = build_well_structured_bp(g, (1, 0, 0))
         d = compile_bp_to_dnnf(bp, g, (1, 0, 0), 0)
-        assert set(models(truth_table(d))) == set(models(tseitin_truth_table(TseitinFormula(g, (0, 0, 0)))))
+        assert set(models(nnf_truth_table(d))) == set(models(tseitin_truth_table(TseitinFormula(g, (0, 0, 0)))))
 
     def test_rejects_invalid_program(self):
         # swapping the source's wires sends each literal to the other's
@@ -64,7 +64,7 @@ class TestInvariantPerNode:
             vertices, edge_ids, charge = ann[node]
             for v, gate in per_vertex.items():
                 sub = NnfCircuit(details.all_gates, gate, g.m)
-                table = truth_table(sub)
+                table = nnf_truth_table(sub)
                 want_charge = dict(charge)
                 want_charge[v] ^= 1
                 for bits in range(1 << len(edge_ids)):
@@ -103,7 +103,7 @@ class TestRetarget:
         g = fam.cycle(3)
         _, d, _ = pipeline(g, (1, 0, 0), (0, 0, 0))
         moved = retarget(d, g, (0, 0, 0), (1, 1, 0))
-        assert set(models(truth_table(moved))) == set(models(tseitin_truth_table(TseitinFormula(g, (1, 1, 0)))))
+        assert set(models(nnf_truth_table(moved))) == set(models(tseitin_truth_table(TseitinFormula(g, (1, 1, 0)))))
 
 
 class TestPipeline:
@@ -219,7 +219,7 @@ class TestDemandDriven:
             d = compile_bp_to_dnnf(bp, g, c, r)
             assert nnf_to_text(d) == nnf_to_text(details.circuit(r))
             shifted = tuple(x ^ (v == r) for v, x in enumerate(c))
-            assert set(models(truth_table(d))) == set(models(tseitin_truth_table(TseitinFormula(g, shifted))))
+            assert set(models(nnf_truth_table(d))) == set(models(tseitin_truth_table(TseitinFormula(g, shifted))))
 
 
 class TestSmoothAsBuilt:

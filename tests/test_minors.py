@@ -3,7 +3,7 @@ import zlib
 
 import pytest
 
-from lemmas import k4_with_pendant_path, mask_of, octahedron, replay_on_circuit
+from lemmas import k4_with_pendant_path, mask_of, nnf_truth_table, octahedron, replay_on_circuit
 from tseitinkit import families as fam
 from tseitinkit.graphs import Graph, connected_components, induced_subgraph, is_3_connected, is_connected
 from tseitinkit.minors import MinorOp, MinorResult, find_safe_separator, three_connected_minor
@@ -90,7 +90,6 @@ class TestThreeConnectedMinor:
                              ids=["twoK4", "k4pendant", "grid3x3"])
     def test_replay_turns_circuit_into_minor_circuit(self, make):
         from tseitinkit.compiler import pipeline
-        from tseitinkit.nnf import truth_table
         from tseitinkit.tseitin import unit_charge
 
         g = make()
@@ -99,7 +98,7 @@ class TestThreeConnectedMinor:
         replayed = replay_on_circuit(result, d)
         assert replayed.size <= d.size
         h = result.graph
-        table = truth_table(replayed)
+        table = nnf_truth_table(replayed)
         # the replayed circuit depends only on the surviving variables and
         # computes the minor's all-zero formula on them
         for mask in range(1 << g.m):

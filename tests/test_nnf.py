@@ -1,6 +1,16 @@
 import pytest
 
-from lemmas import condition_dnnf, enumerate_proof_trees, evaluate, forget_var, gate_rectangle, models, proof_tree_models
+from lemmas import (
+    condition_dnnf,
+    enumerate_proof_trees,
+    evaluate,
+    forget_var,
+    gate_rectangle,
+    models,
+    nnf_truth_table,
+    proof_tree_models,
+    tseitin_truth_table,
+)
 from tseitinkit import families as fam
 from tseitinkit.nnf import (
     CircuitBuilder,
@@ -13,10 +23,9 @@ from tseitinkit.nnf import (
     rename_flip,
     restrict_to_root,
     smooth,
-    truth_table,
     validate_decomposable,
 )
-from tseitinkit.tseitin import TseitinFormula, truth_table as tseitin_truth_table
+from tseitinkit.tseitin import TseitinFormula
 
 
 def circuit_and_xy():
@@ -53,7 +62,7 @@ class TestSmoothing:
         d = circuit_x_or_xy()
         s = smooth(d)
         assert is_smooth(s)
-        assert models(truth_table(s)) == models(truth_table(d))
+        assert models(nnf_truth_table(s)) == models(nnf_truth_table(d))
 
     def test_already_smooth_unchanged(self):
         d = smooth(circuit_xy_or_notx_noty())
@@ -76,7 +85,7 @@ class TestCounting:
 
     def test_decision_form_matches_brute_force(self):
         d = smooth(circuit_xy_or_notx_noty())
-        assert model_count_smooth(d) == len(models(truth_table(d))) == 2
+        assert model_count_smooth(d) == len(models(nnf_truth_table(d))) == 2
 
     def test_constant_counts_as_its_value(self):
         # a constant mentions no variable, so 1 AND (x OR not-x) is smooth
@@ -104,7 +113,7 @@ class TestEvaluate:
 
     def test_truth_table_matches_pointwise(self):
         d = smooth(circuit_xy_or_notx_noty())
-        table = truth_table(d)
+        table = nnf_truth_table(d)
         for mask in range(4):
             assert bool(table[mask]) == evaluate(d, mask)
 
@@ -112,15 +121,15 @@ class TestEvaluate:
 class TestConditionForget:
     def test_condition_examples(self):
         d = circuit_and_xy()
-        assert models(truth_table(condition_dnnf(d, 0, 1))) == [2, 3]
+        assert models(nnf_truth_table(condition_dnnf(d, 0, 1))) == [2, 3]
         c0 = condition_dnnf(d, 0, 0)
         assert c0.gates[c0.root] == Gate("C", a=0)
 
     def test_forget_examples(self):
         d = circuit_and_xy()
-        assert models(truth_table(forget_var(d, 1))) == [1, 3]
+        assert models(nnf_truth_table(forget_var(d, 1))) == [1, 3]
         both = circuit_xy_or_notx_noty()
-        assert models(truth_table(forget_var(both, 1))) == [0, 1, 2, 3]
+        assert models(nnf_truth_table(forget_var(both, 1))) == [0, 1, 2, 3]
 
     def test_forget_equals_or_of_conditionings(self, bench_graph):
         _, g = bench_graph
@@ -131,9 +140,9 @@ class TestConditionForget:
 
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * g.n)
         var = 0
-        forgotten = set(models(truth_table(forget_var(d, var))))
-        m0 = truth_table(condition_dnnf(d, var, 0))
-        m1 = truth_table(condition_dnnf(d, var, 1))
+        forgotten = set(models(nnf_truth_table(forget_var(d, var))))
+        m0 = nnf_truth_table(condition_dnnf(d, var, 0))
+        m1 = nnf_truth_table(condition_dnnf(d, var, 1))
         either = {i for i in range(1 << g.m) if m0[i] or m1[i]}
         assert forgotten == either
 
@@ -146,8 +155,8 @@ class TestConditionForget:
         g = fam.path(3)
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0, 0, 0))
         contracted = forget_var(d, 1)
-        assert models(truth_table(contracted)) == [0b00, 0b10]  # edge 1 is now a free bit
-        table = truth_table(contracted)
+        assert models(nnf_truth_table(contracted)) == [0b00, 0b10]  # edge 1 is now a free bit
+        table = nnf_truth_table(contracted)
         kept = {mask & 0b01 for mask in range(4) if table[mask]}
         assert kept == {0}  # projected function: the single-edge zero formula
 
@@ -174,13 +183,13 @@ class TestRenameFlip:
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0, 0, 0))
         flips = charge_retarget_flips(g, (0, 0, 0), (1, 1, 0))
         target = TseitinFormula(g, (1, 1, 0))
-        assert set(models(truth_table(rename_flip(d, flips)))) == set(models(tseitin_truth_table(target)))
+        assert set(models(nnf_truth_table(rename_flip(d, flips)))) == set(models(tseitin_truth_table(target)))
 
 
 class TestProofTrees:
     def test_models_match(self):
         d = smooth(circuit_xy_or_notx_noty())
-        assert proof_tree_models(d) == set(models(truth_table(d)))
+        assert proof_tree_models(d) == set(models(nnf_truth_table(d)))
 
     def test_compiled_circuit_proof_trees(self):
         from tseitinkit.compiler import pipeline
@@ -189,7 +198,7 @@ class TestProofTrees:
         g = fam.complete(4)
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * 4)
         ds = smooth(d)
-        assert proof_tree_models(ds) == set(models(truth_table(ds)))
+        assert proof_tree_models(ds) == set(models(nnf_truth_table(ds)))
         assert len(enumerate_proof_trees(ds)) == 8  # decision form: one tree per model
 
 
@@ -197,7 +206,7 @@ class TestGateRectangles:
     def test_root_rectangle_is_sat_set(self):
         d = smooth(circuit_xy_or_notx_noty())
         rect = gate_rectangle(d, d.root)
-        assert rect.models() == set(models(truth_table(d)))
+        assert rect.models() == set(models(nnf_truth_table(d)))
         assert rect.b_side == frozenset({0})
 
     def test_single_variable_circuit(self):
@@ -214,7 +223,7 @@ class TestGateRectangles:
         g = fam.cycle(3)
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0, 0, 0))
         ds = smooth(d)
-        sat = set(models(truth_table(ds)))
+        sat = set(models(nnf_truth_table(ds)))
         trees = enumerate_proof_trees(ds)
         for gid in range(ds.node_count):
             rect = gate_rectangle(ds, gid, trees)
@@ -247,7 +256,7 @@ class TestConstants:
         d = b.build(b.gate_and(b.literal(0, True), b.gate_and(one, b.literal(1, True))))
         p = propagate_constants(d)
         assert all(g.kind != "C" for g in p.gates)
-        assert models(truth_table(p)) == models(truth_table(d))
+        assert models(nnf_truth_table(p)) == models(nnf_truth_table(d))
 
     def test_restrict_drops_unreachable(self):
         b = CircuitBuilder(2)
@@ -263,7 +272,7 @@ class TestNnfText:
         text = nnf_to_text(d)
         back = nnf_from_text(text)
         assert nnf_to_text(back) == text
-        assert models(truth_table(back)) == models(truth_table(d))
+        assert models(nnf_truth_table(back)) == models(nnf_truth_table(d))
 
     def test_round_trip_compiled(self, bench_graph):
         _, g = bench_graph
@@ -274,7 +283,7 @@ class TestNnfText:
         text = nnf_to_text(d)
         back = nnf_from_text(text)
         assert nnf_to_text(back) == text
-        assert (truth_table(back) == truth_table(d)).all()
+        assert (nnf_truth_table(back) == nnf_truth_table(d)).all()
 
     def test_constants_encoding(self):
         b = CircuitBuilder(1)
@@ -284,7 +293,13 @@ class TestNnfText:
         d2 = b2.build(b2.const(0))
         assert nnf_to_text(d2).splitlines()[1] == "O 0 0"
 
+    @pytest.mark.parametrize("line", ["A", "O", "O 0"])
+    def test_gate_without_child_count_names_its_line(self, line):
+        with pytest.raises(ValueError) as info:
+            nnf_from_text(f"nnf 2 0 1\nc a comment\nL 1\n{line}\n")
+        assert str(info.value) == f"line 4: no child count in {line!r}"
+
     def test_nary_input_binarized(self):
         text = "nnf 4 3 3\nL 1\nL 2\nL 3\nA 3 0 1 2\n"
         d = nnf_from_text(text)
-        assert models(truth_table(d)) == [0b111]
+        assert models(nnf_truth_table(d)) == [0b111]

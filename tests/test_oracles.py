@@ -1,18 +1,21 @@
 """The packed truth-table engine against the per-assignment engine it
 replaced and against pointwise evaluation, on both sides of the word and
-the block boundary."""
+the block boundary and with variables folded to constants above it; and
+the block-by-block comparison against comparing whole tables."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lemmas import evaluate, reference_cnf, reference_truth_table, satisfies, violated_at
+from lemmas import evaluate, models, nnf_truth_table, reference_cnf, reference_truth_table, satisfies, tseitin_truth_table, violated_at
 from tseitinkit import families as fam
-from tseitinkit.compiler import pipeline
+from tseitinkit.compiler import equivalent, pipeline
 from tseitinkit.graphs import Graph
-from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, truth_table as nnf_truth_table
-from tseitinkit.oracles import BLOCK_BITS, VAR_CAP, truth_table
-from tseitinkit.tseitin import DEGREE_CAP, TseitinFormula, to_cnf, truth_table as tseitin_truth_table, unit_charge
+from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, propagate_constants, root_value
+from tseitinkit.oracles import BLOCK_BITS, VAR_CAP, parity, tables_equal, truth_table
+from tseitinkit.tseitin import DEGREE_CAP, TseitinFormula, to_cnf, unit_charge
 
 
 # --- the reference: one bool per assignment, in uint32 arrays of masks --------
@@ -65,8 +68,9 @@ def sample_masks(m: int) -> list[int]:
     return sorted(out)
 
 
-# less than one word, one word, one word and a bit, and the block boundary
-WIDTHS = [0, 1, 5, 6, 7, BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1]
+# less than one word, one word, one word and a bit, the block boundary, and
+# two variables folded to constants
+WIDTHS = [0, 1, 5, 6, 7, BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1, BLOCK_BITS + 2]
 
 
 @st.composite
@@ -170,3 +174,106 @@ def test_cap():
         return (~b0 & ~b1 & ~b2) | (b0 & b1 & ~b2) | (~b0 & b1 & b2)
 
     assert np.array_equal(truth_table(3, multiple_of_3), [True, False, False, True, False, False, True, False])
+
+
+def test_parity_over_folded_variables():
+    """Parity over two folded variables, alone and with a packed one, and
+    its negation through the circuit's literals."""
+    m = BLOCK_BITS + 2
+    high = [BLOCK_BITS, BLOCK_BITS + 1]
+    for edges in (high, [0] + high, [BLOCK_BITS - 1, BLOCK_BITS + 1]):
+        for charge in (0, 1):
+            want = reference_truth_table(m, lambda block: reference_parity(block, edges) == charge)
+            assert np.array_equal(truth_table(m, lambda x: parity(x, edges, charge)), want), (edges, charge)
+    b = CircuitBuilder(m)
+    d = b.build(b.gate_and(b.literal(BLOCK_BITS, False), b.literal(BLOCK_BITS + 1, False)))
+    assert models(nnf_truth_table(d)) == list(range(1 << BLOCK_BITS))
+
+
+# --- the block-by-block comparison ------------------------------------------
+
+
+def columns(*circuits):
+    return [lambda x, d=d: root_value(d, x) for d in circuits]
+
+
+def tables_agree(a: NnfCircuit, b: NnfCircuit) -> bool:
+    return bool((nnf_truth_table(a) == nnf_truth_table(b)).all())
+
+
+class TestTablesEqual:
+    @settings(max_examples=40, deadline=None)
+    @given(circuits(), st.data())
+    def test_agrees_with_whole_tables(self, d, data):
+        """On pairs of gates of one random circuit (equal pairs come from
+        the constants and from a gate paired with itself) and on the
+        circuit against its constant-propagated copy."""
+        gates = st.integers(0, len(d.gates) - 1)
+        pairs = [(NnfCircuit(d.gates, i, d.num_vars), NnfCircuit(d.gates, j, d.num_vars))
+                 for i, j in data.draw(st.lists(st.tuples(gates, gates), min_size=1, max_size=4))]
+        folded = propagate_constants(d)
+        pairs.append((d, folded))
+        for a, b in pairs:
+            assert tables_equal(d.num_vars, *columns(a, b)) == tables_agree(a, b)
+        assert tables_equal(d.num_vars, *columns(d, folded))
+
+    def test_differs_in_the_last_assignment_only(self):
+        m = BLOCK_BITS + 2
+        b = CircuitBuilder(m)
+        every = b.literal(0, True)
+        for v in range(1, m):
+            every = b.gate_and(every, b.literal(v, True))
+        a, never = b.build(every), b.build(b.const(0))
+        assert models(nnf_truth_table(a)) == [(1 << m) - 1]
+        assert not tables_equal(m, *columns(a, never)) and not tables_equal(m, *columns(never, a))
+
+    def test_differs_only_under_a_gate_over_folded_variables(self):
+        """x0 OR (x16 AND NOT x17) against x0: they differ in block 1 only,
+        through a gate that folds to a bool in every block."""
+        m = BLOCK_BITS + 2
+        b = CircuitBuilder(m)
+        x0 = b.literal(0, True)
+        folded = b.gate_and(b.literal(BLOCK_BITS, True), b.literal(BLOCK_BITS + 1, False))
+        a, plain = b.build(b.gate_or(x0, folded)), b.build(x0)
+        differ = np.nonzero(nnf_truth_table(a) != nnf_truth_table(plain))[0]
+        assert {int(i) >> BLOCK_BITS for i in differ} == {1}
+        assert not tables_equal(m, *columns(a, plain))
+        same = b.build(b.gate_or(x0, b.gate_and(folded, b.const(0))))
+        assert tables_equal(m, *columns(same, plain))
+
+    @pytest.mark.parametrize("m", [0, 3, BLOCK_BITS, BLOCK_BITS + 2])
+    def test_constant_and_array_blocks(self, m):
+        """A constant root against circuits whose blocks are arrays, bools
+        or both, with the same or a different value."""
+        b = CircuitBuilder(m)
+        one, zero = b.build(b.const(1)), b.build(b.const(0))
+        assert tables_equal(m, *columns(one, one)) and not tables_equal(m, *columns(one, zero))
+        for v in range(m):
+            x, not_x = b.literal(v, True), b.literal(v, False)
+            taut, contra = b.build(b.gate_or(x, not_x)), b.build(b.gate_and(x, not_x))
+            lit = b.build(x)
+            assert tables_equal(m, *columns(taut, one)) and tables_equal(m, *columns(one, taut))
+            assert tables_equal(m, *columns(contra, zero)) and not tables_equal(m, *columns(contra, one))
+            assert not tables_equal(m, *columns(lit, one)) and not tables_equal(m, *columns(zero, lit))
+            for w in range(m):
+                other = b.build(b.literal(w, True))
+                assert tables_equal(m, *columns(lit, other)) == (v == w)
+
+    def test_cap(self):
+        with pytest.raises(ValueError):
+            tables_equal(VAR_CAP + 1, lambda x: True, lambda x: True)
+
+
+def test_equivalence_builds_no_whole_table():
+    """grid 2 8 (m = 22): the comparison's peak is a small part of the
+    2^22-entry bool table that comparing whole tables builds twice."""
+    g = fam.grid(2, 8)
+    zero = TseitinFormula(g, (0,) * g.n)
+    _, d, _ = pipeline(g, unit_charge(g.n, 0), zero.charge, desk_cap=0)
+    tracemalloc.start()
+    try:
+        assert equivalent(d, zero)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << g.m) // 4

@@ -12,6 +12,7 @@ from lemmas import (
     reference_cnf,
     reference_truth_table,
     sample_charges,
+    tseitin_truth_table,
 )
 from tseitinkit import families as fam
 from tseitinkit.cnf import cnf_from_dimacs, cnf_to_dimacs
@@ -23,7 +24,6 @@ from tseitinkit.tseitin import (
     is_satisfiable,
     model_count,
     to_cnf,
-    truth_table,
     tseitin_from_text,
     tseitin_to_text,
     unit_charge,
@@ -65,25 +65,25 @@ class TestModelCount:
     def test_c4_matches_brute_force(self):
         t = TseitinFormula(fam.cycle(4), (0,) * 4)
         assert model_count(t) == 2
-        assert len(models(truth_table(t))) == 2
+        assert len(models(tseitin_truth_table(t))) == 2
 
     @settings(max_examples=120, deadline=None)
     @given(graphs_with_charges())
     def test_count_equals_enumeration(self, t):
-        assert model_count(t) == len(models(truth_table(t)))
+        assert model_count(t) == len(models(tseitin_truth_table(t)))
 
     def test_brute_force_cap(self):
         g = fam.grid(5, 5)  # 40 edges
         with pytest.raises(ValueError):
-            models(truth_table(TseitinFormula(g, (0,) * g.n)))
+            models(tseitin_truth_table(TseitinFormula(g, (0,) * g.n)))
 
 
 class TestBruteForceModels:
     def test_c3_zero(self):
-        assert models(truth_table(TseitinFormula(fam.cycle(3), (0, 0, 0)))) == [0b000, 0b111]
+        assert models(tseitin_truth_table(TseitinFormula(fam.cycle(3), (0, 0, 0)))) == [0b000, 0b111]
 
     def test_single_edge(self):
-        assert models(truth_table(TseitinFormula(fam.path(2), (0, 0)))) == [0]
+        assert models(tseitin_truth_table(TseitinFormula(fam.path(2), (0, 0)))) == [0]
 
 
 def cnf_table(cnf):
@@ -124,7 +124,7 @@ class TestCnfEncoding:
         _, g = bench_graph
         for charge in sample_charges(g.n, 4, seed=1):
             t = TseitinFormula(g, charge)
-            assert (cnf_table(to_cnf(t)) == truth_table(t)).all()
+            assert (cnf_table(to_cnf(t)) == tseitin_truth_table(t)).all()
 
     def test_charged_isolated_vertex(self):
         g = Graph(1, ())
@@ -181,15 +181,15 @@ class TestChargeRetargeting:
         g = fam.cycle(3)
         flips = charge_retarget_flips(g, (1, 1, 0), (0, 0, 0))
         assert flips == {0}
-        before = set(models(truth_table(TseitinFormula(g, (1, 1, 0)))))
+        before = set(models(tseitin_truth_table(TseitinFormula(g, (1, 1, 0)))))
         after = {apply_flips(x, flips) for x in before}
         assert after == {0b000, 0b111}
 
     def test_k4_two_tree_paths(self):
         g = fam.complete(4)
         flips = charge_retarget_flips(g, (1, 1, 1, 1), (0, 0, 0, 0))
-        m1 = set(models(truth_table(TseitinFormula(g, (1, 1, 1, 1)))))
-        m0 = set(models(truth_table(TseitinFormula(g, (0, 0, 0, 0)))))
+        m1 = set(models(tseitin_truth_table(TseitinFormula(g, (1, 1, 1, 1)))))
+        m0 = set(models(tseitin_truth_table(TseitinFormula(g, (0, 0, 0, 0)))))
         assert {apply_flips(x, flips) for x in m1} == m0
 
     def test_unsat_rejected(self):
@@ -208,8 +208,8 @@ class TestChargeRetargeting:
             other = data.draw(st.sampled_from(sorted(comp)))
             c2 = charge_add(c2, charge_add(unit_charge(t.graph.n, v), unit_charge(t.graph.n, other)))
         flips = charge_retarget_flips(t.graph, t.charge, c2)
-        src = set(models(truth_table(t)))
-        dst = set(models(truth_table(TseitinFormula(t.graph, c2))))
+        src = set(models(tseitin_truth_table(t)))
+        dst = set(models(tseitin_truth_table(TseitinFormula(t.graph, c2))))
         assert {apply_flips(x, flips) for x in src} == dst
         assert {apply_flips(x, flips) for x in dst} == src
 

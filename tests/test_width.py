@@ -5,7 +5,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import branchwidth_bounds, cut_boundary, octahedron, width_of
+from lemmas import all_cuts, branchwidth_bounds, edges_below, cut_boundary, octahedron, width_of
 from tseitinkit import families as fam
 from tseitinkit import width
 from tseitinkit.graphs import Graph
@@ -16,8 +16,8 @@ from tseitinkit.width import (
     DeskScaleError,
     _min_fill,
     _reachable_outside,
+    _cut_orders,
     _width_at_most,
-    all_cuts,
     caterpillar,
     edge_order,
     max_order_cut,
@@ -113,7 +113,11 @@ class TestAgainstReference:
     def check(self, g: Graph, seed: int):
         for t in (caterpillar(edge_order(g)), random_binary_tree(g.m, seed)):
             assert leaf_edges(t) == list(range(g.m))
-            assert all_cuts(t, g) == reference_all_cuts(t, g)
+            cuts = reference_all_cuts(t, g)
+            assert all_cuts(t, g) == cuts
+            orders = _cut_orders(t, g)
+            assert {c.node_id: len(c.boundary) for c in cuts} == {i: orders[i] for i in orders if i != t.root or len(t.nodes) == 1}
+            assert max_order_cut(t, g) == max(cuts, key=lambda c: (len(c.boundary), c.depth, -c.node_id))
 
     def test_desk_family(self, bench_graph):
         name, g = bench_graph
@@ -262,7 +266,7 @@ class TestBranchDecomposition:
     def test_from_nested_and_validate(self):
         t = BranchDecomposition.from_nested(((0, 1), 2))
         assert leaf_edges(t) == [0, 1, 2]
-        assert t.edges_below[t.root] == frozenset({0, 1, 2})
+        assert edges_below(t)[t.root] == frozenset({0, 1, 2})
         assert t.nodes[t.root] == ("node", 1, 4) and t.nodes[1] == ("node", 2, 3)
 
     def test_caterpillar_deeper_than_recursion_limit(self):
@@ -273,13 +277,14 @@ class TestBranchDecomposition:
         t = BranchDecomposition.from_nested(nested)
         g = fam.path(leaves + 1)  # edge e joins vertices e and e + 1
         assert leaf_edges(t) == list(range(leaves))
-        assert t.edges_below[t.root] == frozenset(range(leaves))
+        assert edges_below(t)[t.root] == frozenset(range(leaves))
         leaf_depth = {t.nodes[i][1]: t.depth[i] for i in range(len(t.nodes)) if t.nodes[i][0] == "leaf"}
         assert leaf_depth == {e: leaves - max(e, 1) for e in range(leaves)}
         cuts = all_cuts(t, g)
         assert sorted(c.node_id for c in cuts) == [i for i in range(len(t.nodes)) if i != t.root]
         for cut in cuts[::50]:
             assert cut.boundary == cut_boundary(g, cut.e1)
+        assert max_order_cut(t, g) == max(cuts, key=lambda c: (len(c.boundary), c.depth, -c.node_id))
 
     def test_boundary_definition_matches_recomputation(self, bench_graph):
         _, g = bench_graph
@@ -297,20 +302,20 @@ class TestBranchDecomposition:
         g = fam.cycle(3)
         t = BranchDecomposition.from_nested(((0, 1), 2))
         cut = max_order_cut(t, g)
-        assert cut.order == 2
+        assert len(cut.boundary) == 2
         # every cut of this tree has order 2; the deepest smallest-id node wins
-        assert all(c.order == 2 for c in all_cuts(t, g))
+        assert all(len(c.boundary) == 2 for c in all_cuts(t, g))
 
     def test_single_edge_graph(self):
         g = fam.path(2)
         t = caterpillar(edge_order(g))
         cut = max_order_cut(t, g)
-        assert cut.order <= 2
+        assert len(cut.boundary) <= 2
 
     def test_k4_max_cut_at_least_2(self):
         g = fam.complete(4)
         t = caterpillar(edge_order(g))
-        assert max_order_cut(t, g).order >= 2
+        assert len(max_order_cut(t, g).boundary) >= 2
 
 
 class TestBranchwidthBounds:
@@ -332,7 +337,7 @@ class TestBranchwidthBounds:
     def test_width_consistency(self, bench_graph):
         _, g = bench_graph
         t = caterpillar(edge_order(g))
-        assert width_of(t, g) == max(c.order for c in all_cuts(t, g))
+        assert width_of(t, g) == max(len(c.boundary) for c in all_cuts(t, g))
 
 
 class TestEdgeOrder:
