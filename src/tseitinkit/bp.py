@@ -13,6 +13,13 @@ forced by (G, c) and the program: the validator derives them parents
 first and returns them, and the builder keys its memo on them.  No
 caller supplies annotations.
 
+An annotation is three Python ints: the vertex mask of G_u, its edge
+mask, and the charge mask (bit v set when c_u(v) is odd).  Deciding an
+edge is mask arithmetic: membership is a bit test, oddness a popcount,
+and a child's charge the parent's (flipped at both ends for the
+1-literal) masked by the child's vertices.  Text formats carry no
+annotations.
+
 The builder ranks the edges once (`width.edge_order`) and decides the
 lowest-ranked edge of every node's subgraph, which caps its size at
 `width.order_bound`, 2^O(pathwidth) * poly(n).
@@ -76,40 +83,49 @@ class BranchingProgram:
         return self._order
 
 
-# Annotations map node id -> (vertex set, edge id set, charge on the
-# vertex set), all in terms of the root graph's ids.
-Annotation = tuple[frozenset[int], frozenset[int], dict[int, int]]
+# An annotation is three masks in the root graph's ids: the vertex set
+# V_u (bit v), the edge set E_u (bit e) and the charge c_u, as the set of
+# vertices of V_u where it is odd.  Two nodes carry the same subformula
+# exactly when their triples are equal.
+Annotation = tuple[int, int, int]
 
 
-def make_annotation(vertices, edge_ids, charge: dict[int, int]) -> Annotation:
-    return (frozenset(vertices), frozenset(edge_ids), dict(charge))
+def _root(g: Graph, c: Charge) -> Annotation:
+    """The source's annotation (G, c)."""
+    return (1 << g.n) - 1, (1 << g.m) - 1, sum((c[v] & 1) << v for v in range(g.n))
 
 
-def _sides(g: Graph, vertices: frozenset[int], rest: frozenset[int], a: int, b: int) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """Components of the connected graph (vertices, rest + ab) minus ab:
-    one when ab is no bridge, else the two sides, the smaller first.
+def _sides(g: Graph, vertices: int, rest: int, a: int, b: int) -> list[tuple[int, int]]:
+    """Components of the connected graph (vertices, rest + ab) minus ab, as
+    (vertex mask, edge mask): one when ab is no bridge, else the two
+    sides, the smaller first.
 
-    The searches from a and b advance in turn, so a bridge costs only its
-    smaller side; the larger side is the complement.
+    The searches from a and b advance in turn, one vertex each, so a
+    bridge costs only its smaller side; the larger side is the
+    complement.  A vertex's unseen edges come off `incident_mask` one low
+    bit at a time.
     """
-    seen = ({a}, {b})
-    found: tuple[set[int], set[int]] = (set(), set())
+    incident, edges = g.incident_mask, g.edges
+    seen = [1 << a, 1 << b]
+    found = [0, 0]
     stacks = ([a], [b])
     while True:
         for i in (0, 1):
             if not stacks[i]:
-                small = (frozenset(seen[i]), frozenset(found[i]))
-                return [small, (vertices - small[0], rest - small[1])]
+                return [(seen[i], found[i]), (vertices & ~seen[i], rest & ~found[i])]
             u = stacks[i].pop()
-            for e in g.incident[u]:
-                if e in rest and e not in found[i]:
-                    found[i].add(e)
-                    w = g.other_end(e, u)
-                    if w in seen[1 - i]:
-                        return [(vertices, rest)]
-                    if w not in seen[i]:
-                        seen[i].add(w)
-                        stacks[i].append(w)
+            new = incident[u] & rest & ~found[i]
+            found[i] |= new
+            while new:
+                low = new & -new
+                new ^= low
+                x, y = edges[low.bit_length() - 1]
+                w = x if y == u else y
+                if (seen[1 - i] >> w) & 1:
+                    return [(vertices, rest)]
+                if not (seen[i] >> w) & 1:
+                    seen[i] |= 1 << w
+                    stacks[i].append(w)
 
 
 def expected_children(g: Graph, ann: Annotation, var: int) -> tuple[Annotation, Annotation]:
@@ -117,22 +133,19 @@ def expected_children(g: Graph, ann: Annotation, var: int) -> tuple[Annotation, 
 
     For each literal the conditioned formula keeps at most two components;
     exactly one carries odd charge, and the child gets that component.
+    The 1-literal flips the charge at both ends of `var`.
     """
     vertices, edge_ids, charge = ann
-    if var not in edge_ids:
+    if var < 0 or not (edge_ids >> var) & 1:
         raise ValueError(f"decision edge {var} not in the annotated subgraph")
-    if sum(charge.values()) % 2 != 1:
+    if not charge.bit_count() & 1:
         raise ValueError("no odd component after conditioning; parent annotation not unsatisfiable")
     a, b = g.edges[var]
-    sides = _sides(g, vertices, edge_ids - {var}, a, b)
+    sides = _sides(g, vertices, edge_ids & ~(1 << var), a, b)
     out = []
-    for literal in (0, 1):
-        gamma = dict(charge)
-        if literal == 1:
-            gamma[a] ^= 1
-            gamma[b] ^= 1
-        verts, edges = sides[0] if sum(gamma[v] for v in sides[0][0]) % 2 else sides[-1]
-        out.append(make_annotation(verts, edges, {v: gamma[v] for v in verts}))
+    for gamma in (charge, charge ^ (1 << a) ^ (1 << b)):
+        verts, edges = sides[0] if (gamma & sides[0][0]).bit_count() & 1 else sides[-1]
+        out.append((verts, edges, gamma & verts))
     return out[0], out[1]
 
 
@@ -185,11 +198,11 @@ def validate_well_structured(b: BranchingProgram, g: Graph, c: Charge) -> Valida
 
     # Parents first, so every node is annotated by its first parent before
     # it is visited; forced annotations are connected, odd-charged components.
-    annotations = {b.source: make_annotation(range(g.n), range(g.m), {v: c[v] for v in range(g.n)})}
+    annotations = {b.source: _root(g, c)}
     for u in reversed(b.topological()):
         if u in b.sinks:
             v = b.sinks[u]
-            if annotations[u] != make_annotation((v,), (), {v: 1}):
+            if v < 0 or annotations[u] != (1 << v, 0, 1 << v):
                 return ValidationResult(False, "condition 2: sink annotation must be its unit-charged vertex", u)
             continue
         var, lo, hi = b.decisions[u]
@@ -207,9 +220,12 @@ def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
     """Memoized well-structured program for an unsatisfiable formula.
 
     Every node decides the lowest-ranked edge of its annotation in one
-    `width.edge_order` of the whole graph.  The memo key is the annotation
-    itself (edge set plus restricted charge), so two nodes share an id
-    exactly when their subformulas coincide.  Ids are assigned in
+    `width.edge_order` of the whole graph.  The builder works on a copy
+    of g whose edge ids are the ranks, so that edge is the lowest bit of
+    the edge mask, and maps it back to g's id when it records the
+    decision.  The memo key is the annotation triple itself; renaming
+    edges is a bijection, so two nodes share an id exactly when their
+    subformulas coincide.  Ids are assigned in
     preorder, the 0-child's subprogram before the 1-child's; an explicit
     stack of open decisions replaces recursion, so depth is bounded only
     by memory.
@@ -232,27 +248,27 @@ def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
     if not is_connected(g):
         raise ValueError("graph must be connected")
 
-    rank = {e: r for r, e in enumerate(edge_order(g))}
+    order = edge_order(g)
+    ranked = Graph(g.n, tuple(g.edges[e] for e in order))  # edge id = rank in g
     decisions: dict[int, tuple[int, int, int]] = {}
     sinks: dict[int, int] = {}
-    memo: dict[tuple, int] = {}
+    memo: dict[Annotation, int] = {}
     open_decisions: list[list] = []  # [id, var, forced 0-child, forced 1-child, *child ids]
 
     def visit(ann: Annotation) -> int:
-        """The id for `ann`, opening a decision when it is new."""
-        vertices, edge_ids, charge = ann
-        k = (edge_ids, vertices, tuple(sorted(charge.items())))
-        if k in memo:
-            return memo[k]
-        nid = memo[k] = len(memo)
+        """The id for `ann` (on `ranked`), opening a decision when it is new."""
+        if ann in memo:
+            return memo[ann]
+        nid = memo[ann] = len(memo)
+        vertices, edge_ids, _ = ann
         if not edge_ids:
-            (sinks[nid],) = vertices
+            sinks[nid] = vertices.bit_length() - 1  # a lone vertex
             return nid
-        var = min(edge_ids, key=rank.__getitem__)
-        open_decisions.append([nid, var, *expected_children(g, ann, var)])
+        r = (edge_ids & -edge_ids).bit_length() - 1  # the lowest-ranked edge
+        open_decisions.append([nid, order[r], *expected_children(ranked, ann, r)])
         return nid
 
-    source = visit(make_annotation(range(g.n), range(g.m), {v: c[v] for v in range(g.n)}))
+    source = visit(_root(ranked, c))
     while open_decisions:
         top = open_decisions[-1]
         nid, var, want0, want1, *children = top

@@ -91,6 +91,11 @@ from .tseitin import (
 )
 
 
+def _lowest(mask: int) -> int:
+    """The smallest vertex of a nonempty vertex mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: int) -> NnfCircuit:
     """DNNF computing T(g, c + 1_root_vertex) from a well-structured program,
     using the annotations its validation derives.  Only the (node, vertex)
@@ -110,14 +115,14 @@ def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: in
         lo_vs = annotations[lo][0]
         if lo_vs == annotations[k][0]:
             return None  # both children live on G_k - e
-        return (lo, hi, False) if g.edges[var][0] in lo_vs else (hi, lo, True)
+        return (lo, hi, False) if (lo_vs >> g.edges[var][0]) & 1 else (hi, lo, True)
 
     def bridge_wiring(sides, var: int, v: int):
         """For v at a bridge: the sign of its literal, the child holding v's
         side, and the other child with the end of e on that child's side."""
         side_a, side_b, lit_a = sides
         a, bb = g.edges[var]
-        if v in annotations[side_a][0]:
+        if (annotations[side_a][0] >> v) & 1:
             return lit_a, side_a, side_b, bb
         return not lit_a, side_b, side_a, a
 
@@ -163,11 +168,11 @@ def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: in
         var, lo, hi = b.decisions[k]
         sides = bridge_sides(k)
         if sides is None:
-            first = min(annotations[k][0])
+            first = _lowest(annotations[k][0])
             requests = [(first, False), (first, True)]
         else:
             side_a, side_b, lit_a = sides
-            requests = sorted([(min(annotations[side_a][0]), lit_a), (min(annotations[side_b][0]), not lit_a)])
+            requests = sorted([(_lowest(annotations[side_a][0]), lit_a), (_lowest(annotations[side_b][0]), not lit_a)])
         for v in sorted(demand[k]):
             request_leaves(var, requests, v)
             if sides is None:

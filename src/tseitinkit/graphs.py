@@ -58,6 +58,15 @@ class Graph:
         return tuple(tuple(x) for x in inc)
 
     @cached_property
+    def incident_mask(self) -> tuple[int, ...]:
+        """Edge ids incident to each vertex, as a bitmask."""
+        masks = [0] * self.n
+        for e, (u, v) in enumerate(self.edges):
+            masks[u] |= 1 << e
+            masks[v] |= 1 << e
+        return tuple(masks)
+
+    @cached_property
     def adj_mask(self) -> tuple[int, ...]:
         masks = [0] * self.n
         for u, v in self.edges:
@@ -111,7 +120,8 @@ def search(g: Graph, start: int, allowed=None) -> dict[int, tuple[int, int] | No
 
     It is the package's one connectivity search.  Three graph walks keep
     their own loops: `bp._sides` advances two searches in turn so that a
-    bridge costs only its smaller side, `width._bfs` takes neighbours by
+    bridge costs only its smaller side, and does so on vertex and edge
+    bitmasks (the program's annotations), `width._bfs` takes neighbours by
     degree, on which the ranking of `width.edge_order` depends, and
     `_separating_vertices` needs depth-first low-link values.
     """

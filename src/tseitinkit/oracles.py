@@ -157,25 +157,27 @@ def bp_semantics_hold(b, g, c, annotations) -> bool:
     """Sweep: the source is annotated with (g, c), and from every reachable
     node u, on each of the 2^|E_u| assignments to its annotated edges
     (every other variable 0), the walk reaches a sink on a vertex of V_u
-    whose constraint of T(G_u, c_u) the assignment violates.
+    whose constraint of T(G_u, c_u) the assignment violates.  Annotations
+    are (vertex mask, edge mask, odd-charge mask) triples, as
+    `bp.validate_well_structured` returns them.
 
     Exponential in |E_u|; `validate_well_structured` implies it
     structurally.
     """
-    root = (frozenset(range(g.n)), frozenset(range(g.m)), {v: c[v] for v in range(g.n)})
+    root = ((1 << g.n) - 1, (1 << g.m) - 1, sum((c[v] & 1) << v for v in range(g.n)))
     if annotations.get(b.source) != root:
         return False
     for u in b.topological():
         if u not in annotations:
             return False
         vertices, edge_ids, charge = annotations[u]
-        edges = sorted(edge_ids)
+        edges = [e for e in range(edge_ids.bit_length()) if (edge_ids >> e) & 1]
         for bits in range(1 << len(edges)):
             mask = 0
             for i, e in enumerate(edges):
                 if (bits >> i) & 1:
                     mask |= 1 << e
             w = eval_bp(b, mask, u)
-            if w not in vertices or parity(point(mask), g.incident[w], charge[w]):
+            if w < 0 or not (vertices >> w) & 1 or parity(point(mask), g.incident[w], (charge >> w) & 1):
                 return False
     return True

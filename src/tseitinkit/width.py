@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .graphs import Graph
@@ -117,19 +118,42 @@ def treewidth_lower_bound(g: Graph) -> int:
 
 
 def _min_fill(g: Graph) -> tuple[list[int], int]:
-    """Min-fill elimination order (smallest id on ties) and its width."""
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    """Min-fill elimination order (smallest id on ties) and its width.
+
+    A vertex's fill is the number of pairs of its neighbours not yet
+    adjacent.  Eliminating v changes it only at v's neighbours, whose
+    neighbourhoods change, and at their neighbours, which may see two of
+    them become adjacent; only those are recounted.  The next vertex is
+    the least (fill, id) on a heap whose entries go stale when a fill is
+    recounted, and a stale entry is skipped when popped.
+    """
+    adj = [set(a) for a in g.adj]
+
+    def fill(u: int) -> int:
+        return sum(b not in adj[a] for a, b in combinations(adj[u], 2))
+
+    fills = [fill(u) for u in range(g.n)]
+    heap = [(f, u) for u, f in enumerate(fills)]
+    heapify(heap)
+    done = [False] * g.n
     order = []
     width = 0
-    while adj:
-        # fewest fill edges (neighbour pairs not yet adjacent), then smallest id
-        v = min(adj, key=lambda u: (sum(b not in adj[a] for a, b in combinations(adj[u], 2)), u))
+    while heap:
+        f, v = heappop(heap)
+        if done[v] or f != fills[v]:
+            continue
+        done[v] = True
         order.append(v)
-        nb = adj.pop(v)
+        nb = adj[v]
         width = max(width, len(nb))
         for a in nb:
             adj[a].discard(v)
             adj[a] |= nb - {a}
+        for u in nb.union(*(adj[a] for a in nb)):
+            f = fill(u)
+            if f != fills[u]:
+                fills[u] = f
+                heappush(heap, (f, u))
     return order, width
 
 

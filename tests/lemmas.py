@@ -23,9 +23,12 @@ implies; conditioning and forgetting on circuits, for replaying a minor
 trace (`replay_on_circuit`); the truth tables of a circuit and of a
 formula (`nnf_truth_table`, `tseitin_truth_table`) that the tests read,
 and the pointwise evaluators and reference truth tables the packed engine
-in `tseitinkit.oracles` is checked against; and every cut of a branch
+in `tseitinkit.oracles` is checked against; every cut of a branch
 decomposition (`all_cuts`), of which the library builds only the
-maximum-order one.
+maximum-order one; `bp.expected_children` on set-form annotations
+(`reference_expected_children`, with `annotation_sets` decoding the
+library's masks); and the min-fill order recounting every fill at every
+step (`reference_min_fill`).
 
 The cover game: the cover player picks an uncovered model and the proof
 tree accepting it; the adversary answers with a cut of the induced
@@ -41,11 +44,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from tseitinkit.bounds import AdamResponse, adam_response
-from tseitinkit.bp import BranchingProgram, expected_children, make_annotation, validate_well_structured
+from tseitinkit.bp import BranchingProgram, _root, expected_children, validate_well_structured
 from tseitinkit.graphs import Graph, SplitRequest, is_3_connected, is_connected, split_all
 from tseitinkit.minors import MinorResult
 from tseitinkit.cnf import Cnf
@@ -149,6 +153,28 @@ def branchwidth_bounds(g: Graph) -> tuple[int, int]:
     tw_lb, _, _ = treewidth_bounds(g)
     lower = -(-2 * tw_lb // 3)
     return min(lower, upper), upper
+
+
+# --- elimination orders ------------------------------------------------------
+
+
+def reference_min_fill(g: Graph) -> tuple[list[int], int]:
+    """Min-fill elimination order (smallest id on ties) and its width,
+    recounting every vertex's fill at every step: the reference for
+    `width._min_fill`, which recounts only around the eliminated vertex."""
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    order = []
+    width = 0
+    while adj:
+        # fewest fill edges (neighbour pairs not yet adjacent), then smallest id
+        v = min(adj, key=lambda u: (sum(b not in adj[a] for a, b in combinations(adj[u], 2)), u))
+        order.append(v)
+        nb = adj.pop(v)
+        width = max(width, len(nb))
+        for a in nb:
+            adj[a].discard(v)
+            adj[a] |= nb - {a}
+    return order, width
 
 
 # --- point evaluation and reference truth tables ----------------------------
@@ -282,6 +308,67 @@ def sample_charges(n: int, count: int, seed: int = 0):
 # --- programs and compilation ------------------------------------------------
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of a mask, ascending."""
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def make_annotation(vertices, edge_ids, charge: dict[int, int]):
+    """An annotation in set form: (vertex set, edge id set, charge on the
+    vertex set)."""
+    return (frozenset(vertices), frozenset(edge_ids), dict(charge))
+
+
+def annotation_sets(ann):
+    """The set form of a (vertex mask, edge mask, odd-charge mask) annotation."""
+    vertices, edge_ids, charge = ann
+    return make_annotation(bits(vertices), bits(edge_ids), {v: (charge >> v) & 1 for v in bits(vertices)})
+
+
+def reference_sides(g: Graph, vertices: frozenset[int], rest: frozenset[int], a: int, b: int):
+    """`bp._sides` on sets: the components of (vertices, rest + ab) minus
+    ab, one when ab is no bridge, else the two sides."""
+    seen = ({a}, {b})
+    found: tuple[set[int], set[int]] = (set(), set())
+    stacks = ([a], [b])
+    while True:
+        for i in (0, 1):
+            if not stacks[i]:
+                small = (frozenset(seen[i]), frozenset(found[i]))
+                return [small, (vertices - small[0], rest - small[1])]
+            u = stacks[i].pop()
+            for e in g.incident[u]:
+                if e in rest and e not in found[i]:
+                    found[i].add(e)
+                    w = g.other_end(e, u)
+                    if w in seen[1 - i]:
+                        return [(vertices, rest)]
+                    if w not in seen[i]:
+                        seen[i].add(w)
+                        stacks[i].append(w)
+
+
+def reference_expected_children(g: Graph, ann, var: int):
+    """`bp.expected_children` on set-form annotations: the reference the
+    mask version is compared with."""
+    vertices, edge_ids, charge = ann
+    if var not in edge_ids:
+        raise ValueError(f"decision edge {var} not in the annotated subgraph")
+    if sum(charge.values()) % 2 != 1:
+        raise ValueError("no odd component after conditioning; parent annotation not unsatisfiable")
+    a, b = g.edges[var]
+    sides = reference_sides(g, vertices, edge_ids - {var}, a, b)
+    out = []
+    for literal in (0, 1):
+        gamma = dict(charge)
+        if literal == 1:
+            gamma[a] ^= 1
+            gamma[b] ^= 1
+        verts, edges = sides[0] if sum(gamma[v] for v in sides[0][0]) % 2 else sides[-1]
+        out.append(make_annotation(verts, edges, {v: gamma[v] for v in verts}))
+    return out[0], out[1]
+
+
 @dataclass
 class CompileDetails:
     """The all-pairs construction before trimming: `vertex_gate[k][v]`
@@ -308,7 +395,7 @@ def compile_all_pairs(b: BranchingProgram, g: Graph, c: Charge) -> CompileDetail
     res = validate_well_structured(b, g, c)
     if not res:
         raise ValueError(f"program is not well-structured: {res.error} (node {res.node})")
-    annotations = res.annotations
+    annotations = {k: annotation_sets(ann) for k, ann in res.annotations.items()}
 
     builder = CircuitBuilder(g.m)
     const1 = builder.const(1)
@@ -362,25 +449,25 @@ def demanded_vertices(details: CompileDetails, root_vertex: int) -> dict[int, li
 
 def build_bp_by_rule(g: Graph, c: Charge, choose) -> BranchingProgram:
     """Well-structured program deciding edge `choose(annotation)` at each
-    node, one node per distinct annotation (small inputs: it recurses)."""
+    node, one node per distinct annotation (small inputs: it recurses).
+    `choose` reads the annotation in set form (`annotation_sets`)."""
     decisions: dict[int, tuple[int, int, int]] = {}
     sinks: dict[int, int] = {}
     memo: dict[tuple, int] = {}
 
     def visit(ann) -> int:
-        vertices, edge_ids, charge = ann
-        key = (edge_ids, vertices, tuple(sorted(charge.items())))
-        if key not in memo:
-            nid = memo[key] = len(memo)
+        if ann not in memo:
+            nid = memo[ann] = len(memo)
+            vertices, edge_ids, _ = ann
             if edge_ids:
-                var = choose(ann)
+                var = choose(annotation_sets(ann))
                 lo, hi = (visit(child) for child in expected_children(g, ann, var))
                 decisions[nid] = (var, lo, hi)
             else:
-                (sinks[nid],) = vertices
-        return memo[key]
+                sinks[nid] = vertices.bit_length() - 1  # a lone vertex
+        return memo[ann]
 
-    source = visit(make_annotation(range(g.n), range(g.m), {v: c[v] for v in range(g.n)}))
+    source = visit(_root(g, c))
     return BranchingProgram(source, decisions, sinks)
 
 

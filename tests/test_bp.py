@@ -3,7 +3,7 @@ import zlib
 
 import pytest
 
-from lemmas import validate_read_once, violated_at
+from lemmas import annotation_sets, bits, make_annotation, reference_expected_children, validate_read_once, violated_at
 from mutations import mutate_bp
 from tseitinkit import families as fam
 from tseitinkit.bp import (
@@ -12,7 +12,6 @@ from tseitinkit.bp import (
     bp_to_text,
     build_well_structured_bp,
     expected_children,
-    make_annotation,
     validate_well_structured,
 )
 from tseitinkit.graphs import Graph
@@ -97,6 +96,15 @@ class TestReadOnce:
         result = validate_well_structured(b, fam.cycle(3), (1, 0, 0))
         assert (result.error, result.node) == (f"condition 3: decision edge {var} not in the annotated subgraph", 2)
 
+    @pytest.mark.parametrize("vertex", [-1, 2, 3])
+    def test_sink_vertex_checked_by_condition_2(self, vertex):
+        # on the single edge 01 with the charge odd at 0, the 0-wire must
+        # end at vertex 0; another vertex, or one outside the graph, fails
+        # condition 2 at that sink
+        b = BranchingProgram(2, {2: (0, 0, 1)}, {0: vertex, 1: 1})
+        result = validate_well_structured(b, fam.path(2), (1, 0))
+        assert (result.ok, result.error, result.node) == (False, "condition 2: sink annotation must be its unit-charged vertex", 0)
+
     def test_mutants_it_rejects_are_not_well_structured(self, bench_graph):
         # condition 3 implies read-once, so every mutant that re-reads a
         # variable on some path fails the one-pass validator at a node
@@ -165,12 +173,10 @@ class TestWellStructured:
         g = Graph(7, tuple(edges))
         charge = (0, 1, 0, 1, 1, 0, 0)
         assert not is_satisfiable(TseitinFormula(g, charge))
-        source = make_annotation(range(7), range(10), {v: charge[v] for v in range(7)})
+        source = (0b1111111, (1 << 10) - 1, 0b0011010)  # charge odd at 1, 3, 4
         child0, child1 = expected_children(g, source, 6)
-        assert child0[0] == frozenset({4, 5, 6})
-        assert child0[2] == {4: 1, 5: 0, 6: 0}
-        assert child1[0] == frozenset({0, 1, 2, 3})
-        assert child1[2] == {0: 0, 1: 1, 2: 1, 3: 1}
+        assert child0 == (0b1110000, 0b1110000000, 0b0010000)  # {4, 5, 6}, edges 7-9, odd at 4
+        assert child1 == (0b0001111, 0b0000111111, 0b0001110)  # {0, 1, 2, 3}, edges 0-5, odd at 1, 2, 3
 
     def test_family_builder_outputs(self, bench_graph):
         _, g = bench_graph
@@ -193,8 +199,61 @@ class TestWellStructured:
         c = unit_charge(g.n, 0)
         bp = build_well_structured_bp(g, c)
         ann = validate_well_structured(bp, g, c).annotations
-        keys = {(a[0], a[1], tuple(sorted(a[2].items()))) for a in ann.values()}
-        assert len(keys) == len(ann) == bp.size
+        assert len(set(ann.values())) == len(ann) == bp.size
+
+
+def random_odd_instance(seed: int) -> tuple[Graph, tuple[int, ...]]:
+    """A random spanning tree on 2..14 vertices plus random chords, and a
+    random charge of odd total."""
+    rng = random.Random(zlib.crc32(f"mask {seed}".encode()))
+    n = rng.randint(2, 14)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, 2 * n)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    charge = [rng.randint(0, 1) for _ in range(n)]
+    if sum(charge) % 2 == 0:
+        charge[rng.randrange(n)] ^= 1
+    return Graph(n, tuple(sorted(edges))), tuple(charge)
+
+
+class TestMasksAgainstReference:
+    """`expected_children` on masks against the set-form reference in
+    `lemmas`, on every edge of every annotation the validator derives."""
+
+    def check(self, g, c):
+        bp = build_well_structured_bp(g, c)
+        annotations = validate_well_structured(bp, g, c).annotations
+        compared = 0
+        for ann in annotations.values():
+            sets = annotation_sets(ann)
+            for var in bits(ann[1]):
+                children = expected_children(g, ann, var)
+                assert tuple(annotation_sets(child) for child in children) == reference_expected_children(g, sets, var)
+                assert all(charge & ~vertices == 0 for vertices, _, charge in children)  # decoding reads V_u's bits only
+                compared += 1
+        assert compared >= g.m
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_random_connected_graphs(self, block):
+        for seed in range(25 * block, 25 * block + 25):
+            self.check(*random_odd_instance(seed))
+
+    def test_desk_family(self, bench_graph):
+        _, g = bench_graph
+        for v in range(g.n):
+            self.check(g, unit_charge(g.n, v))
+
+    def test_same_errors(self):
+        g, c = random_odd_instance(0)
+        bp = build_well_structured_bp(g, c)
+        root = validate_well_structured(bp, g, c).annotations[bp.source]
+        even = (root[0], root[1], root[2] ^ 1)
+        for ann, var in [(root, -1), (root, g.m), (even, 0)]:
+            with pytest.raises(ValueError) as got:
+                expected_children(g, ann, var)
+            with pytest.raises(ValueError) as want:
+                reference_expected_children(g, annotation_sets(ann), var)
+            assert str(got.value) == str(want.value)
 
 
 class TestSweepOracle:
@@ -226,6 +285,15 @@ class TestSweepOracle:
             compared += 1
             rejected += not result.ok
         assert rejected > 0
+
+    def test_sink_outside_its_annotation_fails_sweep(self):
+        # the single edge 01 with the charge odd at 0: the 0-wire's sink
+        # names vertex 0, which an annotation claiming only vertex 1
+        # excludes, although the charge it leaves at 0 is violated there
+        g = fam.path(2)
+        ann = validate_well_structured(SINGLE_EDGE_BP, g, (1, 0)).annotations
+        assert bp_semantics_hold(SINGLE_EDGE_BP, g, (1, 0), ann)
+        assert not bp_semantics_hold(SINGLE_EDGE_BP, g, (1, 0), {**ann, 0: (0b10, 0, 0b01)})
 
     def test_wrong_source_annotation_fails_sweep(self):
         g = fam.cycle(3)
@@ -411,7 +479,7 @@ class TestAnnotationInference:
         ann = validate_well_structured(bp, g, c).annotations
         rank = {e: r for r, e in enumerate(edge_order(g))}
         for u, (var, _, _) in bp.decisions.items():
-            assert var == min(ann[u][1], key=rank.__getitem__)
+            assert var == min(bits(ann[u][1]), key=rank.__getitem__)
 
 
 class TestBpText:

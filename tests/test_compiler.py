@@ -1,12 +1,13 @@
+import hashlib
 import random
 import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import build_bp_by_rule, compile_all_pairs, demanded_vertices, models, nnf_truth_table, tseitin_truth_table
+from lemmas import annotation_sets, build_bp_by_rule, compile_all_pairs, demanded_vertices, models, nnf_truth_table, tseitin_truth_table
 from tseitinkit import families as fam
-from tseitinkit.bp import BranchingProgram, build_well_structured_bp, validate_well_structured
+from tseitinkit.bp import BranchingProgram, bp_to_text, build_well_structured_bp, validate_well_structured
 from tseitinkit.compiler import compile_bp_to_dnnf, pipeline, retarget
 from tseitinkit.graphs import Graph
 from tseitinkit.nnf import NnfCircuit, is_smooth, model_count_smooth, nnf_to_text, validate_decomposable
@@ -61,7 +62,7 @@ class TestInvariantPerNode:
         ann = validate_well_structured(bp, g, c).annotations
         details = compile_all_pairs(bp, g, c)
         for node, per_vertex in details.vertex_gate.items():
-            vertices, edge_ids, charge = ann[node]
+            vertices, edge_ids, charge = annotation_sets(ann[node])
             for v, gate in per_vertex.items():
                 sub = NnfCircuit(details.all_gates, gate, g.m)
                 table = nnf_truth_table(sub)
@@ -190,7 +191,7 @@ class TestDemandDriven:
         bp = build_well_structured_bp(g, c)
         d = compile_bp_to_dnnf(bp, g, c, 0)
         annotations = validate_well_structured(bp, g, c).annotations
-        assert d.size <= 3 * sum(len(annotations[k][0]) for k in bp.topological()) <= 3 * bp.size * g.n
+        assert d.size <= 3 * sum(annotations[k][0].bit_count() for k in bp.topological()) <= 3 * bp.size * g.n
         assert d.size <= 3 * len(bp.decisions)
         assert d.node_count <= 3 * bp.size + 2 * g.m + 1
 
@@ -213,7 +214,7 @@ class TestDemandDriven:
         annotations = validate_well_structured(bp, g, c).annotations
         details = compile_all_pairs(bp, g, c)
         demand = demanded_vertices(details, 0)
-        (k,) = [k for k, ann in annotations.items() if ann == (frozenset({2, 3}), frozenset({4}), {2: 1, 3: 0})]
+        (k,) = [k for k, ann in annotations.items() if ann == (0b1100, 1 << 4, 0b0100)]  # ({2, 3}, {23}, c_2 = 1)
         assert demand[k] == [2, 3]
         for r in range(g.n):
             d = compile_bp_to_dnnf(bp, g, c, r)
@@ -234,8 +235,7 @@ class TestSmoothAsBuilt:
         masks = NnfCircuit(details.all_gates, len(details.all_gates) - 1, g.m).var_masks
         annotations = validate_well_structured(bp, g, c).annotations
         for k, gates in details.vertex_gate.items():
-            edges = sum(1 << e for e in annotations[k][1])
-            assert all(masks[gate] == edges for gate in gates.values()), k
+            assert all(masks[gate] == annotations[k][1] for gate in gates.values()), k
 
     def test_desk_family(self, bench_graph):
         _, g = bench_graph
@@ -272,3 +272,23 @@ class TestPipelineProperty:
         report, d, bp = pipeline(g, c_unsat, c_star)
         assert report.equivalence == "equivalent"
         assert report.ratio_ok
+
+
+class TestPinnedOutputs:
+    """Program and circuit text on two graphs past the desk tier, pinned by
+    size and sha256[:16]: a change to the annotations, the builder's memo,
+    its edge order or the compiler that moves a node or a gate shows up
+    here."""
+
+    @pytest.mark.parametrize("make, nodes, gates, bp_digest, nnf_digest", [
+        (lambda: fam.grid(8, 8), 6089, 14745, "0a273fe87235dbf5", "4fa9de90f96dd161"),
+        (lambda: fam.random_regular(40, 3, 1), 23703, 55973, "7126eeea3beca427", "9b8355156c53176e"),
+    ], ids=["grid8x8", "rr40"])
+    def test_text_digests(self, make, nodes, gates, bp_digest, nnf_digest):
+        g = make()
+        c = unit_charge(g.n, 0)
+        bp = build_well_structured_bp(g, c)
+        d = compile_bp_to_dnnf(bp, g, c, 0)
+        assert (bp.size, d.size) == (nodes, gates)
+        assert hashlib.sha256(bp_to_text(bp).encode()).hexdigest()[:16] == bp_digest
+        assert hashlib.sha256(nnf_to_text(d).encode()).hexdigest()[:16] == nnf_digest

@@ -52,6 +52,11 @@ class TestGraphBasics:
         for v in range(g.n):
             assert sorted(g.other_end(e, v) for e in g.incident[v]) == list(g.adj[v])
 
+    @given(small_graphs())
+    @settings(max_examples=50, deadline=None)
+    def test_incident_mask_matches_incident(self, g):
+        assert g.incident_mask == tuple(sum(1 << e for e in inc) for inc in g.incident)
+
 
 class TestConnectedComponents:
     def test_triangle_single_class(self):
