@@ -14,12 +14,19 @@ class Cnf:
 
     def __post_init__(self):
         for cl in self.clauses:
-            for lit in cl:
-                v = abs(lit)
-                if lit == 0 or not (1 <= v <= self.num_vars):
-                    raise ValueError(f"literal {lit} out of range")
-            if any(-lit in cl for lit in cl):
-                raise ValueError(f"clause {sorted(cl)} contains a variable and its negation")
+            problem = _clause_problem(cl, self.num_vars)
+            if problem:
+                raise ValueError(problem)
+
+
+def _clause_problem(cl: frozenset[int], num_vars: int) -> str | None:
+    """What makes `cl` no clause over variables 1..num_vars, if anything."""
+    for lit in cl:
+        if not 1 <= abs(lit) <= num_vars:
+            return f"literal {lit} out of range"
+    if any(-lit in cl for lit in cl):
+        return f"clause {sorted(cl)} contains a variable and its negation"
+    return None
 
 
 def clause_sorted(cl: frozenset[int]) -> list[int]:
@@ -34,9 +41,11 @@ def cnf_to_dimacs(cnf: Cnf) -> str:
 
 
 def cnf_from_dimacs(text: str) -> Cnf:
+    """A clause `Cnf` rejects is looked up again to name its line."""
     num_vars = None
     announced = None
     clauses = []
+    lines = []
     for ln in records(text, comments=("c", "#")):
         if ln.fields[0] == "p":
             if len(ln.fields) != 4 or ln.fields[1] != "cnf":
@@ -47,8 +56,16 @@ def cnf_from_dimacs(text: str) -> Cnf:
             if lits[-1] != 0 or 0 in lits[:-1]:
                 raise ln.error(f"clause not zero-terminated: {ln.text}")
             clauses.append(frozenset(lits[:-1]))
+            lines.append(ln)
     if num_vars is None:
         raise ValueError("missing header")
     if announced != len(clauses):
         raise ValueError(f"header announces {announced} clauses, found {len(clauses)}")
-    return Cnf(num_vars, tuple(clauses))
+    try:
+        return Cnf(num_vars, tuple(clauses))
+    except ValueError:
+        for ln, cl in zip(lines, clauses):
+            problem = _clause_problem(cl, num_vars)
+            if problem:
+                raise ln.error(problem) from None
+        raise

@@ -5,51 +5,85 @@ carry a clause of the input CNF; derived steps carry two antecedent ids
 and must hold exactly a resolvent of them.  The pivot of a derived step
 is not stored: `ResolutionTrace.pivots` derives it.  Literals are signed
 DIMACS integers.
+
+A step holds its clause as two masks over the trace's variable table
+`ResolutionTrace.variables`, an increasing tuple of variable ids: bit i of
+`pos` is set when the clause holds variables[i], bit i of `neg` when it
+holds -variables[i].  No mask is wider than the table, so a variable id
+like 10**12 costs one table entry, not a 10**12-bit int.  The parser
+tables the variables its trace mentions, `dpll_refute` the variables
+1..n of its CNF; `ResolutionTrace.literals` decodes a step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
-from .cnf import Cnf, clause_sorted
+from .cnf import Cnf
 from .recursion import run
 from .textformat import records
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     id: int
-    clause: frozenset[int]
-    antecedents: tuple[int, int] | None = None
-
-    @property
-    def is_axiom(self) -> bool:
-        return self.antecedents is None
+    pos: int  # the clause's positive literals, as a mask over the variable table
+    neg: int  # its negative literals
+    antecedents: tuple[int, int] | None = None  # None for an axiom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolutionTrace:
     steps: tuple[Step, ...]
+    variables: tuple[int, ...]
 
     def __len__(self):
         return len(self.steps)
 
+    def __eq__(self, other):
+        """Equal ids, antecedents and clauses, whatever the two tables."""
+        if not isinstance(other, ResolutionTrace):
+            return NotImplemented
+        if self.variables == other.variables:
+            return self.steps == other.steps
+        return len(self) == len(other) and all(
+            (s.id, s.antecedents, self.literals(s)) == (t.id, t.antecedents, other.literals(t))
+            for s, t in zip(self.steps, other.steps)
+        )
+
+    def literals(self, step: Step) -> list[int]:
+        """The step's clause in text order: by variable, a positive
+        literal before its negation."""
+        out = []
+        pos, neg = step.pos, step.neg
+        mask = pos | neg
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            v = self.variables[low.bit_length() - 1]
+            if pos & low:
+                out.append(v)
+            if neg & low:
+                out.append(-v)
+        return out
+
     @cached_property
-    def pivots(self) -> tuple[int | None, ...]:
-        """One entry per step: for a derived step the variable on which
-        its earlier antecedents resolve to its clause (there is at most
-        one, see `_pivot`), else None."""
-        clauses: dict[int, frozenset[int]] = {}
+    def pivots(self) -> tuple[int, ...]:
+        """One entry per step: for a derived step the bit of the variable
+        on which its earlier antecedents resolve to its clause (there is
+        at most one, see `_pivot`), else 0."""
+        clauses: dict[int, Step] = {}
         out = []
         for step in self.steps:
-            pivot = None
-            if not step.is_axiom:
-                i, j = step.antecedents
-                if i in clauses and j in clauses:
-                    pivot = _pivot(clauses[i], clauses[j], step.clause)
+            pivot = 0
+            if step.antecedents is not None:
+                a = clauses.get(step.antecedents[0])
+                b = clauses.get(step.antecedents[1])
+                if a is not None and b is not None:
+                    pivot = _pivot(a, b, step)
             out.append(pivot)
-            clauses[step.id] = step.clause
+            clauses[step.id] = step
         return tuple(out)
 
 
@@ -64,39 +98,31 @@ class CheckResult:
         return self.ok
 
 
-def resolve(a: frozenset[int], b: frozenset[int], pivot: int) -> frozenset[int]:
-    """Resolvent of a (containing pivot) and b (containing -pivot)."""
-    if pivot <= 0:
-        raise ValueError("pivot must be a positive variable id")
-    if pivot not in a or -pivot in a:
-        raise ValueError(f"first antecedent must contain {pivot} and not {-pivot}")
-    if -pivot not in b or pivot in b:
-        raise ValueError(f"second antecedent must contain {-pivot} and not {pivot}")
-    return (a - {pivot}) | (b - {-pivot})
+def _pivot(a: Step, b: Step, c: Step) -> int:
+    """The bit of the variable on which a and b, in either order, resolve
+    to c's clause, or 0.
 
-
-def _pivot(a: frozenset[int], b: frozenset[int], clause: frozenset[int]) -> int | None:
-    """The variable on which a and b, in either order, resolve to
-    `clause`, or None.
-
-    Where `resolve(first, second, p)` is defined, first holds p and not
-    -p and second holds -p and not p, so the resolvent is exactly
-    (a | b) - {p, -p}.  Hence `clause` is a resolvent only if it lies
-    inside a | b and leaves out exactly one complementary pair {p, -p};
-    then p is the only candidate, and it resolves when one antecedent
-    holds p, the other -p, and neither holds both.  No second variable
-    can qualify, as its pair would have to be all that is left out as
-    well, so the one candidate is also the smallest: no sort, no retry.
+    Resolving first (holding p, not -p) with second (holding -p, not p) on
+    p gives exactly (a | b) - {p, -p}.  So c is a resolvent iff (a | b) ^ c
+    is the same single bit in both polarities, exactly one antecedent holds
+    p, exactly one holds -p, and neither holds both: p lies in a | b in
+    both polarities, and the xor then leaves c = (a | b) - {p, -p}.  No
+    other variable can qualify, so no candidate is tried.
     """
-    union = a | b
-    if len(union) - len(clause) != 2 or not clause <= union:
-        return None
-    lit, other = union - clause
-    if lit != -other:
-        return None
-    p = abs(lit)
-    first, second = (a, b) if p in a else (b, a)
-    return p if -p in second and -p not in first and p not in second else None
+    bit = (a.pos | b.pos) ^ c.pos
+    if bit != (a.neg | b.neg) ^ c.neg or bit & (bit - 1):
+        return 0
+    return bit & (a.pos ^ b.pos) & (a.neg ^ b.neg) & ~(a.pos & a.neg | b.pos & b.neg)
+
+
+def _literal_bits(variables: tuple[int, ...]) -> dict[int, int]:
+    """Each literal's bit in a clause's joint mask pos | neg << len(variables):
+    v at its index i in the table, -v at len(variables) + i."""
+    bits = {}
+    for i, v in enumerate(variables):
+        bits[v] = 1 << i
+        bits[-v] = 1 << len(variables) + i
+    return bits
 
 
 def check_refutation(cnf: Cnf, trace: ResolutionTrace) -> CheckResult:
@@ -105,33 +131,35 @@ def check_refutation(cnf: Cnf, trace: ResolutionTrace) -> CheckResult:
     Axioms must occur in the input CNF as literal sets; derived steps must
     equal a resolvent of their antecedents, which `trace.pivots` records;
     the final clause must be empty.  Tautological clauses are permitted
-    but collected in the result.
+    but collected in the result.  The CNF's clauses are read over the
+    trace's table; one with a variable outside it is no step's clause.
     """
     if not trace.steps:
         return CheckResult(False, "empty trace")
-    inputs = {frozenset(cl) for cl in cnf.clauses}
+    bits = _literal_bits(trace.variables)
+    width = len(trace.variables)
+    inputs = {sum(bits[lit] for lit in cl) for cl in cnf.clauses if all(lit in bits for lit in cl)}
     seen: set[int] = set()
     result = CheckResult(True)
     last = None
-    for step, pivot in zip(trace.steps, trace.pivots):
-        if last is not None and step.id <= last:
-            return CheckResult(False, f"step ids not strictly increasing at {step.id}", step.id)
-        last = step.id
-        if step.is_axiom:
-            if step.clause not in inputs:
-                return CheckResult(False, f"step {step.id}: axiom clause not in the input CNF", step.id)
+    for (sid, pos, neg, antecedents), pivot in zip(trace.steps, trace.pivots):
+        if last is not None and sid <= last:
+            return CheckResult(False, f"step ids not strictly increasing at {sid}", sid)
+        last = sid
+        if antecedents is None:
+            if pos | neg << width not in inputs:
+                return CheckResult(False, f"step {sid}: axiom clause not in the input CNF", sid)
         else:
-            i, j = step.antecedents
-            if i not in seen or j not in seen:
-                return CheckResult(False, f"step {step.id}: antecedent does not precede the step", step.id)
-            if pivot is None:
-                return CheckResult(False, f"step {step.id}: clause is not the resolvent", step.id)
-        if any(-lit in step.clause for lit in step.clause):
-            result.tautology_steps.append(step.id)
-        seen.add(step.id)
-    if trace.steps[-1].clause:
-        return CheckResult(False, "final clause is not empty", trace.steps[-1].id)
-    result.tautology_steps = sorted(result.tautology_steps)
+            if antecedents[0] not in seen or antecedents[1] not in seen:
+                return CheckResult(False, f"step {sid}: antecedent does not precede the step", sid)
+            if not pivot:
+                return CheckResult(False, f"step {sid}: clause is not the resolvent", sid)
+        if pos & neg:
+            result.tautology_steps.append(sid)
+        seen.add(sid)
+    final = trace.steps[-1]
+    if final.pos or final.neg:
+        return CheckResult(False, "final clause is not empty", final.id)
     return result
 
 
@@ -139,31 +167,28 @@ def check_regularity(trace: ResolutionTrace) -> bool:
     """No directed path resolves twice on the same variable.
 
     With edges antecedent -> derived labeled by the derived step's pivot
-    (from `trace.pivots`; a step without one adds no label), a repeat on
-    some path exists iff some edge's label already occurs on a path
-    continuing upward from its head; `above[s]` accumulates exactly those
-    labels (as a variable bitmask).  An antecedent that names its own step
-    or a later one raises ValueError; `check_refutation` rejects such a
-    trace as well.
+    bit (from `trace.pivots`; a step without one adds no label), a repeat
+    on some path exists iff some edge's label already occurs on a path
+    continuing upward from its head.  `above[s]` accumulates exactly those
+    labels: walking the steps from the last, a step's users have all
+    passed on theirs when it is reached.  An antecedent that names its own
+    step or a later one raises ValueError; `check_refutation` rejects such
+    a trace as well.
     """
-    label = {step.id: 1 << pivot for step, pivot in zip(trace.steps, trace.pivots) if pivot is not None}
     position = {step.id: i for i, step in enumerate(trace.steps)}
-    users: dict[int, list[Step]] = {}
     for i, step in enumerate(trace.steps):
-        if not step.is_axiom:
-            for a in step.antecedents:
-                if position.get(a, -1) >= i:
-                    raise ValueError(f"step {step.id}: antecedent {a} is not an earlier step")
-                users.setdefault(a, []).append(step)
+        for a in step.antecedents or ():
+            if position.get(a, -1) >= i:
+                raise ValueError(f"step {step.id}: antecedent {a} is not an earlier step")
     above: dict[int, int] = {}
-    for step in reversed(trace.steps):
-        mask = 0
-        for d in users.get(step.id, ()):
-            mask |= above[d.id] | label.get(d.id, 0)
-        above[step.id] = mask
-    for step in trace.steps:
-        if above[step.id] & label.get(step.id, 0):
+    for step, label in zip(reversed(trace.steps), reversed(trace.pivots)):
+        here = above.get(step.id, 0)
+        if here & label:
             return False
+        if step.antecedents is not None:
+            here |= label
+            for a in step.antecedents:
+                above[a] = above.get(a, 0) | here
     return True
 
 
@@ -187,10 +212,10 @@ def _branch_variable(open_groups: list[tuple[int, int]]) -> int:
 class _TraceBuilder:
     def __init__(self):
         self.steps: list[Step] = []
-        self.by_clause: dict[frozenset, list[int]] = {}
+        self.by_clause: dict[tuple[int, int], list[int]] = {}
         self.pivots_below: dict[int, int] = {}
 
-    def lookup(self, clause: frozenset, assigned_mask: int) -> int | None:
+    def lookup(self, clause: tuple[int, int], assigned_mask: int) -> int | None:
         """Reusable step with this clause whose pivot set avoids the
         variables assigned on the current path (keeps the DAG regular)."""
         for sid in self.by_clause.get(clause, ()):
@@ -198,9 +223,9 @@ class _TraceBuilder:
                 return sid
         return None
 
-    def add(self, clause, antecedents=None, pivot=None) -> int:
+    def add(self, clause: tuple[int, int], antecedents=None, pivot=None) -> int:
         sid = len(self.steps) + 1
-        self.steps.append(Step(sid, clause, antecedents))
+        self.steps.append(Step(sid, *clause, antecedents))
         below = 0
         if antecedents is not None:
             below = (1 << pivot) | self.pivots_below[antecedents[0]] | self.pivots_below[antecedents[1]]
@@ -208,7 +233,7 @@ class _TraceBuilder:
         self.by_clause.setdefault(clause, []).append(sid)
         return sid
 
-    def trace(self, root: int) -> ResolutionTrace:
+    def trace(self, root: int, variables: tuple[int, ...]) -> ResolutionTrace:
         """The steps that `root` reaches, in id order, ending at `root`."""
         wanted = {root}
         kept = []
@@ -216,7 +241,7 @@ class _TraceBuilder:
             if step.id in wanted:
                 kept.append(step)
                 wanted.update(step.antecedents or ())
-        return ResolutionTrace(tuple(reversed(kept)))
+        return ResolutionTrace(tuple(reversed(kept)), variables)
 
 
 def dpll_refute(cnf: Cnf) -> ResolutionTrace:
@@ -256,6 +281,11 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     running time, not the trace.  A state never recurs below itself, as
     `assigned_mask` grows along every path.
 
+    Steps hold their clauses over the table 1..n, so variable x is clause
+    bit x - 1.  Every clause met is falsified by the path's assignment,
+    so none is a tautology: the resolvent on x is the antecedents' union
+    with x's bit cleared in both masks.
+
     The trace ends at the root's step and keeps the steps it reaches: a
     root that passes its first child's step through leaves the second
     child's steps unused.
@@ -263,11 +293,13 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     builder = _TraceBuilder()
     satisfied_by: dict[int, int] = {}
     by_vars: dict[int, int] = {}
+    axioms = []
     for idx, cl in enumerate(cnf.clauses):
         for lit in cl:
             satisfied_by[lit] = satisfied_by.get(lit, 0) | 1 << idx
         vm = sum(1 << abs(lit) for lit in cl)
         by_vars[vm] = by_vars.get(vm, 0) | 1 << idx
+        axioms.append((sum(1 << lit - 1 for lit in cl if lit > 0), sum(1 << -lit - 1 for lit in cl if lit < 0)))
     groups = [(clauses, vm) for vm, clauses in by_vars.items()]
     done: dict[tuple[int, int], int] = {}
 
@@ -286,7 +318,7 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
                 else:
                     falsified |= here
         if falsified:
-            clause = frozenset(cnf.clauses[(falsified & -falsified).bit_length() - 1])
+            clause = axioms[(falsified & -falsified).bit_length() - 1]
             sid = builder.lookup(clause, assigned_mask)
             return sid if sid is not None else builder.add(clause)
         x = _branch_variable(open_groups)
@@ -299,16 +331,17 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
                 sid = done[key] = yield refute(*key)
             children.append(sid)
         s0, s1 = children
-        c0 = builder.steps[s0 - 1].clause
-        c1 = builder.steps[s1 - 1].clause
-        if x in c0 and -x in c1:
-            clause = resolve(c0, c1, x)
+        _, pos0, neg0, _ = builder.steps[s0 - 1]
+        _, pos1, neg1, _ = builder.steps[s1 - 1]
+        var = bit >> 1
+        if pos0 & var and neg1 & var:
+            clause = ((pos0 | pos1) & ~var, (neg0 | neg1) & ~var)
             sid = builder.lookup(clause, assigned_mask)
             return sid if sid is not None else builder.add(clause, (s0, s1), x)
-        return s0 if x not in c0 else s1
+        return s1 if pos0 & var else s0
 
     root = run(refute((1 << len(cnf.clauses)) - 1, 0))
-    return builder.trace(root)
+    return builder.trace(root, tuple(range(1, cnf.num_vars + 1)))
 
 
 # --- text format ------------------------------------------------------------
@@ -320,27 +353,46 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
 def trace_to_text(trace: ResolutionTrace) -> str:
     lines = []
     for step in trace.steps:
-        lits = " ".join(str(lit) for lit in clause_sorted(step.clause))
-        ants = "" if step.is_axiom else " ".join(str(a) for a in step.antecedents)
-        lines.append(" ".join(x for x in (str(step.id), lits, "0", ants, "0") if x))
+        fields = [step.id, *trace.literals(step), 0, *(step.antecedents or ()), 0]
+        lines.append(" ".join(map(str, fields)))
     return "\n".join(lines) + "\n"
 
 
 def trace_from_text(text: str) -> ResolutionTrace:
-    steps = []
+    """Lines are read first, and the table is the sorted set of variables
+    they mention; each clause then becomes its two masks over it."""
+    rows = []
+    mentioned: set[int] = set()
+    ints: dict[str, int] = {}  # literals and antecedent ids recur: each token is converted once
     for ln in records(text):
-        nums = ln.ints(start=0)
+        fields = ln.fields
+        try:
+            ints[fields[0]] = int(fields[0])
+            nums = list(map(ints.__getitem__, fields))
+        except (KeyError, ValueError):
+            nums = ln.ints(start=0)
+            ints.update(zip(fields, nums))
         sid = nums[0]
-        if 0 not in nums[1:]:
-            raise ln.error(f"step {sid}: clause not zero-terminated")
-        z1 = nums.index(0, 1)
-        clause = frozenset(nums[1:z1])
-        rest = nums[z1 + 1:]
-        if not rest or rest[-1] != 0:
+        try:
+            end = nums.index(0, 1)
+        except ValueError:
+            raise ln.error(f"step {sid}: clause not zero-terminated") from None
+        rest = len(nums) - end
+        if rest == 1 or nums[-1] != 0:
             raise ln.error(f"step {sid}: missing terminator")
-        ants = rest[:-1]
-        if len(ants) not in (0, 2):
-            raise ln.error(f"step {sid}: expected 0 or 2 antecedents, got {len(ants)}")
-        steps.append(Step(sid, clause, (ants[0], ants[1]) if ants else None))
-    return ResolutionTrace(tuple(steps))
-
+        if rest not in (2, 4):
+            raise ln.error(f"step {sid}: expected 0 or 2 antecedents, got {rest - 2}")
+        literals = nums[1:end]
+        mentioned.update(literals)
+        rows.append((sid, literals, (nums[end + 1], nums[end + 2]) if rest == 4 else None))
+    variables = tuple(sorted({abs(lit) for lit in mentioned}))
+    bits = _literal_bits(variables)
+    width = len(variables)
+    low = (1 << width) - 1
+    steps = []
+    for sid, literals, antecedents in rows:
+        joint = 0
+        for lit in literals:
+            joint |= bits[lit]
+        steps.append(Step(sid, joint & low, joint >> width, antecedents))
+    return ResolutionTrace(tuple(steps), variables)

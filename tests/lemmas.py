@@ -27,8 +27,11 @@ in `tseitinkit.oracles` is checked against; every cut of a branch
 decomposition (`all_cuts`), of which the library builds only the
 maximum-order one; `bp.expected_children` on set-form annotations
 (`reference_expected_children`, with `annotation_sets` decoding the
-library's masks); and the min-fill order recounting every fill at every
-step (`reference_min_fill`).
+library's masks); the min-fill order recounting every fill at every
+step (`reference_min_fill`); and resolution on literal sets: traces built
+from literal rows (`trace_of`, `clause`), the resolvent (`resolve`) and
+the set-form pivot (`set_pivot`) the library's mask pivot is checked
+against.
 
 The cover game: the cover player picks an uncovered model and the proof
 tree accepting it; the adversary answers with a cut of the induced
@@ -56,6 +59,7 @@ from tseitinkit.cnf import Cnf
 from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, _rebuild, _reachable, gate_values, is_smooth, restrict_to_root, root_value, validate_decomposable
 from tseitinkit.oracles import BLOCK_BITS, parity, point, truth_table
 from tseitinkit.recursion import run
+from tseitinkit.resolution import ResolutionTrace, Step
 from tseitinkit.tseitin import Charge, TseitinFormula, is_satisfiable, model_count, satisfied
 from tseitinkit.width import BranchDecomposition, Cut, caterpillar, edge_order, max_order_cut, treewidth_bounds
 
@@ -875,3 +879,58 @@ def extract_balanced_cover(d: NnfCircuit) -> list[Rectangle]:
     if covered_union != sat:
         raise AssertionError("cover union differs from the model set")
     return cover
+
+
+# --- resolution on literal sets ---------------------------------------------
+
+
+def trace_of(rows) -> ResolutionTrace:
+    """The trace of (id, literals, antecedents) rows, over the sorted
+    variables the rows mention, as the parser tables them."""
+    variables = tuple(sorted({abs(lit) for _, literals, _ in rows for lit in literals}))
+    index = {v: i for i, v in enumerate(variables)}
+    steps = []
+    for sid, literals, antecedents in rows:
+        pos = sum(1 << index[lit] for lit in set(literals) if lit > 0)
+        neg = sum(1 << index[-lit] for lit in set(literals) if lit < 0)
+        steps.append(Step(sid, pos, neg, tuple(antecedents) if antecedents is not None else None))
+    return ResolutionTrace(tuple(steps), variables)
+
+
+def clause(trace: ResolutionTrace, step: Step) -> frozenset[int]:
+    return frozenset(trace.literals(step))
+
+
+def resolve(a: frozenset[int], b: frozenset[int], pivot: int) -> frozenset[int]:
+    """Resolvent of a (containing pivot) and b (containing -pivot)."""
+    if pivot <= 0:
+        raise ValueError("pivot must be a positive variable id")
+    if pivot not in a or -pivot in a:
+        raise ValueError(f"first antecedent must contain {pivot} and not {-pivot}")
+    if -pivot not in b or pivot in b:
+        raise ValueError(f"second antecedent must contain {-pivot} and not {pivot}")
+    return (a - {pivot}) | (b - {-pivot})
+
+
+def set_pivot(a: frozenset[int], b: frozenset[int], clause: frozenset[int]) -> int | None:
+    """The variable on which a and b, in either order, resolve to
+    `clause`, or None.
+
+    Where `resolve(first, second, p)` is defined, first holds p and not
+    -p and second holds -p and not p, so the resolvent is exactly
+    (a | b) - {p, -p}.  Hence `clause` is a resolvent only if it lies
+    inside a | b and leaves out exactly one complementary pair {p, -p};
+    then p is the only candidate, and it resolves when one antecedent
+    holds p, the other -p, and neither holds both.  No second variable
+    can qualify, as its pair would have to be all that is left out as
+    well, so the one candidate is also the smallest: no sort, no retry.
+    """
+    union = a | b
+    if len(union) - len(clause) != 2 or not clause <= union:
+        return None
+    lit, other = union - clause
+    if lit != -other:
+        return None
+    p = abs(lit)
+    first, second = (a, b) if p in a else (b, a)
+    return p if -p in second and -p not in first and p not in second else None

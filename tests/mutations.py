@@ -11,7 +11,9 @@ import random
 
 from tseitinkit.bp import BranchingProgram
 from tseitinkit.graphs import Graph
-from tseitinkit.resolution import ResolutionTrace, Step
+from tseitinkit.resolution import ResolutionTrace
+
+from lemmas import clause, trace_of
 
 
 def mutate_bp(b: BranchingProgram, g: Graph, rng: random.Random) -> BranchingProgram:
@@ -40,41 +42,51 @@ def mutate_bp(b: BranchingProgram, g: Graph, rng: random.Random) -> BranchingPro
     return BranchingProgram(b.source, decisions, sinks)
 
 
-def corrupt(trace: ResolutionTrace, rng: random.Random, num_vars: int) -> ResolutionTrace:
-    derived = [i for i, s in enumerate(trace.steps) if not s.is_axiom]
-    axioms = [i for i, s in enumerate(trace.steps) if s.is_axiom]
-
-    def free_lits(s):
-        return [v for v in range(1, num_vars + 1) if v not in s.clause and -v not in s.clause]
-
+def trace_mutations(trace: ResolutionTrace, num_vars: int) -> list[str]:
+    """The kinds of `corrupt` that apply to the trace."""
+    clauses = [clause(trace, s) for s in trace.steps]
+    derived = [cl for s, cl in zip(trace.steps, clauses) if s.antecedents is not None]
+    axioms = [cl for s, cl in zip(trace.steps, clauses) if s.antecedents is None]
     kinds = ["drop_empty"]
     if derived:
         kinds += ["bad_antecedent"]
-        if any(free_lits(trace.steps[i]) for i in derived):
+        if any(_free_lits(cl, num_vars) for cl in derived):
             kinds += ["add_lit"]
-        if any(trace.steps[i].clause for i in derived):
+        if any(derived):
             kinds += ["drop_lit"]
-    if axioms and any(free_lits(trace.steps[i]) for i in axioms):
+    if any(_free_lits(cl, num_vars) for cl in axioms):
         kinds += ["axiom_lit"]
-    kind = rng.choice(kinds)
-    steps = list(trace.steps)
+    return kinds
+
+
+def _free_lits(cl: frozenset[int], num_vars: int) -> list[int]:
+    return [v for v in range(1, num_vars + 1) if v not in cl and -v not in cl]
+
+
+def corrupt(trace: ResolutionTrace, rng: random.Random, num_vars: int, kind: str | None = None) -> ResolutionTrace:
+    """One corruption of the given kind, or of a kind the seed picks from
+    `trace_mutations`."""
+    rows = [(s.id, clause(trace, s), s.antecedents) for s in trace.steps]
+    derived = [i for i, s in enumerate(trace.steps) if s.antecedents is not None]
+    axioms = [i for i, s in enumerate(trace.steps) if s.antecedents is None]
+    if kind is None:
+        kind = rng.choice(trace_mutations(trace, num_vars))
     if kind == "add_lit":
-        i = rng.choice([i for i in derived if free_lits(trace.steps[i])])
-        s = steps[i]
-        steps[i] = Step(s.id, s.clause | {rng.choice(free_lits(s))}, s.antecedents)
+        i = rng.choice([i for i in derived if _free_lits(rows[i][1], num_vars)])
+        sid, cl, ants = rows[i]
+        rows[i] = (sid, cl | {rng.choice(_free_lits(cl, num_vars))}, ants)
     elif kind == "drop_lit":
-        i = rng.choice([i for i in derived if trace.steps[i].clause])
-        s = steps[i]
-        lit = rng.choice(sorted(s.clause))
-        steps[i] = Step(s.id, s.clause - {lit}, s.antecedents)
+        i = rng.choice([i for i in derived if rows[i][1]])
+        sid, cl, ants = rows[i]
+        rows[i] = (sid, cl - {rng.choice(sorted(cl))}, ants)
     elif kind == "drop_empty":
-        steps = steps[:-1]
+        rows = rows[:-1]
     elif kind == "axiom_lit":
-        i = rng.choice([i for i in axioms if free_lits(trace.steps[i])])
-        s = steps[i]
-        steps[i] = Step(s.id, s.clause | {rng.choice(free_lits(s))})
+        i = rng.choice([i for i in axioms if _free_lits(rows[i][1], num_vars)])
+        sid, cl, ants = rows[i]
+        rows[i] = (sid, cl | {rng.choice(_free_lits(cl, num_vars))}, None)
     else:  # point an antecedent at the final step, violating precedence
         i = rng.choice(derived)
-        s = steps[i]
-        steps[i] = Step(s.id, s.clause, (trace.steps[-1].id, s.antecedents[1]))
-    return ResolutionTrace(tuple(steps))
+        sid, cl, ants = rows[i]
+        rows[i] = (sid, cl, (rows[-1][0], ants[1]))
+    return trace_of(rows)

@@ -1,5 +1,6 @@
 import io
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -371,6 +372,18 @@ class TestMalformedInput:
         assert main(_fuzz_argv(tmp_path, argv, text)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv,text,message", [
+        (["check", "refutation", "{cnf}", "@trace"], "p cnf 4 2\n1 2 0\n5 -1 0\n",
+         "line 3: literal 5 out of range"),
+        (["check", "refutation", "{cnf}", "@trace"], "c a comment\np cnf 4 2\n1 2 0\n\n3 -1 1 0\n",
+         "line 5: clause [-1, 1, 3] contains a variable and its negation"),
+        (["convert", "{cnf}", "--format", "cnf"], "1 -4 0\np cnf 3 1\n",
+         "line 1: literal -4 out of range"),
+    ], ids=["literal_out_of_range", "variable_and_negation", "clause_before_header"])
+    def test_bad_clause_names_its_line(self, tmp_path, capsys, argv, text, message):
+        assert main(_fuzz_argv(tmp_path, argv, text)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(argv=st.sampled_from(FUZZ_COMMANDS), edits=st.lists(_edit, min_size=1, max_size=4))
     def test_main_returns_an_exit_code(self, argv, edits):
@@ -381,6 +394,30 @@ class TestMalformedInput:
             with redirect_stdout(sink), redirect_stderr(sink):
                 rc = main(_fuzz_argv(Path(tmp), argv, text))
         assert rc in (0, 1, 2)
+
+
+class TestHugeVariableIds:
+    """A variable id of 10^12 costs one entry in a trace's variable table,
+    not a 10^12-bit mask."""
+
+    TRACE = "1 1 1000000000000 0 0\n"
+    CNF = "p cnf 1000000000000 1\n1000000000000 0\n"
+
+    def run(self, tmp_path, capsys, argv):
+        (tmp_path / "h.trace").write_text(self.TRACE)
+        (tmp_path / "h.cnf").write_text(self.CNF)
+        start = time.process_time()
+        code = main([str(tmp_path / arg) if arg.startswith("h.") else arg for arg in argv])
+        assert time.process_time() - start < 0.5
+        return code, capsys.readouterr()
+
+    def test_check_refutation(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, ["check", "refutation", "h.cnf", "h.trace"])
+        assert (code, out.out, out.err) == (1, "", "invalid refutation: step 1: axiom clause not in the input CNF\n")
+
+    def test_convert_round_trips(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, ["convert", "h.trace", "--format", "trace"])
+        assert (code, out.out, out.err) == (0, self.TRACE, "")
 
 
 def _fuzz_argv(tmp: Path, argv: list[str], text: str) -> list[str]:

@@ -17,20 +17,23 @@ from tseitinkit.resolution import (
     check_refutation,
     check_regularity,
     dpll_refute,
-    resolve,
     trace_from_text,
     trace_to_text,
 )
 from tseitinkit.textformat import records
 from tseitinkit.tseitin import TseitinFormula, to_cnf, unit_charge
 
+from lemmas import clause, resolve, set_pivot, trace_of
+
 
 UNIT_CNF = Cnf(1, (frozenset({1}), frozenset({-1})))
-UNIT_TRACE = ResolutionTrace((
-    Step(1, frozenset({1})),
-    Step(2, frozenset({-1})),
-    Step(3, frozenset(), (1, 2)),
-))
+UNIT_ROWS = ((1, {1}, None), (2, {-1}, None), (3, (), (1, 2)))
+UNIT_TRACE = trace_of(UNIT_ROWS)
+
+
+def pivot_variables(trace: ResolutionTrace) -> tuple[int | None, ...]:
+    """`trace.pivots` as variable ids, None where a step has no pivot."""
+    return tuple(trace.variables[p.bit_length() - 1] if p else None for p in trace.pivots)
 
 
 def family_cnfs():
@@ -46,62 +49,73 @@ class TestChecker:
     def test_unit_trace_valid(self):
         assert check_refutation(UNIT_CNF, UNIT_TRACE)
         assert check_regularity(UNIT_TRACE)
-        assert UNIT_TRACE.pivots == (None, None, 1)
+        assert pivot_variables(UNIT_TRACE) == (None, None, 1)
 
     def test_no_resolvable_pivot_rejected(self):
         # {1} and {2} clash on no variable
-        bad = ResolutionTrace((Step(1, frozenset({1})), Step(2, frozenset({2})), Step(3, frozenset(), (1, 2))))
-        assert bad.pivots == (None, None, None)
+        bad = trace_of(((1, {1}, None), (2, {2}, None), (3, (), (1, 2))))
+        assert pivot_variables(bad) == (None, None, None)
         result = check_refutation(Cnf(2, (frozenset({1}), frozenset({2}))), bad)
         assert not result and result.failed_step == 3 and "not the resolvent" in result.error
 
     def test_smallest_pivot_wins(self):
         # {1, 2} and {-1, -2} resolve on 1 to {2, -2} and on 2 to {1, -1}
-        steps = (Step(1, frozenset({1, 2})), Step(2, frozenset({-1, -2})))
-        assert ResolutionTrace(steps + (Step(3, frozenset({2, -2}), (1, 2)),)).pivots[2] == 1
-        assert ResolutionTrace(steps + (Step(3, frozenset({1, -1}), (2, 1)),)).pivots[2] == 2
+        steps = ((1, {1, 2}, None), (2, {-1, -2}, None))
+        assert pivot_variables(trace_of(steps + ((3, {2, -2}, (1, 2)),)))[2] == 1
+        assert pivot_variables(trace_of(steps + ((3, {1, -1}, (2, 1)),)))[2] == 2
 
     def test_final_clause_must_be_empty(self):
-        bad = ResolutionTrace(UNIT_TRACE.steps[:2] + (Step(3, frozenset({1})),))
+        bad = trace_of(UNIT_ROWS[:2] + ((3, {1}, None),))
         result = check_refutation(UNIT_CNF, bad)
         assert not result and "empty" in result.error
 
     def test_axiom_must_be_an_input_clause(self):
-        bad = ResolutionTrace((Step(1, frozenset({1, -2})),) + UNIT_TRACE.steps[1:])
+        bad = trace_of(((1, {1, -2}, None),) + UNIT_ROWS[1:])
         result = check_refutation(Cnf(2, UNIT_CNF.clauses), bad)
         assert not result and result.failed_step == 1
 
     def test_wrong_resolvent_rejected(self):
-        bad = ResolutionTrace((
-            Step(1, frozenset({1, 2})),
-            Step(2, frozenset({-1})),
-            Step(3, frozenset(), (1, 2)),
+        bad = trace_of((
+            (1, {1, 2}, None),
+            (2, {-1}, None),
+            (3, (), (1, 2)),
         ))
         cnf = Cnf(2, (frozenset({1, 2}), frozenset({-1})))
         result = check_refutation(cnf, bad)
         assert not result and result.failed_step == 3
 
     def test_antecedent_must_precede(self):
-        bad = ResolutionTrace((
-            Step(1, frozenset({1})),
-            Step(3, frozenset(), (1, 5)),
+        bad = trace_of((
+            (1, {1}, None),
+            (3, (), (1, 5)),
         ))
         assert not check_refutation(UNIT_CNF, bad)
+
+    def test_cnf_clauses_outside_the_trace_table(self):
+        # the trace tables variables (3, 7) only; the CNF's other clauses
+        # have a variable outside it and cannot be any step's clause
+        cnf = Cnf(7, (frozenset({1, 2}), frozenset({3, 7}), frozenset({-3}), frozenset({-7}), frozenset({5})))
+        trace = trace_from_text("1 3 7 0 0\n2 -3 0 0\n3 7 0 1 2 0\n4 -7 0 0\n5 0 3 4 0\n")
+        assert trace.variables == (3, 7)
+        assert check_refutation(cnf, trace).ok
+        bad = trace_from_text("1 5 0 0\n")
+        assert bad.variables == (5,)
+        assert check_refutation(Cnf(7, cnf.clauses[:4]), bad).error == "step 1: axiom clause not in the input CNF"
 
     def test_tautology_flagged_but_permitted(self):
         cnf = Cnf(2, (frozenset({1, 2}), frozenset({-1, -2}), frozenset({1, -2}), frozenset({-1, 2})))
         steps = (
-            Step(1, frozenset({1, 2})),
-            Step(2, frozenset({-1, -2})),
-            Step(3, frozenset({2, -2}), (1, 2)),
-            Step(4, frozenset({1, -2})),
-            Step(5, frozenset({-1, 2})),
-            Step(6, frozenset({-2, 2}), (4, 5)),
-            Step(7, frozenset({2}), (1, 5)),
-            Step(8, frozenset({-2}), (4, 2)),
-            Step(9, frozenset(), (7, 8)),
+            (1, {1, 2}, None),
+            (2, {-1, -2}, None),
+            (3, {2, -2}, (1, 2)),
+            (4, {1, -2}, None),
+            (5, {-1, 2}, None),
+            (6, {-2, 2}, (4, 5)),
+            (7, {2}, (1, 5)),
+            (8, {-2}, (4, 2)),
+            (9, (), (7, 8)),
         )
-        result = check_refutation(cnf, ResolutionTrace(steps))
+        result = check_refutation(cnf, trace_of(steps))
         assert result.ok
         assert result.tautology_steps == [3, 6]
 
@@ -112,18 +126,18 @@ class TestRegularity:
         x, y = 1, 2
         cnf = Cnf(2, (frozenset({x, y}), frozenset({-x, y}), frozenset({x, -y}), frozenset({-x, -y})))
         steps = (
-            Step(1, frozenset({x, y})),
-            Step(2, frozenset({-x, y})),
-            Step(3, frozenset({y}), (1, 2)),
-            Step(4, frozenset({x, -y})),
-            Step(5, frozenset({x}), (3, 4)),
-            Step(7, frozenset({y}), (5, 2)),
-            Step(8, frozenset({-x, -y})),
-            Step(9, frozenset({-y}), (4, 8)),
-            Step(10, frozenset(), (7, 9)),
+            (1, {x, y}, None),
+            (2, {-x, y}, None),
+            (3, {y}, (1, 2)),
+            (4, {x, -y}, None),
+            (5, {x}, (3, 4)),
+            (7, {y}, (5, 2)),
+            (8, {-x, -y}, None),
+            (9, {-y}, (4, 8)),
+            (10, (), (7, 9)),
         )
-        trace = ResolutionTrace(steps)
-        assert trace.pivots == (None, None, x, None, y, x, None, x, y)
+        trace = trace_of(steps)
+        assert pivot_variables(trace) == (None, None, x, None, y, x, None, x, y)
         assert check_refutation(cnf, trace).ok
         assert not check_regularity(trace)
 
@@ -131,28 +145,28 @@ class TestRegularity:
         x, y = 1, 2
         cnf = Cnf(2, (frozenset({x, y}), frozenset({-x, y}), frozenset({x, -y}), frozenset({-x, -y})))
         steps = (
-            Step(1, frozenset({x, y})),
-            Step(2, frozenset({-x, y})),
-            Step(3, frozenset({y}), (1, 2)),
-            Step(4, frozenset({x, -y})),
-            Step(5, frozenset({-x, -y})),
-            Step(6, frozenset({-y}), (4, 5)),
-            Step(7, frozenset(), (3, 6)),
+            (1, {x, y}, None),
+            (2, {-x, y}, None),
+            (3, {y}, (1, 2)),
+            (4, {x, -y}, None),
+            (5, {-x, -y}, None),
+            (6, {-y}, (4, 5)),
+            (7, (), (3, 6)),
         )
-        trace = ResolutionTrace(steps)
-        assert trace.pivots == (None, None, x, None, None, x, y)
+        trace = trace_of(steps)
+        assert pivot_variables(trace) == (None, None, x, None, None, x, y)
         assert check_refutation(cnf, trace).ok
         assert check_regularity(trace)
 
     @pytest.mark.parametrize("later", [3, 2], ids=["later_step", "own_step"])
     def test_antecedent_not_earlier_is_a_value_error(self, later):
         steps = (
-            Step(1, frozenset({1})),
-            Step(2, frozenset(), (1, later)),
-            Step(3, frozenset({-1})),
+            (1, {1}, None),
+            (2, (), (1, later)),
+            (3, {-1}, None),
         )
         with pytest.raises(ValueError, match=f"step 2: antecedent {later} is not an earlier step"):
-            check_regularity(ResolutionTrace(steps))
+            check_regularity(trace_of(steps))
 
 
 class TestDpll:
@@ -195,7 +209,7 @@ class TestDpll:
         result = check_refutation(cnf, trace)
         assert result.ok, result.error
         assert check_regularity(trace)
-        assert trace.steps[-1].clause == frozenset()
+        assert clause(trace, trace.steps[-1]) == frozenset()
 
     @pytest.mark.parametrize("rows,cols,steps", [(3, 12, 693), (5, 5, 1537)])
     def test_grids_with_many_repeated_subformulas(self, rows, cols, steps):
@@ -236,7 +250,7 @@ def _reference_branch_variable(restricted) -> int:
 
 class _ReferenceTraceBuilder:
     def __init__(self):
-        self.steps: list[Step] = []
+        self.steps: list[tuple[int, frozenset, tuple[int, int] | None]] = []  # (id, clause, antecedents)
         self.by_clause: dict[frozenset, list[int]] = {}
         self.pivots_below: dict[int, int] = {}
 
@@ -248,7 +262,7 @@ class _ReferenceTraceBuilder:
 
     def add(self, clause, antecedents=None, pivot=None) -> int:
         sid = len(self.steps) + 1
-        self.steps.append(Step(sid, clause, antecedents))
+        self.steps.append((sid, clause, antecedents))
         below = 0
         if antecedents is not None:
             below = (1 << pivot) | self.pivots_below[antecedents[0]] | self.pivots_below[antecedents[1]]
@@ -257,16 +271,16 @@ class _ReferenceTraceBuilder:
         return sid
 
 
-def _end_at_root(steps: list[Step], root: int) -> ResolutionTrace:
+def _end_at_root(steps: list[tuple], root: int) -> ResolutionTrace:
     """The steps `root` reaches by a depth-first walk, in id order."""
-    by_id = {step.id: step for step in steps}
+    by_id = {step[0]: step for step in steps}
     reached, todo = set(), [root]
     while todo:
         sid = todo.pop()
         if sid not in reached:
             reached.add(sid)
-            todo.extend(by_id[sid].antecedents or ())
-    return ResolutionTrace(tuple(step for step in steps if step.id in reached))
+            todo.extend(by_id[sid][2] or ())
+    return trace_of([step for step in steps if step[0] in reached])
 
 
 def reference_dpll_refute(cnf: Cnf) -> ResolutionTrace:
@@ -302,8 +316,8 @@ def reference_dpll_refute(cnf: Cnf) -> ResolutionTrace:
         bit = 1 << x
         s0 = refute({**assignment, x: 0}, assigned_mask | bit)
         s1 = refute({**assignment, x: 1}, assigned_mask | bit)
-        c0 = builder.steps[s0 - 1].clause
-        c1 = builder.steps[s1 - 1].clause
+        c0 = builder.steps[s0 - 1][1]
+        c1 = builder.steps[s1 - 1][1]
         if x in c0 and -x in c1:
             clause = resolve(c0, c1, x)
             sid = builder.lookup(clause, assigned_mask)
@@ -436,7 +450,7 @@ class TestAgainstReference:
                 refute(cnf)
 
 
-from mutations import corrupt  # noqa: E402  (shared with the acceptance suite)
+from mutations import corrupt, trace_mutations  # noqa: E402  (shared with the acceptance suite)
 
 
 class TestMutations:
@@ -448,7 +462,7 @@ class TestMutations:
         rejected = 0
         for _ in range(25):
             mutated = corrupt(trace, rng, cnf.num_vars)
-            if mutated.steps == trace.steps:
+            if mutated == trace:
                 continue
             assert not check_refutation(cnf, mutated).ok
             rejected += 1
@@ -463,6 +477,17 @@ class TestTraceText:
         back = trace_from_text(text)
         assert back == trace
         assert trace_to_text(back) == text
+
+    def test_equality_reads_clauses_not_tables(self):
+        # DPLL tables all of the CNF's variables, the parser only those the
+        # trace mentions: variable 3 occurs in no clause here
+        cnf = Cnf(3, (frozenset({1, 2}), frozenset({-1, 2}), frozenset({-2})))
+        trace = dpll_refute(cnf)
+        back = trace_from_text(trace_to_text(trace))
+        assert (trace.variables, back.variables) == ((1, 2, 3), (1, 2))
+        assert back == trace and trace == back
+        assert back != trace_from_text(trace_to_text(trace).replace("-2 0 0", "-1 0 0"))
+        assert trace != trace.steps
 
     def test_axioms_have_empty_antecedents(self):
         text = trace_to_text(UNIT_TRACE)
@@ -482,7 +507,9 @@ class TestResolveHelper:
 # --- reference: pivots by trying each clashing variable ---------------------
 #
 # `_pivot` used to resolve on every variable the antecedents clash on, in
-# increasing order, and return the first whose resolvent is the clause.
+# increasing order, and return the first whose resolvent is the clause.  It
+# then read the pivot off the difference of literal sets (`lemmas.set_pivot`),
+# and now off the difference of masks; all three must agree.
 
 
 def reference_pivot(a: frozenset[int], b: frozenset[int], clause: frozenset[int]) -> int | None:
@@ -498,13 +525,21 @@ def reference_pivot(a: frozenset[int], b: frozenset[int], clause: frozenset[int]
     return None
 
 
+def mask_pivot(a: Step, b: Step, c: Step, variables: tuple[int, ...]) -> int | None:
+    """The library's `_pivot` as a variable id, or None."""
+    bit = _pivot(a, b, c)
+    return variables[bit.bit_length() - 1] if bit else None
+
+
 def _derived_triples(trace: ResolutionTrace):
-    clauses = {}
+    """(antecedent, antecedent, step) for each derived step whose
+    antecedents come earlier."""
+    steps = {}
     for step in trace.steps:
-        if not step.is_axiom and all(a in clauses for a in step.antecedents):
+        if step.antecedents is not None and all(a in steps for a in step.antecedents):
             i, j = step.antecedents
-            yield clauses[i], clauses[j], step.clause
-        clauses[step.id] = step.clause
+            yield steps[i], steps[j], step
+        steps[step.id] = step
 
 
 class TestPivotAgainstReference:
@@ -517,10 +552,14 @@ class TestPivotAgainstReference:
             for picks in itertools.product(options, repeat=3)
         ]
         assert len(set(clauses)) == 64
+        masks = trace_of([(0, cl, None) for cl in clauses])
+        assert masks.variables == (1, 2, 3)
+        step_of = dict(zip(clauses, masks.steps))
         resolving = 0
-        for a, b, clause in itertools.product(clauses, repeat=3):
-            expected = reference_pivot(a, b, clause)
-            assert _pivot(a, b, clause) == expected, (sorted(a), sorted(b), sorted(clause))
+        for a, b, c in itertools.product(clauses, repeat=3):
+            expected = reference_pivot(a, b, c)
+            assert set_pivot(a, b, c) == expected, (sorted(a), sorted(b), sorted(c))
+            assert mask_pivot(step_of[a], step_of[b], step_of[c], masks.variables) == expected, (sorted(a), sorted(b), sorted(c))
             resolving += expected is not None
         assert resolving
 
@@ -532,11 +571,12 @@ class TestPivotAgainstReference:
         traces = [trace] + [corrupt(trace, rng, cnf.num_vars) for _ in range(20)]
         compared = 0
         for t in traces:
-            for a, b, clause in _derived_triples(t):
-                assert _pivot(a, b, clause) == reference_pivot(a, b, clause)
+            for a, b, c in _derived_triples(t):
+                sets = clause(t, a), clause(t, b), clause(t, c)
+                assert mask_pivot(a, b, c, t.variables) == reference_pivot(*sets) == set_pivot(*sets)
                 compared += 1
-        assert all((pivot is None) == step.is_axiom for step, pivot in zip(trace.steps, trace.pivots))
-        assert compared >= 20 * sum(not step.is_axiom for step in trace.steps)
+        assert all((not pivot) == (step.antecedents is None) for step, pivot in zip(trace.steps, trace.pivots))
+        assert compared >= 20 * sum(step.antecedents is not None for step in trace.steps)
 
 
 # --- reference: parser and checker with stored pivots -------------------------
@@ -691,6 +731,34 @@ def _rewire(text: str, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _with_tautologies(trace: ResolutionTrace, rng: random.Random, count: int) -> str:
+    """The trace with ids doubled and `count` unused tautological
+    resolvents inserted at odd ids: still a refutation, maybe irregular."""
+    rows = [(2 * s.id, clause(trace, s), s.antecedents and tuple(2 * a for a in s.antecedents))
+            for s in trace.steps]
+    added: dict[int, tuple] = {}
+    for _ in range(50 * count):
+        if len(added) == count:
+            break
+        i, j = sorted(rng.sample(range(len(rows) - 1), 2))
+        (ai, a, _), (bj, b, _) = rows[i], rows[j]
+        clashes = sorted(abs(lit) for lit in a if -lit in b)
+        if len(clashes) < 2 or bj + 1 in added:
+            continue
+        p = rng.choice(clashes)
+        first, second = (a, b) if p in a else (b, a)
+        try:
+            added[bj + 1] = (bj + 1, resolve(first, second, p), (ai, bj))
+        except ValueError:  # an antecedent holds p and -p
+            continue
+    out = []
+    for row in rows:
+        out.append(row)
+        if row[0] + 1 in added:
+            out.append(added[row[0] + 1])
+    return trace_to_text(trace_of(out))
+
+
 class TestAgainstReferenceChecker:
     @pytest.mark.parametrize(
         "name,cnf",
@@ -717,3 +785,34 @@ class TestAgainstReferenceChecker:
                     "6 -2 2 0 4 5 0\n7 2 0 1 5 0\n8 -2 0 4 2 0\n9 0 7 8 0\n"
         for text in (irregular, tautology, "1 1 2 0 0\n2 -1 -2 0 0\n3 0 1 2 0\n"):
             assert verdicts(cnf, text, reference=False) == verdicts(cnf, text, reference=True)
+
+    @staticmethod
+    def every_mutation(cnf: Cnf, rng: random.Random, copies: int) -> list[str]:
+        """The DPLL trace, `copies` corruptions of each kind that applies
+        to it, and `copies` valid copies with tautologies added."""
+        trace = dpll_refute(cnf)
+        texts = [trace_to_text(trace)]
+        for kind in trace_mutations(trace, cnf.num_vars):
+            texts += [trace_to_text(corrupt(trace, rng, cnf.num_vars, kind)) for _ in range(copies)]
+        texts += [_with_tautologies(trace, rng, 3) for _ in range(copies)]
+        return texts
+
+    @pytest.mark.parametrize("g", [fam.complete(6), fam.wheel(8), fam.grid(3, 4)], ids=["K6", "W8", "grid3x4"])
+    def test_every_mutation_of_named_traces(self, g):
+        cnf = to_cnf(TseitinFormula(g, unit_charge(g.n, 0)))
+        errors, tautologies = set(), 0
+        for text in self.every_mutation(cnf, random.Random(g.m), 4):
+            ours = verdicts(cnf, text, reference=False)
+            assert ours == verdicts(cnf, text, reference=True)
+            errors.add(ours[2].split(": ")[-1])
+            tautologies += bool(ours[3])
+        assert len(errors) == 5 and tautologies == 4  # four diagnostics and "" for the valid traces
+
+    def test_every_mutation_on_random_unsatisfiable_cnfs(self):
+        tautologies = 0
+        for seed, cnf in random_unsatisfiable_cnfs(60):
+            for text in self.every_mutation(cnf, random.Random(seed), 2):
+                ours = verdicts(cnf, text, reference=False)
+                assert ours == verdicts(cnf, text, reference=True), f"seed {seed}"
+                tautologies += bool(ours[3])
+        assert tautologies
