@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, is_connected
+from .recursion import run
 from .textformat import records
 from .tseitin import Charge, TseitinFormula, is_satisfiable
 from .width import edge_order
@@ -202,7 +203,7 @@ def validate_well_structured(b: BranchingProgram, g: Graph, c: Charge) -> Valida
     for u in reversed(b.topological()):
         if u in b.sinks:
             v = b.sinks[u]
-            if v < 0 or annotations[u] != (1 << v, 0, 1 << v):
+            if not 0 <= v < g.n or annotations[u] != (1 << v, 0, 1 << v):
                 return ValidationResult(False, "condition 2: sink annotation must be its unit-charged vertex", u)
             continue
         var, lo, hi = b.decisions[u]
@@ -226,9 +227,8 @@ def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
     decision.  The memo key is the annotation triple itself; renaming
     edges is a bijection, so two nodes share an id exactly when their
     subformulas coincide.  Ids are assigned in
-    preorder, the 0-child's subprogram before the 1-child's; an explicit
-    stack of open decisions replaces recursion, so depth is bounded only
-    by memory.
+    preorder, the 0-child's subprogram before the 1-child's; the recursion
+    runs through `recursion.run`, so depth is bounded only by memory.
 
     Size bound: the size is at most `width.order_bound(g, order)`, that is
     n + sum over ranks r of 2^max(|dC_r| - 1, 0), which is
@@ -253,30 +253,23 @@ def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
     decisions: dict[int, tuple[int, int, int]] = {}
     sinks: dict[int, int] = {}
     memo: dict[Annotation, int] = {}
-    open_decisions: list[list] = []  # [id, var, forced 0-child, forced 1-child, *child ids]
 
-    def visit(ann: Annotation) -> int:
-        """The id for `ann` (on `ranked`), opening a decision when it is new."""
-        if ann in memo:
-            return memo[ann]
+    def visit(ann: Annotation):
+        """The id for `ann` (on `ranked`), taken before its children's."""
         nid = memo[ann] = len(memo)
         vertices, edge_ids, _ = ann
         if not edge_ids:
             sinks[nid] = vertices.bit_length() - 1  # a lone vertex
             return nid
         r = (edge_ids & -edge_ids).bit_length() - 1  # the lowest-ranked edge
-        open_decisions.append([nid, order[r], *expected_children(ranked, ann, r)])
+        children = []
+        for want in expected_children(ranked, ann, r):
+            children.append(memo[want] if want in memo else (yield visit(want)))
+        decisions[nid] = (order[r], *children)
         return nid
 
-    source = visit(_root(ranked, c))
-    while open_decisions:
-        top = open_decisions[-1]
-        nid, var, want0, want1, *children = top
-        if len(children) == 2:
-            decisions[nid] = (var, *children)
-            open_decisions.pop()
-        else:
-            top.append(visit(want1 if children else want0))
+    source = run(visit(_root(ranked, c)))
+    del visit  # a closure that calls itself is a reference cycle: free the memo now, not at the next collection
     return BranchingProgram(source, decisions, sinks)
 
 

@@ -16,14 +16,16 @@ for a (program node k, vertex v of G_k) pair computes T(G_k, c_k + 1_v):
 
 Demand.  The paper's construction builds the gate of every pair, at most
 three gates each, so at most 3 * sum of |V(G_k)| gates.  Only the pairs
-the gate for (source, r) reaches matter, and they follow from the rules
-above: (source, r) is demanded; at a non-bridge decision a demanded
-(k, v) demands (lo, v) and (hi, v); at a bridge it demands v's side
-child with v and the other child with the end of e on that child's
-side.  `compile_bp_to_dnnf` collects this demand parents first, then
-builds the demanded gates children first, and its output is the
-all-pairs circuit trimmed to the root, gate for gate (the tests keep the
-all-pairs construction as the reference).
+the gate for (source, r) reaches matter.  `compile_bp_to_dnnf` runs the
+three rules above as one memoized recursion from (source, r): the gate
+for (k, v) asks for (lo, v) and (hi, v) at a non-bridge decision, and
+for v's side child with v and the other child with the end of e on that
+child's side at a bridge.  Each pair is built once, after the pairs it
+joins and only if the root reaches it; these are the demanded pairs.
+The recursion runs through `recursion.run`, so depth is bounded only by
+memory.  The output is the all-pairs circuit trimmed to the root, up to
+gate numbering (the tests keep the all-pairs construction as the
+reference).
 
 One vertex per node.  If every node decides the lowest-ranked edge of
 E_k in one ranking of E(G), as `build_well_structured_bp` does, each
@@ -76,9 +78,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bp import BranchingProgram, build_well_structured_bp, validate_well_structured
-from .graphs import Graph, is_connected
+from .graphs import Graph
 from .nnf import CircuitBuilder, NnfCircuit, model_count_smooth, rename_flip, root_value
 from .oracles import tables_equal
+from .recursion import run
 from .tseitin import (
     Charge,
     TseitinFormula,
@@ -91,100 +94,46 @@ from .tseitin import (
 )
 
 
-def _lowest(mask: int) -> int:
-    """The smallest vertex of a nonempty vertex mask."""
-    return (mask & -mask).bit_length() - 1
-
-
 def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: int) -> NnfCircuit:
     """DNNF computing T(g, c + 1_root_vertex) from a well-structured program,
     using the annotations its validation derives.  Only the (node, vertex)
-    pairs the root demands get gates (see the module docstring)."""
+    pairs the root reaches get gates (see the module docstring)."""
     if not 0 <= root_vertex < g.n:
         raise ValueError("root vertex out of range")
     res = validate_well_structured(b, g, c)
     if not res:
         raise ValueError(f"program is not well-structured: {res.error} (node {res.node})")
-    annotations = res.annotations
-    order = b.topological()
-
-    def bridge_sides(k: int):
-        """At a bridge decision on e = ab, the child holding a's side, the
-        other child, and the sign of a's literal; None at a non-bridge."""
-        var, lo, hi = b.decisions[k]
-        lo_vs = annotations[lo][0]
-        if lo_vs == annotations[k][0]:
-            return None  # both children live on G_k - e
-        return (lo, hi, False) if (lo_vs >> g.edges[var][0]) & 1 else (hi, lo, True)
-
-    def bridge_wiring(sides, var: int, v: int):
-        """For v at a bridge: the sign of its literal, the child holding v's
-        side, and the other child with the end of e on that child's side."""
-        side_a, side_b, lit_a = sides
-        a, bb = g.edges[var]
-        if (annotations[side_a][0] >> v) & 1:
-            return lit_a, side_a, side_b, bb
-        return not lit_a, side_b, side_a, a
-
-    # Demand pass, parents first: the pairs the root's gate reaches and the
-    # literal leaves their gates use.
-    demand: dict[int, set[int]] = {k: set() for k in order}
-    demand[b.source].add(root_vertex)
-    leaves: set[tuple[int, bool]] = set()
-    for k in reversed(order):
-        if k in b.sinks:
-            continue
-        var, lo, hi = b.decisions[k]
-        sides = bridge_sides(k)
-        if sides is None:
-            demand[lo] |= demand[k]
-            demand[hi] |= demand[k]
-            leaves |= {(var, False), (var, True)}
-            continue
-        for v in demand[k]:
-            positive, own, other, end = bridge_wiring(sides, var, v)
-            demand[own].add(v)
-            demand[other].add(end)
-            leaves.add((var, positive))
-
-    # Build pass, children first, with the all-pairs gate rules.  Literal
-    # leaves are created where the all-pairs loop first asks for them, at
-    # the lowest vertex whose gate uses them, so gate ids keep that loop's
-    # order after trimming.
+    vertices = {k: ann[0] for k, ann in res.annotations.items()}
     builder = CircuitBuilder(g.m)
-    const1 = builder.const(1)
     gate: dict[tuple[int, int], int] = {}
 
-    def request_leaves(var: int, requests: list, below: int) -> None:
-        while requests and requests[0][0] < below:
-            positive = requests.pop(0)[1]
-            if (var, positive) in leaves:
-                builder.literal(var, positive)
-
-    for k in order:
+    def make(k: int, v: int):
+        """The gate for (k, v), computing T(G_k, c_k + 1_v)."""
         if k in b.sinks:
-            gate[k, b.sinks[k]] = const1
-            continue
+            return builder.const(1)
         var, lo, hi = b.decisions[k]
-        sides = bridge_sides(k)
-        if sides is None:
-            first = _lowest(annotations[k][0])
-            requests = [(first, False), (first, True)]
+        bridge = vertices[lo] != vertices[k]
+        if bridge:
+            # v's side child with v, the other child with e's end on its side
+            own, other = (lo, hi) if (vertices[lo] >> v) & 1 else (hi, lo)
+            a, bb = g.edges[var]
+            pairs = ((own, v), (other, a if (vertices[other] >> a) & 1 else bb))
         else:
-            side_a, side_b, lit_a = sides
-            requests = sorted([(_lowest(annotations[side_a][0]), lit_a), (_lowest(annotations[side_b][0]), not lit_a)])
-        for v in sorted(demand[k]):
-            request_leaves(var, requests, v)
-            if sides is None:
-                left = builder.gate_and(builder.literal(var, False), gate[lo, v])
-                right = builder.gate_and(builder.literal(var, True), gate[hi, v])
-                gate[k, v] = builder.gate_or(left, right)
-            else:
-                positive, own, other, end = bridge_wiring(sides, var, v)
-                lit = builder.literal(var, positive)
-                gate[k, v] = builder.gate_and(lit, builder.gate_and(gate[own, v], gate[other, end]))
-        request_leaves(var, requests, g.n)
-    return builder.build(gate[b.source, root_vertex])
+            pairs = ((lo, v), (hi, v))  # both children live on G_k - e
+        children = []
+        for pair in pairs:
+            if pair not in gate:
+                gate[pair] = yield make(*pair)
+            children.append(gate[pair])
+        if bridge:
+            return builder.gate_and(builder.literal(var, own == hi), builder.gate_and(*children))
+        left = builder.gate_and(builder.literal(var, False), children[0])
+        right = builder.gate_and(builder.literal(var, True), children[1])
+        return builder.gate_or(left, right)
+
+    root = run(make(b.source, root_vertex))
+    del make  # a closure that calls itself is a reference cycle: free the gate table now, not at the next collection
+    return builder.build(root)
 
 
 def retarget(d: NnfCircuit, g: Graph, c_current: Charge, c_star: Charge) -> NnfCircuit:
@@ -220,10 +169,6 @@ class PipelineReport:
 
 def pipeline(g: Graph, c_unsat: Charge, c_star: Charge, desk_cap: int = 16) -> tuple[PipelineReport, NnfCircuit, BranchingProgram]:
     """Build, validate, compile, retarget, and (at desk scale) verify."""
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    if is_satisfiable(TseitinFormula(g, c_unsat)):
-        raise ValueError("the source charge must be unsatisfiable")
     if not is_satisfiable(TseitinFormula(g, c_star)):
         raise ValueError("the target charge must be satisfiable")
     bp = build_well_structured_bp(g, c_unsat)

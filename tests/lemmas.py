@@ -17,7 +17,7 @@ holds what only the tests use to check the lemmas those rest on:
 
 It also keeps the paper's all-pairs compilation (`compile_all_pairs`),
 with a gate for every (program node, vertex) pair, as the reference the
-library's demand-driven compiler must equal gate for gate; the path-wise
+library's compiler must equal up to gate numbering (`same_circuit`); the path-wise
 read-once check (`validate_read_once`) the BP validator's condition 3
 implies; conditioning and forgetting on circuits, for replaying a minor
 trace (`replay_on_circuit`); the truth tables of a circuit and of a
@@ -394,8 +394,9 @@ class CompileDetails:
 def compile_all_pairs(b: BranchingProgram, g: Graph, c: Charge) -> CompileDetails:
     """The paper's construction as written: children first, one gate per
     (node, vertex) pair whether or not any root reaches it.
-    `compiler.compile_bp_to_dnnf` builds only the pairs its root demands
-    and must equal `circuit(root_vertex)` gate for gate."""
+    `compiler.compile_bp_to_dnnf` builds only the pairs its root reaches,
+    in the order its recursion meets them, and must equal
+    `circuit(root_vertex)` up to gate numbering (`same_circuit`)."""
     res = validate_well_structured(b, g, c)
     if not res:
         raise ValueError(f"program is not well-structured: {res.error} (node {res.node})")
@@ -442,6 +443,26 @@ def compile_all_pairs(b: BranchingProgram, g: Graph, c: Charge) -> CompileDetail
     internal = sum(1 for gate in builder.gates if gate.kind in (AND, OR))
     budget = 3 * sum(len(annotations[k][0]) for k in b.topological())
     return CompileDetails(b.source, g.m, tuple(builder.gates), vertex_gate, internal, budget)
+
+
+def same_circuit(a: NnfCircuit, b: NnfCircuit) -> bool:
+    """The two circuits are one circuit up to gate numbering: interned in
+    one table, keyed on a gate's kind, variable, sign or constant and its
+    children's keys, their roots get the same key, and they have equal
+    size and node count."""
+    table: dict[tuple, int] = {}
+
+    def root_key(d: NnfCircuit) -> int:
+        keys: list[int] = []
+        for gate in d.gates:
+            if gate.kind in (AND, OR):
+                key = (gate.kind, keys[gate.a], keys[gate.b])
+            else:
+                key = (gate.kind, gate.var, gate.positive, gate.a)
+            keys.append(table.setdefault(key, len(table)))
+        return keys[d.root]
+
+    return root_key(a) == root_key(b) and a.size == b.size and a.node_count == b.node_count
 
 
 def demanded_vertices(details: CompileDetails, root_vertex: int) -> dict[int, list[int]]:

@@ -14,6 +14,7 @@ from tseitinkit.bp import (
     expected_children,
     validate_well_structured,
 )
+from tseitinkit.compiler import compile_bp_to_dnnf
 from tseitinkit.graphs import Graph
 from tseitinkit.oracles import bp_semantics_hold, eval_bp
 from tseitinkit.tseitin import TseitinFormula, is_satisfiable, unit_charge
@@ -96,11 +97,12 @@ class TestReadOnce:
         result = validate_well_structured(b, fam.cycle(3), (1, 0, 0))
         assert (result.error, result.node) == (f"condition 3: decision edge {var} not in the annotated subgraph", 2)
 
-    @pytest.mark.parametrize("vertex", [-1, 2, 3])
+    @pytest.mark.parametrize("vertex", [-1, 2, 3, 10**12])
     def test_sink_vertex_checked_by_condition_2(self, vertex):
         # on the single edge 01 with the charge odd at 0, the 0-wire must
         # end at vertex 0; another vertex, or one outside the graph, fails
-        # condition 2 at that sink
+        # condition 2 at that sink; a huge one is refused before any mask
+        # is shifted by it
         b = BranchingProgram(2, {2: (0, 0, 1)}, {0: vertex, 1: 1})
         result = validate_well_structured(b, fam.path(2), (1, 0))
         assert (result.ok, result.error, result.node) == (False, "condition 2: sink annotation must be its unit-charged vertex", 0)
@@ -315,16 +317,20 @@ class TestDeepPrograms:
         c = unit_charge(n, 0)
         assert len(bp.topological()) == bp.size == 2 * n - 1
         assert validate_well_structured(bp, g, c).ok
+        # every decision on a path decides a bridge: two gates each
+        assert compile_bp_to_dnnf(bp, g, c, 0).size == 2 * len(decisions)
 
     def test_builder_deeper_than_recursion_limit(self):
         # breadth-first from the end vertex 0 ranks a path's edges by id, so
         # the program for a path is a chain one level per edge
         n = 1200
         g = fam.path(n)
-        bp = build_well_structured_bp(g, unit_charge(n, 0))
+        c = unit_charge(n, 0)
+        bp = build_well_structured_bp(g, c)
         assert bp.size == 2 * n - 1
         assert len(bp.topological()) == bp.size
         assert bp.decisions[bp.source][0] == 0
+        assert compile_bp_to_dnnf(bp, g, c, 0).size == 2 * len(bp.decisions)
 
 
 class TestBuilderSizes:

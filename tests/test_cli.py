@@ -154,6 +154,19 @@ class TestPipeline:
         assert main(["pipeline", "--graph", workdir["graph"], "--desk-scale-cap", "24", "--out", str(out)]) == 0
         assert out.read_text().endswith(",equivalent\n")
 
+    @pytest.mark.parametrize("option, spec, message", [
+        ("--charge", "odd-at x", "charge spec 'odd-at x' needs an integer, not 'x'"),
+        ("--charge", "random-unsat x", "charge spec 'random-unsat x' needs an integer, not 'x'"),
+        ("--target", "random-sat 1.5", "charge spec 'random-sat 1.5' needs an integer, not '1.5'"),
+        ("--charge", "odd-at 3", "charge spec 'odd-at 3' needs one vertex in 0..2"),
+        ("--charge", "odd", "unknown charge spec: odd"),
+    ], ids=["odd-at-x", "random-unsat-x", "random-sat-float", "odd-at-out-of-range", "unknown"])
+    def test_bad_charge_spec_is_named(self, workdir, tmp_path, capsys, option, spec, message):
+        out = tmp_path / "report.csv"
+        assert main(["pipeline", "--graph", workdir["graph"], option, spec, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_desk_scale_cap_not_an_int(self, workdir, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["pipeline", "--graph", workdir["graph"], "--desk-scale-cap", "x"])
@@ -179,6 +192,15 @@ class TestCheck:
 
     def test_wrong_charge_bp_rejected(self, workdir):
         assert main(["check", "bp", workdir["tseitin_zero"], workdir["bp"]]) != 0
+
+    def test_huge_sink_vertex_bp_rejected(self, workdir, tmp_path, capsys):
+        # a sink naming vertex 10^12 fails condition 2 without a 10^12-bit mask
+        huge = tmp_path / "huge.bp"
+        huge.write_text("source 0\nsink 0 1000000000000\n")
+        assert main(["check", "bp", workdir["tseitin"], str(huge)]) == 1
+        err = capsys.readouterr().err
+        assert "condition 2: sink annotation must be its unit-charged vertex" in err
+        assert "Traceback" not in err
 
     def test_dnnf_equiv(self, workdir):
         assert main(["check", "dnnf-equiv", workdir["tseitin_zero"], workdir["nnf"]]) == 0

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import zlib
@@ -5,7 +6,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import annotation_sets, build_bp_by_rule, compile_all_pairs, demanded_vertices, models, nnf_truth_table, tseitin_truth_table
+from lemmas import annotation_sets, build_bp_by_rule, compile_all_pairs, demanded_vertices, models, nnf_truth_table, same_circuit, tseitin_truth_table
 from tseitinkit import families as fam
 from tseitinkit.bp import BranchingProgram, bp_to_text, build_well_structured_bp, validate_well_structured
 from tseitinkit.compiler import compile_bp_to_dnnf, pipeline, retarget
@@ -162,12 +163,13 @@ def random_connected_graph(seed: int) -> Graph:
 
 def assert_demand_driven(g: Graph):
     """At every root vertex, the compile equals the trimmed all-pairs
-    reference byte for byte, and the root demands one vertex per node."""
+    reference up to gate numbering, and the root demands one vertex per
+    node."""
     c = unit_charge(g.n, 0)
     bp = build_well_structured_bp(g, c)
     details = compile_all_pairs(bp, g, c)
     for r in range(g.n):
-        assert nnf_to_text(compile_bp_to_dnnf(bp, g, c, r)) == nnf_to_text(details.circuit(r)), r
+        assert same_circuit(compile_bp_to_dnnf(bp, g, c, r), details.circuit(r)), r
         assert all(len(vs) == 1 for vs in demanded_vertices(details, r).values()), r
 
 
@@ -195,6 +197,17 @@ class TestDemandDriven:
         assert d.size <= 3 * len(bp.decisions)
         assert d.node_count <= 3 * bp.size + 2 * g.m + 1
 
+    def test_same_circuit_tells_roots_apart(self):
+        # the comparison the tests above rest on: the reference renumbered
+        # is the same circuit, the circuit for another root vertex is not
+        g = fam.grid(2, 3)
+        c = unit_charge(g.n, 0)
+        bp = build_well_structured_bp(g, c)
+        details = compile_all_pairs(bp, g, c)
+        d0, d1 = (compile_bp_to_dnnf(bp, g, c, r) for r in (0, 1))
+        assert same_circuit(d0, details.circuit(0)) and same_circuit(d1, details.circuit(1))
+        assert not same_circuit(d0, d1) and not same_circuit(d0, details.circuit(1))
+
     def test_diamond_demands_two_vertices(self):
         """A well-structured program that does not decide by one edge
         ranking: two paths reach the node ({2, 3}, {23}, c_2 = 1) through
@@ -218,9 +231,27 @@ class TestDemandDriven:
         assert demand[k] == [2, 3]
         for r in range(g.n):
             d = compile_bp_to_dnnf(bp, g, c, r)
-            assert nnf_to_text(d) == nnf_to_text(details.circuit(r))
+            assert same_circuit(d, details.circuit(r))
             shifted = tuple(x ^ (v == r) for v, x in enumerate(c))
             assert set(models(nnf_truth_table(d))) == set(models(tseitin_truth_table(TseitinFormula(g, shifted))))
+
+
+class TestFreedOnReturn:
+    def test_build_and_compile_leave_no_cyclic_garbage(self):
+        # both recurse through a closure that calls itself; each drops it
+        # before returning, so its memo is freed then and not at the next
+        # cyclic collection (the rr60 program's text took ~20 MB more peak
+        # memory while the builder's memo waited)
+        g = fam.grid(3, 3)
+        c = unit_charge(g.n, 0)
+        gc.collect()
+        gc.disable()
+        try:
+            bp = build_well_structured_bp(g, c)
+            compile_bp_to_dnnf(bp, g, c, 0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSmoothAsBuilt:
@@ -281,8 +312,8 @@ class TestPinnedOutputs:
     here."""
 
     @pytest.mark.parametrize("make, nodes, gates, bp_digest, nnf_digest", [
-        (lambda: fam.grid(8, 8), 6089, 14745, "0a273fe87235dbf5", "4fa9de90f96dd161"),
-        (lambda: fam.random_regular(40, 3, 1), 23703, 55973, "7126eeea3beca427", "9b8355156c53176e"),
+        (lambda: fam.grid(8, 8), 6089, 14745, "0a273fe87235dbf5", "dffe649d7482a506"),
+        (lambda: fam.random_regular(40, 3, 1), 23703, 55973, "7126eeea3beca427", "b3e567f9c77c0332"),
     ], ids=["grid8x8", "rr40"])
     def test_text_digests(self, make, nodes, gates, bp_digest, nnf_digest):
         g = make()
