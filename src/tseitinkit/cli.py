@@ -35,12 +35,16 @@ def _parse_charge(spec: str, g: Graph, want_satisfiable: bool, default_seed: int
             raise ValueError(f"charge spec {spec!r} needs an integer, not {text!r}") from None
 
     if parts[0] == "zero":
+        if len(parts) != 1:
+            raise ValueError(f"charge spec {spec!r} takes no parameter")
         charge = tuple([0] * g.n)
     elif parts[0] == "odd-at":
         if len(parts) != 2 or not 0 <= number(parts[1]) < g.n:
             raise ValueError(f"charge spec {spec!r} needs one vertex in 0..{g.n - 1}")
         charge = unit_charge(g.n, int(parts[1]))
     elif parts[0] in ("random-sat", "random-unsat"):
+        if len(parts) > 2:
+            raise ValueError(f"charge spec {spec!r} takes at most one seed")
         rng = random.Random(number(parts[1]) if len(parts) > 1 else default_seed)
         comps = connected_components(g)
         bits = [rng.randint(0, 1) for _ in range(g.n)]

@@ -4,8 +4,11 @@ Gates live in a topologically ordered array (children before parents);
 leaves are literals or 0/1 constants, internal gates are binary AND/OR.
 The size of a circuit is its count of internal gates.  An AND gate is
 decomposable when its children share no variables; an OR gate is smooth
-(complete) when its children mention the same variables.  Transforms
-return new circuits and never mutate.
+(complete) when its children mention the same variables.  Gates are
+NamedTuples, built by position in the library.  Circuits are immutable:
+transforms never mutate their input, and return it unchanged when there
+is nothing to change (`restrict_to_root` when every gate is reachable,
+`rename_flip` with no flips).
 
 Model counts use the usual bottom-up sum/product rule, which is exact on
 smooth circuits whose OR gates split models disjointly; every circuit the
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .oracles import conj, disj, neg
 from .textformat import records
@@ -28,8 +32,11 @@ AND = "A"
 OR = "O"
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
+    # Built by position: a third of the cost of a frozen dataclass built by
+    # keyword.  Loops read fields by name; CPython 3.11 unpacks a tuple
+    # subclass through its iterator, which measured slower except in loops
+    # that read every field (`gate_values`, `nnf_to_text`).
     kind: str
     a: int = -1  # child id, or constant value for CONST
     b: int = -1
@@ -87,49 +94,53 @@ class CircuitBuilder:
         if key not in self._leaves:
             if not 0 <= var < self.num_vars:
                 raise ValueError(f"variable {var} out of range")
-            self._leaves[key] = self._add(Gate(LIT, var=var, positive=positive))
+            self._leaves[key] = self._add(Gate(LIT, -1, -1, var, positive))
         return self._leaves[key]
 
     def const(self, value: int) -> int:
         key = (CONST, value)
         if key not in self._leaves:
-            self._leaves[key] = self._add(Gate(CONST, a=value))
+            self._leaves[key] = self._add(Gate(CONST, value))
         return self._leaves[key]
 
     def gate_and(self, a: int, b: int) -> int:
-        return self._add(Gate(AND, a=a, b=b))
+        return self._add(Gate(AND, a, b))
 
     def gate_or(self, a: int, b: int) -> int:
-        return self._add(Gate(OR, a=a, b=b))
+        return self._add(Gate(OR, a, b))
 
     def build(self, root: int) -> NnfCircuit:
         return NnfCircuit(tuple(self.gates), root, self.num_vars)
 
 
 def _reachable(d: NnfCircuit) -> list[int]:
-    """Ids of the gates reachable from the root, ascending (children first)."""
-    reach = set()
-    stack = [d.root]
-    while stack:
-        i = stack.pop()
-        if i in reach:
-            continue
-        reach.add(i)
-        g = d.gates[i]
-        if g.kind in (AND, OR):
-            stack.extend((g.a, g.b))
-    return sorted(reach)
+    """Ids of the gates reachable from the root, ascending (children first).
+
+    One sweep down from the root: parents come after their children, so
+    every parent that can mark a gate is visited before the gate is.
+    """
+    gates = d.gates
+    live = [False] * len(gates)
+    live[d.root] = True
+    for i in range(d.root, -1, -1):
+        if live[i]:
+            g = gates[i]
+            if g.kind in (AND, OR):
+                live[g.a] = live[g.b] = True
+    return [i for i, keep in enumerate(live) if keep]
 
 
 def restrict_to_root(d: NnfCircuit) -> NnfCircuit:
-    """Drop gates unreachable from the root."""
+    """Drop gates unreachable from the root; d itself if none is."""
     keep = _reachable(d)
+    if len(keep) == len(d.gates):
+        return d
     remap = {old: new for new, old in enumerate(keep)}
     gates = []
     for old in keep:
         g = d.gates[old]
         if g.kind in (AND, OR):
-            gates.append(Gate(g.kind, a=remap[g.a], b=remap[g.b]))
+            gates.append(Gate(g.kind, remap[g.a], remap[g.b]))
         else:
             gates.append(g)
     return NnfCircuit(tuple(gates), remap[d.root], d.num_vars)
@@ -153,15 +164,15 @@ def gate_values(d: NnfCircuit, x) -> list:
     """Value of every gate under the column accessor x (see `oracles`):
     packed bits, or a bool for a gate that folds to a constant."""
     vals = []
-    for g in d.gates:
-        if g.kind == LIT:
-            vals.append(x(g.var) if g.positive else neg(x(g.var)))
-        elif g.kind == CONST:
-            vals.append(bool(g.a))
-        elif g.kind == AND:
-            vals.append(conj(vals[g.a], vals[g.b]))
+    for kind, a, b, var, positive in d.gates:
+        if kind == LIT:
+            vals.append(x(var) if positive else neg(x(var)))
+        elif kind == CONST:
+            vals.append(bool(a))
+        elif kind == AND:
+            vals.append(conj(vals[a], vals[b]))
         else:
-            vals.append(disj(vals[g.a], vals[g.b]))
+            vals.append(disj(vals[a], vals[b]))
     return vals
 
 
@@ -213,11 +224,14 @@ def propagate_constants(d: NnfCircuit) -> NnfCircuit:
 
 
 def rename_flip(d: NnfCircuit, flips: set[int]) -> NnfCircuit:
-    """Swap the polarity of every literal on a flipped variable."""
+    """Swap the polarity of every literal on a flipped variable; d itself
+    if there is none."""
+    if not flips:
+        return d
     gates = []
     for g in d.gates:
         if g.kind == LIT and g.var in flips:
-            gates.append(Gate(LIT, var=g.var, positive=not g.positive))
+            gates.append(Gate(LIT, -1, -1, g.var, not g.positive))
         else:
             gates.append(g)
     return NnfCircuit(tuple(gates), d.root, d.num_vars)
@@ -307,15 +321,15 @@ def nnf_to_text(d: NnfCircuit) -> str:
         d = restrict_to_root(d)
     wires = sum(2 for g in d.gates if g.kind in (AND, OR))
     lines = [f"nnf {d.node_count} {wires} {d.num_vars}"]
-    for g in d.gates:
-        if g.kind == LIT:
-            lines.append(f"L {g.var + 1 if g.positive else -(g.var + 1)}")
-        elif g.kind == CONST:
-            lines.append("A 0" if g.a else "O 0 0")
-        elif g.kind == AND:
-            lines.append(f"A 2 {g.a} {g.b}")
+    for kind, a, b, var, positive in d.gates:
+        if kind == LIT:
+            lines.append(f"L {var + 1 if positive else -(var + 1)}")
+        elif kind == CONST:
+            lines.append("A 0" if a else "O 0 0")
+        elif kind == AND:
+            lines.append(f"A 2 {a} {b}")
         else:
-            lines.append(f"O 0 2 {g.a} {g.b}")
+            lines.append(f"O 0 2 {a} {b}")
     return "\n".join(lines) + "\n"
 
 
@@ -347,7 +361,7 @@ def nnf_from_text(text: str) -> NnfCircuit:
     def binarize(kind: str, ids: list[int]) -> int:
         cur = ids[0]
         for nxt in ids[1:]:
-            gates.append(Gate(kind, a=cur, b=nxt))
+            gates.append(Gate(kind, cur, nxt))
             cur = len(gates) - 1
         return cur
 
@@ -356,13 +370,13 @@ def nnf_from_text(text: str) -> NnfCircuit:
             (sv,) = ln.ints(1)
             if not 1 <= abs(sv) <= num_vars:
                 raise ln.error(f"literal {sv} outside 1..{num_vars}")
-            gates.append(Gate(LIT, var=abs(sv) - 1, positive=sv > 0))
+            gates.append(Gate(LIT, -1, -1, abs(sv) - 1, sv > 0))
             fid.append(len(gates) - 1)
         elif ln.fields[0] in ("A", "O"):
             kind = AND if ln.fields[0] == "A" else OR
             ids = children(ln, 1 if kind == AND else 2)
             if not ids:
-                gates.append(Gate(CONST, a=int(kind == AND)))
+                gates.append(Gate(CONST, int(kind == AND)))
                 fid.append(len(gates) - 1)
             else:
                 fid.append(binarize(kind, ids))

@@ -341,6 +341,7 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
         return s1 if pos0 & var else s0
 
     root = run(refute((1 << len(cnf.clauses)) - 1, 0))
+    del refute  # a closure that calls itself is a reference cycle: free the state cache now, not at the next collection
     return builder.trace(root, tuple(range(1, cnf.num_vars + 1)))
 
 

@@ -160,7 +160,14 @@ class TestPipeline:
         ("--target", "random-sat 1.5", "charge spec 'random-sat 1.5' needs an integer, not '1.5'"),
         ("--charge", "odd-at 3", "charge spec 'odd-at 3' needs one vertex in 0..2"),
         ("--charge", "odd", "unknown charge spec: odd"),
-    ], ids=["odd-at-x", "random-unsat-x", "random-sat-float", "odd-at-out-of-range", "unknown"])
+        ("--target", "zero 5 x", "charge spec 'zero 5 x' takes no parameter"),
+        ("--charge", "zero 5 x", "charge spec 'zero 5 x' takes no parameter"),
+        ("--charge", "random-unsat 3 x", "charge spec 'random-unsat 3 x' takes at most one seed"),
+        ("--target", "random-sat 1 2", "charge spec 'random-sat 1 2' takes at most one seed"),
+        ("--charge", "odd-at 0 junk", "charge spec 'odd-at 0 junk' needs one vertex in 0..2"),
+    ], ids=["odd-at-x", "random-unsat-x", "random-sat-float", "odd-at-out-of-range", "unknown",
+            "zero-trailing-target", "zero-trailing-charge", "random-unsat-trailing", "random-sat-trailing",
+            "odd-at-trailing"])
     def test_bad_charge_spec_is_named(self, workdir, tmp_path, capsys, option, spec, message):
         out = tmp_path / "report.csv"
         assert main(["pipeline", "--graph", workdir["graph"], option, spec, "--out", str(out)]) == 1

@@ -11,8 +11,9 @@ from tseitinkit import families as fam
 from tseitinkit.bp import BranchingProgram, bp_to_text, build_well_structured_bp, validate_well_structured
 from tseitinkit.compiler import compile_bp_to_dnnf, pipeline, retarget
 from tseitinkit.graphs import Graph
-from tseitinkit.nnf import NnfCircuit, is_smooth, model_count_smooth, nnf_to_text, validate_decomposable
-from tseitinkit.tseitin import TseitinFormula, unit_charge
+from tseitinkit.nnf import NnfCircuit, is_smooth, model_count_smooth, nnf_to_text, smooth, validate_decomposable
+from tseitinkit.resolution import dpll_refute
+from tseitinkit.tseitin import TseitinFormula, to_cnf, unit_charge
 
 
 class TestCompileSmall:
@@ -253,6 +254,20 @@ class TestFreedOnReturn:
         finally:
             gc.enable()
 
+    def test_dpll_leaves_no_cyclic_garbage(self):
+        # the search recurses through a closure that calls itself as well;
+        # kept, it held the state cache and the trace builder (519 objects
+        # on grid 3x3) until the next cyclic collection
+        g = fam.grid(3, 3)
+        cnf = to_cnf(TseitinFormula(g, unit_charge(g.n, 0)))
+        gc.collect()
+        gc.disable()
+        try:
+            dpll_refute(cnf)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestSmoothAsBuilt:
     """The gate for (k, v) mentions exactly the edges of G_k, so compiled
@@ -323,3 +338,17 @@ class TestPinnedOutputs:
         assert (bp.size, d.size) == (nodes, gates)
         assert hashlib.sha256(bp_to_text(bp).encode()).hexdigest()[:16] == bp_digest
         assert hashlib.sha256(nnf_to_text(d).encode()).hexdigest()[:16] == nnf_digest
+
+    @pytest.mark.parametrize("make, gates, smooth_gates, nnf_digest, smooth_digest", [
+        (lambda: fam.grid(5, 5), 905, 677, "03ae542663b36199", "f7aa03e9eb3d6884"),
+        (lambda: fam.cycle(60), 239, 119, "a19de852557806e4", "55231e8c666ecf5d"),
+    ], ids=["grid5x5", "cycle60"])
+    def test_pipeline_circuit_digests(self, make, gates, smooth_gates, nnf_digest, smooth_digest):
+        # the pipeline's circuit and its smoothing, as the benchmark's
+        # compile workload builds them
+        g = make()
+        _, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * g.n)
+        s = smooth(d)
+        assert (d.size, s.size) == (gates, smooth_gates)
+        assert hashlib.sha256(nnf_to_text(d).encode()).hexdigest()[:16] == nnf_digest
+        assert hashlib.sha256(nnf_to_text(s).encode()).hexdigest()[:16] == smooth_digest

@@ -168,8 +168,18 @@ class TestConditionForget:
 
 class TestRenameFlip:
     def test_empty_flip_identity(self):
+        # circuits are immutable, so no flip needs no copy
         d = circuit_and_xy()
-        assert rename_flip(d, set()) == d
+        assert rename_flip(d, set()) is d
+
+    def test_flip_returns_a_new_circuit_and_leaves_its_input(self):
+        d = circuit_and_xy()
+        before = d.gates
+        flipped = rename_flip(d, {0})
+        assert flipped is not d and flipped != d
+        assert d.gates is before and d.gates == before
+        assert [g.positive for g in d.gates if g.kind == "L"] == [True, True]
+        assert sorted((g.var, g.positive) for g in flipped.gates if g.kind == "L") == [(0, False), (1, True)]
 
     def test_double_flip_identity(self):
         d = circuit_and_xy()
@@ -264,6 +274,15 @@ class TestConstants:
         root = b.gate_and(b.literal(0, True), b.literal(1, True))
         d = restrict_to_root(b.build(root))
         assert d.node_count == 3
+
+    def test_restrict_returns_a_fully_reachable_circuit(self, bench_graph):
+        # a compiled circuit is trimmed to its root as built: nothing to drop, no copy
+        from tseitinkit.compiler import pipeline
+        from tseitinkit.tseitin import unit_charge
+
+        _, g = bench_graph
+        _, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * g.n)
+        assert restrict_to_root(d) is d
 
 
 class TestNnfText:
