@@ -14,7 +14,7 @@ import sys
 from . import families
 from .bounds import certificate_from_text, certified_lower_bound, verify_certificate
 from .bp import bp_from_text, bp_to_text, build_well_structured_bp, validate_well_structured
-from .cnf import cnf_from_dimacs, cnf_to_dimacs
+from .cnf import Cnf, cnf_from_dimacs, cnf_to_dimacs
 from .compiler import equivalent, pipeline
 from .graphs import Graph, connected_components, graph_from_text, graph_to_text
 from .nnf import nnf_from_text, nnf_to_text
@@ -92,12 +92,25 @@ def cmd_generate(args) -> int:
     return _emit(graph_to_text(g), args.out)
 
 
+def _refutation_length(cnf: Cnf) -> int:
+    """Length of the DPLL refutation of `cnf`, once `check_refutation` and
+    `check_regularity` have accepted it; a ValueError naming the
+    refutation stage otherwise."""
+    trace = dpll_refute(cnf)
+    result = check_refutation(cnf, trace)
+    if not result:
+        raise ValueError(f"refutation stage: invalid refutation: {result.error}")
+    if not check_regularity(trace):
+        raise ValueError("refutation stage: the refutation is not regular")
+    return len(trace)
+
+
 def pipeline_row(name: str, g: Graph, charge_spec: str, target_spec: str, desk_cap: int, seed: int = 0) -> str:
     c_unsat = _parse_charge(charge_spec, g, want_satisfiable=False, default_seed=seed)
     c_star = _parse_charge(target_spec, g, want_satisfiable=True, default_seed=seed + 1)
     report, d, bp = pipeline(g, c_unsat, c_star, desk_cap=desk_cap)
     # the refutation runs on the CNF, which caps the degree; the rest of the row does not need it
-    refutation_length = len(dpll_refute(to_cnf(TseitinFormula(g, c_unsat)))) if g.max_degree <= DEGREE_CAP else ""
+    refutation_length = _refutation_length(to_cnf(TseitinFormula(g, c_unsat))) if g.max_degree <= DEGREE_CAP else ""
     cert = certified_lower_bound(g)
     count = report.model_count_circuit if report.model_count_circuit is not None else report.model_count_expected
     return ",".join(str(x) for x in (

@@ -25,15 +25,22 @@ so a circuit needs O(gates x 2^BLOCK_BITS / 8) bytes of working memory.
 `tables_equal` compares two column functions block by block on their
 packed words and stops at the first block where they differ, so it
 builds no 2^num_vars-entry array.
+
+Only that engine needs numpy, and it imports numpy on first use: the
+evaluators, and every module that reads a single assignment, run
+without it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOCK_BITS = 16
 VAR_CAP = 24
-_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_ALL_ONES = 0xFFFF_FFFF_FFFF_FFFF
 # word pattern of variable v < 6: bit i is set when bit v of i is
 _PATTERNS = [sum(1 << i for i in range(64) if (i >> v) & 1) for v in range(6)]
 
@@ -42,13 +49,15 @@ def _block_columns(bits: int, words: int) -> list[np.ndarray]:
     """Packed columns of variables 0..bits-1 over the first 2^bits
     assignments of `words` words.  Variables below 6 repeat a word
     pattern; the others are runs of whole words."""
+    import numpy as np
+
     index = np.arange(words)
     cols = []
     for v in range(bits):
         if v < 6:
             cols.append(np.full(words, _PATTERNS[v], dtype=np.uint64))
         else:
-            cols.append(np.where(((index >> (v - 6)) & 1).astype(bool), _ALL_ONES, np.uint64(0)))
+            cols.append(np.where(((index >> (v - 6)) & 1).astype(bool), np.uint64(_ALL_ONES), np.uint64(0)))
     return cols
 
 
@@ -71,7 +80,11 @@ def _accessors(num_vars: int):
 def _packed(value):
     """A block value as packed words; a constant becomes one word that
     broadcasts over the block."""
-    return (_ALL_ONES if value else np.uint64(0)) if isinstance(value, bool) else value
+    if isinstance(value, bool):
+        import numpy as np
+
+        return np.uint64(_ALL_ONES if value else 0)
+    return value
 
 
 def truth_table(num_vars: int, column) -> np.ndarray:
@@ -81,6 +94,8 @@ def truth_table(num_vars: int, column) -> np.ndarray:
     packed uint64 words of its value on the block, or to one bool for a
     constant.
     """
+    import numpy as np
+
     accessors = _accessors(num_vars)  # checks the cap before the table is allocated
     packed = np.empty(max(1, (1 << num_vars) >> 6), dtype="<u8")
     rows = packed.reshape(1 << max(num_vars - BLOCK_BITS, 0), -1)  # one row of words per block

@@ -17,6 +17,7 @@ tables the variables its trace mentions, `dpll_refute` the variables
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -192,21 +193,23 @@ def check_regularity(trace: ResolutionTrace) -> bool:
     return True
 
 
-def _branch_variable(open_groups: list[tuple[int, int]]) -> int:
+def _branch_variable(open_groups: Iterable[tuple[int, int, int]]) -> int:
     """Most frequent variable among the shortest clauses, ties by id.
 
-    Each entry is the bitmask of some clauses' unassigned variables and
-    the number of those clauses; a variable counts once per clause.
+    Each entry is (width, unassigned, count): the bit count of some
+    clauses' unassigned-variable mask, the mask, and the number of those
+    clauses; a variable counts once per clause.
     """
-    width = min(mask.bit_count() for mask, _ in open_groups)
+    width = min(open_groups)[0]
     counts: dict[int, int] = {}
-    for mask, count in open_groups:
-        if mask.bit_count() == width:
+    for w, mask, count in open_groups:
+        if w == width:
             while mask:
                 low = mask & -mask
                 mask ^= low
                 counts[low] = counts.get(low, 0) + count
-    return min(counts, key=lambda b: (-counts[b], b)).bit_length() - 1
+    top = max(counts.values())
+    return min(b for b, count in counts.items() if count == top).bit_length() - 1
 
 
 class _TraceBuilder:
@@ -258,28 +261,43 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
 
     The search state is (alive, assigned_mask): bit i of `alive` is set
     while clause i is not yet satisfied, bit x of `assigned_mask` once
-    variable x is assigned, and the search reads nothing else.  An alive
-    clause holds no true literal, so it is open on exactly its unassigned
-    variables; the first alive clause with none is the falsified one.
+    variable x is assigned.  An alive clause holds no true literal, so it
+    is open on exactly its unassigned variables; the first alive clause
+    with none is the falsified one.
 
-    A state is read one variable set at a time.  `groups` holds, once per
-    CNF and in order of first occurrence, the mask of the clauses on each
-    distinct variable set (a Tseitin CNF has 2^(d-1) per vertex) with the
-    set's mask.  Clauses on one set share their unassigned variables, so
-    a group's alive clauses are either all open on the same mask or all
-    falsified.  The open ones enter `_branch_variable` as one mask
-    weighted by their number: the minimum width, every variable's count
-    and the tie by id come out as they would clause by clause, so the
-    branch variable is the same.  The falsified ones are OR-ed together,
-    and the lowest set bit is the first falsified clause in clause order.
+    Clauses are grouped by variable set, once per CNF: `by_vars` maps each
+    distinct set's mask to the mask of its clauses (a Tseitin CNF has
+    2^(d-1) per vertex), and `holding[x]` lists the groups whose set holds
+    x.  Clauses on one set share their unassigned variables, so a group's
+    alive clauses are either all open on one mask or all falsified.  Each
+    state carries a summary of its open groups: group -> (width,
+    unassigned mask, number of alive clauses).  The root builds it in one
+    scan.  A child on x copies its parent's summary and recomputes only
+    the groups in `holding[x]`: `alive` loses only clauses that hold x or
+    -x, and only sets that hold x lose an unassigned variable, so no other
+    entry can change.  The parent had no falsified clause, so the child's
+    falsified clauses are those of the touched groups with no unassigned
+    variable left, and the lowest set bit of their union is the first
+    falsified clause in clause order.  `_branch_variable` reads the
+    summary one group at a time, a mask weighted by its number of clauses:
+    the minimum width, every variable's count and the tie by id come out
+    as they would clause by clause, so the branch variable is the same.
 
-    Each state is searched once, and a later visit takes the step the
-    first returned.  It stays regular there: its pivots were branched on
-    below the state, on variables the state marks unassigned.  A second
+    A child with a falsified clause is a leaf and is resolved where it is
+    met, with no generator and no cache entry: `builder.lookup` returns
+    the first step in `by_clause[clause]` whose pivots avoid the child's
+    assignment, else a new axiom step is added.  Every other state is
+    searched once, and a later visit takes the step the first returned
+    from `done`.  That step stays regular there: its pivots were branched
+    on below the state, on variables the state marks unassigned.  A second
     search would add no step and end at the same step, since every lookup
     on its way finds what the first one stored; the cache changes the
-    running time, not the trace.  A state never recurs below itself, as
-    `assigned_mask` grows along every path.
+    running time, not the trace.  Leaving leaves out of `done` keeps the
+    trace too: `by_clause[clause]` only grows at its end, the steps before
+    the one the first visit returned still fail the same assignment, and
+    that step still qualifies, so a revisit returns the same step.  A
+    state never recurs below itself, as `assigned_mask` grows along every
+    path.
 
     Steps hold their clauses over the table 1..n, so variable x is clause
     bit x - 1.  Every clause met is falsified by the path's assignment,
@@ -300,35 +318,60 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
         vm = sum(1 << abs(lit) for lit in cl)
         by_vars[vm] = by_vars.get(vm, 0) | 1 << idx
         axioms.append((sum(1 << lit - 1 for lit in cl if lit > 0), sum(1 << -lit - 1 for lit in cl if lit < 0)))
-    groups = [(clauses, vm) for vm, clauses in by_vars.items()]
+    holding: list[list[tuple[int, int]]] = [[] for _ in range(cnf.num_vars + 1)]
+    summary: dict[int, tuple[int, int, int]] = {}  # the root state's
+    falsified = 0
+    for g, (vm, clauses) in enumerate(by_vars.items()):
+        if vm:
+            summary[g] = (vm.bit_count(), vm, clauses.bit_count())
+        else:
+            falsified |= clauses  # the empty clause
+        while vm:
+            low = vm & -vm
+            vm ^= low
+            holding[low.bit_length() - 1].append((g, clauses))
     done: dict[tuple[int, int], int] = {}
 
-    def refute(alive: int, assigned_mask: int):
+    def leaf(falsified: int, assigned_mask: int) -> int:
+        clause = axioms[(falsified & -falsified).bit_length() - 1]
+        sid = builder.lookup(clause, assigned_mask)
+        return sid if sid is not None else builder.add(clause)
+
+    def refute(alive: int, assigned_mask: int, summary: dict[int, tuple[int, int, int]]):
         if not alive:
             raise ValueError("CNF is satisfiable; nothing to refute")
-        free = ~assigned_mask
-        falsified = 0
-        open_groups: list[tuple[int, int]] = []
-        for clauses, vm in groups:
-            here = alive & clauses
-            if here:
-                unassigned = vm & free
-                if unassigned:
-                    open_groups.append((unassigned, here.bit_count()))
-                else:
-                    falsified |= here
-        if falsified:
-            clause = axioms[(falsified & -falsified).bit_length() - 1]
-            sid = builder.lookup(clause, assigned_mask)
-            return sid if sid is not None else builder.add(clause)
-        x = _branch_variable(open_groups)
+        x = _branch_variable(summary.values())
         bit = 1 << x
+        below_mask = assigned_mask | bit
         children = []
         for lit in (-x, x):
-            key = (alive & ~satisfied_by.get(lit, 0), assigned_mask | bit)
-            sid = done.get(key)
-            if sid is None:
-                sid = done[key] = yield refute(*key)
+            child = alive & ~satisfied_by.get(lit, 0)
+            falsified = 0
+            changed = []
+            for g, clauses in holding[x]:
+                entry = summary.get(g)
+                if entry is None:
+                    continue  # the group has no alive clause left
+                here = child & clauses
+                if not here:
+                    changed.append((g, None))
+                elif entry[0] == 1:
+                    falsified |= here  # x was the set's last unassigned variable
+                else:
+                    changed.append((g, (entry[0] - 1, entry[1] ^ bit, here.bit_count())))
+            if falsified:
+                sid = leaf(falsified, below_mask)
+            else:
+                key = (child, below_mask)
+                sid = done.get(key)
+                if sid is None:
+                    below = summary.copy()
+                    for g, entry in changed:
+                        if entry is None:
+                            del below[g]
+                        else:
+                            below[g] = entry
+                    sid = done[key] = yield refute(child, below_mask, below)
             children.append(sid)
         s0, s1 = children
         _, pos0, neg0, _ = builder.steps[s0 - 1]
@@ -340,7 +383,7 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
             return sid if sid is not None else builder.add(clause, (s0, s1), x)
         return s1 if pos0 & var else s0
 
-    root = run(refute((1 << len(cnf.clauses)) - 1, 0))
+    root = leaf(falsified, 0) if falsified else run(refute((1 << len(cnf.clauses)) - 1, 0, summary))
     del refute  # a closure that calls itself is a reference cycle: free the state cache now, not at the next collection
     return builder.trace(root, tuple(range(1, cnf.num_vars + 1)))
 

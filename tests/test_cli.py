@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tseitinkit import cli
 from tseitinkit.cli import main
 from tseitinkit.bounds import certificate_to_text, certified_lower_bound
 from tseitinkit.bp import bp_to_text, build_well_structured_bp
@@ -14,7 +18,7 @@ from tseitinkit.cnf import cnf_to_dimacs
 from tseitinkit.compiler import compile_bp_to_dnnf, pipeline, retarget
 from tseitinkit.graphs import graph_from_text, graph_to_text
 from tseitinkit.nnf import nnf_to_text
-from tseitinkit.resolution import dpll_refute, trace_to_text
+from tseitinkit.resolution import dpll_refute, trace_from_text, trace_to_text
 from tseitinkit.tseitin import TseitinFormula, charge_add, to_cnf, tseitin_to_text, unit_charge
 from tseitinkit import families as fam
 
@@ -46,6 +50,15 @@ def workdir(tmp_path):
         paths[name] = str(p)
     paths["dir"] = tmp_path
     return paths
+
+
+def test_import_leaves_numpy_out():
+    """Only the truth-table engine needs numpy, and it imports it on first use."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, tseitinkit.cli; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 class TestGenerate:
@@ -171,6 +184,29 @@ class TestPipeline:
     def test_bad_charge_spec_is_named(self, workdir, tmp_path, capsys, option, spec, message):
         out = tmp_path / "report.csv"
         assert main(["pipeline", "--graph", workdir["graph"], option, spec, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    # The pipeline's C3 CNF (charge odd-at 0) is 1 3 / -1 -3 / -1 2 / 1 -2 / -2 3 / 2 -3.
+    # Its DPLL trace ends "10 -1 0 6 9 0" and "11 0 5 10 0"; the first
+    # corruption gives the empty clause's step a literal.  The second trace
+    # is a valid refutation whose path 13 -> 8 -> 7 resolves on 1 twice.
+    @pytest.mark.parametrize("text, message", [
+        (
+            "1 1 3 0 0\n2 2 -3 0 0\n3 1 2 0 1 2 0\n4 1 -2 0 0\n5 1 0 3 4 0\n6 -1 2 0 0\n"
+            "7 -2 3 0 0\n8 -1 -3 0 0\n9 -1 -2 0 7 8 0\n10 -1 0 6 9 0\n11 1 0 5 10 0\n",
+            "refutation stage: invalid refutation: step 11: clause is not the resolvent",
+        ),
+        (
+            "1 1 3 0 0\n2 2 -3 0 0\n3 1 2 0 1 2 0\n4 1 -2 0 0\n5 1 0 3 4 0\n6 -1 -3 0 0\n7 -3 0 5 6 0\n"
+            "8 1 0 1 7 0\n9 -1 2 0 0\n10 -2 3 0 0\n11 -1 3 0 9 10 0\n12 -1 0 11 6 0\n13 0 8 12 0\n",
+            "refutation stage: the refutation is not regular",
+        ),
+    ], ids=["invalid", "irregular"])
+    def test_refutation_is_checked_before_its_length_is_reported(self, workdir, tmp_path, capsys, monkeypatch, text, message):
+        monkeypatch.setattr(cli, "dpll_refute", lambda cnf: trace_from_text(text))
+        out = tmp_path / "report.csv"
+        assert main(["pipeline", "--graph", workdir["graph"], "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

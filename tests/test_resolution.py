@@ -418,7 +418,9 @@ class TestAgainstReference:
         (fam.complete(6), 2159, "4c6d622cd10abbcf"),
         (fam.wheel(8), 1179, "d77801492576f7b8"),
         (fam.grid(3, 12), 693, "fa25c4f5ab9f084d"),
-    ], ids=["path1100", "rr40", "K6", "W8", "grid3x12"])
+        (fam.grid(6, 6), 4265, "f4f4b694e5d363e4"),
+        (fam.grid(3, 64), 3813, "ba099579d1f6e63e"),
+    ], ids=["path1100", "rr40", "K6", "W8", "grid3x12", "grid6x6", "grid3x64"])
     def test_pinned_traces(self, g, lines, digest):
         cnf = to_cnf(TseitinFormula(g, unit_charge(g.n, 0)))
         text = trace_to_text(dpll_refute(cnf))
@@ -444,10 +446,32 @@ class TestAgainstReference:
             assert trace_to_text(dpll_refute(cnf)) == trace_to_text(reference_dpll_refute(cnf)), f"seed {seed}"
 
     def test_same_rejection(self):
-        cnf = Cnf(2, (frozenset({1, 2}),))
-        for refute in (dpll_refute, reference_dpll_refute):
-            with pytest.raises(ValueError, match="satisfiable"):
-                refute(cnf)
+        # the second CNF is satisfiable only below the root: the branch 1 = 0
+        # is refuted, and below 1 = 1 the branch 3 = 1 satisfies every clause
+        for cnf in (Cnf(2, (frozenset({1, 2}),)), Cnf(3, tuple(map(frozenset, [(1, 2), (1, -2), (-1, 3)])))):
+            for refute in (dpll_refute, reference_dpll_refute):
+                with pytest.raises(ValueError, match="satisfiable"):
+                    refute(cnf)
+
+    # Shapes the incremental summaries and the inline leaves must get right.
+    @pytest.mark.parametrize("clauses", [
+        # at 1 = 0, 2 = 1 the branch 3 = 1 falsifies clause 2 (on {2, 3}) and
+        # clause 4 (on {1, 3}): the set {1, 3} occurs first, the lowest
+        # clause index lies on {2, 3}
+        [(-1, 3), (-1, 2), (-2, -3), (-2, 3), (1, -3), (1, 2)],
+        # the empty clause: the root is a leaf, and the trace is its axiom
+        [(1, 2), (), (-1,), (-2,)],
+        # a unit clause at the root, where the search branches first
+        [(1, 2), (-1,), (1, -2), (2, 3)],
+        # variable 1 lies in five variable sets, so a branch on it
+        # recomputes five summary entries
+        [(1, 2), (-1, 2), (1, 3), (-1, 3), (1, 4), (-1, 4), (1, 5), (-1, 5), (-2, -3, -4, -5), (1, -2, 6)],
+    ], ids=["two-sets-at-once", "empty-clause", "unit-at-root", "variable-in-many-sets"])
+    def test_summary_shapes(self, clauses):
+        cnf = Cnf(max(abs(lit) for cl in clauses for lit in cl), tuple(map(frozenset, clauses)))
+        trace = dpll_refute(cnf)
+        assert trace_to_text(trace) == trace_to_text(reference_dpll_refute(cnf))
+        assert check_refutation(cnf, trace).ok and check_regularity(trace)
 
 
 from mutations import corrupt, trace_mutations  # noqa: E402  (shared with the acceptance suite)
