@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, is_3_connected, is_connected, safe_split_subset
 from .minors import three_connected_minor
-from .textformat import Line, records
+from .textformat import error, ints, lines_of
 from .width import TREEWIDTH_EXACT_CAP, BranchDecomposition, Cut, caterpillar, edge_order, max_order_cut, treewidth_bounds
 
 
@@ -206,35 +206,37 @@ def certificate_to_text(cert: LowerBoundCertificate) -> str:
 
 
 def certificate_from_text(text: str) -> LowerBoundCertificate:
-    fields: dict[str, Line] = {}
-    for ln in records(text):
-        name, _, value = ln.text.partition(":")
+    found: dict[str, tuple[int, str]] = {}  # field name -> (line index, value text)
+    lines, rows = lines_of(text)
+    for i, fields in rows:
+        if not fields or fields[0][0] == "#":
+            continue
+        name, _, value = lines[i].partition(":")
         name = name.strip()
-        if name in fields:
-            raise ln.error(f"repeated field {name}, first on line {fields[name].number}")
-        fields[name] = Line(ln.number, value.strip(), value.split())
-    missing = [f for f in _CERT_FIELDS if f not in fields]
+        if name in found:
+            raise error(lines, i, f"repeated field {name}, first on line {found[name][0] + 1}")
+        found[name] = (i, value)
+    missing = [f for f in _CERT_FIELDS if f not in found]
     if missing:
         raise ValueError(f"certificate missing fields: {missing}")
 
-    def ints(name):
-        return tuple(fields[name].ints(start=0))
+    def numbers(name, count=None):
+        i, value = found[name]
+        return ints(lines, i, value.split(), count, value)
 
     def one(name):
-        return fields[name].ints(1, start=0)[0]
+        return numbers(name, 1)[0]
 
-    edges = []
-    for pair in fields["minor_edges"].fields:
-        ends = Line(fields["minor_edges"].number, pair, pair.split("-"))
-        edges.append(tuple(ends.ints(2, start=0)))
+    i, value = found["minor_edges"]
+    edges = [tuple(ints(lines, i, pair.split("-"), 2, pair)) for pair in value.split()]
     return LowerBoundCertificate(
-        graph_hash=fields["graph_hash"].text,
+        graph_hash=found["graph_hash"][1].strip(),
         n=one("n"), m=one("m"),
-        treewidth=one("treewidth"), tw_provenance=fields["tw_provenance"].text,
+        treewidth=one("treewidth"), tw_provenance=found["tw_provenance"][1].strip(),
         bw_lower=one("bw_lower"),
         minor_n=one("minor_n"), minor_m=one("minor_m"),
         minor_max_degree=one("minor_max_degree"),
         minor_edges=tuple(edges),
-        v_prime=ints("v_prime"), v_second=ints("v_second"), v_star=ints("v_star"),
+        v_prime=tuple(numbers("v_prime")), v_second=tuple(numbers("v_second")), v_star=tuple(numbers("v_star")),
         k=one("k"), cap_exponent=one("cap_exponent"), bound=one("bound"),
     )

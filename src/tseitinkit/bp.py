@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, is_connected
 from .recursion import run
-from .textformat import records
+from .textformat import error, ints, lines_of
 from .tseitin import Charge, TseitinFormula, is_satisfiable
 from .width import edge_order
 
@@ -294,23 +294,29 @@ def bp_from_text(text: str) -> BranchingProgram:
     source = None
     decisions = {}
     sinks = {}
-    first: dict[int | None, int] = {}  # node or sink id, None for the source -> its line
-    for ln in records(text):
-        if ln.fields[0] == "source":
-            (source,) = ln.ints(1)
-            key = None
-        elif ln.fields[0] == "node":
-            key, var, lo, hi = ln.ints(4)
+    first: dict[int | None, int] = {}  # node or sink id, None for the source -> its line index
+    lines, rows = lines_of(text)
+    for i, fields in rows:
+        if not fields or fields[0][0] == "#":
+            continue
+        if fields[0] == "node":
+            try:
+                key, var, lo, hi = map(int, fields[1:])
+            except ValueError:
+                key, var, lo, hi = ints(lines, i, fields[1:], 4)  # raises the error naming the line
             decisions[key] = (var, lo, hi)
-        elif ln.fields[0] == "sink":
-            key, v = ln.ints(2)
+        elif fields[0] == "sink":
+            key, v = ints(lines, i, fields[1:], 2)
             sinks[key] = v
+        elif fields[0] == "source":
+            (source,) = ints(lines, i, fields[1:], 1)
+            key = None
         else:
-            raise ln.error(f"unrecognized line: {ln.text}")
+            raise error(lines, i, f"unrecognized line: {lines[i].strip()}")
         if key in first:
             what = "second source line" if key is None else f"repeated id {key}"
-            raise ln.error(f"{what}, first on line {first[key]}")
-        first[key] = ln.number
+            raise error(lines, i, f"{what}, first on line {first[key] + 1}")
+        first[key] = i
     if source is None:
         raise ValueError("missing source line")
     return BranchingProgram(source, decisions, sinks)

@@ -77,6 +77,22 @@ def _desk_scale_cap(text: str) -> int:
     return value
 
 
+def _read(path: str, parse):
+    """parse(the text of the file at `path`); a ValueError it raises names
+    the file: `<path>: line N: ...`."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _cnf_or_tseitin(text: str):
+    """A DIMACS CNF, or the Tseitin formula of a `p tseitin` file."""
+    return tseitin_from_text(text) if text.lstrip().startswith("p tseitin") else cnf_from_dimacs(text)
+
+
 def _emit(text: str, out: str | None) -> int:
     """Write text to the file `out`, or to stdout when it is not given."""
     if out:
@@ -120,18 +136,15 @@ def pipeline_row(name: str, g: Graph, charge_spec: str, target_spec: str, desk_c
 
 
 def cmd_pipeline(args) -> int:
-    with open(args.graph) as fh:
-        g = graph_from_text(fh.read())
+    g = _read(args.graph, graph_from_text)
     row = pipeline_row(args.graph, g, args.charge, args.target, args.desk_scale_cap, seed=args.seed)
     return _emit(CSV_HEADER + "\n" + row + "\n", args.out)
 
 
 def cmd_check(args) -> int:
     if args.kind == "refutation":
-        with open(args.files[0]) as fh:
-            cnf = cnf_from_dimacs(fh.read())
-        with open(args.files[1]) as fh:
-            trace = trace_from_text(fh.read())
+        cnf = _read(args.files[0], cnf_from_dimacs)
+        trace = _read(args.files[1], trace_from_text)
         result = check_refutation(cnf, trace)
         if not result:
             print(f"invalid refutation: {result.error}", file=sys.stderr)
@@ -140,10 +153,8 @@ def cmd_check(args) -> int:
         print(f"valid refutation; regular: {regular}")
         return 0
     if args.kind == "bp":
-        with open(args.files[0]) as fh:
-            t = tseitin_from_text(fh.read())
-        with open(args.files[1]) as fh:
-            b = bp_from_text(fh.read())
+        t = _read(args.files[0], tseitin_from_text)
+        b = _read(args.files[1], bp_from_text)
         result = validate_well_structured(b, t.graph, t.charge)
         if not result:
             print(f"invalid program: {result.error} (node {result.node})", file=sys.stderr)
@@ -151,10 +162,8 @@ def cmd_check(args) -> int:
         print("valid well-structured program")
         return 0
     if args.kind == "dnnf-equiv":
-        with open(args.files[0]) as fh:
-            t = tseitin_from_text(fh.read())
-        with open(args.files[1]) as fh:
-            d = nnf_from_text(fh.read())
+        t = _read(args.files[0], tseitin_from_text)
+        d = _read(args.files[1], nnf_from_text)
         if t.graph.m > args.desk_scale_cap:
             print("formula exceeds the desk-scale cap", file=sys.stderr)
             return 1
@@ -166,10 +175,8 @@ def cmd_check(args) -> int:
             return 1
         print("equivalent")
         return 0
-    with open(args.files[0]) as fh:
-        g = graph_from_text(fh.read())
-    with open(args.files[1]) as fh:
-        cert = certificate_from_text(fh.read())
+    g = _read(args.files[0], graph_from_text)
+    cert = _read(args.files[1], certificate_from_text)
     ok, msg = verify_certificate(cert, g)
     if not ok:
         print(f"invalid certificate: {msg}", file=sys.stderr)
@@ -179,30 +186,25 @@ def cmd_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    with open(args.input) as fh:
-        text = fh.read()
     fmt = args.format
     if fmt == "graph":
-        out = graph_to_text(graph_from_text(text))
+        out = graph_to_text(_read(args.input, graph_from_text))
     elif fmt == "tseitin":
-        out = tseitin_to_text(tseitin_from_text(text))
+        out = tseitin_to_text(_read(args.input, tseitin_from_text))
     elif fmt == "cnf":
-        if text.lstrip().startswith("p tseitin"):
-            out = cnf_to_dimacs(to_cnf(tseitin_from_text(text)))
-        else:
-            out = cnf_to_dimacs(cnf_from_dimacs(text))
+        source = _read(args.input, _cnf_or_tseitin)
+        out = cnf_to_dimacs(to_cnf(source) if isinstance(source, TseitinFormula) else source)
     elif fmt == "nnf":
-        out = nnf_to_text(nnf_from_text(text))
+        out = nnf_to_text(_read(args.input, nnf_from_text))
     elif fmt == "bp":
-        out = bp_to_text(bp_from_text(text))
+        out = bp_to_text(_read(args.input, bp_from_text))
     else:
-        out = trace_to_text(trace_from_text(text))
+        out = trace_to_text(_read(args.input, trace_from_text))
     return _emit(out, args.out)
 
 
 def cmd_build_bp(args) -> int:
-    with open(args.input) as fh:
-        t = tseitin_from_text(fh.read())
+    t = _read(args.input, tseitin_from_text)
     bp = build_well_structured_bp(t.graph, t.charge)
     return _emit(bp_to_text(bp), args.out)
 

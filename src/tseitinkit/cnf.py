@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .textformat import records
+from .textformat import error, ints, lines_of
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,24 @@ def cnf_from_dimacs(text: str) -> Cnf:
     num_vars = None
     announced = None
     clauses = []
-    lines = []
-    for ln in records(text, comments=("c", "#")):
-        if ln.fields[0] == "p":
-            if len(ln.fields) != 4 or ln.fields[1] != "cnf":
-                raise ln.error(f"bad header: {ln.text}")
-            num_vars, announced = ln.ints(2, start=2)
+    where = []  # the line index of each clause
+    lines, rows = lines_of(text)
+    for i, fields in rows:
+        if not fields or fields[0][0] in "c#":
+            continue
+        if fields[0] == "p":
+            if len(fields) != 4 or fields[1] != "cnf":
+                raise error(lines, i, f"bad header: {lines[i].strip()}")
+            num_vars, announced = ints(lines, i, fields[2:], 2)
         else:
-            lits = ln.ints(start=0)
+            try:
+                lits = list(map(int, fields))
+            except ValueError:
+                lits = ints(lines, i, fields)  # raises the error naming the line
             if lits[-1] != 0 or 0 in lits[:-1]:
-                raise ln.error(f"clause not zero-terminated: {ln.text}")
+                raise error(lines, i, f"clause not zero-terminated: {lines[i].strip()}")
             clauses.append(frozenset(lits[:-1]))
-            lines.append(ln)
+            where.append(i)
     if num_vars is None:
         raise ValueError("missing header")
     if announced != len(clauses):
@@ -64,8 +70,8 @@ def cnf_from_dimacs(text: str) -> Cnf:
     try:
         return Cnf(num_vars, tuple(clauses))
     except ValueError:
-        for ln, cl in zip(lines, clauses):
+        for i, cl in zip(where, clauses):
             problem = _clause_problem(cl, num_vars)
             if problem:
-                raise ln.error(problem) from None
+                raise error(lines, i, problem) from None
         raise

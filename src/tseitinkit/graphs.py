@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .textformat import Line, records
+from .textformat import error, ints, lines_of
 
 
 @dataclass(frozen=True)
@@ -367,19 +367,19 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def edge_from_line(ln: Line, u: int, v: int, n: int, seen: dict) -> tuple[int, int]:
-    """The 0-based edge of the `e u v` line `ln` in a graph on vertices
-    1..n.  `seen` maps each edge accepted so far to its line number; an
-    endpoint out of range, a loop or a parallel edge raises a ValueError
-    naming the line, in the file's 1-based ids."""
+def edge_from_line(lines: list[str], i: int, u: int, v: int, n: int, seen: dict) -> tuple[int, int]:
+    """The 0-based edge of the `e u v` line i of `lines` in a graph on
+    vertices 1..n.  `seen` maps each edge accepted so far to its line
+    number; an endpoint out of range, a loop or a parallel edge raises a
+    ValueError naming the line, in the file's 1-based ids."""
     if not (1 <= u <= n and 1 <= v <= n):
-        raise ln.error(f"endpoint outside 1..{n}")
+        raise error(lines, i, f"endpoint outside 1..{n}")
     if u == v:
-        raise ln.error(f"loop at vertex {u}")
+        raise error(lines, i, f"loop at vertex {u}")
     key = (min(u, v), max(u, v))
     if key in seen:
-        raise ln.error(f"parallel edge {key}, first on line {seen[key]}")
-    seen[key] = ln.number
+        raise error(lines, i, f"parallel edge {key}, first on line {seen[key]}")
+    seen[key] = i + 1
     return u - 1, v - 1
 
 
@@ -388,17 +388,24 @@ def graph_from_text(text: str) -> Graph:
     m = None
     edges = []
     seen: dict = {}
-    for ln in records(text):
-        if ln.fields[0] == "p":
-            if len(ln.fields) != 4 or ln.fields[1] != "graph":
-                raise ln.error(f"bad header: {ln.text}")
-            n, m = ln.ints(2, start=2)
-        elif ln.fields[0] == "e":
+    lines, rows = lines_of(text)
+    for i, fields in rows:
+        if not fields or fields[0][0] == "#":
+            continue
+        if fields[0] == "p":
+            if len(fields) != 4 or fields[1] != "graph":
+                raise error(lines, i, f"bad header: {lines[i].strip()}")
+            n, m = ints(lines, i, fields[2:], 2)
+        elif fields[0] == "e":
             if n is None:
-                raise ln.error("edge line before header")
-            edges.append(edge_from_line(ln, *ln.ints(2), n, seen))
+                raise error(lines, i, "edge line before header")
+            try:
+                u, v = map(int, fields[1:])
+            except ValueError:
+                u, v = ints(lines, i, fields[1:], 2)  # raises the error naming the line
+            edges.append(edge_from_line(lines, i, u, v, n, seen))
         else:
-            raise ln.error(f"unrecognized line: {ln.text}")
+            raise error(lines, i, f"unrecognized line: {lines[i].strip()}")
     if n is None:
         raise ValueError("missing header")
     if m != len(edges):

@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .oracles import conj, disj, neg
-from .textformat import records
+from .textformat import error, ints, lines_of
 
 LIT = "L"
 CONST = "C"
@@ -333,55 +333,72 @@ def nnf_to_text(d: NnfCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _comment(line: str) -> bool:
+    """An nnf comment: the stripped line starts with `c ` (`c` and a space)."""
+    return line.strip()[1:2] == " "
+
+
 def nnf_from_text(text: str) -> NnfCircuit:
-    lines = list(records(text, comments=("c ",)))
-    if not lines:
+    """The first record is the header.  The node count it announces is
+    checked before any node line, as if the records were counted first: a
+    node line's error stands only when the count is right."""
+    lines, rows = lines_of(text)
+    for i, fields in rows:
+        if fields and not (fields[0] == "c" and _comment(lines[i])):
+            break
+    else:
         raise ValueError("empty file")
-    header = lines[0].fields
-    if header[0] != "nnf" or len(header) != 4:
-        raise lines[0].error(f"bad header: {lines[0].text}")
-    nodes, _, num_vars = lines[0].ints(3)
-    body = lines[1:]
-    if len(body) != nodes:
-        raise ValueError(f"header announces {nodes} nodes, found {len(body)}")
+    if fields[0] != "nnf" or len(fields) != 4:
+        raise error(lines, i, f"bad header: {lines[i].strip()}")
+    nodes, _, num_vars = ints(lines, i, fields[1:], 3)
     gates: list[Gate] = []
     fid: list[int] = []  # file node id -> gate index (after binarization)
-
-    def children(ln, start: int) -> list[int]:
-        values = ln.ints(start=start)
-        if not values:
-            raise ln.error(f"no child count in {ln.text!r}")
-        count, *ids = values
-        if count != len(ids):
-            raise ln.error(f"announces {count} children, lists {len(ids)}")
-        if any(not 0 <= i < len(fid) for i in ids):
-            raise ln.error("child id does not name an earlier node")
-        return [fid[i] for i in ids]
-
-    def binarize(kind: str, ids: list[int]) -> int:
-        cur = ids[0]
-        for nxt in ids[1:]:
-            gates.append(Gate(kind, cur, nxt))
-            cur = len(gates) - 1
-        return cur
-
-    for ln in body:
-        if ln.fields[0] == "L":
-            (sv,) = ln.ints(1)
-            if not 1 <= abs(sv) <= num_vars:
-                raise ln.error(f"literal {sv} outside 1..{num_vars}")
-            gates.append(Gate(LIT, -1, -1, abs(sv) - 1, sv > 0))
-            fid.append(len(gates) - 1)
-        elif ln.fields[0] in ("A", "O"):
-            kind = AND if ln.fields[0] == "A" else OR
-            ids = children(ln, 1 if kind == AND else 2)
-            if not ids:
-                gates.append(Gate(CONST, int(kind == AND)))
+    body = 0
+    try:
+        for i, fields in rows:
+            if not fields or fields[0] == "c" and _comment(lines[i]):
+                continue
+            body += 1
+            kind = fields[0]
+            if kind == "A" or kind == "O":
+                values = fields[1:] if kind == "A" else fields[2:]
+                try:
+                    count, *ids = map(int, values)
+                except ValueError:
+                    ints(lines, i, values)  # raises when a field is no integer
+                    raise error(lines, i, f"no child count in {lines[i].strip()!r}") from None
+                if count != len(ids):
+                    raise error(lines, i, f"announces {count} children, lists {len(ids)}")
+                if not ids:
+                    gates.append(Gate(CONST, int(kind == "A")))
+                    fid.append(len(gates) - 1)
+                    continue
+                if min(ids) < 0 or max(ids) >= len(fid):
+                    raise error(lines, i, "child id does not name an earlier node")
+                kind = AND if kind == "A" else OR
+                cur = fid[ids[0]]
+                for nxt in ids[1:]:
+                    gates.append(Gate(kind, cur, fid[nxt]))
+                    cur = len(gates) - 1
+                fid.append(cur)
+            elif kind == "L":
+                try:
+                    (sv,) = map(int, fields[1:])
+                except ValueError:
+                    (sv,) = ints(lines, i, fields[1:], 1)  # raises the error naming the line
+                if not 1 <= abs(sv) <= num_vars:
+                    raise error(lines, i, f"literal {sv} outside 1..{num_vars}")
+                gates.append(Gate(LIT, -1, -1, abs(sv) - 1, sv > 0))
                 fid.append(len(gates) - 1)
             else:
-                fid.append(binarize(kind, ids))
-        else:
-            raise ln.error(f"unrecognized node line: {ln.text}")
+                raise error(lines, i, f"unrecognized node line: {lines[i].strip()}")
+    except ValueError:
+        body += sum(1 for i, fields in rows if fields and not (fields[0] == "c" and _comment(lines[i])))
+        if body == nodes:
+            raise
+        # else the count is wrong, and that error comes first
+    if body != nodes:
+        raise ValueError(f"header announces {nodes} nodes, found {body}")
     if not fid:
         raise ValueError("circuit has no nodes")
     return NnfCircuit(tuple(gates), fid[-1], num_vars)

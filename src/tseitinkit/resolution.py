@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import getitem, or_
 from typing import NamedTuple
 
 from .cnf import Cnf
 from .recursion import run
-from .textformat import records
+from .textformat import error, ints, lines_of
 
 
 class Step(NamedTuple):
@@ -394,49 +395,116 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
 # axioms have an empty antecedent list
 
 
+class _Fragments(dict):
+    """The text of eight consecutive table variables in a clause, keyed by
+    (positive byte, negative byte) of its masks: each literal the bytes
+    hold, in text order, followed by a space.  Built when first asked."""
+
+    def __init__(self, variables: tuple[int, ...]):
+        super().__init__({(0, 0): ""})
+        self.literals = [(f"{v} ", f"-{v} ") for v in variables]  # per bit: the positive and the negative literal
+
+    def __missing__(self, key: tuple[int, int]) -> str:
+        pos, neg = key
+        text = self[key] = "".join(
+            (p if pos >> j & 1 else "") + (n if neg >> j & 1 else "") for j, (p, n) in enumerate(self.literals)
+        )
+        return text
+
+
 def trace_to_text(trace: ResolutionTrace) -> str:
+    """A clause is the join of one fragment per byte of its masks, from its
+    lowest to its highest nonzero byte (`_Fragments`), so no literal is
+    converted to a string twice.  A mask bit outside the table is an error."""
+    width = len(trace.variables)
+    fragments = [_Fragments(trace.variables[k:k + 8]) for k in range(0, width, 8)]
     lines = []
-    for step in trace.steps:
-        fields = [step.id, *trace.literals(step), 0, *(step.antecedents or ()), 0]
-        lines.append(" ".join(map(str, fields)))
+    for sid, pos, neg, antecedents in trace.steps:
+        either = pos | neg
+        if either >> width:
+            raise ValueError(f"step {sid}: a literal outside the variable table")
+        start = (either & -either).bit_length() - 1 >> 3
+        stop = either.bit_length() + 7 >> 3
+        clause = "".join(map(getitem, fragments[start:stop], zip(
+            (pos >> 8 * start).to_bytes(stop - start, "little"), (neg >> 8 * start).to_bytes(stop - start, "little"),
+        ))) if either else ""
+        if antecedents is None:
+            lines.append(f"{sid} {clause}0 0")
+        else:
+            lines.append(f"{sid} {clause}0 {antecedents[0]} {antecedents[1]} 0")
     return "\n".join(lines) + "\n"
 
 
+def _step_fields(lines: list[str], i: int, fields: list[str], index: dict[str, int], values: list[int], literals: list[int]):
+    """(id, index of the clause's terminating 0, antecedents) of trace line
+    i, every check made in order; tables its literal tokens new to `index`
+    (token -> position in `values`, their ints) and appends their positions
+    to `literals`."""
+    nums = ints(lines, i, fields)
+    sid = nums[0]
+    try:
+        end = nums.index(0, 1)
+    except ValueError:
+        raise error(lines, i, f"step {sid}: clause not zero-terminated") from None
+    rest = len(nums) - end
+    if rest == 1 or nums[-1] != 0:
+        raise error(lines, i, f"step {sid}: missing terminator")
+    if rest not in (2, 4):
+        raise error(lines, i, f"step {sid}: expected 0 or 2 antecedents, got {rest - 2}")
+    for token, v in zip(fields[1:end], nums[1:end]):
+        if token not in index:
+            index[token] = len(values)
+            values.append(v)
+    literals += map(index.__getitem__, fields[1:end])
+    return sid, end, (nums[end + 1], nums[end + 2]) if rest == 4 else None
+
+
 def trace_from_text(text: str) -> ResolutionTrace:
-    """Lines are read first, and the table is the sorted set of variables
-    they mention; each clause then becomes its two masks over it."""
-    rows = []
-    mentioned: set[int] = set()
-    ints: dict[str, int] = {}  # literals and antecedent ids recur: each token is converted once
-    for ln in records(text):
-        fields = ln.fields
-        try:
-            ints[fields[0]] = int(fields[0])
-            nums = list(map(ints.__getitem__, fields))
-        except (KeyError, ValueError):
-            nums = ln.ints(start=0)
-            ints.update(zip(fields, nums))
-        sid = nums[0]
-        try:
-            end = nums.index(0, 1)
-        except ValueError:
-            raise ln.error(f"step {sid}: clause not zero-terminated") from None
-        rest = len(nums) - end
-        if rest == 1 or nums[-1] != 0:
-            raise ln.error(f"step {sid}: missing terminator")
-        if rest not in (2, 4):
-            raise ln.error(f"step {sid}: expected 0 or 2 antecedents, got {rest - 2}")
-        literals = nums[1:end]
-        mentioned.update(literals)
-        rows.append((sid, literals, (nums[end + 1], nums[end + 2]) if rest == 4 else None))
-    variables = tuple(sorted({abs(lit) for lit in mentioned}))
+    """One pass over the lines checks each step line, keeps its id, its
+    literal count and its antecedents, and appends its literals to one
+    list, each as the position of its token among the distinct literal
+    tokens (each converted to an int once).  The table is then the sorted
+    set of variables those tokens name; each token gets its bit in the
+    joint mask pos | neg << len(variables), and a step's mask is the sum
+    of its literals' bits.  No per-line container outlives its line but
+    the step it becomes."""
+    lines, rows = lines_of(text)
+    ids, counts, antecedents = [], [], []
+    literals: list[int] = []  # every step's literals in turn, as positions in `values`
+    index: dict[str, int] = {}  # literal token -> its position in `values`
+    values: list[int] = []  # the distinct literal tokens' (nonzero) ints
+    position = index.__getitem__
+    for i, fields in rows:
+        if not fields or fields[0][0] == "#":
+            continue
+        start = len(literals)
+        try:  # the usual line: "0" terminators, literal tokens seen before
+            end = fields.index("0", 1)
+            rest = len(fields) - end
+            if fields[-1] != "0" or rest != 2 and rest != 4:
+                raise ValueError
+            sid = int(fields[0])
+            ante = (int(fields[end + 1]), int(fields[end + 2])) if rest == 4 else None
+            literals += map(position, fields[1:end])
+        except (ValueError, KeyError):
+            del literals[start:]
+            sid, end, ante = _step_fields(lines, i, fields, index, values, literals)
+        ids.append(sid)
+        counts.append(end - 1)
+        antecedents.append(ante)
+    variables = tuple(sorted({abs(v) for v in values}))
     bits = _literal_bits(variables)
+    bit = list(map(bits.__getitem__, values)).__getitem__
     width = len(variables)
     low = (1 << width) - 1
     steps = []
-    for sid, literals, antecedents in rows:
-        joint = 0
-        for lit in literals:
-            joint |= bits[lit]
-        steps.append(Step(sid, joint & low, joint >> width, antecedents))
+    new = tuple.__new__  # builds a Step without the Python-level Step.__new__
+    stop = 0
+    for sid, count, ante in zip(ids, counts, antecedents):
+        start = stop
+        stop += count
+        joint = sum(map(bit, literals[start:stop]))
+        if joint.bit_count() != count:  # a repeated literal was added twice: or the bits instead
+            joint = reduce(or_, map(bit, literals[start:stop]))
+        steps.append(new(Step, (sid, joint & low, joint >> width, ante)))
     return ResolutionTrace(tuple(steps), variables)

@@ -1,33 +1,53 @@
-"""Line reader shared by the text-format parsers; its errors name the line."""
+"""The line reader every text-format parser shares.
+
+A reader splits its text once with `str.splitlines()` and each line once
+with `str.split()`; a line makes no other object than its field list and
+what its record becomes.
+
+* A record is a line that is neither blank nor a comment.  Comments are
+  lines whose stripped text starts with `#` (graph, tseitin, bp, trace,
+  certificate), with `c` or `#` (cnf), or with `c ` (nnf: a `c` and a
+  space; a bare `c`, or a `c` and a tab, is a record, and a malformed
+  one).
+* Line numbers count every physical line that `str.splitlines()` sees,
+  records or not, from 1: blank and comment lines count, and `\\r\\n`,
+  `\\r` and the other line boundaries it knows each end a line.
+* A malformed record raises `ValueError("line N: <what is wrong>")`.
+  Where the message quotes the line it quotes its stripped text.  An error
+  about the file as a whole (a missing header, a count the body does not
+  match) names no line.
+
+The line number and the stripped text are built only when an error is
+raised, from the line list and the record's index into it (`error`).
+`ints` converts fields and raises the error for a wrong count or a field
+that is no integer; a reader converts its frequent records inline and
+calls `ints` only when that conversion fails.
+"""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+
+def lines_of(text: str) -> tuple[list[str], enumerate]:
+    """The text's lines, and (index, fields) for each of them, fields split
+    on whitespace; a reader skips the blank lines and comments itself."""
+    lines = text.splitlines()
+    return lines, enumerate(map(str.split, lines))
 
 
-class Line(NamedTuple):
-    number: int  # 1-based, counting every line of the input
-    text: str  # stripped
-    fields: list[str]
+def error(lines: list[str], i: int, message: str) -> ValueError:
+    """The error for line i of `lines` (0-based): `line i+1: message`."""
+    return ValueError(f"line {i + 1}: {message}")
 
-    def error(self, message: str) -> ValueError:
-        return ValueError(f"line {self.number}: {message}")
 
-    def ints(self, count: int | None = None, start: int = 1) -> list[int]:
-        """The fields from `start` on as integers; exactly `count` of them
-        unless count is None."""
-        values = self.fields[start:]
-        if count is not None and len(values) != count:
-            raise self.error(f"expected {count} numbers in {self.text!r}")
+def ints(lines: list[str], i: int, values: list[str], count: int | None = None, text: str | None = None) -> list[int]:
+    """`values`, fields of line i, as integers: exactly `count` of them
+    unless count is None.  An error quotes `text`, by default the line,
+    stripped."""
+    if count is None or len(values) == count:
         try:
             return list(map(int, values))
         except ValueError:
-            raise self.error(f"not a list of integers: {self.text!r}") from None
-
-
-def records(text: str, comments: tuple[str, ...] = ("#",)):
-    """Each non-blank line that starts with none of `comments`."""
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line and not line.startswith(comments):
-            yield Line(number, line, line.split())
+            problem = "not a list of integers: {!r}"
+    else:
+        problem = f"expected {count} numbers in {{!r}}"
+    raise error(lines, i, problem.format((lines[i] if text is None else text).strip()))

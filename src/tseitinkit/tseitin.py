@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .cnf import Cnf
 from .graphs import Graph, connected_components, edge_from_line, search, tree_path
 from .oracles import conj, parity
-from .textformat import records
+from .textformat import error, ints, lines_of
 
 DEGREE_CAP = 8
 
@@ -140,21 +140,28 @@ def tseitin_to_text(t: TseitinFormula) -> str:
 def tseitin_from_text(text: str) -> TseitinFormula:
     n = m = None
     charge = None
-    edges = []
-    for ln in records(text):
-        if ln.fields[0] == "p":
-            if len(ln.fields) != 4 or ln.fields[1] != "tseitin":
-                raise ln.error(f"bad header: {ln.text}")
-            n, m = ln.ints(2, start=2)
-        elif ln.fields[0] == "g":
-            charge = tuple(ln.ints())
-        elif ln.fields[0] == "e":
-            edges.append((ln, *ln.ints(2)))
+    edges = []  # (line index, u, v)
+    lines, rows = lines_of(text)
+    for i, fields in rows:
+        if not fields or fields[0][0] == "#":
+            continue
+        if fields[0] == "p":
+            if len(fields) != 4 or fields[1] != "tseitin":
+                raise error(lines, i, f"bad header: {lines[i].strip()}")
+            n, m = ints(lines, i, fields[2:], 2)
+        elif fields[0] == "g":
+            charge = tuple(ints(lines, i, fields[1:]))
+        elif fields[0] == "e":
+            try:
+                u, v = map(int, fields[1:])
+            except ValueError:
+                u, v = ints(lines, i, fields[1:], 2)  # raises the error naming the line
+            edges.append((i, u, v))
         else:
-            raise ln.error(f"unrecognized line: {ln.text}")
+            raise error(lines, i, f"unrecognized line: {lines[i].strip()}")
     if n is None or charge is None:
         raise ValueError("missing header or charge line")
     if len(charge) != n or len(edges) != m:
         raise ValueError("header inconsistent with body")
     seen: dict = {}
-    return TseitinFormula(Graph(n, tuple(edge_from_line(*edge, n, seen) for edge in edges)), charge)
+    return TseitinFormula(Graph(n, tuple(edge_from_line(lines, *edge, n, seen) for edge in edges)), charge)

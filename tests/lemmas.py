@@ -31,7 +31,11 @@ library's masks); the min-fill order recounting every fill at every
 step (`reference_min_fill`); and resolution on literal sets: traces built
 from literal rows (`trace_of`, `clause`), the resolvent (`resolve`) and
 the set-form pivot (`set_pivot`) the library's mask pivot is checked
-against.
+against; and the seven text readers as they were when each built a `Line`
+object for every line (`reference_*_from_text`, `reference_cnf_from_dimacs`),
+which the library's readers must match object for object and message for
+message, and the trace writer that formatted every literal of every step
+(`reference_trace_to_text`), which the library's must match byte for byte.
 
 The cover game: the cover player picks an uncovered model and the proof
 tree accepting it; the adversary answers with a cut of the induced
@@ -48,18 +52,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from tseitinkit.bounds import AdamResponse, adam_response
+from tseitinkit.bounds import _CERT_FIELDS, AdamResponse, LowerBoundCertificate, adam_response
 from tseitinkit.bp import BranchingProgram, _root, expected_children, validate_well_structured
 from tseitinkit.graphs import Graph, SplitRequest, is_3_connected, is_connected, split_all
 from tseitinkit.minors import MinorResult
-from tseitinkit.cnf import Cnf
+from tseitinkit.cnf import Cnf, _clause_problem
 from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, _rebuild, _reachable, gate_values, is_smooth, restrict_to_root, root_value, validate_decomposable
 from tseitinkit.oracles import BLOCK_BITS, parity, point, truth_table
 from tseitinkit.recursion import run
-from tseitinkit.resolution import ResolutionTrace, Step
+from tseitinkit.resolution import ResolutionTrace, Step, _literal_bits
 from tseitinkit.tseitin import Charge, TseitinFormula, is_satisfiable, model_count, satisfied
 from tseitinkit.width import BranchDecomposition, Cut, caterpillar, edge_order, max_order_cut, treewidth_bounds
 
@@ -955,3 +960,294 @@ def set_pivot(a: frozenset[int], b: frozenset[int], clause: frozenset[int]) -> i
     p = abs(lit)
     first, second = (a, b) if p in a else (b, a)
     return p if -p in second and -p not in first and p not in second else None
+
+
+# --- the line readers the text formats had before they split each line once --
+#
+# Each reader built a `Line` (number, stripped text, fields) for every line
+# through `records`.  The library's readers must accept and reject exactly
+# what these do, with the same objects and the same messages.
+
+
+class Line(NamedTuple):
+    number: int  # 1-based, counting every line of the input
+    text: str  # stripped
+    fields: list[str]
+
+    def error(self, message: str) -> ValueError:
+        return ValueError(f"line {self.number}: {message}")
+
+    def ints(self, count: int | None = None, start: int = 1) -> list[int]:
+        """The fields from `start` on as integers; exactly `count` of them
+        unless count is None."""
+        values = self.fields[start:]
+        if count is not None and len(values) != count:
+            raise self.error(f"expected {count} numbers in {self.text!r}")
+        try:
+            return list(map(int, values))
+        except ValueError:
+            raise self.error(f"not a list of integers: {self.text!r}") from None
+
+
+def records(text: str, comments: tuple[str, ...] = ("#",)):
+    """Each non-blank line that starts with none of `comments`."""
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith(comments):
+            yield Line(number, line, line.split())
+
+
+def reference_edge_from_line(ln: Line, u: int, v: int, n: int, seen: dict) -> tuple[int, int]:
+    """The 0-based edge of the `e u v` line `ln` in a graph on vertices
+    1..n.  `seen` maps each edge accepted so far to its line number; an
+    endpoint out of range, a loop or a parallel edge raises a ValueError
+    naming the line, in the file's 1-based ids."""
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ln.error(f"endpoint outside 1..{n}")
+    if u == v:
+        raise ln.error(f"loop at vertex {u}")
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise ln.error(f"parallel edge {key}, first on line {seen[key]}")
+    seen[key] = ln.number
+    return u - 1, v - 1
+
+
+def reference_graph_from_text(text: str) -> Graph:
+    n = None
+    m = None
+    edges = []
+    seen: dict = {}
+    for ln in records(text):
+        if ln.fields[0] == "p":
+            if len(ln.fields) != 4 or ln.fields[1] != "graph":
+                raise ln.error(f"bad header: {ln.text}")
+            n, m = ln.ints(2, start=2)
+        elif ln.fields[0] == "e":
+            if n is None:
+                raise ln.error("edge line before header")
+            edges.append(reference_edge_from_line(ln, *ln.ints(2), n, seen))
+        else:
+            raise ln.error(f"unrecognized line: {ln.text}")
+    if n is None:
+        raise ValueError("missing header")
+    if m != len(edges):
+        raise ValueError(f"header announces {m} edges, found {len(edges)}")
+    return Graph(n, tuple(edges))
+
+
+def reference_tseitin_from_text(text: str) -> TseitinFormula:
+    n = m = None
+    charge = None
+    edges = []
+    for ln in records(text):
+        if ln.fields[0] == "p":
+            if len(ln.fields) != 4 or ln.fields[1] != "tseitin":
+                raise ln.error(f"bad header: {ln.text}")
+            n, m = ln.ints(2, start=2)
+        elif ln.fields[0] == "g":
+            charge = tuple(ln.ints())
+        elif ln.fields[0] == "e":
+            edges.append((ln, *ln.ints(2)))
+        else:
+            raise ln.error(f"unrecognized line: {ln.text}")
+    if n is None or charge is None:
+        raise ValueError("missing header or charge line")
+    if len(charge) != n or len(edges) != m:
+        raise ValueError("header inconsistent with body")
+    seen: dict = {}
+    return TseitinFormula(Graph(n, tuple(reference_edge_from_line(*edge, n, seen) for edge in edges)), charge)
+
+
+def reference_cnf_from_dimacs(text: str) -> Cnf:
+    """A clause `Cnf` rejects is looked up again to name its line."""
+    num_vars = None
+    announced = None
+    clauses = []
+    lines = []
+    for ln in records(text, comments=("c", "#")):
+        if ln.fields[0] == "p":
+            if len(ln.fields) != 4 or ln.fields[1] != "cnf":
+                raise ln.error(f"bad header: {ln.text}")
+            num_vars, announced = ln.ints(2, start=2)
+        else:
+            lits = ln.ints(start=0)
+            if lits[-1] != 0 or 0 in lits[:-1]:
+                raise ln.error(f"clause not zero-terminated: {ln.text}")
+            clauses.append(frozenset(lits[:-1]))
+            lines.append(ln)
+    if num_vars is None:
+        raise ValueError("missing header")
+    if announced != len(clauses):
+        raise ValueError(f"header announces {announced} clauses, found {len(clauses)}")
+    try:
+        return Cnf(num_vars, tuple(clauses))
+    except ValueError:
+        for ln, cl in zip(lines, clauses):
+            problem = _clause_problem(cl, num_vars)
+            if problem:
+                raise ln.error(problem) from None
+        raise
+
+
+def reference_bp_from_text(text: str) -> BranchingProgram:
+    source = None
+    decisions = {}
+    sinks = {}
+    first: dict[int | None, int] = {}  # node or sink id, None for the source -> its line
+    for ln in records(text):
+        if ln.fields[0] == "source":
+            (source,) = ln.ints(1)
+            key = None
+        elif ln.fields[0] == "node":
+            key, var, lo, hi = ln.ints(4)
+            decisions[key] = (var, lo, hi)
+        elif ln.fields[0] == "sink":
+            key, v = ln.ints(2)
+            sinks[key] = v
+        else:
+            raise ln.error(f"unrecognized line: {ln.text}")
+        if key in first:
+            what = "second source line" if key is None else f"repeated id {key}"
+            raise ln.error(f"{what}, first on line {first[key]}")
+        first[key] = ln.number
+    if source is None:
+        raise ValueError("missing source line")
+    return BranchingProgram(source, decisions, sinks)
+
+
+def reference_nnf_from_text(text: str) -> NnfCircuit:
+    lines = list(records(text, comments=("c ",)))
+    if not lines:
+        raise ValueError("empty file")
+    header = lines[0].fields
+    if header[0] != "nnf" or len(header) != 4:
+        raise lines[0].error(f"bad header: {lines[0].text}")
+    nodes, _, num_vars = lines[0].ints(3)
+    body = lines[1:]
+    if len(body) != nodes:
+        raise ValueError(f"header announces {nodes} nodes, found {len(body)}")
+    gates: list[Gate] = []
+    fid: list[int] = []  # file node id -> gate index (after binarization)
+
+    def children(ln, start: int) -> list[int]:
+        values = ln.ints(start=start)
+        if not values:
+            raise ln.error(f"no child count in {ln.text!r}")
+        count, *ids = values
+        if count != len(ids):
+            raise ln.error(f"announces {count} children, lists {len(ids)}")
+        if any(not 0 <= i < len(fid) for i in ids):
+            raise ln.error("child id does not name an earlier node")
+        return [fid[i] for i in ids]
+
+    def binarize(kind: str, ids: list[int]) -> int:
+        cur = ids[0]
+        for nxt in ids[1:]:
+            gates.append(Gate(kind, cur, nxt))
+            cur = len(gates) - 1
+        return cur
+
+    for ln in body:
+        if ln.fields[0] == "L":
+            (sv,) = ln.ints(1)
+            if not 1 <= abs(sv) <= num_vars:
+                raise ln.error(f"literal {sv} outside 1..{num_vars}")
+            gates.append(Gate(LIT, -1, -1, abs(sv) - 1, sv > 0))
+            fid.append(len(gates) - 1)
+        elif ln.fields[0] in ("A", "O"):
+            kind = AND if ln.fields[0] == "A" else OR
+            ids = children(ln, 1 if kind == AND else 2)
+            if not ids:
+                gates.append(Gate(CONST, int(kind == AND)))
+                fid.append(len(gates) - 1)
+            else:
+                fid.append(binarize(kind, ids))
+        else:
+            raise ln.error(f"unrecognized node line: {ln.text}")
+    if not fid:
+        raise ValueError("circuit has no nodes")
+    return NnfCircuit(tuple(gates), fid[-1], num_vars)
+
+
+def reference_trace_from_text(text: str) -> ResolutionTrace:
+    """Lines are read first, and the table is the sorted set of variables
+    they mention; each clause then becomes its two masks over it."""
+    rows = []
+    mentioned: set[int] = set()
+    ints: dict[str, int] = {}  # literals and antecedent ids recur: each token is converted once
+    for ln in records(text):
+        fields = ln.fields
+        try:
+            ints[fields[0]] = int(fields[0])
+            nums = list(map(ints.__getitem__, fields))
+        except (KeyError, ValueError):
+            nums = ln.ints(start=0)
+            ints.update(zip(fields, nums))
+        sid = nums[0]
+        try:
+            end = nums.index(0, 1)
+        except ValueError:
+            raise ln.error(f"step {sid}: clause not zero-terminated") from None
+        rest = len(nums) - end
+        if rest == 1 or nums[-1] != 0:
+            raise ln.error(f"step {sid}: missing terminator")
+        if rest not in (2, 4):
+            raise ln.error(f"step {sid}: expected 0 or 2 antecedents, got {rest - 2}")
+        literals = nums[1:end]
+        mentioned.update(literals)
+        rows.append((sid, literals, (nums[end + 1], nums[end + 2]) if rest == 4 else None))
+    variables = tuple(sorted({abs(lit) for lit in mentioned}))
+    bits = _literal_bits(variables)
+    width = len(variables)
+    low = (1 << width) - 1
+    steps = []
+    for sid, literals, antecedents in rows:
+        joint = 0
+        for lit in literals:
+            joint |= bits[lit]
+        steps.append(Step(sid, joint & low, joint >> width, antecedents))
+    return ResolutionTrace(tuple(steps), variables)
+
+
+def reference_certificate_from_text(text: str) -> LowerBoundCertificate:
+    fields: dict[str, Line] = {}
+    for ln in records(text):
+        name, _, value = ln.text.partition(":")
+        name = name.strip()
+        if name in fields:
+            raise ln.error(f"repeated field {name}, first on line {fields[name].number}")
+        fields[name] = Line(ln.number, value.strip(), value.split())
+    missing = [f for f in _CERT_FIELDS if f not in fields]
+    if missing:
+        raise ValueError(f"certificate missing fields: {missing}")
+
+    def ints(name):
+        return tuple(fields[name].ints(start=0))
+
+    def one(name):
+        return fields[name].ints(1, start=0)[0]
+
+    edges = []
+    for pair in fields["minor_edges"].fields:
+        ends = Line(fields["minor_edges"].number, pair, pair.split("-"))
+        edges.append(tuple(ends.ints(2, start=0)))
+    return LowerBoundCertificate(
+        graph_hash=fields["graph_hash"].text,
+        n=one("n"), m=one("m"),
+        treewidth=one("treewidth"), tw_provenance=fields["tw_provenance"].text,
+        bw_lower=one("bw_lower"),
+        minor_n=one("minor_n"), minor_m=one("minor_m"),
+        minor_max_degree=one("minor_max_degree"),
+        minor_edges=tuple(edges),
+        v_prime=ints("v_prime"), v_second=ints("v_second"), v_star=ints("v_star"),
+        k=one("k"), cap_exponent=one("cap_exponent"), bound=one("bound"),
+    )
+
+
+def reference_trace_to_text(trace: ResolutionTrace) -> str:
+    lines = []
+    for step in trace.steps:
+        fields = [step.id, *trace.literals(step), 0, *(step.antecedents or ()), 0]
+        lines.append(" ".join(map(str, fields)))
+    return "\n".join(lines) + "\n"

@@ -419,7 +419,7 @@ class TestMalformedInput:
     ], ids=["loop", "parallel_edge"])
     def test_loop_and_parallel_edge_name_the_line(self, tmp_path, capsys, argv, text, message):
         assert main(_fuzz_argv(tmp_path, argv, text)) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'fuzzed'}: {message}\n"
 
     @pytest.mark.parametrize("argv,text,message", [
         (["convert", "{bp}", "--format", "bp"], "source 0\nnode 0 0 1 2\nnode 0 1 1 2\nsink 1 0\nsink 2 1\n",
@@ -435,7 +435,7 @@ class TestMalformedInput:
     ], ids=["node_twice", "sink_twice", "node_then_sink", "source_twice", "certificate_field_twice"])
     def test_repeated_record_names_both_lines(self, tmp_path, capsys, argv, text, message):
         assert main(_fuzz_argv(tmp_path, argv, text)) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'fuzzed'}: {message}\n"
 
     @pytest.mark.parametrize("argv,text,message", [
         (["check", "refutation", "{cnf}", "@trace"], "p cnf 4 2\n1 2 0\n5 -1 0\n",
@@ -447,7 +447,26 @@ class TestMalformedInput:
     ], ids=["literal_out_of_range", "variable_and_negation", "clause_before_header"])
     def test_bad_clause_names_its_line(self, tmp_path, capsys, argv, text, message):
         assert main(_fuzz_argv(tmp_path, argv, text)) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'fuzzed'}: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "refutation", "@cnf", "{trace}"],
+        ["check", "bp", "{tseitin}", "@bp"],
+        ["check", "dnnf-equiv", "@zero", "{nnf}"],
+        ["check", "certificate", "{k4}", "@cert"],
+        ["convert", "{cnf}", "--format", "cnf"],
+        ["convert", "{tseitin}", "--format", "cnf"],
+        ["pipeline", "--graph", "{graph}"],
+        ["build-bp", "{tseitin}"],
+    ], ids=lambda argv: "-".join(a.strip("{}@") for a in argv if not a.startswith("-")))
+    def test_reader_error_names_the_file(self, tmp_path, capsys, argv):
+        """A reader's error is prefixed with the file it read, exit 1."""
+        slot = next(a for a in argv if a.startswith("{")).strip("{}")
+        lines = GENUINE[slot].splitlines()
+        lines[1] = "x 1 0 0"
+        assert main(_fuzz_argv(tmp_path, argv, "\n".join(lines) + "\n")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'fuzzed'}: line 2: ") and err.count("\n") == 1
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(argv=st.sampled_from(FUZZ_COMMANDS), edits=st.lists(_edit, min_size=1, max_size=4))

@@ -20,10 +20,9 @@ from tseitinkit.resolution import (
     trace_from_text,
     trace_to_text,
 )
-from tseitinkit.textformat import records
 from tseitinkit.tseitin import TseitinFormula, to_cnf, unit_charge
 
-from lemmas import clause, resolve, set_pivot, trace_of
+from lemmas import clause, records, resolve, set_pivot, trace_of
 
 
 UNIT_CNF = Cnf(1, (frozenset({1}), frozenset({-1})))
