@@ -154,8 +154,10 @@ def verify_certificate(cert: LowerBoundCertificate, g: Graph) -> tuple[bool, str
         return False, "minor header mismatch"
     if not is_3_connected(h):
         return False, "stored minor is not 3-connected"
-    if h.n <= TREEWIDTH_EXACT_CAP and treewidth_bounds(h)[0] != cert.treewidth:
-        return False, "minor treewidth differs from certified treewidth"
+    if h.n <= TREEWIDTH_EXACT_CAP:
+        tw_h = tw_lb if h == g else treewidth_bounds(h)[0]  # g's bounds are exact when h == g is this small
+        if tw_h != cert.treewidth:
+            return False, "minor treewidth differs from certified treewidth"
     if cert.bw_lower != _ceil_div(2 * cert.treewidth, 3):
         return False, "branchwidth stage arithmetic is wrong"
     if not set(cert.v_prime) <= set(range(h.n)):

@@ -82,6 +82,25 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
+    @cached_property
+    def separator(self) -> tuple[int, ...] | None:
+        """The lexicographically first vertex set of size 1, else of size
+        2, whose removal leaves a vertex and disconnects the graph; None
+        when there is none.
+
+        One articulation-point pass on the graph finds the single
+        vertices, one on g - u for each u in turn the pairs {u, v}; the
+        search stops at the first u with a partner, and takes the least.
+        That partner is above u: a pair {v, u} with v < u would have
+        stopped the search at v.
+        """
+        if self.n > 1 and (cut := _separating_vertices(self)):
+            return (cut[0],)
+        for u in range(self.n if self.n > 2 else 0):
+            if cut := _separating_vertices(self, u):
+                return u, cut[0]
+        return None
+
     def other_end(self, e: int, v: int) -> int:
         u, w = self.edges[e]
         if v == u:
@@ -123,7 +142,8 @@ def search(g: Graph, start: int, allowed=None) -> dict[int, tuple[int, int] | No
     bridge costs only its smaller side, and does so on vertex and edge
     bitmasks (the program's annotations), `width._bfs` takes neighbours by
     degree, on which the ranking of `width.edge_order` depends, and
-    `_separating_vertices` needs depth-first low-link values.
+    `_separating_vertices`, the pass behind `Graph.separator`, needs
+    depth-first low-link values.
     """
     incident, edges = g.incident, g.edges
     tree = {start: None}
@@ -171,7 +191,9 @@ def _separating_vertices(g: Graph, removed: int = -1) -> list[int]:
 
     When v leaves, its component of g - removed falls into one piece per
     DFS child w with low(w) >= disc(v), plus the piece holding v's DFS
-    parent; the other components stay as they are.
+    parent; the other components stay as they are.  `Graph.separator`
+    runs it on g, then on g - u for u = 0, 1, ... until one returns a
+    vertex, once per graph object.
     """
     alive = g.n - (0 <= removed < g.n)
     disc = [0] * g.n  # discovery time from 1; 0 = not yet reached
@@ -208,24 +230,8 @@ def _separating_vertices(g: Graph, removed: int = -1) -> list[int]:
 
 
 def is_3_connected(g: Graph) -> bool:
-    """At least 4 vertices and no separator of size at most 2."""
-    return g.n >= 4 and not separators_of_size(g, 1) and not separators_of_size(g, 2)
-
-
-def separators_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
-    """All vertex sets of the given size whose removal disconnects g (or
-    leaves no vertex).
-
-    One articulation-point pass on g finds the single vertices, one on
-    g - u for each u the pairs {u, v}.  The list is in ascending
-    lexicographic order, so the first entry is the deterministic choice
-    everywhere in the package.
-    """
-    if size == 1:
-        return [(v,) for v in _separating_vertices(g)]
-    if size == 2:
-        return [(u, v) for u in range(g.n) for v in _separating_vertices(g, u) if v > u]
-    raise ValueError("only sizes 1 and 2 are supported")
+    """At least 4 vertices and no separator of size at most 2 (`Graph.separator`)."""
+    return g.n >= 4 and g.separator is None
 
 
 def split_vertex(g: Graph, req: SplitRequest) -> Graph:

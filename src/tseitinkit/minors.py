@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, connected_components, induced_subgraph, is_connected, search, separators_of_size, tree_path
+from .graphs import Graph, connected_components, induced_subgraph, is_connected, search, tree_path
 from .width import treewidth_exact, treewidth_upper_bound, TREEWIDTH_EXACT_CAP
 
 
@@ -71,19 +71,17 @@ def find_safe_separator(g: Graph):
     those of g minus the separator; the others are in order of their
     smallest vertex.  The chosen component maximizes the treewidth of the
     separator-completed side; ties go to the component containing the
-    smallest vertex id.
+    smallest vertex id.  The separator is `g.separator`, which g memoises,
+    so `is_3_connected` on the same graph object searches no further.
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    for size in (1, 2):
-        seps = separators_of_size(g, size)
-        if not seps or g.n == size:
-            continue
-        sep = seps[0]
-        comps = connected_components(g, sep)
-        best = max(comps, key=lambda comp: (_component_treewidth(g, comp, sep), -min(comp)))
-        return sep, best, [comp for comp in comps if comp is not best]
-    return None
+    sep = g.separator
+    if sep is None:
+        return None
+    comps = connected_components(g, sep)
+    best = max(comps, key=lambda comp: (_component_treewidth(g, comp, sep), -min(comp)))
+    return sep, best, [comp for comp in comps if comp is not best]
 
 
 def three_connected_minor(g: Graph) -> MinorResult:

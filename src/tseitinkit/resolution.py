@@ -17,7 +17,6 @@ tables the variables its trace mentions, `dpll_refute` the variables
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import getitem, or_
@@ -194,23 +193,36 @@ def check_regularity(trace: ResolutionTrace) -> bool:
     return True
 
 
-def _branch_variable(open_groups: Iterable[tuple[int, int, int]]) -> int:
+def _branch_variable(summary: dict[int, tuple[int, int, int]], widths: list[int]) -> int:
     """Most frequent variable among the shortest clauses, ties by id.
 
-    Each entry is (width, unassigned, count): the bit count of some
-    clauses' unassigned-variable mask, the mask, and the number of those
-    clauses; a variable counts once per clause.
+    `summary` maps each open group to (width, unassigned, count): the bit
+    count of its clauses' unassigned-variable mask, the mask, and the
+    number of those clauses; a variable counts once per clause.  Bit g of
+    `widths[w]` is set iff group g is open with width w, so only the
+    groups of the lowest nonzero mask are read.  One such group holds the
+    same count for each of its variables, so its lowest one is the answer.
     """
-    width = min(open_groups)[0]
+    for groups in widths:
+        if groups:
+            break
+    if not groups & groups - 1:
+        mask = summary[groups.bit_length() - 1][1]
+        return (mask & -mask).bit_length() - 1
     counts: dict[int, int] = {}
-    for w, mask, count in open_groups:
-        if w == width:
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                counts[low] = counts.get(low, 0) + count
-    top = max(counts.values())
-    return min(b for b, count in counts.items() if count == top).bit_length() - 1
+    while groups:
+        low = groups & -groups
+        groups ^= low
+        _, mask, count = summary[low.bit_length() - 1]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            counts[low] = counts.get(low, 0) + count
+    best = top = 0
+    for b, count in counts.items():
+        if count > top or count == top and b < best:
+            best, top = b, count
+    return best.bit_length() - 1
 
 
 class _TraceBuilder:
@@ -229,7 +241,7 @@ class _TraceBuilder:
 
     def add(self, clause: tuple[int, int], antecedents=None, pivot=None) -> int:
         sid = len(self.steps) + 1
-        self.steps.append(Step(sid, *clause, antecedents))
+        self.steps.append(tuple.__new__(Step, (sid, *clause, antecedents)))  # without the Python-level Step.__new__
         below = 0
         if antecedents is not None:
             below = (1 << pivot) | self.pivots_below[antecedents[0]] | self.pivots_below[antecedents[1]]
@@ -279,10 +291,23 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     entry can change.  The parent had no falsified clause, so the child's
     falsified clauses are those of the touched groups with no unassigned
     variable left, and the lowest set bit of their union is the first
-    falsified clause in clause order.  `_branch_variable` reads the
-    summary one group at a time, a mask weighted by its number of clauses:
-    the minimum width, every variable's count and the tie by id come out
-    as they would clause by clause, so the branch variable is the same.
+    falsified clause in clause order.
+
+    Next to the summary each state carries `widths`: bit g of widths[w]
+    is set iff group g is in the summary with width w.  The root sets
+    them in the same scan.  A child changes the summary only at the
+    touched groups, and the masks at the same groups: each loses its bit
+    at its old width and, unless it closed, gets it back at one less (x
+    was unassigned in every open group holding it).  A falsified child
+    is a leaf and needs neither, so both are copied together, only for
+    a child that is searched.  `_branch_variable` reads the groups of
+    the lowest nonzero mask, each a mask weighted by its number of
+    clauses: those are exactly the open groups of the minimum width,
+    and groups of a larger width add to no count.  So every variable's
+    count and the tie by id come out as they would clause by clause
+    over all open groups; a lone narrowest group gives each of its
+    variables the same count, and the tie takes its lowest.  The branch
+    variable, and with it the trace, is the same.
 
     A child with a falsified clause is a leaf and is resolved where it is
     met, with no generator and no cache entry: `builder.lookup` returns
@@ -321,10 +346,12 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
         axioms.append((sum(1 << lit - 1 for lit in cl if lit > 0), sum(1 << -lit - 1 for lit in cl if lit < 0)))
     holding: list[list[tuple[int, int]]] = [[] for _ in range(cnf.num_vars + 1)]
     summary: dict[int, tuple[int, int, int]] = {}  # the root state's
+    widths = [0] * (1 + max(map(len, cnf.clauses), default=0))  # the root state's
     falsified = 0
     for g, (vm, clauses) in enumerate(by_vars.items()):
         if vm:
             summary[g] = (vm.bit_count(), vm, clauses.bit_count())
+            widths[vm.bit_count()] |= 1 << g
         else:
             falsified |= clauses  # the empty clause
         while vm:
@@ -338,10 +365,10 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
         sid = builder.lookup(clause, assigned_mask)
         return sid if sid is not None else builder.add(clause)
 
-    def refute(alive: int, assigned_mask: int, summary: dict[int, tuple[int, int, int]]):
+    def refute(alive: int, assigned_mask: int, summary: dict[int, tuple[int, int, int]], widths: list[int]):
         if not alive:
             raise ValueError("CNF is satisfiable; nothing to refute")
-        x = _branch_variable(summary.values())
+        x = _branch_variable(summary, widths)
         bit = 1 << x
         below_mask = assigned_mask | bit
         children = []
@@ -355,11 +382,11 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
                     continue  # the group has no alive clause left
                 here = child & clauses
                 if not here:
-                    changed.append((g, None))
+                    changed.append((g, entry[0], None))
                 elif entry[0] == 1:
                     falsified |= here  # x was the set's last unassigned variable
                 else:
-                    changed.append((g, (entry[0] - 1, entry[1] ^ bit, here.bit_count())))
+                    changed.append((g, entry[0], (entry[0] - 1, entry[1] ^ bit, here.bit_count())))
             if falsified:
                 sid = leaf(falsified, below_mask)
             else:
@@ -367,12 +394,15 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
                 sid = done.get(key)
                 if sid is None:
                     below = summary.copy()
-                    for g, entry in changed:
+                    narrower = widths.copy()
+                    for g, width, entry in changed:
+                        narrower[width] ^= 1 << g
                         if entry is None:
                             del below[g]
                         else:
                             below[g] = entry
-                    sid = done[key] = yield refute(child, below_mask, below)
+                            narrower[width - 1] |= 1 << g
+                    sid = done[key] = yield refute(child, below_mask, below, narrower)
             children.append(sid)
         s0, s1 = children
         _, pos0, neg0, _ = builder.steps[s0 - 1]
@@ -384,7 +414,7 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
             return sid if sid is not None else builder.add(clause, (s0, s1), x)
         return s1 if pos0 & var else s0
 
-    root = leaf(falsified, 0) if falsified else run(refute((1 << len(cnf.clauses)) - 1, 0, summary))
+    root = leaf(falsified, 0) if falsified else run(refute((1 << len(cnf.clauses)) - 1, 0, summary, widths))
     del refute  # a closure that calls itself is a reference cycle: free the state cache now, not at the next collection
     return builder.trace(root, tuple(range(1, cnf.num_vars + 1)))
 

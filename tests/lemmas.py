@@ -25,10 +25,14 @@ formula (`nnf_truth_table`, `tseitin_truth_table`) that the tests read,
 and the pointwise evaluators and reference truth tables the packed engine
 in `tseitinkit.oracles` is checked against; every cut of a branch
 decomposition (`all_cuts`), of which the library builds only the
-maximum-order one; `bp.expected_children` on set-form annotations
+maximum-order one; every separator of size 1 or 2
+(`separators_of_size`), of which a graph memoises only the first;
+`bp.expected_children` on set-form annotations
 (`reference_expected_children`, with `annotation_sets` decoding the
 library's masks); the min-fill order recounting every fill at every
-step (`reference_min_fill`); and resolution on literal sets: traces built
+step (`reference_min_fill`); DPLL's branch choice read off every open
+group of a state (`full_scan_branch_variable`); and resolution on
+literal sets: traces built
 from literal rows (`trace_of`, `clause`), the resolvent (`resolve`) and
 the set-form pivot (`set_pivot`) the library's mask pivot is checked
 against; and the seven text readers as they were when each built a `Line`
@@ -58,7 +62,7 @@ import numpy as np
 
 from tseitinkit.bounds import _CERT_FIELDS, AdamResponse, LowerBoundCertificate, adam_response
 from tseitinkit.bp import BranchingProgram, _root, expected_children, validate_well_structured
-from tseitinkit.graphs import Graph, SplitRequest, is_3_connected, is_connected, split_all
+from tseitinkit.graphs import Graph, SplitRequest, _separating_vertices, is_3_connected, is_connected, split_all
 from tseitinkit.minors import MinorResult
 from tseitinkit.cnf import Cnf, _clause_problem
 from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, _rebuild, _reachable, gate_values, is_smooth, restrict_to_root, root_value, validate_decomposable
@@ -84,6 +88,21 @@ def octahedron() -> Graph:
     """K6 minus the perfect matching {0,1},{2,3},{4,5}."""
     edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if {u, v} not in ({0, 1}, {2, 3}, {4, 5})]
     return Graph(6, tuple(edges))
+
+
+def separators_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
+    """All vertex sets of the given size whose removal disconnects g (or
+    leaves no vertex), in ascending lexicographic order: the full listing
+    the memoised `Graph.separator` must agree with.
+
+    One articulation-point pass on g finds the single vertices, one on
+    g - u for each u the pairs {u, v}.
+    """
+    if size == 1:
+        return [(v,) for v in _separating_vertices(g)]
+    if size == 2:
+        return [(u, v) for u in range(g.n) for v in _separating_vertices(g, u) if v > u]
+    raise ValueError("only sizes 1 and 2 are supported")
 
 
 # --- branch decompositions ---------------------------------------------------
@@ -921,6 +940,23 @@ def trace_of(rows) -> ResolutionTrace:
         neg = sum(1 << index[-lit] for lit in set(literals) if lit < 0)
         steps.append(Step(sid, pos, neg, tuple(antecedents) if antecedents is not None else None))
     return ResolutionTrace(tuple(steps), variables)
+
+
+def full_scan_branch_variable(open_groups) -> int:
+    """DPLL's branch variable read off every open group of a state's
+    summary, (width, unassigned mask, clause count) each: the most
+    frequent variable among the shortest clauses, ties by id.  The
+    library reads only the groups of the lowest nonzero width mask."""
+    width = min(open_groups)[0]
+    counts: dict[int, int] = {}
+    for w, mask, count in open_groups:
+        if w == width:
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                counts[low] = counts.get(low, 0) + count
+    top = max(counts.values())
+    return min(b for b, count in counts.items() if count == top).bit_length() - 1
 
 
 def clause(trace: ResolutionTrace, step: Step) -> frozenset[int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,12 +18,13 @@ from lemmas import (
     rectangle_cap_check,
     tseitin_truth_table,
 )
-from tseitinkit import families as fam
+from tseitinkit import families as fam, graphs, width
 from tseitinkit.bounds import adam_response, certificate_from_text, certificate_to_text, certified_lower_bound, verify_certificate
 from tseitinkit.compiler import pipeline
+from tseitinkit.graphs import _separating_vertices as separating_vertices
 from tseitinkit.nnf import CircuitBuilder, smooth
 from tseitinkit.tseitin import TseitinFormula, unit_charge
-from tseitinkit.width import BranchDecomposition, caterpillar, edge_order
+from tseitinkit.width import BranchDecomposition, caterpillar, edge_order, treewidth_exact
 
 
 MIDDLE_TIER = {
@@ -243,6 +245,78 @@ class TestCertifiedLowerBound:
         _, g = bench_graph
         cert = certified_lower_bound(g)
         assert certificate_from_text(certificate_to_text(cert)) == cert
+
+    @pytest.mark.parametrize("make,own_minor", [
+        (lambda: fam.random_regular(16, 3, 1), True), (lambda: fam.complete(5), True), (lambda: fam.wheel(8), True),
+        (lambda: fam.grid(4, 4), False), (lambda: fam.two_k4_shared_edge(), False), (lambda: fam.grid(4, 5), False),
+    ], ids=["rr16", "K5", "W8", "grid4x4", "twoK4", "grid4x5"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_tampered_treewidth_rejected(self, make, own_minor, delta):
+        g = make()
+        cert = certified_lower_bound(g)
+        assert (cert.minor_edges == g.edges) == own_minor
+        ok, _ = verify_certificate(dataclasses.replace(cert, treewidth=cert.treewidth + delta), g)
+        assert not ok
+
+    def test_minor_of_other_treewidth_rejected(self):
+        # K4 passes the earlier checks on a stored minor; only its
+        # treewidth, 3 against grid 4x4's 4, gives it away
+        g = fam.grid(4, 4)
+        k4 = fam.complete(4)
+        cert = dataclasses.replace(
+            certified_lower_bound(g), minor_n=4, minor_m=6, minor_max_degree=3, minor_edges=k4.edges,
+        )
+        assert verify_certificate(cert, g) == (False, "minor treewidth differs from certified treewidth")
+
+
+class TestVerifierWork:
+    """Separator and exact-treewidth searches in certify and verify: one
+    per graph object and question."""
+
+    @pytest.fixture
+    def separator_passes(self, monkeypatch):
+        passes = []
+
+        def counted(g, removed=-1):
+            passes.append(g.n)
+            return separating_vertices(g, removed)
+
+        monkeypatch.setattr(graphs, "_separating_vertices", counted)
+        return passes
+
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return treewidth_exact(g)
+
+        monkeypatch.setattr(width, "treewidth_exact", counted)
+        return calls
+
+    @pytest.mark.parametrize("make,certify,verify", [
+        (lambda: fam.random_regular(16, 3, 1), 17, 17), (lambda: fam.grid(4, 5), 48, 17),
+    ], ids=["rr16", "grid4x5"])
+    def test_separator_passes(self, separator_passes, make, certify, verify):
+        # one search per graph object: the reduction steps stop at their
+        # first separator, the minor's 3-connectivity is searched once
+        # (n + 1 passes) and read again by the adversary and the safe
+        # split, and the verifier searches its own copy of the minor once
+        cert = certified_lower_bound(make())
+        assert len(separator_passes) == certify
+        assert verify_certificate(cert, make()) == (True, "ok")
+        assert len(separator_passes) == certify + verify
+
+    @pytest.mark.parametrize("make,calls", [
+        (lambda: fam.random_regular(16, 3, 1), [16]), (lambda: fam.grid(4, 4), [16, 12]),
+    ], ids=["rr16", "grid4x4"])
+    def test_exact_treewidth_once_per_distinct_graph(self, exact_calls, make, calls):
+        # rr16 is its own minor: its treewidth is computed once
+        cert = certified_lower_bound(make())
+        exact_calls.clear()
+        assert verify_certificate(cert, make()) == (True, "ok")
+        assert exact_calls == calls
 
 
 class TestGame:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import family_graphs
-from lemmas import k4_with_pendant_path, octahedron
+from lemmas import k4_with_pendant_path, octahedron, separators_of_size
 from tseitinkit import families as fam
 from tseitinkit.graphs import (
     Graph,
@@ -18,7 +18,6 @@ from tseitinkit.graphs import (
     is_connected,
     safe_split_subset,
     search,
-    separators_of_size,
     split_all,
     split_vertex,
     tree_path,
@@ -177,6 +176,11 @@ def reference_separators(g: Graph, size: int) -> list[tuple[int, ...]]:
             if not reference_connected_after_removal(g, set(sep))]
 
 
+def reference_first_separator(g: Graph) -> tuple[int, ...] | None:
+    """The first separator of size 1, else of size 2, that leaves a vertex."""
+    return next((sep for size in (1, 2) for sep in reference_separators(g, size) if size < g.n), None)
+
+
 def reference_is_3_connected(g: Graph) -> bool:
     return g.n >= 4 and is_connected(g) and not reference_separators(g, 1) and not reference_separators(g, 2)
 
@@ -201,6 +205,7 @@ class TestSeparatorsAgainstReference:
         _, g = name_graph
         for size in (1, 2):
             assert separators_of_size(g, size) == reference_separators(g, size), size
+        assert g.separator == reference_first_separator(g), g
         assert is_3_connected(g) == reference_is_3_connected(g)
 
     @settings(max_examples=300, deadline=None)
@@ -208,6 +213,7 @@ class TestSeparatorsAgainstReference:
     def test_random_graphs(self, g):
         for size in (1, 2):
             assert separators_of_size(g, size) == reference_separators(g, size), size
+        assert g.separator == reference_first_separator(g), g
         assert is_3_connected(g) == reference_is_3_connected(g)
 
     def test_shapes_with_early_cuts(self):
@@ -221,6 +227,7 @@ class TestSeparatorsAgainstReference:
         for g in graphs:
             for size in (1, 2):
                 assert separators_of_size(g, size) == reference_separators(g, size), (g, size)
+            assert g.separator == reference_first_separator(g), g
             assert is_3_connected(g) == reference_is_3_connected(g)
 
     def test_size_out_of_range(self):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from tseitinkit import families as fam
+from tseitinkit import families as fam, resolution
 from tseitinkit.cnf import Cnf
 from tseitinkit.resolution import (
     CheckResult,
@@ -22,7 +22,7 @@ from tseitinkit.resolution import (
 )
 from tseitinkit.tseitin import TseitinFormula, to_cnf, unit_charge
 
-from lemmas import clause, records, resolve, set_pivot, trace_of
+from lemmas import clause, full_scan_branch_variable, records, resolve, set_pivot, trace_of
 
 
 UNIT_CNF = Cnf(1, (frozenset({1}), frozenset({-1})))
@@ -471,6 +471,39 @@ class TestAgainstReference:
         trace = dpll_refute(cnf)
         assert trace_to_text(trace) == trace_to_text(reference_dpll_refute(cnf))
         assert check_refutation(cnf, trace).ok and check_regularity(trace)
+
+
+class TestBranchChoice:
+    """Every search state's branch variable, against a scan of all its open
+    groups, and its width masks, against its summary."""
+
+    @pytest.fixture
+    def states(self, monkeypatch):
+        seen = []
+        chosen = resolution._branch_variable
+
+        def checked(summary, widths):
+            exact = [0] * len(widths)
+            for g, (width, _, _) in summary.items():
+                exact[width] |= 1 << g
+            assert widths == exact
+            x = chosen(summary, widths)
+            assert x == full_scan_branch_variable(list(summary.values()))
+            seen.append(sum(map(bool, widths)))
+            return x
+
+        monkeypatch.setattr(resolution, "_branch_variable", checked)
+        return seen
+
+    @pytest.mark.parametrize("g", [fam.random_regular(16, 3, 1), fam.grid(4, 5), fam.complete(6)], ids=["rr16", "grid4x5", "K6"])
+    def test_tseitin_cnfs(self, states, g):
+        dpll_refute(to_cnf(TseitinFormula(g, unit_charge(g.n, 0))))
+        assert states
+
+    def test_random_unsatisfiable_cnfs(self, states):
+        for _, cnf in random_unsatisfiable_cnfs(200) + grouped_unsatisfiable_cnfs(60):
+            dpll_refute(cnf)
+        assert max(states) > 1  # some states hold open groups of several widths
 
 
 from mutations import corrupt, trace_mutations  # noqa: E402  (shared with the acceptance suite)
