@@ -114,6 +114,10 @@ def certified_lower_bound(g: Graph) -> LowerBoundCertificate:
         )
     minor = three_connected_minor(g)
     h = minor.graph
+    if minor.trace and g.n <= TREEWIDTH_EXACT_CAP:  # tw is exact, and h no larger than g
+        tw_h = treewidth_bounds(h)[0]
+        if tw_h != tw:
+            raise AssertionError(f"minor treewidth {tw_h} != original {tw}")
     delta = h.max_degree
     bw_lower = _ceil_div(2 * tw, 3)
     k = _ceil_div(_ceil_div(bw_lower, delta + 1), 3)

@@ -44,6 +44,7 @@ def cnf_from_dimacs(text: str) -> Cnf:
     """A clause `Cnf` rejects is looked up again to name its line."""
     num_vars = None
     announced = None
+    header = None  # the header's line index
     clauses = []
     where = []  # the line index of each clause
     lines, rows = lines_of(text)
@@ -51,9 +52,12 @@ def cnf_from_dimacs(text: str) -> Cnf:
         if not fields or fields[0][0] in "c#":
             continue
         if fields[0] == "p":
+            if header is not None:
+                raise error(lines, i, f"second header, first on line {header + 1}")
             if len(fields) != 4 or fields[1] != "cnf":
                 raise error(lines, i, f"bad header: {lines[i].strip()}")
             num_vars, announced = ints(lines, i, fields[2:], 2)
+            header = i
         else:
             try:
                 lits = list(map(int, fields))

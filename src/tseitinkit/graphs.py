@@ -392,6 +392,7 @@ def edge_from_line(lines: list[str], i: int, u: int, v: int, n: int, seen: dict)
 def graph_from_text(text: str) -> Graph:
     n = None
     m = None
+    header = None  # the header's line index
     edges = []
     seen: dict = {}
     lines, rows = lines_of(text)
@@ -399,9 +400,12 @@ def graph_from_text(text: str) -> Graph:
         if not fields or fields[0][0] == "#":
             continue
         if fields[0] == "p":
+            if header is not None:
+                raise error(lines, i, f"second header, first on line {header + 1}")
             if len(fields) != 4 or fields[1] != "graph":
                 raise error(lines, i, f"bad header: {lines[i].strip()}")
             n, m = ints(lines, i, fields[2:], 2)
+            header = i
         elif fields[0] == "e":
             if n is None:
                 raise error(lines, i, "edge line before header")

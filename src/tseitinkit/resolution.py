@@ -193,27 +193,29 @@ def check_regularity(trace: ResolutionTrace) -> bool:
     return True
 
 
-def _branch_variable(summary: dict[int, tuple[int, int, int]], widths: list[int]) -> int:
+def _branch_variable(widths: list[int], group_vars: list[int], group_clauses: list[int], alive: int, assigned_mask: int) -> int:
     """Most frequent variable among the shortest clauses, ties by id.
 
-    `summary` maps each open group to (width, unassigned, count): the bit
-    count of its clauses' unassigned-variable mask, the mask, and the
-    number of those clauses; a variable counts once per clause.  Bit g of
-    `widths[w]` is set iff group g is open with width w, so only the
-    groups of the lowest nonzero mask are read.  One such group holds the
-    same count for each of its variables, so its lowest one is the answer.
+    Bit g of `widths[w]` is set iff group g is open with width w, so only
+    the groups of the lowest nonzero mask are read: each gives its
+    unassigned variables, `group_vars[g] & ~assigned_mask`, a count of
+    its alive clauses, `alive & group_clauses[g]`; a variable counts once
+    per clause.  One such group gives each of its variables the same
+    count, so its lowest one is the answer.
     """
     for groups in widths:
         if groups:
             break
     if not groups & groups - 1:
-        mask = summary[groups.bit_length() - 1][1]
+        mask = group_vars[groups.bit_length() - 1] & ~assigned_mask
         return (mask & -mask).bit_length() - 1
     counts: dict[int, int] = {}
     while groups:
         low = groups & -groups
         groups ^= low
-        _, mask, count = summary[low.bit_length() - 1]
+        g = low.bit_length() - 1
+        mask = group_vars[g] & ~assigned_mask
+        count = (alive & group_clauses[g]).bit_count()
         while mask:
             low = mask & -mask
             mask ^= low
@@ -229,24 +231,21 @@ class _TraceBuilder:
     def __init__(self):
         self.steps: list[Step] = []
         self.by_clause: dict[tuple[int, int], list[int]] = {}
-        self.pivots_below: dict[int, int] = {}
+        self.pivots_below: list[int] = [0]  # by step id: the pivot bits of the derivation below it
 
-    def lookup(self, clause: tuple[int, int], assigned_mask: int) -> int | None:
-        """Reusable step with this clause whose pivot set avoids the
-        variables assigned on the current path (keeps the DAG regular)."""
-        for sid in self.by_clause.get(clause, ()):
+    def step(self, clause: tuple[int, int], assigned_mask: int, antecedents=None, pivot: int = 0) -> int:
+        """The first step with this clause whose pivots avoid the variables
+        assigned on the current path, so reuse keeps the DAG regular; else
+        a new step, an axiom unless it has antecedents and their pivot."""
+        sids = self.by_clause.setdefault(clause, [])
+        for sid in sids:
             if not self.pivots_below[sid] & assigned_mask:
                 return sid
-        return None
-
-    def add(self, clause: tuple[int, int], antecedents=None, pivot=None) -> int:
         sid = len(self.steps) + 1
         self.steps.append(tuple.__new__(Step, (sid, *clause, antecedents)))  # without the Python-level Step.__new__
-        below = 0
-        if antecedents is not None:
-            below = (1 << pivot) | self.pivots_below[antecedents[0]] | self.pivots_below[antecedents[1]]
-        self.pivots_below[sid] = below
-        self.by_clause.setdefault(clause, []).append(sid)
+        below = self.pivots_below
+        below.append(0 if antecedents is None else 1 << pivot | below[antecedents[0]] | below[antecedents[1]])
+        sids.append(sid)
         return sid
 
     def trace(self, root: int, variables: tuple[int, ...]) -> ResolutionTrace:
@@ -278,52 +277,38 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     is open on exactly its unassigned variables; the first alive clause
     with none is the falsified one.
 
-    Clauses are grouped by variable set, once per CNF: `by_vars` maps each
-    distinct set's mask to the mask of its clauses (a Tseitin CNF has
-    2^(d-1) per vertex), and `holding[x]` lists the groups whose set holds
-    x.  Clauses on one set share their unassigned variables, so a group's
-    alive clauses are either all open on one mask or all falsified.  Each
-    state carries a summary of its open groups: group -> (width,
-    unassigned mask, number of alive clauses).  The root builds it in one
-    scan.  A child on x copies its parent's summary and recomputes only
-    the groups in `holding[x]`: `alive` loses only clauses that hold x or
-    -x, and only sets that hold x lose an unassigned variable, so no other
-    entry can change.  The parent had no falsified clause, so the child's
-    falsified clauses are those of the touched groups with no unassigned
-    variable left, and the lowest set bit of their union is the first
-    falsified clause in clause order.
-
-    Next to the summary each state carries `widths`: bit g of widths[w]
-    is set iff group g is in the summary with width w.  The root sets
-    them in the same scan.  A child changes the summary only at the
-    touched groups, and the masks at the same groups: each loses its bit
-    at its old width and, unless it closed, gets it back at one less (x
-    was unassigned in every open group holding it).  A falsified child
-    is a leaf and needs neither, so both are copied together, only for
-    a child that is searched.  `_branch_variable` reads the groups of
-    the lowest nonzero mask, each a mask weighted by its number of
-    clauses: those are exactly the open groups of the minimum width,
-    and groups of a larger width add to no count.  So every variable's
-    count and the tie by id come out as they would clause by clause
-    over all open groups; a lone narrowest group gives each of its
-    variables the same count, and the tie takes its lowest.  The branch
-    variable, and with it the trace, is the same.
+    Clauses are grouped by variable set, once per CNF: group g holds the
+    clauses `group_clauses[g]` on the variables `group_vars[g]` (a Tseitin
+    CNF has 2^(d-1) per vertex), and `holding[x]` lists the groups whose
+    set holds x.  A group's alive clauses, `alive & group_clauses[g]`,
+    share its unassigned variables, `group_vars[g] & ~assigned_mask`, so
+    they are all open or all falsified, and its width and clause count
+    are read off the state.  The one fact a state keeps is `widths`: bit
+    g of widths[w] is set iff group g has alive clauses and w > 0
+    unassigned variables.  A child on x copies it and rewrites only the
+    groups in `holding[x]`, as `alive` loses only clauses holding x or -x
+    and only sets holding x lose a variable.  Such a group with alive
+    clauses had x unassigned: it moves from width w to w - 1 if it keeps
+    an alive clause, which at w = 1 is falsified.  The parent had none, so
+    the lowest bit of their union is the first falsified clause.
+    `_branch_variable` reads the groups of the lowest nonzero mask, exactly
+    the open groups of the minimum width, so each variable's count and the
+    tie by id come out as they would clause by clause.
 
     A child with a falsified clause is a leaf and is resolved where it is
-    met, with no generator and no cache entry: `builder.lookup` returns
-    the first step in `by_clause[clause]` whose pivots avoid the child's
-    assignment, else a new axiom step is added.  Every other state is
-    searched once, and a later visit takes the step the first returned
-    from `done`.  That step stays regular there: its pivots were branched
-    on below the state, on variables the state marks unassigned.  A second
-    search would add no step and end at the same step, since every lookup
-    on its way finds what the first one stored; the cache changes the
-    running time, not the trace.  Leaving leaves out of `done` keeps the
-    trace too: `by_clause[clause]` only grows at its end, the steps before
-    the one the first visit returned still fail the same assignment, and
-    that step still qualifies, so a revisit returns the same step.  A
-    state never recurs below itself, as `assigned_mask` grows along every
-    path.
+    met, with no generator and no cache entry: `builder.step` returns the
+    first step in `by_clause[clause]` whose pivots avoid the child's
+    assignment, else adds a new axiom step.  Every other state is searched
+    once, and a later visit takes the step the first returned from `done`.
+    That step stays regular there: its pivots were branched on below the
+    state, on variables the state marks unassigned.  A second search would
+    add no step and end at the same step, since every `builder.step` on
+    its way finds what the first one stored; the cache changes the running
+    time, not the trace.  Leaving leaves out of `done` keeps the trace
+    too: `by_clause[clause]` only grows at its end, the steps before the
+    one the first visit returned still fail the same assignment, and that
+    step still qualifies, so a revisit returns the same step.  A state
+    never recurs below itself, as `assigned_mask` grows along every path.
 
     Steps hold their clauses over the table 1..n, so variable x is clause
     bit x - 1.  Every clause met is falsified by the path's assignment,
@@ -344,77 +329,60 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
         vm = sum(1 << abs(lit) for lit in cl)
         by_vars[vm] = by_vars.get(vm, 0) | 1 << idx
         axioms.append((sum(1 << lit - 1 for lit in cl if lit > 0), sum(1 << -lit - 1 for lit in cl if lit < 0)))
-    holding: list[list[tuple[int, int]]] = [[] for _ in range(cnf.num_vars + 1)]
-    summary: dict[int, tuple[int, int, int]] = {}  # the root state's
+    group_vars, group_clauses = list(by_vars), list(by_vars.values())
+    holding: list[list[int]] = [[] for _ in range(cnf.num_vars + 1)]
     widths = [0] * (1 + max(map(len, cnf.clauses), default=0))  # the root state's
-    falsified = 0
-    for g, (vm, clauses) in enumerate(by_vars.items()):
-        if vm:
-            summary[g] = (vm.bit_count(), vm, clauses.bit_count())
-            widths[vm.bit_count()] |= 1 << g
-        else:
-            falsified |= clauses  # the empty clause
+    falsified = by_vars.get(0, 0)  # the empty clause: then the root is a leaf, and `widths` is never read
+    for g, vm in enumerate(group_vars):
+        widths[vm.bit_count()] |= 1 << g
         while vm:
             low = vm & -vm
             vm ^= low
-            holding[low.bit_length() - 1].append((g, clauses))
+            holding[low.bit_length() - 1].append(g)
     done: dict[tuple[int, int], int] = {}
 
-    def leaf(falsified: int, assigned_mask: int) -> int:
-        clause = axioms[(falsified & -falsified).bit_length() - 1]
-        sid = builder.lookup(clause, assigned_mask)
-        return sid if sid is not None else builder.add(clause)
-
-    def refute(alive: int, assigned_mask: int, summary: dict[int, tuple[int, int, int]], widths: list[int]):
+    def refute(alive: int, assigned_mask: int, widths: list[int]):
         if not alive:
             raise ValueError("CNF is satisfiable; nothing to refute")
-        x = _branch_variable(summary, widths)
+        x = _branch_variable(widths, group_vars, group_clauses, alive, assigned_mask)
         bit = 1 << x
         below_mask = assigned_mask | bit
         children = []
         for lit in (-x, x):
             child = alive & ~satisfied_by.get(lit, 0)
+            narrower = widths.copy()
             falsified = 0
-            changed = []
-            for g, clauses in holding[x]:
-                entry = summary.get(g)
-                if entry is None:
+            for g in holding[x]:
+                clauses = group_clauses[g]
+                if not alive & clauses:
                     continue  # the group has no alive clause left
+                width = (group_vars[g] & ~assigned_mask).bit_count()
+                narrower[width] ^= 1 << g
                 here = child & clauses
-                if not here:
-                    changed.append((g, entry[0], None))
-                elif entry[0] == 1:
+                if here and width == 1:
                     falsified |= here  # x was the set's last unassigned variable
-                else:
-                    changed.append((g, entry[0], (entry[0] - 1, entry[1] ^ bit, here.bit_count())))
+                elif here:
+                    narrower[width - 1] |= 1 << g
             if falsified:
-                sid = leaf(falsified, below_mask)
+                sid = builder.step(axioms[(falsified & -falsified).bit_length() - 1], below_mask)
             else:
                 key = (child, below_mask)
                 sid = done.get(key)
                 if sid is None:
-                    below = summary.copy()
-                    narrower = widths.copy()
-                    for g, width, entry in changed:
-                        narrower[width] ^= 1 << g
-                        if entry is None:
-                            del below[g]
-                        else:
-                            below[g] = entry
-                            narrower[width - 1] |= 1 << g
-                    sid = done[key] = yield refute(child, below_mask, below, narrower)
+                    sid = done[key] = yield refute(child, below_mask, narrower)
             children.append(sid)
         s0, s1 = children
         _, pos0, neg0, _ = builder.steps[s0 - 1]
         _, pos1, neg1, _ = builder.steps[s1 - 1]
         var = bit >> 1
         if pos0 & var and neg1 & var:
-            clause = ((pos0 | pos1) & ~var, (neg0 | neg1) & ~var)
-            sid = builder.lookup(clause, assigned_mask)
-            return sid if sid is not None else builder.add(clause, (s0, s1), x)
+            return builder.step(((pos0 | pos1) & ~var, (neg0 | neg1) & ~var), assigned_mask, (s0, s1), x)
         return s1 if pos0 & var else s0
 
-    root = leaf(falsified, 0) if falsified else run(refute((1 << len(cnf.clauses)) - 1, 0, summary, widths))
+    if falsified:
+        root = builder.step(axioms[(falsified & -falsified).bit_length() - 1], 0)
+    else:
+        root = run(refute((1 << len(cnf.clauses)) - 1, 0, widths))
     del refute  # a closure that calls itself is a reference cycle: free the state cache now, not at the next collection
     return builder.trace(root, tuple(range(1, cnf.num_vars + 1)))
 

@@ -140,17 +140,24 @@ def tseitin_to_text(t: TseitinFormula) -> str:
 def tseitin_from_text(text: str) -> TseitinFormula:
     n = m = None
     charge = None
+    header = charged = None  # the line indices of the header and the charge line
     edges = []  # (line index, u, v)
     lines, rows = lines_of(text)
     for i, fields in rows:
         if not fields or fields[0][0] == "#":
             continue
         if fields[0] == "p":
+            if header is not None:
+                raise error(lines, i, f"second header, first on line {header + 1}")
             if len(fields) != 4 or fields[1] != "tseitin":
                 raise error(lines, i, f"bad header: {lines[i].strip()}")
             n, m = ints(lines, i, fields[2:], 2)
+            header = i
         elif fields[0] == "g":
+            if charged is not None:
+                raise error(lines, i, f"second charge line, first on line {charged + 1}")
             charge = tuple(ints(lines, i, fields[1:]))
+            charged = i
         elif fields[0] == "e":
             try:
                 u, v = map(int, fields[1:])

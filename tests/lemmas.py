@@ -943,10 +943,10 @@ def trace_of(rows) -> ResolutionTrace:
 
 
 def full_scan_branch_variable(open_groups) -> int:
-    """DPLL's branch variable read off every open group of a state's
-    summary, (width, unassigned mask, clause count) each: the most
-    frequent variable among the shortest clauses, ties by id.  The
-    library reads only the groups of the lowest nonzero width mask."""
+    """DPLL's branch variable read off every open group of a state,
+    (width, unassigned mask, alive clause count) each: the most frequent
+    variable among the shortest clauses, ties by id.  The library reads
+    only the groups of the lowest nonzero width mask."""
     width = min(open_groups)[0]
     counts: dict[int, int] = {}
     for w, mask, count in open_groups:
@@ -1052,10 +1052,14 @@ def reference_edge_from_line(ln: Line, u: int, v: int, n: int, seen: dict) -> tu
 def reference_graph_from_text(text: str) -> Graph:
     n = None
     m = None
+    header = None
     edges = []
     seen: dict = {}
     for ln in records(text):
         if ln.fields[0] == "p":
+            if header is not None:
+                raise ln.error(f"second header, first on line {header.number}")
+            header = ln
             if len(ln.fields) != 4 or ln.fields[1] != "graph":
                 raise ln.error(f"bad header: {ln.text}")
             n, m = ln.ints(2, start=2)
@@ -1075,13 +1079,20 @@ def reference_graph_from_text(text: str) -> Graph:
 def reference_tseitin_from_text(text: str) -> TseitinFormula:
     n = m = None
     charge = None
+    header = charged = None
     edges = []
     for ln in records(text):
         if ln.fields[0] == "p":
+            if header is not None:
+                raise ln.error(f"second header, first on line {header.number}")
+            header = ln
             if len(ln.fields) != 4 or ln.fields[1] != "tseitin":
                 raise ln.error(f"bad header: {ln.text}")
             n, m = ln.ints(2, start=2)
         elif ln.fields[0] == "g":
+            if charged is not None:
+                raise ln.error(f"second charge line, first on line {charged.number}")
+            charged = ln
             charge = tuple(ln.ints())
         elif ln.fields[0] == "e":
             edges.append((ln, *ln.ints(2)))
@@ -1099,10 +1110,14 @@ def reference_cnf_from_dimacs(text: str) -> Cnf:
     """A clause `Cnf` rejects is looked up again to name its line."""
     num_vars = None
     announced = None
+    header = None
     clauses = []
     lines = []
     for ln in records(text, comments=("c", "#")):
         if ln.fields[0] == "p":
+            if header is not None:
+                raise ln.error(f"second header, first on line {header.number}")
+            header = ln
             if len(ln.fields) != 4 or ln.fields[1] != "cnf":
                 raise ln.error(f"bad header: {ln.text}")
             num_vars, announced = ln.ints(2, start=2)

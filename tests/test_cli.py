@@ -430,9 +430,18 @@ class TestMalformedInput:
          "line 5: repeated id 0, first on line 2"),
         (["convert", "{bp}", "--format", "bp"], "source 0\nsource 7\nnode 0 0 1 2\nsink 1 0\nsink 2 1\n",
          "line 2: second source line, first on line 1"),
+        (["convert", "{graph}", "--format", "graph"], "p graph 2 1\ne 1 2\np graph 5 1\n",
+         "line 3: second header, first on line 1"),
+        (["convert", "{tseitin}", "--format", "tseitin"], "p tseitin 2 1\ng 1 1\n# c\np tseitin 2 1\ne 1 2\n",
+         "line 4: second header, first on line 1"),
+        (["convert", "{tseitin}", "--format", "tseitin"], "p tseitin 2 1\ng 1 1\ne 1 2\ng 0 0\n",
+         "line 4: second charge line, first on line 2"),
+        (["check", "refutation", "{cnf}", "@trace"], "c x\np cnf 1 2\n1 0\np cnf 1 2\n-1 0\n",
+         "line 4: second header, first on line 2"),
         (["check", "certificate", "@k4", "{cert}"], GENUINE["cert"] + _CERT_LINES[_K_LINE - 1] + "\n",
          f"line {len(_CERT_LINES) + 1}: repeated field k, first on line {_K_LINE}"),
-    ], ids=["node_twice", "sink_twice", "node_then_sink", "source_twice", "certificate_field_twice"])
+    ], ids=["node_twice", "sink_twice", "node_then_sink", "source_twice", "graph_header_twice", "tseitin_header_twice",
+            "tseitin_charge_twice", "cnf_header_twice", "certificate_field_twice"])
     def test_repeated_record_names_both_lines(self, tmp_path, capsys, argv, text, message):
         assert main(_fuzz_argv(tmp_path, argv, text)) == 1
         assert capsys.readouterr().err == f"error: {tmp_path / 'fuzzed'}: {message}\n"

@@ -143,8 +143,9 @@ class TestSmallTreewidthAboveExactCap:
 
 
 class TestTreewidthComputedOnce:
-    """The post-check compares exact treewidths only when the reduction
-    did something; a 3-connected input is its own minor."""
+    """The certificate's post-check compares exact treewidths only when
+    the reduction did something, and reuses the input's; a 3-connected
+    input is its own minor."""
 
     @pytest.fixture
     def exact_calls(self, monkeypatch):
@@ -169,9 +170,22 @@ class TestTreewidthComputedOnce:
         assert exact_calls == [g.n]
 
     def test_post_check_runs_after_a_reduction(self, exact_calls):
-        result = three_connected_minor(fam.two_k4_shared_edge())
-        # the separator's sides first, then the input and its minor
-        assert result.trace and exact_calls[-2:] == [6, 4]
+        from tseitinkit.bounds import certified_lower_bound
+
+        g = fam.two_k4_shared_edge()
+        assert certified_lower_bound(g).minor_n == 4 < g.n
+        # the input's bounds, the separator's two sides, then the post-check on the minor
+        assert exact_calls == [g.n, 4, 4, 4]
+
+    def test_post_check_refuses_a_minor_of_other_treewidth(self, monkeypatch):
+        from tseitinkit import width
+        from tseitinkit.bounds import certified_lower_bound
+
+        g = fam.two_k4_shared_edge()
+        # the minor's bounds are the only width call on 4 vertices; the separator's sides go through minors
+        monkeypatch.setattr(width, "treewidth_exact", lambda h: treewidth_exact(h) + (h.n < g.n))
+        with pytest.raises(AssertionError, match="minor treewidth 4 != original 3"):
+            certified_lower_bound(g)
 
 
 # --- reference: the reduction as first written --------------------------------

@@ -452,7 +452,7 @@ class TestAgainstReference:
                 with pytest.raises(ValueError, match="satisfiable"):
                     refute(cnf)
 
-    # Shapes the incremental summaries and the inline leaves must get right.
+    # Shapes the width masks and the inline leaves must get right.
     @pytest.mark.parametrize("clauses", [
         # at 1 = 0, 2 = 1 the branch 3 = 1 falsifies clause 2 (on {2, 3}) and
         # clause 4 (on {1, 3}): the set {1, 3} occurs first, the lowest
@@ -463,7 +463,7 @@ class TestAgainstReference:
         # a unit clause at the root, where the search branches first
         [(1, 2), (-1,), (1, -2), (2, 3)],
         # variable 1 lies in five variable sets, so a branch on it
-        # recomputes five summary entries
+        # rewrites five groups
         [(1, 2), (-1, 2), (1, 3), (-1, 3), (1, 4), (-1, 4), (1, 5), (-1, 5), (-2, -3, -4, -5), (1, -2, 6)],
     ], ids=["two-sets-at-once", "empty-clause", "unit-at-root", "variable-in-many-sets"])
     def test_summary_shapes(self, clauses):
@@ -474,36 +474,75 @@ class TestAgainstReference:
 
 
 class TestBranchChoice:
-    """Every search state's branch variable, against a scan of all its open
-    groups, and its width masks, against its summary."""
+    """Every search state's width masks and branch variable, against a scan
+    of every group of the CNF for the open ones: those with alive clauses
+    and unassigned variables."""
 
     @pytest.fixture
     def states(self, monkeypatch):
         seen = []
         chosen = resolution._branch_variable
 
-        def checked(summary, widths):
+        def checked(widths, group_vars, group_clauses, alive, assigned_mask):
             exact = [0] * len(widths)
-            for g, (width, _, _) in summary.items():
-                exact[width] |= 1 << g
+            open_groups = []
+            for g, (variables, clauses) in enumerate(zip(group_vars, group_clauses)):
+                free, here = variables & ~assigned_mask, alive & clauses
+                if free and here:
+                    exact[free.bit_count()] |= 1 << g
+                    open_groups.append((free.bit_count(), free, here.bit_count()))
             assert widths == exact
-            x = chosen(summary, widths)
-            assert x == full_scan_branch_variable(list(summary.values()))
-            seen.append(sum(map(bool, widths)))
+            x = chosen(widths, group_vars, group_clauses, alive, assigned_mask)
+            assert x == full_scan_branch_variable(open_groups)
+            seen.append((sum(map(bool, widths)), group_vars, group_clauses))
             return x
 
         monkeypatch.setattr(resolution, "_branch_variable", checked)
         return seen
 
+    @staticmethod
+    def assert_grouped_by_variable_set(cnf: Cnf, group_vars: list[int], group_clauses: list[int]):
+        assert len(set(group_vars)) == len(group_vars)
+        for i, cl in enumerate(cnf.clauses):
+            owners = [g for g, clauses in enumerate(group_clauses) if clauses >> i & 1]
+            assert owners == [group_vars.index(sum(1 << abs(lit) for lit in cl))]
+
     @pytest.mark.parametrize("g", [fam.random_regular(16, 3, 1), fam.grid(4, 5), fam.complete(6)], ids=["rr16", "grid4x5", "K6"])
     def test_tseitin_cnfs(self, states, g):
-        dpll_refute(to_cnf(TseitinFormula(g, unit_charge(g.n, 0))))
+        cnf = to_cnf(TseitinFormula(g, unit_charge(g.n, 0)))
+        dpll_refute(cnf)
         assert states
+        self.assert_grouped_by_variable_set(cnf, *states[-1][1:])
 
     def test_random_unsatisfiable_cnfs(self, states):
         for _, cnf in random_unsatisfiable_cnfs(200) + grouped_unsatisfiable_cnfs(60):
+            before = len(states)
             dpll_refute(cnf)
-        assert max(states) > 1  # some states hold open groups of several widths
+            if len(states) > before:  # the root was searched
+                self.assert_grouped_by_variable_set(cnf, *states[-1][1:])
+        assert max(kinds for kinds, _, _ in states) > 1  # some states hold open groups of several widths
+
+
+class TestTraceBuilderStep:
+    """`_TraceBuilder.step` reuses the first step with the clause whose
+    pivots avoid the assignment, else appends a new one."""
+
+    def test_reuse_or_add(self):
+        b = resolution._TraceBuilder()
+        # variable x is clause bit x - 1 and assignment bit x
+        x1_or_x2, not_x1_or_x2 = b.step((0b11, 0), 0), b.step((0b10, 0b01), 0)
+        assert b.step((0b11, 0), 1 << 1 | 1 << 2) == x1_or_x2  # an axiom has no pivots
+        x2 = b.step((0b10, 0), 0, (x1_or_x2, not_x1_or_x2), 1)
+        not_x2 = b.step((0, 0b10), 0)
+        empty = b.step((0, 0), 0, (x2, not_x2), 2)
+        assert (x2, not_x2, empty) == (3, 4, 5) and b.pivots_below[empty] == 1 << 1 | 1 << 2
+        # a path that assigned variable 1, resolved on below step 5, skips
+        # it and gets a new step
+        again = b.step((0, 0), 1 << 1)
+        assert again == 6 and b.steps[-1] == Step(6, 0, 0, None) and b.pivots_below[again] == 0
+        assert b.step((0, 0), 1 << 1) == again  # step 5 skipped, step 6 the first that qualifies
+        assert b.step((0, 0), 1 << 3) == empty  # both qualify: the first
+        assert b.by_clause[(0, 0)] == [empty, again] and len(b.steps) == 6
 
 
 from mutations import corrupt, trace_mutations  # noqa: E402  (shared with the acceptance suite)
