@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, is_3_connected, is_connected, safe_split_subset
 from .minors import three_connected_minor
-from .textformat import error, ints, lines_of
+from .textformat import ints, lines_of, once
 from .width import TREEWIDTH_EXACT_CAP, BranchDecomposition, Cut, caterpillar, edge_order, max_order_cut, treewidth_bounds
 
 
@@ -212,33 +212,32 @@ def certificate_to_text(cert: LowerBoundCertificate) -> str:
 
 
 def certificate_from_text(text: str) -> LowerBoundCertificate:
-    found: dict[str, tuple[int, str]] = {}  # field name -> (line index, value text)
+    first: dict[str, int] = {}  # field name -> its line index
+    found: dict[str, str] = {}  # field name -> value text
     lines, rows = lines_of(text)
     for i, fields in rows:
         if not fields or fields[0][0] == "#":
             continue
         name, _, value = lines[i].partition(":")
         name = name.strip()
-        if name in found:
-            raise error(lines, i, f"repeated field {name}, first on line {found[name][0] + 1}")
-        found[name] = (i, value)
+        once(lines, i, first, name, f"repeated field {name}")
+        found[name] = value
     missing = [f for f in _CERT_FIELDS if f not in found]
     if missing:
         raise ValueError(f"certificate missing fields: {missing}")
 
     def numbers(name, count=None):
-        i, value = found[name]
-        return ints(lines, i, value.split(), count, value)
+        return ints(lines, first[name], found[name].split(), count, found[name])
 
     def one(name):
         return numbers(name, 1)[0]
 
-    i, value = found["minor_edges"]
-    edges = [tuple(ints(lines, i, pair.split("-"), 2, pair)) for pair in value.split()]
+    i = first["minor_edges"]
+    edges = [tuple(ints(lines, i, pair.split("-"), 2, pair)) for pair in found["minor_edges"].split()]
     return LowerBoundCertificate(
-        graph_hash=found["graph_hash"][1].strip(),
+        graph_hash=found["graph_hash"].strip(),
         n=one("n"), m=one("m"),
-        treewidth=one("treewidth"), tw_provenance=found["tw_provenance"][1].strip(),
+        treewidth=one("treewidth"), tw_provenance=found["tw_provenance"].strip(),
         bw_lower=one("bw_lower"),
         minor_n=one("minor_n"), minor_m=one("minor_m"),
         minor_max_degree=one("minor_max_degree"),

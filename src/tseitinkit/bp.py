@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .graphs import Graph, is_connected
 from .recursion import run
-from .textformat import error, ints, lines_of
+from .textformat import error, ints, lines_of, once
 from .tseitin import Charge, TseitinFormula, is_satisfiable
 from .width import edge_order
 
@@ -129,25 +129,39 @@ def _sides(g: Graph, vertices: int, rest: int, a: int, b: int) -> list[tuple[int
                     stacks[i].append(w)
 
 
-def expected_children(g: Graph, ann: Annotation, var: int) -> tuple[Annotation, Annotation]:
+def expected_children(g: Graph, ann: Annotation, var: int, splits: dict) -> tuple[Annotation, Annotation]:
     """The forced child annotations after deciding edge `var`.
 
     For each literal the conditioned formula keeps at most two components;
     exactly one carries odd charge, and the child gets that component.
     The 1-literal flips the charge at both ends of `var`.
+
+    The components of G_u - e depend on (V_u, E_u, e) alone, not on c_u,
+    so `splits`, the caller's memo keyed by that triple, holds `_sides`'s
+    result (both sides, the same component twice when e is no bridge)
+    and the ends of e for every node with the same subgraph and
+    decision: the nodes of one rank of the builder differ only in their
+    charge.  What reads the charge runs for every node: e in E_u and the
+    odd total before the lookup, the odd side after it.
     """
     vertices, edge_ids, charge = ann
     if var < 0 or not (edge_ids >> var) & 1:
         raise ValueError(f"decision edge {var} not in the annotated subgraph")
     if not charge.bit_count() & 1:
         raise ValueError("no odd component after conditioning; parent annotation not unsatisfiable")
-    a, b = g.edges[var]
-    sides = _sides(g, vertices, edge_ids & ~(1 << var), a, b)
-    out = []
-    for gamma in (charge, charge ^ (1 << a) ^ (1 << b)):
-        verts, edges = sides[0] if (gamma & sides[0][0]).bit_count() & 1 else sides[-1]
-        out.append((verts, edges, gamma & verts))
-    return out[0], out[1]
+    key = (vertices, edge_ids, var)
+    split = splits.get(key)
+    if split is None:
+        a, b = g.edges[var]
+        sides = _sides(g, vertices, edge_ids & ~(1 << var), a, b)
+        split = splits[key] = (*sides[0], *sides[-1], 1 << a | 1 << b)
+    verts, edges, other_verts, other_edges, ends = split
+    flipped = charge ^ ends
+    kept, kept_flipped = charge & verts, flipped & verts
+    return (
+        (verts, edges, kept) if kept.bit_count() & 1 else (other_verts, other_edges, charge & other_verts),
+        (verts, edges, kept_flipped) if kept_flipped.bit_count() & 1 else (other_verts, other_edges, flipped & other_verts),
+    )
 
 
 @dataclass
@@ -163,7 +177,7 @@ class ValidationResult:
 
 def validate_well_structured(b: BranchingProgram, g: Graph, c: Charge) -> ValidationResult:
     """Check the three structural conditions, deriving the forced
-    annotations on the way, in one pass parents first; O(size * m).
+    annotations on the way, in one pass parents first.
 
     The source is annotated with (G, c) (condition 1) and, parents first,
     each decision hands its children the annotations `expected_children`
@@ -183,6 +197,12 @@ def validate_well_structured(b: BranchingProgram, g: Graph, c: Charge) -> Valida
     so the E_u-parity at w differs from c_u(w).
     `oracles.bp_semantics_hold` checks the same property by enumeration.
 
+    Work: O(size + s * m) for s distinct (V_u, E_u, e) splits.  The
+    `_sides` memo lives for this call only and holds no annotation, only
+    components of subgraphs the validator itself derived; every node's
+    annotation, charge checks and odd side are still derived here, so
+    the verdict rests on nothing the builder computed.
+
     Condition 3 also makes the program read-once, with every decision
     variable an edge id.  `expected_children` requires the decided edge e
     to be in E_u and hands each child a subset of E_u - e, and a child
@@ -200,6 +220,7 @@ def validate_well_structured(b: BranchingProgram, g: Graph, c: Charge) -> Valida
     # Parents first, so every node is annotated by its first parent before
     # it is visited; forced annotations are connected, odd-charged components.
     annotations = {b.source: _root(g, c)}
+    splits: dict = {}
     for u in reversed(b.topological()):
         if u in b.sinks:
             v = b.sinks[u]
@@ -208,7 +229,7 @@ def validate_well_structured(b: BranchingProgram, g: Graph, c: Charge) -> Valida
             continue
         var, lo, hi = b.decisions[u]
         try:
-            forced = expected_children(g, annotations[u], var)
+            forced = expected_children(g, annotations[u], var, splits)
         except ValueError as exc:
             return ValidationResult(False, f"condition 3: {exc}", u)
         for literal, child, want in zip((0, 1), (lo, hi), forced):
@@ -240,7 +261,10 @@ def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
     the vertices of C_r' touching such an edge; its parity on dC_r' is
     odd, which leaves at most 2^max(|dC_r'| - 1, 0) annotations, hence
     decision nodes, per rank.  Sinks are unit-charged single vertices, at
-    most n of them.
+    most n of them.  The same argument shows that the decisions at one
+    rank share (V_u, E_u) = C_r' and differ only in their charge, so the
+    per-call `splits` memo of `expected_children` runs `_sides` once per
+    rank, not once per node.
     """
     t = TseitinFormula(g, c)
     if is_satisfiable(t):
@@ -253,6 +277,7 @@ def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
     decisions: dict[int, tuple[int, int, int]] = {}
     sinks: dict[int, int] = {}
     memo: dict[Annotation, int] = {}
+    splits: dict = {}  # `expected_children`'s memo of `_sides`
 
     def visit(ann: Annotation):
         """The id for `ann` (on `ranked`), taken before its children's."""
@@ -263,7 +288,7 @@ def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
             return nid
         r = (edge_ids & -edge_ids).bit_length() - 1  # the lowest-ranked edge
         children = []
-        for want in expected_children(ranked, ann, r):
+        for want in expected_children(ranked, ann, r, splits):
             children.append(memo[want] if want in memo else (yield visit(want)))
         decisions[nid] = (order[r], *children)
         return nid
@@ -310,12 +335,12 @@ def bp_from_text(text: str) -> BranchingProgram:
             sinks[key] = v
         elif fields[0] == "source":
             (source,) = ints(lines, i, fields[1:], 1)
-            key = None
+            once(lines, i, first, None, "second source line")
+            continue
         else:
             raise error(lines, i, f"unrecognized line: {lines[i].strip()}")
-        if key in first:
-            what = "second source line" if key is None else f"repeated id {key}"
-            raise error(lines, i, f"{what}, first on line {first[key] + 1}")
+        if key in first:  # `once`, inline on the hot lines
+            raise error(lines, i, f"repeated id {key}, first on line {first[key] + 1}")
         first[key] = i
     if source is None:
         raise ValueError("missing source line")

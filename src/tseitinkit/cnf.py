@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .textformat import error, ints, lines_of
+from .textformat import error, ints, lines_of, once
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def cnf_from_dimacs(text: str) -> Cnf:
     """A clause `Cnf` rejects is looked up again to name its line."""
     num_vars = None
     announced = None
-    header = None  # the header's line index
+    first: dict = {}  # "p" -> the header's line index
     clauses = []
     where = []  # the line index of each clause
     lines, rows = lines_of(text)
@@ -52,12 +52,10 @@ def cnf_from_dimacs(text: str) -> Cnf:
         if not fields or fields[0][0] in "c#":
             continue
         if fields[0] == "p":
-            if header is not None:
-                raise error(lines, i, f"second header, first on line {header + 1}")
+            once(lines, i, first, "p", "second header")
             if len(fields) != 4 or fields[1] != "cnf":
                 raise error(lines, i, f"bad header: {lines[i].strip()}")
             num_vars, announced = ints(lines, i, fields[2:], 2)
-            header = i
         else:
             try:
                 lits = list(map(int, fields))

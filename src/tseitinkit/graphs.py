@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .textformat import error, ints, lines_of
+from .textformat import error, ints, lines_of, once
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,12 @@ class Graph:
     @cached_property
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
+
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """The vertex sets of the connected components, in order of their
+        smallest vertex, searched once per graph object."""
+        return tuple(_components(self))
 
     @cached_property
     def separator(self) -> tuple[int, ...] | None:
@@ -167,22 +173,29 @@ def tree_path(tree: dict[int, tuple[int, int] | None], v: int) -> list[int]:
     return path[::-1]
 
 
-def connected_components(g: Graph, removed=()) -> list[set[int]]:
+def connected_components(g: Graph, removed=()) -> list[frozenset[int]]:
     """Partition of the vertices outside `removed` into maximal connected
-    sets of g minus `removed`, in order of their smallest vertex."""
+    sets of g minus `removed`, in order of their smallest vertex; with
+    nothing removed, `g.components`."""
+    return _components(g, removed) if removed else list(g.components)
+
+
+def _components(g: Graph, removed=()) -> list[frozenset[int]]:
+    """One `search` from each vertex outside `removed` that no earlier
+    search reached."""
     allowed = set(range(g.n)).difference(removed) if removed else None
     seen = set(removed)
     comps = []
     for s in range(g.n):
         if s not in seen:
-            comp = set(search(g, s, allowed))
+            comp = frozenset(search(g, s, allowed))
             seen |= comp
             comps.append(comp)
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(search(g, 0)) == g.n
+    return len(g.components) <= 1
 
 
 def _separating_vertices(g: Graph, removed: int = -1) -> list[int]:
@@ -392,7 +405,7 @@ def edge_from_line(lines: list[str], i: int, u: int, v: int, n: int, seen: dict)
 def graph_from_text(text: str) -> Graph:
     n = None
     m = None
-    header = None  # the header's line index
+    first: dict = {}  # "p" -> the header's line index
     edges = []
     seen: dict = {}
     lines, rows = lines_of(text)
@@ -400,12 +413,10 @@ def graph_from_text(text: str) -> Graph:
         if not fields or fields[0][0] == "#":
             continue
         if fields[0] == "p":
-            if header is not None:
-                raise error(lines, i, f"second header, first on line {header + 1}")
+            once(lines, i, first, "p", "second header")
             if len(fields) != 4 or fields[1] != "graph":
                 raise error(lines, i, f"bad header: {lines[i].strip()}")
             n, m = ints(lines, i, fields[2:], 2)
-            header = i
         elif fields[0] == "e":
             if n is None:
                 raise error(lines, i, "edge line before header")

@@ -12,6 +12,9 @@ what its record becomes.
 * Line numbers count every physical line that `str.splitlines()` sees,
   records or not, from 1: blank and comment lines count, and `\\r\\n`,
   `\\r` and the other line boundaries it knows each end a line.
+* A record that may occur once (a header, a charge line, a program's
+  source, a certificate field) and occurs again raises
+  `ValueError("line N: <what>, first on line M")` (`once`).
 * A malformed record raises `ValueError("line N: <what is wrong>")`.
   Where the message quotes the line it quotes its stripped text.  An error
   about the file as a whole (a missing header, a count the body does not
@@ -37,6 +40,15 @@ def lines_of(text: str) -> tuple[list[str], enumerate]:
 def error(lines: list[str], i: int, message: str) -> ValueError:
     """The error for line i of `lines` (0-based): `line i+1: message`."""
     return ValueError(f"line {i + 1}: {message}")
+
+
+def once(lines: list[str], i: int, first: dict, key, what: str) -> None:
+    """Record that line i holds `key`, a record that may occur once;
+    `first` maps each key seen to its line index.  A second occurrence
+    raises `line i+1: <what>, first on line M`."""
+    if key in first:
+        raise error(lines, i, f"{what}, first on line {first[key] + 1}")
+    first[key] = i
 
 
 def ints(lines: list[str], i: int, values: list[str], count: int | None = None, text: str | None = None) -> list[int]:

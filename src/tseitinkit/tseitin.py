@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .cnf import Cnf
 from .graphs import Graph, connected_components, edge_from_line, search, tree_path
 from .oracles import conj, parity
-from .textformat import error, ints, lines_of
+from .textformat import error, ints, lines_of, once
 
 DEGREE_CAP = 8
 
@@ -140,24 +140,20 @@ def tseitin_to_text(t: TseitinFormula) -> str:
 def tseitin_from_text(text: str) -> TseitinFormula:
     n = m = None
     charge = None
-    header = charged = None  # the line indices of the header and the charge line
+    first: dict = {}  # "p", "g" -> the line index of the header, the charge line
     edges = []  # (line index, u, v)
     lines, rows = lines_of(text)
     for i, fields in rows:
         if not fields or fields[0][0] == "#":
             continue
         if fields[0] == "p":
-            if header is not None:
-                raise error(lines, i, f"second header, first on line {header + 1}")
+            once(lines, i, first, "p", "second header")
             if len(fields) != 4 or fields[1] != "tseitin":
                 raise error(lines, i, f"bad header: {lines[i].strip()}")
             n, m = ints(lines, i, fields[2:], 2)
-            header = i
         elif fields[0] == "g":
-            if charged is not None:
-                raise error(lines, i, f"second charge line, first on line {charged + 1}")
+            once(lines, i, first, "g", "second charge line")
             charge = tuple(ints(lines, i, fields[1:]))
-            charged = i
         elif fields[0] == "e":
             try:
                 u, v = map(int, fields[1:])

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 
 from .graphs import Graph
 
@@ -121,16 +120,26 @@ def _min_fill(g: Graph) -> tuple[list[int], int]:
     """Min-fill elimination order (smallest id on ties) and its width.
 
     A vertex's fill is the number of pairs of its neighbours not yet
-    adjacent.  Eliminating v changes it only at v's neighbours, whose
-    neighbourhoods change, and at their neighbours, which may see two of
-    them become adjacent; only those are recounted.  The next vertex is
-    the least (fill, id) on a heap whose entries go stale when a fill is
-    recounted, and a stale entry is skipped when popped.
+    adjacent: with d neighbours, (d(d - 1) - sum over neighbours a of
+    |N(a) & N(u)|) / 2, since that sum counts every adjacent pair twice;
+    it is read off `adj_mask` copies by popcount.  Eliminating v changes
+    it only at v's neighbours, whose neighbourhoods change, and at their
+    neighbours, which may see two of them become adjacent; only those are
+    recounted.  The next vertex is the least (fill, id) on a heap whose
+    entries go stale when a fill is recounted, and a stale entry is
+    skipped when popped.
     """
-    adj = [set(a) for a in g.adj]
+    adj = list(g.adj_mask)
 
     def fill(u: int) -> int:
-        return sum(b not in adj[a] for a, b in combinations(adj[u], 2))
+        nu = rest = adj[u]
+        twice = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            twice += (adj[low.bit_length() - 1] & nu).bit_count()
+        d = nu.bit_count()
+        return (d * (d - 1) - twice) >> 1
 
     fills = [fill(u) for u in range(g.n)]
     heap = [(f, u) for u, f in enumerate(fills)]
@@ -144,12 +153,20 @@ def _min_fill(g: Graph) -> tuple[list[int], int]:
             continue
         done[v] = True
         order.append(v)
-        nb = adj[v]
-        width = max(width, len(nb))
-        for a in nb:
-            adj[a].discard(v)
-            adj[a] |= nb - {a}
-        for u in nb.union(*(adj[a] for a in nb)):
+        nb = rest = adj[v]
+        width = max(width, nb.bit_count())
+        gone = 1 << v
+        touched = nb
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            adj[a] = (adj[a] | nb) & ~(gone | low)
+            touched |= adj[a]
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            u = low.bit_length() - 1
             f = fill(u)
             if f != fills[u]:
                 fills[u] = f
@@ -344,16 +361,20 @@ def order_bound(g: Graph, order) -> int:
     return total
 
 
-def _bfs(neighbours, start: int) -> dict[int, int]:
-    """Distances from start, keyed in breadth-first order."""
-    dist = {start: 0}
+def _bfs(neighbours, start: int) -> tuple[list[int], list[int]]:
+    """The vertices reached from start in breadth-first order, and the
+    distance of every vertex from start (-1 when not reached); the last
+    vertex reached is a farthest one."""
+    dist = [-1] * len(neighbours)
+    dist[start] = 0
     queue = [start]
     for u in queue:
+        d = dist[u] + 1
         for w in neighbours[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
+            if dist[w] < 0:
+                dist[w] = d
                 queue.append(w)
-    return dist
+    return queue, dist
 
 
 def edge_order(g: Graph) -> tuple[int, ...]:
@@ -364,11 +385,22 @@ def edge_order(g: Graph) -> tuple[int, ...]:
     vertex order: breadth-first from each of the three most eccentric
     vertices (ties by id; neighbours taken by degree, then id, and
     unreached vertices last, by id), then the min-fill elimination order.
+    A vertex's eccentricity, over the vertices it reaches, does not
+    depend on the order neighbours are taken in; it still costs one
+    search per vertex.
     """
     neighbours = [sorted(g.adj[u], key=lambda w: (len(g.adj[w]), w)) for u in range(g.n)]
-    starts = sorted(range(g.n), key=lambda v: (-max(_bfs(neighbours, v).values()), v))[:3]
+
+    def eccentricity(v: int) -> int:
+        queue, dist = _bfs(neighbours, v)
+        return dist[queue[-1]]
+
+    starts = sorted(range(g.n), key=lambda v: (-eccentricity(v), v))[:3]
     orders = []
-    for vertices in [list(_bfs(neighbours, s)) for s in starts] + [_min_fill(g)[0]]:
-        pos = {v: i for i, v in enumerate(vertices)}  # vertices a search misses follow by id
-        orders.append(tuple(sorted(range(g.m), key=lambda e: sorted(pos.get(v, g.n + v) for v in g.edges[e]))))
+    for vertices in [_bfs(neighbours, s)[0] for s in starts] + [_min_fill(g)[0]]:
+        pos = list(range(g.n, 2 * g.n))  # vertices a search misses follow by id
+        for i, v in enumerate(vertices):
+            pos[v] = i
+        keys = [(pos[a], pos[b]) if pos[a] < pos[b] else (pos[b], pos[a]) for a, b in g.edges]
+        orders.append(tuple(sorted(range(g.m), key=keys.__getitem__)))
     return min(orders, key=lambda order: order_bound(g, order))

@@ -30,7 +30,9 @@ maximum-order one; every separator of size 1 or 2
 `bp.expected_children` on set-form annotations
 (`reference_expected_children`, with `annotation_sets` decoding the
 library's masks); the min-fill order recounting every fill at every
-step (`reference_min_fill`); DPLL's branch choice read off every open
+step (`reference_min_fill`), the edge ranking with dict-keyed searches
+(`reference_edge_order`) and the components from one `search` per
+unreached vertex (`reference_components`); DPLL's branch choice read off every open
 group of a state (`full_scan_branch_variable`); and resolution on
 literal sets: traces built
 from literal rows (`trace_of`, `clause`), the resolvent (`resolve`) and
@@ -54,6 +56,7 @@ models in total the game cannot end in fewer than 2^k rounds.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -62,7 +65,7 @@ import numpy as np
 
 from tseitinkit.bounds import _CERT_FIELDS, AdamResponse, LowerBoundCertificate, adam_response
 from tseitinkit.bp import BranchingProgram, _root, expected_children, validate_well_structured
-from tseitinkit.graphs import Graph, SplitRequest, _separating_vertices, is_3_connected, is_connected, split_all
+from tseitinkit.graphs import Graph, SplitRequest, _separating_vertices, is_3_connected, is_connected, search, split_all
 from tseitinkit.minors import MinorResult
 from tseitinkit.cnf import Cnf, _clause_problem
 from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, _rebuild, _reachable, gate_values, is_smooth, restrict_to_root, root_value, validate_decomposable
@@ -70,7 +73,7 @@ from tseitinkit.oracles import BLOCK_BITS, parity, point, truth_table
 from tseitinkit.recursion import run
 from tseitinkit.resolution import ResolutionTrace, Step, _literal_bits
 from tseitinkit.tseitin import Charge, TseitinFormula, is_satisfiable, model_count, satisfied
-from tseitinkit.width import BranchDecomposition, Cut, caterpillar, edge_order, max_order_cut, treewidth_bounds
+from tseitinkit.width import BranchDecomposition, Cut, caterpillar, edge_order, max_order_cut, order_bound, treewidth_bounds
 
 RECT_CAP = 20
 
@@ -103,6 +106,42 @@ def separators_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     if size == 2:
         return [(u, v) for u in range(g.n) for v in _separating_vertices(g, u) if v > u]
     raise ValueError("only sizes 1 and 2 are supported")
+
+
+def random_shaped_graph(seed: int) -> Graph:
+    """A seeded random graph on 1..24 vertices of one of five shapes, by
+    seed mod 5: G(n, p), a tree, a forest, a connected graph plus
+    isolated vertices, or two connected pieces; vertex ids are permuted
+    and edge ids shuffled, so no shape lines up with the ids."""
+    rng = random.Random(zlib.crc32(f"shape {seed}".encode()))
+    n = rng.randint(1, 24)
+    shape = seed % 5
+
+    def connected(vertices):
+        edges = {(rng.choice(vertices[:i]), v) for i, v in enumerate(vertices) if i}
+        for _ in range(rng.randint(0, len(vertices))):
+            if len(vertices) > 1:
+                edges.add(tuple(rng.sample(vertices, 2)))
+        return edges
+
+    if shape == 0:
+        density = rng.choice([0.05, 0.15, 0.3, 0.6])
+        edges = {(u, v) for u, v in combinations(range(n), 2) if rng.random() < density}
+    elif shape == 1:
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+    elif shape == 2:
+        edges = {(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.7}
+    elif shape == 3:
+        edges = connected(list(range(rng.randint(1, n))))
+    else:
+        cut = rng.randint(1, n - 1) if n > 1 else 1
+        edges = connected(list(range(cut))) | connected(list(range(cut, n)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = list({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges})
+    edges.sort()
+    rng.shuffle(edges)
+    return Graph(n, tuple(edges))
 
 
 # --- branch decompositions ---------------------------------------------------
@@ -203,6 +242,46 @@ def reference_min_fill(g: Graph) -> tuple[list[int], int]:
             adj[a].discard(v)
             adj[a] |= nb - {a}
     return order, width
+
+
+def reference_bfs(neighbours, start: int) -> dict[int, int]:
+    """Distances from start, keyed in breadth-first order."""
+    dist = {start: 0}
+    queue = [start]
+    for u in queue:
+        for w in neighbours[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_edge_order(g: Graph) -> tuple[int, ...]:
+    """`width.edge_order` with every search keeping a distance dict and
+    every candidate ranking edges by a sorted endpoint list, and the
+    min-fill order from `reference_min_fill`: the reference the library's
+    ranking must equal."""
+    neighbours = [sorted(g.adj[u], key=lambda w: (len(g.adj[w]), w)) for u in range(g.n)]
+    starts = sorted(range(g.n), key=lambda v: (-max(reference_bfs(neighbours, v).values()), v))[:3]
+    orders = []
+    for vertices in [list(reference_bfs(neighbours, s)) for s in starts] + [reference_min_fill(g)[0]]:
+        pos = {v: i for i, v in enumerate(vertices)}  # vertices a search misses follow by id
+        orders.append(tuple(sorted(range(g.m), key=lambda e: sorted(pos.get(v, g.n + v) for v in g.edges[e]))))
+    return min(orders, key=lambda order: order_bound(g, order))
+
+
+def reference_components(g: Graph) -> list[set[int]]:
+    """The vertex sets of g's components in order of their smallest
+    vertex, one `search` from each vertex no earlier search reached: the
+    reference for `Graph.components`."""
+    seen: set[int] = set()
+    comps = []
+    for s in range(g.n):
+        if s not in seen:
+            comp = set(search(g, s))
+            seen |= comp
+            comps.append(comp)
+    return comps
 
 
 # --- point evaluation and reference truth tables ----------------------------
@@ -503,6 +582,7 @@ def build_bp_by_rule(g: Graph, c: Charge, choose) -> BranchingProgram:
     decisions: dict[int, tuple[int, int, int]] = {}
     sinks: dict[int, int] = {}
     memo: dict[tuple, int] = {}
+    splits: dict = {}
 
     def visit(ann) -> int:
         if ann not in memo:
@@ -510,7 +590,7 @@ def build_bp_by_rule(g: Graph, c: Charge, choose) -> BranchingProgram:
             vertices, edge_ids, _ = ann
             if edge_ids:
                 var = choose(annotation_sets(ann))
-                lo, hi = (visit(child) for child in expected_children(g, ann, var))
+                lo, hi = (visit(child) for child in expected_children(g, ann, var, splits))
                 decisions[nid] = (var, lo, hi)
             else:
                 sinks[nid] = vertices.bit_length() - 1  # a lone vertex
@@ -1013,6 +1093,13 @@ class Line(NamedTuple):
     def error(self, message: str) -> ValueError:
         return ValueError(f"line {self.number}: {message}")
 
+    def once(self, first: dict, key, what: str) -> None:
+        """`textformat.once` on this line: `first` maps each key seen to
+        the line that held it."""
+        if key in first:
+            raise self.error(f"{what}, first on line {first[key].number}")
+        first[key] = self
+
     def ints(self, count: int | None = None, start: int = 1) -> list[int]:
         """The fields from `start` on as integers; exactly `count` of them
         unless count is None."""
@@ -1052,14 +1139,12 @@ def reference_edge_from_line(ln: Line, u: int, v: int, n: int, seen: dict) -> tu
 def reference_graph_from_text(text: str) -> Graph:
     n = None
     m = None
-    header = None
+    first: dict = {}
     edges = []
     seen: dict = {}
     for ln in records(text):
         if ln.fields[0] == "p":
-            if header is not None:
-                raise ln.error(f"second header, first on line {header.number}")
-            header = ln
+            ln.once(first, "p", "second header")
             if len(ln.fields) != 4 or ln.fields[1] != "graph":
                 raise ln.error(f"bad header: {ln.text}")
             n, m = ln.ints(2, start=2)
@@ -1079,20 +1164,16 @@ def reference_graph_from_text(text: str) -> Graph:
 def reference_tseitin_from_text(text: str) -> TseitinFormula:
     n = m = None
     charge = None
-    header = charged = None
+    first: dict = {}
     edges = []
     for ln in records(text):
         if ln.fields[0] == "p":
-            if header is not None:
-                raise ln.error(f"second header, first on line {header.number}")
-            header = ln
+            ln.once(first, "p", "second header")
             if len(ln.fields) != 4 or ln.fields[1] != "tseitin":
                 raise ln.error(f"bad header: {ln.text}")
             n, m = ln.ints(2, start=2)
         elif ln.fields[0] == "g":
-            if charged is not None:
-                raise ln.error(f"second charge line, first on line {charged.number}")
-            charged = ln
+            ln.once(first, "g", "second charge line")
             charge = tuple(ln.ints())
         elif ln.fields[0] == "e":
             edges.append((ln, *ln.ints(2)))
@@ -1110,14 +1191,12 @@ def reference_cnf_from_dimacs(text: str) -> Cnf:
     """A clause `Cnf` rejects is looked up again to name its line."""
     num_vars = None
     announced = None
-    header = None
+    first: dict = {}
     clauses = []
     lines = []
     for ln in records(text, comments=("c", "#")):
         if ln.fields[0] == "p":
-            if header is not None:
-                raise ln.error(f"second header, first on line {header.number}")
-            header = ln
+            ln.once(first, "p", "second header")
             if len(ln.fields) != 4 or ln.fields[1] != "cnf":
                 raise ln.error(f"bad header: {ln.text}")
             num_vars, announced = ln.ints(2, start=2)
@@ -1145,11 +1224,12 @@ def reference_bp_from_text(text: str) -> BranchingProgram:
     source = None
     decisions = {}
     sinks = {}
-    first: dict[int | None, int] = {}  # node or sink id, None for the source -> its line
+    first: dict[int | None, Line] = {}  # node or sink id, None for the source -> its line
     for ln in records(text):
         if ln.fields[0] == "source":
             (source,) = ln.ints(1)
-            key = None
+            ln.once(first, None, "second source line")
+            continue
         elif ln.fields[0] == "node":
             key, var, lo, hi = ln.ints(4)
             decisions[key] = (var, lo, hi)
@@ -1159,9 +1239,8 @@ def reference_bp_from_text(text: str) -> BranchingProgram:
         else:
             raise ln.error(f"unrecognized line: {ln.text}")
         if key in first:
-            what = "second source line" if key is None else f"repeated id {key}"
-            raise ln.error(f"{what}, first on line {first[key]}")
-        first[key] = ln.number
+            raise ln.error(f"repeated id {key}, first on line {first[key].number}")
+        first[key] = ln
     if source is None:
         raise ValueError("missing source line")
     return BranchingProgram(source, decisions, sinks)
@@ -1266,8 +1345,7 @@ def reference_certificate_from_text(text: str) -> LowerBoundCertificate:
     for ln in records(text):
         name, _, value = ln.text.partition(":")
         name = name.strip()
-        if name in fields:
-            raise ln.error(f"repeated field {name}, first on line {fields[name].number}")
+        ln.once(fields, name, f"repeated field {name}")
         fields[name] = Line(ln.number, value.strip(), value.split())
     missing = [f for f in _CERT_FIELDS if f not in fields]
     if missing:

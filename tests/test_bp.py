@@ -176,7 +176,7 @@ class TestWellStructured:
         charge = (0, 1, 0, 1, 1, 0, 0)
         assert not is_satisfiable(TseitinFormula(g, charge))
         source = (0b1111111, (1 << 10) - 1, 0b0011010)  # charge odd at 1, 3, 4
-        child0, child1 = expected_children(g, source, 6)
+        child0, child1 = expected_children(g, source, 6, {})
         assert child0 == (0b1110000, 0b1110000000, 0b0010000)  # {4, 5, 6}, edges 7-9, odd at 4
         assert child1 == (0b0001111, 0b0000111111, 0b0001110)  # {0, 1, 2, 3}, edges 0-5, odd at 1, 2, 3
 
@@ -229,7 +229,7 @@ class TestMasksAgainstReference:
         for ann in annotations.values():
             sets = annotation_sets(ann)
             for var in bits(ann[1]):
-                children = expected_children(g, ann, var)
+                children = expected_children(g, ann, var, {})
                 assert tuple(annotation_sets(child) for child in children) == reference_expected_children(g, sets, var)
                 assert all(charge & ~vertices == 0 for vertices, _, charge in children)  # decoding reads V_u's bits only
                 compared += 1
@@ -252,10 +252,81 @@ class TestMasksAgainstReference:
         even = (root[0], root[1], root[2] ^ 1)
         for ann, var in [(root, -1), (root, g.m), (even, 0)]:
             with pytest.raises(ValueError) as got:
-                expected_children(g, ann, var)
+                expected_children(g, ann, var, {})
             with pytest.raises(ValueError) as want:
                 reference_expected_children(g, annotation_sets(ann), var)
             assert str(got.value) == str(want.value)
+
+
+class TestSplitMemo:
+    """The builder and the validator each run `_sides` once per distinct
+    (vertex mask, edge mask, edge), and the memo holds no charge."""
+
+    @pytest.fixture
+    def splits_searched(self, monkeypatch):
+        import tseitinkit.bp
+
+        searched = []
+        real = tseitinkit.bp._sides
+
+        def counted(g, vertices, rest, a, b):
+            searched.append((vertices, rest, a, b))
+            return real(g, vertices, rest, a, b)
+
+        monkeypatch.setattr(tseitinkit.bp, "_sides", counted)
+        return searched
+
+    def test_one_search_per_distinct_split(self, splits_searched):
+        g = fam.grid(5, 5)
+        c = unit_charge(g.n, 0)
+        bp = build_well_structured_bp(g, c)
+        assert len(splits_searched) == len(set(splits_searched)) == 40
+        assert len(bp.decisions) == 377  # one search per decision without the memo
+        splits_searched.clear()
+        result = validate_well_structured(bp, g, c)
+        assert result.ok
+        assert len(splits_searched) == len(set(splits_searched)) == 40
+        assert len({(ann[0], ann[1], bp.decisions[u][0]) for u, ann in result.annotations.items() if u in bp.decisions}) == 40
+
+    def test_validator_searches_anew_per_call(self, splits_searched):
+        g = fam.cycle(5)
+        c = unit_charge(g.n, 0)
+        bp = build_well_structured_bp(g, c)
+        splits_searched.clear()
+        validate_well_structured(bp, g, c)
+        once = len(splits_searched)
+        validate_well_structured(bp, g, c)
+        assert len(splits_searched) == 2 * once > 0
+
+    @pytest.mark.parametrize("name, g", [("grid3x3", fam.grid(3, 3)), ("grid5x5", fam.grid(5, 5)), ("rr16", fam.random_regular(16, 3, 1))])
+    def test_charge_siblings_sharing_a_split_are_told_apart(self, name, g):
+        # u copies the decision and children of an earlier node v with the
+        # same (V_u, E_u, e) and another charge: a memo that kept children
+        # rather than components would force u's children to v's and
+        # accept; the validator must refuse at u
+        c = unit_charge(g.n, 0)
+        bp = build_well_structured_bp(g, c)
+        annotations = validate_well_structured(bp, g, c).annotations
+        first: dict = {}
+        for u in reversed(bp.topological()):
+            if u not in bp.decisions:
+                continue
+            vertices, edge_ids, _ = annotations[u]
+            v = first.setdefault((vertices, edge_ids, bp.decisions[u][0]), u)
+            if v == u:
+                continue
+            corrupt = BranchingProgram(bp.source, {**bp.decisions, u: bp.decisions[v]}, bp.sinks)
+            order = list(reversed(corrupt.topological()))
+            if u not in order or order.index(v) > order.index(u):
+                continue
+            forced = expected_children(g, annotations[u], bp.decisions[u][0], {})
+            literal = next(lit for lit in (0, 1) if annotations[bp.decisions[v][1 + lit]] != forced[lit])
+            result = validate_well_structured(corrupt, g, c)
+            assert not result.ok
+            assert (result.node, result.error) == (u, f"condition 3: {literal}-child annotation mismatch")
+            break
+        else:
+            pytest.fail(f"{name}: no two charge siblings share a split")
 
 
 class TestSweepOracle:

@@ -140,6 +140,31 @@ class TestPipeline:
         assert report.equivalence == "skipped"
         assert report.model_count_circuit is None
 
+    @pytest.mark.parametrize("g, c_unsat, searches", [
+        (fam.grid(5, 5), unit_charge(25, 0), 1),  # target = compiled charge: no flip, no tree
+        (fam.cycle(60), unit_charge(60, 0), 1),
+        (fam.grid(3, 3), unit_charge(9, 4), 2),  # one flip pair: plus the spanning tree
+    ])
+    def test_one_component_search_per_graph(self, monkeypatch, g, c_unsat, searches):
+        # the satisfiability, connectivity and retarget checks of one call
+        # all read `Graph.components`
+        import tseitinkit.graphs
+        import tseitinkit.tseitin
+
+        calls = []
+        real = tseitinkit.graphs.search
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(tseitinkit.graphs, "search", counted)
+        monkeypatch.setattr(tseitinkit.tseitin, "search", counted)
+        g = Graph(g.n, g.edges)
+        report, _, _ = pipeline(g, c_unsat, (0,) * g.n)
+        assert report.ratio_ok
+        assert len(calls) == searches
+
 
 MIDDLE_TIER = {
     "grid3x6": lambda: fam.grid(3, 6),

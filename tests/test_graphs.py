@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import family_graphs
-from lemmas import k4_with_pendant_path, octahedron, separators_of_size
+from lemmas import k4_with_pendant_path, octahedron, random_shaped_graph, reference_components, separators_of_size
 from tseitinkit import families as fam
 from tseitinkit.graphs import (
     Graph,
@@ -78,6 +78,48 @@ class TestConnectedComponents:
         for comp in comps:
             for u, v in g.edges:
                 assert (u in comp) == (v in comp) or not ({u, v} & comp)
+
+
+class TestComponentsAgainstReference:
+    """`Graph.components`, and `connected_components` and `is_connected`
+    that read it, against one plain `search` per unreached vertex."""
+
+    def check(self, g):
+        want = reference_components(g)
+        assert g.components == tuple(want)
+        assert all(isinstance(comp, frozenset) for comp in g.components)
+        assert connected_components(g) == want
+        assert is_connected(g) == (len(want) <= 1)
+
+    @pytest.mark.parametrize("block", range(5))
+    def test_random_shaped_graphs(self, block):
+        for seed in range(50 * block, 50 * block + 50):
+            self.check(random_shaped_graph(seed))
+
+    def test_desk_family(self, bench_graph):
+        _, g = bench_graph
+        self.check(g)
+
+    def test_empty_and_edgeless(self):
+        for n in range(4):
+            self.check(Graph(n, ()))
+
+    def test_searched_once_per_graph(self, monkeypatch):
+        import tseitinkit.graphs as graphs
+
+        starts = []
+        real = graphs.search
+
+        def counted(g, start, allowed=None):
+            starts.append(start)
+            return real(g, start, allowed)
+
+        monkeypatch.setattr(graphs, "search", counted)
+        g = Graph(5, ((0, 1), (2, 3)))
+        for _ in range(3):
+            connected_components(g)
+            is_connected(g)
+        assert starts == [0, 2, 4]
 
 
 def reference_search(g: Graph, start: int, allowed=None) -> dict:

@@ -544,6 +544,40 @@ class TestTraceBuilderStep:
         assert b.step((0, 0), 1 << 3) == empty  # both qualify: the first
         assert b.by_clause[(0, 0)] == [empty, again] and len(b.steps) == 6
 
+    # a random 3-CNF (seed 17459 of a search over 37904 unsatisfiable ones,
+    # 10 to 22 variables, cut down clause by clause): a step whose own pivot
+    # the path has not assigned, but one below it has, comes up for reuse;
+    # reusing it, as a guard on own pivots alone would, makes the trace
+    # irregular (80 steps instead of 85)
+    DEEP_PIVOT_CNF = Cnf(15, tuple(frozenset(c) for c in (
+        (3, -7, -12), (-2, -6, -7), (-9, 10, -14), (6, 10, 11), (2, -7, 10), (4, -7, -11), (7, -8, 13),
+        (-4, -5, -15), (3, -11, -13), (1, -2, 11), (-6, -12, -15), (-3, 9, -12), (-3, 5, 8), (-4, 6, -12),
+        (6, -9, 14), (-1, -7, 12), (-3, -9, -10), (-8, -9, 11), (5, -7, 14), (2, 10, -11), (-2, -11, 12),
+        (-1, 3, 5), (9, -10, -14), (3, 11, 14), (-5, 7, -14), (4, -5, 14), (5, 7, -14), (-1, 8, -10),
+        (-6, 14, 15), (-3, 6, 12), (-7, 9, 15), (1, 8, -11), (-3, 9, -13), (1, 3, -7),
+    )))
+
+    def test_deep_pivot_refuses_a_reuse(self, monkeypatch):
+        refused = []
+
+        class Watched(resolution._TraceBuilder):
+            def step(self, clause, assigned_mask, antecedents=None, pivot=0):
+                for sid in self.by_clause.get(clause, ()):
+                    if not self.pivots_below[sid] & assigned_mask:
+                        break
+                    if not own_pivot[sid] & assigned_mask:
+                        refused.append(sid)  # the guard refuses it for a deeper pivot only
+                sid = super().step(clause, assigned_mask, antecedents, pivot)
+                own_pivot.setdefault(sid, 0 if antecedents is None else 1 << pivot)
+                return sid
+
+        own_pivot: dict[int, int] = {}
+        monkeypatch.setattr(resolution, "_TraceBuilder", Watched)
+        trace = dpll_refute(self.DEEP_PIVOT_CNF)
+        assert check_refutation(self.DEEP_PIVOT_CNF, trace).ok and check_regularity(trace)
+        assert len(trace) == 85
+        assert refused
+
 
 from mutations import corrupt, trace_mutations  # noqa: E402  (shared with the acceptance suite)
 

@@ -32,6 +32,7 @@ from tseitinkit.compiler import pipeline
 from tseitinkit.graphs import graph_from_text, graph_to_text
 from tseitinkit.nnf import nnf_from_text, nnf_to_text
 from tseitinkit.resolution import ResolutionTrace, Step, dpll_refute, trace_from_text, trace_to_text
+from tseitinkit.textformat import once
 from tseitinkit.tseitin import TseitinFormula, to_cnf, tseitin_from_text, tseitin_to_text, unit_charge
 
 READERS = {
@@ -184,21 +185,25 @@ EDGE_CASES = {
         "p graph 2 1\ne 1 x\n", "p graph 2 1\ne 1 2 3\n", "e 1 2\np graph 2 1\n", "p graph 2 1\np graph 3 1\ne 1 3\n",
         "p graph 3 2\ne 1 2\ne 2 1\n", "p graph 2 1\ne 1 3\n", "p graph 2 1\nx 1 2\n", "p graph 2\n", "p cnf 2 1\n",
         "p graph 2 1\x0be 1 2\n", "p graph 2 1 e 1 2\n", "", "\n\n", "# only\n",
+        "p graph 2 1\np graph x\n", "p graph 2 1\ne 1 2\np cnf 1 1\n",
     ],
     "tseitin": [
         "p tseitin 2 1\ng 1 1\ne 1 2\n", "p tseitin 2 1\ng 1\ne 1 2\n", "p tseitin 2 1\ng 1 x\ne 1 2\n",
         "g 1 1\ne 1 2\np tseitin 2 1\n", "p tseitin 2 1\ne 1 2\n", "p tseitin 3 2\ng 1 0 1\ne 1 2\ne 2 1\n",
-        "p tseitin 2 1\r\ng 1 1\r\ne 1 5\r\n",
+        "p tseitin 2 1\r\ng 1 1\r\ne 1 5\r\n", "p tseitin 2 1\ng 1 1\ng x\ne 1 2\n", "p tseitin 2 1\np tseitin\n",
+        "g 1 1\np tseitin 2 1\ng 1 1\n",
     ],
     "cnf": [
         "c\np cnf 1 2\n1 0\n-1 0\n", "cat\np cnf 1 1\n1 0\n", "p cnf 1 1\n1\n", "p cnf 1 1\n1 0 1 0\n",
         "p cnf 1 1\n0\n", "p cnf 1 1\n-0 1 0\n", "p cnf 1 1\n+1 00\n", "p cnf 2 1\n1 1 0\n", "p cnf 1 1\n1 -1 0\n",
         f"p cnf {10**12} 1\n{10**12} -1 0\n", "p cnf 1 2\n1 0\n", "p cnf 1\n", "p dnf 1 1\n1 0\n", "\tc x\np cnf 1 1\n1 0\n",
+        "p cnf 1 1\np dnf 1\n1 0\n",
     ],
     "bp": [
         "source 0\nnode 0 0 1 2\nsink 1 0\nsink 2 1\n", "source 0\nnode 0 0 1\n", "source 0\nnode 0 0 1 2 3\n",
         "source 0\nnode 0 x 1 2\n", "source 0\nsink 0 1\n", "source 0\nsource 0\n", "node 0 0 1 2\nsink 0 1\n",
         "source 0\nnode 01 0 1 2\nsink 1 0\nsink 2 1\n", "source\n", "source 0\nleaf 1 0\n", "source 0 1\n",
+        "source 0\nsource x\n", "source 0\nnode 0 0 1 2\nsink 1 0\nsink 2 1\nsource 0\n",
     ],
     "nnf": [
         "nnf 1 0 1\nL 1\n", "c x\nnnf 1 0 1\nL 1\n", "c\nnnf 1 0 1\nL 1\n", "c\tx\nnnf 1 0 1\nL 1\n",
@@ -217,7 +222,7 @@ EDGE_CASES = {
         "1 2 0 0\n2 -2 0 0\n3 0 x 2 0\n", "5 1 0 3 0 0\n", "",
     ],
     "certificate": [
-        "n: 1\n", "k: 1\nk: 2\n", "just text\n", "n 1\n",
+        "n: 1\n", "k: 1\nk: 2\n", "just text\n", "n 1\n", "k: 1\nn: 1\nk: x\n",
     ],
 }
 
@@ -266,3 +271,15 @@ def test_trace_writer_refuses_a_bit_outside_the_table():
     for step in (Step(1, 1 << 2, 0), Step(1, 0, 1 << 9), Step(1, 1 << 70, 0)):
         with pytest.raises(ValueError, match="step 1: a literal outside the variable table"):
             trace_to_text(ResolutionTrace((step,), (4, 5)))
+
+
+def test_once_names_the_first_line():
+    lines = ["p a", "# c", "p b", "q"]
+    first: dict = {}
+    once(lines, 0, first, "p", "second header")
+    once(lines, 3, first, "q", "second q")  # another key is another record
+    assert first == {"p": 0, "q": 3}
+    with pytest.raises(ValueError) as got:
+        once(lines, 2, first, "p", "second header")
+    assert str(got.value) == "line 3: second header, first on line 1"
+    assert first == {"p": 0, "q": 3}

@@ -6,7 +6,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import all_cuts, branchwidth_bounds, edges_below, cut_boundary, octahedron, reference_min_fill, width_of
+from lemmas import all_cuts, branchwidth_bounds, edges_below, cut_boundary, octahedron, random_shaped_graph, reference_edge_order, reference_min_fill, width_of
 from tseitinkit import families as fam
 from tseitinkit import width
 from tseitinkit.graphs import Graph
@@ -255,6 +255,34 @@ class TestMinFillAgainstReference:
         order, w = _min_fill(g)
         assert time.process_time() - start < 10
         assert order == list(range(20000)) and w == 1
+
+
+class TestEdgeOrderAgainstReference:
+    """`edge_order` (distance-list searches, endpoint-pair keys) and
+    `_min_fill` (popcount fills) against their references, which keep
+    distance dicts, sorted endpoint lists and set-form fills, on seeded
+    graphs of every shape `random_shaped_graph` draws: disconnected
+    ones, isolated vertices, trees and forests among them."""
+
+    @pytest.mark.parametrize("block", range(5))
+    def test_random_shaped_graphs(self, block):
+        for seed in range(50 * block, 50 * block + 50):
+            g = random_shaped_graph(seed)
+            assert edge_order(g) == reference_edge_order(g), seed
+            assert _min_fill(g) == reference_min_fill(g), seed
+
+    def test_desk_family(self, bench_graph):
+        _, g = bench_graph
+        assert edge_order(g) == reference_edge_order(g)
+
+    @pytest.mark.parametrize("name", NAMED_GRAPHS)
+    def test_named(self, name):
+        g = NAMED_GRAPHS[name]()
+        assert edge_order(g) == reference_edge_order(g)
+
+    def test_pipeline_graphs(self):
+        for g in (fam.grid(5, 5), fam.cycle(60), fam.grid(8, 8), fam.random_regular(40, 3, 1), fam.path(300)):
+            assert edge_order(g) == reference_edge_order(g)
 
 
 class TestTreewidthExact:
