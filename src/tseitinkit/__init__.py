@@ -5,12 +5,13 @@ The package holds the pipeline, the CLI, the independent checkers of its
 artifacts, the lower-bound certificate and the brute-force oracles
 (`oracles`).  What only the tests run lives in the test suite, in
 `tests/lemmas.py`: the desk-scale lemma checks behind the bound
-(rectangles, proof trees, sub-constraints, the cover game), point
-evaluation, circuit conditioning and forgetting, and the path-wise
-read-once check; `tests/test_surface.py` keeps it that way."""
+(rectangles, proof trees, sub-constraints, the cover game), general
+branch decompositions and their cuts, point evaluation, circuit
+conditioning and forgetting, and the path-wise read-once check;
+`tests/test_surface.py` keeps it that way."""
 
 from .graphs import Graph, SplitRequest, connected_components, is_3_connected, safe_split_subset, split_vertex
-from .width import BranchDecomposition, Cut, max_order_cut, treewidth_exact
+from .width import treewidth_exact
 from .minors import find_safe_separator, three_connected_minor
 from .tseitin import Charge, TseitinFormula, charge_retarget_flips, is_satisfiable, model_count, to_cnf
 from .cnf import Cnf
@@ -23,7 +24,7 @@ from .bounds import LowerBoundCertificate, adam_response, certified_lower_bound,
 
 __all__ = [
     "Graph", "SplitRequest", "connected_components", "is_3_connected", "safe_split_subset", "split_vertex",
-    "BranchDecomposition", "Cut", "max_order_cut", "treewidth_exact",
+    "treewidth_exact",
     "find_safe_separator", "three_connected_minor",
     "Charge", "TseitinFormula", "charge_retarget_flips", "is_satisfiable", "model_count", "to_cnf",
     "Cnf",

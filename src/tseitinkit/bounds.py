@@ -1,15 +1,16 @@
 """The certified DNNF lower-bound chain and the adversary behind it.
 
-The adversary answers a variable tree (a branch decomposition over the
-edges) with its maximum-order cut, an independent subset of the cut's
-boundary, and a safe-split subset of that.  On a 3-connected graph this
-caps every rectangle for the cut at 2^(m - n - k + 1) models; with
-2^(m - n + 1) models in total any cover, and so any complete DNNF, needs
-2^k of them.  The certificate runs the adversary once on a 3-connected
-minor as a witness and stores the constant chain that bounds k from
-below; `verify_certificate` re-checks it without the heuristics.  The
-rectangle and cover-game lemmas are checked by enumeration in the test
-suite (`tests/lemmas.py`).
+The adversary answers a cut of the edges, given by its side E1 (in the
+paper, the maximum-order cut of a variable tree), with the cut's
+boundary, an independent subset of it, and a safe-split subset of that.
+On a 3-connected graph this caps every rectangle for the cut at
+2^(m - n - k + 1) models; with 2^(m - n + 1) models in total any cover,
+and so any complete DNNF, needs 2^k of them.  The certificate runs the
+adversary once on a 3-connected minor, on the cut `order_cut` sweeps
+from the minor's `edge_order`, as a witness and stores the constant
+chain that bounds k from below; `verify_certificate` re-checks it
+without the heuristics.  The rectangle and cover-game lemmas are checked
+by enumeration in the test suite (`tests/lemmas.py`).
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, is_3_connected, is_connected, safe_split_subset
 from .minors import three_connected_minor
 from .textformat import ints, lines_of, once
-from .width import TREEWIDTH_EXACT_CAP, BranchDecomposition, Cut, caterpillar, edge_order, max_order_cut, treewidth_bounds
+from .width import TREEWIDTH_EXACT_CAP, edge_order, order_cut, treewidth_bounds
 
 
 @dataclass
 class AdamResponse:
-    cut: Cut
+    e1: tuple[int, ...]
     v_prime: tuple[int, ...]
     v_second: tuple[int, ...]
     v_star: tuple[int, ...]
@@ -33,28 +34,29 @@ class AdamResponse:
     cap_exponent: int
 
 
-def adam_response(g: Graph, t: BranchDecomposition) -> AdamResponse:
-    """Adversary strategy on a 3-connected graph for a given variable tree.
+def adam_response(g: Graph, e1: tuple[int, ...]) -> AdamResponse:
+    """Adversary strategy on a 3-connected graph for the cut with edge
+    side e1.
 
-    Takes the maximum-order cut, an independent subset of its boundary,
-    and the safe-split subset of that along the neighbor partitions the
-    cut induces; the cap exponent is m - n - |V*| + 1.
+    Takes the cut's boundary (the vertices with some but not all of their
+    incident edges in e1), an independent subset of it, and the safe-split
+    subset of that along the neighbor partitions the cut induces; the cap
+    exponent is m - n - |V*| + 1.
     """
     if not is_3_connected(g):
         raise ValueError("adversary strategy needs a 3-connected graph")
-    cut = max_order_cut(t, g)
-    v_prime = cut.boundary
+    inside = set(e1)
+    v_prime = tuple(v for v, inc in enumerate(g.incident) if 0 < sum(e in inside for e in inc) < len(inc))
     v_second = greedy_independent_set(g, v_prime)
-    e1 = set(cut.e1)
     requests = {}
     for v in v_second:
-        n1 = tuple(sorted(g.other_end(e, v) for e in g.incident[v] if e in e1))
+        n1 = tuple(sorted(g.other_end(e, v) for e in g.incident[v] if e in inside))
         n2 = tuple(sorted(set(g.adj[v]) - set(n1)))
         requests[v] = SplitRequest(v, n1, n2)
     chosen = safe_split_subset(g, [requests[v] for v in v_second])
     v_star = tuple(sorted(r.vertex for r in chosen))
     cap = g.m - g.n - len(v_star) + 1
-    return AdamResponse(cut, v_prime, tuple(v_second), v_star, requests, cap)
+    return AdamResponse(e1, v_prime, tuple(v_second), v_star, requests, cap)
 
 
 # --- certified lower bound ---------------------------------------------------
@@ -95,10 +97,10 @@ def certified_lower_bound(g: Graph) -> LowerBoundCertificate:
     k follows the constant chain ceil(ceil(ceil(2 tw / 3) / (maxdeg + 1))
     / 3) evaluated on a treewidth-preserving 3-connected minor; treewidth
     below 3 yields the trivial certificate k = 0.  A sample adversary run
-    on the caterpillar over the minor's `edge_order` is stored as the
-    witness chain; the run fails unless its stages dominate the certified
-    k.  k >= 2 needs treewidth >= 19 even at maximum degree 3, the least
-    a 3-connected minor has.
+    on the cut `order_cut` sweeps from the minor's `edge_order` is stored
+    as the witness chain; the run fails unless its stages dominate the
+    certified k.  k >= 2 needs treewidth >= 19 even at maximum degree 3,
+    the least a 3-connected minor has.
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
@@ -121,7 +123,7 @@ def certified_lower_bound(g: Graph) -> LowerBoundCertificate:
     delta = h.max_degree
     bw_lower = _ceil_div(2 * tw, 3)
     k = _ceil_div(_ceil_div(bw_lower, delta + 1), 3)
-    sample = adam_response(h, caterpillar(edge_order(h)))
+    sample = adam_response(h, order_cut(h, edge_order(h)))
     if len(sample.v_star) < k:
         raise AssertionError("sample witness fell below the certified bound")
     return LowerBoundCertificate(

@@ -1,4 +1,4 @@
-"""Treewidth oracles and branch decompositions.
+"""Treewidth oracles, edge orders and the cut an order induces.
 
 Exact treewidth is capped at 16 vertices.  It computes the minor-min-degree
 lower bound and the min-fill upper bound first and is done when they meet.
@@ -6,22 +6,21 @@ Otherwise it decides each width k between them by a layered search over
 elimination prefixes, keeping only prefixes whose every step leaves at most
 k later neighbours, and stopping at k + 1 vertices left (any order of the
 rest then has width at most k).  Beyond the cap the bound pair alone is
-reported.  Branch decompositions are rooted binary trees over edge ids;
-every non-root node induces a cut whose order is the number of boundary
-vertices.
+reported.
 
-One edge order per graph serves the BP builder and the certificate's
-sample decomposition (and, in the test suite, the branchwidth upper
-bound of `tests/lemmas.py`): `edge_order` ranks the
-edges along a few candidate vertex orders and keeps the one with the
-smallest `order_bound`, the size bound of the builder's program, and
-`caterpillar` turns an order into a left-deep decomposition.
+One edge order per graph serves the BP builder and the certificate (and,
+in the test suite, the branchwidth upper bound of `tests/lemmas.py`):
+`edge_order` ranks the edges along a few candidate vertex orders and
+keeps the one with the smallest `order_bound`, the size bound of the
+builder's program.  `order_cut` sweeps an order once for the
+maximum-order cut of the left-deep branch decomposition over it, whose
+cuts split off one edge or a prefix of the order; the order of a cut is
+its number of boundary vertices.  General branch decompositions live in
+the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .graphs import Graph
@@ -187,139 +186,35 @@ def treewidth_bounds(g: Graph) -> tuple[int, int, str]:
     return treewidth_lower_bound(g), treewidth_upper_bound(g), "mmd-lower/minfill-upper"
 
 
-# --- branch decompositions ---------------------------------------------------
+# --- the order's cut ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BranchDecomposition:
-    """Rooted binary tree whose leaves are in bijection with edge ids.
+def order_cut(g: Graph, order) -> tuple[int, ...]:
+    """Edge side of the maximum-order cut of the left-deep caterpillar over
+    an edge order, sorted.
 
-    nodes[i] is either ('leaf', edge_id) or ('node', left_id, right_id);
-    ids are assigned in construction (preorder), root is node 0.
-    """
-
-    nodes: tuple[tuple, ...]
-    root: int = 0
-
-    @staticmethod
-    def from_nested(structure) -> "BranchDecomposition":
-        """structure: edge id, or a pair (left, right) of structures."""
-        nodes: list = []
-        stack = [(structure, None, 0)]  # (structure, parent id, child slot)
-        while stack:
-            s, parent, slot = stack.pop()
-            my = len(nodes)
-            if parent is not None:
-                nodes[parent][slot] = my
-            if isinstance(s, int):
-                nodes.append(("leaf", s))
-            else:
-                left, right = s
-                nodes.append(["node", None, None])
-                stack += [(right, my, 2), (left, my, 1)]
-        return BranchDecomposition(tuple(tuple(node) for node in nodes))
-
-    @cached_property
-    def preorder(self) -> tuple[int, ...]:
-        """Node ids reachable from the root, every parent before its children."""
-        order = []
-        stack = [self.root]
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            node = self.nodes[i]
-            if node[0] == "node":
-                stack += [node[2], node[1]]
-        return tuple(order)
-
-    @cached_property
-    def depth(self) -> tuple[int, ...]:
-        d = [0] * len(self.nodes)
-        for i in self.preorder:
-            node = self.nodes[i]
-            if node[0] == "node":
-                d[node[1]] = d[node[2]] = d[i] + 1
-        return tuple(d)
-
-
-@dataclass(frozen=True)
-class Cut:
-    """Edge partition induced by the tree edge above `node_id`."""
-
-    node_id: int
-    depth: int
-    e1: tuple[int, ...]
-    e2: tuple[int, ...]
-    boundary: tuple[int, ...]  # its size is the order of the cut
-
-
-def _cut_orders(t: BranchDecomposition, g: Graph) -> dict[int, int]:
-    """The order of the cut above every node, from one bottom-up pass.
-
-    A vertex is on a node's boundary exactly when some but not all of its
-    incident edges lie below the node.  A node takes over its larger
-    child's counts of incident edges below and that child's order, and
-    updates both with the smaller child's vertices only.
+    The caterpillar's cuts split off one edge or a prefix order[:i] with
+    1 < i < len(order); a vertex is on a cut's boundary when some but not
+    all of its incident edges are on the cut's side, and the boundary's
+    size is the cut's order.  One sweep keeps per-vertex counts of the
+    edges seen and the prefix's order, and offers the cuts deepest first:
+    order[0], order[1], then order[:i] before order[i] for each i >= 2;
+    a cut replaces the best only when its order is strictly larger.  A
+    single-edge order gives the trivial cut (the whole order).
     """
     degree = [len(inc) for inc in g.incident]
-    counts: dict[int, dict[int, int]] = {}  # node -> vertex -> incident edges below
-    orders: dict[int, int] = {}
-    for i in reversed(t.preorder):
-        node = t.nodes[i]
-        if node[0] == "leaf":
-            count = dict.fromkeys(g.edges[node[1]], 1)
-            order = sum(1 for v in count if degree[v] > 1)
-        else:
-            big, small = node[1], node[2]
-            if len(counts[big]) < len(counts[small]):
-                big, small = small, big
-            count, other, order = counts.pop(big), counts.pop(small), orders[big]
-            for v, k in other.items():
-                before = count.get(v, 0)
-                count[v] = before + k
-                order += (before + k < degree[v]) - (0 < before < degree[v])
-        counts[i], orders[i] = count, order
-    return orders
-
-
-def _cut(t: BranchDecomposition, g: Graph, i: int) -> Cut:
-    """The cut above node i."""
-    below = set()
-    stack = [i]
-    while stack:
-        node = t.nodes[stack.pop()]
-        if node[0] == "leaf":
-            below.add(node[1])
-        else:
-            stack += node[1:]
-    inside: dict[int, int] = {}
-    for e in below:
+    seen = [0] * g.n
+    best, most, size = (), -1, 0
+    for i, e in enumerate(order):
+        if i > 1 and size > most:
+            best, most = order[:i], size
+        leaf = sum(degree[v] > 1 for v in g.edges[e])
+        if leaf > most:
+            best, most = (e,), leaf
         for v in g.edges[e]:
-            inside[v] = inside.get(v, 0) + 1
-    boundary = tuple(sorted(v for v, k in inside.items() if k < len(g.incident[v])))
-    return Cut(i, t.depth[i], tuple(sorted(below)), tuple(e for e in range(g.m) if e not in below), boundary)
-
-
-def max_order_cut(t: BranchDecomposition, g: Graph) -> Cut:
-    """Cut of maximum order, over the cuts above every non-root node (the
-    root of a single-leaf tree gives the trivial cut); ties broken by
-    depth (deepest wins), then id.  Only the winner's edge sets are
-    built."""
-    orders = _cut_orders(t, g)
-    nodes = [i for i in t.preorder if i != t.root] or [t.root]
-    return _cut(t, g, max(nodes, key=lambda i: (orders[i], t.depth[i], -i)))
-
-
-def caterpillar(order) -> BranchDecomposition:
-    """Left-deep decomposition over an edge order: the spine node above
-    order[i] holds order[:i + 1], so its cuts split a prefix of the order
-    from the rest."""
-    if not order:
-        raise ValueError("no edges to decompose")
-    nested = order[0]
-    for e in order[1:]:
-        nested = (nested, e)
-    return BranchDecomposition.from_nested(nested)
+            seen[v] += 1
+            size += (seen[v] < degree[v]) - (seen[v] > 1)
+    return tuple(sorted(best))
 
 
 # --- edge orders -------------------------------------------------------------

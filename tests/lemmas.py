@@ -23,9 +23,11 @@ implies; conditioning and forgetting on circuits, for replaying a minor
 trace (`replay_on_circuit`); the truth tables of a circuit and of a
 formula (`nnf_truth_table`, `tseitin_truth_table`) that the tests read,
 and the pointwise evaluators and reference truth tables the packed engine
-in `tseitinkit.oracles` is checked against; every cut of a branch
-decomposition (`all_cuts`), of which the library builds only the
-maximum-order one; every separator of size 1 or 2
+in `tseitinkit.oracles` is checked against; general branch
+decompositions (`BranchDecomposition`, with `caterpillar` for the
+left-deep one over an edge order), every cut of one (`all_cuts`) and
+the maximum-order cut (`max_order_cut`), which `width.order_cut` must
+match on caterpillars; every separator of size 1 or 2
 (`separators_of_size`), of which a graph memoises only the first;
 `bp.expected_children` on set-form annotations
 (`reference_expected_children`, with `annotation_sets` decoding the
@@ -58,6 +60,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -73,7 +76,7 @@ from tseitinkit.oracles import BLOCK_BITS, parity, point, truth_table
 from tseitinkit.recursion import run
 from tseitinkit.resolution import ResolutionTrace, Step, _literal_bits
 from tseitinkit.tseitin import Charge, TseitinFormula, is_satisfiable, model_count, satisfied
-from tseitinkit.width import BranchDecomposition, Cut, caterpillar, edge_order, max_order_cut, order_bound, treewidth_bounds
+from tseitinkit.width import edge_order, order_bound, treewidth_bounds
 
 RECT_CAP = 20
 
@@ -147,6 +150,81 @@ def random_shaped_graph(seed: int) -> Graph:
 # --- branch decompositions ---------------------------------------------------
 
 
+@dataclass(frozen=True)
+class BranchDecomposition:
+    """Rooted binary tree whose leaves are in bijection with edge ids.
+
+    nodes[i] is either ('leaf', edge_id) or ('node', left_id, right_id);
+    ids are assigned in construction (preorder), root is node 0.
+    """
+
+    nodes: tuple[tuple, ...]
+    root: int = 0
+
+    @staticmethod
+    def from_nested(structure) -> "BranchDecomposition":
+        """structure: edge id, or a pair (left, right) of structures."""
+        nodes: list = []
+        stack = [(structure, None, 0)]  # (structure, parent id, child slot)
+        while stack:
+            s, parent, slot = stack.pop()
+            my = len(nodes)
+            if parent is not None:
+                nodes[parent][slot] = my
+            if isinstance(s, int):
+                nodes.append(("leaf", s))
+            else:
+                left, right = s
+                nodes.append(["node", None, None])
+                stack += [(right, my, 2), (left, my, 1)]
+        return BranchDecomposition(tuple(tuple(node) for node in nodes))
+
+    @cached_property
+    def preorder(self) -> tuple[int, ...]:
+        """Node ids reachable from the root, every parent before its children."""
+        order = []
+        stack = [self.root]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            node = self.nodes[i]
+            if node[0] == "node":
+                stack += [node[2], node[1]]
+        return tuple(order)
+
+    @cached_property
+    def depth(self) -> tuple[int, ...]:
+        d = [0] * len(self.nodes)
+        for i in self.preorder:
+            node = self.nodes[i]
+            if node[0] == "node":
+                d[node[1]] = d[node[2]] = d[i] + 1
+        return tuple(d)
+
+
+@dataclass(frozen=True)
+class Cut:
+    """Edge partition induced by the tree edge above `node_id`."""
+
+    node_id: int
+    depth: int
+    e1: tuple[int, ...]
+    e2: tuple[int, ...]
+    boundary: tuple[int, ...]  # its size is the order of the cut
+
+
+def caterpillar(order) -> BranchDecomposition:
+    """Left-deep decomposition over an edge order: the spine node above
+    order[i] holds order[:i + 1], so its cuts split a prefix of the order
+    from the rest."""
+    if not order:
+        raise ValueError("no edges to decompose")
+    nested = order[0]
+    for e in order[1:]:
+        nested = (nested, e)
+    return BranchDecomposition.from_nested(nested)
+
+
 def cut_boundary(g: Graph, e1) -> tuple[int, ...]:
     """Vertices incident to edges on both sides of the partition."""
     e1 = set(e1)
@@ -171,8 +249,7 @@ def all_cuts(t: BranchDecomposition, g: Graph) -> list[Cut]:
 
     Boundaries come from one bottom-up pass: a vertex is on a node's
     boundary exactly when some but not all of its incident edges lie below
-    the node.  The library's `max_order_cut` builds the edge sets of its
-    winner only; it must pick the maximum of these cuts.
+    the node.  `max_order_cut` picks the maximum of these cuts.
     """
     degree = [len(inc) for inc in g.incident]
     counts: dict[int, dict[int, int]] = {}  # node -> vertex -> incident edges below
@@ -198,6 +275,11 @@ def all_cuts(t: BranchDecomposition, g: Graph) -> list[Cut]:
         below = below_of[i]
         cuts.append(Cut(i, t.depth[i], tuple(sorted(below)), tuple(sorted(every - below)), boundary[i]))
     return cuts
+
+
+def max_order_cut(t: BranchDecomposition, g: Graph) -> Cut:
+    """Cut of maximum order; ties broken by depth (deepest wins), then id."""
+    return max(all_cuts(t, g), key=lambda c: (len(c.boundary), c.depth, -c.node_id))
 
 
 def width_of(t: BranchDecomposition, g: Graph) -> int:
@@ -862,7 +944,7 @@ def induced_subconstraint(r: Rectangle, t: TseitinFormula, v: int) -> SubConstra
 
 def rectangle_cap_check(t: TseitinFormula, adam: AdamResponse, r: Rectangle) -> bool:
     """|R| <= 2^cap, via the sub-constraint + split-count composition."""
-    if r.e1_mask != mask_of(adam.cut.e1) or r.e2_mask != mask_of(adam.cut.e2):
+    if r.e1_mask != mask_of(adam.e1):  # a rectangle's blocks partition the edges, so E2 follows
         raise ValueError("rectangle partition differs from the adversary's cut")
     subs = [induced_subconstraint(r, t, v) for v in adam.v_star]
     count = conjoin_subconstraints_count(t, subs)
@@ -934,14 +1016,9 @@ def game_simulate(d: NnfCircuit, t: TseitinFormula) -> GameTranscript:
     while uncovered:
         a = min(uncovered)
         vtree, gate_of = proof_tree_vtree(d, a)
-        if three_conn:
-            adam = adam_response(t.graph, vtree)
-            cut = adam.cut
-            cap: int | None = adam.cap_exponent
-        else:
-            adam = None
-            cut = max_order_cut(vtree, t.graph)
-            cap = None
+        cut = max_order_cut(vtree, t.graph)
+        adam = adam_response(t.graph, cut.e1) if three_conn else None
+        cap = adam.cap_exponent if adam else None
         gate = gate_of[cut.node_id]
         if gate in used_gates:
             raise AssertionError("a gate repeated across rounds")

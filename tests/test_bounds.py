@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
 from lemmas import (
+    caterpillar,
     edges_below,
     enumerate_proof_trees,
     extract_balanced_cover,
@@ -12,6 +14,7 @@ from lemmas import (
     induced_subconstraint,
     is_rectangle,
     mask_of,
+    max_order_cut,
     models,
     nnf_truth_table,
     proof_tree_vtree,
@@ -24,7 +27,7 @@ from tseitinkit.compiler import pipeline
 from tseitinkit.graphs import _separating_vertices as separating_vertices
 from tseitinkit.nnf import CircuitBuilder, smooth
 from tseitinkit.tseitin import TseitinFormula, unit_charge
-from tseitinkit.width import BranchDecomposition, caterpillar, edge_order, treewidth_exact
+from tseitinkit.width import edge_order, order_cut, treewidth_exact
 
 
 MIDDLE_TIER = {
@@ -38,18 +41,22 @@ MIDDLE_TIER = {
 }
 
 
+# sha256 of certificate_to_text(certified_lower_bound(g)), as the
+# caterpillar's maximum-order cut over the minor's edge_order wrote it
+CERTIFICATE_DIGESTS = {
+    "K4": (lambda: fam.complete(4), "98078665b8fc82736441b2e5001b7355e79493540d2986cec6b358aede4110e9"),
+    "K6": (lambda: fam.complete(6), "ce07923f20918cf6433f1f9be88de4533e3930240f0e61c21771a4830585d1f9"),
+    "W8": (lambda: fam.wheel(8), "02e213e35fe4ee5aa85f1fa5be31c2b8c8f90c09a8d324dbd78c81807293b785"),
+    "Q4": (lambda: fam.cube(4), "3108d4ec6e00fe8fb5f093ff8b684fb08b485d381b43e1a08d1f289a95148398"),
+    "grid4x5": (lambda: fam.grid(4, 5), "b2f40070e6c4b40837f9cc5baff6b4a190c94c0210adcc655acc7ad485b79dce"),
+    "grid5x5": (lambda: fam.grid(5, 5), "24d03035a34f8741858b7b1151a834e121516e8c8369dad57aebb727002d43f1"),
+    "rr16": (lambda: fam.random_regular(16, 3, 1), "4f73a69643a4856a3d5fa8b956988047270eb7454584f90a18928287ec7cba42"),
+}
+
+
 def smooth_pipeline(g):
     _, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * g.n)
     return smooth(d), TseitinFormula(g, (0,) * g.n)
-
-
-def random_caterpillar(m, seed):
-    order = list(range(m))
-    random.Random(seed).shuffle(order)
-    tree = order[0]
-    for e in order[1:]:
-        tree = (tree, e)
-    return BranchDecomposition.from_nested(tree)
 
 
 class TestIsRectangle:
@@ -117,56 +124,50 @@ class TestAdamResponse:
     def test_k4_over_sampled_decompositions(self):
         g = fam.complete(4)
         for seed in range(15):
-            t = random_caterpillar(g.m, seed)
-            resp = adam_response(g, t)
+            order = list(range(g.m))
+            random.Random(seed).shuffle(order)
+            resp = adam_response(g, max_order_cut(caterpillar(order), g).e1)
             assert len(resp.v_prime) >= 2
             assert len(resp.v_star) >= 1
             assert resp.cap_exponent <= 2  # cap 4 < 8 total models
 
     def test_q3_heuristic_decomposition(self):
         g = fam.cube(3)
-        resp = adam_response(g, caterpillar(edge_order(g)))
+        resp = adam_response(g, order_cut(g, edge_order(g)))
         assert len(resp.v_star) >= 1
         assert resp.cap_exponent <= 4  # cap 16 < 32 total models
 
     def test_w4_star_separating_decomposition(self):
         g = fam.wheel(4)
-        # edges at rim vertices 0 and 2 on one side, the rest on the other
+        # edges at rim vertices 0 and 2 first, so one cut splits them off
         side = sorted(set(g.incident[0]) | set(g.incident[2]))
         rest = [e for e in range(g.m) if e not in side]
-
-        def chain(ids):
-            t = ids[0]
-            for e in ids[1:]:
-                t = (t, e)
-            return t
-
-        t = BranchDecomposition.from_nested((chain(side), chain(rest)))
-        resp = adam_response(g, t)
+        resp = adam_response(g, max_order_cut(caterpillar(side + rest), g).e1)
         assert len(resp.v_star) >= 1
         assert resp.cap_exponent < g.m - g.n + 1
 
     def test_rejects_non_3_connected(self):
         g = fam.cycle(4)
         with pytest.raises(ValueError):
-            adam_response(g, caterpillar(edge_order(g)))
+            adam_response(g, order_cut(g, edge_order(g)))
 
 
 class TestRectangleCapCheck:
     def test_singleton_always_holds(self):
         g = fam.complete(4)
         t = TseitinFormula(g, (0,) * 4)
-        resp = adam_response(g, caterpillar(edge_order(g)))
+        resp = adam_response(g, order_cut(g, edge_order(g)))
+        e1 = mask_of(resp.e1)
         model = models(tseitin_truth_table(t))[0]
-        rect = is_rectangle({model}, mask_of(resp.cut.e1), mask_of(resp.cut.e2), g.m)
+        rect = is_rectangle({model}, e1, (1 << g.m) - 1 & ~e1, g.m)
         assert rectangle_cap_check(t, resp, rect)
 
     def test_partition_mismatch_rejected(self):
         g = fam.complete(4)
         t = TseitinFormula(g, (0,) * 4)
-        resp = adam_response(g, caterpillar(edge_order(g)))
-        e1 = mask_of(resp.cut.e2)
-        rect = is_rectangle({models(tseitin_truth_table(t))[0]}, e1, mask_of(resp.cut.e1), g.m)
+        resp = adam_response(g, order_cut(g, edge_order(g)))
+        e1 = mask_of(resp.e1)
+        rect = is_rectangle({models(tseitin_truth_table(t))[0]}, (1 << g.m) - 1 & ~e1, e1, g.m)
         with pytest.raises(ValueError):
             rectangle_cap_check(t, resp, rect)
 
@@ -174,8 +175,8 @@ class TestRectangleCapCheck:
         g = fam.complete(4)
         d, t = smooth_pipeline(g)
         trees = enumerate_proof_trees(d)
-        resp = adam_response(g, _vtree_matching(d, t))
-        want_e1 = mask_of(resp.cut.e1)
+        resp = adam_response(g, max_order_cut(_vtree_matching(d, t), g).e1)
+        want_e1 = mask_of(resp.e1)
         trees_checked = 0
         for gid in range(d.node_count):
             rect = gate_rectangle(d, gid, trees)
@@ -232,6 +233,12 @@ class TestCertifiedLowerBound:
         ok, msg = verify_certificate(cert, g)
         assert ok, msg
         assert cert.k == (0 if name == "C60" else 1)
+
+    @pytest.mark.parametrize("name", CERTIFICATE_DIGESTS)
+    def test_certificate_text_pinned(self, name):
+        make, digest = CERTIFICATE_DIGESTS[name]
+        text = certificate_to_text(certified_lower_bound(make()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_corrupted_certificate_rejected(self):
         g = fam.complete(4)

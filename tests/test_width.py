@@ -6,23 +6,35 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import all_cuts, branchwidth_bounds, edges_below, cut_boundary, octahedron, random_shaped_graph, reference_edge_order, reference_min_fill, width_of
-from tseitinkit import families as fam
-from tseitinkit import width
-from tseitinkit.graphs import Graph
-from tseitinkit.minors import three_connected_minor
-from tseitinkit.width import (
+from lemmas import (
     BranchDecomposition,
     Cut,
+    all_cuts,
+    branchwidth_bounds,
+    caterpillar,
+    cut_boundary,
+    edges_below,
+    k4_with_pendant_path,
+    max_order_cut,
+    octahedron,
+    random_shaped_graph,
+    reference_edge_order,
+    reference_min_fill,
+    width_of,
+)
+from tseitinkit import families as fam
+from tseitinkit import width
+from tseitinkit.bounds import adam_response
+from tseitinkit.graphs import Graph, is_3_connected
+from tseitinkit.minors import three_connected_minor
+from tseitinkit.width import (
     DeskScaleError,
     _min_fill,
     _reachable_outside,
-    _cut_orders,
     _width_at_most,
-    caterpillar,
     edge_order,
-    max_order_cut,
     order_bound,
+    order_cut,
     treewidth_exact,
     treewidth_lower_bound,
     treewidth_upper_bound,
@@ -52,8 +64,10 @@ def brute_force_treewidth(g: Graph) -> int:
 # --- reference cuts ---------------------------------------------------------
 #
 # Every cut as first written: recursive depths and edge sets, and one
-# `cut_boundary` call per cut.  The library computes all boundaries in one
-# bottom-up pass; its cuts must not differ.
+# `cut_boundary` call per cut.  `lemmas.all_cuts` computes all boundaries
+# in one bottom-up pass; its cuts must not differ.  `width.order_cut`
+# sweeps an edge order for the maximum-order cut of its caterpillar; it
+# must pick the cut `lemmas.max_order_cut` picks on that tree.
 
 
 def reference_all_cuts(t: BranchDecomposition, g: Graph) -> list[Cut]:
@@ -110,15 +124,40 @@ def leaf_edges(t: BranchDecomposition) -> list[int]:
     return sorted(node[1] for node in t.nodes if node[0] == "leaf")
 
 
+NAMED_GRAPHS = {
+    "grid2x8": lambda: fam.grid(2, 8),
+    "rr16": lambda: fam.random_regular(16, 3, 1),
+    "Q4": lambda: fam.cube(4),
+    "rr12-4-1": lambda: fam.random_regular(12, 4, 1),
+    "rr12-4-14": lambda: fam.random_regular(12, 4, 14),
+    "grid4x5-minor": lambda: three_connected_minor(fam.grid(4, 5)).graph,
+}
+
+
+def shuffled(order, seed: int) -> tuple[int, ...]:
+    out = list(order)
+    random.Random(seed).shuffle(out)
+    return tuple(out)
+
+
 class TestAgainstReference:
     def check(self, g: Graph, seed: int):
         for t in (caterpillar(edge_order(g)), random_binary_tree(g.m, seed)):
             assert leaf_edges(t) == list(range(g.m))
-            cuts = reference_all_cuts(t, g)
-            assert all_cuts(t, g) == cuts
-            orders = _cut_orders(t, g)
-            assert {c.node_id: len(c.boundary) for c in cuts} == {i: orders[i] for i in orders if i != t.root or len(t.nodes) == 1}
-            assert max_order_cut(t, g) == max(cuts, key=lambda c: (len(c.boundary), c.depth, -c.node_id))
+            assert all_cuts(t, g) == reference_all_cuts(t, g)
+        for order in (edge_order(g), shuffled(range(g.m), seed)):
+            self.check_order_cut(g, order)
+
+    def check_order_cut(self, g: Graph, order):
+        """The sweep's cut, and the boundary it implies, against the
+        maximum-order cut of the caterpillar; on a 3-connected graph the
+        adversary's boundary too."""
+        want = max_order_cut(caterpillar(order), g)
+        e1 = order_cut(g, order)
+        assert e1 == want.e1, order
+        assert cut_boundary(g, e1) == want.boundary, order
+        if is_3_connected(g):
+            assert adam_response(g, e1).v_prime == want.boundary, order
 
     def test_desk_family(self, bench_graph):
         name, g = bench_graph
@@ -127,6 +166,38 @@ class TestAgainstReference:
     @pytest.mark.parametrize("seed", RANDOM_SEEDS)
     def test_random_connected(self, seed):
         self.check(random_connected_graph(seed), seed)
+
+    @pytest.mark.parametrize("block", range(5))
+    def test_order_cut_on_random_shaped_graphs(self, block):
+        # 250 seeded graphs: trees, forests, isolated vertices and
+        # disconnected ones among them; edgeless ones have no order
+        for seed in range(50 * block, 50 * block + 50):
+            g = random_shaped_graph(seed)
+            if g.m:
+                for order in (edge_order(g), shuffled(edge_order(g), seed), shuffled(range(g.m), seed + 1)):
+                    self.check_order_cut(g, order)
+
+    @pytest.mark.parametrize("name", NAMED_GRAPHS)
+    def test_order_cut_on_named_graphs(self, name):
+        g = NAMED_GRAPHS[name]()
+        for seed in range(3):
+            self.check_order_cut(g, shuffled(edge_order(g), seed))
+        self.check_order_cut(g, edge_order(g))
+
+    def test_order_cut_edge_cases(self):
+        # m = 1 gives the trivial cut; m = 2 offers its two leaves only
+        assert order_cut(fam.path(2), (0,)) == (0,)
+        assert order_cut(fam.path(3), (0, 1)) == (0,)
+        assert order_cut(fam.path(3), (1, 0)) == (1,)
+        # every cut of C3 has order 2: the deepest, lowest-id node wins
+        assert order_cut(fam.cycle(3), (2, 0, 1)) == (2,)
+        star = Graph(5, tuple((0, i) for i in range(1, 5)))  # every leaf cut has order 0
+        for g in (fam.path(2), fam.path(3), fam.cycle(3), star, Graph(4, ((1, 3),))):
+            for order in itertools.permutations(range(g.m)):
+                self.check_order_cut(g, order)
+        g = k4_with_pendant_path()  # degree-1 vertex 5
+        for seed in range(100):
+            self.check_order_cut(g, shuffled(range(g.m), seed))
 
 
 # --- reference treewidth ----------------------------------------------------
@@ -169,15 +240,6 @@ def random_graph(seed: int) -> Graph:
 
 
 TREEWIDTH_SEEDS = [zlib.crc32(f"treewidth-{i}".encode()) for i in range(200)]
-
-NAMED_GRAPHS = {
-    "grid2x8": lambda: fam.grid(2, 8),
-    "rr16": lambda: fam.random_regular(16, 3, 1),
-    "Q4": lambda: fam.cube(4),
-    "rr12-4-1": lambda: fam.random_regular(12, 4, 1),
-    "rr12-4-14": lambda: fam.random_regular(12, 4, 14),
-    "grid4x5-minor": lambda: three_connected_minor(fam.grid(4, 5)).graph,
-}
 
 
 class TestAgainstReferenceTreewidth:
@@ -346,7 +408,7 @@ class TestBranchDecomposition:
         assert sorted(c.node_id for c in cuts) == [i for i in range(len(t.nodes)) if i != t.root]
         for cut in cuts[::50]:
             assert cut.boundary == cut_boundary(g, cut.e1)
-        assert max_order_cut(t, g) == max(cuts, key=lambda c: (len(c.boundary), c.depth, -c.node_id))
+        assert order_cut(g, range(leaves)) == max(cuts, key=lambda c: (len(c.boundary), c.depth, -c.node_id)).e1
 
     def test_boundary_definition_matches_recomputation(self, bench_graph):
         _, g = bench_graph
@@ -367,17 +429,16 @@ class TestBranchDecomposition:
         assert len(cut.boundary) == 2
         # every cut of this tree has order 2; the deepest smallest-id node wins
         assert all(len(c.boundary) == 2 for c in all_cuts(t, g))
+        assert cut.e1 == order_cut(g, (0, 1, 2)) == (0,)
 
     def test_single_edge_graph(self):
         g = fam.path(2)
-        t = caterpillar(edge_order(g))
-        cut = max_order_cut(t, g)
-        assert len(cut.boundary) <= 2
+        assert order_cut(g, edge_order(g)) == max_order_cut(caterpillar(edge_order(g)), g).e1 == (0,)
+        assert cut_boundary(g, (0,)) == ()
 
     def test_k4_max_cut_at_least_2(self):
         g = fam.complete(4)
-        t = caterpillar(edge_order(g))
-        assert len(max_order_cut(t, g).boundary) >= 2
+        assert len(cut_boundary(g, order_cut(g, edge_order(g)))) >= 2
 
 
 class TestBranchwidthBounds:
