@@ -5,7 +5,7 @@ unsatisfiable formula T(G, c); the output circuit computes the
 satisfiable formula T(G, c + 1_r) for a chosen root vertex r.  The gate
 for a (program node k, vertex v of G_k) pair computes T(G_k, c_k + 1_v):
 
-* a sink for vertex u maps u to a constant-1 gate;
+* a sink for vertex u maps u to the constant 1;
 * a decision on a non-bridge edge e builds the gate
   (not-x_e AND g0_v) OR (x_e AND g1_v) from the children's gates for v;
 * a decision on a bridge e = ab takes the child i that handles the
@@ -13,6 +13,12 @@ for a (program node k, vertex v of G_k) pair computes T(G_k, c_k + 1_v):
   for v on the a-side the gate is l_e AND (g^i_v AND g^{1-i}_b), where
   the b-side factor works because flipping the literal shifts the b-side
   charge by exactly 1_b; the b-side is symmetric.
+
+A sink's constant 1 is folded as it is used, since AND with 1 is the
+identity: a non-bridge decision takes the bare literal where a child is
+a sink, and a bridge drops a sink child from its inner AND, leaving the
+literal alone when both children are sinks.  The constant-1 gate is
+made only when the source itself is a sink (m = 0).
 
 Demand.  The paper's construction builds the gate of every pair, at most
 three gates each, so at most 3 * sum of |V(G_k)| gates.  Only the pairs
@@ -23,9 +29,9 @@ for v's side child with v and the other child with the end of e on that
 child's side at a bridge.  Each pair is built once, after the pairs it
 joins and only if the root reaches it; these are the demanded pairs.
 The recursion runs through `recursion.run`, so depth is bounded only by
-memory.  The output is the all-pairs circuit trimmed to the root, up to
-gate numbering (the tests keep the all-pairs construction as the
-reference).
+memory.  The output is the all-pairs circuit trimmed to the root with its
+constants folded, up to gate numbering (the tests keep the all-pairs
+construction, constant-1 sinks and all, as the reference).
 
 One vertex per node.  If every node decides the lowest-ranked edge of
 E_k in one ranking of E(G), as `build_well_structured_bp` does, each
@@ -51,9 +57,11 @@ x02 = 0 decide 03 and 12, on x02 = 1 decide 12 and 03.  The paths
 x02 x03 x12 = 001 and 100 reach the same annotation ({2, 3}, {23},
 c_2 = 1), through bridge 12 and bridge 03, which demand it at 2 and at 3.
 
-Size.  A demanded pair adds three gates at a non-bridge decision and two
-at a bridge, and literal leaves are shared, so in general the output
-has at most 3 * (demanded decision pairs) internal gates.  For one vertex per
+Size.  A demanded pair adds at most three gates at a non-bridge decision
+and two at a bridge, one fewer per sink child: a decision above two
+sinks adds one gate, a bridge above one sink adds one and a bridge
+above two adds none.  Literal leaves are shared, so in general the
+output has at most 3 * (demanded decision pairs) internal gates.  For one vertex per
 node that is at most 3 * (decision nodes), with at most 3 * |program| +
 2m + 1 nodes counting the leaves.  The 1/|V(G)| factor in the paper's
 refutation bound, length >= 2^Omega(tw(G)) / |V(G)|, comes from this
@@ -65,12 +73,14 @@ demanded at several vertices, so for those the factor stays.
 
 The circuit is smooth as built: by induction over the program, the gate
 for (k, v) mentions exactly the edges E_k of G_k.  A sink's G_k has no
-edge and its gate is the constant 1.  At a non-bridge decision both
-children live on G_k - e, so both OR branches mention E_k - e plus the
-literal on e.  At a bridge the two children's edge sets are the two sides,
-and the AND joins them with the literal on e.  Model counts therefore need
-no smoothing pass, and `model_count_smooth` counts a sink's constant 1
-as one model.
+edge, and its constant 1 mentions none, so folding it changes no gate's
+variables.  At a non-bridge decision both children live on G_k - e, so
+both OR branches mention E_k - e plus the literal on e.  At a bridge the
+two children's edge sets are the two sides, and the AND joins them with
+the literal on e.  Model counts therefore need no smoothing pass, and
+`nnf.smooth` and `nnf.propagate_constants` return the circuit itself.
+The constant 1 is left only as the whole circuit for m = 0, which
+`model_count_smooth` counts as one model.
 """
 
 from __future__ import annotations
@@ -107,10 +117,14 @@ def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: in
     builder = CircuitBuilder(g.m)
     gate: dict[tuple[int, int], int] = {}
 
+    def conj(x, y):
+        """x AND y, where None stands for a sink's constant 1."""
+        return y if x is None else x if y is None else builder.gate_and(x, y)
+
     def make(k: int, v: int):
-        """The gate for (k, v), computing T(G_k, c_k + 1_v)."""
+        """The gate for (k, v), computing T(G_k, c_k + 1_v); None for a sink."""
         if k in b.sinks:
-            return builder.const(1)
+            return None
         var, lo, hi = b.decisions[k]
         bridge = vertices[lo] != vertices[k]
         if bridge:
@@ -126,14 +140,14 @@ def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: in
                 gate[pair] = yield make(*pair)
             children.append(gate[pair])
         if bridge:
-            return builder.gate_and(builder.literal(var, own == hi), builder.gate_and(*children))
-        left = builder.gate_and(builder.literal(var, False), children[0])
-        right = builder.gate_and(builder.literal(var, True), children[1])
+            return conj(builder.literal(var, own == hi), conj(*children))
+        left = conj(builder.literal(var, False), children[0])
+        right = conj(builder.literal(var, True), children[1])
         return builder.gate_or(left, right)
 
     root = run(make(b.source, root_vertex))
     del make  # a closure that calls itself is a reference cycle: free the gate table now, not at the next collection
-    return builder.build(root)
+    return builder.build(builder.const(1) if root is None else root)
 
 
 def retarget(d: NnfCircuit, g: Graph, c_current: Charge, c_star: Charge) -> NnfCircuit:

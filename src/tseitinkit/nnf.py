@@ -8,7 +8,9 @@ decomposable when its children share no variables; an OR gate is smooth
 NamedTuples, built by position in the library.  Circuits are immutable:
 transforms never mutate their input, and return it unchanged when there
 is nothing to change (`restrict_to_root` when every gate is reachable,
-`rename_flip` with no flips).
+`rename_flip` with no flips, `propagate_constants` with no constant
+below a gate, no literal leaf twice and no unreachable gate, and `smooth`
+on such a circuit when it is already smooth).
 
 Model counts use the usual bottom-up sum/product rule, which is exact on
 smooth circuits whose OR gates split models disjointly; every circuit the
@@ -219,8 +221,38 @@ def _rebuild(d: NnfCircuit, leaf_fn) -> NnfCircuit:
     return restrict_to_root(builder.build(root))
 
 
+def _folded(d: NnfCircuit) -> bool:
+    """Whether `_rebuild` would copy d gate for gate: no constant below a
+    gate, no literal leaf twice, every gate reachable from the root, and
+    every literal's variable in range.
+
+    One sweep down from the top gate, as in `_reachable`.
+    """
+    gates = d.gates
+    live = [False] * len(gates)
+    live[d.root] = True
+    seen = set()
+    for i in range(len(gates) - 1, -1, -1):
+        if not live[i]:
+            return False
+        g = gates[i]
+        if g.kind == LIT:
+            key = (g.var, g.positive)
+            if key in seen or not 0 <= g.var < d.num_vars:
+                return False
+            seen.add(key)
+        elif g.kind == CONST:
+            return len(gates) == 1  # a lone constant folds to itself
+        else:
+            live[g.a] = live[g.b] = True
+    return True
+
+
 def propagate_constants(d: NnfCircuit) -> NnfCircuit:
-    return _rebuild(d, lambda g: g)
+    """Fold every constant below a gate into its parent, share equal
+    literal leaves and drop unreachable gates; d itself if there is
+    nothing to change."""
+    return d if _folded(d) else _rebuild(d, lambda g: g)
 
 
 def rename_flip(d: NnfCircuit, flips: set[int]) -> NnfCircuit:
@@ -243,12 +275,21 @@ def smooth(d: NnfCircuit) -> NnfCircuit:
     Deficient OR branches are padded with (x OR not-x) units, one shared
     unit per variable, chained by ANDs in ascending variable order.
     Constants are propagated first so no constant survives below a gate.
+    A circuit that is smooth once propagated (a lone constant is) has
+    nothing to pad and is returned as propagated: d itself if it had no
+    constant to fold either.
     """
     if not validate_decomposable(d):
         raise ValueError("circuit must be decomposable")
     d = propagate_constants(d)
-    if d.gates[d.root].kind == CONST:
+    if is_smooth(d):
         return d
+    return _pad(d)
+
+
+def _pad(d: NnfCircuit) -> NnfCircuit:
+    """The padding rebuild of `smooth`, on a decomposable circuit with no
+    constant below a gate."""
     builder = CircuitBuilder(d.num_vars)
     units: dict[int, int] = {}
 

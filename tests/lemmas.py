@@ -16,8 +16,9 @@ holds what only the tests use to check the lemmas those rest on:
   (`extract_balanced_cover`).
 
 It also keeps the paper's all-pairs compilation (`compile_all_pairs`),
-with a gate for every (program node, vertex) pair, as the reference the
-library's compiler must equal up to gate numbering (`same_circuit`); the path-wise
+with a gate for every (program node, vertex) pair and the constant 1 at
+every sink, as the reference the library's compiler must equal once its
+constants are folded, up to gate numbering (`same_circuit`); the path-wise
 read-once check (`validate_read_once`) the BP validator's condition 3
 implies; conditioning and forgetting on circuits, for replaying a minor
 trace (`replay_on_circuit`); the truth tables of a circuit and of a
@@ -579,9 +580,11 @@ class CompileDetails:
 def compile_all_pairs(b: BranchingProgram, g: Graph, c: Charge) -> CompileDetails:
     """The paper's construction as written: children first, one gate per
     (node, vertex) pair whether or not any root reaches it.
-    `compiler.compile_bp_to_dnnf` builds only the pairs its root reaches,
-    in the order its recursion meets them, and must equal
-    `circuit(root_vertex)` up to gate numbering (`same_circuit`)."""
+    Every sink's gate is the constant 1.  `compiler.compile_bp_to_dnnf`
+    builds only the pairs its root reaches, in the order its recursion
+    meets them, folds the sinks' constants as it builds, and must equal
+    `propagate_constants(circuit(root_vertex))` up to gate numbering
+    (`same_circuit`)."""
     res = validate_well_structured(b, g, c)
     if not res:
         raise ValueError(f"program is not well-structured: {res.error} (node {res.node})")

@@ -388,8 +388,10 @@ class TestDeepPrograms:
         c = unit_charge(n, 0)
         assert len(bp.topological()) == bp.size == 2 * n - 1
         assert validate_well_structured(bp, g, c).ok
-        # every decision on a path decides a bridge: two gates each
-        assert compile_bp_to_dnnf(bp, g, c, 0).size == 2 * len(decisions)
+        # every decision on a path decides a bridge with a sink on its
+        # 0-wire: one AND each (the literal and the rest of the chain),
+        # except the last, whose children are both sinks: its literal alone
+        assert compile_bp_to_dnnf(bp, g, c, 0).size == len(decisions) - 1 == 1499
 
     def test_builder_deeper_than_recursion_limit(self):
         # breadth-first from the end vertex 0 ranks a path's edges by id, so
@@ -401,7 +403,7 @@ class TestDeepPrograms:
         assert bp.size == 2 * n - 1
         assert len(bp.topological()) == bp.size
         assert bp.decisions[bp.source][0] == 0
-        assert compile_bp_to_dnnf(bp, g, c, 0).size == 2 * len(bp.decisions)
+        assert compile_bp_to_dnnf(bp, g, c, 0).size == len(bp.decisions) - 1 == 1198
 
 
 class TestBuilderSizes:

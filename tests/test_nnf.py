@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lemmas import (
@@ -13,8 +15,15 @@ from lemmas import (
 )
 from tseitinkit import families as fam
 from tseitinkit.nnf import (
+    AND,
+    CONST,
+    LIT,
+    OR,
     CircuitBuilder,
     Gate,
+    NnfCircuit,
+    _pad,
+    _rebuild,
     is_smooth,
     model_count_smooth,
     nnf_from_text,
@@ -66,7 +75,7 @@ class TestSmoothing:
 
     def test_already_smooth_unchanged(self):
         d = smooth(circuit_xy_or_notx_noty())
-        assert smooth(d).size == d.size
+        assert smooth(d) is d
 
     def test_preserves_decomposability(self):
         s = smooth(circuit_x_or_xy())
@@ -283,6 +292,107 @@ class TestConstants:
         _, g = bench_graph
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * g.n)
         assert restrict_to_root(d) is d
+
+
+def random_circuit(rng: random.Random, folded: bool) -> NnfCircuit:
+    """A random decomposable circuit over 4 variables, its gates laid down
+    directly: an AND joins two gates with disjoint variables, an OR any
+    two.  Unless `folded`, constants, repeated literal leaves and gates
+    the root does not reach all occur; if `folded`, none does."""
+    gates: list[Gate] = []
+    masks: list[int] = []
+    for _ in range(rng.randint(1, 12)):
+        if len(gates) < 2 or rng.random() < 0.4:
+            if not folded and rng.random() < 0.2:
+                gates.append(Gate(CONST, rng.randint(0, 1)))
+                masks.append(0)
+                continue
+            leaf = Gate(LIT, -1, -1, rng.randrange(4), rng.random() < 0.5)
+            if folded and leaf in gates:
+                continue
+            gates.append(leaf)
+            masks.append(1 << leaf.var)
+        else:
+            a, b = sorted(rng.sample(range(len(gates)), 2))
+            kind = AND if not masks[a] & masks[b] else OR
+            gates.append(Gate(kind, a, b))
+            masks.append(masks[a] | masks[b])
+    root = len(gates) - 1 if folded or rng.random() < 0.7 else rng.randrange(len(gates))
+    d = NnfCircuit(tuple(gates), root, 4)
+    return restrict_to_root(d) if folded else d
+
+
+def propagated_by_rebuild(d: NnfCircuit) -> NnfCircuit:
+    return _rebuild(d, lambda g: g)
+
+
+def smoothed_by_rebuild(d: NnfCircuit) -> NnfCircuit:
+    p = propagated_by_rebuild(d)
+    return p if p.gates[p.root].kind == CONST else _pad(p)
+
+
+def assert_short_circuit_exact(d: NnfCircuit) -> tuple[bool, bool]:
+    """propagate_constants and smooth equal their rebuild paths gate for
+    gate, and return d itself exactly when that rebuild changes nothing.
+    Returns whether each returned d."""
+    p, want = propagate_constants(d), propagated_by_rebuild(d)
+    assert p == want
+    assert (p is d) == (want == d)
+    s, want = smooth(d), smoothed_by_rebuild(d)
+    assert s == want
+    assert (s is d) == (want == d)
+    return p is d, s is d
+
+
+class TestNothingToChange:
+    """`propagate_constants` and `smooth` return their input when their
+    rebuild would only copy it, and otherwise take the rebuild."""
+
+    @pytest.mark.parametrize("folded", [False, True], ids=["any", "folded"])
+    def test_random_circuits(self, folded):
+        rng = random.Random(f"short circuit {folded}")
+        returned = set()
+        for _ in range(400):
+            returned.add(assert_short_circuit_exact(random_circuit(rng, folded)))
+        # both sides of each short-circuit were taken
+        want = {(True, True), (True, False)} if folded else {(False, False), (True, True), (True, False)}
+        assert want <= returned
+
+    def test_duplicate_literal_leaf(self):
+        x = Gate(LIT, -1, -1, 0, True)
+        d = NnfCircuit((x, Gate(LIT, -1, -1, 1, True), x, Gate(AND, 0, 1), Gate(OR, 3, 2)), 4, 2)
+        assert assert_short_circuit_exact(d) == (False, False)
+        assert propagate_constants(d).node_count == 4
+
+    def test_unreachable_gate(self):
+        b = CircuitBuilder(2)
+        b.literal(1, False)  # never used
+        d = b.build(b.gate_and(b.literal(0, True), b.literal(1, True)))
+        assert assert_short_circuit_exact(d) == (False, False)
+
+    def test_gate_above_the_root(self):
+        d = circuit_and_xy()
+        d = NnfCircuit(d.gates + (Gate(OR, 0, 2),), d.root, d.num_vars)
+        assert assert_short_circuit_exact(d) == (False, False)
+
+    def test_constant_below_a_gate(self):
+        b = CircuitBuilder(1)
+        d = b.build(b.gate_and(b.literal(0, True), b.const(1)))
+        assert assert_short_circuit_exact(d) == (False, False)
+        assert propagate_constants(d).gates == (Gate(LIT, -1, -1, 0, True),)
+
+    @pytest.mark.parametrize("gate", [Gate(LIT, -1, -1, 0, False), Gate(CONST, 0), Gate(CONST, 1)],
+                             ids=["literal", "const0", "const1"])
+    def test_single_gate(self, gate):
+        assert assert_short_circuit_exact(NnfCircuit((gate,), 0, 1)) == (True, True)
+
+    def test_literal_out_of_range_still_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            propagate_constants(NnfCircuit((Gate(LIT, -1, -1, 3, True),), 0, 2))
+
+    def test_non_smooth_or(self):
+        d = circuit_x_or_xy()
+        assert assert_short_circuit_exact(d) == (True, False)
 
 
 class TestNnfText:
