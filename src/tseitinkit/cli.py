@@ -209,47 +209,72 @@ def cmd_build_bp(args) -> int:
     return _emit(bp_to_text(bp), args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", choices=list(families.FAMILIES))
+    p.add_argument("params", nargs="*")
+    p.add_argument("--out")
+
+
+def _pipeline_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", required=True)
+    p.add_argument("--charge", default="odd-at 0")
+    p.add_argument("--target", default="zero")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
+    p.add_argument("--desk-scale-cap", type=_desk_scale_cap, default=16)
+
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("kind", choices=["refutation", "bp", "dnnf-equiv", "certificate"])
+    p.add_argument("files", nargs=2)
+    p.add_argument("--desk-scale-cap", type=_desk_scale_cap, default=16)
+
+
+def _convert_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input")
+    p.add_argument("--format", required=True, choices=["graph", "tseitin", "cnf", "nnf", "bp", "trace"])
+    p.add_argument("--out")
+
+
+def _build_bp_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input")
+    p.add_argument("--out")
+
+
+# name -> (help text, a function adding the command's arguments to its parser, handler)
+COMMANDS = {
+    "generate": ("emit a graph from a named family", _generate_arguments, cmd_generate),
+    "pipeline": ("run the full build/compile/verify pipeline", _pipeline_arguments, cmd_pipeline),
+    "check": ("validate an artifact", _check_arguments, cmd_check),
+    "convert": ("parse and re-emit a file in a text format", _convert_arguments, cmd_convert),
+    "build-bp": ("build a well-structured program for an unsatisfiable formula", _build_bp_arguments, cmd_build_bp),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or a top parser holding only `command`'s
+    subparser, which parses an argv starting with that name as the full
+    tree does."""
     top = argparse.ArgumentParser(prog="tseitinkit")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="emit a graph from a named family")
-    gen.add_argument("family", choices=list(families.FAMILIES))
-    gen.add_argument("params", nargs="*")
-    gen.add_argument("--out")
-    gen.set_defaults(func=cmd_generate)
-
-    pipe = sub.add_parser("pipeline", help="run the full build/compile/verify pipeline")
-    pipe.add_argument("--graph", required=True)
-    pipe.add_argument("--charge", default="odd-at 0")
-    pipe.add_argument("--target", default="zero")
-    pipe.add_argument("--seed", type=int, default=0)
-    pipe.add_argument("--out")
-    pipe.add_argument("--desk-scale-cap", type=_desk_scale_cap, default=16)
-    pipe.set_defaults(func=cmd_pipeline)
-
-    chk = sub.add_parser("check", help="validate an artifact")
-    chk.add_argument("kind", choices=["refutation", "bp", "dnnf-equiv", "certificate"])
-    chk.add_argument("files", nargs=2)
-    chk.add_argument("--desk-scale-cap", type=_desk_scale_cap, default=16)
-    chk.set_defaults(func=cmd_check)
-
-    conv = sub.add_parser("convert", help="parse and re-emit a file in a text format")
-    conv.add_argument("input")
-    conv.add_argument("--format", required=True, choices=["graph", "tseitin", "cnf", "nnf", "bp", "trace"])
-    conv.add_argument("--out")
-    conv.set_defaults(func=cmd_convert)
-
-    comp = sub.add_parser("build-bp", help="build a well-structured program for an unsatisfiable formula")
-    comp.add_argument("input")
-    comp.add_argument("--out")
-    comp.set_defaults(func=cmd_build_bp)
-
+    # a one-command tree's usage line still names every command; the full
+    # tree keeps the default, as its errors name the action "command"
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_arguments, handler = COMMANDS[name]
+        parser = sub.add_parser(name, help=help_text)
+        add_arguments(parser)
+        parser.set_defaults(func=handler)
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command in argv (sys.argv[1:] when None).  Only the named
+    command's parser is built; help, a missing or unknown command and a
+    leading option go through the full tree."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

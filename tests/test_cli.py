@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -59,6 +60,165 @@ def test_import_leaves_numpy_out():
     code = "import sys, tseitinkit.cli; print('numpy' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout == "False\n"
+
+
+TOP_USAGE = "usage: tseitinkit [-h] {generate,pipeline,check,convert,build-bp} ...\n"
+TOP_HELP = TOP_USAGE + """
+positional arguments:
+  {generate,pipeline,check,convert,build-bp}
+    generate            emit a graph from a named family
+    pipeline            run the full build/compile/verify pipeline
+    check               validate an artifact
+    convert             parse and re-emit a file in a text format
+    build-bp            build a well-structured program for an unsatisfiable
+                        formula
+
+options:
+  -h, --help            show this help message and exit
+"""
+GENERATE_USAGE = """usage: tseitinkit generate [-h] [--out OUT]
+                           {cycle,path,complete,grid,wheel,cube,random-regular}
+                           [params ...]
+"""
+PIPELINE_USAGE = """usage: tseitinkit pipeline [-h] --graph GRAPH [--charge CHARGE]
+                           [--target TARGET] [--seed SEED] [--out OUT]
+                           [--desk-scale-cap DESK_SCALE_CAP]
+"""
+CHECK_USAGE = """usage: tseitinkit check [-h] [--desk-scale-cap DESK_SCALE_CAP]
+                        {refutation,bp,dnnf-equiv,certificate} files files
+"""
+CONVERT_USAGE = """usage: tseitinkit convert [-h] --format {graph,tseitin,cnf,nnf,bp,trace}
+                          [--out OUT]
+                          input
+"""
+BUILD_BP_USAGE = "usage: tseitinkit build-bp [-h] [--out OUT] input\n"
+COMMAND_CHOICES = "(choose from 'generate', 'pipeline', 'check', 'convert', 'build-bp')"
+
+# argv -> (exit code, stdout, stderr) at an 80-column terminal
+GOLDEN = {
+    (): (2, "", TOP_USAGE + "tseitinkit: error: the following arguments are required: command\n"),
+    ("-h",): (0, TOP_HELP, ""),
+    ("--help",): (0, TOP_HELP, ""),
+    ("bogus",): (2, "", TOP_USAGE + f"tseitinkit: error: argument command: invalid choice: 'bogus' {COMMAND_CHOICES}\n"),
+    ("--", "check"): (2, "", TOP_USAGE + f"tseitinkit: error: argument command: invalid choice: '--' {COMMAND_CHOICES}\n"),
+    ("-x", "check"): (2, "", CHECK_USAGE + "tseitinkit check: error: the following arguments are required: kind, files\n"),
+    ("generate", "-h"): (0, GENERATE_USAGE + """
+positional arguments:
+  {cycle,path,complete,grid,wheel,cube,random-regular}
+  params
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT
+""", ""),
+    ("pipeline", "-h"): (0, PIPELINE_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --graph GRAPH
+  --charge CHARGE
+  --target TARGET
+  --seed SEED
+  --out OUT
+  --desk-scale-cap DESK_SCALE_CAP
+""", ""),
+    ("check", "-h"): (0, CHECK_USAGE + """
+positional arguments:
+  {refutation,bp,dnnf-equiv,certificate}
+  files
+
+options:
+  -h, --help            show this help message and exit
+  --desk-scale-cap DESK_SCALE_CAP
+""", ""),
+    ("convert", "-h"): (0, CONVERT_USAGE + """
+positional arguments:
+  input
+
+options:
+  -h, --help            show this help message and exit
+  --format {graph,tseitin,cnf,nnf,bp,trace}
+  --out OUT
+""", ""),
+    ("build-bp", "-h"): (0, BUILD_BP_USAGE + """
+positional arguments:
+  input
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT
+""", ""),
+    ("check",): (2, "", CHECK_USAGE + "tseitinkit check: error: the following arguments are required: kind, files\n"),
+    ("pipeline",): (2, "", PIPELINE_USAGE + "tseitinkit pipeline: error: the following arguments are required: --graph\n"),
+    ("build-bp",): (2, "", BUILD_BP_USAGE + "tseitinkit build-bp: error: the following arguments are required: input\n"),
+    ("check", "nope", "a", "b"): (2, "", CHECK_USAGE + "tseitinkit check: error: argument kind: invalid choice: 'nope' "
+                                  "(choose from 'refutation', 'bp', 'dnnf-equiv', 'certificate')\n"),
+    ("generate", "nofam"): (2, "", GENERATE_USAGE + "tseitinkit generate: error: argument family: invalid choice: 'nofam' "
+                            "(choose from 'cycle', 'path', 'complete', 'grid', 'wheel', 'cube', 'random-regular')\n"),
+    # an extra argument is refused by the top parser, with its usage line
+    ("check", "bp", "a", "b", "c"): (2, "", TOP_USAGE + "tseitinkit: error: unrecognized arguments: c\n"),
+    ("check", "bp", "a", "b", "--desk-scale-cap", "99"): (
+        2, "", CHECK_USAGE + "tseitinkit check: error: argument --desk-scale-cap: 99 exceeds the truth table cap 24\n"),
+    ("check", "--desk-scale-cap"): (
+        2, "", CHECK_USAGE + "tseitinkit check: error: argument --desk-scale-cap: expected one argument\n"),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_text_and_exit_code(self, argv, capsys, monkeypatch):
+        """Help, usage and error text, byte for byte, and the exit code."""
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == GOLDEN[argv]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The number of ArgumentParser objects made so far."""
+        count = [0]
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            count[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return count
+
+    def test_a_command_builds_only_its_parser(self, built, workdir):
+        assert main(["check", "refutation", workdir["cnf"], workdir["trace"]]) == 0
+        assert built[0] == 2
+
+    @pytest.mark.parametrize("argv", [["-h"], ["bogus"]])
+    def test_help_and_errors_build_the_full_tree(self, built, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built[0] == 1 + len(cli.COMMANDS)
+
+    def test_subparsers(self):
+        for command in [None, *cli.COMMANDS]:
+            [sub] = [a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
+            assert list(sub.choices) == (list(cli.COMMANDS) if command is None else [command])
+            assert all(parser.prog == f"tseitinkit {name}" for name, parser in sub.choices.items())
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "grid", "3", "3", "--out", "g"],
+        ["pipeline", "--graph", "g", "--seed", "3", "--desk-scale-cap", "20"],
+        ["check", "dnnf-equiv", "a", "b", "--desk-scale-cap", "24"],
+        ["convert", "x", "--format", "nnf"],
+        ["build-bp", "t", "--out", "b"],
+    ])
+    def test_one_command_tree_parses_alike(self, argv):
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    def test_main_reads_sys_argv(self, tmp_path, monkeypatch):
+        out = tmp_path / "c3.graph"
+        monkeypatch.setattr(sys, "argv", ["tseitinkit", "generate", "cycle", "3", "--out", str(out)])
+        assert main() == 0
+        assert graph_from_text(out.read_text()) == fam.cycle(3)
 
 
 class TestGenerate:
