@@ -66,12 +66,15 @@ def _parse_charge(spec: str, g: Graph, want_satisfiable: bool, default_seed: int
 
 
 def _desk_scale_cap(text: str) -> int:
-    """A --desk-scale-cap value: an int no larger than the truth table cap,
-    so a run that could never reach its verdict is refused up front."""
+    """A --desk-scale-cap value: an int from 0 up to the truth table cap,
+    so a run that could never reach its verdict is refused up front, and
+    a negative cap as the usage error it is."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
     if value > VAR_CAP:
         raise argparse.ArgumentTypeError(f"{value} exceeds the truth table cap {VAR_CAP}")
     return value

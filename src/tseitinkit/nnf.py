@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .oracles import conj, disj, neg
+from .oracles import conj, disj
 from .textformat import error, ints, lines_of
 
 LIT = "L"
@@ -164,11 +164,11 @@ def is_smooth(d: NnfCircuit) -> bool:
 
 def gate_values(d: NnfCircuit, x) -> list:
     """Value of every gate under the column accessor x (see `oracles`):
-    packed bits, or a bool for a gate that folds to a constant."""
+    a column, or a bool for a gate that folds to a constant."""
     vals = []
     for kind, a, b, var, positive in d.gates:
         if kind == LIT:
-            vals.append(x(var) if positive else neg(x(var)))
+            vals.append(x(var, positive))
         elif kind == CONST:
             vals.append(bool(a))
         elif kind == AND:

@@ -4,125 +4,114 @@ The library's checkers are structural; enumeration is kept out of their
 path and lives here, for the tests and for the desk-scale equivalence
 verdicts.
 
-Evaluators read an assignment through a column accessor `x`: `x(v)` is
-the packed column of variable v.  Inside a truth-table block it is a
-uint64 array in which assignment i of the block is bit i mod 64 of word
-i // 64, the layout `np.packbits(..., bitorder="little")` produces, for
+Evaluators read an assignment through a column accessor `x`: `x(v,
+positive)` is the column of the literal of variable v with that sign
+(positive by default).  Inside a truth-table block of 2^min(num_vars,
+BLOCK_BITS) assignments a column is a non-negative Python int in which
+bit i is set when the literal holds on assignment i of the block, for
 the variables below BLOCK_BITS; a variable at BLOCK_BITS or above is
 constant within a block and is handed over as a Python bool.  For one
-assignment, `point(mask)`, a column is the Python int -1 (every bit set)
-or 0.  Evaluators combine columns through `neg`, `conj`, `disj` and
+assignment, `point(mask)`, a column is the int 1 or 0: a block of one
+assignment.  Evaluators combine columns through `conj`, `disj` and
 `parity` only, so the per-block and the per-assignment evaluation share
 one implementation, and the truth of a single assignment is
-`bool(value)`.  Those four fold constant values, which stay Python
-bools: mixed into word arithmetic a bool would act as the one-bit word 1
-(and `~True` is -2).
+`bool(value)`.  Those three fold constant values, which stay Python
+bools: mixed into int arithmetic a bool would act as the one-bit int 1.
+
+Evaluators never negate a column: NNF negates only at its leaves, whose
+columns the accessor hands out, and parity negates by taking one
+literal's negative column.  So every value stays a non-negative int no
+wider than its block; CPython's `&`, `|` and `^` on negative ints are
+several times slower.  A column function of the caller's own may still
+use `~`: values are masked with the block's all-ones value where two of
+them are compared and in the table returned.
 
 `truth_table` and `tables_equal` share the one truth-table engine: it
 evaluates a column function on fixed blocks of 2^BLOCK_BITS assignments,
 so a circuit needs O(gates x 2^BLOCK_BITS / 8) bytes of working memory.
-`truth_table` unpacks every block into the 2^num_vars-entry result;
-`tables_equal` compares two column functions block by block on their
-packed words and stops at the first block where they differ, so it
-builds no 2^num_vars-entry array.
-
-Only that engine needs numpy, and it imports numpy on first use: the
-evaluators, and every module that reads a single assignment, run
-without it.
+`truth_table` joins the blocks into one 2^num_vars-bit int; `tables_equal`
+compares two column functions block by block and stops at the first
+block where they differ, so it builds no 2^num_vars-bit value.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
-
 BLOCK_BITS = 16
 VAR_CAP = 24
-_ALL_ONES = 0xFFFF_FFFF_FFFF_FFFF
-# word pattern of variable v < 6: bit i is set when bit v of i is
-_PATTERNS = [sum(1 << i for i in range(64) if (i >> v) & 1) for v in range(6)]
 
 
-def _block_columns(bits: int, words: int) -> list[np.ndarray]:
-    """Packed columns of variables 0..bits-1 over the first 2^bits
-    assignments of `words` words.  Variables below 6 repeat a word
-    pattern; the others are runs of whole words."""
-    import numpy as np
-
-    index = np.arange(words)
+def _block_columns(bits: int) -> list[int]:
+    """Positive columns of variables 0..bits-1 over a block of 2^bits
+    assignments.  Variable v has period 2^(v+1): 2^v clear bits, then 2^v
+    set bits; the period is doubled up to the block."""
+    size = 1 << bits
     cols = []
     for v in range(bits):
-        if v < 6:
-            cols.append(np.full(words, _PATTERNS[v], dtype=np.uint64))
-        else:
-            cols.append(np.where(((index >> (v - 6)) & 1).astype(bool), np.uint64(_ALL_ONES), np.uint64(0)))
+        run = 1 << v
+        col, period = ((1 << run) - 1) << run, 2 * run
+        while period < size:
+            col |= col << period
+            period *= 2
+        cols.append(col)
     return cols
 
 
 def _accessors(num_vars: int):
-    """The column accessor of each block of 2^min(num_vars, BLOCK_BITS)
-    assignments, block by block in order.
-
-    A block shorter than a word is padded: columns repeat with the period
-    of the block, so two values that agree on the block agree on the
-    whole word.
-    """
+    """The all-ones value of a block of 2^min(num_vars, BLOCK_BITS)
+    assignments, and the column accessor of each block, block by block
+    in order."""
     if num_vars > VAR_CAP:
         raise ValueError(f"{num_vars} variables exceed the truth table cap {VAR_CAP}")
     bits = min(num_vars, BLOCK_BITS)
-    low = _block_columns(bits, max(1, (1 << bits) >> 6))
-    high = num_vars - bits
-    return ((low + [bool((block >> i) & 1) for i in range(high)]).__getitem__ for block in range(1 << high))
+    full = (1 << (1 << bits)) - 1
+    plain = _block_columns(bits)
+    negated = [full ^ col for col in plain]
+
+    def accessor(block: int):
+        high = [bool((block >> i) & 1) for i in range(num_vars - bits)]
+        columns = (negated + [not bit for bit in high], plain + high)
+        return lambda v, positive=True: columns[positive][v]
+
+    return full, map(accessor, range(1 << (num_vars - bits)))
 
 
-def _packed(value):
-    """A block value as packed words; a constant becomes one word that
-    broadcasts over the block."""
+def _masked(value, full: int) -> int:
+    """A block value as an int within the block; a constant fills it."""
     if isinstance(value, bool):
-        import numpy as np
-
-        return np.uint64(_ALL_ONES if value else 0)
-    return value
+        return full if value else 0
+    return value & full
 
 
-def truth_table(num_vars: int, column) -> np.ndarray:
-    """column(x) on all 2^num_vars assignments (assignment = index).
+def truth_table(num_vars: int, column) -> int:
+    """column(x) on all 2^num_vars assignments, as an int whose bit i is
+    the value on assignment i.
 
-    `column` maps a column accessor `x` (see the module docstring) to the
-    packed uint64 words of its value on the block, or to one bool for a
-    constant.
+    `column` maps a column accessor `x` (see the module docstring) to its
+    value on the block: an int whose bit i is assignment i of the block,
+    or one bool for a constant.
     """
-    import numpy as np
-
-    accessors = _accessors(num_vars)  # checks the cap before the table is allocated
-    packed = np.empty(max(1, (1 << num_vars) >> 6), dtype="<u8")
-    rows = packed.reshape(1 << max(num_vars - BLOCK_BITS, 0), -1)  # one row of words per block
-    for words, x in zip(rows, accessors):
-        words[:] = _packed(column(x))
-    return np.unpackbits(packed.view(np.uint8), bitorder="little")[:1 << num_vars].view(bool)
+    full, accessors = _accessors(num_vars)
+    blocks = [_masked(column(x), full) for x in accessors]
+    if len(blocks) == 1:
+        return blocks[0]
+    width = (1 << BLOCK_BITS) // 8
+    return int.from_bytes(b"".join(block.to_bytes(width, "little") for block in blocks), "little")
 
 
 def tables_equal(num_vars: int, column_a, column_b) -> bool:
     """Whether two column functions (as for `truth_table`) agree on all
     2^num_vars assignments.
 
-    Both are evaluated block by block and their packed words compared, up
-    to the first block where they differ; no 2^num_vars-entry array is
-    built.
+    Both are evaluated block by block and compared, up to the first block
+    where they differ; no 2^num_vars-bit value is built.
     """
-    return all((_packed(column_a(x)) == _packed(column_b(x))).all() for x in _accessors(num_vars))
+    full, accessors = _accessors(num_vars)
+    return all(_masked(column_a(x), full) == _masked(column_b(x), full) for x in accessors)
 
 
 def point(mask: int):
     """Column accessor of the single assignment `mask` (bit v = variable v)."""
-    return lambda v: -((mask >> v) & 1)
-
-
-def neg(a):
-    """NOT a, folding a constant (bool) operand."""
-    return (not a) if isinstance(a, bool) else ~a
+    return lambda v, positive=True: ((mask >> v) & 1) ^ (not positive)
 
 
 def conj(a, b):
@@ -145,17 +134,23 @@ def disj(a, b):
 
 def parity(x, edge_ids, charge: int):
     """Whether the XOR of the listed variables of x equals `charge` (0/1);
-    a bool when every listed column is constant."""
+    a bool when every listed column is constant.
+
+    The constant columns fold into `value`, the truth of the equation on
+    them alone; the first column that is not constant is read with the
+    sign that applies `value`, so no column is negated.
+    """
     value = not charge
+    first, rest = None, 0
     for e in edge_ids:
         col = x(e)
         if isinstance(col, bool):
-            value = neg(value) if col else value
-        elif isinstance(value, bool):
-            value = neg(col) if value else col
+            value ^= col
+        elif first is None:
+            first = e
         else:
-            value = value ^ col
-    return value
+            rest ^= col
+    return value if first is None else x(first, not value) ^ rest
 
 
 def eval_bp(b, mask: int, start: int | None = None) -> int:

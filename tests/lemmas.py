@@ -23,7 +23,7 @@ read-once check (`validate_read_once`) the BP validator's condition 3
 implies; conditioning and forgetting on circuits, for replaying a minor
 trace (`replay_on_circuit`); the truth tables of a circuit and of a
 formula (`nnf_truth_table`, `tseitin_truth_table`) that the tests read,
-and the pointwise evaluators and reference truth tables the packed engine
+and the pointwise evaluators and reference truth tables the truth-table engine
 in `tseitinkit.oracles` is checked against; general branch
 decompositions (`BranchDecomposition`, with `caterpillar` for the
 left-deep one over an edge order), every cut of one (`all_cuts`) and
@@ -370,9 +370,10 @@ def reference_components(g: Graph) -> list[set[int]]:
 # --- point evaluation and reference truth tables ----------------------------
 
 
-def models(table) -> list[int]:
+def models(table: int) -> list[int]:
     """The assignments a truth table accepts, ascending."""
-    return [int(x) for x in np.nonzero(table)[0]]
+    data = table.to_bytes((table.bit_length() + 7) // 8, "little")
+    return [8 * i + j for i, byte in enumerate(data) if byte for j in range(8) if (byte >> j) & 1]
 
 
 def evaluate(d: NnfCircuit, mask: int) -> bool:
@@ -388,25 +389,26 @@ def satisfies(t: TseitinFormula, mask: int) -> bool:
     return not any(violated_at(t, mask, v) for v in range(t.graph.n))
 
 
-def nnf_truth_table(d: NnfCircuit) -> np.ndarray:
-    """Circuit value on all 2^num_vars assignments (assignment = index)."""
+def nnf_truth_table(d: NnfCircuit) -> int:
+    """Circuit value on all 2^num_vars assignments (bit i = assignment i)."""
     return truth_table(d.num_vars, lambda x: root_value(d, x))
 
 
-def tseitin_truth_table(t: TseitinFormula) -> np.ndarray:
-    """Indicator of the models over all 2^m assignments."""
+def tseitin_truth_table(t: TseitinFormula) -> int:
+    """Indicator of the models over all 2^m assignments (bit i = assignment i)."""
     return truth_table(t.graph.m, lambda x: satisfied(t, x))
 
 
-def reference_truth_table(num_vars: int, column) -> np.ndarray:
+def reference_truth_table(num_vars: int, column) -> int:
     """column(block) on all 2^num_vars assignments, where `block` is a
-    uint32 array of assignment masks and the result a bool array, or one
-    bool for a constant."""
+    numpy uint32 array of assignment masks and the result a bool array, or
+    one bool for a constant; returned as `truth_table` returns it, an int
+    whose bit i is assignment i."""
     out = np.empty(1 << num_vars, dtype=bool)
     step = 1 << min(num_vars, BLOCK_BITS)
     for start in range(0, len(out), step):
         out[start:start + step] = column(np.arange(start, start + step, dtype=np.uint32))
-    return out
+    return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
 
 
 def reference_cnf(cnf: Cnf, block):

@@ -72,7 +72,7 @@ class TestAcceptance:
         for name, g in END_TO_END_FAMILY:
             report_row, d, _ = pipeline(g, unit_charge(g.n, 0), tuple([0] * g.n))
             target = TseitinFormula(g, tuple([0] * g.n))
-            assert (nnf_truth_table(d) == tseitin_truth_table(target)).all(), name
+            assert nnf_truth_table(d) == tseitin_truth_table(target), name
             assert report_row.model_count_circuit == 1 << (g.m - g.n + 1), name
         elapsed = time.monotonic() - start
         assert elapsed < 60.0
@@ -107,12 +107,12 @@ class TestAcceptance:
         for gi, (name, g) in enumerate(END_TO_END_FAMILY):
             for charge in sample_charges(g.n, 12, seed=gi):
                 t = TseitinFormula(g, charge)
-                assert model_count(t) == int(tseitin_truth_table(t).sum())
+                assert model_count(t) == tseitin_truth_table(t).bit_count()
                 pairs += 1
         for gi, g in enumerate(disconnected):
             for charge in sample_charges(g.n, 12, seed=100 + gi):
                 t = TseitinFormula(g, charge)
-                assert model_count(t) == int(tseitin_truth_table(t).sum())
+                assert model_count(t) == tseitin_truth_table(t).bit_count()
                 pairs += 1
                 disconnected_pairs += 1
         assert pairs >= 200
@@ -210,7 +210,7 @@ class TestAcceptance:
             for rect in cover:
                 union |= rect.models()
             table = nnf_truth_table(d)
-            assert union == {m for m in range(1 << g.m) if table[m]}, name
+            assert union == {m for m in range(1 << g.m) if (table >> m) & 1}, name
             if transcript.cap_round_lower_bound:
                 assert transcript.round_count >= transcript.cap_round_lower_bound, name
             ratios[name] = (transcript.round_count, transcript.cap_round_lower_bound)

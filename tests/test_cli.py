@@ -53,13 +53,36 @@ def workdir(tmp_path):
     return paths
 
 
-def test_import_leaves_numpy_out():
-    """Only the truth-table engine needs numpy, and it imports it on first use."""
+def run_without_numpy(argv: list[str], cwd) -> subprocess.CompletedProcess:
+    """`tseitinkit argv` in a fresh process in which `import numpy` fails."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, tseitinkit.cli; print('numpy' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout == "False\n"
+    code = 'import sys; sys.modules["numpy"] = None; from tseitinkit.cli import main; sys.exit(main(sys.argv[1:]))'
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd, capture_output=True, text=True)
+
+
+def test_runs_without_numpy(tmp_path):
+    """The desk-scale verdicts need no numpy: check dnnf-equiv on grid 2 8
+    (m = 22, 64 blocks of assignments) accepts the genuine circuit and
+    rejects one with a flipped literal, and a desk-scale pipeline reports
+    its row equivalent."""
+    g = fam.grid(2, 8)
+    zero = (0,) * g.n
+    _, d, _ = pipeline(g, unit_charge(g.n, 0), zero, desk_cap=0)
+    lines = nnf_to_text(d).splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("L "))
+    flipped = lines[:i] + ["L " + str(-int(lines[i].split()[1]))] + lines[i + 1:]
+    (tmp_path / "g.tseitin").write_text(tseitin_to_text(TseitinFormula(g, zero)))
+    (tmp_path / "g.nnf").write_text("\n".join(lines) + "\n")
+    (tmp_path / "flipped.nnf").write_text("\n".join(flipped) + "\n")
+    (tmp_path / "g33.graph").write_text(graph_to_text(fam.grid(3, 3)))
+    genuine = run_without_numpy(["check", "dnnf-equiv", "g.tseitin", "g.nnf", "--desk-scale-cap", "22"], tmp_path)
+    assert (genuine.returncode, genuine.stdout, genuine.stderr) == (0, "equivalent\n", "")
+    bad = run_without_numpy(["check", "dnnf-equiv", "g.tseitin", "flipped.nnf", "--desk-scale-cap", "22"], tmp_path)
+    assert bad.returncode == 1 and "not equivalent" in bad.stderr and "Traceback" not in bad.stderr
+    report = run_without_numpy(["pipeline", "--graph", "g33.graph"], tmp_path)
+    assert report.returncode == 0 and report.stderr == ""
+    assert report.stdout.splitlines()[-1].endswith(",equivalent")
 
 
 TOP_USAGE = "usage: tseitinkit [-h] {generate,pipeline,check,convert,build-bp} ...\n"
@@ -160,6 +183,11 @@ options:
         2, "", CHECK_USAGE + "tseitinkit check: error: argument --desk-scale-cap: 99 exceeds the truth table cap 24\n"),
     ("check", "--desk-scale-cap"): (
         2, "", CHECK_USAGE + "tseitinkit check: error: argument --desk-scale-cap: expected one argument\n"),
+    # a negative cap is a usage error, not a failed check or a skipped row
+    ("check", "dnnf-equiv", "g.tseitin", "g.nnf", "--desk-scale-cap", "-1"): (
+        2, "", CHECK_USAGE + "tseitinkit check: error: argument --desk-scale-cap: -1 is negative\n"),
+    ("pipeline", "--graph", "g.graph", "--desk-scale-cap", "-3"): (
+        2, "", PIPELINE_USAGE + "tseitinkit pipeline: error: argument --desk-scale-cap: -3 is negative\n"),
 }
 
 

@@ -1,11 +1,11 @@
-"""The packed truth-table engine against the per-assignment engine it
-replaced and against pointwise evaluation, on both sides of the word and
-the block boundary and with variables folded to constants above it; and
-the block-by-block comparison against comparing whole tables."""
+"""The truth-table engine against a reference on numpy bool arrays and
+against pointwise evaluation, on blocks of one assignment up to a full
+block, on both sides of the block boundary and with variables folded to
+constants above it; and the block-by-block comparison against comparing
+whole tables and against pointwise evaluation."""
 
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -14,7 +14,7 @@ from tseitinkit import families as fam
 from tseitinkit.compiler import equivalent, pipeline
 from tseitinkit.graphs import Graph
 from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, propagate_constants, root_value
-from tseitinkit.oracles import BLOCK_BITS, VAR_CAP, parity, tables_equal, truth_table
+from tseitinkit.oracles import BLOCK_BITS, VAR_CAP, disj, parity, tables_equal, truth_table
 from tseitinkit.tseitin import DEGREE_CAP, TseitinFormula, to_cnf, unit_charge
 
 
@@ -54,10 +54,19 @@ def reference_tseitin(t: TseitinFormula, block):
     return ok
 
 
+def all_ones(m: int) -> int:
+    """The truth table of the constant 1 over m variables."""
+    return (1 << (1 << m)) - 1
+
+
+def bits_at(table: int, masks: list[int]) -> list[bool]:
+    return [bool((table >> mask) & 1) for mask in masks]
+
+
 def sample_masks(m: int) -> list[int]:
-    """Every assignment up to 2^8 of them; else the first and last words,
-    the assignments on both sides of the first 15 word boundaries, and
-    those next to every block boundary."""
+    """Every assignment up to 2^8 of them; else the first and last 64,
+    those on both sides of the first 15 multiples of 64, and those next
+    to every block boundary."""
     if m <= 8:
         return list(range(1 << m))
     out = set(range(64)) | set(range((1 << m) - 64, 1 << m))
@@ -68,16 +77,17 @@ def sample_masks(m: int) -> list[int]:
     return sorted(out)
 
 
-# less than one word, one word, one word and a bit, the block boundary, and
-# two variables folded to constants
+# blocks of one and two assignments, blocks shorter and longer than 64
+# bits, both sides of the block boundary, and two variables folded to
+# constants
 WIDTHS = [0, 1, 5, 6, 7, BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1, BLOCK_BITS + 2]
 
 
 @st.composite
-def circuits(draw):
+def circuits(draw, widths=WIDTHS):
     """A random circuit whose first internal gates put CONST 0 and CONST 1
     under both an AND and an OR gate."""
-    num_vars = draw(st.sampled_from(WIDTHS))
+    num_vars = draw(st.sampled_from(widths))
     b = CircuitBuilder(num_vars)
     nodes = [b.const(0), b.const(1)]
     if num_vars:
@@ -100,10 +110,10 @@ class TestAgainstReference:
         for i in range(len(d.gates)):
             sub = NnfCircuit(d.gates, i, d.num_vars)
             table = nnf_truth_table(sub)
-            assert table.shape == (1 << d.num_vars,) and table.dtype == bool
+            assert 0 <= table < 1 << (1 << d.num_vars)
             want = reference_truth_table(d.num_vars, lambda block: reference_gate_values(sub, block)[i])
-            assert np.array_equal(table, want), i
-            assert [evaluate(sub, mask) for mask in masks] == table[masks].tolist(), i
+            assert table == want, i
+            assert [evaluate(sub, mask) for mask in masks] == bits_at(table, masks), i
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(WIDTHS[1:]), st.data())
@@ -121,19 +131,19 @@ class TestAgainstReference:
         t = TseitinFormula(Graph(n, edges), tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))))
         cnf = to_cnf(t)
         table = tseitin_truth_table(t)
-        assert np.array_equal(table, reference_truth_table(m, lambda block: reference_tseitin(t, block)))
-        assert np.array_equal(reference_truth_table(m, lambda block: reference_cnf(cnf, block)), table)
+        assert table == reference_truth_table(m, lambda block: reference_tseitin(t, block))
+        assert reference_truth_table(m, lambda block: reference_cnf(cnf, block)) == table
         masks = sample_masks(m)
-        assert [satisfies(t, mask) for mask in masks] == table[masks].tolist()
+        assert [satisfies(t, mask) for mask in masks] == bits_at(table, masks)
         for mask in masks[:8]:
             violated = [violated_at(t, mask, v) for v in range(n)]
-            assert any(violated) != bool(table[mask])
+            assert any(violated) != bool((table >> mask) & 1)
 
     def test_isolated_charged_vertex(self):
         t = TseitinFormula(Graph(3, [(0, 1)]), (0, 0, 1))
         table = tseitin_truth_table(t)
-        assert not table.any() and table.shape == (2,)
-        assert np.array_equal(table, reference_truth_table(1, lambda block: reference_tseitin(t, block)))
+        assert table == 0
+        assert table == reference_truth_table(1, lambda block: reference_tseitin(t, block))
         assert not satisfies(t, 0) and violated_at(t, 0, 2) and not violated_at(t, 0, 1)
 
 
@@ -145,13 +155,13 @@ def test_engine_matches_pointwise(m):
     cnf = to_cnf(zero)
     tables = (nnf_truth_table(d), tseitin_truth_table(zero), reference_truth_table(m, lambda block: reference_cnf(cnf, block)))
     for table in tables:
-        assert table.shape == (1 << m,) and table.dtype == bool
+        assert 0 <= table < 1 << (1 << m)
     for mask in sample_masks(m):
         want = satisfies(zero, mask)
-        assert (tables[0][mask], tables[1][mask], tables[2][mask]) == (want, want, want), mask
+        assert [bool((table >> mask) & 1) for table in tables] == [want, want, want], mask
         assert evaluate(d, mask) == want, mask
-    assert (tables[0] == tables[1]).all() and (tables[1] == tables[2]).all()
-    assert int(tables[1].sum()) == 2  # a cycle with zero charge: all 0 or all 1
+    assert tables[0] == tables[1] == tables[2]
+    assert tables[1].bit_count() == 2  # a cycle with zero charge: all 0 or all 1
 
 
 def test_constant_column_fills_the_table():
@@ -159,35 +169,108 @@ def test_constant_column_fills_the_table():
     every assignment, not only on those whose bit 0 is set."""
     b = CircuitBuilder(BLOCK_BITS + 1)
     d = b.build(b.const(1))
-    assert nnf_truth_table(d).all()
+    assert nnf_truth_table(d) == all_ones(BLOCK_BITS + 1)
     d = NnfCircuit((Gate(LIT, var=3), Gate(CONST, a=1), Gate(OR, a=0, b=1), Gate(AND, a=1, b=2)), 3, 7)
-    assert nnf_truth_table(d).all()
+    assert nnf_truth_table(d) == all_ones(7)
 
 
 def test_cap():
     with pytest.raises(ValueError):
         truth_table(VAR_CAP + 1, lambda x: True)
-    assert truth_table(0, lambda x: True).tolist() == [True]
+    assert truth_table(0, lambda x: True) == 1
 
     def multiple_of_3(x):  # 0, 3 and 6 on three variables: 000, 011, 110
         b0, b1, b2 = x(0), x(1), x(2)
         return (~b0 & ~b1 & ~b2) | (b0 & b1 & ~b2) | (~b0 & b1 & b2)
 
-    assert np.array_equal(truth_table(3, multiple_of_3), [True, False, False, True, False, False, True, False])
+    assert truth_table(3, multiple_of_3) == 0b01001001
 
 
 def test_parity_over_folded_variables():
-    """Parity over two folded variables, alone and with a packed one, and
+    """Parity over two folded variables, alone and with a block column, and
     its negation through the circuit's literals."""
     m = BLOCK_BITS + 2
     high = [BLOCK_BITS, BLOCK_BITS + 1]
     for edges in (high, [0] + high, [BLOCK_BITS - 1, BLOCK_BITS + 1]):
         for charge in (0, 1):
             want = reference_truth_table(m, lambda block: reference_parity(block, edges) == charge)
-            assert np.array_equal(truth_table(m, lambda x: parity(x, edges, charge)), want), (edges, charge)
+            assert truth_table(m, lambda x: parity(x, edges, charge)) == want, (edges, charge)
     b = CircuitBuilder(m)
     d = b.build(b.gate_and(b.literal(BLOCK_BITS, False), b.literal(BLOCK_BITS + 1, False)))
     assert models(nnf_truth_table(d)) == list(range(1 << BLOCK_BITS))
+
+
+# --- the engine at every block shape, against `point` ------------------------
+
+# a block of one and of two assignments, blocks shorter than 64 bits, and
+# both sides of 64 bits and of the block boundary
+EDGE_WIDTHS = [0, 1, 5, 6, 7, BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1]
+
+
+def changed_at(d: NnfCircuit, mask: int, accept: bool) -> NnfCircuit:
+    """d OR the minterm of `mask` when `accept`, else d AND the clause that
+    excludes it: d changed on the assignment `mask` at most."""
+    gates = list(d.gates)
+    op = AND if accept else OR
+    gates.append(Gate(CONST, a=int(accept)))
+    for v in range(d.num_vars):
+        gates.append(Gate(LIT, var=v, positive=bool((mask >> v) & 1) == accept))
+        gates.append(Gate(op, a=len(gates) - 2, b=len(gates) - 1))
+    gates.append(Gate(OR if accept else AND, a=d.root, b=len(gates) - 1))
+    return NnfCircuit(tuple(gates), len(gates) - 1, d.num_vars)
+
+
+class TestAgainstPoint:
+    """`truth_table` and `tables_equal` against per-assignment `point`
+    evaluation.  Gates 0 and 1 of every drawn circuit are the constants,
+    and its first internal gates put them under an AND and an OR, so
+    every example has constant roots and OR gates with a constant child."""
+
+    @pytest.mark.parametrize("m", EDGE_WIDTHS)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_every_gate(self, m, data):
+        d = data.draw(circuits([m]))
+        masks = sample_masks(m)
+        probes = masks[::max(1, len(masks) // 5)] + masks[-1:]
+        for i in range(len(d.gates)):
+            sub = NnfCircuit(d.gates, i, m)
+            values = [evaluate(sub, mask) for mask in masks]
+            assert bits_at(nnf_truth_table(sub), masks) == values, i
+            for mask in probes:
+                accepted = evaluate(sub, mask)
+                for accept in (True, False):
+                    other = changed_at(sub, mask, accept)
+                    assert evaluate(other, mask) == accept
+                    assert tables_equal(m, *columns(sub, other)) == (accepted == accept), (i, mask, accept)
+
+    @pytest.mark.parametrize("m", EDGE_WIDTHS)
+    def test_literal_roots(self, m):
+        masks = sample_masks(m)
+        for v in range(m):
+            for positive in (True, False):
+                d = NnfCircuit((Gate(LIT, var=v, positive=positive),), 0, m)
+                table = nnf_truth_table(d)
+                assert bits_at(table, masks) == [evaluate(d, mask) for mask in masks] == \
+                    [bool((mask >> v) & 1) == positive for mask in masks], (v, positive)
+                assert table.bit_count() == 1 << (m - 1)
+                assert tables_equal(m, lambda x: x(v, positive), *columns(d))
+                assert not tables_equal(m, lambda x: x(v, not positive), *columns(d))
+
+    @pytest.mark.parametrize("m", EDGE_WIDTHS)
+    def test_columns_written_with_invert(self, m):
+        """Column functions that negate with `~`, making negative ints: the
+        engine masks them to the block where it compares and returns."""
+        masks = sample_masks(m)
+        low = range(min(m, BLOCK_BITS))
+        for v in low:
+            assert truth_table(m, lambda x: ~x(v)) == truth_table(m, lambda x: x(v, False))
+            assert tables_equal(m, lambda x: ~x(v), lambda x: x(v, False))
+            assert not tables_equal(m, lambda x: ~x(v), lambda x: x(v))
+            for w in low[-2:]:
+                table = truth_table(m, lambda x: ~(x(v) & ~x(w)))
+                assert bits_at(table, masks) == [not ((mask >> v) & 1 and not (mask >> w) & 1) for mask in masks]
+                assert tables_equal(m, lambda x: ~(x(v) & ~x(w)), lambda x: disj(x(v, False), x(w)))
 
 
 # --- the block-by-block comparison ------------------------------------------
@@ -198,7 +281,7 @@ def columns(*circuits):
 
 
 def tables_agree(a: NnfCircuit, b: NnfCircuit) -> bool:
-    return bool((nnf_truth_table(a) == nnf_truth_table(b)).all())
+    return nnf_truth_table(a) == nnf_truth_table(b)
 
 
 class TestTablesEqual:
@@ -235,8 +318,8 @@ class TestTablesEqual:
         x0 = b.literal(0, True)
         folded = b.gate_and(b.literal(BLOCK_BITS, True), b.literal(BLOCK_BITS + 1, False))
         a, plain = b.build(b.gate_or(x0, folded)), b.build(x0)
-        differ = np.nonzero(nnf_truth_table(a) != nnf_truth_table(plain))[0]
-        assert {int(i) >> BLOCK_BITS for i in differ} == {1}
+        differ = models(nnf_truth_table(a) ^ nnf_truth_table(plain))
+        assert {i >> BLOCK_BITS for i in differ} == {1}
         assert not tables_equal(m, *columns(a, plain))
         same = b.build(b.gate_or(x0, b.gate_and(folded, b.const(0))))
         assert tables_equal(m, *columns(same, plain))
