@@ -10,7 +10,7 @@ branch decompositions and their cuts, point evaluation, circuit
 conditioning and forgetting, and the path-wise read-once check;
 `tests/test_surface.py` keeps it that way."""
 
-from .graphs import Graph, SplitRequest, connected_components, is_3_connected, safe_split_subset, split_vertex
+from .graphs import Graph, SplitRequest, connected_components, is_3_connected, safe_split_subset
 from .width import treewidth_exact
 from .minors import find_safe_separator, three_connected_minor
 from .tseitin import Charge, TseitinFormula, charge_retarget_flips, is_satisfiable, model_count, to_cnf
@@ -23,7 +23,7 @@ from .compiler import compile_bp_to_dnnf, pipeline, retarget
 from .bounds import LowerBoundCertificate, adam_response, certified_lower_bound, verify_certificate
 
 __all__ = [
-    "Graph", "SplitRequest", "connected_components", "is_3_connected", "safe_split_subset", "split_vertex",
+    "Graph", "SplitRequest", "connected_components", "is_3_connected", "safe_split_subset",
     "treewidth_exact",
     "find_safe_separator", "three_connected_minor",
     "Charge", "TseitinFormula", "charge_retarget_flips", "is_satisfiable", "model_count", "to_cnf",

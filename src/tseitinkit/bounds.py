@@ -104,33 +104,26 @@ def certified_lower_bound(g: Graph) -> LowerBoundCertificate:
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    tw_lb, tw_ub, provenance = treewidth_bounds(g)
-    tw = tw_lb
-    if tw < 3:
-        return LowerBoundCertificate(
-            graph_hash=graph_hash(g), n=g.n, m=g.m, treewidth=tw, tw_provenance=provenance,
-            bw_lower=_ceil_div(2 * tw, 3) if tw else 0,
-            minor_n=g.n, minor_m=g.m, minor_max_degree=g.max_degree, minor_edges=g.edges,
-            v_prime=(), v_second=(), v_star=(),
-            k=0, cap_exponent=g.m - g.n + 1, bound=1,
-        )
-    minor = three_connected_minor(g)
-    h = minor.graph
-    if minor.trace and g.n <= TREEWIDTH_EXACT_CAP:  # tw is exact, and h no larger than g
-        tw_h = treewidth_bounds(h)[0]
-        if tw_h != tw:
-            raise AssertionError(f"minor treewidth {tw_h} != original {tw}")
-    delta = h.max_degree
+    tw, _, provenance = treewidth_bounds(g)
     bw_lower = _ceil_div(2 * tw, 3)
-    k = _ceil_div(_ceil_div(bw_lower, delta + 1), 3)
-    sample = adam_response(h, order_cut(h, edge_order(h)))
-    if len(sample.v_star) < k:
-        raise AssertionError("sample witness fell below the certified bound")
+    h, k, v_prime, v_second, v_star = g, 0, (), (), ()
+    if tw >= 3:
+        minor = three_connected_minor(g)
+        h = minor.graph
+        if minor.trace and g.n <= TREEWIDTH_EXACT_CAP:  # tw is exact, and h no larger than g
+            tw_h = treewidth_bounds(h)[0]
+            if tw_h != tw:
+                raise AssertionError(f"minor treewidth {tw_h} != original {tw}")
+        k = _ceil_div(_ceil_div(bw_lower, h.max_degree + 1), 3)
+        sample = adam_response(h, order_cut(h, edge_order(h)))
+        v_prime, v_second, v_star = sample.v_prime, sample.v_second, sample.v_star
+        if len(v_star) < k:
+            raise AssertionError("sample witness fell below the certified bound")
     return LowerBoundCertificate(
         graph_hash=graph_hash(g), n=g.n, m=g.m, treewidth=tw, tw_provenance=provenance,
         bw_lower=bw_lower,
-        minor_n=h.n, minor_m=h.m, minor_max_degree=delta, minor_edges=h.edges,
-        v_prime=sample.v_prime, v_second=sample.v_second, v_star=sample.v_star,
+        minor_n=h.n, minor_m=h.m, minor_max_degree=h.max_degree, minor_edges=h.edges,
+        v_prime=v_prime, v_second=v_second, v_star=v_star,
         k=k, cap_exponent=h.m - h.n - k + 1, bound=1 << k,
     )
 

@@ -274,7 +274,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run the command in argv (sys.argv[1:] when None).  Only the named
     command's parser is built; help, a missing or unknown command and a
-    leading option go through the full tree."""
+    leading option go through the full tree.  A bad input, a file that
+    cannot be read or written, and an allocation that fails (a header
+    announcing more vertices than memory holds) exit 1 with one `error:`
+    line."""
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
@@ -282,6 +285,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -2,8 +2,8 @@
 
 Vertices are 0..n-1, edges carry dense ids 0..m-1 given by their position
 in the edge list.  Edge ids double as Boolean variable ids everywhere else
-in the package, so operations that renumber edges report how old edge
-ids map to new ones; a vertex split keeps every edge id.
+in the package: a vertex split keeps every edge id, and an induced
+subgraph numbers its edges in the order of their old ids.
 """
 
 from __future__ import annotations
@@ -143,13 +143,16 @@ def search(g: Graph, start: int, allowed=None) -> dict[int, tuple[int, int] | No
     taken ascending, and only vertices in `allowed` (every vertex when
     None) are entered.
 
-    It is the package's one connectivity search.  Three graph walks keep
+    It is the package's one connectivity search.  Four graph walks keep
     their own loops: `bp._sides` advances two searches in turn so that a
     bridge costs only its smaller side, and does so on vertex and edge
     bitmasks (the program's annotations), `width._bfs` takes neighbours by
-    degree, on which the ranking of `width.edge_order` depends, and
-    `_separating_vertices`, the pass behind `Graph.separator`, needs
-    depth-first low-link values.
+    degree, on which the ranking of `width.edge_order` depends,
+    `width._reachable_outside`, the step of the exact treewidth search,
+    walks vertex masks, and `_separating_vertices`, the pass behind
+    `Graph.separator`, needs depth-first low-link values.  Connectivity
+    built up edge by edge goes through one union-find root lookup
+    (`find`), shared by `safe_split_subset` and `width.order_bound`.
     """
     incident, edges = g.incident, g.edges
     tree = {start: None}
@@ -247,46 +250,29 @@ def is_3_connected(g: Graph) -> bool:
     return g.n >= 4 and g.separator is None
 
 
-def split_vertex(g: Graph, req: SplitRequest) -> Graph:
-    """Replace v by v1 (adjacent to side1) and v2 (adjacent to side2).
-
-    v1 reuses the old id of v and v2 takes the fresh id n.  Edge ids are
-    preserved, so the variables of the two graphs are the same.
-    """
-    req.validate(g)
-    v = req.vertex
-    side2 = set(req.side2)
-    v2 = g.n
-    new_edges = []
-    for u, w in g.edges:
-        if u == v and w in side2:
-            new_edges.append((v2, w))
-        elif w == v and u in side2:
-            new_edges.append((u, v2))
-        else:
-            new_edges.append((u, w))
-    return Graph(g.n + 1, tuple(new_edges))
-
-
 def split_all(g: Graph, requests: list[SplitRequest]) -> tuple[Graph, list[tuple[int, int]]]:
-    """Apply every split; returns the split graph and (v1, v2) id pairs.
+    """Apply every split in one pass over the edges; returns the split
+    graph and (v1, v2) id pairs.
 
-    Request vertices must be pairwise distinct and non-adjacent so that
-    the neighbor partitions stay meaningful as splits are applied.
+    Split i replaces v by v1 (adjacent to side1), which keeps the id of
+    v, and v2 (adjacent to side2), which takes the fresh id n + i.  Edge
+    ids are preserved, so the variables of the two graphs are the same.
+    Request vertices must be pairwise distinct and non-adjacent, so that
+    each edge moves at most one end and every request partitions the
+    neighbourhood it has in g.
     """
-    verts = [r.vertex for r in requests]
-    if len(set(verts)) != len(verts):
+    verts = {r.vertex for r in requests}
+    if len(verts) != len(requests):
         raise ValueError("duplicate split vertices")
-    for i, u in enumerate(verts):
-        for w in verts[i + 1:]:
-            if w in g.adj[u]:
-                raise ValueError(f"split vertices {u} and {w} are adjacent")
-    cur = g
-    pairs = []
-    for r in requests:
-        cur = split_vertex(cur, r)
-        pairs.append((r.vertex, cur.n - 1))
-    return cur, pairs
+    moved = {}  # (split vertex, neighbour on side2) -> v2
+    for i, r in enumerate(requests):
+        if adjacent := [w for w in g.adj[r.vertex] if w in verts]:
+            raise ValueError(f"split vertices {r.vertex} and {adjacent[0]} are adjacent")
+        r.validate(g)
+        for w in r.side2:
+            moved[r.vertex, w] = g.n + i
+    edges = tuple((moved.get((u, w), u), moved.get((w, u), w)) for u, w in g.edges)
+    return Graph(g.n + len(requests), edges), [(r.vertex, g.n + i) for i, r in enumerate(requests)]
 
 
 def greedy_independent_set(g: Graph, candidates: set[int] | list[int]) -> list[int]:
@@ -302,74 +288,51 @@ def greedy_independent_set(g: Graph, candidates: set[int] | list[int]) -> list[i
     return chosen
 
 
+def find(parent: list[int], v: int) -> int:
+    """The root of v in a union-find forest, halving its path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def safe_split_subset(g: Graph, requests: list[SplitRequest]) -> list[SplitRequest]:
     """Subset of at least ceil(k/3) splits that keeps the graph connected.
 
     Requires g 3-connected and the request vertices independent.  The
-    selection follows the link-contraction argument: split everything,
-    add one link edge per split vertex, keep the splits whose links are
-    internal to a component or outside a spanning tree of the component
-    contraction.
+    selection follows the link-contraction argument: split everything and
+    add one link edge (v1, v2) per split; the splits whose links are
+    internal to a component of the split graph, or outside a spanning
+    forest of the component contraction, keep it connected.  One
+    union-find sweep joins the split graph's edges, then takes the links
+    in request order: a link whose ends are already joined is kept, any
+    other joins them and is dropped.
     """
     if not is_3_connected(g):
         raise ValueError("graph must be 3-connected")
-    for r in requests:
-        r.validate(g)
-    if not requests:
-        return []
     split_graph, pairs = split_all(g, requests)
-    comps = connected_components(split_graph)
-    if len(comps) == 1:
-        return list(requests)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    # links: one edge (v1, v2) per request, identified by request index
-    l_in = []
-    l_out = []
-    for i, (v1, v2) in enumerate(pairs):
-        if comp_of[v1] == comp_of[v2]:
-            l_in.append(i)
+    parent = list(range(split_graph.n))
+    for u, w in split_graph.edges:
+        parent[find(parent, u)] = find(parent, w)
+    result = []
+    for r, (v1, v2) in zip(requests, pairs):
+        a, b = find(parent, v1), find(parent, v2)
+        if a == b:
+            result.append(r)
         else:
-            l_out.append(i)
-    # spanning tree of the component contraction, links taken in id order
-    parent = list(range(len(comps)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = set()
-    for i in l_out:
-        a, b = find(comp_of[pairs[i][0]]), find(comp_of[pairs[i][1]])
-        if a != b:
             parent[a] = b
-            tree.add(i)
-    keep = sorted(set(l_in) | (set(l_out) - tree))
-    result = [requests[i] for i in keep]
     check, _ = split_all(g, result)
     if not is_connected(check):
         raise AssertionError("selected splits disconnected the graph")
     return result
 
 
-def induced_subgraph(g: Graph, vertices: set[int]) -> tuple[Graph, dict[int, int], dict[int, int]]:
-    """Subgraph on the given vertices with dense ids.
-
-    Returns (subgraph, vertex map old->new, edge map new edge id -> old).
-    """
-    vs = sorted(vertices)
-    vmap = {v: i for i, v in enumerate(vs)}
-    edges = []
-    emap = {}
-    for e, (u, w) in enumerate(g.edges):
-        if u in vmap and w in vmap:
-            emap[len(edges)] = e
-            edges.append((vmap[u], vmap[w]))
-    return Graph(len(vs), tuple(edges)), vmap, emap
+def induced_subgraph(g: Graph, vertices: set[int]) -> tuple[Graph, dict[int, int]]:
+    """Subgraph on the given vertices with dense ids, its edges in the
+    order of their old ids, and the vertex map old -> new."""
+    vmap = {v: i for i, v in enumerate(sorted(vertices))}
+    edges = tuple((vmap[u], vmap[w]) for u, w in g.edges if u in vmap and w in vmap)
+    return Graph(len(vmap), edges), vmap
 
 
 # --- text format ------------------------------------------------------------

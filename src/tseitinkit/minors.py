@@ -51,7 +51,7 @@ class MinorResult:
 
 def _component_treewidth(g: Graph, vertices: set[int], clique: tuple[int, ...]) -> int:
     sub_vertices = vertices | set(clique)
-    sub, vmap, _ = induced_subgraph(g, sub_vertices)
+    sub, vmap = induced_subgraph(g, sub_vertices)
     extra = []
     for i, u in enumerate(clique):
         for w in clique[i + 1:]:

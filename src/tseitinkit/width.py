@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .graphs import Graph
+from .graphs import Graph, find
 
 TREEWIDTH_EXACT_CAP = 16
 
@@ -237,17 +237,10 @@ def order_bound(g: Graph, order) -> int:
             low[v] = min(low[v], r)
     parent = list(range(g.n))
     boundary = [1] * g.n  # per root: vertices of its component that still have a lower-ranked edge
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     total = g.n
     for r in reversed(range(len(order))):
         a, b = g.edges[order[r]]
-        root, other = find(a), find(b)
+        root, other = find(parent, a), find(parent, b)
         if root != other:
             parent[other] = root
             boundary[root] += boundary[other]

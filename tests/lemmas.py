@@ -35,7 +35,11 @@ match on caterpillars; every separator of size 1 or 2
 library's masks); the min-fill order recounting every fill at every
 step (`reference_min_fill`), the edge ranking with dict-keyed searches
 (`reference_edge_order`) and the components from one `search` per
-unreached vertex (`reference_components`); DPLL's branch choice read off every open
+unreached vertex (`reference_components`); the vertex splits applied one
+intermediate graph at a time (`reference_split_all`) and the safe splits
+chosen by component contraction (`reference_safe_split_subset`), with
+random independent split requests to compare them on
+(`random_split_requests`); DPLL's branch choice read off every open
 group of a state (`full_scan_branch_variable`); and resolution on
 literal sets: traces built
 from literal rows (`trace_of`, `clause`), the resolvent (`resolve`) and
@@ -69,7 +73,7 @@ import numpy as np
 
 from tseitinkit.bounds import _CERT_FIELDS, AdamResponse, LowerBoundCertificate, adam_response
 from tseitinkit.bp import BranchingProgram, _root, expected_children, validate_well_structured
-from tseitinkit.graphs import Graph, SplitRequest, _separating_vertices, is_3_connected, is_connected, search, split_all
+from tseitinkit.graphs import Graph, SplitRequest, _separating_vertices, connected_components, is_3_connected, is_connected, search, split_all
 from tseitinkit.minors import MinorResult
 from tseitinkit.cnf import Cnf, _clause_problem
 from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, _rebuild, _reachable, gate_values, is_smooth, restrict_to_root, root_value, validate_decomposable
@@ -365,6 +369,98 @@ def reference_components(g: Graph) -> list[set[int]]:
             seen |= comp
             comps.append(comp)
     return comps
+
+
+def reference_split_vertex(g: Graph, req: SplitRequest) -> Graph:
+    """Replace v by v1 (adjacent to side1) and v2 (adjacent to side2): v1
+    keeps the id of v, v2 takes the fresh id n, and every edge keeps its
+    id."""
+    req.validate(g)
+    v = req.vertex
+    side2 = set(req.side2)
+    v2 = g.n
+    new_edges = []
+    for u, w in g.edges:
+        if u == v and w in side2:
+            new_edges.append((v2, w))
+        elif w == v and u in side2:
+            new_edges.append((u, v2))
+        else:
+            new_edges.append((u, w))
+    return Graph(g.n + 1, tuple(new_edges))
+
+
+def reference_split_all(g: Graph, requests: list[SplitRequest]) -> tuple[Graph, list[tuple[int, int]]]:
+    """The splits applied one at a time, one intermediate graph each, on
+    pairwise distinct, non-adjacent request vertices: the reference for
+    the one-pass `graphs.split_all`."""
+    verts = [r.vertex for r in requests]
+    if len(set(verts)) != len(verts):
+        raise ValueError("duplicate split vertices")
+    for i, u in enumerate(verts):
+        for w in verts[i + 1:]:
+            if w in g.adj[u]:
+                raise ValueError(f"split vertices {u} and {w} are adjacent")
+    cur = g
+    pairs = []
+    for r in requests:
+        cur = reference_split_vertex(cur, r)
+        pairs.append((r.vertex, cur.n - 1))
+    return cur, pairs
+
+
+def reference_safe_split_subset(g: Graph, requests: list[SplitRequest]) -> list[SplitRequest]:
+    """The safe splits by component contraction: split everything, keep
+    the splits whose link (v1, v2) is internal to a component, and of the
+    links between components those outside a spanning forest of the
+    contraction, taken in id order: the reference for the one union-find
+    sweep of `graphs.safe_split_subset`."""
+    if not is_3_connected(g):
+        raise ValueError("graph must be 3-connected")
+    for r in requests:
+        r.validate(g)
+    if not requests:
+        return []
+    split_graph, pairs = reference_split_all(g, requests)
+    comps = connected_components(split_graph)
+    if len(comps) == 1:
+        return list(requests)
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    l_in = [i for i, (v1, v2) in enumerate(pairs) if comp_of[v1] == comp_of[v2]]
+    l_out = [i for i, (v1, v2) in enumerate(pairs) if comp_of[v1] != comp_of[v2]]
+    parent = list(range(len(comps)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = set()
+    for i in l_out:
+        a, b = find(comp_of[pairs[i][0]]), find(comp_of[pairs[i][1]])
+        if a != b:
+            parent[a] = b
+            tree.add(i)
+    return [requests[i] for i in sorted(set(l_in) | (set(l_out) - tree))]
+
+
+def random_split_requests(g: Graph, rng: random.Random) -> list[SplitRequest]:
+    """Splits of a random independent vertex set, in random order, each
+    along a random proper partition of the vertex's neighbourhood."""
+    vertices = list(range(g.n))
+    rng.shuffle(vertices)
+    chosen: list[int] = []
+    for v in vertices[:rng.randint(0, g.n)]:
+        if not any(w in g.adj[v] for w in chosen):
+            chosen.append(v)
+    requests = []
+    for v in chosen:
+        nbrs = list(g.adj[v])
+        rng.shuffle(nbrs)
+        cut = rng.randint(1, len(nbrs) - 1)
+        requests.append(SplitRequest(v, tuple(nbrs[:cut]), tuple(nbrs[cut:])))
+    return requests
 
 
 # --- point evaluation and reference truth tables ----------------------------

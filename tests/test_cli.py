@@ -665,6 +665,13 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'fuzzed'}: line 2: ") and err.count("\n") == 1
 
+    def test_huge_vertex_count_is_an_error(self, tmp_path, capsys):
+        """A header announcing 10^15 vertices asks the charge for an 8 PB
+        list, which fails at once: one error line, exit 1, no traceback."""
+        text = "p graph 1000000000000000 1\ne 1 2\n"
+        assert main(_fuzz_argv(tmp_path, ["pipeline", "--graph", "{graph}"], text)) == 1
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(argv=st.sampled_from(FUZZ_COMMANDS), edits=st.lists(_edit, min_size=1, max_size=4))
     def test_main_returns_an_exit_code(self, argv, edits):

@@ -271,7 +271,7 @@ def reference_three_connected_minor(g: Graph) -> MinorResult:
         keep = {names[v] for v in comp_local} | set(sep)
         drop_comps = []
         removed = set(sep_local)
-        rest, vmap, _ = induced_subgraph(cur, set(range(cur.n)) - removed)
+        rest, vmap = induced_subgraph(cur, set(range(cur.n)) - removed)
         inv = {i: v for v, i in vmap.items()}
         for comp in sorted(connected_components(rest), key=min):
             vs = {names[inv[i]] for i in comp}
