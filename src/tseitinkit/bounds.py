@@ -16,7 +16,7 @@ by enumeration in the test suite (`tests/lemmas.py`).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, is_3_connected, is_connected, safe_split_subset
 from .minors import three_connected_minor
@@ -187,11 +187,7 @@ def verify_certificate(cert: LowerBoundCertificate, g: Graph) -> tuple[bool, str
 
 # --- certificate text format -------------------------------------------------
 
-_CERT_FIELDS = [
-    "graph_hash", "n", "m", "treewidth", "tw_provenance", "bw_lower",
-    "minor_n", "minor_m", "minor_max_degree", "minor_edges",
-    "v_prime", "v_second", "v_star", "k", "cap_exponent", "bound",
-]
+_CERT_FIELDS = [f.name for f in fields(LowerBoundCertificate)]
 
 
 def certificate_to_text(cert: LowerBoundCertificate) -> str:

@@ -17,7 +17,7 @@ from .bp import bp_from_text, bp_to_text, build_well_structured_bp, validate_wel
 from .cnf import Cnf, cnf_from_dimacs, cnf_to_dimacs
 from .compiler import equivalent, pipeline
 from .graphs import Graph, connected_components, graph_from_text, graph_to_text
-from .nnf import nnf_from_text, nnf_to_text
+from .nnf import nnf_from_text, nnf_to_text, validate_decomposable
 from .oracles import VAR_CAP
 from .resolution import check_refutation, check_regularity, dpll_refute, trace_from_text, trace_to_text
 from .tseitin import DEGREE_CAP, TseitinFormula, is_satisfiable, to_cnf, tseitin_from_text, tseitin_to_text, unit_charge
@@ -172,6 +172,9 @@ def cmd_check(args) -> int:
             return 1
         if d.num_vars != t.graph.m:
             print("variable counts differ", file=sys.stderr)
+            return 1
+        if not validate_decomposable(d):
+            print("circuit is not decomposable", file=sys.stderr)
             return 1
         if not equivalent(d, t):
             print("circuit and formula are not equivalent", file=sys.stderr)

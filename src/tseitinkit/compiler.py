@@ -78,7 +78,7 @@ variables.  At a non-bridge decision both children live on G_k - e, so
 both OR branches mention E_k - e plus the literal on e.  At a bridge the
 two children's edge sets are the two sides, and the AND joins them with
 the literal on e.  Model counts therefore need no smoothing pass, and
-`nnf.smooth` and `nnf.propagate_constants` return the circuit itself.
+`nnf.smooth` returns the circuit itself.
 The constant 1 is left only as the whole circuit for m = 0, which
 `model_count_smooth` counts as one model.
 """

@@ -129,6 +129,8 @@ class SplitRequest:
         object.__setattr__(self, "side2", tuple(sorted(self.side2)))
 
     def validate(self, g: Graph) -> None:
+        if not 0 <= self.vertex < g.n:
+            raise ValueError(f"split of {self.vertex}: vertex outside 0..{g.n - 1}")
         nbrs = set(g.adj[self.vertex])
         s1, s2 = set(self.side1), set(self.side2)
         if not s1 or not s2:
@@ -266,9 +268,9 @@ def split_all(g: Graph, requests: list[SplitRequest]) -> tuple[Graph, list[tuple
         raise ValueError("duplicate split vertices")
     moved = {}  # (split vertex, neighbour on side2) -> v2
     for i, r in enumerate(requests):
+        r.validate(g)
         if adjacent := [w for w in g.adj[r.vertex] if w in verts]:
             raise ValueError(f"split vertices {r.vertex} and {adjacent[0]} are adjacent")
-        r.validate(g)
         for w in r.side2:
             moved[r.vertex, w] = g.n + i
     edges = tuple((moved.get((u, w), u), moved.get((w, u), w)) for u, w in g.edges)

@@ -8,9 +8,9 @@ decomposable when its children share no variables; an OR gate is smooth
 NamedTuples, built by position in the library.  Circuits are immutable:
 transforms never mutate their input, and return it unchanged when there
 is nothing to change (`restrict_to_root` when every gate is reachable,
-`rename_flip` with no flips, `propagate_constants` with no constant
-below a gate, no literal leaf twice and no unreachable gate, and `smooth`
-on such a circuit when it is already smooth).
+`rename_flip` with no flips, and `smooth` on a circuit that is already
+smooth, even one with constants, repeated literal leaves or unreachable
+gates).
 
 Model counts use the usual bottom-up sum/product rule, which is exact on
 smooth circuits whose OR gates split models disjointly; every circuit the
@@ -183,15 +183,33 @@ def root_value(d: NnfCircuit, x):
     return gate_values(d, x)[d.root]
 
 
-def _rebuild(d: NnfCircuit, leaf_fn) -> NnfCircuit:
-    """Rewrite leaves through leaf_fn and propagate constants upward.
+def _rebuild(d: NnfCircuit, leaf_fn, pad: bool = False) -> NnfCircuit:
+    """Rewrite leaves through leaf_fn and propagate constants upward; with
+    `pad`, also smooth every OR as it is built.
 
     leaf_fn(gate) returns a Gate for every leaf.  Internal gates absorb
-    constant children, so the result never grows.
+    constant children, so without padding the result never grows.  A
+    padded OR branch is ANDed with an (x OR not-x) unit for each variable
+    its sibling mentions and it does not: one shared unit per variable,
+    chained by ANDs in ascending variable order.
     """
     builder = CircuitBuilder(d.num_vars)
     consts: dict[int, int] = {}  # old id -> 0/1 for gates that collapsed
     new_id: dict[int, int] = {}
+    masks: dict[int, int] = {}  # old id -> variables its new gate mentions
+    units: dict[int, int] = {}
+
+    def padded(gid: int, missing: int) -> int:
+        v = 0
+        while missing:
+            if missing & 1:
+                if v not in units:
+                    units[v] = builder.gate_or(builder.literal(v, True), builder.literal(v, False))
+                gid = builder.gate_and(gid, units[v])
+            missing >>= 1
+            v += 1
+        return gid
+
     for i, g in enumerate(d.gates):
         if g.kind in (LIT, CONST):
             ng = leaf_fn(g)
@@ -199,6 +217,7 @@ def _rebuild(d: NnfCircuit, leaf_fn) -> NnfCircuit:
                 consts[i] = ng.a
             else:
                 new_id[i] = builder.literal(ng.var, ng.positive)
+                masks[i] = 1 << ng.var
             continue
         ca = consts.get(g.a)
         cb = consts.get(g.b)
@@ -208,51 +227,21 @@ def _rebuild(d: NnfCircuit, leaf_fn) -> NnfCircuit:
         elif ca == one and cb == one:
             consts[i] = one
         elif ca == one:
-            new_id[i] = new_id[g.b]
+            new_id[i], masks[i] = new_id[g.b], masks[g.b]
         elif cb == one:
-            new_id[i] = new_id[g.a]
+            new_id[i], masks[i] = new_id[g.a], masks[g.a]
         else:
+            a, b = new_id[g.a], new_id[g.b]
+            want = masks[i] = masks[g.a] | masks[g.b]
+            if pad and g.kind == OR:
+                a, b = padded(a, want & ~masks[g.a]), padded(b, want & ~masks[g.b])
             op = builder.gate_and if g.kind == AND else builder.gate_or
-            new_id[i] = op(new_id[g.a], new_id[g.b])
+            new_id[i] = op(a, b)
     if d.root in consts:
         root = builder.const(consts[d.root])
     else:
         root = new_id[d.root]
     return restrict_to_root(builder.build(root))
-
-
-def _folded(d: NnfCircuit) -> bool:
-    """Whether `_rebuild` would copy d gate for gate: no constant below a
-    gate, no literal leaf twice, every gate reachable from the root, and
-    every literal's variable in range.
-
-    One sweep down from the top gate, as in `_reachable`.
-    """
-    gates = d.gates
-    live = [False] * len(gates)
-    live[d.root] = True
-    seen = set()
-    for i in range(len(gates) - 1, -1, -1):
-        if not live[i]:
-            return False
-        g = gates[i]
-        if g.kind == LIT:
-            key = (g.var, g.positive)
-            if key in seen or not 0 <= g.var < d.num_vars:
-                return False
-            seen.add(key)
-        elif g.kind == CONST:
-            return len(gates) == 1  # a lone constant folds to itself
-        else:
-            live[g.a] = live[g.b] = True
-    return True
-
-
-def propagate_constants(d: NnfCircuit) -> NnfCircuit:
-    """Fold every constant below a gate into its parent, share equal
-    literal leaves and drop unreachable gates; d itself if there is
-    nothing to change."""
-    return d if _folded(d) else _rebuild(d, lambda g: g)
 
 
 def rename_flip(d: NnfCircuit, flips: set[int]) -> NnfCircuit:
@@ -270,59 +259,12 @@ def rename_flip(d: NnfCircuit, flips: set[int]) -> NnfCircuit:
 
 
 def smooth(d: NnfCircuit) -> NnfCircuit:
-    """Equivalent circuit whose OR gates mention equal variable sets.
-
-    Deficient OR branches are padded with (x OR not-x) units, one shared
-    unit per variable, chained by ANDs in ascending variable order.
-    Constants are propagated first so no constant survives below a gate.
-    A circuit that is smooth once propagated (a lone constant is) has
-    nothing to pad and is returned as propagated: d itself if it had no
-    constant to fold either.
-    """
+    """Equivalent circuit whose OR gates mention equal variable sets: d
+    itself if it is smooth already, else one rebuild that folds its
+    constants and pads each deficient OR branch (`_rebuild`)."""
     if not validate_decomposable(d):
         raise ValueError("circuit must be decomposable")
-    d = propagate_constants(d)
-    if is_smooth(d):
-        return d
-    return _pad(d)
-
-
-def _pad(d: NnfCircuit) -> NnfCircuit:
-    """The padding rebuild of `smooth`, on a decomposable circuit with no
-    constant below a gate."""
-    builder = CircuitBuilder(d.num_vars)
-    units: dict[int, int] = {}
-
-    def unit(var: int) -> int:
-        if var not in units:
-            units[var] = builder.gate_or(builder.literal(var, True), builder.literal(var, False))
-        return units[var]
-
-    def pad(gid: int, missing: int) -> int:
-        out = gid
-        v = 0
-        while missing:
-            if missing & 1:
-                out = builder.gate_and(out, unit(v))
-            missing >>= 1
-            v += 1
-        return out
-
-    masks = d.var_masks
-    new_id: dict[int, int] = {}
-    for i, g in enumerate(d.gates):
-        if g.kind == LIT:
-            new_id[i] = builder.literal(g.var, g.positive)
-        elif g.kind == CONST:
-            raise AssertionError("constant below a gate after propagation")
-        elif g.kind == AND:
-            new_id[i] = builder.gate_and(new_id[g.a], new_id[g.b])
-        else:
-            want = masks[i]
-            left = pad(new_id[g.a], want & ~masks[g.a])
-            right = pad(new_id[g.b], want & ~masks[g.b])
-            new_id[i] = builder.gate_or(left, right)
-    return restrict_to_root(builder.build(new_id[d.root]))
+    return d if is_smooth(d) else _rebuild(d, lambda g: g, pad=True)
 
 
 def model_count_smooth(d: NnfCircuit) -> int:

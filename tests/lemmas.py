@@ -18,7 +18,10 @@ holds what only the tests use to check the lemmas those rest on:
 It also keeps the paper's all-pairs compilation (`compile_all_pairs`),
 with a gate for every (program node, vertex) pair and the constant 1 at
 every sink, as the reference the library's compiler must equal once its
-constants are folded, up to gate numbering (`same_circuit`); the path-wise
+constants are folded (`propagate_constants`), up to gate numbering
+(`same_circuit`); smoothing as it was done in two passes, folding the
+constants and then padding the folded circuit (`reference_smooth`), which
+`nnf.smooth`'s one rebuild must match up to gate numbering; the path-wise
 read-once check (`validate_read_once`) the BP validator's condition 3
 implies; conditioning and forgetting on circuits, for replaying a minor
 trace (`replay_on_circuit`); the truth tables of a circuit and of a
@@ -799,6 +802,52 @@ def validate_read_once(b: BranchingProgram) -> bool:
 
 
 # --- circuits ----------------------------------------------------------------
+
+
+def propagate_constants(d: NnfCircuit) -> NnfCircuit:
+    """Fold every constant below a gate into its parent, share equal
+    literal leaves and drop unreachable gates."""
+    return _rebuild(d, lambda g: g)
+
+
+def reference_smooth(d: NnfCircuit) -> NnfCircuit:
+    """Smoothing in two passes, which `nnf.smooth`'s one padding rebuild
+    must match up to gate numbering: fold the constants first
+    (`propagate_constants`), then pad each deficient OR branch of the
+    folded circuit with (x OR not-x) units, one shared unit per variable,
+    chained by ANDs in ascending variable order."""
+    if not validate_decomposable(d):
+        raise ValueError("circuit must be decomposable")
+    d = propagate_constants(d)
+    if is_smooth(d):
+        return d
+    builder = CircuitBuilder(d.num_vars)
+    units: dict[int, int] = {}
+
+    def unit(var: int) -> int:
+        if var not in units:
+            units[var] = builder.gate_or(builder.literal(var, True), builder.literal(var, False))
+        return units[var]
+
+    def pad(gid: int, missing: int) -> int:
+        for v in range(d.num_vars):
+            if (missing >> v) & 1:
+                gid = builder.gate_and(gid, unit(v))
+        return gid
+
+    masks = d.var_masks
+    new_id: dict[int, int] = {}
+    for i, g in enumerate(d.gates):
+        if g.kind == LIT:
+            new_id[i] = builder.literal(g.var, g.positive)
+        elif g.kind == CONST:
+            raise AssertionError("constant below a gate after propagation")
+        elif g.kind == AND:
+            new_id[i] = builder.gate_and(new_id[g.a], new_id[g.b])
+        else:
+            want = masks[i]
+            new_id[i] = builder.gate_or(pad(new_id[g.a], want & ~masks[g.a]), pad(new_id[g.b], want & ~masks[g.b]))
+    return restrict_to_root(builder.build(new_id[d.root]))
 
 
 def condition_dnnf(d: NnfCircuit, var: int, value: int) -> NnfCircuit:

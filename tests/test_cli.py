@@ -439,6 +439,16 @@ class TestCheck:
     def test_dnnf_not_equiv(self, workdir):
         assert main(["check", "dnnf-equiv", workdir["tseitin"], workdir["nnf"]]) != 0
 
+    def test_dnnf_equiv_refuses_a_circuit_that_is_not_decomposable(self, tmp_path, capsys):
+        """(NOT x1) AND (NOT x1 OR x1) computes the zero-charge formula of
+        path 2, but its AND shares x1: not a DNNF, so no verdict."""
+        t, d = tmp_path / "p2.tseitin", tmp_path / "shared.nnf"
+        t.write_text("p tseitin 2 1\ng 0 0\ne 1 2\n")
+        d.write_text("nnf 4 4 1\nL -1\nL 1\nO 0 2 0 1\nA 2 0 2\n")
+        assert main(["check", "dnnf-equiv", str(t), str(d)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "circuit is not decomposable\n"
+
     def test_dnnf_equiv_at_the_variable_cap(self, tmp_path):
         """grid 4 4 has m = 24, the largest table the desk-scale check builds."""
         g = fam.grid(4, 4)

@@ -310,6 +310,15 @@ class TestSplitVertex:
         with pytest.raises(ValueError):
             split_all(fam.complete(4), [SplitRequest(3, (0,), (1,))])
 
+    @pytest.mark.parametrize("vertex", [-1, 4])
+    def test_vertex_out_of_range_rejected(self, vertex):
+        # -1 would read vertex 3's neighbours through negative indexing
+        k4 = fam.complete(4)
+        req = SplitRequest(vertex, (0,), (1, 2))
+        for call in (split_all, safe_split_subset):
+            with pytest.raises(ValueError, match=f"split of {vertex}: vertex outside 0..3"):
+                call(k4, [req])
+
     def test_adjacent_split_vertices_rejected(self):
         k4 = fam.complete(4)
         reqs = [SplitRequest(0, (1,), (2, 3)), SplitRequest(1, (0,), (2, 3))]

@@ -11,6 +11,9 @@ from lemmas import (
     models,
     nnf_truth_table,
     proof_tree_models,
+    propagate_constants,
+    reference_smooth,
+    same_circuit,
     tseitin_truth_table,
 )
 from tseitinkit import families as fam
@@ -22,13 +25,10 @@ from tseitinkit.nnf import (
     CircuitBuilder,
     Gate,
     NnfCircuit,
-    _pad,
-    _rebuild,
     is_smooth,
     model_count_smooth,
     nnf_from_text,
     nnf_to_text,
-    propagate_constants,
     rename_flip,
     restrict_to_root,
     smooth,
@@ -322,77 +322,100 @@ def random_circuit(rng: random.Random, folded: bool) -> NnfCircuit:
     return restrict_to_root(d) if folded else d
 
 
-def propagated_by_rebuild(d: NnfCircuit) -> NnfCircuit:
-    return _rebuild(d, lambda g: g)
+def assert_smooth_matches_reference(d: NnfCircuit) -> bool:
+    """`smooth` returns d itself exactly when d is smooth.  Otherwise its
+    one rebuild is smooth and decomposable, has d's truth table, and is
+    the two-pass reference's circuit up to gate numbering, of equal size.
+    Returns whether it returned d."""
+    s = smooth(d)
+    assert (s is d) == is_smooth(d)
+    if s is not d:
+        want = reference_smooth(d)
+        assert is_smooth(s) and validate_decomposable(s)
+        assert nnf_truth_table(s) == nnf_truth_table(want) == nnf_truth_table(d)
+        assert same_circuit(s, want)
+    return s is d
 
 
-def smoothed_by_rebuild(d: NnfCircuit) -> NnfCircuit:
-    p = propagated_by_rebuild(d)
-    return p if p.gates[p.root].kind == CONST else _pad(p)
-
-
-def assert_short_circuit_exact(d: NnfCircuit) -> tuple[bool, bool]:
-    """propagate_constants and smooth equal their rebuild paths gate for
-    gate, and return d itself exactly when that rebuild changes nothing.
-    Returns whether each returned d."""
-    p, want = propagate_constants(d), propagated_by_rebuild(d)
-    assert p == want
-    assert (p is d) == (want == d)
-    s, want = smooth(d), smoothed_by_rebuild(d)
-    assert s == want
-    assert (s is d) == (want == d)
-    return p is d, s is d
+def something_to_fold(d: NnfCircuit) -> bool:
+    """A constant below a gate, a literal leaf twice or a gate the root
+    does not reach (a root that is not the last gate is one)."""
+    leaves = [g for g in d.gates if g.kind == LIT]
+    return (
+        d.node_count > 1 and any(g.kind == CONST for g in d.gates)
+        or len(set(leaves)) < len(leaves)
+        or restrict_to_root(d) is not d
+    )
 
 
 class TestNothingToChange:
-    """`propagate_constants` and `smooth` return their input when their
-    rebuild would only copy it, and otherwise take the rebuild."""
+    """`smooth` returns its input when it is smooth, whatever a folding
+    rebuild would change in it, and otherwise pads while it folds, in one
+    rebuild that matches the two-pass reference (`reference_smooth`)."""
 
     @pytest.mark.parametrize("folded", [False, True], ids=["any", "folded"])
     def test_random_circuits(self, folded):
         rng = random.Random(f"short circuit {folded}")
-        returned = set()
-        for _ in range(400):
-            returned.add(assert_short_circuit_exact(random_circuit(rng, folded)))
-        # both sides of each short-circuit were taken
-        want = {(True, True), (True, False)} if folded else {(False, False), (True, True), (True, False)}
-        assert want <= returned
+        seen = set()
+        for _ in range(2000 if not folded else 400):
+            d = random_circuit(rng, folded)
+            to_fold = something_to_fold(d)
+            assert to_fold == (propagate_constants(d) != d)
+            seen.add((assert_smooth_matches_reference(d), to_fold))
+        # both sides of the short-circuit were taken, with and without
+        # something to fold
+        assert seen == ({(True, False), (False, False)} if folded else {(True, True), (True, False), (False, True), (False, False)})
 
     def test_duplicate_literal_leaf(self):
         x = Gate(LIT, -1, -1, 0, True)
         d = NnfCircuit((x, Gate(LIT, -1, -1, 1, True), x, Gate(AND, 0, 1), Gate(OR, 3, 2)), 4, 2)
-        assert assert_short_circuit_exact(d) == (False, False)
+        assert not assert_smooth_matches_reference(d)
         assert propagate_constants(d).node_count == 4
 
     def test_unreachable_gate(self):
         b = CircuitBuilder(2)
         b.literal(1, False)  # never used
         d = b.build(b.gate_and(b.literal(0, True), b.literal(1, True)))
-        assert assert_short_circuit_exact(d) == (False, False)
+        assert assert_smooth_matches_reference(d)
+        assert propagate_constants(d).node_count == 3
 
     def test_gate_above_the_root(self):
         d = circuit_and_xy()
         d = NnfCircuit(d.gates + (Gate(OR, 0, 2),), d.root, d.num_vars)
-        assert assert_short_circuit_exact(d) == (False, False)
+        # the gate above the root is an OR that is not smooth, so smoothing
+        # rebuilds, and the rebuild drops that gate
+        assert not assert_smooth_matches_reference(d)
+        assert smooth(d) == propagate_constants(d) == circuit_and_xy()
 
     def test_constant_below_a_gate(self):
+        # smooth as it is: the constant mentions no variable, and counts as
+        # its value
         b = CircuitBuilder(1)
         d = b.build(b.gate_and(b.literal(0, True), b.const(1)))
-        assert assert_short_circuit_exact(d) == (False, False)
+        assert assert_smooth_matches_reference(d)
+        assert model_count_smooth(d) == 1
         assert propagate_constants(d).gates == (Gate(LIT, -1, -1, 0, True),)
 
     @pytest.mark.parametrize("gate", [Gate(LIT, -1, -1, 0, False), Gate(CONST, 0), Gate(CONST, 1)],
                              ids=["literal", "const0", "const1"])
     def test_single_gate(self, gate):
-        assert assert_short_circuit_exact(NnfCircuit((gate,), 0, 1)) == (True, True)
+        d = NnfCircuit((gate,), 0, 1)
+        assert assert_smooth_matches_reference(d)
+        assert propagate_constants(d) == d
 
     def test_literal_out_of_range_still_rejected(self):
+        x3 = Gate(LIT, -1, -1, 3, True)
         with pytest.raises(ValueError, match="out of range"):
-            propagate_constants(NnfCircuit((Gate(LIT, -1, -1, 3, True),), 0, 2))
+            propagate_constants(NnfCircuit((x3,), 0, 2))
+        # x3 OR (x3 AND x0) is not smooth, so smoothing rebuilds it
+        not_smooth = NnfCircuit((x3, Gate(LIT, -1, -1, 0, True), Gate(AND, 0, 1), Gate(OR, 0, 2)), 3, 4)
+        assert reference_smooth(not_smooth).size == smooth(not_smooth).size
+        with pytest.raises(ValueError, match="out of range"):
+            smooth(NnfCircuit(not_smooth.gates, 3, 2))
 
     def test_non_smooth_or(self):
         d = circuit_x_or_xy()
-        assert assert_short_circuit_exact(d) == (True, False)
+        assert not assert_smooth_matches_reference(d)
 
 
 class TestNnfText:

@@ -9,11 +9,11 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lemmas import evaluate, models, nnf_truth_table, reference_cnf, reference_truth_table, satisfies, tseitin_truth_table, violated_at
+from lemmas import evaluate, models, nnf_truth_table, propagate_constants, reference_cnf, reference_truth_table, satisfies, tseitin_truth_table, violated_at
 from tseitinkit import families as fam
 from tseitinkit.compiler import equivalent, pipeline
 from tseitinkit.graphs import Graph
-from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, propagate_constants, root_value
+from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, root_value
 from tseitinkit.oracles import BLOCK_BITS, VAR_CAP, disj, parity, tables_equal, truth_table
 from tseitinkit.tseitin import DEGREE_CAP, TseitinFormula, to_cnf, unit_charge
 
