@@ -15,8 +15,15 @@ by enumeration in the test suite (`tests/lemmas.py`).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields
+
+try:  # hashlib loads OpenSSL's libcrypto; the builtin module is lean
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, is_3_connected, is_connected, safe_split_subset
 from .minors import three_connected_minor
@@ -83,7 +90,15 @@ class LowerBoundCertificate:
 
 
 def graph_hash(g: Graph) -> str:
-    return hashlib.sha256(graph_to_text(g).encode()).hexdigest()[:16]
+    """The first 16 hex digits of the SHA-256 of `graph_to_text(g)`,
+    which ties a certificate to its graph.
+
+    The digest comes from the interpreter's builtin SHA-256, the same
+    algorithm as `hashlib.sha256`: importing `hashlib` maps OpenSSL's
+    libcrypto, about 3.7 MB resident in every process, to hash a few
+    hundred bytes.
+    """
+    return sha256(graph_to_text(g).encode()).hexdigest()[:16]
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -54,8 +54,11 @@ class NnfCircuit:
 
     def __post_init__(self):
         for i, g in enumerate(self.gates):
-            if g.kind in (AND, OR) and not (0 <= g.a < i and 0 <= g.b < i):
-                raise ValueError(f"gate {i} not in topological order")
+            if g.kind in (AND, OR):
+                if not (0 <= g.a < i and 0 <= g.b < i):
+                    raise ValueError(f"gate {i} not in topological order")
+            elif g.kind == LIT and not 0 <= g.var < self.num_vars:
+                raise ValueError(f"gate {i}: variable {g.var} out of range")
 
     @cached_property
     def var_masks(self) -> tuple[int, ...]:
@@ -94,8 +97,6 @@ class CircuitBuilder:
     def literal(self, var: int, positive: bool) -> int:
         key = (LIT, var, positive)
         if key not in self._leaves:
-            if not 0 <= var < self.num_vars:
-                raise ValueError(f"variable {var} out of range")
             self._leaves[key] = self._add(Gate(LIT, -1, -1, var, positive))
         return self._leaves[key]
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import family_graphs
 from lemmas import (
     caterpillar,
     edges_below,
@@ -22,9 +23,9 @@ from lemmas import (
     tseitin_truth_table,
 )
 from tseitinkit import families as fam, graphs, width
-from tseitinkit.bounds import adam_response, certificate_from_text, certificate_to_text, certified_lower_bound, verify_certificate
+from tseitinkit.bounds import adam_response, certificate_from_text, certificate_to_text, certified_lower_bound, graph_hash, verify_certificate
 from tseitinkit.compiler import pipeline
-from tseitinkit.graphs import _separating_vertices as separating_vertices
+from tseitinkit.graphs import Graph, _separating_vertices as separating_vertices, graph_to_text
 from tseitinkit.nnf import CircuitBuilder, smooth
 from tseitinkit.tseitin import TseitinFormula, unit_charge
 from tseitinkit.width import edge_order, order_cut, treewidth_exact
@@ -239,6 +240,14 @@ class TestCertifiedLowerBound:
         make, digest = CERTIFICATE_DIGESTS[name]
         text = certificate_to_text(certified_lower_bound(make()))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_graph_hash_is_hashlib_sha256(self):
+        # the builtin SHA-256 that `graph_hash` uses gives hashlib's digest
+        graphs = [g for _, g in family_graphs()] + [make() for make in MIDDLE_TIER.values()]
+        graphs += [fam.random_regular(n, d, seed) for n, d in [(8, 3), (16, 3), (20, 4), (40, 3)] for seed in range(3)]
+        graphs.append(Graph(0, ()))
+        for g in graphs:
+            assert graph_hash(g) == hashlib.sha256(graph_to_text(g).encode()).hexdigest()[:16]
 
     def test_corrupted_certificate_rejected(self):
         g = fam.complete(4)

@@ -53,12 +53,17 @@ def workdir(tmp_path):
     return paths
 
 
-def run_without_numpy(argv: list[str], cwd) -> subprocess.CompletedProcess:
-    """`tseitinkit argv` in a fresh process in which `import numpy` fails."""
+def run_fresh(code: str, argv: list[str], cwd) -> subprocess.CompletedProcess:
+    """`python -c code argv` in a fresh process that imports the source tree."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    code = 'import sys; sys.modules["numpy"] = None; from tseitinkit.cli import main; sys.exit(main(sys.argv[1:]))'
     return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd, capture_output=True, text=True)
+
+
+def run_without_numpy(argv: list[str], cwd) -> subprocess.CompletedProcess:
+    """`tseitinkit argv` in a fresh process in which `import numpy` fails."""
+    code = 'import sys; sys.modules["numpy"] = None; from tseitinkit.cli import main; sys.exit(main(sys.argv[1:]))'
+    return run_fresh(code, argv, cwd)
 
 
 def test_runs_without_numpy(tmp_path):
@@ -83,6 +88,25 @@ def test_runs_without_numpy(tmp_path):
     report = run_without_numpy(["pipeline", "--graph", "g33.graph"], tmp_path)
     assert report.returncode == 0 and report.stderr == ""
     assert report.stdout.splitlines()[-1].endswith(",equivalent")
+
+
+def test_loads_no_openssl_binding(tmp_path):
+    """A process that checks a certificate and writes a pipeline row, both
+    of which hash a graph, never imports `hashlib` (whose `_hashlib` maps
+    OpenSSL's libcrypto): `graph_hash` uses the interpreter's builtin
+    SHA-256."""
+    g = fam.grid(3, 3)
+    (tmp_path / "g33.graph").write_text(graph_to_text(g))
+    (tmp_path / "g33.cert").write_text(certificate_to_text(certified_lower_bound(g)))
+    code = ("import sys; from tseitinkit.cli import main; "
+            "codes = [main(['check', 'certificate', 'g33.graph', 'g33.cert']), main(['pipeline', '--graph', 'g33.graph'])]; "
+            "print(codes, [m for m in ('hashlib', '_hashlib') if m in sys.modules])")
+    run = run_fresh(code, [], tmp_path)
+    assert run.returncode == 0 and run.stderr == ""
+    lines = run.stdout.splitlines()
+    assert lines[0] == "valid certificate"
+    assert lines[-2].split(",")[-2:] == ["1", "equivalent"]  # bound_exponent 1: the row certifies
+    assert lines[-1] == "[0, 0] []"
 
 
 TOP_USAGE = "usage: tseitinkit [-h] {generate,pipeline,check,convert,build-bp} ...\n"

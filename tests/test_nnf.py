@@ -413,6 +413,16 @@ class TestNothingToChange:
         with pytest.raises(ValueError, match="out of range"):
             smooth(NnfCircuit(not_smooth.gates, 3, 2))
 
+    @pytest.mark.parametrize("var", [-1, 2])
+    def test_circuit_refuses_a_literal_out_of_range(self, var):
+        # a lone literal is smooth, so `smooth` would return it as it is
+        # and `model_count_smooth` would count it: the circuit refuses it
+        x = Gate(LIT, -1, -1, var, True)
+        with pytest.raises(ValueError, match=f"^gate 1: variable {var} out of range$"):
+            NnfCircuit((Gate(LIT, -1, -1, 0, True), x, Gate(AND, 0, 1)), 2, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            model_count_smooth(smooth(NnfCircuit((x,), 0, 2)))
+
     def test_non_smooth_or(self):
         d = circuit_x_or_xy()
         assert not assert_smooth_matches_reference(d)
