@@ -27,7 +27,7 @@ except ImportError:
 
 from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, is_3_connected, is_connected, safe_split_subset
 from .minors import three_connected_minor
-from .textformat import ints, lines_of, once
+from .textformat import error, ints, lines_of, once
 from .width import TREEWIDTH_EXACT_CAP, edge_order, order_cut, treewidth_bounds
 
 
@@ -226,6 +226,8 @@ def certificate_from_text(text: str) -> LowerBoundCertificate:
             continue
         name, _, value = lines[i].partition(":")
         name = name.strip()
+        if name not in _CERT_FIELDS:
+            raise error(lines, i, f"unknown field {name!r}")
         once(lines, i, first, name, f"repeated field {name}")
         found[name] = value
     missing = [f for f in _CERT_FIELDS if f not in found]

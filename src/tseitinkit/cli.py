@@ -81,14 +81,13 @@ def _desk_scale_cap(text: str) -> int:
 
 
 def _read(path: str, parse):
-    """parse(the text of the file at `path`); a ValueError it raises names
-    the file: `<path>: line N: ...`."""
+    """parse(the text of the file at `path`); a ValueError it raises, or a
+    decode error, names the file: `<path>: line N: ...`."""
     with open(path) as fh:
-        text = fh.read()
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        try:
+            return parse(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _cnf_or_tseitin(text: str):
@@ -257,33 +256,34 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or a top parser holding only `command`'s
-    subparser, which parses an argv starting with that name as the full
-    tree does."""
+def _command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """`parser`, given command `name`'s arguments and handler."""
+    _, add_arguments, handler = COMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, one subparser each."""
     top = argparse.ArgumentParser(prog="tseitinkit")
-    # a one-command tree's usage line still names every command; the full
-    # tree keeps the default, as its errors name the action "command"
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        help_text, add_arguments, handler = COMMANDS[name]
-        parser = sub.add_parser(name, help=help_text)
-        add_arguments(parser)
-        parser.set_defaults(func=handler)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _command(sub.add_parser(name, help=help_text), name)
     return top
 
 
 def main(argv=None) -> int:
-    """Run the command in argv (sys.argv[1:] when None).  Only the named
-    command's parser is built; help, a missing or unknown command and a
-    leading option go through the full tree.  A bad input, a file that
-    cannot be read or written, and an allocation that fails (a header
-    announcing more vertices than memory holds) exit 1 with one `error:`
-    line."""
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    """Run the command in argv (sys.argv[1:] when None), building one parser,
+    the command's own; help, no or an unknown command, a leading option and
+    a leftover argument build the full tree.  A bad input, an unreadable or
+    unwritable file, and a failed allocation exit 1 with one `error:` line."""
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = None, argv
+    if argv and argv[0] in COMMANDS:
+        args, extra = _command(argparse.ArgumentParser(prog=f"tseitinkit {argv[0]}"), argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:  # the full tree refuses a leftover argument with the top usage line
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

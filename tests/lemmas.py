@@ -1572,6 +1572,8 @@ def reference_certificate_from_text(text: str) -> LowerBoundCertificate:
     for ln in records(text):
         name, _, value = ln.text.partition(":")
         name = name.strip()
+        if name not in _CERT_FIELDS:
+            raise ln.error(f"unknown field {name!r}")
         ln.once(fields, name, f"repeated field {name}")
         fields[name] = Line(ln.number, value.strip(), value.split())
     missing = [f for f in _CERT_FIELDS if f not in fields]

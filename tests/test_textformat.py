@@ -223,6 +223,9 @@ EDGE_CASES = {
     ],
     "certificate": [
         "n: 1\n", "k: 1\nk: 2\n", "just text\n", "n 1\n", "k: 1\nn: 1\nk: x\n",
+        # a line that names no certificate field, before and after a repeat
+        "n: 1\ntreewidht: 99\n", "not a field at all\n", ": 1\n", "N: 1\n", "k: 1\nk: 2\nkk: 3\n",
+        "kk: 3\nk: 1\nk: 2\n", "# c\n\n  n x: 1\n",
     ],
 }
 
