@@ -22,7 +22,7 @@ BENCH = [
 def main() -> int:
     rows = [CSV_HEADER]
     for name, g in BENCH:
-        rows.append(pipeline_row(name, g, "odd-at 0", "zero", desk_cap=16))
+        rows.append(pipeline_row(name, g, "odd-at 0", "zero"))
         print(rows[-1])
     if len(sys.argv) > 1:
         with open(sys.argv[1], "w") as fh:

@@ -145,15 +145,29 @@ def certified_lower_bound(g: Graph) -> LowerBoundCertificate:
 
 def verify_certificate(cert: LowerBoundCertificate, g: Graph) -> tuple[bool, str]:
     """Re-check a certificate against its graph without re-running the
-    heuristics: hash, treewidth (at desk scale), the witness-set chain on
-    the stored minor, and the arithmetic."""
+    heuristics: hash, treewidth and its provenance (exact at desk scale),
+    the witness-set chain on the stored minor, and the arithmetic.
+
+    The certificate stores neither an embedding of the minor in g nor the
+    cut, so three things are taken on trust:
+
+    * that the stored graph is a topological minor of g: only its size is
+      compared with g's, so the chain's maximum degree rests on it, and so
+      does the minor's treewidth above `TREEWIDTH_EXACT_CAP` vertices,
+      where it is not recomputed;
+    * that `v_prime` is the boundary of a cut (it is only a set of
+      distinct minor vertices);
+    * that splitting the vertices of `v_star` keeps the minor connected.
+    """
     if cert.graph_hash != graph_hash(g):
         return False, "graph hash mismatch"
     if (cert.n, cert.m) != (g.n, g.m):
         return False, "graph size mismatch"
-    tw_lb, tw_ub, _ = treewidth_bounds(g)
+    tw_lb, tw_ub, provenance = treewidth_bounds(g)
     if not tw_lb <= cert.treewidth <= tw_ub:
         return False, "treewidth outside recomputed bounds"
+    if cert.tw_provenance != provenance:
+        return False, "treewidth provenance differs from the recomputed one"
     if cert.k == 0:
         if cert.bound != 1:
             return False, "trivial certificate must have bound 1"
@@ -174,6 +188,8 @@ def verify_certificate(cert: LowerBoundCertificate, g: Graph) -> tuple[bool, str
             return False, "minor treewidth differs from certified treewidth"
     if cert.bw_lower != _ceil_div(2 * cert.treewidth, 3):
         return False, "branchwidth stage arithmetic is wrong"
+    if any(len(set(vs)) != len(vs) for vs in (cert.v_prime, cert.v_second, cert.v_star)):
+        return False, "witness set repeats a vertex"
     if not set(cert.v_prime) <= set(range(h.n)):
         return False, "boundary vertex outside the minor"
     if not set(cert.v_second) <= set(cert.v_prime):

@@ -279,8 +279,8 @@ def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
     memo: dict[Annotation, int] = {}
     splits: dict = {}  # `expected_children`'s memo of `_sides`
 
-    def visit(ann: Annotation):
-        """The id for `ann` (on `ranked`), taken before its children's."""
+    def visit(*ann: int):
+        """The id for annotation `ann` (on `ranked`), before its children's."""
         nid = memo[ann] = len(memo)
         vertices, edge_ids, _ = ann
         if not edge_ids:
@@ -289,13 +289,11 @@ def build_well_structured_bp(g: Graph, c: Charge) -> BranchingProgram:
         r = (edge_ids & -edge_ids).bit_length() - 1  # the lowest-ranked edge
         children = []
         for want in expected_children(ranked, ann, r, splits):
-            children.append(memo[want] if want in memo else (yield visit(want)))
+            children.append(memo[want] if want in memo else (yield want))
         decisions[nid] = (order[r], *children)
         return nid
 
-    source = run(visit(_root(ranked, c)))
-    del visit  # a closure that calls itself is a reference cycle: free the memo now, not at the next collection
-    return BranchingProgram(source, decisions, sinks)
+    return BranchingProgram(run(visit, *_root(ranked, c)), decisions, sinks)
 
 
 # --- text format ------------------------------------------------------------

@@ -15,7 +15,7 @@ from . import families
 from .bounds import certificate_from_text, certified_lower_bound, verify_certificate
 from .bp import bp_from_text, bp_to_text, build_well_structured_bp, validate_well_structured
 from .cnf import Cnf, cnf_from_dimacs, cnf_to_dimacs
-from .compiler import equivalent, pipeline
+from .compiler import DESK_SCALE_CAP, equivalent, pipeline
 from .graphs import Graph, connected_components, graph_from_text, graph_to_text
 from .nnf import nnf_from_text, nnf_to_text, validate_decomposable
 from .oracles import VAR_CAP
@@ -123,7 +123,7 @@ def _refutation_length(cnf: Cnf) -> int:
     return len(trace)
 
 
-def pipeline_row(name: str, g: Graph, charge_spec: str, target_spec: str, desk_cap: int, seed: int = 0) -> str:
+def pipeline_row(name: str, g: Graph, charge_spec: str, target_spec: str, desk_cap: int = DESK_SCALE_CAP, seed: int = 0) -> str:
     c_unsat = _parse_charge(charge_spec, g, want_satisfiable=False, default_seed=seed)
     c_star = _parse_charge(target_spec, g, want_satisfiable=True, default_seed=seed + 1)
     report, d, bp = pipeline(g, c_unsat, c_star, desk_cap=desk_cap)
@@ -226,13 +226,13 @@ def _pipeline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", default="zero")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--desk-scale-cap", type=_desk_scale_cap, default=16)
+    p.add_argument("--desk-scale-cap", type=_desk_scale_cap, default=DESK_SCALE_CAP)
 
 
 def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=["refutation", "bp", "dnnf-equiv", "certificate"])
     p.add_argument("files", nargs=2)
-    p.add_argument("--desk-scale-cap", type=_desk_scale_cap, default=16)
+    p.add_argument("--desk-scale-cap", type=_desk_scale_cap, default=DESK_SCALE_CAP)
 
 
 def _convert_arguments(p: argparse.ArgumentParser) -> None:

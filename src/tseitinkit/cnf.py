@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .textformat import error, ints, lines_of, once
+from .textformat import error, header, ints, lines_of
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,7 @@ def cnf_from_dimacs(text: str) -> Cnf:
         if not fields or fields[0][0] in "c#":
             continue
         if fields[0] == "p":
-            once(lines, i, first, "p", "second header")
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise error(lines, i, f"bad header: {lines[i].strip()}")
-            num_vars, announced = ints(lines, i, fields[2:], 2)
+            num_vars, announced = header(lines, i, fields, first, "cnf")
         else:
             try:
                 lits = list(map(int, fields))

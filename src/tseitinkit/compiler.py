@@ -137,7 +137,7 @@ def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: in
         children = []
         for pair in pairs:
             if pair not in gate:
-                gate[pair] = yield make(*pair)
+                gate[pair] = yield pair
             children.append(gate[pair])
         if bridge:
             return conj(builder.literal(var, own == hi), conj(*children))
@@ -145,8 +145,7 @@ def compile_bp_to_dnnf(b: BranchingProgram, g: Graph, c: Charge, root_vertex: in
         right = conj(builder.literal(var, True), children[1])
         return builder.gate_or(left, right)
 
-    root = run(make(b.source, root_vertex))
-    del make  # a closure that calls itself is a reference cycle: free the gate table now, not at the next collection
+    root = run(make, b.source, root_vertex)
     return builder.build(builder.const(1) if root is None else root)
 
 
@@ -181,8 +180,11 @@ class PipelineReport:
         return self.dnnf_size <= 3 * self.bp_size * self.graph.n
 
 
-def pipeline(g: Graph, c_unsat: Charge, c_star: Charge, desk_cap: int = 16) -> tuple[PipelineReport, NnfCircuit, BranchingProgram]:
-    """Build, validate, compile, retarget, and (at desk scale) verify."""
+DESK_SCALE_CAP = 16  # the default largest m that `pipeline` checks against brute force
+
+
+def pipeline(g: Graph, c_unsat: Charge, c_star: Charge, desk_cap: int = DESK_SCALE_CAP) -> tuple[PipelineReport, NnfCircuit, BranchingProgram]:
+    """Build, validate, compile, retarget, and (if m <= desk_cap) verify."""
     if not is_satisfiable(TseitinFormula(g, c_star)):
         raise ValueError("the target charge must be satisfiable")
     bp = build_well_structured_bp(g, c_unsat)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .textformat import error, ints, lines_of, once
+from .textformat import error, header, ints, lines_of
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
     def max_degree(self) -> int:
@@ -378,10 +374,7 @@ def graph_from_text(text: str) -> Graph:
         if not fields or fields[0][0] == "#":
             continue
         if fields[0] == "p":
-            once(lines, i, first, "p", "second header")
-            if len(fields) != 4 or fields[1] != "graph":
-                raise error(lines, i, f"bad header: {lines[i].strip()}")
-            n, m = ints(lines, i, fields[2:], 2)
+            n, m = header(lines, i, fields, first, "graph")
         elif fields[0] == "e":
             if n is None:
                 raise error(lines, i, "edge line before header")

@@ -55,7 +55,7 @@ def _component_treewidth(g: Graph, vertices: set[int], clique: tuple[int, ...]) 
     extra = []
     for i, u in enumerate(clique):
         for w in clique[i + 1:]:
-            if (min(vmap[u], vmap[w]), max(vmap[u], vmap[w])) not in sub.edge_index:
+            if not sub.adj_mask[vmap[u]] >> vmap[w] & 1:
                 extra.append((vmap[u], vmap[w]))
     filled = Graph(sub.n, sub.edges + tuple(extra))
     if filled.n <= TREEWIDTH_EXACT_CAP:
@@ -104,7 +104,7 @@ def three_connected_minor(g: Graph) -> MinorResult:
     while (found := find_safe_separator(result.graph)) is not None:
         sep, _, dropped = found
         h = result.graph
-        if len(sep) == 2 and sep not in h.edge_index:
+        if len(sep) == 2 and not h.adj_mask[sep[0]] >> sep[1] & 1:
             # realize uv through the dropped component with the smallest vertex
             via, dropped = dropped[0], dropped[1:]
             path = _path_between(h, sep[0], sep[1], via)

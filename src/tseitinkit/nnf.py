@@ -184,12 +184,12 @@ def root_value(d: NnfCircuit, x):
     return gate_values(d, x)[d.root]
 
 
-def _rebuild(d: NnfCircuit, leaf_fn, pad: bool = False) -> NnfCircuit:
-    """Rewrite leaves through leaf_fn and propagate constants upward; with
+def _rebuild(d: NnfCircuit, pad: bool = False) -> NnfCircuit:
+    """Propagate constants upward and share equal literal leaves; with
     `pad`, also smooth every OR as it is built.
 
-    leaf_fn(gate) returns a Gate for every leaf.  Internal gates absorb
-    constant children, so without padding the result never grows.  A
+    Internal gates absorb constant children, so without padding the
+    result never grows.  A
     padded OR branch is ANDed with an (x OR not-x) unit for each variable
     its sibling mentions and it does not: one shared unit per variable,
     chained by ANDs in ascending variable order.
@@ -212,13 +212,12 @@ def _rebuild(d: NnfCircuit, leaf_fn, pad: bool = False) -> NnfCircuit:
         return gid
 
     for i, g in enumerate(d.gates):
-        if g.kind in (LIT, CONST):
-            ng = leaf_fn(g)
-            if ng.kind == CONST:
-                consts[i] = ng.a
-            else:
-                new_id[i] = builder.literal(ng.var, ng.positive)
-                masks[i] = 1 << ng.var
+        if g.kind == CONST:
+            consts[i] = g.a
+            continue
+        if g.kind == LIT:
+            new_id[i] = builder.literal(g.var, g.positive)
+            masks[i] = 1 << g.var
             continue
         ca = consts.get(g.a)
         cb = consts.get(g.b)
@@ -265,7 +264,7 @@ def smooth(d: NnfCircuit) -> NnfCircuit:
     constants and pads each deficient OR branch (`_rebuild`)."""
     if not validate_decomposable(d):
         raise ValueError("circuit must be decomposable")
-    return d if is_smooth(d) else _rebuild(d, lambda g: g, pad=True)
+    return d if is_smooth(d) else _rebuild(d, pad=True)
 
 
 def model_count_smooth(d: NnfCircuit) -> int:

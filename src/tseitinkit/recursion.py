@@ -1,13 +1,14 @@
 """Recursion without the call stack: a recursive function is written as a
-generator that yields the generator of each sub-call and receives its
-result, and `run` drives the calls from an explicit stack."""
+generator that yields the argument tuple of each sub-call and receives its
+result; `run` makes every call and drives them from an explicit stack.  A
+generator never names itself, so its closure forms no reference cycle."""
 
 from __future__ import annotations
 
 
-def run(call):
-    """The return value of the generator `call`."""
-    stack = [call]
+def run(fn, *args):
+    """The return value of the generator `fn(*args)`."""
+    stack = [fn(*args)]
     value = None
     while stack:
         try:
@@ -16,6 +17,6 @@ def run(call):
             stack.pop()
             value = done.value
         else:
-            stack.append(sub)
+            stack.append(fn(*sub))
             value = None
     return value

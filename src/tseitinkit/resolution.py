@@ -369,7 +369,7 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
                 key = (child, below_mask)
                 sid = done.get(key)
                 if sid is None:
-                    sid = done[key] = yield refute(child, below_mask, narrower)
+                    sid = done[key] = yield child, below_mask, narrower
             children.append(sid)
         s0, s1 = children
         _, pos0, neg0, _ = builder.steps[s0 - 1]
@@ -382,8 +382,7 @@ def dpll_refute(cnf: Cnf) -> ResolutionTrace:
     if falsified:
         root = builder.step(axioms[(falsified & -falsified).bit_length() - 1], 0)
     else:
-        root = run(refute((1 << len(cnf.clauses)) - 1, 0, widths))
-    del refute  # a closure that calls itself is a reference cycle: free the state cache now, not at the next collection
+        root = run(refute, (1 << len(cnf.clauses)) - 1, 0, widths)
     return builder.trace(root, tuple(range(1, cnf.num_vars + 1)))
 
 

@@ -15,6 +15,9 @@ what its record becomes.
 * A record that may occur once (a header, a charge line, a program's
   source, a certificate field) and occurs again raises
   `ValueError("line N: <what>, first on line M")` (`once`).
+* A `p <kind> a b` header (graph, tseitin, cnf) is read by `header`: a
+  second one raises `second header`, a wrong kind or field count
+  `bad header: <line>`.
 * A malformed record raises `ValueError("line N: <what is wrong>")`.
   Where the message quotes the line it quotes its stripped text.  An error
   about the file as a whole (a missing header, a count the body does not
@@ -63,3 +66,12 @@ def ints(lines: list[str], i: int, values: list[str], count: int | None = None, 
     else:
         problem = f"expected {count} numbers in {{!r}}"
     raise error(lines, i, problem.format((lines[i] if text is None else text).strip()))
+
+
+def header(lines: list[str], i: int, fields: list[str], first: dict, kind: str) -> list[int]:
+    """The two counts of the `p <kind> a b` header on line i, whose fields
+    are `fields`; `first` is the reader's `once` record, keyed "p"."""
+    once(lines, i, first, "p", "second header")
+    if len(fields) != 4 or fields[1] != kind:
+        raise error(lines, i, f"bad header: {lines[i].strip()}")
+    return ints(lines, i, fields[2:], 2)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .cnf import Cnf
 from .graphs import Graph, connected_components, edge_from_line, search, tree_path
 from .oracles import conj, parity
-from .textformat import error, ints, lines_of, once
+from .textformat import error, header, ints, lines_of, once
 
 DEGREE_CAP = 8
 
@@ -147,10 +147,7 @@ def tseitin_from_text(text: str) -> TseitinFormula:
         if not fields or fields[0][0] == "#":
             continue
         if fields[0] == "p":
-            once(lines, i, first, "p", "second header")
-            if len(fields) != 4 or fields[1] != "tseitin":
-                raise error(lines, i, f"bad header: {lines[i].strip()}")
-            n, m = ints(lines, i, fields[2:], 2)
+            n, m = header(lines, i, fields, first, "tseitin")
         elif fields[0] == "g":
             once(lines, i, first, "g", "second charge line")
             charge = tuple(ints(lines, i, fields[1:]))

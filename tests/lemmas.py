@@ -807,7 +807,7 @@ def validate_read_once(b: BranchingProgram) -> bool:
 def propagate_constants(d: NnfCircuit) -> NnfCircuit:
     """Fold every constant below a gate into its parent, share equal
     literal leaves and drop unreachable gates."""
-    return _rebuild(d, lambda g: g)
+    return _rebuild(d)
 
 
 def reference_smooth(d: NnfCircuit) -> NnfCircuit:
@@ -858,7 +858,7 @@ def condition_dnnf(d: NnfCircuit, var: int, value: int) -> NnfCircuit:
             return Gate(CONST, a=int(bool(value) == g.positive))
         return g
 
-    return _rebuild(d, leaf)
+    return _rebuild(NnfCircuit(tuple(map(leaf, d.gates)), d.root, d.num_vars))
 
 
 def forget_var(d: NnfCircuit, var: int) -> NnfCircuit:
@@ -873,7 +873,7 @@ def forget_var(d: NnfCircuit, var: int) -> NnfCircuit:
             return Gate(CONST, a=1)
         return g
 
-    return _rebuild(d, leaf)
+    return _rebuild(NnfCircuit(tuple(map(leaf, d.gates)), d.root, d.num_vars))
 
 
 def replay_on_circuit(result: MinorResult, d: NnfCircuit) -> NnfCircuit:
@@ -981,12 +981,12 @@ def proof_tree_vtree(d: NnfCircuit, mask: int) -> tuple[BranchDecomposition, dic
         if g.kind == LIT:
             nodes[my] = ("leaf", g.var)
         else:
-            left = yield walk(g.a)
-            right = yield walk(g.b)
+            left = yield (g.a,)
+            right = yield (g.b,)
             nodes[my] = ("node", left, right)
         return my
 
-    run(walk(d.root))
+    run(walk, d.root)
     return BranchDecomposition(tuple(nodes)), gate_of
 
 

@@ -178,7 +178,7 @@ class TestAcceptance:
             t = TseitinFormula(g, tuple([0] * g.n))
             subs = []
             for j, r in enumerate(keep):
-                edge_ids = tuple(sorted(g.edge_index[(min(r.vertex, u), max(r.vertex, u))] for u in r.side1))
+                edge_ids = tuple(sorted(g.edges.index((min(r.vertex, u), max(r.vertex, u))) for u in r.side1))
                 subs.append(SubConstraint(r.vertex, edge_ids, j % 2))
             assert conjoin_subconstraints_count(t, subs) == len(conjoin_models(t, subs)), (name, subs)
             checked += 1

@@ -285,6 +285,67 @@ class TestCertifiedLowerBound:
         assert verify_certificate(cert, g) == (False, "minor treewidth differs from certified treewidth")
 
 
+# Each forgery edits the genuine grid 4x4 certificate so that it passes
+# every check before the one named; the refusals other tests reach (graph
+# hash, treewidth, minor treewidth, k) are left out.  Its minor has 12 vertices and 20
+# edges, maximum degree 4 and treewidth 4; the witness chain is
+# v_prime (1, 3, 6, 10), v_second = v_star = (1, 3, 6), and 6-10 is a
+# minor edge.
+FORGERIES = {
+    "graph size mismatch": dict(n=17),
+    "treewidth provenance differs from the recomputed one": dict(tw_provenance="anything at all"),
+    "stored minor is larger than the graph": dict(minor_n=17),
+    "stored minor is not a graph: loop at vertex 0": dict(minor_edges=((0, 0),)),
+    "minor header mismatch": dict(minor_m=19),
+    "stored minor is not 3-connected": dict(minor_m=12, minor_max_degree=2, minor_edges=fam.cycle(12).edges),
+    "branchwidth stage arithmetic is wrong": dict(bw_lower=4),
+    "witness set repeats a vertex": dict(v_prime=(1, 1, 1), v_second=(1,), v_star=(1,)),
+    "boundary vertex outside the minor": dict(v_prime=(1, 3, 6, 10, 12)),
+    "independent set not inside the boundary": dict(v_second=(1, 3, 6, 11)),
+    "safe subset not inside the independent set": dict(v_star=(1, 3, 6, 10)),
+    "witness set is not independent": dict(v_second=(1, 3, 6, 10)),
+    "boundary smaller than the branchwidth stage": dict(v_prime=(1, 3), v_second=(1, 3), v_star=(1, 3)),
+    "independent stage too small": dict(v_second=(), v_star=()),
+    "safe stage too small": dict(v_star=()),
+    "cap and bound exponents do not add up": dict(cap_exponent=9),
+    "bound is not 2^k": dict(bound=3),
+}
+
+
+class TestVerifierRefusals:
+    @pytest.fixture(scope="class")
+    def genuine(self):
+        g = fam.grid(4, 4)
+        cert = certified_lower_bound(g)
+        assert (cert.minor_n, cert.minor_m, cert.minor_max_degree, cert.treewidth) == (12, 20, 4, 4)
+        assert (cert.v_prime, cert.v_second, cert.v_star) == ((1, 3, 6, 10), (1, 3, 6), (1, 3, 6))
+        assert (6, 10) in cert.minor_edges
+        return g, cert
+
+    @pytest.mark.parametrize("message", FORGERIES)
+    def test_each_refusal(self, genuine, message):
+        g, cert = genuine
+        assert verify_certificate(dataclasses.replace(cert, **FORGERIES[message]), g) == (False, message)
+
+    def test_trivial_certificate_with_a_bound(self):
+        g = fam.path(5)
+        cert = certified_lower_bound(g)
+        assert cert.k == 0 and verify_certificate(cert, g) == (True, "ok")
+        assert verify_certificate(dataclasses.replace(cert, bound=2), g) == (False, "trivial certificate must have bound 1")
+
+    @pytest.mark.parametrize("make", [lambda: fam.complete(5), lambda: fam.cube(4)], ids=["K5", "Q4"])
+    def test_repeated_witness_and_any_provenance(self, make):
+        """One vertex repeated bw_lower times passed the boundary stage,
+        and the provenance was never read."""
+        g = make()
+        cert = certified_lower_bound(g)
+        v = cert.v_star[0]
+        repeated = dataclasses.replace(cert, v_prime=(v,) * cert.bw_lower, v_second=(v,), v_star=(v,))
+        assert verify_certificate(repeated, g) == (False, "witness set repeats a vertex")
+        forged = dataclasses.replace(cert, tw_provenance="anything at all")
+        assert verify_certificate(forged, g) == (False, "treewidth provenance differs from the recomputed one")
+
+
 class TestVerifierWork:
     """Separator and exact-treewidth searches in certify and verify: one
     per graph object and question."""

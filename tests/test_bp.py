@@ -134,6 +134,17 @@ class TestWellStructured:
         bp = build_well_structured_bp(g, (1, 0, 0))
         assert validate_well_structured(bp, g, (1, 0, 0)).ok
 
+    def test_disconnected_graph_rejected(self):
+        # the single-edge program checked against an edge plus a second,
+        # separate edge: the source's annotation is the whole graph
+        g = Graph(4, ((0, 1), (2, 3)))
+        result = validate_well_structured(SINGLE_EDGE_BP, g, (1, 0, 0, 0))
+        assert (result.ok, result.error, result.node) == (False, "annotated subgraph is not connected", 2)
+
+    def test_id_both_decision_and_sink_rejected(self):
+        with pytest.raises(ValueError, match=r"^ids used as both decision and sink: \[1\]$"):
+            BranchingProgram(source=2, decisions={2: (0, 0, 1), 1: (0, 0, 0)}, sinks={0: 0, 1: 1})
+
     def test_other_unit_charge_rejected(self, bench_graph):
         # the source is annotated with the charge validated against, so a
         # program built for another charge fails further down

@@ -397,9 +397,11 @@ class TestPipeline:
         ("--charge", "random-unsat 3 x", "charge spec 'random-unsat 3 x' takes at most one seed"),
         ("--target", "random-sat 1 2", "charge spec 'random-sat 1 2' takes at most one seed"),
         ("--charge", "odd-at 0 junk", "charge spec 'odd-at 0 junk' needs one vertex in 0..2"),
+        ("--charge", "zero", "charge spec 'zero' is not unsatisfiable on this graph"),
+        ("--target", "odd-at 1", "charge spec 'odd-at 1' is not satisfiable on this graph"),
     ], ids=["odd-at-x", "random-unsat-x", "random-sat-float", "odd-at-out-of-range", "unknown",
             "zero-trailing-target", "zero-trailing-charge", "random-unsat-trailing", "random-sat-trailing",
-            "odd-at-trailing"])
+            "odd-at-trailing", "satisfiable-charge", "unsatisfiable-target"])
     def test_bad_charge_spec_is_named(self, workdir, tmp_path, capsys, option, spec, message):
         out = tmp_path / "report.csv"
         assert main(["pipeline", "--graph", workdir["graph"], option, spec, "--out", str(out)]) == 1
@@ -480,6 +482,27 @@ class TestCheck:
         out = capsys.readouterr()
         assert out.out == "" and out.err == "circuit is not decomposable\n"
 
+    def test_dnnf_equiv_refuses_a_formula_above_the_default_cap(self, tmp_path, capsys):
+        """grid 4 4 has m = 24, above the default desk-scale cap of 16:
+        refused before any truth table is built."""
+        g = fam.grid(4, 4)
+        zero = TseitinFormula(g, (0,) * g.n)
+        _, d, _ = pipeline(g, unit_charge(g.n, 0), zero.charge, desk_cap=0)
+        t, nnf = tmp_path / "g44.tseitin", tmp_path / "g44.nnf"
+        t.write_text(tseitin_to_text(zero))
+        nnf.write_text(nnf_to_text(d))
+        assert main(["check", "dnnf-equiv", str(t), str(nnf)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "formula exceeds the desk-scale cap\n"
+
+    def test_dnnf_equiv_refuses_other_variable_counts(self, workdir, tmp_path, capsys):
+        """The C3 circuit read against the 4-edge path's formula."""
+        t = tmp_path / "p5.tseitin"
+        t.write_text(tseitin_to_text(TseitinFormula(fam.path(5), (0,) * 5)))
+        assert main(["check", "dnnf-equiv", str(t), workdir["nnf"]]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "variable counts differ\n"
+
     def test_dnnf_equiv_at_the_variable_cap(self, tmp_path):
         """grid 4 4 has m = 24, the largest table the desk-scale check builds."""
         g = fam.grid(4, 4)
@@ -530,6 +553,26 @@ class TestCheck:
         assert main(["check", "certificate", str(graph), str(cert)]) == 1
         number = len(text.splitlines()) + 1
         assert capsys.readouterr().err == f"error: {cert}: line {number}: unknown field {name!r}\n"
+
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"v_prime": "1 1 1", "v_second": "1", "v_star": "1"}, "witness set repeats a vertex"),
+        ({"tw_provenance": "anything at all"}, "treewidth provenance differs from the recomputed one"),
+    ], ids=["repeated-vertex", "provenance"])
+    def test_forged_certificate(self, tmp_path, capsys, edits, message):
+        """A genuine grid 4x4 certificate with edited fields: its boundary
+        `1 1 1` has one vertex, though `bw_lower` is 3."""
+        g = fam.grid(4, 4)
+        lines = certificate_to_text(certified_lower_bound(g)).splitlines()
+        for name, value in edits.items():
+            (i,) = [i for i, line in enumerate(lines) if line.startswith(name + ":")]
+            lines[i] = f"{name}: {value}"
+        graph, cert = tmp_path / "g44.graph", tmp_path / "g44.cert"
+        graph.write_text(graph_to_text(g))
+        cert.write_text("\n".join(lines) + "\n")
+        assert main(["check", "certificate", str(graph), str(cert)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"invalid certificate: {message}\n"
 
 
 class TestUndecodableFile:

@@ -2,18 +2,22 @@ import gc
 import hashlib
 import random
 import zlib
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lemmas import annotation_sets, build_bp_by_rule, compile_all_pairs, demanded_vertices, models, nnf_truth_table, propagate_constants, same_circuit, tseitin_truth_table
 from tseitinkit import families as fam
-from tseitinkit.bp import BranchingProgram, bp_to_text, build_well_structured_bp, validate_well_structured
+from tseitinkit.bounds import certificate_from_text, certificate_to_text, certified_lower_bound, verify_certificate
+from tseitinkit.bp import BranchingProgram, bp_from_text, bp_to_text, build_well_structured_bp, validate_well_structured
+from tseitinkit.cnf import cnf_from_dimacs, cnf_to_dimacs
 from tseitinkit.compiler import compile_bp_to_dnnf, pipeline, retarget
-from tseitinkit.graphs import Graph
-from tseitinkit.nnf import CONST, Gate, NnfCircuit, is_smooth, model_count_smooth, nnf_to_text, smooth, validate_decomposable
-from tseitinkit.resolution import dpll_refute
-from tseitinkit.tseitin import TseitinFormula, to_cnf, unit_charge
+from tseitinkit.graphs import Graph, graph_from_text, graph_to_text
+from tseitinkit.minors import three_connected_minor
+from tseitinkit.nnf import CONST, Gate, NnfCircuit, is_smooth, model_count_smooth, nnf_from_text, nnf_to_text, smooth, validate_decomposable
+from tseitinkit.resolution import check_refutation, check_regularity, dpll_refute, trace_from_text, trace_to_text
+from tseitinkit.tseitin import TseitinFormula, to_cnf, tseitin_from_text, tseitin_to_text, unit_charge
 
 
 class TestCompileSmall:
@@ -48,6 +52,13 @@ class TestCompileSmall:
         with pytest.raises(ValueError, match="not well-structured: condition 3"):
             compile_bp_to_dnnf(swapped, g, (1, 0, 0), 0)
 
+
+    @pytest.mark.parametrize("root_vertex", [-1, 3])
+    def test_root_vertex_out_of_range(self, root_vertex):
+        g = fam.cycle(3)
+        bp = build_well_structured_bp(g, (1, 0, 0))
+        with pytest.raises(ValueError, match="^root vertex out of range$"):
+            compile_bp_to_dnnf(bp, g, (1, 0, 0), root_vertex)
 
 class TestSizeAccounting:
     def test_gate_budget(self, bench_graph):
@@ -275,33 +286,65 @@ class TestDemandDriven:
             assert set(models(nnf_truth_table(d))) == set(models(tseitin_truth_table(TseitinFormula(g, shifted))))
 
 
-class TestFreedOnReturn:
-    def test_build_and_compile_leave_no_cyclic_garbage(self):
-        # both recurse through a closure that calls itself; each drops it
-        # before returning, so its memo is freed then and not at the next
-        # cyclic collection (the rr60 program's text took ~20 MB more peak
-        # memory while the builder's memo waited)
-        g = fam.grid(3, 3)
-        c = unit_charge(g.n, 0)
-        gc.collect()
-        gc.disable()
-        try:
-            bp = build_well_structured_bp(g, c)
-            compile_bp_to_dnnf(bp, g, c, 0)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+def _dpll_checked(x):
+    trace = dpll_refute(x.cnf)
+    assert check_refutation(x.cnf, trace) and check_regularity(trace)
 
-    def test_dpll_leaves_no_cyclic_garbage(self):
-        # the search recurses through a closure that calls itself as well;
-        # kept, it held the state cache and the trace builder (519 objects
-        # on grid 3x3) until the next cyclic collection
-        g = fam.grid(3, 3)
-        cnf = to_cnf(TseitinFormula(g, unit_charge(g.n, 0)))
+
+def _certify_and_verify(x):
+    assert verify_certificate(certified_lower_bound(x.g), x.g) == (True, "ok")
+
+
+# Each library entry point, on grid 3x4 (m = 17); `x` holds its inputs and
+# their texts, made before the collector is switched off.
+ENTRY_POINTS = {
+    "build": lambda x: build_well_structured_bp(x.g, x.c),
+    "compile": lambda x: compile_bp_to_dnnf(x.bp, x.g, x.c, 0),
+    "dpll": lambda x: dpll_refute(x.cnf),
+    "dpll-checked": _dpll_checked,
+    "pipeline": lambda x: pipeline(x.g, x.c, (0,) * x.g.n),
+    "pipeline-verified": lambda x: pipeline(x.g, x.c, (0,) * x.g.n, desk_cap=x.g.m),
+    "certify-and-verify": _certify_and_verify,
+    "three-connected-minor": lambda x: three_connected_minor(x.g),
+    "graph_from_text": lambda x: graph_from_text(x.texts["graph"]),
+    "tseitin_from_text": lambda x: tseitin_from_text(x.texts["tseitin"]),
+    "cnf_from_dimacs": lambda x: cnf_from_dimacs(x.texts["cnf"]),
+    "bp_from_text": lambda x: bp_from_text(x.texts["bp"]),
+    "nnf_from_text": lambda x: nnf_from_text(x.texts["nnf"]),
+    "trace_from_text": lambda x: trace_from_text(x.texts["trace"]),
+    "certificate_from_text": lambda x: certificate_from_text(x.texts["certificate"]),
+}
+
+
+class TestFreedOnReturn:
+    """No entry point leaves cyclic garbage: everything a call made is
+    freed when it returns, not at the next cyclic collection.  The three
+    memoized recursions (build, compile, DPLL) run through `recursion.run`,
+    whose generators never name themselves; a closure that called itself
+    would be a reference cycle holding its memo (the rr60 program's text
+    took ~20 MB more peak memory while the builder's memo waited)."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        g = fam.grid(3, 4)
+        c = unit_charge(g.n, 0)
+        t = TseitinFormula(g, c)
+        cnf = to_cnf(t)
+        bp = build_well_structured_bp(g, c)
+        _, d, _ = pipeline(g, c, (0,) * g.n)
+        texts = {
+            "graph": graph_to_text(g), "tseitin": tseitin_to_text(t), "cnf": cnf_to_dimacs(cnf),
+            "bp": bp_to_text(bp), "nnf": nnf_to_text(d), "trace": trace_to_text(dpll_refute(cnf)),
+            "certificate": certificate_to_text(certified_lower_bound(g)),
+        }
+        return SimpleNamespace(g=g, c=c, cnf=cnf, bp=bp, texts=texts)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_leaves_no_cyclic_garbage(self, inputs, name):
         gc.collect()
         gc.disable()
         try:
-            dpll_refute(cnf)
+            ENTRY_POINTS[name](inputs)
             assert gc.collect() == 0
         finally:
             gc.enable()

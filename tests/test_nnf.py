@@ -66,7 +66,22 @@ class TestDecomposability:
         assert not validate_decomposable(d)
 
 
+    @pytest.mark.parametrize("child", [1, 2], ids=["itself", "later"])
+    def test_gate_out_of_topological_order_rejected(self, child):
+        gates = (Gate(LIT, var=0, positive=True), Gate(AND, 0, child), Gate(LIT, var=1, positive=True))
+        with pytest.raises(ValueError, match="^gate 1 not in topological order$"):
+            NnfCircuit(gates, 1, 2)
+
 class TestSmoothing:
+    def test_not_decomposable_rejected(self):
+        # x AND (x OR y): smoothing and counting need a DNNF
+        b = CircuitBuilder(2)
+        x = b.literal(0, True)
+        d = b.build(b.gate_and(x, b.gate_or(x, b.literal(1, True))))
+        for fn in (smooth, model_count_smooth):
+            with pytest.raises(ValueError, match="^circuit must be decomposable$"):
+                fn(d)
+
     def test_pads_missing_variable(self):
         d = circuit_x_or_xy()
         s = smooth(d)

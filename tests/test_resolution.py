@@ -50,6 +50,10 @@ class TestChecker:
         assert check_regularity(UNIT_TRACE)
         assert pivot_variables(UNIT_TRACE) == (None, None, 1)
 
+    def test_empty_trace_rejected(self):
+        result = check_refutation(UNIT_CNF, ResolutionTrace((), (1,)))
+        assert not result and result.error == "empty trace"
+
     def test_no_resolvable_pivot_rejected(self):
         # {1} and {2} clash on no variable
         bad = trace_of(((1, {1}, None), (2, {2}, None), (3, (), (1, 2))))
