@@ -25,7 +25,7 @@ from .tseitin import DEGREE_CAP, TseitinFormula, is_satisfiable, to_cnf, tseitin
 CSV_HEADER = "name,n,m,treewidth,tw_provenance,bp_size,refutation_length,dnnf_size,model_count,bound_exponent,equivalence"
 
 
-def _parse_charge(spec: str, g: Graph, want_satisfiable: bool, default_seed: int = 0):
+def _parse_charge(spec: str, g: Graph, want_satisfiable: bool):
     parts = spec.split() or [""]
 
     def number(text: str) -> int:
@@ -45,7 +45,7 @@ def _parse_charge(spec: str, g: Graph, want_satisfiable: bool, default_seed: int
     elif parts[0] in ("random-sat", "random-unsat"):
         if len(parts) > 2:
             raise ValueError(f"charge spec {spec!r} takes at most one seed")
-        rng = random.Random(number(parts[1]) if len(parts) > 1 else default_seed)
+        rng = random.Random(number(parts[1]) if len(parts) > 1 else int(want_satisfiable))  # 0 for a charge, 1 for a target
         comps = connected_components(g)
         bits = [rng.randint(0, 1) for _ in range(g.n)]
         for comp in comps:
@@ -123,9 +123,9 @@ def _refutation_length(cnf: Cnf) -> int:
     return len(trace)
 
 
-def pipeline_row(name: str, g: Graph, charge_spec: str, target_spec: str, desk_cap: int = DESK_SCALE_CAP, seed: int = 0) -> str:
-    c_unsat = _parse_charge(charge_spec, g, want_satisfiable=False, default_seed=seed)
-    c_star = _parse_charge(target_spec, g, want_satisfiable=True, default_seed=seed + 1)
+def pipeline_row(name: str, g: Graph, charge_spec: str, target_spec: str, desk_cap: int = DESK_SCALE_CAP) -> str:
+    c_unsat = _parse_charge(charge_spec, g, want_satisfiable=False)
+    c_star = _parse_charge(target_spec, g, want_satisfiable=True)
     report, d, bp = pipeline(g, c_unsat, c_star, desk_cap=desk_cap)
     # the refutation runs on the CNF, which caps the degree; the rest of the row does not need it
     refutation_length = _refutation_length(to_cnf(TseitinFormula(g, c_unsat))) if g.max_degree <= DEGREE_CAP else ""
@@ -139,7 +139,7 @@ def pipeline_row(name: str, g: Graph, charge_spec: str, target_spec: str, desk_c
 
 def cmd_pipeline(args) -> int:
     g = _read(args.graph, graph_from_text)
-    row = pipeline_row(args.graph, g, args.charge, args.target, args.desk_scale_cap, seed=args.seed)
+    row = pipeline_row(args.graph, g, args.charge, args.target, args.desk_scale_cap)
     return _emit(CSV_HEADER + "\n" + row + "\n", args.out)
 
 
@@ -224,7 +224,6 @@ def _pipeline_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--charge", default="odd-at 0")
     p.add_argument("--target", default="zero")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--desk-scale-cap", type=_desk_scale_cap, default=DESK_SCALE_CAP)
 

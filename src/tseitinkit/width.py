@@ -28,10 +28,6 @@ from .graphs import Graph, find
 TREEWIDTH_EXACT_CAP = 16
 
 
-class DeskScaleError(ValueError):
-    """Input exceeds the cap under which an exact oracle is affordable."""
-
-
 def _reachable_outside(adj_mask, v, allowed):
     """Vertices outside `allowed` reachable from v through `allowed`."""
     visited = 1 << v
@@ -85,7 +81,7 @@ def treewidth_exact(g: Graph) -> int:
     says why it may stop at k + 1 vertices left), else upper.
     """
     if g.n > TREEWIDTH_EXACT_CAP:
-        raise DeskScaleError(f"n={g.n} exceeds exact treewidth cap {TREEWIDTH_EXACT_CAP}")
+        raise ValueError(f"n={g.n} exceeds exact treewidth cap {TREEWIDTH_EXACT_CAP}")
     if g.n == 0:
         return -1
     lower, upper = treewidth_lower_bound(g), treewidth_upper_bound(g)

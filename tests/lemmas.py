@@ -1594,12 +1594,9 @@ def reference_certificate_from_text(text: str) -> LowerBoundCertificate:
         graph_hash=fields["graph_hash"].text,
         n=one("n"), m=one("m"),
         treewidth=one("treewidth"), tw_provenance=fields["tw_provenance"].text,
-        bw_lower=one("bw_lower"),
-        minor_n=one("minor_n"), minor_m=one("minor_m"),
-        minor_max_degree=one("minor_max_degree"),
-        minor_edges=tuple(edges),
+        minor_n=one("minor_n"), minor_edges=tuple(edges),
         v_prime=ints("v_prime"), v_second=ints("v_second"), v_star=ints("v_star"),
-        k=one("k"), cap_exponent=one("cap_exponent"), bound=one("bound"),
+        k=one("k"),
     )
 
 

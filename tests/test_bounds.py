@@ -23,7 +23,7 @@ from lemmas import (
     tseitin_truth_table,
 )
 from tseitinkit import families as fam, graphs, width
-from tseitinkit.bounds import adam_response, certificate_from_text, certificate_to_text, certified_lower_bound, graph_hash, verify_certificate
+from tseitinkit.bounds import _chain, adam_response, certificate_from_text, certificate_to_text, certified_lower_bound, graph_hash, verify_certificate
 from tseitinkit.compiler import pipeline
 from tseitinkit.graphs import Graph, _separating_vertices as separating_vertices, graph_to_text
 from tseitinkit.nnf import CircuitBuilder, smooth
@@ -45,13 +45,13 @@ MIDDLE_TIER = {
 # sha256 of certificate_to_text(certified_lower_bound(g)), as the
 # caterpillar's maximum-order cut over the minor's edge_order wrote it
 CERTIFICATE_DIGESTS = {
-    "K4": (lambda: fam.complete(4), "98078665b8fc82736441b2e5001b7355e79493540d2986cec6b358aede4110e9"),
-    "K6": (lambda: fam.complete(6), "ce07923f20918cf6433f1f9be88de4533e3930240f0e61c21771a4830585d1f9"),
-    "W8": (lambda: fam.wheel(8), "02e213e35fe4ee5aa85f1fa5be31c2b8c8f90c09a8d324dbd78c81807293b785"),
-    "Q4": (lambda: fam.cube(4), "3108d4ec6e00fe8fb5f093ff8b684fb08b485d381b43e1a08d1f289a95148398"),
-    "grid4x5": (lambda: fam.grid(4, 5), "b2f40070e6c4b40837f9cc5baff6b4a190c94c0210adcc655acc7ad485b79dce"),
-    "grid5x5": (lambda: fam.grid(5, 5), "24d03035a34f8741858b7b1151a834e121516e8c8369dad57aebb727002d43f1"),
-    "rr16": (lambda: fam.random_regular(16, 3, 1), "4f73a69643a4856a3d5fa8b956988047270eb7454584f90a18928287ec7cba42"),
+    "K4": (lambda: fam.complete(4), "5c4ce9efa81332f0b0b215f8be821a231f445a7ac81893a14289458115bfc695"),
+    "K6": (lambda: fam.complete(6), "d876711b417ce23a58dafea60081796d4f7c252590b2edd73267593b14590a13"),
+    "W8": (lambda: fam.wheel(8), "0d0a811ce90c1c148b9f68f2bb0dcd361f0da4668752097c835006d893ca4f2c"),
+    "Q4": (lambda: fam.cube(4), "8ded84c373bdb5b37c685f7a632ace0556b73dc0f052bd0adae36dda273ca626"),
+    "grid4x5": (lambda: fam.grid(4, 5), "7dc7d50f5d22bd81236610b99501069ebf7be69d9cca0847ae05d3b72d8b8fd4"),
+    "grid5x5": (lambda: fam.grid(5, 5), "d8662811c0787222525bec2c737c3c093eafca62f9490e7067c4572ed39702e4"),
+    "rr16": (lambda: fam.random_regular(16, 3, 1), "8ec864d822e7927660a5aa8e3e341631e83bf43a5509ed9ed162e07a80e3f8aa"),
 }
 
 
@@ -196,34 +196,47 @@ def _vtree_matching(d, t):
     return vtree
 
 
+class TestChain:
+    @pytest.mark.parametrize("max_degree", range(3, 9))
+    def test_closed_form(self, max_degree):
+        # nested ceilings of positive divisors fold into one:
+        # bw = ceil(2 tw / 3), k = ceil(2 tw / (9 (max_degree + 1)))
+        for tw in range(41):
+            assert _chain(tw, max_degree) == (-(-2 * tw // 3), -(-2 * tw // (9 * (max_degree + 1))))
+
+    @pytest.mark.parametrize("max_degree, tw", [(3, 19), (4, 23)])
+    def test_k_first_reaches_2(self, max_degree, tw):
+        """The thresholds README and ROADMAP quote."""
+        assert min(t for t in range(41) if _chain(t, max_degree)[1] >= 2) == tw
+
+
 class TestCertifiedLowerBound:
     def test_k4(self):
         cert = certified_lower_bound(fam.complete(4))
-        assert cert.treewidth == 3 and cert.k == 1 and cert.bound == 2
+        assert cert.treewidth == 3 and cert.k == 1
 
     def test_q3(self):
         cert = certified_lower_bound(fam.cube(3))
-        assert cert.k == 1 and cert.bound == 2
+        assert cert.k == 1
 
     def test_path_trivial(self):
         cert = certified_lower_bound(fam.path(5))
-        assert cert.k == 0 and cert.bound == 1
+        assert cert.k == 0
 
     def test_chain_invariants(self, bench_graph):
         _, g = bench_graph
         cert = certified_lower_bound(g)
         ok, msg = verify_certificate(cert, g)
         assert ok, msg
-        assert cert.cap_exponent + cert.k == cert.minor_m - cert.minor_n + 1
         if cert.k:
             assert 3 * len(cert.v_star) >= len(cert.v_second)
-            assert (cert.minor_max_degree + 1) * len(cert.v_second) >= len(cert.v_prime)
+            assert (Graph(cert.minor_n, cert.minor_edges).max_degree + 1) * len(cert.v_second) >= len(cert.v_prime)
 
     def test_bound_below_compiled_circuit(self, bench_graph):
         _, g = bench_graph
         cert = certified_lower_bound(g)
         d, _ = smooth_pipeline(g)
-        assert cert.bound <= max(d.size, 1)
+        assert 1 << cert.k <= max(d.size, 1)
 
     @pytest.mark.parametrize("name", MIDDLE_TIER)
     def test_middle_tier_verifies(self, name):
@@ -280,7 +293,7 @@ class TestCertifiedLowerBound:
         g = fam.grid(4, 4)
         k4 = fam.complete(4)
         cert = dataclasses.replace(
-            certified_lower_bound(g), minor_n=4, minor_m=6, minor_max_degree=3, minor_edges=k4.edges,
+            certified_lower_bound(g), minor_n=4, minor_edges=k4.edges,
         )
         assert verify_certificate(cert, g) == (False, "minor treewidth differs from certified treewidth")
 
@@ -296,9 +309,7 @@ FORGERIES = {
     "treewidth provenance differs from the recomputed one": dict(tw_provenance="anything at all"),
     "stored minor is larger than the graph": dict(minor_n=17),
     "stored minor is not a graph: loop at vertex 0": dict(minor_edges=((0, 0),)),
-    "minor header mismatch": dict(minor_m=19),
-    "stored minor is not 3-connected": dict(minor_m=12, minor_max_degree=2, minor_edges=fam.cycle(12).edges),
-    "branchwidth stage arithmetic is wrong": dict(bw_lower=4),
+    "stored minor is not 3-connected": dict(minor_edges=fam.cycle(12).edges),
     "witness set repeats a vertex": dict(v_prime=(1, 1, 1), v_second=(1,), v_star=(1,)),
     "boundary vertex outside the minor": dict(v_prime=(1, 3, 6, 10, 12)),
     "independent set not inside the boundary": dict(v_second=(1, 3, 6, 11)),
@@ -307,9 +318,14 @@ FORGERIES = {
     "boundary smaller than the branchwidth stage": dict(v_prime=(1, 3), v_second=(1, 3), v_star=(1, 3)),
     "independent stage too small": dict(v_second=(), v_star=()),
     "safe stage too small": dict(v_star=()),
-    "cap and bound exponents do not add up": dict(cap_exponent=9),
-    "bound is not 2^k": dict(bound=3),
 }
+
+# The fields an older format also stored, with their values on the
+# genuine grid 4x4 certificate (bw = ceil(2 * 4 / 3), |E| = 20, Δ = 4,
+# cap = 20 - 12 - 1 + 1, 2^1): each is derived by the verifier, and a file
+# that carries one is refused by the reader, so no stored copy can
+# disagree with it.
+RETIRED_FIELDS = {"bw_lower": 3, "minor_m": 20, "minor_max_degree": 4, "cap_exponent": 8, "bound": 2}
 
 
 class TestVerifierRefusals:
@@ -317,7 +333,8 @@ class TestVerifierRefusals:
     def genuine(self):
         g = fam.grid(4, 4)
         cert = certified_lower_bound(g)
-        assert (cert.minor_n, cert.minor_m, cert.minor_max_degree, cert.treewidth) == (12, 20, 4, 4)
+        h = Graph(cert.minor_n, cert.minor_edges)
+        assert (h.n, h.m, h.max_degree, cert.treewidth, cert.k) == (12, 20, 4, 4, 1)
         assert (cert.v_prime, cert.v_second, cert.v_star) == ((1, 3, 6, 10), (1, 3, 6), (1, 3, 6))
         assert (6, 10) in cert.minor_edges
         return g, cert
@@ -327,20 +344,35 @@ class TestVerifierRefusals:
         g, cert = genuine
         assert verify_certificate(dataclasses.replace(cert, **FORGERIES[message]), g) == (False, message)
 
-    def test_trivial_certificate_with_a_bound(self):
+    def test_minor_with_more_edges_than_the_graph(self, genuine):
+        g, cert = genuine
+        k8 = fam.complete(8)  # 28 edges against grid 4x4's 24
+        forged = dataclasses.replace(cert, minor_n=k8.n, minor_edges=k8.edges)
+        assert verify_certificate(forged, g) == (False, "stored minor is larger than the graph")
+
+    @pytest.mark.parametrize("name", RETIRED_FIELDS)
+    def test_retired_field_is_an_unknown_field(self, genuine, name):
+        _, cert = genuine
+        text = certificate_to_text(cert) + f"{name}: {RETIRED_FIELDS[name]}\n"
+        with pytest.raises(ValueError, match=f"^line 12: unknown field '{name}'$"):
+            certificate_from_text(text)
+
+    def test_trivial_certificate(self):
         g = fam.path(5)
         cert = certified_lower_bound(g)
         assert cert.k == 0 and verify_certificate(cert, g) == (True, "ok")
-        assert verify_certificate(dataclasses.replace(cert, bound=2), g) == (False, "trivial certificate must have bound 1")
+        with pytest.raises(ValueError, match="^line 12: unknown field 'bound'$"):
+            certificate_from_text(certificate_to_text(cert) + "bound: 2\n")
 
     @pytest.mark.parametrize("make", [lambda: fam.complete(5), lambda: fam.cube(4)], ids=["K5", "Q4"])
     def test_repeated_witness_and_any_provenance(self, make):
-        """One vertex repeated bw_lower times passed the boundary stage,
-        and the provenance was never read."""
+        """One vertex repeated as often as the genuine boundary has
+        vertices passed the branchwidth stage, and the provenance was
+        never read."""
         g = make()
         cert = certified_lower_bound(g)
         v = cert.v_star[0]
-        repeated = dataclasses.replace(cert, v_prime=(v,) * cert.bw_lower, v_second=(v,), v_star=(v,))
+        repeated = dataclasses.replace(cert, v_prime=(v,) * len(cert.v_prime), v_second=(v,), v_star=(v,))
         assert verify_certificate(repeated, g) == (False, "witness set repeats a vertex")
         forged = dataclasses.replace(cert, tw_provenance="anything at all")
         assert verify_certificate(forged, g) == (False, "treewidth provenance differs from the recomputed one")

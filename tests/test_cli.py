@@ -128,7 +128,7 @@ GENERATE_USAGE = """usage: tseitinkit generate [-h] [--out OUT]
                            [params ...]
 """
 PIPELINE_USAGE = """usage: tseitinkit pipeline [-h] --graph GRAPH [--charge CHARGE]
-                           [--target TARGET] [--seed SEED] [--out OUT]
+                           [--target TARGET] [--out OUT]
                            [--desk-scale-cap DESK_SCALE_CAP]
 """
 CHECK_USAGE = """usage: tseitinkit check [-h] [--desk-scale-cap DESK_SCALE_CAP]
@@ -164,7 +164,6 @@ options:
   --graph GRAPH
   --charge CHARGE
   --target TARGET
-  --seed SEED
   --out OUT
   --desk-scale-cap DESK_SCALE_CAP
 """, ""),
@@ -211,6 +210,8 @@ options:
     # a negative cap is a usage error, not a failed check or a skipped row
     ("check", "dnnf-equiv", "g.tseitin", "g.nnf", "--desk-scale-cap", "-1"): (
         2, "", CHECK_USAGE + "tseitinkit check: error: argument --desk-scale-cap: -1 is negative\n"),
+    # the seed is set in the charge specs ("random-unsat S", "random-sat S+1"), not by an option
+    ("pipeline", "--graph", "g.graph", "--seed", "3"): (2, "", TOP_USAGE + "tseitinkit: error: unrecognized arguments: --seed 3\n"),
     ("pipeline", "--graph", "g.graph", "--desk-scale-cap", "-3"): (
         2, "", PIPELINE_USAGE + "tseitinkit pipeline: error: argument --desk-scale-cap: -3 is negative\n"),
 }
@@ -254,7 +255,7 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["generate", "grid", "3", "3", "--out", "g"],
-        ["pipeline", "--graph", "g", "--seed", "3", "--desk-scale-cap", "20"],
+        ["pipeline", "--graph", "g", "--target", "random-sat 4", "--desk-scale-cap", "20"],
         ["check", "dnnf-equiv", "a", "b", "--desk-scale-cap", "24"],
         ["convert", "x", "--format", "nnf"],
         ["build-bp", "t", "--out", "b"],
@@ -365,10 +366,18 @@ class TestPipeline:
     def test_byte_identical_reruns(self, workdir, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["pipeline", "--graph", workdir["graph"], "--charge", "random-unsat 5",
-                "--target", "random-sat 9", "--seed", "3"]
+                "--target", "random-sat 9"]
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         assert a.read_text() == b.read_text()
+
+    def test_random_specs_default_to_seed_0_for_the_charge_and_1_for_the_target(self):
+        """The seed a spec leaves out; a spec that names it is the one way
+        to set it."""
+        g = fam.grid(3, 3)
+        assert cli._parse_charge("random-unsat", g, False) == cli._parse_charge("random-unsat 0", g, False)
+        assert cli._parse_charge("random-sat", g, True) == cli._parse_charge("random-sat 1", g, True)
+        assert cli._parse_charge("random-sat 0", g, True) != cli._parse_charge("random-sat 1", g, True)
 
     @pytest.mark.parametrize("cap", ["25", "40"])
     def test_desk_scale_cap_above_the_table_cap_is_a_usage_error(self, workdir, tmp_path, capsys, cap):
@@ -539,10 +548,16 @@ class TestCheck:
     def test_certificate_wrong_graph(self, workdir):
         assert main(["check", "certificate", workdir["graph"], workdir["cert"]]) != 0
 
-    @pytest.mark.parametrize("line,name", [("treewidht: 99", "treewidht"), ("not a field at all", "not a field at all")])
+    @pytest.mark.parametrize("line,name", [
+        ("treewidht: 99", "treewidht"), ("not a field at all", "not a field at all"),
+        # fields an older format stored, with their genuine values: the verifier derives each
+        ("bw_lower: 2", "bw_lower"), ("minor_m: 8", "minor_m"), ("minor_max_degree: 4", "minor_max_degree"),
+        ("cap_exponent: 3", "cap_exponent"), ("bound: 2", "bound"),
+    ])
     def test_certificate_with_an_unknown_field(self, tmp_path, capsys, line, name):
         """A genuine grid 3x3 certificate with one line that names no
-        certificate field is refused, naming the file and the line."""
+        certificate field is refused, naming the file and the line, with
+        no traceback."""
         g = fam.grid(3, 3)
         text = certificate_to_text(certified_lower_bound(g))
         graph, cert = tmp_path / "g33.graph", tmp_path / "g33.cert"
@@ -561,7 +576,7 @@ class TestCheck:
     ], ids=["repeated-vertex", "provenance"])
     def test_forged_certificate(self, tmp_path, capsys, edits, message):
         """A genuine grid 4x4 certificate with edited fields: its boundary
-        `1 1 1` has one vertex, though `bw_lower` is 3."""
+        `1 1 1` has one vertex, though the branchwidth stage asks for 3."""
         g = fam.grid(4, 4)
         lines = certificate_to_text(certified_lower_bound(g)).splitlines()
         for name, value in edits.items():

@@ -28,7 +28,6 @@ from tseitinkit.bounds import adam_response
 from tseitinkit.graphs import Graph, is_3_connected
 from tseitinkit.minors import three_connected_minor
 from tseitinkit.width import (
-    DeskScaleError,
     _min_fill,
     _reachable_outside,
     _width_at_most,
@@ -368,7 +367,7 @@ class TestTreewidthExact:
         assert treewidth_exact(fam.bowtie()) == 2
 
     def test_cap_enforced(self):
-        with pytest.raises(DeskScaleError):
+        with pytest.raises(ValueError, match=r"^n=17 exceeds exact treewidth cap 16$"):
             treewidth_exact(fam.cycle(17))
 
     @settings(max_examples=40, deadline=None)
