@@ -2,8 +2,7 @@
 
 Vertices are 0..n-1, edges carry dense ids 0..m-1 given by their position
 in the edge list.  Edge ids double as Boolean variable ids everywhere else
-in the package: a vertex split keeps every edge id, and an induced
-subgraph numbers its edges in the order of their old ids.
+in the package: a vertex split keeps every edge id.
 """
 
 from __future__ import annotations
@@ -94,14 +93,10 @@ class Graph:
         vertices, one on g - u for each u in turn the pairs {u, v}; the
         search stops at the first u with a partner, and takes the least.
         That partner is above u: a pair {v, u} with v < u would have
-        stopped the search at v.
+        stopped the search at v.  `_first_separator` is this search; the
+        minor reduction resumes it part way and writes the memo itself.
         """
-        if self.n > 1 and (cut := _separating_vertices(self)):
-            return (cut[0],)
-        for u in range(self.n if self.n > 2 else 0):
-            if cut := _separating_vertices(self, u):
-                return u, cut[0]
-        return None
+        return _first_separator(self)
 
     def other_end(self, e: int, v: int) -> int:
         u, w = self.edges[e]
@@ -199,48 +194,82 @@ def is_connected(g: Graph) -> bool:
     return len(g.components) <= 1
 
 
+def _first_separator(g: Graph, start: int = 0, cut_vertices: bool = True) -> tuple[int, ...] | None:
+    """`Graph.separator`'s search with the pair scan starting at `start`,
+    after the cut-vertex pass, which runs only when `cut_vertices` is set.
+
+    The caller vouches for what is skipped: that g has no cut vertex
+    when the pass is off, and no separating pair {u, v} with u < start.
+    `minors.three_connected_minor` knows both after a reduction, since
+    every separator of the reduced graph separates the graph before it.
+    """
+    if cut_vertices and g.n > 1 and (cut := _separating_vertices(g)):
+        return (cut[0],)
+    for u in range(start, g.n if g.n > 2 else 0):
+        if cut := _separating_vertices(g, u):
+            return u, cut[0]
+    return None
+
+
 def _separating_vertices(g: Graph, removed: int = -1) -> list[int]:
     """Vertices v != removed, ascending, such that g - {removed, v} is
     disconnected or empty: one articulation-point pass over g - removed.
 
     When v leaves, its component of g - removed falls into one piece per
     DFS child w with low(w) >= disc(v), plus the piece holding v's DFS
-    parent; the other components stay as they are.  `Graph.separator`
-    runs it on g, then on g - u for u = 0, 1, ... until one returns a
-    vertex, once per graph object.
+    parent; the other components stay as they are.  The walk keeps no
+    stack and no iterator per vertex: the parent links lead back, and
+    the next child is the least unreached neighbour, read off `adj_mask`
+    and a mask of the unreached vertices (which leaves out `removed`).
+    A vertex's low-link starts as the least discovery time among its
+    neighbours when it is reached: those already reached are its
+    ancestors, the others get a discovery time above its own, and so
+    does `removed`.  Counting the tree edge to the parent changes no
+    test, since low(w) >= disc(v) holds with it exactly when without.
+    `_first_separator` runs it on g, then on g - u for u = 0, 1, ...
+    until one returns a vertex, once per graph object.
     """
-    alive = g.n - (0 <= removed < g.n)
-    disc = [0] * g.n  # discovery time from 1; 0 = not yet reached
-    low = [0] * g.n
-    pieces = [0] * g.n
+    n, adj, adj_mask = g.n, g.adj, g.adj_mask
+    unreached = (1 << n) - 1
+    disc = [n + 1] * n  # discovery time from 1; n + 1 = not reached
+    pieces = [1] * n  # the piece holding the DFS parent; a root's is set to 0
+    if 0 <= removed < n:
+        unreached ^= 1 << removed
+        pieces[removed] = -n  # never counts as separating
+    if unreached.bit_count() <= 1:
+        return [v for v in range(n) if v != removed]  # g - {removed, v} is empty
+    low = [0] * n
+    parent = [-1] * n
     components = clock = 0
-    for root in range(g.n):
-        if disc[root] or root == removed:
-            continue
+    while unreached:
+        bit = unreached & -unreached
+        unreached ^= bit
+        u = bit.bit_length() - 1
         components += 1
         clock += 1
-        disc[root] = low[root] = clock
-        stack = [(root, -1, iter(g.adj[root]))]
-        while stack:
-            u, parent, nbrs = stack[-1]
-            for w in nbrs:
-                if w == removed:
-                    continue
-                if not disc[w]:
-                    clock += 1
-                    disc[w] = low[w] = clock
-                    stack.append((w, u, iter(g.adj[w])))
-                    break
-                if w != parent:
-                    low[u] = min(low[u], disc[w])
-            else:
-                stack.pop()
-                if parent >= 0:
-                    pieces[u] += 1  # the side of its parent
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] >= disc[parent]:
-                        pieces[parent] += 1
-    return [v for v in range(g.n) if v != removed and (alive == 1 or components - 1 + pieces[v] >= 2)]
+        disc[u] = low[u] = clock
+        pieces[u] = 0
+        while True:
+            if rest := adj_mask[u] & unreached:
+                bit = rest & -rest
+                unreached ^= bit
+                w = bit.bit_length() - 1
+                clock += 1
+                disc[w] = clock
+                low[w] = min(map(disc.__getitem__, adj[w]))
+                parent[w] = u
+                u = w
+                continue
+            p = parent[u]
+            if p < 0:
+                break
+            if low[u] < low[p]:
+                low[p] = low[u]
+            if low[u] >= disc[p]:
+                pieces[p] += 1
+            u = p
+    least = 3 - components  # pieces that make v separating
+    return [v for v, k in enumerate(pieces) if k >= least]
 
 
 def is_3_connected(g: Graph) -> bool:
@@ -323,14 +352,6 @@ def safe_split_subset(g: Graph, requests: list[SplitRequest]) -> list[SplitReque
     if not is_connected(check):
         raise AssertionError("selected splits disconnected the graph")
     return result
-
-
-def induced_subgraph(g: Graph, vertices: set[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph on the given vertices with dense ids, its edges in the
-    order of their old ids, and the vertex map old -> new."""
-    vmap = {v: i for i, v in enumerate(sorted(vertices))}
-    edges = tuple((vmap[u], vmap[w]) for u, w in g.edges if u in vmap and w in vmap)
-    return Graph(len(vmap), edges), vmap
 
 
 # --- text format ------------------------------------------------------------

@@ -10,14 +10,35 @@ replay the reduction: deleting an edge is conditioning its variable to 0,
 and eliminating a subdivision vertex is forgetting one of its two edge
 variables while the surviving edge keeps the other variable (the test
 suite replays it on compiled circuits, `tests/lemmas.py`).
+
+Two facts keep the reduction's searches to about one scan in all:
+
+* Every separator of size at most 2 of a reduced graph already separates
+  the graph before the reduction.  A path between two kept vertices that
+  runs through a dropped component leaves it where it entered, at u or
+  v, and can be cut short there, or crosses from u to v, and the edge uv
+  the reduction keeps replaces it.  Renaming keeps the vertex order,
+  since the names are sorted.  So after a reduction at the pair (u, w)
+  there is still no cut vertex and no separating pair below u, and the
+  next search starts at u's new id; after a cut-vertex reduction it runs
+  the cut-vertex pass and scans the pairs from 0.  Each search's result
+  is written into the reduced graph's `separator` memo, where
+  `find_safe_separator`, the adversary and the safe split read it.
+* The largest component C0 of a separator S is kept, without an exact
+  treewidth or min-fill run on its side, when the minor-min-degree bound
+  of its completed side already beats every other side's value, ties
+  going to the smallest vertex id: that bound is at most the side's
+  treewidth, which is at most the value the side would be ranked by.
+  Safe separators and the sides they keep are those of Bodlaender and
+  Koster, "Safe separators for treewidth" (Discrete Math. 2006).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, connected_components, induced_subgraph, is_connected, search, tree_path
-from .width import treewidth_exact, treewidth_upper_bound, TREEWIDTH_EXACT_CAP
+from .graphs import Graph, _first_separator, connected_components, is_connected, search, tree_path
+from .width import TREEWIDTH_EXACT_CAP, _contraction_degree, treewidth_exact, treewidth_upper_bound
 
 
 @dataclass(frozen=True)
@@ -49,18 +70,22 @@ class MinorResult:
     trace: list[MinorOp] = field(default_factory=list)
 
 
-def _component_treewidth(g: Graph, vertices: set[int], clique: tuple[int, ...]) -> int:
-    sub_vertices = vertices | set(clique)
-    sub, vmap = induced_subgraph(g, sub_vertices)
-    extra = []
-    for i, u in enumerate(clique):
-        for w in clique[i + 1:]:
-            if not sub.adj_mask[vmap[u]] >> vmap[w] & 1:
-                extra.append((vmap[u], vmap[w]))
-    filled = Graph(sub.n, sub.edges + tuple(extra))
-    if filled.n <= TREEWIDTH_EXACT_CAP:
-        return treewidth_exact(filled)
-    return treewidth_upper_bound(filled)
+def _completed_side(g: Graph, vertices: set[int], clique: tuple[int, ...]) -> Graph:
+    """The subgraph on a component and its separator, with the separator
+    made a clique: vertices numbered in order, the induced edges in the
+    order of their old ids, then the missing separator edges."""
+    vmap = {v: i for i, v in enumerate(sorted(vertices | set(clique)))}
+    edges = [(vmap[u], vmap[w]) for u, w in g.edges if u in vmap and w in vmap]
+    edges += [(vmap[u], vmap[w]) for i, u in enumerate(clique) for w in clique[i + 1:] if not g.adj_mask[u] >> w & 1]
+    return Graph(len(vmap), tuple(edges))
+
+
+def _side_width(side: Graph) -> int:
+    """The value a completed side is ranked by: exact treewidth at desk
+    scale, the min-fill upper bound beyond."""
+    if side.n <= TREEWIDTH_EXACT_CAP:
+        return treewidth_exact(side)
+    return treewidth_upper_bound(side)
 
 
 def find_safe_separator(g: Graph):
@@ -70,9 +95,16 @@ def find_safe_separator(g: Graph):
     no separator of size at most 2 leaves a vertex.  The components are
     those of g minus the separator; the others are in order of their
     smallest vertex.  The chosen component maximizes the treewidth of the
-    separator-completed side; ties go to the component containing the
+    separator-completed side (exact at most `TREEWIDTH_EXACT_CAP`
+    vertices, min-fill beyond); ties go to the component containing the
     smallest vertex id.  The separator is `g.separator`, which g memoises,
     so `is_3_connected` on the same graph object searches no further.
+
+    Every side but the largest, C0 (the least smallest vertex among equal
+    sizes), is ranked as said.  C0 is chosen outright when the
+    minor-min-degree bound of its completed side, which never exceeds its
+    value, already wins (`_contraction_degree`, stopped as soon as it
+    does); only otherwise is its value computed and compared.
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
@@ -80,7 +112,13 @@ def find_safe_separator(g: Graph):
     if sep is None:
         return None
     comps = connected_components(g, sep)
-    best = max(comps, key=lambda comp: (_component_treewidth(g, comp, sep), -min(comp)))
+    largest = max(comps, key=lambda comp: (len(comp), -min(comp)))
+    value, least, best = max((_side_width(_completed_side(g, comp, sep)), -min(comp), comp)
+                             for comp in comps if comp is not largest)
+    side = _completed_side(g, largest, sep)
+    enough = value + (min(largest) > -least)  # the least value of C0's that wins
+    if _contraction_degree(side, enough) >= enough or _side_width(side) >= enough:
+        best = largest
     return sep, best, [comp for comp in comps if comp is not best]
 
 
@@ -96,6 +134,12 @@ def three_connected_minor(g: Graph) -> MinorResult:
     treewidth (a 3-connected graph has treewidth at least 3).
     `bounds.certified_lower_bound` compares the two treewidths at desk
     scale, where it already holds the input's.
+
+    Each reduced graph's separator search resumes where the last one
+    stopped (the module docstring says why): at the pair's first vertex,
+    without the cut-vertex pass, after a pair; from the start after a cut
+    vertex.  The last search, which finds nothing, is the minor's
+    `separator` memo, so its 3-connectivity is not searched again.
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
@@ -113,10 +157,10 @@ def three_connected_minor(g: Graph) -> MinorResult:
         _delete(result, ends, dropped)
         names = sorted({x for e in ends.values() for x in e})
         local = {x: i for i, x in enumerate(names)}
-        result = MinorResult(
-            Graph(len(names), tuple((local[a], local[b]) for a, b in ends.values())),
-            tuple(ends), tuple(names), result.trace,
-        )
+        reduced = Graph(len(names), tuple((local[a], local[b]) for a, b in ends.values()))
+        if len(sep) == 2:
+            vars(reduced)["separator"] = _first_separator(reduced, local[result.vertex_names[sep[0]]], False)
+        result = MinorResult(reduced, tuple(ends), tuple(names), result.trace)
     if result.graph.n < 4:
         raise ValueError(f"treewidth below 3: the reduction ends at {result.graph.n} vertices")
     return result

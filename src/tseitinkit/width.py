@@ -90,24 +90,45 @@ def treewidth_exact(g: Graph) -> int:
 
 def treewidth_lower_bound(g: Graph) -> int:
     """Minor-min-degree lower bound (contract a min-degree vertex into
-    its least-degree neighbor and repeat)."""
-    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    its least-degree neighbor and repeat), by `_contraction_degree`."""
+    return _contraction_degree(g, g.n)
+
+
+def _contraction_degree(g: Graph, enough: int) -> int:
+    """The minor-min-degree bound, or a value at least `enough` as soon
+    as the bound reaches it.
+
+    Each step takes the least (degree, vertex), deletes it when isolated
+    and otherwise contracts it into its least (degree, id) neighbour; the
+    bound is the largest degree taken.  The (degree, vertex) entries sit
+    on a heap, pushed again whenever a contraction changes a degree, and
+    an entry whose vertex is gone or whose degree is out of date is
+    skipped when popped, as in `_min_fill`: the vertex taken is the one a
+    scan of every degree would take.
+    """
+    adj = [set(a) for a in g.adj]
+    heap = [(len(a), v) for v, a in enumerate(adj)]
+    heapify(heap)
+    gone = [False] * g.n
     lb = 0
-    while adj:
-        d, u = min((len(adj[v]), v) for v in adj)
-        lb = max(lb, d)
-        if d == 0:
-            del adj[u]
+    while heap and lb < enough:
+        d, u = heappop(heap)
+        if gone[u] or d != len(adj[u]):
             continue
-        _, w = min((len(adj[x]), x) for x in adj[u])
-        # contract u into w
-        for x in adj[u]:
+        gone[u] = True
+        lb = max(lb, d)
+        nbrs = adj[u]
+        if not nbrs:
+            continue
+        _, w = min((len(adj[x]), x) for x in nbrs)
+        into = adj[w]
+        for x in nbrs:
             adj[x].discard(u)
             if x != w:
                 adj[x].add(w)
-                adj[w].add(x)
-        del adj[u]
-        adj[w].discard(w)
+                into.add(x)
+        for x in nbrs:
+            heappush(heap, (len(adj[x]), x))
     return lb
 
 

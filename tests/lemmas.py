@@ -33,6 +33,12 @@ left-deep one over an edge order), every cut of one (`all_cuts`) and
 the maximum-order cut (`max_order_cut`), which `width.order_cut` must
 match on caterpillars; every separator of size 1 or 2
 (`separators_of_size`), of which a graph memoises only the first;
+the induced subgraph with its edges in the order of their old ids
+(`induced_subgraph`), and graphs with every edge subdivided
+(`subdivided`); the minor-min-degree
+bound rescanning every degree at each contraction
+(`reference_treewidth_lower_bound`), which `width.treewidth_lower_bound`'s
+heap must match;
 `bp.expected_children` on set-form annotations
 (`reference_expected_children`, with `annotation_sets` decoding the
 library's masks); the min-fill order recounting every fill at every
@@ -119,6 +125,26 @@ def separators_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     raise ValueError("only sizes 1 and 2 are supported")
 
 
+def induced_subgraph(g: Graph, vertices: set[int]) -> tuple[Graph, dict[int, int]]:
+    """Subgraph on the given vertices with dense ids, its edges in the
+    order of their old ids, and the vertex map old -> new."""
+    vmap = {v: i for i, v in enumerate(sorted(vertices))}
+    edges = tuple((vmap[u], vmap[w]) for u, w in g.edges if u in vmap and w in vmap)
+    return Graph(len(vmap), edges), vmap
+
+
+def subdivided(g: Graph, s: int) -> Graph:
+    """g with each edge (a, b), in edge order, replaced by a path from a
+    to b through s new vertices, numbered from g.n on."""
+    edges = []
+    n = g.n
+    for a, b in g.edges:
+        path = [a, *range(n, n + s), b]
+        edges += zip(path, path[1:])
+        n += s
+    return Graph(n, tuple(edges))
+
+
 def random_shaped_graph(seed: int) -> Graph:
     """A seeded random graph on 1..24 vertices of one of five shapes, by
     seed mod 5: G(n, p), a tree, a forest, a connected graph plus
@@ -153,6 +179,28 @@ def random_shaped_graph(seed: int) -> Graph:
     edges.sort()
     rng.shuffle(edges)
     return Graph(n, tuple(edges))
+
+
+def reference_treewidth_lower_bound(g: Graph) -> int:
+    """Minor-min-degree bound with a scan of every degree per step:
+    contract the least (degree, vertex) into its least (degree, id)
+    neighbour, delete it when isolated, and keep the largest degree."""
+    adj = {v: set(g.adj[v]) for v in range(g.n)}
+    lb = 0
+    while adj:
+        d, u = min((len(adj[v]), v) for v in adj)
+        lb = max(lb, d)
+        if d == 0:
+            del adj[u]
+            continue
+        _, w = min((len(adj[x]), x) for x in adj[u])
+        for x in adj[u]:
+            adj[x].discard(u)
+            if x != w:
+                adj[x].add(w)
+                adj[w].add(x)
+        del adj[u]
+    return lb
 
 
 # --- branch decompositions ---------------------------------------------------

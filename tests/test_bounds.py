@@ -20,6 +20,7 @@ from lemmas import (
     nnf_truth_table,
     proof_tree_vtree,
     rectangle_cap_check,
+    subdivided,
     tseitin_truth_table,
 )
 from tseitinkit import families as fam, graphs, width
@@ -52,7 +53,29 @@ CERTIFICATE_DIGESTS = {
     "grid4x5": (lambda: fam.grid(4, 5), "7dc7d50f5d22bd81236610b99501069ebf7be69d9cca0847ae05d3b72d8b8fd4"),
     "grid5x5": (lambda: fam.grid(5, 5), "d8662811c0787222525bec2c737c3c093eafca62f9490e7067c4572ed39702e4"),
     "rr16": (lambda: fam.random_regular(16, 3, 1), "8ec864d822e7927660a5aa8e3e341631e83bf43a5509ed9ed162e07a80e3f8aa"),
+    "grid8x8": (lambda: fam.grid(8, 8), "aa679d43f092757619240bc26ea1e4a8beba88606ba4c45c80656e34d12e597a"),
+    "grid12x12": (lambda: fam.grid(12, 12), "210ad899a932a09d80d4523a11d11d0640cd99d8187e3b21af02cc30e348e9c9"),
+    # n 52, m 54
+    "subK4_8": (lambda: subdivided(fam.complete(4), 8), "2df3d0abc859a382e0f2b37d16fab80eabb8245e914852a1e7cd6445101a4856"),
 }
+
+# n = 20, past the exact cap, with a 13-vertex minor: the graph's
+# minor-min-degree bound is 4 and the minor's exact treewidth 5
+MMD_BELOW_MINOR = Graph(20, (
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 15), (1, 10), (1, 14), (1, 18), (2, 5), (2, 15), (2, 17), (3, 6),
+    (3, 8), (3, 9), (3, 10), (3, 15), (3, 18), (4, 11), (4, 13), (4, 17), (5, 12), (5, 15), (5, 16), (5, 19),
+    (6, 7), (6, 13), (7, 9), (7, 11), (8, 19), (11, 12), (11, 14), (13, 14), (13, 15), (15, 16), (15, 18),
+))
+
+
+def random_connected(seed: int) -> Graph:
+    """A seeded random spanning tree on 4..28 vertices plus chords."""
+    rng = random.Random(f"round trip {seed}")
+    n = rng.randint(4, 28)
+    density = rng.choice([0.05, 0.1, 0.2, 0.35])
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
+    return Graph(n, tuple(sorted(edges)))
 
 
 def smooth_pipeline(g):
@@ -287,6 +310,22 @@ class TestCertifiedLowerBound:
         ok, _ = verify_certificate(dataclasses.replace(cert, treewidth=cert.treewidth + delta), g)
         assert not ok
 
+    def test_minor_treewidth_above_the_graphs_lower_bound(self):
+        # g's lower bound is 4; the certificate states the minor's exact
+        # treewidth, which the verifier recomputes
+        g = MMD_BELOW_MINOR
+        assert width.treewidth_bounds(g)[:2] == (4, 5)
+        cert = certified_lower_bound(g)
+        assert (cert.treewidth, cert.minor_n, cert.k) == (5, 13, 1)
+        assert verify_certificate(cert, g) == (True, "ok")
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_round_trip_on_random_graphs(self, block):
+        for seed in range(50 * block, 50 * block + 50):
+            g = random_connected(seed)
+            cert = certified_lower_bound(g)
+            assert verify_certificate(certificate_from_text(certificate_to_text(cert)), g) == (True, "ok"), seed
+
     def test_minor_of_other_treewidth_rejected(self):
         # K4 passes the earlier checks on a stored minor; only its
         # treewidth, 3 against grid 4x4's 4, gives it away
@@ -405,13 +444,14 @@ class TestVerifierWork:
         return calls
 
     @pytest.mark.parametrize("make,certify,verify", [
-        (lambda: fam.random_regular(16, 3, 1), 17, 17), (lambda: fam.grid(4, 5), 48, 17),
+        (lambda: fam.random_regular(16, 3, 1), 17, 17), (lambda: fam.grid(4, 5), 22, 17),
     ], ids=["rr16", "grid4x5"])
     def test_separator_passes(self, separator_passes, make, certify, verify):
         # one search per graph object: the reduction steps stop at their
-        # first separator, the minor's 3-connectivity is searched once
-        # (n + 1 passes) and read again by the adversary and the safe
-        # split, and the verifier searches its own copy of the minor once
+        # first separator, and after a pair the next step resumes at it;
+        # the last search is the minor's 3-connectivity, read again by the
+        # adversary and the safe split, and the verifier searches its own
+        # copy of the minor once (n + 1 passes)
         cert = certified_lower_bound(make())
         assert len(separator_passes) == certify
         assert verify_certificate(cert, make()) == (True, "ok")

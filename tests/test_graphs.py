@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import family_graphs
 from lemmas import (
+    induced_subgraph,
     k4_with_pendant_path,
     octahedron,
     random_shaped_graph,
@@ -19,12 +20,13 @@ from tseitinkit import families as fam
 from tseitinkit.graphs import (
     Graph,
     SplitRequest,
+    _first_separator,
+    _separating_vertices,
     connected_components,
     graph_from_text,
     graph_to_text,
     greedy_independent_set,
     is_3_connected,
-    induced_subgraph,
     is_connected,
     safe_split_subset,
     search,
@@ -284,6 +286,44 @@ class TestSeparatorsAgainstReference:
     def test_size_out_of_range(self):
         with pytest.raises(ValueError):
             separators_of_size(fam.complete(4), 3)
+
+    @pytest.mark.parametrize("block", range(5))
+    def test_pass_for_every_removed_vertex(self, block):
+        """One articulation pass per removed vertex (and none removed)
+        against a connectivity search per candidate, on every shape
+        `random_shaped_graph` draws, disconnected ones included."""
+        for seed in range(100 * block, 100 * block + 100):
+            g = random_shaped_graph(seed)
+            for removed in range(-1, g.n):
+                expected = [v for v in range(g.n) if v != removed
+                            and not reference_connected_after_removal(g, {removed, v} & set(range(g.n)))]
+                assert _separating_vertices(g, removed) == expected, (seed, removed)
+
+
+class TestResumedSeparatorSearch:
+    """`_first_separator` started past the cut-vertex pass and at a later
+    pair finds g's separator whenever what it skips holds nothing."""
+
+    @pytest.mark.parametrize("block", range(3))
+    def test_random_graphs(self, block):
+        resumed = 0
+        for seed in range(100 * block, 100 * block + 100):
+            rng = random.Random(f"resume {seed}")
+            n, density = rng.randint(3, 14), rng.choice([0.2, 0.35, 0.5])
+            g = Graph(n, tuple(e for e in itertools.combinations(range(n), 2) if rng.random() < density))
+            sep = reference_first_separator(g)
+            assert _first_separator(g) == sep
+            if sep is not None and len(sep) == 2:
+                for start in range(sep[0] + 1):
+                    assert _first_separator(g, start, False) == sep, (seed, start)
+                    resumed += 1
+        assert resumed
+
+    def test_start_past_the_pairs(self):
+        g = fam.cycle(6)
+        assert g.separator == (0, 2)
+        assert _first_separator(g, 1, False) == (1, 3)
+        assert _first_separator(g, 6, False) is None
 
 
 class TestSplitVertex:

@@ -1,13 +1,14 @@
+import itertools
 import random
 import zlib
 
 import pytest
 
-from lemmas import k4_with_pendant_path, mask_of, nnf_truth_table, octahedron, replay_on_circuit
-from tseitinkit import families as fam
-from tseitinkit.graphs import Graph, connected_components, induced_subgraph, is_3_connected, is_connected
+from lemmas import induced_subgraph, k4_with_pendant_path, mask_of, nnf_truth_table, octahedron, replay_on_circuit, subdivided
+from tseitinkit import families as fam, graphs, minors
+from tseitinkit.graphs import Graph, connected_components, is_3_connected, is_connected
 from tseitinkit.minors import MinorOp, MinorResult, find_safe_separator, three_connected_minor
-from tseitinkit.width import TREEWIDTH_EXACT_CAP, treewidth_exact
+from tseitinkit.width import TREEWIDTH_EXACT_CAP, treewidth_exact, treewidth_upper_bound
 
 
 class TestFindSafeSeparator:
@@ -174,8 +175,9 @@ class TestTreewidthComputedOnce:
 
         g = fam.two_k4_shared_edge()
         assert certified_lower_bound(g).minor_n == 4 < g.n
-        # the input's bounds, the separator's two sides, then the post-check on the minor
-        assert exact_calls == [g.n, 4, 4, 4]
+        # the input's bounds, the separator's smaller side (the minor-min-degree
+        # bound settles the larger), then the post-check on the minor
+        assert exact_calls == [g.n, 4, 4]
 
     def test_post_check_refuses_a_minor_of_other_treewidth(self, monkeypatch):
         from tseitinkit import width
@@ -184,16 +186,39 @@ class TestTreewidthComputedOnce:
         g = fam.two_k4_shared_edge()
         # the minor's bounds are the only width call on 4 vertices; the separator's sides go through minors
         monkeypatch.setattr(width, "treewidth_exact", lambda h: treewidth_exact(h) + (h.n < g.n))
-        with pytest.raises(AssertionError, match="minor treewidth 4 != original 3"):
+        with pytest.raises(AssertionError, match=r"minor treewidth 4 outside the original's bounds 3\.\.3"):
             certified_lower_bound(g)
 
 
 # --- reference: the reduction as first written --------------------------------
 #
-# A second, mutable graph type that scans every edge for each query, and an
-# is_3_connected test before each separator search.  The library keeps the
-# state as a MinorResult and loops on find_safe_separator alone; its results
-# must not differ.
+# A second, mutable graph type that scans every edge for each query, an
+# is_3_connected test before each separator search, each separator searched
+# from scratch and every side ranked by its value.  The library keeps the
+# state as a MinorResult, loops on find_safe_separator alone, resumes each
+# search and lets a lower bound settle the largest side; its results must
+# not differ.
+
+
+def reference_find_safe_separator(g: Graph):
+    """`find_safe_separator` with the separator of a fresh copy of g (one
+    search from the cut-vertex pass on) and every side ranked by the
+    treewidth of its completed side, exact at desk scale, min-fill beyond."""
+    if not is_connected(g):
+        raise ValueError("graph must be connected")
+    sep = Graph(g.n, g.edges).separator
+    if sep is None:
+        return None
+    comps = connected_components(g, sep)
+
+    def value(comp):
+        sub, vmap = induced_subgraph(g, comp | set(sep))
+        extra = [(vmap[u], vmap[w]) for u, w in itertools.combinations(sep, 2) if w not in g.adj[u]]
+        filled = Graph(sub.n, sub.edges + tuple(extra))
+        return treewidth_exact(filled) if filled.n <= TREEWIDTH_EXACT_CAP else treewidth_upper_bound(filled)
+
+    best = max(comps, key=lambda comp: (value(comp), -min(comp)))
+    return sep, best, [comp for comp in comps if comp is not best]
 
 
 class _ReferenceReducer:
@@ -263,7 +288,7 @@ def reference_three_connected_minor(g: Graph) -> MinorResult:
         cur, names = red.current_graph()
         if is_3_connected(cur):
             break
-        found = find_safe_separator(cur)
+        found = reference_find_safe_separator(cur)
         if found is None:
             raise AssertionError("not 3-connected but no separator of size <= 2")
         sep_local, comp_local, _ = found
@@ -397,3 +422,136 @@ class TestAgainstReference:
     def test_random_graphs(self, block):
         for seed in range(40 * block, 40 * block + 40):
             assert_same_as_reference(random_connected_graph(seed))
+
+
+def wheel_with_pendant_paths(spokes: int, length: int) -> Graph:
+    """`fam.wheel(spokes)` with a path of `length` new vertices hanging
+    off every other rim vertex."""
+    w = fam.wheel(spokes)
+    edges = list(w.edges)
+    n = w.n
+    for v in range(0, w.n, 2):
+        path = [v, *range(n, n + length)]
+        edges += zip(path, path[1:])
+        n += length
+    return Graph(n, tuple(edges))
+
+
+def k4_chain(blocks: int, shared_edge: bool = True) -> Graph:
+    """K4s in a row, each joined to the one before at its last two
+    vertices (odd positions) or at its last one (even positions); without
+    `shared_edge`, the edge between two shared vertices is left out, so
+    that the pair's edge must be realized through the other side."""
+    edges = set(itertools.combinations(range(4), 2))
+    last, n, gone = [2, 3], 4, set()
+    for i in range(1, blocks):
+        shared = last if i % 2 else last[-1:]
+        block = shared + list(range(n, n + 4 - len(shared)))
+        n += 4 - len(shared)
+        edges.update(itertools.combinations(block, 2))
+        if len(shared) == 2 and not shared_edge:
+            gone.add(tuple(shared))
+        last = block[-2:]
+    return Graph(n, tuple(sorted(edges - gone)))
+
+
+NEW_FAMILIES = {
+    **{f"subK4_{s}": (lambda s=s: subdivided(fam.complete(4), s)) for s in (1, 2, 3, 8)},
+    **{f"subK5_{s}": (lambda s=s: subdivided(fam.complete(5), s)) for s in (1, 2, 4)},
+    **{f"grid{t}x{t}": (lambda t=t: fam.grid(t, t)) for t in range(3, 8)},
+    **{f"W{k}_paths{p}": (lambda k=k, p=p: wheel_with_pendant_paths(k, p)) for k in (4, 5, 8) for p in (1, 3)},
+    **{f"k4chain{b}{'' if e else '_open'}": (lambda b=b, e=e: k4_chain(b, e)) for b in (2, 3, 5, 6) for e in (True, False)},
+}
+
+
+class TestNewFamiliesAgainstReference:
+    @pytest.mark.parametrize("name", NEW_FAMILIES)
+    def test_same_as_reference(self, name):
+        assert_same_as_reference(NEW_FAMILIES[name]())
+
+    @pytest.mark.parametrize("shared_edge", [True, False])
+    def test_chain_resumes_after_a_cut_vertex(self, monkeypatch, shared_edge):
+        # a pair reduction follows a cut-vertex reduction, so the search
+        # after it runs the cut-vertex pass and then resumes at the pair
+        sizes = []
+        original = minors.find_safe_separator
+
+        def recorded(g):
+            found = original(g)
+            sizes.append(len(found[0]) if found else 0)
+            return found
+
+        monkeypatch.setattr(minors, "find_safe_separator", recorded)
+        three_connected_minor(k4_chain(6, shared_edge))
+        assert any(sizes[i:i + 2] == [1, 2] for i in range(len(sizes)))
+        assert sizes[-1] == 0
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_find_safe_separator(self, block):
+        for seed in range(40 * block, 40 * block + 40):
+            g = random_connected_graph(seed)
+            assert find_safe_separator(g) == reference_find_safe_separator(g), seed
+
+
+GRID_SHAPES = [(3, 3), (4, 4), (4, 5), (5, 5), (6, 6), (7, 7), (8, 8), (12, 12)]
+
+
+class TestReductionWork:
+    """The reduction's separator passes and width runs."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        passes = []
+        original = graphs._separating_vertices
+
+        def counted(g, removed=-1):
+            passes.append(removed)
+            return original(g, removed)
+
+        monkeypatch.setattr(graphs, "_separating_vertices", counted)
+        return passes
+
+    @pytest.mark.parametrize("t,count", [(4, 18), (8, 66), (12, 146)])
+    def test_grid_passes(self, passes, t, count):
+        # one cut-vertex pass and the pairs up to the first corner's, then
+        # each corner's reduction resumes at the pair it cut along: n + 2
+        # passes in all
+        assert three_connected_minor(fam.grid(t, t)).graph.n == t * t - 4
+        assert len(passes) == count == t * t + 2
+
+    @pytest.mark.parametrize("s", [2, 8, 32])
+    def test_subdivided_k4_passes(self, passes, s):
+        # one cut-vertex pass, then pairs from 0 up to the first branch
+        # vertex's partner, whatever the number of subdivisions
+        assert three_connected_minor(subdivided(fam.complete(4), s)).graph == fam.complete(4)
+        assert len(passes) == 11
+
+    @pytest.mark.parametrize("rows,cols", GRID_SHAPES, ids=[f"grid{r}x{c}" for r, c in GRID_SHAPES])
+    def test_no_width_run_on_a_grid_kept_side(self, monkeypatch, rows, cols):
+        # the minor-min-degree bound settles the kept side of every
+        # reduction step, so exact treewidth and min-fill run only on the
+        # dropped sides' completions
+        runs, steps = [], []
+        original = minors.find_safe_separator
+
+        def counted(run):
+            def wrapped(side):
+                runs.append(side.n)
+                return run(side)
+            return wrapped
+
+        def recorded(h):
+            runs.clear()
+            found = original(h)
+            if found is not None:
+                sep, kept, others = found
+                steps.append((sorted(runs), sorted(len(comp) + len(sep) for comp in others), len(kept) + len(sep)))
+            return found
+
+        monkeypatch.setattr(minors, "treewidth_exact", counted(treewidth_exact))
+        monkeypatch.setattr(minors, "treewidth_upper_bound", counted(treewidth_upper_bound))
+        monkeypatch.setattr(minors, "find_safe_separator", recorded)
+        three_connected_minor(fam.grid(rows, cols))
+        assert len(steps) == 4
+        for ran, dropped, kept in steps:
+            assert ran == dropped and kept not in ran

@@ -20,6 +20,7 @@ from lemmas import (
     random_shaped_graph,
     reference_edge_order,
     reference_min_fill,
+    reference_treewidth_lower_bound,
     width_of,
 )
 from tseitinkit import families as fam
@@ -28,6 +29,7 @@ from tseitinkit.bounds import adam_response
 from tseitinkit.graphs import Graph, is_3_connected
 from tseitinkit.minors import three_connected_minor
 from tseitinkit.width import (
+    _contraction_degree,
     _min_fill,
     _reachable_outside,
     _width_at_most,
@@ -316,6 +318,36 @@ class TestMinFillAgainstReference:
         order, w = _min_fill(g)
         assert time.process_time() - start < 10
         assert order == list(range(20000)) and w == 1
+
+
+class TestLowerBoundAgainstReference:
+    """`treewidth_lower_bound` takes each contraction's vertex off a heap
+    of (degree, vertex) entries; the reference scans every degree."""
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_random_graphs(self, block):
+        # every shape `random_shaped_graph` draws, disconnected ones included
+        for seed in range(100 * block, 100 * block + 100):
+            g = random_shaped_graph(seed)
+            expected = reference_treewidth_lower_bound(g)
+            assert treewidth_lower_bound(g) == expected, seed
+            for enough in range(expected + 2):
+                # stopped at `enough`, it says whether the bound reaches it
+                assert (_contraction_degree(g, enough) >= enough) == (expected >= enough), (seed, enough)
+
+    @pytest.mark.parametrize("g", [Graph(0, ()), Graph(1, ()), Graph(3, ()), Graph(4, ((0, 1), (2, 3)))],
+                             ids=["empty", "K1", "three isolated", "two edges"])
+    def test_edge_cases(self, g):
+        assert treewidth_lower_bound(g) == reference_treewidth_lower_bound(g)
+
+    @pytest.mark.parametrize("name", NAMED_GRAPHS)
+    def test_named(self, name):
+        g = NAMED_GRAPHS[name]()
+        assert treewidth_lower_bound(g) == reference_treewidth_lower_bound(g)
+
+    @pytest.mark.parametrize("t", [5, 12, 25])
+    def test_grids(self, t):
+        assert treewidth_lower_bound(fam.grid(t, t)) == reference_treewidth_lower_bound(fam.grid(t, t))
 
 
 class TestEdgeOrderAgainstReference:
