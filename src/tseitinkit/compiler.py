@@ -77,9 +77,9 @@ edge, and its constant 1 mentions none, so folding it changes no gate's
 variables.  At a non-bridge decision both children live on G_k - e, so
 both OR branches mention E_k - e plus the literal on e.  At a bridge the
 two children's edge sets are the two sides, and the AND joins them with
-the literal on e.  Model counts therefore need no smoothing pass, and
-`nnf.smooth` returns the circuit itself.
-The constant 1 is left only as the whole circuit for m = 0, which
+the literal on e.  Model counts therefore need no smoothing pass: the
+package has none, and `nnf.smooth` only checks the circuit and returns
+it.  The constant 1 is left only as the whole circuit for m = 0, which
 `model_count_smooth` counts as one model.
 """
 

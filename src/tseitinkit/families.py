@@ -91,6 +91,18 @@ def random_regular(n: int, degree: int, seed: int) -> Graph:
     raise ValueError("failed to sample a simple regular graph")
 
 
+def desk() -> list[tuple[str, Graph]]:
+    """The desk-scale bench family, named: the names are test ids and the
+    rows of `scripts/family_report.py`'s CSV, in this order."""
+    return [
+        ("C3", cycle(3)), ("C4", cycle(4)), ("C5", cycle(5)), ("C6", cycle(6)),
+        ("P2", path(2)), ("P3", path(3)), ("P4", path(4)), ("P5", path(5)),
+        ("K4", complete(4)), ("K5", complete(5)), ("W4", wheel(4)),
+        ("grid2x3", grid(2, 3)), ("grid3x3", grid(3, 3)), ("Q3", cube(3)),
+        ("bowtie", bowtie()), ("twoK4", two_k4_shared_edge()),
+    ]
+
+
 # CLI name -> (generator, parameter names)
 FAMILIES = {
     "cycle": (cycle, ("n",)),

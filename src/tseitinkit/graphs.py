@@ -28,7 +28,7 @@ class Graph:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range")
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise ValueError(f"parallel edge {key}")
             seen.add(key)
@@ -377,7 +377,7 @@ def edge_from_line(lines: list[str], i: int, u: int, v: int, n: int, seen: dict)
         raise error(lines, i, f"endpoint outside 1..{n}")
     if u == v:
         raise error(lines, i, f"loop at vertex {u}")
-    key = (min(u, v), max(u, v))
+    key = (u, v) if u < v else (v, u)
     if key in seen:
         raise error(lines, i, f"parallel edge {key}, first on line {seen[key]}")
     seen[key] = i + 1

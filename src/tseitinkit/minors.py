@@ -123,12 +123,18 @@ def find_safe_separator(g: Graph):
 
 
 def three_connected_minor(g: Graph) -> MinorResult:
-    """3-connected topological minor with the same treewidth.
+    """3-connected topological minor, with the same treewidth when every
+    side the reduction compares is ranked exactly.
 
     Iterates safe-separator reductions until no separator of size at most
-    2 is left: a cut vertex keeps the treewidth maximizing side; a
-    2-separator {u, v} keeps that side plus the edge uv, realized through
-    one other component as a path contracted down to a single edge.
+    2 is left: a cut vertex keeps the side of largest rank; a 2-separator
+    {u, v} keeps that side plus the edge uv, realized through one other
+    component as a path contracted down to a single edge.  A completed
+    side is ranked by its exact treewidth when it has at most
+    `TREEWIDTH_EXACT_CAP` vertices and by its min-fill upper bound beyond
+    (`_side_width`), so past that size the kept side need not carry the
+    treewidth, and `bounds.verify_certificate` takes the minor's treewidth
+    on trust there.
     Requires treewidth at least 3: a ValueError says so when the
     reduction ends below 4 vertices, as it does on every graph of smaller
     treewidth (a 3-connected graph has treewidth at least 3).
@@ -195,7 +201,7 @@ def _contract(result: MinorResult, ends: dict[int, tuple[int, int]], path: list[
         (b,) = set(ends[gone]) - {w}
         result.trace.append(MinorOp("forget_edge", var=gone, vertex=w, kept_var=kept))
         del ends[gone]
-        ends[kept] = (min(a, b), max(a, b))
+        ends[kept] = (a, b) if a < b else (b, a)
 
 
 def _path_between(h: Graph, u: int, v: int, via: set[int]) -> list[int]:

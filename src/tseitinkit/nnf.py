@@ -8,10 +8,11 @@ decomposable when its children share no variables; an OR gate is smooth
 NamedTuples, built by position in the library.  Circuits are immutable:
 transforms never mutate their input, and return it unchanged when there
 is nothing to change (`restrict_to_root` when every gate is reachable,
-`rename_flip` with no flips, and `smooth` on a circuit that is already
-smooth, even one with constants, repeated literal leaves or unreachable
-gates).
+`rename_flip` with no flips).
 
+The package smooths nothing.  Every circuit the compiler emits is smooth
+as built, so `smooth` only checks that a circuit is decomposable and
+smooth and returns it; a circuit that is not is refused, not padded.
 Model counts use the usual bottom-up sum/product rule, which is exact on
 smooth circuits whose OR gates split models disjointly; every circuit the
 compiler emits is of that decision form.  Proof trees and the rectangles
@@ -184,66 +185,6 @@ def root_value(d: NnfCircuit, x):
     return gate_values(d, x)[d.root]
 
 
-def _rebuild(d: NnfCircuit, pad: bool = False) -> NnfCircuit:
-    """Propagate constants upward and share equal literal leaves; with
-    `pad`, also smooth every OR as it is built.
-
-    Internal gates absorb constant children, so without padding the
-    result never grows.  A
-    padded OR branch is ANDed with an (x OR not-x) unit for each variable
-    its sibling mentions and it does not: one shared unit per variable,
-    chained by ANDs in ascending variable order.
-    """
-    builder = CircuitBuilder(d.num_vars)
-    consts: dict[int, int] = {}  # old id -> 0/1 for gates that collapsed
-    new_id: dict[int, int] = {}
-    masks: dict[int, int] = {}  # old id -> variables its new gate mentions
-    units: dict[int, int] = {}
-
-    def padded(gid: int, missing: int) -> int:
-        v = 0
-        while missing:
-            if missing & 1:
-                if v not in units:
-                    units[v] = builder.gate_or(builder.literal(v, True), builder.literal(v, False))
-                gid = builder.gate_and(gid, units[v])
-            missing >>= 1
-            v += 1
-        return gid
-
-    for i, g in enumerate(d.gates):
-        if g.kind == CONST:
-            consts[i] = g.a
-            continue
-        if g.kind == LIT:
-            new_id[i] = builder.literal(g.var, g.positive)
-            masks[i] = 1 << g.var
-            continue
-        ca = consts.get(g.a)
-        cb = consts.get(g.b)
-        zero, one = (0, 1) if g.kind == AND else (1, 0)
-        if ca == zero or cb == zero:
-            consts[i] = zero
-        elif ca == one and cb == one:
-            consts[i] = one
-        elif ca == one:
-            new_id[i], masks[i] = new_id[g.b], masks[g.b]
-        elif cb == one:
-            new_id[i], masks[i] = new_id[g.a], masks[g.a]
-        else:
-            a, b = new_id[g.a], new_id[g.b]
-            want = masks[i] = masks[g.a] | masks[g.b]
-            if pad and g.kind == OR:
-                a, b = padded(a, want & ~masks[g.a]), padded(b, want & ~masks[g.b])
-            op = builder.gate_and if g.kind == AND else builder.gate_or
-            new_id[i] = op(a, b)
-    if d.root in consts:
-        root = builder.const(consts[d.root])
-    else:
-        root = new_id[d.root]
-    return restrict_to_root(builder.build(root))
-
-
 def rename_flip(d: NnfCircuit, flips: set[int]) -> NnfCircuit:
     """Swap the polarity of every literal on a flipped variable; d itself
     if there is none."""
@@ -259,27 +200,26 @@ def rename_flip(d: NnfCircuit, flips: set[int]) -> NnfCircuit:
 
 
 def smooth(d: NnfCircuit) -> NnfCircuit:
-    """Equivalent circuit whose OR gates mention equal variable sets: d
-    itself if it is smooth already, else one rebuild that folds its
-    constants and pads each deficient OR branch (`_rebuild`)."""
+    """d itself, once checked decomposable and smooth; a ValueError if it
+    is not.  Nothing pads (see the module docstring); the padding
+    smoother lives with the tests (`tests/lemmas.py`)."""
     if not validate_decomposable(d):
         raise ValueError("circuit must be decomposable")
-    return d if is_smooth(d) else _rebuild(d, pad=True)
+    if not is_smooth(d):
+        raise ValueError("circuit must be smooth")
+    return d
 
 
 def model_count_smooth(d: NnfCircuit) -> int:
-    """Bottom-up count over var(root) on a smooth decomposable circuit.
+    """Bottom-up count over var(root) on a smooth decomposable circuit
+    (checked by `smooth`).
 
     A constant leaf counts as its value and mentions no variable, so an
     OR gate with a constant child and a child that mentions variables is
     not smooth and is rejected.
     """
-    if not validate_decomposable(d):
-        raise ValueError("circuit must be decomposable")
-    if not is_smooth(d):
-        raise ValueError("circuit must be smooth")
     counts = []
-    for g in d.gates:
+    for g in smooth(d).gates:
         if g.kind == LIT:
             counts.append(1)
         elif g.kind == CONST:

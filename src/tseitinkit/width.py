@@ -139,9 +139,12 @@ def _min_fill(g: Graph) -> tuple[list[int], int]:
     adjacent: with d neighbours, (d(d - 1) - sum over neighbours a of
     |N(a) & N(u)|) / 2, since that sum counts every adjacent pair twice;
     it is read off `adj_mask` copies by popcount.  Eliminating v changes
-    it only at v's neighbours, whose neighbourhoods change, and at their
-    neighbours, which may see two of them become adjacent; only those are
-    recounted.  The next vertex is the least (fill, id) on a heap whose
+    it only at v's neighbours, whose neighbourhoods change, and, when v's
+    fill was positive so that edges were added among its neighbours, at
+    the other vertices that see at least two of them; only those are
+    recounted.  Every other fill is unchanged, so the heap receives the
+    same entries as if all fills were recounted, and the order is the
+    same.  The next vertex is the least (fill, id) on a heap whose
     entries go stale when a fill is recounted, and a stale entry is
     skipped when popped.
     """
@@ -172,13 +175,21 @@ def _min_fill(g: Graph) -> tuple[list[int], int]:
         nb = rest = adj[v]
         width = max(width, nb.bit_count())
         gone = 1 << v
-        touched = nb
+        seen = 0  # vertices adjacent to a neighbour of v
         while rest:
             low = rest & -rest
             rest ^= low
             a = low.bit_length() - 1
             adj[a] = (adj[a] | nb) & ~(gone | low)
-            touched |= adj[a]
+            seen |= adj[a]
+        touched = nb
+        if f:  # v's fill: edges were added among its neighbours
+            seen &= ~nb
+            while seen:
+                low = seen & -seen
+                seen ^= low
+                if (adj[low.bit_length() - 1] & nb).bit_count() >= 2:
+                    touched |= low
         while touched:
             low = touched & -touched
             touched ^= low

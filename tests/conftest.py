@@ -1,31 +1,8 @@
 import pytest
 
 from tseitinkit import families as fam
-from tseitinkit.graphs import Graph
 
 
-def family_graphs() -> list[tuple[str, Graph]]:
-    """The standard desk-scale bench: names are stable test ids."""
-    return [
-        ("C3", fam.cycle(3)),
-        ("C4", fam.cycle(4)),
-        ("C5", fam.cycle(5)),
-        ("C6", fam.cycle(6)),
-        ("P2", fam.path(2)),
-        ("P3", fam.path(3)),
-        ("P4", fam.path(4)),
-        ("P5", fam.path(5)),
-        ("K4", fam.complete(4)),
-        ("K5", fam.complete(5)),
-        ("W4", fam.wheel(4)),
-        ("grid2x3", fam.grid(2, 3)),
-        ("grid3x3", fam.grid(3, 3)),
-        ("Q3", fam.cube(3)),
-        ("bowtie", fam.bowtie()),
-        ("twoK4", fam.two_k4_shared_edge()),
-    ]
-
-
-@pytest.fixture(params=family_graphs(), ids=lambda p: p[0])
+@pytest.fixture(params=fam.desk(), ids=lambda p: p[0])
 def bench_graph(request):
     return request.param

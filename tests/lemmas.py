@@ -19,11 +19,10 @@ It also keeps the paper's all-pairs compilation (`compile_all_pairs`),
 with a gate for every (program node, vertex) pair and the constant 1 at
 every sink, as the reference the library's compiler must equal once its
 constants are folded (`propagate_constants`), up to gate numbering
-(`same_circuit`); smoothing as it was done in two passes, folding the
-constants and then padding the folded circuit (`reference_smooth`), which
-`nnf.smooth`'s one rebuild must match up to gate numbering; the path-wise
-read-once check (`validate_read_once`) the BP validator's condition 3
-implies; conditioning and forgetting on circuits, for replaying a minor
+(`same_circuit`); smoothing, which the package only checks, by folding
+the constants and then padding the folded circuit (`reference_smooth`);
+the path-wise read-once check (`validate_read_once`) the BP validator's
+condition 3 implies; conditioning and forgetting on circuits, for replaying a minor
 trace (`replay_on_circuit`); the truth tables of a circuit and of a
 formula (`nnf_truth_table`, `tseitin_truth_table`) that the tests read,
 and the pointwise evaluators and reference truth tables the truth-table engine
@@ -85,7 +84,7 @@ from tseitinkit.bp import BranchingProgram, _root, expected_children, validate_w
 from tseitinkit.graphs import Graph, SplitRequest, _separating_vertices, connected_components, is_3_connected, is_connected, search, split_all
 from tseitinkit.minors import MinorResult
 from tseitinkit.cnf import Cnf, _clause_problem
-from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, _rebuild, _reachable, gate_values, is_smooth, restrict_to_root, root_value, validate_decomposable
+from tseitinkit.nnf import AND, CONST, LIT, OR, CircuitBuilder, Gate, NnfCircuit, _reachable, gate_values, is_smooth, restrict_to_root, root_value, validate_decomposable
 from tseitinkit.oracles import BLOCK_BITS, parity, point, truth_table
 from tseitinkit.recursion import run
 from tseitinkit.resolution import ResolutionTrace, Step, _literal_bits
@@ -854,16 +853,44 @@ def validate_read_once(b: BranchingProgram) -> bool:
 
 def propagate_constants(d: NnfCircuit) -> NnfCircuit:
     """Fold every constant below a gate into its parent, share equal
-    literal leaves and drop unreachable gates."""
-    return _rebuild(d)
+    literal leaves and drop unreachable gates.
+
+    Internal gates absorb constant children, so the result never grows.
+    """
+    builder = CircuitBuilder(d.num_vars)
+    consts: dict[int, int] = {}  # old id -> 0/1 for gates that collapsed
+    new_id: dict[int, int] = {}
+    for i, g in enumerate(d.gates):
+        if g.kind == CONST:
+            consts[i] = g.a
+            continue
+        if g.kind == LIT:
+            new_id[i] = builder.literal(g.var, g.positive)
+            continue
+        ca = consts.get(g.a)
+        cb = consts.get(g.b)
+        zero, one = (0, 1) if g.kind == AND else (1, 0)
+        if ca == zero or cb == zero:
+            consts[i] = zero
+        elif ca == one and cb == one:
+            consts[i] = one
+        elif ca == one:
+            new_id[i] = new_id[g.b]
+        elif cb == one:
+            new_id[i] = new_id[g.a]
+        else:
+            op = builder.gate_and if g.kind == AND else builder.gate_or
+            new_id[i] = op(new_id[g.a], new_id[g.b])
+    root = builder.const(consts[d.root]) if d.root in consts else new_id[d.root]
+    return restrict_to_root(builder.build(root))
 
 
 def reference_smooth(d: NnfCircuit) -> NnfCircuit:
-    """Smoothing in two passes, which `nnf.smooth`'s one padding rebuild
-    must match up to gate numbering: fold the constants first
-    (`propagate_constants`), then pad each deficient OR branch of the
-    folded circuit with (x OR not-x) units, one shared unit per variable,
-    chained by ANDs in ascending variable order."""
+    """An equivalent smooth circuit, for the circuits the package's
+    `nnf.smooth` refuses: fold the constants first (`propagate_constants`),
+    then pad each deficient OR branch of the folded circuit with
+    (x OR not-x) units, one shared unit per variable, chained by ANDs in
+    ascending variable order."""
     if not validate_decomposable(d):
         raise ValueError("circuit must be decomposable")
     d = propagate_constants(d)
@@ -906,7 +933,7 @@ def condition_dnnf(d: NnfCircuit, var: int, value: int) -> NnfCircuit:
             return Gate(CONST, a=int(bool(value) == g.positive))
         return g
 
-    return _rebuild(NnfCircuit(tuple(map(leaf, d.gates)), d.root, d.num_vars))
+    return propagate_constants(NnfCircuit(tuple(map(leaf, d.gates)), d.root, d.num_vars))
 
 
 def forget_var(d: NnfCircuit, var: int) -> NnfCircuit:
@@ -921,7 +948,7 @@ def forget_var(d: NnfCircuit, var: int) -> NnfCircuit:
             return Gate(CONST, a=1)
         return g
 
-    return _rebuild(NnfCircuit(tuple(map(leaf, d.gates)), d.root, d.num_vars))
+    return propagate_constants(NnfCircuit(tuple(map(leaf, d.gates)), d.root, d.num_vars))
 
 
 def replay_on_circuit(result: MinorResult, d: NnfCircuit) -> NnfCircuit:

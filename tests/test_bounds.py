@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from conftest import family_graphs
 from lemmas import (
     caterpillar,
     edges_below,
@@ -279,7 +278,7 @@ class TestCertifiedLowerBound:
 
     def test_graph_hash_is_hashlib_sha256(self):
         # the builtin SHA-256 that `graph_hash` uses gives hashlib's digest
-        graphs = [g for _, g in family_graphs()] + [make() for make in MIDDLE_TIER.values()]
+        graphs = [g for _, g in fam.desk()] + [make() for make in MIDDLE_TIER.values()]
         graphs += [fam.random_regular(n, d, seed) for n, d in [(8, 3), (16, 3), (20, 4), (40, 3)] for seed in range(3)]
         graphs.append(Graph(0, ()))
         for g in graphs:

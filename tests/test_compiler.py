@@ -369,9 +369,9 @@ class TestSmoothAsBuilt:
         _, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * g.n)
         assert_nothing_to_fold_or_pad(d)
 
-    @pytest.mark.parametrize("name", MIDDLE_TIER)
-    def test_middle_tier(self, name):
-        g = MIDDLE_TIER[name]()
+    @pytest.mark.parametrize("make", [*MIDDLE_TIER.values(), lambda: fam.grid(4, 5)], ids=[*MIDDLE_TIER, "grid4x5"])
+    def test_middle_tier(self, make):
+        g = make()
         report, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * g.n, desk_cap=0)
         assert_nothing_to_fold_or_pad(d)
         assert model_count_smooth(d) == report.model_count_expected == 1 << (g.m - g.n + 1)

@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import family_graphs
 from lemmas import (
     induced_subgraph,
     k4_with_pendant_path,
@@ -239,7 +238,7 @@ def reference_is_3_connected(g: Graph) -> bool:
 
 
 def families_up_to_20() -> list[tuple[str, Graph]]:
-    graphs = [(name, g) for name, g in family_graphs()]
+    graphs = fam.desk()
     graphs += [(f"C{n}", fam.cycle(n)) for n in range(3, 21)]
     graphs += [(f"P{n}", fam.path(n)) for n in range(2, 21)]
     graphs += [(f"K{n}", fam.complete(n)) for n in range(1, 21)]

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from conftest import family_graphs
 from lemmas import (
     reference_bp_from_text,
     reference_certificate_from_text,
@@ -25,6 +24,7 @@ from lemmas import (
     reference_tseitin_from_text,
     trace_of,
 )
+from tseitinkit import families as fam
 from tseitinkit.bounds import certificate_from_text, certificate_to_text, certified_lower_bound
 from tseitinkit.bp import bp_from_text, bp_to_text
 from tseitinkit.cnf import cnf_from_dimacs, cnf_to_dimacs
@@ -48,7 +48,7 @@ READERS = {
 
 def _genuine() -> dict[str, list[str]]:
     texts: dict[str, list[str]] = {fmt: [] for fmt in READERS}
-    for _, g in family_graphs():
+    for _, g in fam.desk():
         c = unit_charge(g.n, 0)
         formula = to_cnf(TseitinFormula(g, c))
         _, d, b = pipeline(g, c, (0,) * g.n, desk_cap=0)
