@@ -26,10 +26,10 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, is_3_connected, is_connected, safe_split_subset
+from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, is_3_connected, safe_split_subset
 from .minors import three_connected_minor
 from .textformat import error, ints, lines_of, once
-from .width import TREEWIDTH_EXACT_CAP, edge_order, order_cut, treewidth_bounds
+from .width import edge_order, order_cut, treewidth_bounds
 
 
 @dataclass
@@ -73,10 +73,6 @@ def adam_response(g: Graph, e1: tuple[int, ...]) -> AdamResponse:
 @dataclass
 class LowerBoundCertificate:
     graph_hash: str
-    n: int
-    m: int
-    treewidth: int
-    tw_provenance: str
     minor_n: int
     minor_edges: tuple[tuple[int, int], ...]
     v_prime: tuple[int, ...]
@@ -117,80 +113,58 @@ def certified_lower_bound(g: Graph) -> LowerBoundCertificate:
     formula on this graph needs at least 2^k gates.
 
     k follows the constant chain ceil(ceil(ceil(2 tw / 3) / (maxdeg + 1))
-    / 3) evaluated on a treewidth-preserving 3-connected minor; treewidth
-    below 3 yields the trivial certificate k = 0.  The treewidth is g's
-    (`treewidth_bounds`: exact at desk scale, else the lower bound) unless
-    the reduction left a minor of at most `TREEWIDTH_EXACT_CAP` vertices:
-    then it is the minor's exact treewidth, which the verifier recomputes,
-    and which must lie within g's bounds.  A sample adversary run
-    on the cut `order_cut` sweeps from the minor's `edge_order` is stored
-    as the witness chain; the run fails unless its stages dominate the
-    certified k.  k >= 2 needs treewidth >= 19 even at maximum degree 3,
-    the least a 3-connected minor has.
+    / 3) on the 3-connected topological minor h the reduction leaves, with
+    tw the lower end of `treewidth_bounds(h)` (exact at desk scale); the
+    bound carries to g because deleting an edge conditions a variable and
+    smoothing a subdivision vertex forgets one, and neither grows a DNNF.
+    A reduction that ends below 4 vertices, as it does on every graph of
+    treewidth below 3, leaves a minor that is not 3-connected: the
+    certificate stores it with k = 0.  A sample adversary run on the cut
+    `order_cut` sweeps from the minor's `edge_order` is stored as the
+    witness chain; the run fails unless its stages dominate the certified
+    k.  k >= 2 needs treewidth >= 19 even at maximum degree 3, the least a
+    3-connected minor has.
     """
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-    tw, upper, provenance = treewidth_bounds(g)
-    h, k, v_prime, v_second, v_star = g, 0, (), (), ()
-    if tw >= 3:
-        minor = three_connected_minor(g)
-        h = minor.graph
-        if minor.trace and h.n <= TREEWIDTH_EXACT_CAP:  # h's treewidth is exact, and the verifier recomputes it
-            tw_h = treewidth_bounds(h)[0]
-            if not tw <= tw_h <= upper:
-                raise AssertionError(f"minor treewidth {tw_h} outside the original's bounds {tw}..{upper}")
-            tw = tw_h
-        _, k = _chain(tw, h.max_degree)
+    h = three_connected_minor(g).graph  # raises on a disconnected graph
+    k, v_prime, v_second, v_star = 0, (), (), ()
+    if is_3_connected(h):  # the reduction's last search is h's separator memo
+        _, k = _chain(treewidth_bounds(h)[0], h.max_degree)
         sample = adam_response(h, order_cut(h, edge_order(h)))
         v_prime, v_second, v_star = sample.v_prime, sample.v_second, sample.v_star
         if len(v_star) < k:
             raise AssertionError("sample witness fell below the certified bound")
-    return LowerBoundCertificate(
-        graph_hash=graph_hash(g), n=g.n, m=g.m, treewidth=tw, tw_provenance=provenance,
-        minor_n=h.n, minor_edges=h.edges, v_prime=v_prime, v_second=v_second, v_star=v_star, k=k,
-    )
+    return LowerBoundCertificate(graph_hash(g), h.n, h.edges, v_prime, v_second, v_star, k)
 
 
 def verify_certificate(cert: LowerBoundCertificate, g: Graph) -> tuple[bool, str]:
     """Re-check a certificate against its graph without re-running the
-    heuristics: hash, treewidth and its provenance (exact at desk scale),
-    the witness-set chain on the stored minor, and k against the constant
-    chain, whose branchwidth stage and maximum degree are derived here.
+    heuristics: the hash, the witness-set chain on the stored minor, and
+    k against the constant chain, whose treewidth (the lower end of
+    `treewidth_bounds` on the minor, exact at desk scale), branchwidth
+    stage and maximum degree are derived here from the stored minor; a
+    minor that is not 3-connected gives k = 0.  Of g only the hash and
+    the sizes are read.
 
     The certificate stores neither an embedding of the minor in g nor the
     cut, so three things are taken on trust:
 
     * that the stored graph is a topological minor of g: only its sizes,
-      `minor_n` and its edge count, are compared with g's, so the chain's
-      maximum degree rests on it, and so does the minor's treewidth above
-      `TREEWIDTH_EXACT_CAP` vertices, where it is not recomputed;
+      `minor_n` and its edge count, are compared with g's, and the
+      transfer of the minor's bound to g rests on it;
     * that `v_prime` is the boundary of a cut (it is only a set of
       distinct minor vertices);
     * that splitting the vertices of `v_star` keeps the minor connected.
     """
     if cert.graph_hash != graph_hash(g):
         return False, "graph hash mismatch"
-    if (cert.n, cert.m) != (g.n, g.m):
-        return False, "graph size mismatch"
-    tw_lb, tw_ub, provenance = treewidth_bounds(g)
-    if not tw_lb <= cert.treewidth <= tw_ub:
-        return False, "treewidth outside recomputed bounds"
-    if cert.tw_provenance != provenance:
-        return False, "treewidth provenance differs from the recomputed one"
-    if cert.k == 0:
-        return True, "ok"
     if cert.minor_n > g.n or len(cert.minor_edges) > g.m:
         return False, "stored minor is larger than the graph"
     try:
         h = Graph(cert.minor_n, cert.minor_edges)
     except ValueError as exc:
         return False, f"stored minor is not a graph: {exc}"
-    if not is_3_connected(h):
-        return False, "stored minor is not 3-connected"
-    if h.n <= TREEWIDTH_EXACT_CAP:
-        tw_h = tw_lb if h == g else treewidth_bounds(h)[0]  # g's bounds are exact when h == g is this small
-        if tw_h != cert.treewidth:
-            return False, "minor treewidth differs from certified treewidth"
+    if not is_3_connected(h):  # the chain is k = 0 there
+        return (True, "ok") if cert.k == 0 else (False, "stored minor is not 3-connected")
     if any(len(set(vs)) != len(vs) for vs in (cert.v_prime, cert.v_second, cert.v_star)):
         return False, "witness set repeats a vertex"
     if not set(cert.v_prime) <= set(range(h.n)):
@@ -203,7 +177,7 @@ def verify_certificate(cert: LowerBoundCertificate, g: Graph) -> tuple[bool, str
         for w in cert.v_second[i + 1:]:
             if w in h.adj[u]:
                 return False, "witness set is not independent"
-    bw, k = _chain(cert.treewidth, h.max_degree)
+    bw, k = _chain(treewidth_bounds(h)[0], h.max_degree)
     if len(cert.v_prime) < bw:
         return False, "boundary smaller than the branchwidth stage"
     if len(cert.v_second) < _ceil_div(len(cert.v_prime), h.max_degree + 1):
@@ -258,10 +232,7 @@ def certificate_from_text(text: str) -> LowerBoundCertificate:
     i = first["minor_edges"]
     edges = [tuple(ints(lines, i, pair.split("-"), 2, pair)) for pair in found["minor_edges"].split()]
     return LowerBoundCertificate(
-        graph_hash=found["graph_hash"].strip(),
-        n=one("n"), m=one("m"),
-        treewidth=one("treewidth"), tw_provenance=found["tw_provenance"].strip(),
-        minor_n=one("minor_n"), minor_edges=tuple(edges),
+        graph_hash=found["graph_hash"].strip(), minor_n=one("minor_n"), minor_edges=tuple(edges),
         v_prime=tuple(numbers("v_prime")), v_second=tuple(numbers("v_second")), v_star=tuple(numbers("v_star")),
         k=one("k"),
     )

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, _first_separator, connected_components, is_connected, search, tree_path
-from .width import TREEWIDTH_EXACT_CAP, _contraction_degree, treewidth_exact, treewidth_upper_bound
+from .width import _contraction_degree, treewidth_bounds
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,10 @@ def _completed_side(g: Graph, vertices: set[int], clique: tuple[int, ...]) -> Gr
 
 
 def _side_width(side: Graph) -> int:
-    """The value a completed side is ranked by: exact treewidth at desk
-    scale, the min-fill upper bound beyond."""
-    if side.n <= TREEWIDTH_EXACT_CAP:
-        return treewidth_exact(side)
-    return treewidth_upper_bound(side)
+    """The value a completed side is ranked by: the upper end of
+    `treewidth_bounds`, exact treewidth at desk scale, the min-fill upper
+    bound beyond."""
+    return treewidth_bounds(side)[1]
 
 
 def find_safe_separator(g: Graph):
@@ -95,8 +94,8 @@ def find_safe_separator(g: Graph):
     no separator of size at most 2 leaves a vertex.  The components are
     those of g minus the separator; the others are in order of their
     smallest vertex.  The chosen component maximizes the treewidth of the
-    separator-completed side (exact at most `TREEWIDTH_EXACT_CAP`
-    vertices, min-fill beyond); ties go to the component containing the
+    separator-completed side (`_side_width`: exact at desk scale,
+    min-fill beyond); ties go to the component containing the
     smallest vertex id.  The separator is `g.separator`, which g memoises,
     so `is_3_connected` on the same graph object searches no further.
 
@@ -130,16 +129,12 @@ def three_connected_minor(g: Graph) -> MinorResult:
     2 is left: a cut vertex keeps the side of largest rank; a 2-separator
     {u, v} keeps that side plus the edge uv, realized through one other
     component as a path contracted down to a single edge.  A completed
-    side is ranked by its exact treewidth when it has at most
-    `TREEWIDTH_EXACT_CAP` vertices and by its min-fill upper bound beyond
-    (`_side_width`), so past that size the kept side need not carry the
-    treewidth, and `bounds.verify_certificate` takes the minor's treewidth
-    on trust there.
-    Requires treewidth at least 3: a ValueError says so when the
-    reduction ends below 4 vertices, as it does on every graph of smaller
-    treewidth (a 3-connected graph has treewidth at least 3).
-    `bounds.certified_lower_bound` compares the two treewidths at desk
-    scale, where it already holds the input's.
+    side is ranked by its exact treewidth at desk scale and by its
+    min-fill upper bound beyond (`_side_width`), so past that size the kept side need not carry the
+    treewidth; the certificate's chain reads the minor's own treewidth.
+    On a graph of treewidth below 3 the reduction ends below 4 vertices
+    (a 3-connected graph has treewidth at least 3), and that small minor,
+    which is not 3-connected, is returned.
 
     Each reduced graph's separator search resumes where the last one
     stopped (the module docstring says why): at the pair's first vertex,
@@ -167,8 +162,6 @@ def three_connected_minor(g: Graph) -> MinorResult:
         if len(sep) == 2:
             vars(reduced)["separator"] = _first_separator(reduced, local[result.vertex_names[sep[0]]], False)
         result = MinorResult(reduced, tuple(ends), tuple(names), result.trace)
-    if result.graph.n < 4:
-        raise ValueError(f"treewidth below 3: the reduction ends at {result.graph.n} vertices")
     return result
 
 

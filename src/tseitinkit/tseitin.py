@@ -151,6 +151,8 @@ def tseitin_from_text(text: str) -> TseitinFormula:
         elif fields[0] == "g":
             once(lines, i, first, "g", "second charge line")
             charge = tuple(ints(lines, i, fields[1:]))
+            if not set(charge) <= {0, 1}:
+                raise error(lines, i, "charge bits must be 0/1")
         elif fields[0] == "e":
             try:
                 u, v = map(int, fields[1:])

@@ -1477,6 +1477,8 @@ def reference_tseitin_from_text(text: str) -> TseitinFormula:
         elif ln.fields[0] == "g":
             ln.once(first, "g", "second charge line")
             charge = tuple(ln.ints())
+            if not set(charge) <= {0, 1}:
+                raise ln.error("charge bits must be 0/1")
         elif ln.fields[0] == "e":
             edges.append((ln, *ln.ints(2)))
         else:
@@ -1666,10 +1668,7 @@ def reference_certificate_from_text(text: str) -> LowerBoundCertificate:
         ends = Line(fields["minor_edges"].number, pair, pair.split("-"))
         edges.append(tuple(ends.ints(2, start=0)))
     return LowerBoundCertificate(
-        graph_hash=fields["graph_hash"].text,
-        n=one("n"), m=one("m"),
-        treewidth=one("treewidth"), tw_provenance=fields["tw_provenance"].text,
-        minor_n=one("minor_n"), minor_edges=tuple(edges),
+        graph_hash=fields["graph_hash"].text, minor_n=one("minor_n"), minor_edges=tuple(edges),
         v_prime=ints("v_prime"), v_second=ints("v_second"), v_star=ints("v_star"),
         k=one("k"),
     )

@@ -23,7 +23,8 @@ from lemmas import (
     tseitin_truth_table,
 )
 from tseitinkit import families as fam, graphs, width
-from tseitinkit.bounds import _chain, adam_response, certificate_from_text, certificate_to_text, certified_lower_bound, graph_hash, verify_certificate
+from tseitinkit.bounds import LowerBoundCertificate, _chain, adam_response, certificate_from_text, certificate_to_text, certified_lower_bound, graph_hash, verify_certificate
+from tseitinkit.cli import pipeline_row
 from tseitinkit.compiler import pipeline
 from tseitinkit.graphs import Graph, _separating_vertices as separating_vertices, graph_to_text
 from tseitinkit.nnf import CircuitBuilder, smooth
@@ -45,21 +46,22 @@ MIDDLE_TIER = {
 # sha256 of certificate_to_text(certified_lower_bound(g)), as the
 # caterpillar's maximum-order cut over the minor's edge_order wrote it
 CERTIFICATE_DIGESTS = {
-    "K4": (lambda: fam.complete(4), "5c4ce9efa81332f0b0b215f8be821a231f445a7ac81893a14289458115bfc695"),
-    "K6": (lambda: fam.complete(6), "d876711b417ce23a58dafea60081796d4f7c252590b2edd73267593b14590a13"),
-    "W8": (lambda: fam.wheel(8), "0d0a811ce90c1c148b9f68f2bb0dcd361f0da4668752097c835006d893ca4f2c"),
-    "Q4": (lambda: fam.cube(4), "8ded84c373bdb5b37c685f7a632ace0556b73dc0f052bd0adae36dda273ca626"),
-    "grid4x5": (lambda: fam.grid(4, 5), "7dc7d50f5d22bd81236610b99501069ebf7be69d9cca0847ae05d3b72d8b8fd4"),
-    "grid5x5": (lambda: fam.grid(5, 5), "d8662811c0787222525bec2c737c3c093eafca62f9490e7067c4572ed39702e4"),
-    "rr16": (lambda: fam.random_regular(16, 3, 1), "8ec864d822e7927660a5aa8e3e341631e83bf43a5509ed9ed162e07a80e3f8aa"),
-    "grid8x8": (lambda: fam.grid(8, 8), "aa679d43f092757619240bc26ea1e4a8beba88606ba4c45c80656e34d12e597a"),
-    "grid12x12": (lambda: fam.grid(12, 12), "210ad899a932a09d80d4523a11d11d0640cd99d8187e3b21af02cc30e348e9c9"),
+    "K4": (lambda: fam.complete(4), "b5e9f2584fafcadeb44ec3d7f3bbc5d3e917c5b8a66c1c90cded922f0c20758a"),
+    "K6": (lambda: fam.complete(6), "2c6d07fe6f2fe40d14dfee6849c06e806327686d74bb9f2fb685bea5d1ca9c51"),
+    "W8": (lambda: fam.wheel(8), "be61e5a3fc27d1f70af284adbaaff559ff57b59171dfff7f994a30f05526370e"),
+    "Q4": (lambda: fam.cube(4), "72d7913f863d9f655e4a2b5f0af9a941e68fae1ff2d28c810fb72e72ddf7078a"),
+    "grid4x5": (lambda: fam.grid(4, 5), "dac7d48d64c3061b60e6399f4f6d5ba1a60d732a02812878db8c5fce5fa4d9eb"),
+    "grid5x5": (lambda: fam.grid(5, 5), "d41ad64ff976acc0a4072b84bcf17c2665b4a9a859142f362d4e9929876f367b"),
+    "rr16": (lambda: fam.random_regular(16, 3, 1), "91d8f62edf6c594f0c65cdcabbf2b9ef93e167d19e2ce5dd70958ebd181f23c4"),
+    "grid8x8": (lambda: fam.grid(8, 8), "8b7837b58e8c7b3abbe8dc196e42ccc8325958d09f3f2d082a838d19f4a03052"),
+    "grid12x12": (lambda: fam.grid(12, 12), "51baac3dc4690cd3a2a608c2c944bcf235c2f252b738f8c109c271d7db033484"),
     # n 52, m 54
-    "subK4_8": (lambda: subdivided(fam.complete(4), 8), "2df3d0abc859a382e0f2b37d16fab80eabb8245e914852a1e7cd6445101a4856"),
+    "subK4_8": (lambda: subdivided(fam.complete(4), 8), "fb2ee4dbc92af1315755f05e3c10d911b4d83b0a777e880687a96b56a99832e9"),
 }
 
 # n = 20, past the exact cap, with a 13-vertex minor: the graph's
-# minor-min-degree bound is 4 and the minor's exact treewidth 5
+# minor-min-degree bound is 4, its min-fill bound 5, and the minor's exact
+# treewidth 5
 MMD_BELOW_MINOR = Graph(20, (
     (0, 1), (0, 2), (0, 3), (0, 4), (0, 15), (1, 10), (1, 14), (1, 18), (2, 5), (2, 15), (2, 17), (3, 6),
     (3, 8), (3, 9), (3, 10), (3, 15), (3, 18), (4, 11), (4, 13), (4, 17), (5, 12), (5, 15), (5, 16), (5, 19),
@@ -235,7 +237,7 @@ class TestChain:
 class TestCertifiedLowerBound:
     def test_k4(self):
         cert = certified_lower_bound(fam.complete(4))
-        assert cert.treewidth == 3 and cert.k == 1
+        assert (cert.minor_n, cert.minor_edges, cert.k) == (4, fam.complete(4).edges, 1)
 
     def test_q3(self):
         cert = certified_lower_bound(fam.cube(3))
@@ -303,20 +305,33 @@ class TestCertifiedLowerBound:
     ], ids=["rr16", "K5", "W8", "grid4x4", "twoK4", "grid4x5"])
     @pytest.mark.parametrize("delta", [1, -1])
     def test_tampered_treewidth_rejected(self, make, own_minor, delta):
+        """The certificate stores no treewidth: a file that states one is
+        refused by the reader, and the k it would feed, moved by delta
+        (to 0 when delta is -1), by the verifier, which derives k from the
+        stored minor."""
         g = make()
         cert = certified_lower_bound(g)
         assert (cert.minor_edges == g.edges) == own_minor
-        ok, _ = verify_certificate(dataclasses.replace(cert, treewidth=cert.treewidth + delta), g)
-        assert not ok
+        tw = treewidth_exact(Graph(cert.minor_n, cert.minor_edges))
+        with pytest.raises(ValueError, match="^line 8: unknown field 'treewidth'$"):
+            certificate_from_text(certificate_to_text(cert) + f"treewidth: {tw + delta}\n")
+        tampered = dataclasses.replace(cert, k=cert.k + delta)
+        assert verify_certificate(tampered, g) == (False, "k disagrees with the constant chain")
 
     def test_minor_treewidth_above_the_graphs_lower_bound(self):
-        # g's lower bound is 4; the certificate states the minor's exact
-        # treewidth, which the verifier recomputes
+        # g's lower bound is 4; the chain reads the minor's exact
+        # treewidth, 5, which the verifier recomputes from the stored minor
         g = MMD_BELOW_MINOR
         assert width.treewidth_bounds(g)[:2] == (4, 5)
         cert = certified_lower_bound(g)
-        assert (cert.treewidth, cert.minor_n, cert.k) == (5, 13, 1)
+        assert (cert.minor_n, cert.k) == (13, 1)
+        assert treewidth_exact(Graph(cert.minor_n, cert.minor_edges)) == 5
         assert verify_certificate(cert, g) == (True, "ok")
+
+    def test_csv_treewidth_is_the_graphs(self):
+        # the row's treewidth columns are g's bounds, not the minor's exact 5
+        row = pipeline_row("mmd", MMD_BELOW_MINOR, "odd-at 0", "zero").split(",")
+        assert row[3:5] == ["4", "mmd-lower/minfill-upper"] and row[9] == "1"
 
     @pytest.mark.parametrize("block", range(4))
     def test_round_trip_on_random_graphs(self, block):
@@ -326,25 +341,39 @@ class TestCertifiedLowerBound:
             assert verify_certificate(certificate_from_text(certificate_to_text(cert)), g) == (True, "ok"), seed
 
     def test_minor_of_other_treewidth_rejected(self):
-        # K4 passes the earlier checks on a stored minor; only its
-        # treewidth, 3 against grid 4x4's 4, gives it away
+        # K4 passes the checks on a stored minor; grid 4x4's witness, whose
+        # boundary names vertices up to 10, does not fit it
         g = fam.grid(4, 4)
         k4 = fam.complete(4)
         cert = dataclasses.replace(
             certified_lower_bound(g), minor_n=4, minor_edges=k4.edges,
         )
-        assert verify_certificate(cert, g) == (False, "minor treewidth differs from certified treewidth")
+        assert verify_certificate(cert, g) == (False, "boundary vertex outside the minor")
+
+    def test_q8_forgery_rejected(self):
+        """Q8 as its own minor, with a witness of 68 boundary vertices, 9
+        independent and 3 safe ones, claiming k = 3: that needs treewidth
+        >= 82 at maximum degree 8, and tw(Q8) <= bandwidth(Q8) = 78
+        (Harper 1966).  Each stage passes, and the chain on g's min-fill
+        bound 101 would give k 3; the chain on the minor's
+        minor-min-degree bound 11 gives bw 8 and k 1."""
+        g = fam.cube(8)
+        assert width.treewidth_bounds(g) == (11, 101, "mmd-lower/minfill-upper")
+        v_prime = tuple(range(68))
+        v_second = tuple(v for v in v_prime if bin(v).count("1") % 2 == 0)[:9]  # even weight: independent
+        forged = LowerBoundCertificate(graph_hash(g), g.n, g.edges, v_prime, v_second, v_second[:3], 3)
+        assert _chain(11, 8) == (8, 1) and _chain(101, 8) == (68, 3) and _chain(81, 8)[1] == 2
+        assert verify_certificate(certificate_from_text(certificate_to_text(forged)), g) == (
+            False, "k disagrees with the constant chain")
 
 
 # Each forgery edits the genuine grid 4x4 certificate so that it passes
 # every check before the one named; the refusals other tests reach (graph
-# hash, treewidth, minor treewidth, k) are left out.  Its minor has 12 vertices and 20
+# hash, k) are left out.  Its minor has 12 vertices and 20
 # edges, maximum degree 4 and treewidth 4; the witness chain is
 # v_prime (1, 3, 6, 10), v_second = v_star = (1, 3, 6), and 6-10 is a
 # minor edge.
 FORGERIES = {
-    "graph size mismatch": dict(n=17),
-    "treewidth provenance differs from the recomputed one": dict(tw_provenance="anything at all"),
     "stored minor is larger than the graph": dict(minor_n=17),
     "stored minor is not a graph: loop at vertex 0": dict(minor_edges=((0, 0),)),
     "stored minor is not 3-connected": dict(minor_edges=fam.cycle(12).edges),
@@ -360,10 +389,14 @@ FORGERIES = {
 
 # The fields an older format also stored, with their values on the
 # genuine grid 4x4 certificate (bw = ceil(2 * 4 / 3), |E| = 20, Δ = 4,
-# cap = 20 - 12 - 1 + 1, 2^1): each is derived by the verifier, and a file
-# that carries one is refused by the reader, so no stored copy can
-# disagree with it.
-RETIRED_FIELDS = {"bw_lower": 3, "minor_m": 20, "minor_max_degree": 4, "cap_exponent": 8, "bound": 2}
+# cap = 20 - 12 - 1 + 1, 2^1; g's size, treewidth and its provenance):
+# the verifier derives the chain's from the stored minor and reads none of
+# g's, and a file that carries one is refused by the reader, so no stored
+# copy can disagree with it.
+RETIRED_FIELDS = {
+    "bw_lower": 3, "minor_m": 20, "minor_max_degree": 4, "cap_exponent": 8, "bound": 2,
+    "n": 16, "m": 24, "treewidth": 4, "tw_provenance": "exact-dp",
+}
 
 
 class TestVerifierRefusals:
@@ -372,7 +405,7 @@ class TestVerifierRefusals:
         g = fam.grid(4, 4)
         cert = certified_lower_bound(g)
         h = Graph(cert.minor_n, cert.minor_edges)
-        assert (h.n, h.m, h.max_degree, cert.treewidth, cert.k) == (12, 20, 4, 4, 1)
+        assert (h.n, h.m, h.max_degree, treewidth_exact(h), cert.k) == (12, 20, 4, 4, 1)
         assert (cert.v_prime, cert.v_second, cert.v_star) == ((1, 3, 6, 10), (1, 3, 6), (1, 3, 6))
         assert (6, 10) in cert.minor_edges
         return g, cert
@@ -392,28 +425,31 @@ class TestVerifierRefusals:
     def test_retired_field_is_an_unknown_field(self, genuine, name):
         _, cert = genuine
         text = certificate_to_text(cert) + f"{name}: {RETIRED_FIELDS[name]}\n"
-        with pytest.raises(ValueError, match=f"^line 12: unknown field '{name}'$"):
+        with pytest.raises(ValueError, match=f"^line 8: unknown field '{name}'$"):
             certificate_from_text(text)
 
     def test_trivial_certificate(self):
+        # the reduction of a path ends at one edge, which is not 3-connected
         g = fam.path(5)
         cert = certified_lower_bound(g)
+        assert (cert.minor_n, cert.minor_edges, cert.v_prime, cert.v_second, cert.v_star) == (2, ((0, 1),), (), (), ())
         assert cert.k == 0 and verify_certificate(cert, g) == (True, "ok")
-        with pytest.raises(ValueError, match="^line 12: unknown field 'bound'$"):
+        assert verify_certificate(dataclasses.replace(cert, k=1), g) == (False, "stored minor is not 3-connected")
+        with pytest.raises(ValueError, match="^line 8: unknown field 'bound'$"):
             certificate_from_text(certificate_to_text(cert) + "bound: 2\n")
 
     @pytest.mark.parametrize("make", [lambda: fam.complete(5), lambda: fam.cube(4)], ids=["K5", "Q4"])
     def test_repeated_witness_and_any_provenance(self, make):
         """One vertex repeated as often as the genuine boundary has
-        vertices passed the branchwidth stage, and the provenance was
-        never read."""
+        vertices would pass the branchwidth stage; and no provenance is
+        stored, so a file that states one is refused."""
         g = make()
         cert = certified_lower_bound(g)
         v = cert.v_star[0]
         repeated = dataclasses.replace(cert, v_prime=(v,) * len(cert.v_prime), v_second=(v,), v_star=(v,))
         assert verify_certificate(repeated, g) == (False, "witness set repeats a vertex")
-        forged = dataclasses.replace(cert, tw_provenance="anything at all")
-        assert verify_certificate(forged, g) == (False, "treewidth provenance differs from the recomputed one")
+        with pytest.raises(ValueError, match="^line 8: unknown field 'tw_provenance'$"):
+            certificate_from_text(certificate_to_text(cert) + "tw_provenance: anything at all\n")
 
 
 class TestVerifierWork:
@@ -457,10 +493,10 @@ class TestVerifierWork:
         assert len(separator_passes) == certify + verify
 
     @pytest.mark.parametrize("make,calls", [
-        (lambda: fam.random_regular(16, 3, 1), [16]), (lambda: fam.grid(4, 4), [16, 12]),
+        (lambda: fam.random_regular(16, 3, 1), [16]), (lambda: fam.grid(4, 4), [12]),
     ], ids=["rr16", "grid4x4"])
     def test_exact_treewidth_once_per_distinct_graph(self, exact_calls, make, calls):
-        # rr16 is its own minor: its treewidth is computed once
+        # the verifier computes the stored minor's treewidth and never g's
         cert = certified_lower_bound(make())
         exact_calls.clear()
         assert verify_certificate(cert, make()) == (True, "ok")

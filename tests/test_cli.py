@@ -553,6 +553,8 @@ class TestCheck:
         # fields an older format stored, with their genuine values: the verifier derives each
         ("bw_lower: 2", "bw_lower"), ("minor_m: 8", "minor_m"), ("minor_max_degree: 4", "minor_max_degree"),
         ("cap_exponent: 3", "cap_exponent"), ("bound: 2", "bound"),
+        # and the graph's size, treewidth and provenance: the chain reads the stored minor
+        ("n: 9", "n"), ("m: 12", "m"), ("treewidth: 3", "treewidth"), ("tw_provenance: exact-dp", "tw_provenance"),
     ])
     def test_certificate_with_an_unknown_field(self, tmp_path, capsys, line, name):
         """A genuine grid 3x3 certificate with one line that names no
@@ -572,11 +574,12 @@ class TestCheck:
 
     @pytest.mark.parametrize("edits, message", [
         ({"v_prime": "1 1 1", "v_second": "1", "v_star": "1"}, "witness set repeats a vertex"),
-        ({"tw_provenance": "anything at all"}, "treewidth provenance differs from the recomputed one"),
-    ], ids=["repeated-vertex", "provenance"])
+        ({"k": "0"}, "k disagrees with the constant chain"),
+    ], ids=["repeated-vertex", "k0"])
     def test_forged_certificate(self, tmp_path, capsys, edits, message):
         """A genuine grid 4x4 certificate with edited fields: its boundary
-        `1 1 1` has one vertex, though the branchwidth stage asks for 3."""
+        `1 1 1` has one vertex, though the branchwidth stage asks for 3;
+        k = 0 is not the chain's value on its 3-connected minor."""
         g = fam.grid(4, 4)
         lines = certificate_to_text(certified_lower_bound(g)).splitlines()
         for name, value in edits.items():
@@ -739,6 +742,7 @@ class TestMalformedInput:
         (["convert", "{tseitin}", "--format", "tseitin"], "e 0 1\np tseitin 2 1\ng 0 0\n", 1),
         (["check", "dnnf-equiv", "@zero", "{nnf}"], "nnf 2 0 3\nL 1\nA\n", 3),
         (["convert", "{nnf}", "--format", "nnf"], "nnf 2 0 3\nL 1\nO 0\n", 3),
+        (["convert", "{tseitin}", "--format", "tseitin"], "p tseitin 2 1\ng 0 2\ne 1 2\n", 2),
     ])
     def test_error_names_the_line(self, tmp_path, capsys, argv, text, line):
         assert main(_fuzz_argv(tmp_path, argv, text)) == 1

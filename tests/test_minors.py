@@ -8,7 +8,7 @@ from lemmas import induced_subgraph, k4_with_pendant_path, mask_of, nnf_truth_ta
 from tseitinkit import families as fam, graphs, minors
 from tseitinkit.graphs import Graph, connected_components, is_3_connected, is_connected
 from tseitinkit.minors import MinorOp, MinorResult, find_safe_separator, three_connected_minor
-from tseitinkit.width import TREEWIDTH_EXACT_CAP, treewidth_exact, treewidth_upper_bound
+from tseitinkit.width import TREEWIDTH_EXACT_CAP, treewidth_bounds, treewidth_exact, treewidth_upper_bound
 
 
 class TestFindSafeSeparator:
@@ -61,11 +61,11 @@ class TestThreeConnectedMinor:
         assert result.graph == fam.complete(4)
         assert result.var_of_edge == tuple(range(6))
 
-    def test_small_treewidth_rejected(self):
-        with pytest.raises(ValueError):
-            three_connected_minor(fam.cycle(4))
-        with pytest.raises(ValueError):
-            three_connected_minor(fam.bowtie())
+    def test_small_treewidth_ends_below_4_vertices(self):
+        # C4 ends at a triangle, the bowtie at one of its two
+        for g in (fam.cycle(4), fam.bowtie()):
+            h = three_connected_minor(g).graph
+            assert (h.n, sorted(h.edges)) == (3, [(0, 1), (0, 2), (1, 2)])
 
     @pytest.mark.parametrize(
         "make",
@@ -124,33 +124,39 @@ class TestThreeConnectedMinor:
                 assert named == {ou, ov}
 
 
+def assert_small_minor(g: Graph):
+    """The minor of g, of treewidth below 3, has fewer than 4 vertices and
+    is not 3-connected; its treewidth is g's when both are exact."""
+    h = three_connected_minor(g).graph
+    assert h.n < 4 and not is_3_connected(h)
+    if g.n <= TREEWIDTH_EXACT_CAP:
+        assert treewidth_exact(h) == treewidth_exact(g)
+
+
 class TestSmallTreewidthAboveExactCap:
     """There is no treewidth precheck, so a graph of treewidth below 3 runs
     the reduction down to fewer than 4 vertices, on either side of the
-    exact-treewidth cap."""
+    exact-treewidth cap, and that small minor is returned."""
 
     @pytest.mark.parametrize("g", [fam.cycle(20), fam.grid(2, 10)], ids=["cycle20", "grid2x10"])
-    def test_rejected_with_value_error(self, g):
+    def test_above_the_cap(self, g):
         assert g.n > TREEWIDTH_EXACT_CAP
-        with pytest.raises(ValueError, match="treewidth below 3"):
-            three_connected_minor(g)
+        assert_small_minor(g)
 
     @pytest.mark.parametrize("g", [fam.cycle(5), fam.grid(2, 5), fam.path(6), fam.path(2), fam.bowtie()],
                              ids=["C5", "grid2x5", "P6", "P2", "bowtie"])
     def test_below_the_cap(self, g):
         assert g.n <= TREEWIDTH_EXACT_CAP
-        with pytest.raises(ValueError, match="treewidth below 3"):
-            three_connected_minor(g)
+        assert_small_minor(g)
 
 
 class TestTreewidthComputedOnce:
-    """The certificate's post-check compares exact treewidths only when
-    the reduction did something, and reuses the input's; a 3-connected
-    input is its own minor."""
+    """The certificate computes the exact treewidth of its minor, never
+    the input's; a 3-connected input is its own minor."""
 
     @pytest.fixture
     def exact_calls(self, monkeypatch):
-        from tseitinkit import minors, width
+        from tseitinkit import width
 
         calls = []
 
@@ -159,7 +165,6 @@ class TestTreewidthComputedOnce:
             return treewidth_exact(g)
 
         monkeypatch.setattr(width, "treewidth_exact", counted)
-        monkeypatch.setattr(minors, "treewidth_exact", counted)
         return calls
 
     @pytest.mark.parametrize("make", [lambda: fam.cube(4), lambda: fam.complete(8)], ids=["Q4", "K8"])
@@ -170,24 +175,14 @@ class TestTreewidthComputedOnce:
         assert certified_lower_bound(g).k == 1
         assert exact_calls == [g.n]
 
-    def test_post_check_runs_after_a_reduction(self, exact_calls):
+    def test_minor_treewidth_after_a_reduction(self, exact_calls):
         from tseitinkit.bounds import certified_lower_bound
 
         g = fam.two_k4_shared_edge()
         assert certified_lower_bound(g).minor_n == 4 < g.n
-        # the input's bounds, the separator's smaller side (the minor-min-degree
-        # bound settles the larger), then the post-check on the minor
-        assert exact_calls == [g.n, 4, 4]
-
-    def test_post_check_refuses_a_minor_of_other_treewidth(self, monkeypatch):
-        from tseitinkit import width
-        from tseitinkit.bounds import certified_lower_bound
-
-        g = fam.two_k4_shared_edge()
-        # the minor's bounds are the only width call on 4 vertices; the separator's sides go through minors
-        monkeypatch.setattr(width, "treewidth_exact", lambda h: treewidth_exact(h) + (h.n < g.n))
-        with pytest.raises(AssertionError, match=r"minor treewidth 4 outside the original's bounds 3\.\.3"):
-            certified_lower_bound(g)
+        # the separator's smaller side (the minor-min-degree bound settles
+        # the larger), then the minor's treewidth for the chain
+        assert exact_calls == [4, 4]
 
 
 # --- reference: the reduction as first written --------------------------------
@@ -280,8 +275,6 @@ def reference_three_connected_minor(g: Graph) -> MinorResult:
     if not is_connected(g):
         raise ValueError("graph must be connected")
     tw0 = treewidth_exact(g) if g.n <= TREEWIDTH_EXACT_CAP else None
-    if tw0 is not None and tw0 < 3:
-        raise ValueError(f"treewidth {tw0} < 3: no 3-connected minor preserves it")
 
     red = _ReferenceReducer(g)
     while True:
@@ -290,7 +283,9 @@ def reference_three_connected_minor(g: Graph) -> MinorResult:
             break
         found = reference_find_safe_separator(cur)
         if found is None:
-            raise AssertionError("not 3-connected but no separator of size <= 2")
+            if cur.n >= 4:
+                raise AssertionError("not 3-connected but no separator of size <= 2")
+            break  # treewidth below 3: the reduction ends below 4 vertices
         sep_local, comp_local, _ = found
         sep = tuple(names[v] for v in sep_local)
         keep = {names[v] for v in comp_local} | set(sep)
@@ -392,12 +387,7 @@ def random_connected_graph(seed: int) -> Graph:
 
 
 def assert_same_as_reference(g: Graph):
-    try:
-        expected = reference_three_connected_minor(g)
-    except (AssertionError, ValueError):
-        with pytest.raises(ValueError):
-            three_connected_minor(g)
-        return
+    expected = reference_three_connected_minor(g)
     result = three_connected_minor(g)
     assert (result.graph, result.var_of_edge, result.vertex_names, result.trace) == (
         expected.graph, expected.var_of_edge, expected.vertex_names, expected.trace)
@@ -548,8 +538,7 @@ class TestReductionWork:
                 steps.append((sorted(runs), sorted(len(comp) + len(sep) for comp in others), len(kept) + len(sep)))
             return found
 
-        monkeypatch.setattr(minors, "treewidth_exact", counted(treewidth_exact))
-        monkeypatch.setattr(minors, "treewidth_upper_bound", counted(treewidth_upper_bound))
+        monkeypatch.setattr(minors, "treewidth_bounds", counted(treewidth_bounds))
         monkeypatch.setattr(minors, "find_safe_separator", recorded)
         three_connected_minor(fam.grid(rows, cols))
         assert len(steps) == 4

@@ -192,6 +192,8 @@ EDGE_CASES = {
         "g 1 1\ne 1 2\np tseitin 2 1\n", "p tseitin 2 1\ne 1 2\n", "p tseitin 3 2\ng 1 0 1\ne 1 2\ne 2 1\n",
         "p tseitin 2 1\r\ng 1 1\r\ne 1 5\r\n", "p tseitin 2 1\ng 1 1\ng x\ne 1 2\n", "p tseitin 2 1\np tseitin\n",
         "g 1 1\np tseitin 2 1\ng 1 1\n",
+        # a charge bit outside 0/1, with the header later or missing, and on a charge of the wrong length
+        "p tseitin 2 1\ng 0 2\ne 1 2\n", "g -1 1\np tseitin 2 1\ne 1 2\n", "g 0 2\n", "p tseitin 2 1\ng 0 0 7\n",
     ],
     "cnf": [
         "c\np cnf 1 2\n1 0\n-1 0\n", "cat\np cnf 1 1\n1 0\n", "p cnf 1 1\n1\n", "p cnf 1 1\n1 0 1 0\n",
@@ -222,9 +224,9 @@ EDGE_CASES = {
         "1 2 0 0\n2 -2 0 0\n3 0 x 2 0\n", "5 1 0 3 0 0\n", "",
     ],
     "certificate": [
-        "n: 1\n", "k: 1\nk: 2\n", "just text\n", "n 1\n", "k: 1\nn: 1\nk: x\n",
+        "minor_n: 1\n", "k: 1\nk: 2\n", "just text\n", "minor_n 1\n", "k: 1\nminor_n: 1\nk: x\n",
         # a line that names no certificate field, before and after a repeat
-        "n: 1\ntreewidht: 99\n", "not a field at all\n", ": 1\n", "N: 1\n", "k: 1\nk: 2\nkk: 3\n",
+        "minor_n: 1\ntreewidht: 99\n", "k: 1\ntw_provenance: exact-dp\n", "not a field at all\n", ": 1\n", "N: 1\n", "k: 1\nk: 2\nkk: 3\n",
         "kk: 3\nk: 1\nk: 2\n", "# c\n\n  n x: 1\n",
     ],
 }
@@ -245,6 +247,15 @@ def test_certificate_field_errors_quote_the_value():
         for value in ("", " x", " 1 2", " 1-", " 1-2-3", " 0-x", "\t7\t"):
             text = "\n".join(lines[:i] + [name + ":" + value] + lines[i + 1:]) + "\n"
             assert outcome(new, text) == outcome(reference, text), repr(text)
+
+
+@pytest.mark.parametrize("text, number", [
+    ("p tseitin 3 2\ng 0 2 0\ne 1 2\ne 2 3\n", 2), ("# c\n\ng 1 -1\np tseitin 2 1\ne 1 2\n", 3),
+])
+def test_charge_bit_outside_0_1_names_its_line(text, number):
+    with pytest.raises(ValueError) as got:
+        tseitin_from_text(text)
+    assert str(got.value) == f"line {number}: charge bits must be 0/1"
 
 
 def test_trace_writer_matches_the_reference():
