@@ -29,7 +29,7 @@ except ImportError:
 from .graphs import Graph, SplitRequest, graph_to_text, greedy_independent_set, is_3_connected, safe_split_subset
 from .minors import three_connected_minor
 from .textformat import error, ints, lines_of, once
-from .width import edge_order, order_cut, treewidth_bounds
+from .width import edge_order, order_cut, treewidth_estimate
 
 
 @dataclass
@@ -114,7 +114,7 @@ def certified_lower_bound(g: Graph) -> LowerBoundCertificate:
 
     k follows the constant chain ceil(ceil(ceil(2 tw / 3) / (maxdeg + 1))
     / 3) on the 3-connected topological minor h the reduction leaves, with
-    tw the lower end of `treewidth_bounds(h)` (exact at desk scale); the
+    tw = `treewidth_estimate(h)`, the value the reduction ranks sides by; the
     bound carries to g because deleting an edge conditions a variable and
     smoothing a subdivision vertex forgets one, and neither grows a DNNF.
     A reduction that ends below 4 vertices, as it does on every graph of
@@ -128,7 +128,7 @@ def certified_lower_bound(g: Graph) -> LowerBoundCertificate:
     h = three_connected_minor(g).graph  # raises on a disconnected graph
     k, v_prime, v_second, v_star = 0, (), (), ()
     if is_3_connected(h):  # the reduction's last search is h's separator memo
-        _, k = _chain(treewidth_bounds(h)[0], h.max_degree)
+        _, k = _chain(treewidth_estimate(h)[0], h.max_degree)
         sample = adam_response(h, order_cut(h, edge_order(h)))
         v_prime, v_second, v_star = sample.v_prime, sample.v_second, sample.v_star
         if len(v_star) < k:
@@ -139,11 +139,10 @@ def certified_lower_bound(g: Graph) -> LowerBoundCertificate:
 def verify_certificate(cert: LowerBoundCertificate, g: Graph) -> tuple[bool, str]:
     """Re-check a certificate against its graph without re-running the
     heuristics: the hash, the witness-set chain on the stored minor, and
-    k against the constant chain, whose treewidth (the lower end of
-    `treewidth_bounds` on the minor, exact at desk scale), branchwidth
-    stage and maximum degree are derived here from the stored minor; a
-    minor that is not 3-connected gives k = 0.  Of g only the hash and
-    the sizes are read.
+    k against the constant chain, whose treewidth (`treewidth_estimate`
+    of the minor, exact at desk scale), branchwidth stage and maximum
+    degree are derived here from the stored minor; a minor that is not
+    3-connected gives k = 0.  Of g only the hash and the sizes are read.
 
     The certificate stores neither an embedding of the minor in g nor the
     cut, so three things are taken on trust:
@@ -177,7 +176,7 @@ def verify_certificate(cert: LowerBoundCertificate, g: Graph) -> tuple[bool, str
         for w in cert.v_second[i + 1:]:
             if w in h.adj[u]:
                 return False, "witness set is not independent"
-    bw, k = _chain(treewidth_bounds(h)[0], h.max_degree)
+    bw, k = _chain(treewidth_estimate(h)[0], h.max_degree)
     if len(cert.v_prime) < bw:
         return False, "boundary smaller than the branchwidth stage"
     if len(cert.v_second) < _ceil_div(len(cert.v_prime), h.max_degree + 1):

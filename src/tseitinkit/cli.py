@@ -21,7 +21,7 @@ from .nnf import nnf_from_text, nnf_to_text, validate_decomposable
 from .oracles import VAR_CAP
 from .resolution import check_refutation, check_regularity, dpll_refute, trace_from_text, trace_to_text
 from .tseitin import DEGREE_CAP, TseitinFormula, is_satisfiable, to_cnf, tseitin_from_text, tseitin_to_text, unit_charge
-from .width import treewidth_bounds
+from .width import treewidth_estimate
 
 CSV_HEADER = "name,n,m,treewidth,tw_provenance,bp_size,refutation_length,dnnf_size,model_count,bound_exponent,equivalence"
 
@@ -130,7 +130,7 @@ def pipeline_row(name: str, g: Graph, charge_spec: str, target_spec: str, desk_c
     report, d, bp = pipeline(g, c_unsat, c_star, desk_cap=desk_cap)
     # the refutation runs on the CNF, which caps the degree; the rest of the row does not need it
     refutation_length = _refutation_length(to_cnf(TseitinFormula(g, c_unsat))) if g.max_degree <= DEGREE_CAP else ""
-    treewidth, _, provenance = treewidth_bounds(g)
+    treewidth, provenance = treewidth_estimate(g)
     count = report.model_count_circuit if report.model_count_circuit is not None else report.model_count_expected
     return ",".join(str(x) for x in (
         name, g.n, g.m, treewidth, provenance, report.bp_size, refutation_length, report.dnnf_size,

@@ -1,15 +1,17 @@
 """Safe separators and 3-connected topological minors.
 
-The reduction keeps, for each small separator, the component side that
-preserves treewidth, realizing the lost structure as topological-minor
-operations (edge deletions, isolated-vertex deletions, and eliminations
-of degree-2 subdivision vertices).  Every surviving edge keeps the id of
-an original edge as its variable, and every surviving vertex its original
-name.  The operation trace is kept so that circuit-level consumers can
-replay the reduction: deleting an edge is conditioning its variable to 0,
-and eliminating a subdivision vertex is forgetting one of its two edge
-variables while the surviving edge keeps the other variable (the test
-suite replays it on compiled circuits, `tests/lemmas.py`).
+The reduction keeps, for each small separator, the component side of
+largest treewidth estimate (`width.treewidth_estimate`), which preserves
+treewidth where the estimate is exact, realizing the lost structure as
+topological-minor operations (edge deletions and eliminations of degree-2
+subdivision vertices).  Every surviving edge keeps the id of an original
+edge as its variable, and every surviving vertex its original name; a
+vertex left without edges simply leaves `vertex_names`.  The operation
+trace is kept so that circuit-level consumers can replay the reduction:
+deleting an edge is conditioning its variable to 0, and eliminating a
+subdivision vertex is forgetting one of its two edge variables while the
+surviving edge keeps the other variable (the test suite replays it on
+compiled circuits, `tests/lemmas.py`).
 
 Two facts keep the reduction's searches to about one scan in all:
 
@@ -25,10 +27,11 @@ Two facts keep the reduction's searches to about one scan in all:
   is written into the reduced graph's `separator` memo, where
   `find_safe_separator`, the adversary and the safe split read it.
 * The largest component C0 of a separator S is kept, without an exact
-  treewidth or min-fill run on its side, when the minor-min-degree bound
-  of its completed side already beats every other side's value, ties
-  going to the smallest vertex id: that bound is at most the side's
-  treewidth, which is at most the value the side would be ranked by.
+  treewidth run on its side, when the minor-min-degree bound of its
+  completed side already beats every other side's value, ties going to
+  the smallest vertex id: that bound never exceeds the side's estimate,
+  the value it would be ranked by (beyond the exact cap it is that
+  value).
   Safe separators and the sides they keep are those of Bodlaender and
   Koster, "Safe separators for treewidth" (Discrete Math. 2006).
 """
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, _first_separator, connected_components, is_connected, search, tree_path
-from .width import _contraction_degree, treewidth_bounds
+from .width import _contraction_degree, treewidth_estimate
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,6 @@ class MinorOp:
     """One topological-minor step, in terms of original variable ids.
 
     kind 'delete_edge': condition variable `var` to 0.
-    kind 'drop_vertex': bookkeeping only (isolated vertex removed).
     kind 'forget_edge': subdivision elimination; forget variable `var`,
     the merged edge keeps variable `kept_var`.
     """
@@ -80,24 +82,18 @@ def _completed_side(g: Graph, vertices: set[int], clique: tuple[int, ...]) -> Gr
     return Graph(len(vmap), tuple(edges))
 
 
-def _side_width(side: Graph) -> int:
-    """The value a completed side is ranked by: the upper end of
-    `treewidth_bounds`, exact treewidth at desk scale, the min-fill upper
-    bound beyond."""
-    return treewidth_bounds(side)[1]
-
-
 def find_safe_separator(g: Graph):
     """Smallest safe separator (size 1, else size 2) with its chosen side.
 
     Returns (separator, chosen component, other components) or None when
     no separator of size at most 2 leaves a vertex.  The components are
     those of g minus the separator; the others are in order of their
-    smallest vertex.  The chosen component maximizes the treewidth of the
-    separator-completed side (`_side_width`: exact at desk scale,
-    min-fill beyond); ties go to the component containing the
-    smallest vertex id.  The separator is `g.separator`, which g memoises,
-    so `is_3_connected` on the same graph object searches no further.
+    smallest vertex.  The chosen component maximizes `treewidth_estimate`
+    of the separator-completed side (exact at desk scale, the
+    minor-min-degree bound beyond), the value the certificate's chain
+    reads; ties go to the component containing the smallest vertex id.
+    The separator is `g.separator`, which g memoises, so
+    `is_3_connected` on the same graph object searches no further.
 
     Every side but the largest, C0 (the least smallest vertex among equal
     sizes), is ranked as said.  C0 is chosen outright when the
@@ -112,29 +108,30 @@ def find_safe_separator(g: Graph):
         return None
     comps = connected_components(g, sep)
     largest = max(comps, key=lambda comp: (len(comp), -min(comp)))
-    value, least, best = max((_side_width(_completed_side(g, comp, sep)), -min(comp), comp)
+    value, least, best = max((treewidth_estimate(_completed_side(g, comp, sep))[0], -min(comp), comp)
                              for comp in comps if comp is not largest)
     side = _completed_side(g, largest, sep)
     enough = value + (min(largest) > -least)  # the least value of C0's that wins
-    if _contraction_degree(side, enough) >= enough or _side_width(side) >= enough:
+    if _contraction_degree(side, enough) >= enough or treewidth_estimate(side)[0] >= enough:
         best = largest
     return sep, best, [comp for comp in comps if comp is not best]
 
 
 def three_connected_minor(g: Graph) -> MinorResult:
     """3-connected topological minor, with the same treewidth when every
-    side the reduction compares is ranked exactly.
+    side the reduction compares is within the exact-treewidth cap, where
+    `treewidth_estimate` is exact.
 
     Iterates safe-separator reductions until no separator of size at most
     2 is left: a cut vertex keeps the side of largest rank; a 2-separator
     {u, v} keeps that side plus the edge uv, realized through one other
     component as a path contracted down to a single edge.  A completed
-    side is ranked by its exact treewidth at desk scale and by its
-    min-fill upper bound beyond (`_side_width`), so past that size the kept side need not carry the
-    treewidth; the certificate's chain reads the minor's own treewidth.
-    On a graph of treewidth below 3 the reduction ends below 4 vertices
-    (a 3-connected graph has treewidth at least 3), and that small minor,
-    which is not 3-connected, is returned.
+    side is ranked by `treewidth_estimate`, the value the certificate's
+    chain reads, so past the exact cap the kept side need not carry the
+    treewidth, only the largest estimate.  On a graph of treewidth below
+    3 the reduction ends below 4 vertices (a 3-connected graph has
+    treewidth at least 3), and that small minor, which is not
+    3-connected, is returned.
 
     Each reduced graph's separator search resumes where the last one
     stopped (the module docstring says why): at the pair's first vertex,
@@ -167,18 +164,14 @@ def three_connected_minor(g: Graph) -> MinorResult:
 
 def _delete(result: MinorResult, ends: dict[int, tuple[int, int]], comps: list[set[int]], keep: list[int] = ()) -> None:
     """Delete the edges at each component's vertices except `keep`, one
-    component after the other and ascending within one; then drop, in one
-    ascending round, the components' vertices off `keep`.  Those are the
-    vertices left without edges: each separator vertex keeps its edges
-    into the kept side."""
+    component after the other and ascending within one.  The vertices left
+    without edges leave the minor's `vertex_names`; each separator vertex
+    keeps its edges into the kept side."""
     h = result.graph
     for comp in comps:
         for e in sorted({e for x in comp for e in h.incident[x]} - set(keep)):
             result.trace.append(MinorOp("delete_edge", var=result.var_of_edge[e]))
             del ends[result.var_of_edge[e]]
-    on_keep = {x for e in keep for x in h.edges[e]}
-    isolated = sorted(set().union(*comps) - on_keep)
-    result.trace.extend(MinorOp("drop_vertex", vertex=result.vertex_names[x]) for x in isolated)
 
 
 def _contract(result: MinorResult, ends: dict[int, tuple[int, int]], path: list[int], sep: tuple[int, int]) -> None:

@@ -162,8 +162,10 @@ def tseitin_from_text(text: str) -> TseitinFormula:
         else:
             raise error(lines, i, f"unrecognized line: {lines[i].strip()}")
     if n is None or charge is None:
-        raise ValueError("missing header or charge line")
-    if len(charge) != n or len(edges) != m:
-        raise ValueError("header inconsistent with body")
+        raise ValueError("missing header" if n is None else "missing charge line")
+    if len(charge) != n:
+        raise ValueError(f"header announces {n} vertices, charge line has {len(charge)} bits")
+    if len(edges) != m:
+        raise ValueError(f"header announces {m} edges, found {len(edges)}")
     seen: dict = {}
     return TseitinFormula(Graph(n, tuple(edge_from_line(lines, *edge, n, seen) for edge in edges)), charge)

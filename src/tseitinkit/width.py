@@ -5,8 +5,9 @@ lower bound and the min-fill upper bound first and is done when they meet.
 Otherwise it decides each width k between them by a layered search over
 elimination prefixes, keeping only prefixes whose every step leaves at most
 k later neighbours, and stopping at k + 1 vertices left (any order of the
-rest then has width at most k).  Beyond the cap the bound pair alone is
-reported.
+rest then has width at most k).  `treewidth_estimate`, the value the rest
+of the library reads, is the exact treewidth up to the cap and the
+minor-min-degree lower bound beyond.
 
 One edge order per graph serves the BP builder and the certificate (and,
 in the test suite, the branchwidth upper bound of `tests/lemmas.py`):
@@ -206,12 +207,14 @@ def treewidth_upper_bound(g: Graph) -> int:
     return _min_fill(g)[1]
 
 
-def treewidth_bounds(g: Graph) -> tuple[int, int, str]:
-    """(lower, upper, provenance); exact when the graph is small enough."""
+def treewidth_estimate(g: Graph) -> tuple[int, str]:
+    """(value, provenance), the one treewidth value the library reads:
+    the exact treewidth up to the cap ("exact-dp"), else the
+    minor-min-degree lower bound, under the CSV's "mmd-lower/minfill-upper"
+    label.  It never exceeds the treewidth, so the certificate may read it."""
     if g.n <= TREEWIDTH_EXACT_CAP:
-        tw = treewidth_exact(g)
-        return tw, tw, "exact-dp"
-    return treewidth_lower_bound(g), treewidth_upper_bound(g), "mmd-lower/minfill-upper"
+        return treewidth_exact(g), "exact-dp"
+    return treewidth_lower_bound(g), "mmd-lower/minfill-upper"
 
 
 # --- the order's cut ---------------------------------------------------------

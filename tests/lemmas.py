@@ -89,7 +89,7 @@ from tseitinkit.oracles import BLOCK_BITS, parity, point, truth_table
 from tseitinkit.recursion import run
 from tseitinkit.resolution import ResolutionTrace, Step, _literal_bits
 from tseitinkit.tseitin import Charge, TseitinFormula, is_satisfiable, model_count, satisfied
-from tseitinkit.width import edge_order, order_bound, treewidth_bounds
+from tseitinkit.width import edge_order, order_bound, treewidth_estimate
 
 RECT_CAP = 20
 
@@ -354,7 +354,7 @@ def branchwidth_bounds(g: Graph) -> tuple[int, int]:
     upper = width_of(caterpillar(edge_order(g)), g)
     if upper <= 1:
         return upper, upper
-    tw_lb, _, _ = treewidth_bounds(g)
+    tw_lb, _ = treewidth_estimate(g)
     lower = -(-2 * tw_lb // 3)
     return min(lower, upper), upper
 
@@ -1484,9 +1484,11 @@ def reference_tseitin_from_text(text: str) -> TseitinFormula:
         else:
             raise ln.error(f"unrecognized line: {ln.text}")
     if n is None or charge is None:
-        raise ValueError("missing header or charge line")
-    if len(charge) != n or len(edges) != m:
-        raise ValueError("header inconsistent with body")
+        raise ValueError("missing header" if n is None else "missing charge line")
+    if len(charge) != n:
+        raise ValueError(f"header announces {n} vertices, charge line has {len(charge)} bits")
+    if len(edges) != m:
+        raise ValueError(f"header announces {m} edges, found {len(edges)}")
     seen: dict = {}
     return TseitinFormula(Graph(n, tuple(reference_edge_from_line(*edge, n, seen) for edge in edges)), charge)
 

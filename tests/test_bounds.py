@@ -79,6 +79,12 @@ def random_connected(seed: int) -> Graph:
     return Graph(n, tuple(sorted(edges)))
 
 
+def glued(a: Graph, b: Graph) -> Graph:
+    """a and b sharing one vertex: b's vertex 0 is a's last vertex."""
+    shift = a.n - 1
+    return Graph(a.n + b.n - 1, tuple(sorted(a.edges + tuple((u + shift, v + shift) for u, v in b.edges))))
+
+
 def smooth_pipeline(g):
     _, d, _ = pipeline(g, unit_charge(g.n, 0), (0,) * g.n)
     return smooth(d), TseitinFormula(g, (0,) * g.n)
@@ -322,14 +328,15 @@ class TestCertifiedLowerBound:
         # g's lower bound is 4; the chain reads the minor's exact
         # treewidth, 5, which the verifier recomputes from the stored minor
         g = MMD_BELOW_MINOR
-        assert width.treewidth_bounds(g)[:2] == (4, 5)
+        assert width.treewidth_estimate(g) == (4, "mmd-lower/minfill-upper")
+        assert width.treewidth_upper_bound(g) == 5
         cert = certified_lower_bound(g)
         assert (cert.minor_n, cert.k) == (13, 1)
         assert treewidth_exact(Graph(cert.minor_n, cert.minor_edges)) == 5
         assert verify_certificate(cert, g) == (True, "ok")
 
     def test_csv_treewidth_is_the_graphs(self):
-        # the row's treewidth columns are g's bounds, not the minor's exact 5
+        # the row's treewidth columns are g's estimate, not the minor's exact 5
         row = pipeline_row("mmd", MMD_BELOW_MINOR, "odd-at 0", "zero").split(",")
         assert row[3:5] == ["4", "mmd-lower/minfill-upper"] and row[9] == "1"
 
@@ -339,6 +346,20 @@ class TestCertifiedLowerBound:
             g = random_connected(seed)
             cert = certified_lower_bound(g)
             assert verify_certificate(certificate_from_text(certificate_to_text(cert)), g) == (True, "ok"), seed
+
+    @pytest.mark.parametrize("t", [5, 6])
+    def test_minor_is_the_side_of_larger_estimate(self, t):
+        """Grid t x t with K(t + 1) glued on at a corner: the grid side's
+        estimate, its minor-min-degree bound 4 past the exact cap, is below
+        the complete side's exact t, so the complete side is the minor and
+        the chain reads t.  Ranked by min-fill, t on both sides, the grid
+        side won the tie and the chain read only its bound 4."""
+        g = glued(fam.grid(t, t), fam.complete(t + 1))
+        cert = certified_lower_bound(g)
+        h = Graph(cert.minor_n, cert.minor_edges)
+        assert h == fam.complete(t + 1)
+        assert width.treewidth_estimate(h) == (t, "exact-dp") and width.treewidth_estimate(g)[0] == t
+        assert verify_certificate(cert, g) == (True, "ok")
 
     def test_minor_of_other_treewidth_rejected(self):
         # K4 passes the checks on a stored minor; grid 4x4's witness, whose
@@ -358,7 +379,8 @@ class TestCertifiedLowerBound:
         bound 101 would give k 3; the chain on the minor's
         minor-min-degree bound 11 gives bw 8 and k 1."""
         g = fam.cube(8)
-        assert width.treewidth_bounds(g) == (11, 101, "mmd-lower/minfill-upper")
+        assert width.treewidth_estimate(g) == (11, "mmd-lower/minfill-upper")
+        assert width.treewidth_upper_bound(g) == 101
         v_prime = tuple(range(68))
         v_second = tuple(v for v in v_prime if bin(v).count("1") % 2 == 0)[:9]  # even weight: independent
         forged = LowerBoundCertificate(graph_hash(g), g.n, g.edges, v_prime, v_second, v_second[:3], 3)

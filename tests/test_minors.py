@@ -8,7 +8,7 @@ from lemmas import induced_subgraph, k4_with_pendant_path, mask_of, nnf_truth_ta
 from tseitinkit import families as fam, graphs, minors
 from tseitinkit.graphs import Graph, connected_components, is_3_connected, is_connected
 from tseitinkit.minors import MinorOp, MinorResult, find_safe_separator, three_connected_minor
-from tseitinkit.width import TREEWIDTH_EXACT_CAP, treewidth_bounds, treewidth_exact, treewidth_upper_bound
+from tseitinkit.width import TREEWIDTH_EXACT_CAP, treewidth_estimate, treewidth_exact
 
 
 class TestFindSafeSeparator:
@@ -82,10 +82,12 @@ class TestThreeConnectedMinor:
     def test_trace_ops_well_formed(self):
         result = three_connected_minor(k4_with_pendant_path())
         kinds = {op.kind for op in result.trace}
-        assert kinds <= {"delete_edge", "drop_vertex", "forget_edge"}
-        # the pendant path loses its two edges and two vertices
+        assert kinds <= {"delete_edge", "forget_edge"}
+        # the pendant path loses its two edges; its two vertices leave the
+        # minor's names without a step of their own
         deleted = [op.var for op in result.trace if op.kind == "delete_edge"]
         assert sorted(deleted) == [6, 7]
+        assert result.vertex_names == (0, 1, 2, 3)
 
     @pytest.mark.parametrize("make", [fam.two_k4_shared_edge, k4_with_pendant_path, lambda: fam.grid(3, 3)],
                              ids=["twoK4", "k4pendant", "grid3x3"])
@@ -198,7 +200,8 @@ class TestTreewidthComputedOnce:
 def reference_find_safe_separator(g: Graph):
     """`find_safe_separator` with the separator of a fresh copy of g (one
     search from the cut-vertex pass on) and every side ranked by the
-    treewidth of its completed side, exact at desk scale, min-fill beyond."""
+    `treewidth_estimate` of its completed side: exact at desk scale, the
+    minor-min-degree bound beyond."""
     if not is_connected(g):
         raise ValueError("graph must be connected")
     sep = Graph(g.n, g.edges).separator
@@ -210,7 +213,7 @@ def reference_find_safe_separator(g: Graph):
         sub, vmap = induced_subgraph(g, comp | set(sep))
         extra = [(vmap[u], vmap[w]) for u, w in itertools.combinations(sep, 2) if w not in g.adj[u]]
         filled = Graph(sub.n, sub.edges + tuple(extra))
-        return treewidth_exact(filled) if filled.n <= TREEWIDTH_EXACT_CAP else treewidth_upper_bound(filled)
+        return treewidth_estimate(filled)[0]
 
     best = max(comps, key=lambda comp: (value(comp), -min(comp)))
     return sep, best, [comp for comp in comps if comp is not best]
@@ -234,12 +237,7 @@ class _ReferenceReducer:
         del self.var[e]
 
     def drop_isolated(self):
-        used = set()
-        for a, b in self.edges.values():
-            used.update((a, b))
-        for v in sorted(self.vertices - used):
-            self.trace.append(MinorOp("drop_vertex", vertex=v))
-            self.vertices.discard(v)
+        self.vertices &= {x for e in self.edges.values() for x in e}
 
     def eliminate_subdivision(self, v):
         inc = [e for e, (a, b) in self.edges.items() if v in (a, b)]
@@ -519,8 +517,8 @@ class TestReductionWork:
     @pytest.mark.parametrize("rows,cols", GRID_SHAPES, ids=[f"grid{r}x{c}" for r, c in GRID_SHAPES])
     def test_no_width_run_on_a_grid_kept_side(self, monkeypatch, rows, cols):
         # the minor-min-degree bound settles the kept side of every
-        # reduction step, so exact treewidth and min-fill run only on the
-        # dropped sides' completions
+        # reduction step, so the estimate runs only on the dropped sides'
+        # completions
         runs, steps = [], []
         original = minors.find_safe_separator
 
@@ -538,7 +536,7 @@ class TestReductionWork:
                 steps.append((sorted(runs), sorted(len(comp) + len(sep) for comp in others), len(kept) + len(sep)))
             return found
 
-        monkeypatch.setattr(minors, "treewidth_bounds", counted(treewidth_bounds))
+        monkeypatch.setattr(minors, "treewidth_estimate", counted(treewidth_estimate))
         monkeypatch.setattr(minors, "find_safe_separator", recorded)
         three_connected_minor(fam.grid(rows, cols))
         assert len(steps) == 4

@@ -258,6 +258,20 @@ def test_charge_bit_outside_0_1_names_its_line(text, number):
     assert str(got.value) == f"line {number}: charge bits must be 0/1"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "missing header"), ("g 0 0\ne 1 2\n", "missing header"), ("p tseitin 2 1\ne 1 2\n", "missing charge line"),
+    ("p tseitin 3 1\ng 0 0\ne 1 2\n", "header announces 3 vertices, charge line has 2 bits"),
+    ("p tseitin 2 1\ng 0 0 1\ne 1 2\n", "header announces 2 vertices, charge line has 3 bits"),
+    ("p tseitin 2 2\ng 0 0\ne 1 2\n", "header announces 2 edges, found 1"),
+    ("p tseitin 3 1\ng 0 0 0\ne 1 2\ne 2 3\n", "header announces 1 edges, found 2"),
+])
+def test_tseitin_count_errors_name_the_count(text, message):
+    """A missing record or a count the body does not match names which,
+    in the graph reader's wording, and the reference reads it alike."""
+    new, reference = READERS["tseitin"]
+    assert outcome(new, text) == outcome(reference, text) == ("ValueError", message)
+
+
 def test_trace_writer_matches_the_reference():
     """Byte for byte: genuine traces, their mutations that still read, and
     hand-made ones with tautologies, both polarities of one variable in

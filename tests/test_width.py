@@ -29,6 +29,7 @@ from tseitinkit.bounds import adam_response
 from tseitinkit.graphs import Graph, is_3_connected
 from tseitinkit.minors import three_connected_minor
 from tseitinkit.width import (
+    TREEWIDTH_EXACT_CAP,
     _contraction_degree,
     _min_fill,
     _reachable_outside,
@@ -36,6 +37,7 @@ from tseitinkit.width import (
     edge_order,
     order_bound,
     order_cut,
+    treewidth_estimate,
     treewidth_exact,
     treewidth_lower_bound,
     treewidth_upper_bound,
@@ -415,6 +417,25 @@ class TestTreewidthExact:
         _, g = bench_graph
         tw = reference_treewidth(g)
         assert treewidth_lower_bound(g) <= tw <= treewidth_upper_bound(g)
+
+
+ESTIMATED = {
+    "K16": lambda: fam.complete(16), "K17": lambda: fam.complete(17), "C16": lambda: fam.cycle(16),
+    "C17": lambda: fam.cycle(17), "grid4x4": lambda: fam.grid(4, 4), "grid3x6": lambda: fam.grid(3, 6),
+    "grid5x5": lambda: fam.grid(5, 5), "rr16": lambda: fam.random_regular(16, 3, 1),
+    "rr18": lambda: fam.random_regular(18, 3, 1), "Q4": lambda: fam.cube(4), "Q5": lambda: fam.cube(5),
+}
+
+
+@pytest.mark.parametrize("name", ESTIMATED)
+def test_treewidth_estimate(name):
+    """The one value the library reads: the exact treewidth up to the cap,
+    the minor-min-degree lower bound beyond, with the CSV's labels."""
+    g = ESTIMATED[name]()
+    if g.n <= TREEWIDTH_EXACT_CAP:
+        assert treewidth_estimate(g) == (treewidth_exact(g), "exact-dp")
+    else:
+        assert treewidth_estimate(g) == (treewidth_lower_bound(g), "mmd-lower/minfill-upper")
 
 
 class TestBranchDecomposition:
