@@ -13,6 +13,8 @@ class Cnf:
     clauses: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError("variable count must be non-negative")
         for cl in self.clauses:
             problem = _clause_problem(cl, self.num_vars)
             if problem:

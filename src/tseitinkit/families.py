@@ -103,27 +103,37 @@ def desk() -> list[tuple[str, Graph]]:
     ]
 
 
-# CLI name -> (generator, parameter names)
+# The most vertices or edges `generate` builds; grid 408x408 has 166,464
+# vertices and 332,112 edges.
+GENERATE_CAP = 1 << 20
+
+# CLI name -> (generator, parameter names, its vertex and edge counts); the
+# counts see negative parameters as 0, so that the generator's own check
+# refuses them, and cube's dimension at most 64, which is already too large
 FAMILIES = {
-    "cycle": (cycle, ("n",)),
-    "path": (path, ("n",)),
-    "complete": (complete, ("n",)),
-    "grid": (grid, ("rows", "cols")),
-    "wheel": (wheel, ("rim",)),
-    "cube": (cube, ("dim",)),
-    "random-regular": (random_regular, ("n", "degree", "seed")),
+    "cycle": (cycle, ("n",), lambda n: (n, n)),
+    "path": (path, ("n",), lambda n: (n, n - 1)),
+    "complete": (complete, ("n",), lambda n: (n, n * (n - 1) // 2)),
+    "grid": (grid, ("rows", "cols"), lambda rows, cols: (rows * cols, 2 * rows * cols - rows - cols)),
+    "wheel": (wheel, ("rim",), lambda rim: (rim + 1, 2 * rim)),
+    "cube": (cube, ("dim",), lambda dim: (1 << min(dim, 64), min(dim, 64) << min(dim, 64) >> 1)),
+    "random-regular": (random_regular, ("n", "degree", "seed"), lambda n, degree, seed: (n, n * degree // 2)),
 }
 
 
 def generate(family: str, params: list[str]) -> Graph:
-    """Dispatch for the CLI `generate` subcommand."""
+    """Dispatch for the CLI `generate` subcommand.  A family of more than
+    `GENERATE_CAP` vertices or edges is refused before anything is built."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family}")
-    make, names = FAMILIES[family]
+    make, names, counts = FAMILIES[family]
     if len(params) != len(names):
         plural = "s" if len(names) > 1 else ""
         raise ValueError(f"{family} needs {len(names)} parameter{plural} ({' '.join(names)}), got {len(params)}")
     try:
-        return make(*map(int, params))
+        values = list(map(int, params))
+        if max(counts(*(max(v, 0) for v in values))) > GENERATE_CAP:
+            raise ValueError(f"too large: more than {GENERATE_CAP} vertices or edges")
+        return make(*values)
     except ValueError as exc:
         raise ValueError(f"invalid parameters for family {family}: {exc}") from exc

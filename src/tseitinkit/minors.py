@@ -30,8 +30,8 @@ Two facts keep the reduction's searches to about one scan in all:
   treewidth run on its side, when the minor-min-degree bound of its
   completed side already beats every other side's value, ties going to
   the smallest vertex id: that bound never exceeds the side's estimate,
-  the value it would be ranked by (beyond the exact cap it is that
-  value).
+  the value it would be ranked by, and beyond the exact cap it is that
+  value, so the bound runs once there (`width.estimate_at_least`).
   Safe separators and the sides they keep are those of Bodlaender and
   Koster, "Safe separators for treewidth" (Discrete Math. 2006).
 """
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, _first_separator, connected_components, is_connected, search, tree_path
-from .width import _contraction_degree, treewidth_estimate
+from .width import estimate_at_least, treewidth_estimate
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,11 @@ def find_safe_separator(g: Graph):
     `is_3_connected` on the same graph object searches no further.
 
     Every side but the largest, C0 (the least smallest vertex among equal
-    sizes), is ranked as said.  C0 is chosen outright when the
-    minor-min-degree bound of its completed side, which never exceeds its
-    value, already wins (`_contraction_degree`, stopped as soon as it
-    does); only otherwise is its value computed and compared.
+    sizes), is ranked as said.  C0 is chosen when its completed side's
+    value wins (`estimate_at_least`): the minor-min-degree bound, which
+    never exceeds that value, stops as soon as it wins, and past the exact
+    cap, where it is the value, it settles the side; only up to the cap
+    does the exact run follow.
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
@@ -110,9 +111,8 @@ def find_safe_separator(g: Graph):
     largest = max(comps, key=lambda comp: (len(comp), -min(comp)))
     value, least, best = max((treewidth_estimate(_completed_side(g, comp, sep))[0], -min(comp), comp)
                              for comp in comps if comp is not largest)
-    side = _completed_side(g, largest, sep)
     enough = value + (min(largest) > -least)  # the least value of C0's that wins
-    if _contraction_degree(side, enough) >= enough or treewidth_estimate(side)[0] >= enough:
+    if estimate_at_least(_completed_side(g, largest, sep), enough):
         best = largest
     return sep, best, [comp for comp in comps if comp is not best]
 

@@ -13,17 +13,22 @@ is nothing to change (`restrict_to_root` when every gate is reachable,
 The package smooths nothing.  Every circuit the compiler emits is smooth
 as built, so `smooth` only checks that a circuit is decomposable and
 smooth and returns it; a circuit that is not is refused, not padded.
-Model counts use the usual bottom-up sum/product rule, which is exact on
-smooth circuits whose OR gates split models disjointly; every circuit the
-compiler emits is of that decision form.  Proof trees and the rectangles
-of models accepted through one gate, on which the lower bound rests, are
-enumerated at desk scale in the test suite (`tests/lemmas.py`).
+
+Every bottom-up reading of a circuit is one children-first pass,
+`gate_values`, with its own leaf and gate rules: the supports, the value
+under a column accessor (see `oracles`), and the model count by the
+usual sum/product rule, which is exact on smooth circuits whose OR gates
+split models disjointly; every circuit the compiler emits is of that
+decision form.  Proof trees and the rectangles of models accepted
+through one gate, on which the lower bound rests, are enumerated at desk
+scale in the test suite (`tests/lemmas.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, mul, or_
 from typing import NamedTuple
 
 from .oracles import conj, disj
@@ -54,6 +59,8 @@ class NnfCircuit:
     num_vars: int
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError("variable count must be non-negative")
         for i, g in enumerate(self.gates):
             if g.kind in (AND, OR):
                 if not (0 <= g.a < i and 0 <= g.b < i):
@@ -63,15 +70,9 @@ class NnfCircuit:
 
     @cached_property
     def var_masks(self) -> tuple[int, ...]:
-        masks = []
-        for g in self.gates:
-            if g.kind == LIT:
-                masks.append(1 << g.var)
-            elif g.kind == CONST:
-                masks.append(0)
-            else:
-                masks.append(masks[g.a] | masks[g.b])
-        return tuple(masks)
+        """Each gate's support: bit v is set when a literal leaf on
+        variable v lies below it."""
+        return tuple(gate_values(self, lambda var, positive: 1 << var, lambda value: 0, or_, or_))
 
     @property
     def size(self) -> int:
@@ -164,15 +165,18 @@ def is_smooth(d: NnfCircuit) -> bool:
     return all(masks[g.a] == masks[g.b] for g in d.gates if g.kind == OR)
 
 
-def gate_values(d: NnfCircuit, x) -> list:
-    """Value of every gate under the column accessor x (see `oracles`):
-    a column, or a bool for a gate that folds to a constant."""
+def gate_values(d: NnfCircuit, x, const=bool, conj=conj, disj=disj) -> list:
+    """Value of every gate, children first: `x(var, positive)` at a
+    literal, `const(value)` at a constant, `conj` / `disj` of the
+    children's values at an AND / OR gate.  The default rules evaluate
+    under the column accessor x (see `oracles`): a column, or a bool for
+    a gate that folds to a constant."""
     vals = []
     for kind, a, b, var, positive in d.gates:
         if kind == LIT:
             vals.append(x(var, positive))
         elif kind == CONST:
-            vals.append(bool(a))
+            vals.append(const(a))
         elif kind == AND:
             vals.append(conj(vals[a], vals[b]))
         else:
@@ -212,23 +216,14 @@ def smooth(d: NnfCircuit) -> NnfCircuit:
 
 def model_count_smooth(d: NnfCircuit) -> int:
     """Bottom-up count over var(root) on a smooth decomposable circuit
-    (checked by `smooth`).
+    (checked by `smooth`): a literal counts 1, a constant its value, an
+    AND gate the product and an OR gate the sum of its children's counts.
 
-    A constant leaf counts as its value and mentions no variable, so an
-    OR gate with a constant child and a child that mentions variables is
-    not smooth and is rejected.
+    A constant leaf mentions no variable, so an OR gate with a constant
+    child and a child that mentions variables is not smooth and is
+    rejected.
     """
-    counts = []
-    for g in smooth(d).gates:
-        if g.kind == LIT:
-            counts.append(1)
-        elif g.kind == CONST:
-            counts.append(g.a)
-        elif g.kind == AND:
-            counts.append(counts[g.a] * counts[g.b])
-        else:
-            counts.append(counts[g.a] + counts[g.b])
-    return counts[d.root]
+    return gate_values(smooth(d), lambda var, positive: 1, int, mul, add)[d.root]
 
 
 # --- NNF file format (c2d compatible) ---------------------------------------
@@ -242,8 +237,7 @@ def model_count_smooth(d: NnfCircuit) -> int:
 def nnf_to_text(d: NnfCircuit) -> str:
     if d.root != d.node_count - 1:
         d = restrict_to_root(d)
-    wires = sum(2 for g in d.gates if g.kind in (AND, OR))
-    lines = [f"nnf {d.node_count} {wires} {d.num_vars}"]
+    lines = [f"nnf {d.node_count} {2 * d.size} {d.num_vars}"]
     for kind, a, b, var, positive in d.gates:
         if kind == LIT:
             lines.append(f"L {var + 1 if positive else -(var + 1)}")

@@ -217,6 +217,14 @@ def treewidth_estimate(g: Graph) -> tuple[int, str]:
     return treewidth_lower_bound(g), "mmd-lower/minfill-upper"
 
 
+def estimate_at_least(g: Graph, enough: int) -> bool:
+    """Whether `treewidth_estimate(g)` is at least `enough`.  The
+    minor-min-degree bound, which never exceeds the estimate, runs first
+    and stops as soon as it reaches `enough`; below it, it is the estimate
+    itself past the cap, and only up to the cap does the exact run follow."""
+    return _contraction_degree(g, enough) >= enough or g.n <= TREEWIDTH_EXACT_CAP and treewidth_exact(g) >= enough
+
+
 # --- the order's cut ---------------------------------------------------------
 
 

@@ -322,6 +322,33 @@ class TestGenerate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["cube", "40"], ["complete", "1000000"], ["grid", "1000000", "1000000"]],
+                             ids=["cube40", "complete1e6", "grid1e6x1e6"])
+    def test_too_large_refused_before_building(self, argv, monkeypatch, tmp_path, capsys):
+        def build(*params):
+            pytest.fail(f"{argv[0]} built with {params}")
+
+        _, *rest = fam.FAMILIES[argv[0]]
+        monkeypatch.setitem(fam.FAMILIES, argv[0], (build, *rest))
+        out = tmp_path / "g.graph"
+        assert main(["generate", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: invalid parameters for family {argv[0]}: "
+                                           f"too large: more than {fam.GENERATE_CAP} vertices or edges\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["cycle", "7"], ["path", "5"], ["complete", "6"], ["grid", "3", "5"],
+                                      ["wheel", "6"], ["cube", "4"], ["random-regular", "10", "3", "2"]],
+                             ids=lambda argv: argv[0])
+    def test_counts_are_the_generated_graphs(self, argv):
+        make, _, counts = fam.FAMILIES[argv[0]]
+        g = make(*map(int, argv[1:]))
+        assert counts(*map(int, argv[1:])) == (g.n, g.m)
+
+    def test_grid_408_within_the_cap(self):
+        # the scale at which the certified exponent first exceeds 1
+        assert fam.FAMILIES["grid"][2](408, 408) == (166464, 332112)
+        assert 332112 <= fam.GENERATE_CAP
+
 
 class TestPipeline:
     def test_c3_row(self, workdir, tmp_path):

@@ -5,7 +5,7 @@ import zlib
 import pytest
 
 from lemmas import induced_subgraph, k4_with_pendant_path, mask_of, nnf_truth_table, octahedron, replay_on_circuit, subdivided
-from tseitinkit import families as fam, graphs, minors
+from tseitinkit import families as fam, graphs, minors, width
 from tseitinkit.graphs import Graph, connected_components, is_3_connected, is_connected
 from tseitinkit.minors import MinorOp, MinorResult, find_safe_separator, three_connected_minor
 from tseitinkit.width import TREEWIDTH_EXACT_CAP, treewidth_estimate, treewidth_exact
@@ -542,3 +542,23 @@ class TestReductionWork:
         assert len(steps) == 4
         for ran, dropped, kept in steps:
             assert ran == dropped and kept not in ran
+
+    def test_kept_side_bound_runs_once_past_the_cap(self, monkeypatch):
+        """Grid 5x5 with K6 glued at vertex 0: the K6 side's exact value 5
+        beats the 25-vertex grid side, whose minor-min-degree bound (4)
+        stops short of 5 and, past the exact cap, is that side's estimate,
+        so it runs once, not again inside the estimate."""
+        calls = []
+        original = width._contraction_degree
+
+        def counted(g, enough):
+            calls.append((g.n, enough))
+            return original(g, enough)
+
+        monkeypatch.setattr(width, "_contraction_degree", counted)
+        monkeypatch.setattr(minors, "_contraction_degree", counted, raising=False)
+        k6 = fam.complete(6)
+        g = Graph(30, fam.grid(5, 5).edges + tuple((u and u + 24, v + 24) for u, v in k6.edges))
+        result = three_connected_minor(g)
+        assert result.graph == k6 and result.vertex_names == (0, 25, 26, 27, 28, 29)
+        assert sorted(calls) == [(6, 6), (25, 5)]

@@ -447,6 +447,33 @@ class TestNothingToChange:
         assert not assert_smooth_checks(d)
 
 
+def reachable_variables(d: NnfCircuit, i: int) -> set[int]:
+    """The variables of the literal leaves reachable from gate i."""
+    found, stack, seen = set(), [i], set()
+    while stack:
+        j = stack.pop()
+        if j in seen:
+            continue
+        seen.add(j)
+        g = d.gates[j]
+        if g.kind == LIT:
+            found.add(g.var)
+        elif g.kind in (AND, OR):
+            stack += [g.a, g.b]
+    return found
+
+
+def test_supports_gate_by_gate():
+    """Each `var_masks` entry is the set of variables below its gate, on
+    random circuits with constants, repeated leaves and unreachable gates."""
+    rng = random.Random("supports")
+    for _ in range(500):
+        d = random_circuit(rng, folded=False)
+        assert len(d.var_masks) == d.node_count
+        for i, mask in enumerate(d.var_masks):
+            assert mask == sum(1 << v for v in reachable_variables(d, i)), (d, i)
+
+
 class TestNnfText:
     def test_round_trip_small(self):
         d = smooth(circuit_xy_or_notx_noty())

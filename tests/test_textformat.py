@@ -272,6 +272,12 @@ def test_tseitin_count_errors_name_the_count(text, message):
     assert outcome(new, text) == outcome(reference, text) == ("ValueError", message)
 
 
+@pytest.mark.parametrize("fmt, text", [("cnf", "p cnf -2 0\n"), ("nnf", "nnf 1 0 -3\nA 0\n")])
+def test_negative_variable_count_refused(fmt, text):
+    new, reference = READERS[fmt]
+    assert outcome(new, text) == outcome(reference, text) == ("ValueError", "variable count must be non-negative")
+
+
 def test_trace_writer_matches_the_reference():
     """Byte for byte: genuine traces, their mutations that still read, and
     hand-made ones with tautologies, both polarities of one variable in
